@@ -28,7 +28,7 @@ use raqo_sim::percentile;
 use raqo_telemetry::Counter;
 use serde::Serialize;
 use std::sync::{Arc, Barrier, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One connection-count configuration's measurements.
 #[derive(Debug, Clone, Serialize)]
@@ -118,10 +118,6 @@ fn run_point(connections: usize, per_conn: usize) -> NetPoint {
             max_connections: connections + 4,
             dispatchers: 4,
             dispatch_capacity: total.max(connections),
-            // A tight tick keeps the event loop off the latency critical
-            // path; the default 1 ms tick is tuned for idle efficiency,
-            // not benchmarking.
-            poll_interval: Duration::from_micros(100),
             ..NetConfig::default()
         },
         service.clone(),

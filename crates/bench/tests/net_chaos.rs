@@ -102,7 +102,7 @@ fn assert_connections_balanced(tel: &Telemetry) {
 }
 
 #[test]
-fn delay_faults_on_the_read_path_stall_ticks_but_never_hang() {
+fn delay_faults_on_the_read_path_stall_the_loop_but_never_hang() {
     let _serial = lock();
     let _guard = FaultGuard::new();
     let (server, service, tel) = start_stack(NetConfig::default(), 1);
@@ -111,16 +111,25 @@ fn delay_faults_on_the_read_path_stall_ticks_but_never_hang() {
     let clean = client.plan(&QuerySpec::tpch_q3(), Priority::Interactive).expect("clean reply");
     assert!(clean.plan.is_some());
 
-    // Three consecutive event-loop ticks each stall 25 ms inside the read
-    // probe — the slow-network case, not a dead one.
+    // The read probe fires once per readable event, so each of the next
+    // three requests stalls the event loop 25 ms on its way in — the
+    // slow-network case, not a dead one.
     for nth in 1..=3 {
         raqo_faults::arm(Fault::at("net.read", FaultKind::Delay(Duration::from_millis(25)), nth));
     }
+    let fired_before = raqo_faults::fired_total();
     let start = Instant::now();
-    let reply = client
-        .plan_with(&QuerySpec::tpch_q12(), Priority::Standard, 1, 0)
-        .expect("delayed reply");
-    assert!(reply.plan.is_some(), "delay fault lost the plan");
+    for namespace in 1..=3 {
+        let reply = client
+            .plan_with(&QuerySpec::tpch_q12(), Priority::Standard, namespace, 0)
+            .expect("delayed reply");
+        assert!(reply.plan.is_some(), "delay fault lost the plan");
+    }
+    assert_eq!(
+        raqo_faults::fired_total() - fired_before,
+        3,
+        "each request must have met its delay"
+    );
     assert!(
         start.elapsed() < Duration::from_secs(5),
         "delay fault wedged the event loop: {:?}",
@@ -247,10 +256,11 @@ fn non_faulted_requests_bit_match_the_in_process_service() {
     let mut wire_json: Vec<String> = Vec::new();
     for i in 0..8usize {
         if i == 4 {
-            // Mid-stream chaos: the next tick resets the connection. The
-            // client's retry is transparent, and because the reset lands
-            // before the request is read, each request still plans exactly
-            // once, in order — the twin comparison below stays 1:1.
+            // Mid-stream chaos: the next readable event — this request
+            // arriving — resets the connection. The client's retry is
+            // transparent, and because the reset lands before the request
+            // is read, each request still plans exactly once, in order —
+            // the twin comparison below stays 1:1.
             raqo_faults::arm(Fault::once("net.read", FaultKind::Fail));
         }
         let query = &queries[i % queries.len()];
@@ -296,7 +306,6 @@ fn soak_survives_one_in_eight_faulted_frames_with_zero_leaks() {
             max_connections: 64,
             dispatchers: 4,
             dispatch_capacity: 256,
-            poll_interval: Duration::from_micros(500),
             ..NetConfig::default()
         },
         4,

@@ -3,10 +3,18 @@
 //! The paper's optimizer is a library call and [`raqo_core::PlanningService`]
 //! turns it into an in-process service; this crate puts that service on the
 //! network without giving up any of its robustness guarantees. Everything is
-//! std-only (no async runtime, no protobuf): a nonblocking poll-style event
-//! loop over plain `TcpListener`/`TcpStream`, a versioned length-prefixed
-//! frame protocol ([`frame`]), and a bounded handoff into the planning
-//! service's admission queue.
+//! std-only (no async runtime, no protobuf): one nonblocking event loop over
+//! plain `TcpListener`/`TcpStream` that sleeps in `poll(2)` until a socket
+//! is ready, a timer is due, or a dispatcher wakes it ([`server`]); a
+//! versioned length-prefixed frame protocol ([`frame`]); and a bounded
+//! handoff into the planning service's admission queue.
+//!
+//! The crate's single `unsafe` block is the `poll` foreign call in
+//! `poll.rs` (std links the C library already; there is no `libc` crate
+//! here). Its safety argument is one line — the pointer and count passed
+//! are a live `&mut [PollFd]`'s own. `unsafe_code` is denied everywhere
+//! but that module, and `unsafe_op_in_unsafe_fn` crate-wide, so nothing
+//! else can hide one.
 //!
 //! Design invariants, each enforced by the chaos suite in
 //! `crates/bench/tests/net_chaos.rs`:
@@ -31,8 +39,12 @@
 //!   server's reply ring deduplicates ids it has already answered, so a
 //!   retry of a delivered reply costs no second planning run.
 
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
+
 pub mod client;
 pub mod frame;
+#[allow(unsafe_code)]
+pub(crate) mod poll;
 pub(crate) mod probes;
 pub mod server;
 

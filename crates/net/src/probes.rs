@@ -7,9 +7,16 @@
 //!
 //! Sites exposed by this crate:
 //! * `net.accept` — just after a connection is accepted;
-//! * `net.read`  — before draining readable bytes from a connection;
-//! * `net.write` — before flushing a connection's output buffer;
-//! * `net.frame` — before decoding buffered bytes into frames.
+//! * `net.read`  — once per readable event on a connection (poll reported
+//!   bytes, EOF or an error), before the socket is drained;
+//! * `net.write` — once per flush attempt, i.e. on a pass that finds a
+//!   connection with pending output, before the first `write`;
+//! * `net.frame` — after such a read, if any bytes are buffered, before
+//!   they are decoded into frames.
+//!
+//! Hit counts therefore follow traffic (about one `net.read` and one
+//! `net.frame` per request segment, one `net.write` per reply burst), not
+//! time: an idle connection hits nothing.
 //!
 //! `Fail` at a site models a hard transport fault (reset / torn stream);
 //! `Nan` models garbage on the wire (a corrupted byte); `Delay` stalls the

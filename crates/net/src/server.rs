@@ -2,14 +2,41 @@
 //!
 //! One event-loop thread owns the listener and every connection,
 //! nonblocking throughout — accept, read, frame decode, write and the idle
-//! reaper all run in a single poll-style loop, so no peer can block another
-//! by stalling. Decoded requests hand off through a bounded
+//! reaper all run in a single loop that blocks in `poll(2)`
+//! ([`crate::poll`]) until a socket is ready, a timer is due, or another
+//! thread wakes it; no peer can block another by stalling, and an idle
+//! server does not run at all. Decoded requests hand off through a bounded
 //! [`AdmissionQueue`] to a small pool of dispatcher threads; each
 //! dispatcher submits to the in-process [`PlanningService`], waits on the
-//! ticket *with a timeout*, encodes the reply, and posts it back to the
-//! event loop for writing. The dispatch queue is the backpressure point:
-//! when it is full the event loop answers `Overloaded` immediately instead
-//! of buffering without bound.
+//! ticket *with a timeout*, encodes the reply, posts it back to the event
+//! loop and wakes it to write. The dispatch queue is the backpressure
+//! point: when it is full the event loop answers `Overloaded` immediately
+//! instead of buffering without bound.
+//!
+//! How the loop waits, since a missed wake-up is a hang and a spurious one
+//! a hot core:
+//!
+//! * **The poll set** is rebuilt every pass: the waker, the listener
+//!   (unless draining or backing off a failed `accept`), and each
+//!   connection with `POLLIN` while the server still wants its bytes and
+//!   `POLLOUT` only while output is pending. After the wait the loop acts
+//!   only on what was reported — it accepts only a readable listener and
+//!   reads only readable connections.
+//! * **The waker** is how other threads end the wait: a dispatcher after
+//!   pushing a completion, `shutdown` after setting the stop flag. The
+//!   loop drains it *before* reading what they published, so a wake that
+//!   races the drain is either seen or still pending.
+//! * **The timeout** is the nearest real timer — the earliest idle
+//!   deadline among connections with nothing in flight, the drain
+//!   deadline, an accept back-off — or none, so there is no cadence to
+//!   tune.
+//! * **Level-triggered readiness must not spin.** A connection past peer
+//!   EOF, or one that drew a protocol error, is never read again (its
+//!   `POLLIN` would stay set forever; after a framing error its bytes mean
+//!   nothing); it lives on only to flush replies still owed. Output the
+//!   socket will not take waits on `POLLOUT`. An `accept` that fails for
+//!   want of descriptors parks the listener until a connection closes or
+//!   [`ACCEPT_BACKOFF`] passes.
 //!
 //! Robustness decisions worth naming:
 //!
@@ -49,16 +76,25 @@ use crate::frame::{
     self, Decoded, ErrorCode, ErrorFrame, Frame, ReplyFrame, RequestFrame, FLAG_DEADLINE_EXPIRED,
     FLAG_SHED,
 };
+use crate::poll::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::probes;
 use raqo_core::service::{PlanRequest, PlanningService};
 use raqo_sim::AdmissionQueue;
 use raqo_telemetry::{Counter, Telemetry};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::os::raw::c_short;
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// How long the listener stays out of the poll set after `accept` failed
+/// for a reason other than an empty backlog (`EMFILE`/`ENFILE`: the
+/// backlog is still there, so level-triggered readiness would re-fire at
+/// once). A connection closing ends the back-off early.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Wire front-end knobs.
 #[derive(Debug, Clone)]
@@ -80,10 +116,8 @@ pub struct NetConfig {
     /// Cap on waiting for a planning ticket before a `WaitTimeout` error
     /// frame — one wedged ticket must not hold a dispatcher forever.
     pub ticket_timeout: Duration,
-    /// Recently answered request ids kept for retry dedup.
+    /// Recently answered request ids kept for retry dedup (0: no ring).
     pub reply_ring: usize,
-    /// Event-loop poll cadence.
-    pub poll_interval: Duration,
     /// Bound on waiting for in-flight work during graceful drain.
     pub drain_timeout: Duration,
 }
@@ -99,7 +133,6 @@ impl Default for NetConfig {
             idle_timeout: Duration::from_secs(30),
             ticket_timeout: Duration::from_secs(30),
             reply_ring: 128,
-            poll_interval: Duration::from_millis(1),
             drain_timeout: Duration::from_secs(5),
         }
     }
@@ -138,10 +171,15 @@ struct NetShared {
     /// Set by the event loop once drained; releases the dispatchers.
     dispatch_stop: AtomicBool,
     completions: Mutex<Vec<Completion>>,
+    /// Ends the event loop's wait: after a push to `completions`, after
+    /// `stop` is set.
+    waker: Waker,
     /// Requests handed to dispatch whose completions the event loop has
     /// not yet consumed — the drain barrier.
     in_flight: AtomicUsize,
     live_connections: AtomicUsize,
+    /// Event-loop passes, i.e. returns from the readiness wait.
+    wakeups: AtomicU64,
 }
 
 fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
@@ -183,8 +221,10 @@ impl PlanServer {
             dispatch_ready: Condvar::new(),
             dispatch_stop: AtomicBool::new(false),
             completions: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
             in_flight: AtomicUsize::new(0),
             live_connections: AtomicUsize::new(0),
+            wakeups: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             config,
         });
@@ -214,6 +254,13 @@ impl PlanServer {
         self.shared.in_flight.load(Ordering::Relaxed)
     }
 
+    /// Passes the event loop has made. The loop blocks until something is
+    /// ready, so this stands still on an idle server and grows by a small
+    /// constant per request; tests use it to catch a busy-spin.
+    pub fn wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
+    }
+
     /// Graceful drain: stop accepting, answer `Draining`, finish in-flight
     /// work, flush the cache-bank checkpoint, close, join every thread.
     pub fn shutdown(mut self) {
@@ -222,6 +269,7 @@ impl PlanServer {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        self.shared.waker.wake();
         if let Some(event) = self.event.take() {
             let _ = event.join();
         }
@@ -250,9 +298,15 @@ struct Conn {
     out_pos: usize,
     last_activity: Instant,
     in_flight: usize,
+    /// The peer's write side has closed; no more bytes are coming.
+    eof: bool,
+    /// A protocol error was answered: flush what is owed, then close.
     close_after_flush: bool,
     /// Set when the output cap is blown: close now, no flush courtesy.
     kill: bool,
+    /// This pass's index into the poll set; `None` for a connection
+    /// accepted after the wait, which has no readiness report yet.
+    slot: Option<usize>,
 }
 
 impl Conn {
@@ -264,8 +318,10 @@ impl Conn {
             out_pos: 0,
             last_activity: Instant::now(),
             in_flight: 0,
+            eof: false,
             close_after_flush: false,
             kill: false,
+            slot: None,
         }
     }
 
@@ -276,6 +332,26 @@ impl Conn {
     /// Unflushed output bytes waiting on the peer to read.
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// Whether the server still wants this peer's bytes. Not after EOF
+    /// (there are none, and `POLLIN` would stay set forever), and not
+    /// after a protocol error (the stream's framing can no longer be
+    /// trusted, so nothing more from it is decoded or dispatched).
+    fn reading(&self) -> bool {
+        !self.eof && !self.close_after_flush
+    }
+
+    /// Readiness this connection waits on.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if self.reading() {
+            events |= POLLIN;
+        }
+        if !self.flushed() {
+            events |= POLLOUT;
+        }
+        events
     }
 
     /// Queue a frame for writing, bounded by `output_cap`: a peer that
@@ -290,6 +366,15 @@ impl Conn {
         self.out.extend_from_slice(bytes);
         telemetry.inc(Counter::NetFramesOut);
     }
+
+    /// Answer a protocol error: the typed frame, then nothing more is read.
+    fn reject(&mut self, code: ErrorCode, message: String, shared: &NetShared) {
+        shared.telemetry.inc(Counter::NetFrameErrors);
+        let bytes = ErrorFrame { request_id: 0, code, message }.encode();
+        self.push_frame(&bytes, shared.config.output_cap, &shared.telemetry);
+        self.close_after_flush = true;
+        self.read_buf.clear();
+    }
 }
 
 /// What a service pass decided about one connection.
@@ -299,126 +384,117 @@ enum Fate {
     Close,
 }
 
+/// Recently answered (request id, content fingerprint, encoded reply):
+/// retry dedup.
+type ReplyRing = VecDeque<(u64, u64, Vec<u8>)>;
+
+fn earlier(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    a.into_iter().chain(b).min()
+}
+
 fn event_loop(shared: &NetShared, listener: TcpListener) {
+    const WAKER_SLOT: usize = 0;
     let cfg = &shared.config;
     let tel = &shared.telemetry;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 1;
-    // Recently answered (request id + content fingerprint → encoded
-    // reply): retry dedup.
-    let mut reply_ring: VecDeque<(u64, u64, Vec<u8>)> = VecDeque::new();
+    let mut reply_ring = ReplyRing::new();
     let mut drain_started: Option<Instant> = None;
+    let mut accept_retry_at: Option<Instant> = None;
+    let mut fds: Vec<PollFd> = Vec::new();
 
     loop {
+        // Register interest and find the nearest timer. A deadline too far
+        // off to represent (`checked_add` overflow) is no deadline.
+        fds.clear();
+        fds.push(PollFd::new(shared.waker.fd(), POLLIN));
+        let listener_slot = (drain_started.is_none() && accept_retry_at.is_none()).then(|| {
+            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+            fds.len() - 1
+        });
+        let mut timer = earlier(
+            accept_retry_at,
+            drain_started.and_then(|t| t.checked_add(cfg.drain_timeout)),
+        );
+        for conn in conns.values_mut() {
+            conn.slot = Some(fds.len());
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
+            if conn.in_flight == 0 {
+                timer = earlier(timer, conn.last_activity.checked_add(cfg.idle_timeout));
+            }
+        }
+
+        let timeout = timer.map(|t| t.saturating_duration_since(Instant::now()));
+        if poll::wait(&mut fds, timeout).is_err() {
+            // Not EINTR (retried inside): the kernel refused the set
+            // itself. Looping would spin; close everything instead.
+            break;
+        }
+        shared.wakeups.fetch_add(1, Ordering::Relaxed);
+        let now = Instant::now();
+
+        // Drain the waker *before* reading what its callers published.
+        let woken = fds[WAKER_SLOT].revents() != 0;
+        if woken {
+            shared.waker.drain();
+        }
         let draining = shared.stop.load(Ordering::Acquire);
         if draining && drain_started.is_none() {
-            drain_started = Some(Instant::now());
+            drain_started = Some(now);
+        }
+        if accept_retry_at.is_some_and(|t| now >= t) {
+            accept_retry_at = None;
         }
 
-        // Accept until the backlog is empty (skipped once draining).
-        while !draining {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if probes::probe("net.accept") == probes::Action::Fail {
-                        // Injected accept failure: the connection dies
-                        // before entering the loop, exactly like a peer
-                        // resetting inside the handshake.
-                        continue;
-                    }
-                    if conns.len() >= cfg.max_connections {
-                        shed_at_accept(stream, tel);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    conns.insert(next_id, Conn::new(stream));
-                    next_id += 1;
-                    tel.inc(Counter::NetConnectionsOpened);
-                    shared.live_connections.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        if !draining
+            && listener_slot.is_some_and(|slot| fds[slot].revents() != 0)
+            && !accept_backlog(&listener, &mut conns, &mut next_id, shared)
+        {
+            // Out of descriptors (EMFILE/ENFILE) or kernel memory: the
+            // refused connection stays in the backlog, so the listener
+            // stays readable and would wake the loop again at once,
+            // forever. Take it out of the poll set until a connection
+            // closes (a descriptor comes back) or the back-off passes.
+            accept_retry_at = now.checked_add(ACCEPT_BACKOFF);
+        }
+        if woken {
+            route_completions(shared, &mut conns, &mut reply_ring);
         }
 
-        // Route finished plans back to their connections.
-        let done: Vec<Completion> = std::mem::take(&mut *lock(&shared.completions));
-        for c in done {
-            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-            if c.cacheable {
-                if reply_ring.len() >= cfg.reply_ring.max(1) {
-                    reply_ring.pop_front();
-                }
-                reply_ring.push_back((c.request_id, c.fingerprint, c.bytes.clone()));
+        // One pass decides each connection's fate: serve what poll
+        // reported, flush what is pending, then the idle reaper.
+        let before = conns.len();
+        conns.retain(|&id, conn| {
+            let revents = conn.slot.take().map_or(0, |slot| fds[slot].revents());
+            if service_conn(id, conn, revents, shared, &reply_ring, draining) == Fate::Close {
+                return false;
             }
-            if let Some(conn) = conns.get_mut(&c.conn_id) {
-                conn.in_flight = conn.in_flight.saturating_sub(1);
-                conn.push_frame(&c.bytes, cfg.output_cap, tel);
+            // Inactivity with no in-flight work is enough — a
+            // half-received frame (slow loris, peer crash without FIN) or
+            // a backlog the peer refuses to read must not hold a
+            // connection slot forever. Only a request actually being
+            // planned earns a stay.
+            let idle = conn.in_flight == 0
+                && now.saturating_duration_since(conn.last_activity) >= cfg.idle_timeout;
+            if idle {
+                reap(conn, tel);
             }
-            // Connection gone: the ring above still serves a retry that
-            // arrives on a replacement connection.
+            !idle
+        });
+        let closed = before - conns.len();
+        if closed > 0 {
+            tel.add(Counter::NetConnectionsClosed, closed as u64);
+            shared.live_connections.fetch_sub(closed, Ordering::Relaxed);
+            accept_retry_at = None;
         }
 
-        // Read, decode, dispatch and write for every connection.
-        let mut to_close: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            if service_conn(id, conn, shared, &mut reply_ring, draining) == Fate::Close {
-                to_close.push(id);
-            }
-        }
-
-        // Idle reaper: inactivity with no in-flight work is enough — a
-        // half-received frame (slow loris, peer crash without FIN) or a
-        // backlog the peer refuses to read must not hold a connection slot
-        // forever. Only a request actually being planned earns a stay.
-        for (&id, conn) in conns.iter_mut() {
-            if conn.in_flight == 0
-                && conn.last_activity.elapsed() >= cfg.idle_timeout
-                && !to_close.contains(&id)
-            {
-                if !conn.read_buf.is_empty() && conn.flushed() {
-                    // The peer left a partial frame behind: tell it the
-                    // stream is torn before taking the slot back. One
-                    // best-effort nonblocking write — the peer is likely
-                    // gone, and the event loop must not wait on it. (With
-                    // a half-written reply still pending the frame would
-                    // splice mid-stream, so only a flushed stream gets
-                    // the courtesy.)
-                    let torn = ErrorFrame {
-                        request_id: 0,
-                        code: ErrorCode::Torn,
-                        message: "connection idle holding an incomplete frame".into(),
-                    }
-                    .encode();
-                    if conn.stream.write(&torn).is_ok() {
-                        tel.inc(Counter::NetFramesOut);
-                    }
-                }
-                tel.inc(Counter::NetIdleReaped);
-                to_close.push(id);
-            }
-        }
-
-        for id in to_close {
-            if conns.remove(&id).is_some() {
-                tel.inc(Counter::NetConnectionsClosed);
-                shared.live_connections.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-
-        if draining {
+        if let Some(started) = drain_started {
             let quiesced = shared.in_flight.load(Ordering::Relaxed) == 0
                 && conns.values().all(Conn::flushed);
-            let expired =
-                drain_started.map_or(false, |t| t.elapsed() >= cfg.drain_timeout);
-            if quiesced || expired {
+            if quiesced || started.elapsed() >= cfg.drain_timeout {
                 break;
             }
         }
-
-        std::thread::sleep(cfg.poll_interval);
     }
 
     // Drained (or drain timed out): flush the shared cache bank so a
@@ -434,12 +510,81 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
             None => bank.checkpoint(path).map(|_| ()),
         };
     }
-    for _ in conns.drain() {
-        tel.inc(Counter::NetConnectionsClosed);
-        shared.live_connections.fetch_sub(1, Ordering::Relaxed);
-    }
+    tel.add(Counter::NetConnectionsClosed, conns.len() as u64);
+    shared.live_connections.fetch_sub(conns.len(), Ordering::Relaxed);
+    drop(conns);
     shared.dispatch_stop.store(true, Ordering::Release);
     shared.dispatch_ready.notify_all();
+}
+
+/// Accept until the backlog is empty. Returns `false` if `accept` failed in
+/// a way that leaves the backlog as it is, so the caller must back off.
+fn accept_backlog(
+    listener: &TcpListener,
+    conns: &mut HashMap<u64, Conn>,
+    next_id: &mut u64,
+    shared: &NetShared,
+) -> bool {
+    let tel = &shared.telemetry;
+    loop {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if probes::probe("net.accept") == probes::Action::Fail {
+                    // Injected accept failure: the connection dies before
+                    // entering the loop, exactly like a peer resetting
+                    // inside the handshake.
+                    continue;
+                }
+                if conns.len() >= shared.config.max_connections {
+                    shed_at_accept(stream, tel);
+                    continue;
+                }
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                conns.insert(*next_id, Conn::new(stream));
+                *next_id += 1;
+                tel.inc(Counter::NetConnectionsOpened);
+                shared.live_connections.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            // One handshake died in the backlog; the rest stand.
+            Err(e)
+                if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Route finished plans back to their connections.
+fn route_completions(
+    shared: &NetShared,
+    conns: &mut HashMap<u64, Conn>,
+    reply_ring: &mut ReplyRing,
+) {
+    let cfg = &shared.config;
+    let done: Vec<Completion> = std::mem::take(&mut *lock(&shared.completions));
+    for c in done {
+        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        // A cacheable reply moves into the ring and is written from there:
+        // no copy beyond the one into the output buffer.
+        let bytes = if c.cacheable && cfg.reply_ring > 0 {
+            if reply_ring.len() >= cfg.reply_ring {
+                reply_ring.pop_front();
+            }
+            reply_ring.push_back((c.request_id, c.fingerprint, c.bytes));
+            &reply_ring.back().expect("just pushed").2
+        } else {
+            &c.bytes
+        };
+        if let Some(conn) = conns.get_mut(&c.conn_id) {
+            conn.in_flight = conn.in_flight.saturating_sub(1);
+            conn.push_frame(bytes, cfg.output_cap, &shared.telemetry);
+        }
+        // Connection gone: the ring above still serves a retry that
+        // arrives on a replacement connection.
+    }
 }
 
 /// Best-effort `Overloaded` reply to a connection shed at the cap: one
@@ -459,37 +604,118 @@ fn shed_at_accept(mut stream: TcpStream, telemetry: &Telemetry) {
     }
 }
 
-/// One poll pass over a connection: drain readable bytes, decode frames,
-/// dispatch requests, flush output. Returns the connection's fate.
+/// Take an idle connection's slot back. If the peer left a partial frame
+/// behind, tell it the stream is torn first: one best-effort nonblocking
+/// write — the peer is likely gone, and the event loop must not wait on
+/// it. (With a half-written reply still pending the frame would splice
+/// mid-stream, so only a flushed stream gets the courtesy.)
+fn reap(conn: &mut Conn, telemetry: &Telemetry) {
+    if !conn.read_buf.is_empty() && conn.flushed() {
+        let torn = ErrorFrame {
+            request_id: 0,
+            code: ErrorCode::Torn,
+            message: "connection idle holding an incomplete frame".into(),
+        }
+        .encode();
+        if conn.stream.write(&torn).is_ok() {
+            telemetry.inc(Counter::NetFramesOut);
+        }
+    }
+    telemetry.inc(Counter::NetIdleReaped);
+}
+
+/// One pass over a connection, acting on what poll reported (`revents`):
+/// drain readable bytes and decode and dispatch their frames, then flush
+/// pending output. Returns the connection's fate.
 fn service_conn(
     id: u64,
     conn: &mut Conn,
+    revents: c_short,
     shared: &NetShared,
-    reply_ring: &mut VecDeque<(u64, u64, Vec<u8>)>,
+    reply_ring: &ReplyRing,
     draining: bool,
 ) -> Fate {
-    let tel = &shared.telemetry;
+    if conn.reading() {
+        if revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0
+            && read_and_decode(id, conn, shared, reply_ring, draining) == Fate::Close
+        {
+            return Fate::Close;
+        }
+    } else if revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
+        // Reset, or closed in both directions, while only replies were
+        // owed: they can no longer be delivered, and the condition is
+        // reported on every wait from now on.
+        return Fate::Close;
+    }
 
+    // -- write --
+    // Straight away rather than after a POLLOUT round trip: the socket
+    // buffer almost always has room. When it does not, the rest waits on
+    // POLLOUT.
+    if !conn.flushed() {
+        if probes::probe("net.write") == probes::Action::Fail {
+            return Fate::Close; // injected reset on the write side
+        }
+        loop {
+            match conn.stream.write(&conn.out[conn.out_pos..]) {
+                Ok(0) => return Fate::Close,
+                Ok(n) => {
+                    conn.out_pos += n;
+                    conn.last_activity = Instant::now();
+                    if conn.flushed() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Fate::Close,
+            }
+        }
+        if conn.flushed() {
+            conn.out.clear();
+            conn.out_pos = 0;
+        }
+    }
+
+    if conn.kill {
+        // Output cap blown: the peer is not reading, so there is nothing
+        // left to flush to it. Drop the connection now.
+        return Fate::Close;
+    }
+    if !conn.reading() && conn.flushed() && conn.in_flight == 0 {
+        return Fate::Close;
+    }
+    Fate::Keep
+}
+
+/// The read half of a service pass: everything the socket holds, then
+/// every complete frame in the buffer — so no frame is left waiting for
+/// readiness that has already been reported.
+fn read_and_decode(
+    id: u64,
+    conn: &mut Conn,
+    shared: &NetShared,
+    reply_ring: &ReplyRing,
+    draining: bool,
+) -> Fate {
     // -- read --
     if probes::probe("net.read") == probes::Action::Fail {
         return Fate::Close; // injected reset
     }
     let mut chunk = [0u8; 4096];
-    let mut saw_eof = false;
     loop {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 // Peer EOF: finish what's pending, then close.
-                saw_eof = true;
-                conn.close_after_flush = true;
+                conn.eof = true;
                 break;
             }
             Ok(n) => {
                 conn.read_buf.extend_from_slice(&chunk[..n]);
                 conn.last_activity = Instant::now();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Fate::Close,
         }
     }
@@ -515,29 +741,19 @@ fn service_conn(
         }
     }
     let mut consumed = 0usize;
-    loop {
+    // A protocol error ends the loop for good: `reject` stops all reading.
+    while !conn.close_after_flush {
         match frame::decode(&conn.read_buf[consumed..], shared.config.max_body) {
             Decoded::Incomplete { .. } => break,
             Decoded::Corrupt(e) => {
                 // Framing is lost: answer with the typed error, then close
                 // once it flushes. Never silent, never a hang, never a
                 // panic.
-                tel.inc(Counter::NetFrameErrors);
-                let bytes = ErrorFrame {
-                    request_id: 0,
-                    code: e.code(),
-                    message: e.to_string(),
-                }
-                .encode();
-                conn.push_frame(&bytes, shared.config.output_cap, tel);
-                conn.close_after_flush = true;
-                conn.read_buf.clear();
-                consumed = 0;
-                break;
+                conn.reject(e.code(), e.to_string(), shared);
             }
             Decoded::Frame(frame, n) => {
                 consumed += n;
-                tel.inc(Counter::NetFramesIn);
+                shared.telemetry.inc(Counter::NetFramesIn);
                 match frame {
                     Frame::Request(req) => {
                         handle_request(id, conn, req, shared, reply_ring, draining)
@@ -545,72 +761,26 @@ fn service_conn(
                     Frame::Reply(_) | Frame::Error(_) => {
                         // Clients send requests; anything else means the
                         // peer is confused about who is who.
-                        tel.inc(Counter::NetFrameErrors);
-                        let bytes = ErrorFrame {
-                            request_id: 0,
-                            code: ErrorCode::BadBody,
-                            message: "only request frames are accepted here".into(),
-                        }
-                        .encode();
-                        conn.push_frame(&bytes, shared.config.output_cap, tel);
-                        conn.close_after_flush = true;
+                        conn.reject(
+                            ErrorCode::BadBody,
+                            "only request frames are accepted here".into(),
+                            shared,
+                        );
                     }
                 }
             }
         }
     }
-    if consumed > 0 {
+    if !conn.close_after_flush {
+        // (`reject` has already emptied the buffer otherwise.)
         conn.read_buf.drain(..consumed);
     }
 
     // Peer EOF with a partial frame still buffered: the stream tore
     // mid-frame and no more bytes are coming. Answer with the typed
     // `Torn` error before the close — never a silent drop.
-    if saw_eof && !conn.read_buf.is_empty() {
-        tel.inc(Counter::NetFrameErrors);
-        let bytes = ErrorFrame {
-            request_id: 0,
-            code: ErrorCode::Torn,
-            message: "stream ended mid-frame".into(),
-        }
-        .encode();
-        conn.push_frame(&bytes, shared.config.output_cap, tel);
-        conn.read_buf.clear();
-    }
-
-    // -- write --
-    if !conn.flushed() {
-        if probes::probe("net.write") == probes::Action::Fail {
-            return Fate::Close; // injected reset on the write side
-        }
-        loop {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => return Fate::Close,
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.last_activity = Instant::now();
-                    if conn.flushed() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Fate::Close,
-            }
-        }
-        if conn.flushed() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        }
-    }
-
-    if conn.kill {
-        // Output cap blown: the peer is not reading, so there is nothing
-        // left to flush to it. Drop the connection now.
-        return Fate::Close;
-    }
-    if conn.close_after_flush && conn.flushed() && conn.in_flight == 0 {
-        return Fate::Close;
+    if conn.eof && !conn.read_buf.is_empty() {
+        conn.reject(ErrorCode::Torn, "stream ended mid-frame".into(), shared);
     }
     Fate::Keep
 }
@@ -620,7 +790,7 @@ fn handle_request(
     conn: &mut Conn,
     req: RequestFrame,
     shared: &NetShared,
-    reply_ring: &mut VecDeque<(u64, u64, Vec<u8>)>,
+    reply_ring: &ReplyRing,
     draining: bool,
 ) {
     let tel = &shared.telemetry;
@@ -644,9 +814,8 @@ fn handle_request(
         .iter()
         .find(|(rid, rfp, _)| *rid == req.request_id && *rfp == fingerprint)
     {
-        let bytes = bytes.clone();
         tel.inc(Counter::NetRepliesDeduped);
-        conn.push_frame(&bytes, shared.config.output_cap, tel);
+        conn.push_frame(bytes, shared.config.output_cap, tel);
         return;
     }
     let class = req.priority as usize;
@@ -705,6 +874,7 @@ fn dispatcher_loop(shared: &NetShared) {
         let Some(job) = job else { return };
         let completion = run_job(shared, job);
         lock(&shared.completions).push(completion);
+        shared.waker.wake();
     }
 }
 

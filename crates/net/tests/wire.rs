@@ -9,16 +9,17 @@ use raqo_core::{
     PlanRequest, PlanningService, PlannerKind, Priority, RaqoOptimizer, ResourceStrategy,
     ServiceConfig, ShardedCacheBank,
 };
-use raqo_cost::SimOracleCost;
+use raqo_cost::{OperatorCost, SimOracleCost};
 use raqo_net::{
     decode, ClientConfig, Decoded, ErrorCode, Frame, NetConfig, NetError, PlanClient, PlanServer,
     RequestFrame, DEFAULT_MAX_BODY, MAGIC, VERSION,
 };
 use raqo_resource::{CacheLookup, ClusterConditions};
+use raqo_sim::engine::JoinImpl;
 use raqo_telemetry::{Counter, Telemetry};
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn build_optimizer(_worker: usize) -> RaqoOptimizer<'static, SimOracleCost> {
@@ -364,10 +365,13 @@ fn dispatch_overload_sheds_with_typed_replies_not_hangs() {
 
 #[test]
 fn wedged_tickets_surface_as_wait_timeout_errors() {
-    let (server, _tel) = start_server(
-        NetConfig { ticket_timeout: Duration::ZERO, ..NetConfig::default() },
-        ServiceConfig::default(),
-    );
+    // Wedged for real (see `GatedCost`): a zero timeout alone races a
+    // release-build worker that can answer a warm retry before the
+    // dispatcher even starts to wait.
+    let (server, _tel, gate) = start_gated_server(NetConfig {
+        ticket_timeout: Duration::from_millis(20),
+        ..NetConfig::default()
+    });
     let mut client = PlanClient::connect(
         server.local_addr(),
         ClientConfig { retries: 1, ..ClientConfig::default() },
@@ -381,8 +385,9 @@ fn wedged_tickets_surface_as_wait_timeout_errors() {
                 other => panic!("{other}"),
             }
         }
-        other => panic!("a zero ticket timeout must exhaust retries, got {other:?}"),
+        other => panic!("a wedged ticket must exhaust retries, got {other:?}"),
     }
+    drop(gate);
     server.shutdown();
 }
 
@@ -529,6 +534,8 @@ fn slow_readers_are_shed_at_the_output_cap() {
         snap.get(Counter::NetConnectionsOpened),
         snap.get(Counter::NetConnectionsClosed),
     );
+    // Accept, read, completion: a handful of passes, not a spin.
+    assert!(server.wakeups() <= 8, "{} passes for one shed request", server.wakeups());
     server.shutdown();
 }
 
@@ -601,5 +608,293 @@ fn client_retries_reconnect_after_the_server_drops_the_connection() {
         snap.get(Counter::NetClientRetries) >= 1,
         "the dead first connection must have cost at least one retry"
     );
+    server.shutdown();
+}
+
+// ---- the readiness loop ------------------------------------------------
+//
+// The event loop blocks until a socket is ready, a timer is due, or another
+// thread wakes it. The tests below disarm every timer, so a lost wake-up is
+// a hang rather than a late answer, and count loop passes
+// ([`PlanServer::wakeups`]), so a level-triggered busy-spin is a failure
+// rather than a hot core.
+
+/// No idle deadline is representable, so the loop never has a timer to
+/// fall back on: every pass must come from readiness or a wake.
+fn no_timers() -> NetConfig {
+    NetConfig { idle_timeout: Duration::MAX, ..NetConfig::default() }
+}
+
+fn request(request_id: u64) -> RequestFrame {
+    RequestFrame {
+        request_id,
+        priority: Priority::Standard,
+        namespace: 0,
+        deadline_ms: 0,
+        query: QuerySpec::tpch_q3(),
+    }
+}
+
+/// A cost model that blocks every evaluation while its gate is shut: the
+/// deterministic way to hold a planning ticket in flight.
+struct GatedCost {
+    inner: SimOracleCost,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl OperatorCost for GatedCost {
+    fn join_cost(
+        &self,
+        join: JoinImpl,
+        build_gb: f64,
+        probe_gb: f64,
+        containers: f64,
+        container_size_gb: f64,
+    ) -> Option<f64> {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.inner.join_cost(join, build_gb, probe_gb, containers, container_size_gb)
+    }
+}
+
+/// Opens the gate when dropped, so a failing assertion unwinds into a
+/// shutdown that can finish instead of a hang. Declare it *after* the
+/// server it gates (locals drop in reverse order).
+struct GateOpener(&'static GatedCost);
+
+impl Drop for GateOpener {
+    fn drop(&mut self) {
+        *self.0.open.lock().unwrap() = true;
+        self.0.opened.notify_all();
+    }
+}
+
+/// A server whose planning workers are wedged until the opener drops.
+fn start_gated_server(net: NetConfig) -> (PlanServer, Telemetry, GateOpener) {
+    let gated: &'static GatedCost = Box::leak(Box::new(GatedCost {
+        inner: SimOracleCost::hive(),
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+    }));
+    static SCHEMA: std::sync::OnceLock<TpchSchema> = std::sync::OnceLock::new();
+    let schema = SCHEMA.get_or_init(|| TpchSchema::new(1.0));
+    let telemetry = Telemetry::enabled();
+    let service = Arc::new(PlanningService::start(
+        ServiceConfig::default(),
+        ShardedCacheBank::with_shards(8),
+        telemetry.clone(),
+        |_| {
+            RaqoOptimizer::new(
+                Arc::new(schema.catalog.clone()),
+                Arc::new(schema.graph.clone()),
+                gated,
+                ClusterConditions::paper_default(),
+                PlannerKind::fast_randomized(7),
+                ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor {
+                    threshold: 0.05,
+                }),
+            )
+        },
+    ));
+    let server = PlanServer::bind("127.0.0.1:0", net, service, telemetry.clone())
+        .expect("bind loopback");
+    (server, telemetry, GateOpener(gated))
+}
+
+#[test]
+fn completions_and_new_connections_wake_a_loop_with_no_timer() {
+    let (server, _tel) = start_server(no_timers(), ServiceConfig::default());
+    // Completion wake: the reply exists only once a dispatcher has posted
+    // it, and nothing but the waker tells the loop.
+    let mut first = PlanClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+    first.plan(&QuerySpec::tpch_q3(), Priority::Standard).expect("completion wake");
+    // Listener readiness: the first connection now sits idle, so only the
+    // listener becoming readable can bring the second one in.
+    let mut second = PlanClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+    second.plan(&QuerySpec::tpch_q12(), Priority::Interactive).expect("listener readiness");
+    assert_eq!(server.live_connections(), 2);
+    first.plan(&QuerySpec::tpch_q12(), Priority::Batch).expect("idle connection still served");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_an_idle_loop() {
+    let (server, tel) = start_server(no_timers(), ServiceConfig::default());
+    let idle: Vec<TcpStream> =
+        (0..2).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+    assert!(wait_until(|| server.live_connections() == 2));
+    // Nothing is ready and no timer is armed: only the stop wake ends the
+    // wait. A missed wake hangs here.
+    server.shutdown();
+    let snap = tel.snapshot().unwrap();
+    assert_eq!(snap.get(Counter::NetConnectionsClosed), 2);
+    drop(idle);
+}
+
+#[test]
+fn requests_pipelined_in_one_write_are_all_answered() {
+    // Readiness is reported once for the lot, so every complete frame in
+    // the buffer must be decoded on that one pass — none may wait for a
+    // second event that will not come.
+    let (server, _tel) = start_server(no_timers(), ServiceConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut bytes = Vec::new();
+    for id in 0..5u64 {
+        bytes.extend_from_slice(&request(300 + id).encode());
+    }
+    stream.write_all(&bytes).unwrap();
+    let mut reader = FrameReader::new();
+    let mut answered: Vec<u64> = (0..5)
+        .map(|_| match reader.next(&mut stream) {
+            Some(Frame::Reply(r)) => r.request_id,
+            other => panic!("expected five replies, got {other:?}"),
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, vec![300, 301, 302, 303, 304]);
+    server.shutdown();
+}
+
+#[test]
+fn half_closed_client_still_receives_its_wait_timeout() {
+    // The peer's EOF arrives while its request is wedged in planning. The
+    // connection must neither close early (the answer is still owed) nor
+    // keep polling a socket whose EOF stays readable forever.
+    let (server, _tel, gate) = start_gated_server(NetConfig {
+        ticket_timeout: Duration::from_millis(150),
+        ..no_timers()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&request(41).encode()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    match read_frame(&mut stream) {
+        Some(Frame::Error(e)) => {
+            assert_eq!(e.code, ErrorCode::WaitTimeout);
+            assert_eq!(e.request_id, 41);
+        }
+        other => panic!("the wedged ticket must surface as WaitTimeout, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0, "then the server closes");
+    // Accept, request, EOF, completion — the 150 ms in between were spent
+    // asleep, not re-reading the EOF.
+    assert!(server.wakeups() <= 8, "{} passes for one request", server.wakeups());
+    drop(gate);
+    server.shutdown();
+}
+
+#[test]
+fn nothing_is_read_after_a_corrupt_frame() {
+    let (server, tel, gate) = start_gated_server(no_timers());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = FrameReader::new();
+    // One good request, held in flight by the gate; then the stream loses
+    // its framing.
+    stream.write_all(&request(51).encode()).unwrap();
+    assert!(wait_until(|| server.in_flight() == 1));
+    stream.write_all(b"not a frame").unwrap();
+    match reader.next(&mut stream) {
+        Some(Frame::Error(e)) => assert_eq!(e.code, ErrorCode::BadMagic),
+        other => panic!("garbage must earn a typed error, got {other:?}"),
+    }
+    // Whatever follows on a desynchronised stream — even bytes that happen
+    // to look like a request — is neither decoded nor dispatched, and its
+    // sitting unread in the socket must not spin the loop.
+    let passes = server.wakeups();
+    stream.write_all(&request(52).encode()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(server.wakeups(), passes, "unread input woke the loop");
+    assert_eq!(server.in_flight(), 1);
+    assert_eq!(tel.snapshot().unwrap().get(Counter::NetFramesIn), 1);
+    // The reply still owed is delivered, then the connection closes.
+    drop(gate);
+    match reader.next(&mut stream) {
+        Some(Frame::Reply(r)) => assert_eq!(r.request_id, 51),
+        other => panic!("the in-flight reply is still owed, got {other:?}"),
+    }
+    assert!(reader.next(&mut stream).is_none(), "request 52 must never be answered");
+    assert!(wait_until(|| server.live_connections() == 0));
+    server.shutdown();
+}
+
+#[test]
+fn idle_server_with_open_connections_does_not_wake() {
+    let (server, _tel) = start_server(NetConfig::default(), ServiceConfig::default());
+    let idle: Vec<TcpStream> =
+        (0..8).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+    assert!(wait_until(|| server.live_connections() == 8));
+    let before = server.wakeups();
+    std::thread::sleep(Duration::from_millis(300));
+    let passes = server.wakeups() - before;
+    assert!(passes <= 4, "idle loop made {passes} passes in 300 ms");
+    drop(idle);
+    server.shutdown();
+}
+
+#[test]
+fn blocked_output_waits_for_writability_and_then_resumes() {
+    // A peer that pipelines without reading fills the kernel's socket
+    // buffers; the rest of its replies wait in the server. While it stays
+    // away the loop must sleep on POLLOUT, and when it finally reads, that
+    // readiness alone must restart the flush.
+    const REPLAYS: u64 = 16_000;
+    let (server, tel) = start_server(
+        NetConfig { output_cap: 64 << 20, ..no_timers() },
+        ServiceConfig::default(),
+    );
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = FrameReader::new();
+    let frame = request(61).encode();
+    stream.write_all(&frame).unwrap();
+    let original = match reader.next(&mut stream) {
+        Some(Frame::Reply(r)) => r,
+        other => panic!("expected a reply, got {other:?}"),
+    };
+    // Replays are served from the reply ring: ~15 MB of output for no
+    // planning work, more than loopback buffers hold.
+    let mut burst = Vec::new();
+    for _ in 0..REPLAYS {
+        burst.extend_from_slice(&frame);
+    }
+    stream.write_all(&burst).unwrap();
+    assert!(wait_until(|| {
+        tel.snapshot().unwrap().get(Counter::NetRepliesDeduped) == REPLAYS
+    }));
+    let before = server.wakeups();
+    std::thread::sleep(Duration::from_millis(200));
+    let passes = server.wakeups() - before;
+    assert!(passes <= 4, "blocked output spun the loop: {passes} passes in 200 ms");
+    for i in 0..REPLAYS {
+        match reader.next(&mut stream) {
+            Some(Frame::Reply(r)) => assert_eq!(r, original, "replay {i}"),
+            other => panic!("replay {i} of {REPLAYS} lost: {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_zero_reply_ring_keeps_nothing() {
+    let (server, tel) = start_server(
+        NetConfig { reply_ring: 0, ..NetConfig::default() },
+        ServiceConfig::default(),
+    );
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let frame = request(71).encode();
+    for _ in 0..2 {
+        stream.write_all(&frame).unwrap();
+        match read_frame(&mut stream) {
+            Some(Frame::Reply(r)) => assert_eq!(r.request_id, 71),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+    assert_eq!(tel.snapshot().unwrap().get(Counter::NetRepliesDeduped), 0);
     server.shutdown();
 }

@@ -7,7 +7,9 @@ use raqo_catalog::{QuerySpec, RandomSchema, RandomSchemaConfig};
 use raqo_core::{Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy, Telemetry};
 use raqo_cost::JoinCostModel;
 use raqo_planner::coster::FixedResourceCoster;
-use raqo_planner::{DpFill, IdpConfig, IdpPlanner, RandomizedConfig, SelingerPlanner};
+use raqo_planner::{
+    CardinalityEstimator, DpFill, IdpConfig, IdpPlanner, RandomizedConfig, SelingerPlanner,
+};
 use raqo_resource::{CacheLookup, ClusterConditions};
 use std::hint::black_box;
 
@@ -410,6 +412,38 @@ fn telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The set statistics under every planner: `join_io` and `connects` on
+/// small-right (5-vs-1, the left-deep DP's shape) and balanced (5-vs-5,
+/// the bushy memo's) splits of a ten-of-thirty random-schema query, and
+/// the estimator's constructor — logarithms taken once per plan — on
+/// TPC-H and on a 100-table schema, so that per-plan cost is a number.
+fn cardinality(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cardinality");
+    let schema = RandomSchemaConfig::with_tables(30, 14).generate();
+    let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 10, 0);
+    let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
+    let (left, right) = query.relations.split_at(5);
+    for (split, right) in [("5v1", &right[..1]), ("5v5", right)] {
+        group.bench_function(BenchmarkId::new("join_io", split), |b| {
+            b.iter(|| black_box(est.join_io(black_box(left), black_box(right))));
+        });
+        group.bench_function(BenchmarkId::new("connects", split), |b| {
+            b.iter(|| black_box(schema.graph.connects(black_box(left), black_box(right))));
+        });
+    }
+    let tpch = TpchSchema::new(1.0);
+    let wide = RandomSchemaConfig::with_tables(100, 14).generate();
+    for (name, catalog, graph) in [
+        ("tpch", &tpch.catalog, &tpch.graph),
+        ("random100", &wide.catalog, &wide.graph),
+    ] {
+        group.bench_function(BenchmarkId::new("new", name), |b| {
+            b.iter(|| black_box(CardinalityEstimator::new(black_box(catalog), graph)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     fig12_raqo_planning,
@@ -421,6 +455,7 @@ criterion_group!(
     idp_bridge,
     cost_kernel_simd,
     hill_climb_batched,
-    telemetry_overhead
+    telemetry_overhead,
+    cardinality
 );
 criterion_main!(benches);

@@ -42,6 +42,13 @@ impl JoinEdge {
         self.a == t || self.b == t
     }
 
+    /// Does this edge have one endpoint in `left` and the other in `right`?
+    #[inline]
+    fn crosses(&self, left: &TableSet, right: &TableSet) -> bool {
+        (left.contains(self.a) && right.contains(self.b))
+            || (left.contains(self.b) && right.contains(self.a))
+    }
+
     /// The endpoint that is not `t` (panics if the edge does not touch `t`).
     pub fn other(&self, t: TableId) -> TableId {
         if self.a == t {
@@ -51,6 +58,68 @@ impl JoinEdge {
         } else {
             panic!("edge {:?} does not touch {t}", self)
         }
+    }
+}
+
+/// Words a [`TableSet`] holds inline: catalogs of up to 256 tables (every
+/// schema the paper plans) never touch the heap.
+const INLINE_WORDS: usize = 4;
+
+/// A set of [`TableId`]s as a bitset, so "is this edge's endpoint in the
+/// set" is one bit test instead of a slice scan. Ids past the inline width
+/// spill to a heap vector that grows on insert; one code path either way.
+#[derive(Debug, Clone, Default)]
+pub struct TableSet {
+    inline: [u64; INLINE_WORDS],
+    /// All words once any id ≥ 64 · [`INLINE_WORDS`] was inserted; empty
+    /// (and so unallocated) until then.
+    spill: Vec<u64>,
+}
+
+impl TableSet {
+    pub fn from_tables(tables: &[TableId]) -> Self {
+        let mut set = TableSet::default();
+        for &t in tables {
+            set.insert(t);
+        }
+        set
+    }
+
+    fn words(&self) -> &[u64] {
+        if self.spill.is_empty() {
+            &self.inline
+        } else {
+            &self.spill
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.spill.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.spill
+        }
+    }
+
+    /// Add `t`; false when it was already a member.
+    #[inline]
+    pub fn insert(&mut self, t: TableId) -> bool {
+        let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+        if word >= self.words().len() {
+            let mut grown = self.words().to_vec();
+            grown.resize(word + 1, 0);
+            self.spill = grown;
+        }
+        let slot = &mut self.words_mut()[word];
+        let fresh = *slot & bit == 0;
+        *slot |= bit;
+        fresh
+    }
+
+    #[inline]
+    pub fn contains(&self, t: TableId) -> bool {
+        let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+        self.words().get(word).is_some_and(|w| w & bit != 0)
     }
 }
 
@@ -76,23 +145,13 @@ impl JoinGraph {
         &self.edges
     }
 
-    /// Edges incident to `t`.
-    pub fn edges_of(&self, t: TableId) -> impl Iterator<Item = &JoinEdge> + '_ {
-        self.edges.iter().filter(move |e| e.touches(t))
-    }
-
     /// Combined selectivity of all edges with one endpoint in `left` and the
     /// other in `right`. Returns 1.0 when no edge crosses (a cross product).
     pub fn cross_selectivity(&self, left: &[TableId], right: &[TableId]) -> f64 {
+        let (left, right) = (TableSet::from_tables(left), TableSet::from_tables(right));
         let mut sel = 1.0;
-        for e in &self.edges {
-            let la = left.contains(&e.a);
-            let lb = left.contains(&e.b);
-            let ra = right.contains(&e.a);
-            let rb = right.contains(&e.b);
-            if (la && rb) || (lb && ra) {
-                sel *= e.selectivity;
-            }
+        for e in self.edges.iter().filter(|e| e.crosses(&left, &right)) {
+            sel *= e.selectivity;
         }
         sel
     }
@@ -100,34 +159,35 @@ impl JoinGraph {
     /// True when at least one edge connects `left` and `right` — i.e. the
     /// join is not a pure cross product.
     pub fn connects(&self, left: &[TableId], right: &[TableId]) -> bool {
-        self.edges.iter().any(|e| {
-            (left.contains(&e.a) && right.contains(&e.b))
-                || (left.contains(&e.b) && right.contains(&e.a))
-        })
+        let (left, right) = (TableSet::from_tables(left), TableSet::from_tables(right));
+        self.edges.iter().any(|e| e.crosses(&left, &right))
     }
 
     /// True when the induced sub-graph on `tables` is connected (every query
     /// in the paper joins a connected set of relations).
     pub fn is_connected(&self, tables: &[TableId]) -> bool {
-        if tables.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; tables.len()];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(i) = stack.pop() {
-            let t = tables[i];
-            for e in self.edges_of(t) {
-                let o = e.other(t);
-                if let Some(j) = tables.iter().position(|&x| x == o) {
-                    if !seen[j] {
-                        seen[j] = true;
-                        stack.push(j);
-                    }
+        let Some(&start) = tables.first() else { return true };
+        let members = TableSet::from_tables(tables);
+        let mut reached = TableSet::default();
+        reached.insert(start);
+        // Relax the induced edges until a pass reaches nothing new: each
+        // pass is one bit-test sweep of the edge list, and a connected set
+        // needs at most one pass per table.
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for e in &self.edges {
+                if members.contains(e.a)
+                    && members.contains(e.b)
+                    && reached.contains(e.a) != reached.contains(e.b)
+                {
+                    reached.insert(e.a);
+                    reached.insert(e.b);
+                    grew = true;
                 }
             }
         }
-        seen.into_iter().all(|s| s)
+        tables.iter().all(|&t| reached.contains(t))
     }
 
     /// Estimated cardinality (rows) of joining exactly the given set of
@@ -137,13 +197,19 @@ impl JoinGraph {
     /// ~10⁶ row counts by a hundred ~10⁻⁶ selectivities, and doing the row
     /// counts first overflows `f64` long before the selectivities pull the
     /// product back down (Fig. 15 plans exactly such queries).
+    ///
+    /// The accumulation order — tables in slice order, then matching edges
+    /// in graph order — is part of the definition (float addition is not
+    /// associative); `raqo-planner`'s `CardinalityEstimator` reproduces it
+    /// bit for bit from precomputed logarithms.
     pub fn join_cardinality(&self, catalog: &Catalog, tables: &[TableId]) -> f64 {
+        let members = TableSet::from_tables(tables);
         let mut log_card = 0.0f64;
         for &t in tables {
             log_card += catalog.table(t).stats.rows.max(f64::MIN_POSITIVE).ln();
         }
         for e in &self.edges {
-            if tables.contains(&e.a) && tables.contains(&e.b) {
+            if members.contains(e.a) && members.contains(e.b) {
                 log_card += e.selectivity.ln();
             }
         }

@@ -23,7 +23,7 @@ pub mod random;
 pub mod schema;
 pub mod tpch;
 
-pub use join_graph::{JoinEdge, JoinGraph};
+pub use join_graph::{JoinEdge, JoinGraph, TableSet};
 pub use query::QuerySpec;
 pub use random::{RandomSchema, RandomSchemaConfig};
 pub use schema::{Catalog, ColumnType, Table, TableId, TableStats};

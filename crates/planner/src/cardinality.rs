@@ -1,6 +1,15 @@
 //! System-R cardinality and size estimation over the join graph.
+//!
+//! The set statistics are *defined* by their accumulation order, because
+//! float addition is not associative: `ln |T|` of every table in slice
+//! order, then `ln selectivity` of every edge with both endpoints in the
+//! set in graph order, then one `exp`
+//! ([`JoinGraph::join_cardinality`] is the reference). The estimator
+//! reproduces that fold bit for bit from logarithms taken once per plan and
+//! a [`TableSet`] built from the slices, so a candidate costs a handful of
+//! adds and bit tests and no allocation.
 
-use raqo_catalog::{Catalog, JoinGraph, TableId, GB};
+use raqo_catalog::{Catalog, JoinGraph, TableId, TableSet, GB};
 use serde::{Deserialize, Serialize};
 
 /// The data characteristics of one join: what the cost models consume.
@@ -20,33 +29,74 @@ pub struct JoinIo {
 pub struct CardinalityEstimator<'a> {
     pub catalog: &'a Catalog,
     pub graph: &'a JoinGraph,
+    /// `ln(max(rows, MIN_POSITIVE))` per table, by [`TableId::index`].
+    ln_rows: Vec<f64>,
+    /// Row width per table, by [`TableId::index`].
+    row_width: Vec<f64>,
+    /// `(a, b, ln selectivity)` per join edge, in graph order.
+    edges: Vec<(TableId, TableId, f64)>,
 }
 
 impl<'a> CardinalityEstimator<'a> {
     pub fn new(catalog: &'a Catalog, graph: &'a JoinGraph) -> Self {
-        CardinalityEstimator { catalog, graph }
+        let stats = || catalog.tables().iter().map(|t| t.stats);
+        CardinalityEstimator {
+            catalog,
+            graph,
+            ln_rows: stats().map(|s| s.rows.max(f64::MIN_POSITIVE).ln()).collect(),
+            row_width: stats().map(|s| s.row_width).collect(),
+            edges: graph.edges().iter().map(|e| (e.a, e.b, e.selectivity.ln())).collect(),
+        }
+    }
+
+    /// `(rows, GB)` of the join result over `head ++ tail`, accumulated in
+    /// that order.
+    fn set_size(&self, head: &[TableId], tail: &[TableId]) -> (f64, f64) {
+        let mut members = TableSet::default();
+        let mut log_card = 0.0f64;
+        for &t in head.iter().chain(tail) {
+            let fresh = members.insert(t);
+            // A repeated table would count its rows twice and its edges once.
+            debug_assert!(fresh, "{t} appears twice in one relation set (sides must be disjoint)");
+            log_card += self.ln_rows[t.index()];
+        }
+        for &(a, b, ln_selectivity) in &self.edges {
+            if members.contains(a) && members.contains(b) {
+                log_card += ln_selectivity;
+            }
+        }
+        let rows = log_card.exp();
+        let width: f64 = head.iter().chain(tail).map(|t| self.row_width[t.index()]).sum();
+        (rows, rows * width / GB)
     }
 
     /// Estimated byte size (GB) of the join result over `tables`.
     pub fn set_gb(&self, tables: &[TableId]) -> f64 {
-        self.graph.join_bytes(self.catalog, tables) / GB
+        self.set_size(tables, &[]).1
     }
 
     /// Estimated row count of the join result over `tables`.
     pub fn set_rows(&self, tables: &[TableId]) -> f64 {
-        self.graph.join_cardinality(self.catalog, tables)
+        self.set_size(tables, &[]).0
     }
 
     /// Characterize the join of two disjoint relation sets. The smaller
     /// side becomes the build input, as every engine in the paper does.
     pub fn join_io(&self, left: &[TableId], right: &[TableId]) -> JoinIo {
-        debug_assert!(left.iter().all(|t| !right.contains(t)), "sides must be disjoint");
-        let left_gb = self.set_gb(left);
-        let right_gb = self.set_gb(right);
-        let mut all: Vec<TableId> = left.to_vec();
-        all.extend_from_slice(right);
-        let out_rows = self.set_rows(&all);
-        let out_gb = self.set_gb(&all);
+        self.join_io_sized(left, self.set_gb(left), right, self.set_gb(right))
+    }
+
+    /// [`CardinalityEstimator::join_io`] for a caller that already holds
+    /// `set_gb` of each side — a DP subset or a memo group joins many
+    /// partners, and its own size never changes.
+    pub fn join_io_sized(
+        &self,
+        left: &[TableId],
+        left_gb: f64,
+        right: &[TableId],
+        right_gb: f64,
+    ) -> JoinIo {
+        let (out_rows, out_gb) = self.set_size(left, right);
         JoinIo {
             build_gb: left_gb.min(right_gb),
             probe_gb: left_gb.max(right_gb),

@@ -173,6 +173,9 @@ struct Group {
     /// list). Kept materialized because every costing and admission step
     /// needs the slice.
     rels: Vec<TableId>,
+    /// `set_gb(rels)`: a group joins many partners and its relations never
+    /// reorder, so its size as a join input is computed once.
+    gb: f64,
     /// Expressions rooted at this group, in insertion order (append-only,
     /// so [`Expr::assoc_seen`] cursors stay valid).
     exprs: Vec<ExprId>,
@@ -206,6 +209,7 @@ struct Expr {
 /// and the task stack.
 struct Search<'q> {
     rels: &'q [TableId],
+    est: &'q CardinalityEstimator<'q>,
     groups: Vec<Group>,
     exprs: Vec<Expr>,
     by_mask: HashMap<u64, GroupId>,
@@ -215,9 +219,10 @@ struct Search<'q> {
 }
 
 impl<'q> Search<'q> {
-    fn new(rels: &'q [TableId]) -> Self {
+    fn new(rels: &'q [TableId], est: &'q CardinalityEstimator<'q>) -> Self {
         Search {
             rels,
+            est,
             groups: Vec::new(),
             exprs: Vec::new(),
             by_mask: HashMap::new(),
@@ -259,6 +264,7 @@ impl<'q> Search<'q> {
         let leaf = mask.count_ones() == 1;
         self.groups.push(Group {
             mask,
+            gb: self.est.set_gb(&rels),
             rels,
             exprs: Vec::new(),
             expr_set: HashSet::new(),
@@ -335,15 +341,17 @@ impl<'q> Search<'q> {
         r: GroupId,
         seed: bool,
         graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
         cap: f64,
     ) -> bool {
-        if seed {
-            return true;
-        }
-        let lrels = &self.groups[l].rels;
-        let rrels = &self.groups[r].rels;
-        graph.connects(lrels, rrels) || est.join_io(lrels, rrels).out_rows <= cap
+        seed
+            || graph.connects(&self.groups[l].rels, &self.groups[r].rels)
+            || self.join_io(l, r).out_rows <= cap
+    }
+
+    /// The IO of joining groups `l` and `r`, in that order.
+    fn join_io(&self, l: GroupId, r: GroupId) -> JoinIo {
+        let (l, r) = (&self.groups[l], &self.groups[r]);
+        self.est.join_io_sized(&l.rels, l.gb, &r.rels, r.gb)
     }
 
     /// Insert `left ⋈ right` into group `g` unless the pair was already
@@ -358,7 +366,6 @@ impl<'q> Search<'q> {
         r: GroupId,
         seed: bool,
         graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
         cap: f64,
     ) -> Option<ExprId> {
         let g = self.find(g);
@@ -370,7 +377,7 @@ impl<'q> Search<'q> {
         if !self.groups[g].expr_set.insert((lmask, rmask)) {
             return None;
         }
-        if !self.admit(l, r, seed, graph, est, cap) {
+        if !self.admit(l, r, seed, graph, cap) {
             return None;
         }
         let e = self.exprs.len();
@@ -414,7 +421,6 @@ impl<'q> Search<'q> {
         &mut self,
         e: ExprId,
         graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
         cap: f64,
     ) {
         if self.exprs[e].commuted {
@@ -422,7 +428,7 @@ impl<'q> Search<'q> {
         }
         self.exprs[e].commuted = true;
         let Expr { group, left, right, .. } = self.exprs[e];
-        self.insert_expr(group, right, left, false, graph, est, cap);
+        self.insert_expr(group, right, left, false, graph, cap);
     }
 
     /// Enumerate the unseen associativity bindings of `e = (left ⋈ right)`:
@@ -433,7 +439,6 @@ impl<'q> Search<'q> {
         &mut self,
         e: ExprId,
         graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
         cap: f64,
     ) {
         loop {
@@ -454,19 +459,19 @@ impl<'q> Search<'q> {
             // litter the memo with empty groups.
             let br = match self.group_of(br_mask) {
                 Some(id) => {
-                    self.insert_expr(id, b, r, false, graph, est, cap);
+                    self.insert_expr(id, b, r, false, graph, cap);
                     Some(id)
                 }
-                None if self.admit(b, r, false, graph, est, cap) => {
+                None if self.admit(b, r, false, graph, cap) => {
                     let id = self.create_group(br_mask);
-                    self.insert_expr(id, b, r, false, graph, est, cap);
+                    self.insert_expr(id, b, r, false, graph, cap);
                     Some(id)
                 }
                 None => None,
             };
             if let Some(br) = br {
                 if !self.groups[self.find(br)].exprs.is_empty() {
-                    self.insert_expr(g, a, br, false, graph, est, cap);
+                    self.insert_expr(g, a, br, false, graph, cap);
                 }
             }
         }
@@ -481,7 +486,6 @@ impl<'q> Search<'q> {
     fn optimize_group(
         &mut self,
         g: GroupId,
-        est: &CardinalityEstimator<'_>,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
         batch: bool,
@@ -553,7 +557,7 @@ impl<'q> Search<'q> {
             match cached {
                 Some(outcome) => costs[i] = Some(outcome.map(|(_, d)| d.cost)),
                 None => {
-                    ios.push(est.join_io(&self.groups[c.l].rels, &self.groups[c.r].rels));
+                    ios.push(self.join_io(c.l, c.r));
                     pending.push(i);
                 }
             }
@@ -736,7 +740,7 @@ impl CascadesPlanner {
             || coster.prefers_batch();
         let cap = config.cross_rows_cap;
 
-        let mut search = Search::new(&rels);
+        let mut search = Search::new(&rels, &est);
         let order = connected_order(&rels, graph);
         // Seed: a left-deep chain over the connected order. Seeds bypass
         // the cross-product cap, so a complete plan for the root group
@@ -747,7 +751,7 @@ impl CascadesPlanner {
             let leaf = search.ensure_group(bit(t));
             let g_mask = search.groups[prev].mask | search.groups[leaf].mask;
             let g = search.ensure_group(g_mask);
-            search.insert_expr(g, prev, leaf, true, graph, &est, cap);
+            search.insert_expr(g, prev, leaf, true, graph, cap);
             prev = g;
         }
         let root = prev;
@@ -793,7 +797,6 @@ impl CascadesPlanner {
                     let _span = tel.span("cascades.task.optimize_group");
                     search.optimize_group(
                         g,
-                        &est,
                         coster,
                         parallelism,
                         batch,
@@ -808,8 +811,8 @@ impl CascadesPlanner {
                 Task::ApplyRule { expr, rule } => {
                     let _span = tel.span("cascades.task.apply_rule");
                     match rule {
-                        Rule::Commute => search.apply_commute(expr, graph, &est, cap),
-                        Rule::AssocLeft => search.apply_assoc(expr, graph, &est, cap),
+                        Rule::Commute => search.apply_commute(expr, graph, cap),
+                        Rule::AssocLeft => search.apply_assoc(expr, graph, cap),
                     }
                 }
             }
@@ -1262,7 +1265,7 @@ mod tests {
         let s = RandomSchema::chain(3, 1);
         let rels: Vec<TableId> = s.catalog.table_ids().collect();
         let est = CardinalityEstimator::new(&s.catalog, &s.graph);
-        let mut search = Search::new(&rels);
+        let mut search = Search::new(&rels, &est);
         let a = search.ensure_group(0b001);
         let b = search.ensure_group(0b010);
         let c = search.ensure_group(0b100);
@@ -1270,12 +1273,13 @@ mod tests {
         // merge scenario mask-keying normally prevents).
         let g1 = search.create_group(0b111);
         let ab = search.ensure_group(0b011);
-        search.insert_expr(ab, a, b, true, &s.graph, &est, f64::INFINITY);
-        search.insert_expr(g1, ab, c, true, &s.graph, &est, f64::INFINITY);
+        search.insert_expr(ab, a, b, true, &s.graph, f64::INFINITY);
+        search.insert_expr(g1, ab, c, true, &s.graph, f64::INFINITY);
         let g2 = search.groups.len();
         search.groups.push(Group {
             mask: 0b111,
             rels: search.group_rels(0b111),
+            gb: search.groups[g1].gb,
             exprs: Vec::new(),
             expr_set: HashSet::new(),
             parents_left: Vec::new(),
@@ -1285,10 +1289,10 @@ mod tests {
         });
         search.parent.push(g2);
         let bc = search.ensure_group(0b110);
-        search.insert_expr(bc, b, c, true, &s.graph, &est, f64::INFINITY);
-        search.insert_expr(g2, a, bc, true, &s.graph, &est, f64::INFINITY);
+        search.insert_expr(bc, b, c, true, &s.graph, f64::INFINITY);
+        search.insert_expr(g2, a, bc, true, &s.graph, f64::INFINITY);
         // Duplicate of g1's expression, to prove merge dedups.
-        search.insert_expr(g2, ab, c, true, &s.graph, &est, f64::INFINITY);
+        search.insert_expr(g2, ab, c, true, &s.graph, f64::INFINITY);
 
         let win = search.merge(g1, g2);
         assert_eq!(search.find(g1), win);

@@ -41,7 +41,7 @@
 //!   only joins it has never seen under the current cluster conditions.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::coster::{cost_tree, cost_tree_traced, PlanCoster, PlannedQuery};
+use crate::coster::{cost_tree, cost_tree_traced, JoinDecision, PlanCoster, PlannedQuery};
 use crate::memo::{cost_tree_memo_traced, CostMemo};
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
@@ -66,6 +66,9 @@ pub const DEFAULT_DP_THRESHOLD: usize = 20;
 /// [`DpFill::Auto`]; larger DPs stream levels instead. 2²⁰ `Option<Entry>`
 /// slots ≈ 16 MB — the dense table stops being cheap right about here.
 const DENSE_FILL_MAX: usize = 20;
+
+/// log₂ of the most subset sizes a DP run keeps at once ([`Dp::rest_gb`]).
+const SIZE_SLOT_BITS: usize = 12;
 
 /// Why Selinger planning failed. `TooManyRelations` is recoverable —
 /// callers (e.g. the RAQO optimizer) bridge with the IDP planner or fall
@@ -320,12 +323,12 @@ impl SelingerPlanner {
 
         let order: Vec<usize> = {
             let _dp_span = tel.span("selinger.dp");
+            let memo = memo.as_deref_mut();
+            let mut dp = Dp::new(items, graph, est, coster, allow_cross, parallelism, memo, tel);
             if dense {
-                Self::solve_dense(items, graph, est, coster, allow_cross, parallelism,
-                    memo.as_deref_mut(), tel)?
+                dp.solve_dense()?
             } else {
-                Self::solve_streamed(items, graph, est, coster, allow_cross, parallelism,
-                    memo.as_deref_mut(), tel)?
+                dp.solve_streamed()?
             }
         };
 
@@ -342,22 +345,186 @@ impl SelingerPlanner {
             None => cost_tree_traced(&tree, est, coster, tel),
         }
     }
+}
+
+/// Indices of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// What [`Dp::probe`] found for one candidate.
+enum Probe {
+    /// The memo holds the pair: its join cost, `None` = infeasible.
+    Known(Option<f64>),
+    /// Not memoized (or no memo): the join's IO, to cost and then
+    /// [`Dp::record`].
+    Unknown(JoinIo),
+}
+
+/// One DP run over `items`: the three fills, and under them the one
+/// candidate generator they share — which (subset `rest`, item `i`)
+/// extensions are admissible, and what each one's [`JoinIo`] and cost is.
+/// Three things make a candidate cheap:
+///
+/// * one **adjacency mask** per item, so "does `rest` join item `i`" is
+///   `adj[i] & rest != 0`, tested before anything is materialized;
+/// * the **size of every subset** used as a left side: `rest`'s relations
+///   are always laid out in ascending item order, so `set_gb` of them is a
+///   pure function of the mask, computed once and not once per partner;
+/// * the **relation list** of the last subset asked for, rebuilt only when
+///   the mask changes.
+struct Dp<'a> {
+    items: &'a [DpItem],
+    est: &'a CardinalityEstimator<'a>,
+    coster: &'a mut dyn PlanCoster,
+    parallelism: Parallelism,
+    memo: Option<&'a mut CostMemo>,
+    tel: &'a Telemetry,
+    /// `adj[i]` has bit j set when a join edge links a relation of item i
+    /// to a relation of item j; all ones when cross products are admitted.
+    adj: Vec<u64>,
+    /// `set_gb(items[i].rels)`.
+    item_gb: Vec<f64>,
+    /// `(rest, set_gb of its relations)` in slot `rest mod len`, allocated
+    /// once per run so a fill neither hashes nor grows anything. Subsets of
+    /// up to [`SIZE_SLOT_BITS`] items map one to one; wider ones share slots
+    /// and a miss recomputes, which costs time and never bits.
+    rest_gb: Vec<(u64, f64)>,
+    /// Relations of the subset `loaded`, items ascending.
+    tables: Vec<TableId>,
+    loaded: u64,
+}
+
+impl<'a> Dp<'a> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        items: &'a [DpItem],
+        graph: &JoinGraph,
+        est: &'a CardinalityEstimator<'a>,
+        coster: &'a mut dyn PlanCoster,
+        allow_cross: bool,
+        parallelism: Parallelism,
+        memo: Option<&'a mut CostMemo>,
+        tel: &'a Telemetry,
+    ) -> Self {
+        let n = items.len();
+        let adj = if allow_cross {
+            vec![u64::MAX; n]
+        } else {
+            // Items owning each table, as a mask (one item, unless a query
+            // lists a relation twice).
+            let mut owners = vec![0u64; est.catalog.len()];
+            for (i, item) in items.iter().enumerate() {
+                for t in &item.rels {
+                    owners[t.index()] |= 1u64 << i;
+                }
+            }
+            let mut adj = vec![0u64; n];
+            for e in graph.edges() {
+                let (a, b) = (owners[e.a.index()], owners[e.b.index()]);
+                bits(a).for_each(|i| adj[i] |= b);
+                bits(b).for_each(|i| adj[i] |= a);
+            }
+            adj
+        };
+        let item_gb = items.iter().map(|item| est.set_gb(&item.rels)).collect();
+        Dp {
+            items,
+            est,
+            coster,
+            parallelism,
+            memo,
+            tel,
+            adj,
+            item_gb,
+            rest_gb: vec![(0, 0.0); 1 << n.min(SIZE_SLOT_BITS)],
+            tables: Vec::with_capacity(n),
+            loaded: 0,
+        }
+    }
+
+    /// May item `i` extend subset `rest` — is the join edge-connected, or
+    /// are cross products admitted?
+    #[inline]
+    fn admits(&self, rest: u64, i: usize) -> bool {
+        self.adj[i] & rest != 0
+    }
+
+    /// Make `self.tables` the relations of `rest`.
+    fn load(&mut self, rest: u64) {
+        if self.loaded != rest {
+            self.tables.clear();
+            for j in bits(rest) {
+                self.tables.extend_from_slice(&self.items[j].rels);
+            }
+            self.loaded = rest;
+        }
+    }
+
+    /// Look the candidate up in the memo, or work out its IO.
+    fn probe(&mut self, rest: u64, i: usize) -> Probe {
+        self.load(rest);
+        let item = &self.items[i].rels;
+        if let Some(outcome) = self.memo.as_deref_mut().and_then(|m| m.get(&self.tables, item)) {
+            return Probe::Known(outcome.map(|(_, d)| d.cost));
+        }
+        let slot = rest as usize & (self.rest_gb.len() - 1);
+        if self.rest_gb[slot].0 != rest {
+            self.rest_gb[slot] = (rest, self.est.set_gb(&self.tables));
+        }
+        let rest_gb = self.rest_gb[slot].1;
+        Probe::Unknown(self.est.join_io_sized(&self.tables, rest_gb, item, self.item_gb[i]))
+    }
+
+    fn record(&mut self, rest: u64, i: usize, io: JoinIo, outcome: Option<JoinDecision>) {
+        if self.memo.is_some() {
+            self.load(rest);
+        }
+        if let Some(m) = self.memo.as_deref_mut() {
+            m.record(&self.tables, &self.items[i].rels, outcome.map(|d| (io, d)));
+        }
+    }
+
+    /// Join cost of each of one level's candidates, in order (`None` =
+    /// infeasible): memo hits are answered in place, everything else goes
+    /// to the coster as one [`PlanCoster::join_cost_many`] batch.
+    fn cost_level(&mut self, cands: &[(u64, usize)]) -> Vec<Option<f64>> {
+        let mut costs: Vec<Option<f64>> = vec![None; cands.len()];
+        let mut ios: Vec<JoinIo> = Vec::new();
+        // Candidate index of each pending io, parallel to `ios`.
+        let mut pending: Vec<usize> = Vec::new();
+        for (idx, &(rest, i)) in cands.iter().enumerate() {
+            match self.probe(rest, i) {
+                Probe::Known(cost) => costs[idx] = cost,
+                Probe::Unknown(io) => {
+                    ios.push(io);
+                    pending.push(idx);
+                }
+            }
+        }
+        if !ios.is_empty() {
+            let results = self.coster.join_cost_many(&ios, self.parallelism);
+            debug_assert_eq!(results.len(), ios.len());
+            for ((outcome, &io), &idx) in results.into_iter().zip(&ios).zip(&pending) {
+                let (rest, i) = cands[idx];
+                self.record(rest, i, io, outcome);
+                costs[idx] = outcome.map(|d| d.cost);
+            }
+        }
+        costs
+    }
 
     /// Dense-table DP: allocate all 2ⁿ slots, fill, and reconstruct the
     /// winning join order by peeling `last` back-pointers off the full
     /// mask. Only reached for n ≤ [`DENSE_FILL_MAX`].
-    #[allow(clippy::too_many_arguments)]
-    fn solve_dense(
-        items: &[DpItem],
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        coster: &mut dyn PlanCoster,
-        allow_cross: bool,
-        parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
-        tel: &Telemetry,
-    ) -> Option<Vec<usize>> {
-        let n = items.len();
+    fn solve_dense(&mut self) -> Option<Vec<usize>> {
+        let n = self.items.len();
         debug_assert!(
             (2..=DENSE_FILL_MAX).contains(&n),
             "dense fill requires 2..={DENSE_FILL_MAX} items (2ⁿ table slots), got {n}"
@@ -373,26 +540,16 @@ impl SelingerPlanner {
         // it asks for wide `join_cost_many` batches outright (a batched
         // cost kernel fuses a whole level's candidates even single-
         // threaded) — and a level holds more than a handful of candidates.
-        if (parallelism != Parallelism::Off && parallelism.workers() > 1
-            || coster.prefers_batch())
+        if (self.parallelism != Parallelism::Off && self.parallelism.workers() > 1
+            || self.coster.prefers_batch())
             && n >= 3
         {
-            Self::fill_levels_batched(
-                items,
-                graph,
-                est,
-                coster,
-                allow_cross,
-                parallelism,
-                memo.as_deref_mut(),
-                &mut dp,
-                tel,
-            );
+            self.fill_levels_batched(&mut dp);
         } else {
             // The mask-ascending loop interleaves levels, so it gets
             // one span; it still fills the same n-1 levels.
-            tel.add(Counter::SelingerLevels, n.saturating_sub(1) as u64);
-            Self::fill_sequential(items, graph, est, coster, allow_cross, memo, &mut dp);
+            self.tel.add(Counter::SelingerLevels, n.saturating_sub(1) as u64);
+            self.fill_sequential(&mut dp);
         }
 
         dp[full as usize]?;
@@ -415,63 +572,37 @@ impl SelingerPlanner {
         Some(order_rev)
     }
 
-    /// The classic mask-ascending DP loop. With a memo, each (rest, t)
-    /// extension goes through [`CostMemo::join_cost`] instead of the coster
-    /// directly; otherwise this is exactly the original sequential scan.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_sequential(
-        items: &[DpItem],
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        coster: &mut dyn PlanCoster,
-        allow_cross: bool,
-        mut memo: Option<&mut CostMemo>,
-        dp: &mut [Option<Entry>],
-    ) {
-        let n = items.len();
+    /// The classic mask-ascending DP loop: every admissible (rest, i)
+    /// extension is costed on the spot — from the memo when it holds the
+    /// pair, through [`PlanCoster::join_cost`] otherwise.
+    fn fill_sequential(&mut self, dp: &mut [Option<Entry>]) {
+        let n = self.items.len();
         debug_assert!(n <= DENSE_FILL_MAX, "sequential fill is dense-only, got {n} items");
         let full: u64 = (1u64 << n) - 1;
-        // Scratch buffer, reused across all (mask, i) iterations: the inner
-        // loop runs n·2ⁿ times and a per-iteration Vec allocation dominates
-        // its runtime once costing is cheap (fixed-resource mode).
-        let mut rest_tables: Vec<TableId> = Vec::with_capacity(n);
 
         for mask in 1..=full {
             if mask.count_ones() < 2 {
                 continue;
             }
-            let mask_us = mask as usize;
-            #[allow(clippy::needless_range_loop)] // i is also the bit index
-            for i in 0..n {
-                let bit = 1u64 << i;
-                if mask & bit == 0 {
-                    continue;
-                }
-                let rest = mask & !bit;
+            for i in bits(mask) {
+                let rest = mask & !(1u64 << i);
                 let Some(prev) = dp[rest as usize] else { continue };
-                rest_tables.clear();
-                for j in (0..n).filter(|&j| rest & (1u64 << j) != 0) {
-                    rest_tables.extend_from_slice(&items[j].rels);
-                }
-                let t_rels: &[TableId] = &items[i].rels;
-                if !allow_cross && !graph.connects(&rest_tables, t_rels) {
+                if !self.admits(rest, i) {
                     continue;
                 }
-                let decision_cost = match memo.as_deref_mut() {
-                    Some(m) => match m.join_cost(&rest_tables, t_rels, est, &mut *coster) {
-                        Some((_, d)) => d.cost,
-                        None => continue,
-                    },
-                    None => {
-                        let io = est.join_io(&rest_tables, t_rels);
-                        let Some(decision) = coster.join_cost(&io) else { continue };
-                        decision.cost
+                let decision = match self.probe(rest, i) {
+                    Probe::Known(cost) => cost,
+                    Probe::Unknown(io) => {
+                        let outcome = self.coster.join_cost(&io);
+                        self.record(rest, i, io, outcome);
+                        outcome.map(|d| d.cost)
                     }
                 };
+                let Some(decision_cost) = decision else { continue };
                 let cost = prev.cost + decision_cost;
-                match dp[mask_us] {
+                match dp[mask as usize] {
                     Some(e) if e.cost <= cost => {}
-                    _ => dp[mask_us] = Some(Entry { cost, last: i }),
+                    _ => dp[mask as usize] = Some(Entry { cost, last: i }),
                 }
             }
         }
@@ -485,68 +616,22 @@ impl SelingerPlanner {
     /// hack yields them in increasing numeric order), `i` ascending within
     /// a mask — which is the exact visit order of the sequential loop
     /// restricted to that level, so tie-breaking is identical.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_levels_batched(
-        items: &[DpItem],
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        coster: &mut dyn PlanCoster,
-        allow_cross: bool,
-        parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
-        dp: &mut [Option<Entry>],
-        tel: &Telemetry,
-    ) {
-        let n = items.len();
+    fn fill_levels_batched(&mut self, dp: &mut [Option<Entry>]) {
+        let n = self.items.len();
         debug_assert!(n <= DENSE_FILL_MAX, "batched fill is dense-only, got {n} items");
-        struct Cand {
-            mask_us: usize,
-            /// Local index of the item this candidate joins in.
-            i: usize,
-            prev_cost: f64,
-        }
-        let mut rest_tables: Vec<TableId> = Vec::with_capacity(n);
         let limit: u64 = 1u64 << n;
+        let tel = self.tel;
 
         for k in 2..=n as u32 {
             let _level_span = tel.span_labeled("selinger.level", k as usize);
             tel.inc(Counter::SelingerLevels);
-            let mut cands: Vec<Cand> = Vec::new();
-            // Outer None = pending (goes to the batch); inner None =
-            // infeasible; Some(cost) = the join's scalar cost.
-            let mut resolved: Vec<Option<Option<f64>>> = Vec::new();
-            let mut ios: Vec<JoinIo> = Vec::new();
-            // Candidate index of each pending io, parallel to `ios`.
-            let mut pending: Vec<usize> = Vec::new();
-
+            let mut cands: Vec<(u64, usize)> = Vec::new();
             let mut mask: u64 = (1u64 << k) - 1;
             while mask < limit {
-                let mask_us = mask as usize;
-                for i in 0..n {
-                    let bit = 1u64 << i;
-                    if mask & bit == 0 {
-                        continue;
-                    }
-                    let rest = mask & !bit;
-                    let Some(prev) = dp[rest as usize] else { continue };
-                    rest_tables.clear();
-                    for j in (0..n).filter(|&j| rest & (1u64 << j) != 0) {
-                        rest_tables.extend_from_slice(&items[j].rels);
-                    }
-                    let t_rels: &[TableId] = &items[i].rels;
-                    if !allow_cross && !graph.connects(&rest_tables, t_rels) {
-                        continue;
-                    }
-                    cands.push(Cand { mask_us, i, prev_cost: prev.cost });
-                    let cached =
-                        memo.as_deref_mut().and_then(|m| m.get(&rest_tables, t_rels));
-                    match cached {
-                        Some(outcome) => resolved.push(Some(outcome.map(|(_, d)| d.cost))),
-                        None => {
-                            resolved.push(None);
-                            ios.push(est.join_io(&rest_tables, t_rels));
-                            pending.push(cands.len() - 1);
-                        }
+                for i in bits(mask) {
+                    let rest = mask & !(1u64 << i);
+                    if dp[rest as usize].is_some() && self.admits(rest, i) {
+                        cands.push((rest, i));
                     }
                 }
                 // Gosper's hack: next mask with the same popcount. Cannot
@@ -557,35 +642,15 @@ impl SelingerPlanner {
                 mask = (((r ^ mask) >> 2) / c) | r;
             }
 
-            if !ios.is_empty() {
-                let results = coster.join_cost_many(&ios, parallelism);
-                debug_assert_eq!(results.len(), ios.len());
-                for (slot, outcome) in results.into_iter().enumerate() {
-                    let idx = pending[slot];
-                    if let Some(m) = memo.as_deref_mut() {
-                        let cand = &cands[idx];
-                        debug_assert!(cand.i < n, "candidate index outside mask width {n}");
-                        let rest = cand.mask_us & !(1usize << cand.i);
-                        rest_tables.clear();
-                        for j in (0..n).filter(|&j| rest & (1usize << j) != 0) {
-                            rest_tables.extend_from_slice(&items[j].rels);
-                        }
-                        m.record(
-                            &rest_tables,
-                            &items[cand.i].rels,
-                            outcome.map(|d| (ios[slot], d)),
-                        );
-                    }
-                    resolved[idx] = Some(outcome.map(|d| d.cost));
-                }
-            }
-
-            for (cand, res) in cands.iter().zip(resolved) {
-                let Some(Some(decision_cost)) = res else { continue };
-                let cost = cand.prev_cost + decision_cost;
-                match dp[cand.mask_us] {
+            let costs = self.cost_level(&cands);
+            for (&(rest, i), decision) in cands.iter().zip(costs) {
+                let Some(decision_cost) = decision else { continue };
+                let prev = dp[rest as usize].expect("candidates extend filled subsets");
+                let cost = prev.cost + decision_cost;
+                let slot = &mut dp[(rest | 1u64 << i) as usize];
+                match *slot {
                     Some(e) if e.cost <= cost => {}
-                    _ => dp[cand.mask_us] = Some(Entry { cost, last: cand.i }),
+                    _ => *slot = Some(Entry { cost, last: i }),
                 }
             }
         }
@@ -599,18 +664,8 @@ impl SelingerPlanner {
     /// keep-first fold, so winners and tie-breaks are bit-identical to the
     /// dense fill. Each entry carries its full join order (streaming
     /// discards the back-pointer chain), which is also the return value.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_streamed(
-        items: &[DpItem],
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        coster: &mut dyn PlanCoster,
-        allow_cross: bool,
-        parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
-        tel: &Telemetry,
-    ) -> Option<Vec<usize>> {
-        let n = items.len();
+    fn solve_streamed(&mut self) -> Option<Vec<usize>> {
+        let n = self.items.len();
         // u64 masks: item indices must stay below the mask width or the
         // shifts below would wrap.
         debug_assert!(
@@ -620,99 +675,42 @@ impl SelingerPlanner {
         // n = 64 would overflow `(1u64 << n) - 1`; shift the all-ones mask
         // down instead.
         let full: u64 = u64::MAX >> (64 - n as u32);
-
-        struct SCand {
-            mask: u64,
-            /// Local index of the item this candidate joins in.
-            i: usize,
-            prev_mask: u64,
-            prev_cost: f64,
-        }
+        let tel = self.tel;
 
         let mut prev: HashMap<u64, StreamEntry> = (0..n)
             .map(|i| (1u64 << i, StreamEntry { cost: 0.0, order: vec![i as u8] }))
             .collect();
-        let mut rest_tables: Vec<TableId> = Vec::with_capacity(n);
 
         for k in 2..=n {
             let _level_span = tel.span_labeled("selinger.level", k);
             tel.inc(Counter::SelingerLevels);
 
             // Generate (feasible-predecessor, absent-item) extensions. The
-            // map iterates in arbitrary order; sorting below restores the
-            // dense loop's deterministic visit order.
-            let mut cands: Vec<SCand> = Vec::new();
-            for (&pmask, pe) in prev.iter() {
-                for i in 0..n {
-                    let bit = 1u64 << i;
-                    if pmask & bit != 0 {
-                        continue;
-                    }
-                    cands.push(SCand { mask: pmask | bit, i, prev_mask: pmask, prev_cost: pe.cost });
-                }
+            // map iterates in arbitrary order; sorting restores the dense
+            // loop's deterministic visit order.
+            let mut cands: Vec<(u64, usize)> = Vec::new();
+            for &rest in prev.keys() {
+                cands.extend(
+                    bits(full & !rest).filter(|&i| self.admits(rest, i)).map(|i| (rest, i)),
+                );
             }
-            cands.sort_unstable_by_key(|c| (c.mask, c.i));
-
-            // Resolve: memo probes in sorted order, uncached candidates into
-            // one batch. Outer None = pending; inner None = infeasible.
-            let mut resolved: Vec<Option<Option<f64>>> = Vec::with_capacity(cands.len());
-            let mut ios: Vec<JoinIo> = Vec::new();
-            let mut pending: Vec<usize> = Vec::new();
-            for (ci, c) in cands.iter().enumerate() {
-                rest_tables.clear();
-                for j in (0..n).filter(|&j| c.prev_mask & (1u64 << j) != 0) {
-                    rest_tables.extend_from_slice(&items[j].rels);
-                }
-                let t_rels: &[TableId] = &items[c.i].rels;
-                if !allow_cross && !graph.connects(&rest_tables, t_rels) {
-                    resolved.push(Some(None));
-                    continue;
-                }
-                let cached = memo.as_deref_mut().and_then(|m| m.get(&rest_tables, t_rels));
-                match cached {
-                    Some(outcome) => resolved.push(Some(outcome.map(|(_, d)| d.cost))),
-                    None => {
-                        resolved.push(None);
-                        ios.push(est.join_io(&rest_tables, t_rels));
-                        pending.push(ci);
-                    }
-                }
-            }
-
-            if !ios.is_empty() {
-                let results = coster.join_cost_many(&ios, parallelism);
-                debug_assert_eq!(results.len(), ios.len());
-                for (slot, outcome) in results.into_iter().enumerate() {
-                    let idx = pending[slot];
-                    if let Some(m) = memo.as_deref_mut() {
-                        let cand = &cands[idx];
-                        rest_tables.clear();
-                        for j in (0..n).filter(|&j| cand.prev_mask & (1u64 << j) != 0) {
-                            rest_tables.extend_from_slice(&items[j].rels);
-                        }
-                        m.record(
-                            &rest_tables,
-                            &items[cand.i].rels,
-                            outcome.map(|d| (ios[slot], d)),
-                        );
-                    }
-                    resolved[idx] = Some(outcome.map(|d| d.cost));
-                }
-            }
+            cands.sort_unstable_by_key(|&(rest, i)| (rest | 1u64 << i, i));
 
             // Keep-first fold in sorted order — identical tie-breaks to the
             // dense loops.
+            let costs = self.cost_level(&cands);
             let mut cur: HashMap<u64, StreamEntry> = HashMap::new();
-            for (c, res) in cands.iter().zip(resolved) {
-                let Some(Some(decision_cost)) = res else { continue };
-                let cost = c.prev_cost + decision_cost;
-                match cur.get(&c.mask) {
+            for (&(rest, i), decision) in cands.iter().zip(costs) {
+                let Some(decision_cost) = decision else { continue };
+                let pe = &prev[&rest];
+                let cost = pe.cost + decision_cost;
+                let mask = rest | 1u64 << i;
+                match cur.get(&mask) {
                     Some(e) if e.cost <= cost => {}
                     _ => {
-                        let pe = &prev[&c.prev_mask];
                         let mut order = pe.order.clone();
-                        order.push(c.i as u8);
-                        cur.insert(c.mask, StreamEntry { cost, order });
+                        order.push(i as u8);
+                        cur.insert(mask, StreamEntry { cost, order });
                     }
                 }
             }
@@ -1144,6 +1142,27 @@ mod tests {
                 "second {par:?} run must be answered entirely from the memo"
             );
             assert!(memo.hits() > 0, "{par:?}");
+        }
+    }
+
+    /// Subsets of more than [`SIZE_SLOT_BITS`] items share size slots; a
+    /// shared slot recomputes, it never answers for the other subset.
+    #[test]
+    fn shared_size_slots_never_answer_for_another_subset() {
+        let schema = raqo_catalog::RandomSchema::chain(SIZE_SLOT_BITS + 2, 7);
+        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
+        let items: Vec<DpItem> = schema.catalog.table_ids().map(DpItem::leaf).collect();
+        let model = SimOracleCost::hive();
+        let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
+        let tel = Telemetry::disabled();
+        let par = Parallelism::Off;
+        let mut dp = Dp::new(&items, &schema.graph, &est, &mut coster, true, par, None, &tel);
+        // Equal in their low SIZE_SLOT_BITS bits: one slot for both.
+        let (a, b) = (0b11 | 1 << SIZE_SLOT_BITS, 0b11 | 1 << (SIZE_SLOT_BITS + 1));
+        for rest in [a, b, a, a, b] {
+            let Probe::Unknown(io) = dp.probe(rest, 2) else { panic!("there is no memo") };
+            let tables: Vec<TableId> = bits(rest).map(|j| items[j].rels[0]).collect();
+            assert_eq!(io, est.join_io(&tables, &items[2].rels), "rest {rest:#b}");
         }
     }
 }

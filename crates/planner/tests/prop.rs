@@ -1,7 +1,9 @@
 //! Property tests for the planner layer.
 
 use proptest::prelude::*;
-use raqo_catalog::{QuerySpec, RandomSchemaConfig};
+use raqo_catalog::{
+    Catalog, JoinGraph, QuerySpec, RandomSchema, RandomSchemaConfig, TableId, TableStats, GB,
+};
 use raqo_cost::SimOracleCost;
 use raqo_planner::coster::{cost_tree, FixedResourceCoster};
 use raqo_planner::{
@@ -11,7 +13,128 @@ use raqo_planner::{
 use raqo_resource::Parallelism;
 use raqo_telemetry::Telemetry;
 
+/// The set statistics as every planner computed them before the estimator
+/// precomputed anything: a fold over the slice, `contains` scans against
+/// the edge list, a logarithm per term. Kept here, not in the library, so
+/// it cannot drift with the code it checks.
+struct NaiveEstimator<'a> {
+    catalog: &'a Catalog,
+    graph: &'a JoinGraph,
+}
+
+impl NaiveEstimator<'_> {
+    fn rows(&self, tables: &[TableId]) -> f64 {
+        let mut log_card = 0.0f64;
+        for &t in tables {
+            log_card += self.catalog.table(t).stats.rows.max(f64::MIN_POSITIVE).ln();
+        }
+        for e in self.graph.edges() {
+            if tables.contains(&e.a) && tables.contains(&e.b) {
+                log_card += e.selectivity.ln();
+            }
+        }
+        log_card.exp()
+    }
+
+    fn gb(&self, tables: &[TableId]) -> f64 {
+        let width: f64 = tables.iter().map(|&t| self.catalog.table(t).stats.row_width).sum();
+        self.rows(tables) * width / GB
+    }
+
+    /// `[build_gb, probe_gb, out_gb, out_rows]`.
+    fn join_io(&self, left: &[TableId], right: &[TableId]) -> [f64; 4] {
+        let (left_gb, right_gb) = (self.gb(left), self.gb(right));
+        let all = [left, right].concat();
+        [left_gb.min(right_gb), left_gb.max(right_gb), self.gb(&all), self.rows(&all)]
+    }
+
+    fn connects(&self, left: &[TableId], right: &[TableId]) -> bool {
+        self.graph.edges().iter().any(|e| {
+            (left.contains(&e.a) && right.contains(&e.b))
+                || (left.contains(&e.b) && right.contains(&e.a))
+        })
+    }
+}
+
 proptest! {
+    /// The bitset / precomputed-log estimator returns the slice-scanning
+    /// fold's values bit for bit: on every graph shape, for shuffled slice
+    /// orders on both sides, with parallel edges, with a 0-row table (the
+    /// `MIN_POSITIVE` clamp), and on catalogs of 100 and 300 tables — past
+    /// one bitset word and past the inline width.
+    #[test]
+    fn set_statistics_bit_match_the_slice_scanning_fold(
+        shape in 0usize..6,
+        seed in 0u64..500,
+        k in 2usize..12,
+        cut in 1u32..2047,
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let RandomSchema { mut catalog, mut graph } = match shape {
+            0 => RandomSchema::chain(12, seed),
+            1 => RandomSchema::star(12, seed),
+            2 => RandomSchema::clique(9, seed),
+            3 => RandomSchemaConfig::with_tables(30, seed).generate(),
+            4 => RandomSchemaConfig::with_tables(100, seed).generate(),
+            _ => RandomSchemaConfig::with_tables(300, seed).generate(),
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5e7);
+        let mut all: Vec<TableId> = catalog.table_ids().collect();
+        // A second predicate on two existing edges, and an empty table.
+        for _ in 0..2 {
+            let e = graph.edges()[rng.gen_range(0..graph.edges().len())];
+            graph.add_edge(e.a, e.b, rng.gen_range(0.01..=1.0));
+        }
+        let empty = all[rng.gen_range(0..all.len())];
+        let width = catalog.table(empty).stats.row_width;
+        catalog.set_stats(empty, TableStats::new(0.0, width));
+
+        // k tables in shuffled order, always including the empty table and
+        // the highest id (the last bitset word); `cut` deals them to sides.
+        let last = *all.last().unwrap();
+        all.shuffle(&mut rng);
+        let mut picked = vec![empty];
+        for &t in std::iter::once(&last).chain(&all) {
+            if picked.len() < k.max(2) && !picked.contains(&t) {
+                picked.push(t);
+            }
+        }
+        picked.shuffle(&mut rng);
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for (i, &t) in picked.iter().enumerate() {
+            if cut & (1 << i) != 0 { left.push(t) } else { right.push(t) }
+        }
+        if left.is_empty() || right.is_empty() { return Ok(()); }
+
+        let naive = NaiveEstimator { catalog: &catalog, graph: &graph };
+        let est = CardinalityEstimator::new(&catalog, &graph);
+        let io = est.join_io(&left, &right);
+        let got = [io.build_gb, io.probe_gb, io.out_gb, io.out_rows];
+        let want = naive.join_io(&left, &right);
+        for (field, (g, w)) in ["build_gb", "probe_gb", "out_gb", "out_rows"]
+            .iter()
+            .zip(got.iter().zip(&want))
+        {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", field, g, w);
+        }
+        let sized = est.join_io_sized(&left, est.set_gb(&left), &right, est.set_gb(&right));
+        prop_assert_eq!(sized, io);
+        for side in [&left, &right, &picked] {
+            prop_assert_eq!(est.set_gb(side).to_bits(), naive.gb(side).to_bits());
+            prop_assert_eq!(est.set_rows(side).to_bits(), naive.rows(side).to_bits());
+            prop_assert_eq!(
+                graph.join_cardinality(&catalog, side).to_bits(),
+                naive.rows(side).to_bits()
+            );
+        }
+        prop_assert_eq!(graph.connects(&left, &right), naive.connects(&left, &right));
+        prop_assert_eq!(graph.connects(&right, &left), naive.connects(&left, &right));
+        for &t in &right {
+            prop_assert_eq!(graph.connects(&left, &[t]), naive.connects(&left, &[t]));
+        }
+    }
+
     /// Plan cost is the sum of its join decisions' costs, for arbitrary
     /// random plans on arbitrary random schemas.
     #[test]

@@ -323,6 +323,55 @@ fn cost_kernel_simd(c: &mut Criterion) {
     group.finish();
 }
 
+/// One exhaustive grid scan for one join, bare of the coster: the row scan
+/// over the model's row kernel vs the same scan through the point-wise
+/// adapter (`brute_force` over `join_cost_at`). Long rows (10 × 1000, the
+/// benchmark's serverless-style grid), the paper's rows of ten (100 × 10),
+/// and many rows of ten (1000 × 10). Outcomes are asserted bit-identical
+/// before timing starts.
+fn grid_scan(c: &mut Criterion) {
+    use raqo_cost::OperatorCost;
+    use raqo_resource::{brute_force, brute_force_rows, ResourceConfig};
+    use raqo_sim::engine::JoinImpl;
+    let model = JoinCostModel::trained_hive();
+    let (join, build_gb, probe_gb) = (JoinImpl::BroadcastHash, 3.4, 77.0);
+    let grids = [
+        ("10x1000", ClusterConditions::two_dim(1.0..=10.0, 1.0..=8.8046875, 1.0, 0.0078125)),
+        ("100x10", ClusterConditions::paper_default()),
+        ("1000x10", ClusterConditions::two_dim(1.0..=1000.0, 1.0..=10.0, 1.0, 1.0)),
+    ];
+    let tel = Telemetry::disabled();
+    let rows = |cluster: &ClusterConditions| {
+        brute_force_rows(
+            cluster,
+            |_, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
+                model.join_cost_row_at(join, build_gb, probe_gb, base, coords, out)
+            },
+            Parallelism::Off,
+            &tel,
+        )
+    };
+    let points = |cluster: &ClusterConditions| {
+        brute_force(cluster, |r| {
+            model.join_cost_at(join, build_gb, probe_gb, r).unwrap_or(f64::INFINITY)
+        })
+    };
+    let mut group = c.benchmark_group("grid_scan");
+    for (name, cluster) in &grids {
+        let (by_rows, by_points) = (rows(cluster), points(cluster));
+        assert_eq!(by_rows.config, by_points.config, "grid_scan: winners differ on {name}");
+        assert_eq!(by_rows.cost.to_bits(), by_points.cost.to_bits(), "grid_scan: {name}");
+        assert_eq!(by_rows.iterations, by_points.iterations, "grid_scan: {name}");
+        group.bench_function(BenchmarkId::new("rows", name), |b| {
+            b.iter(|| black_box(rows(black_box(cluster))))
+        });
+        group.bench_function(BenchmarkId::new("points", name), |b| {
+            b.iter(|| black_box(points(black_box(cluster))))
+        });
+    }
+    group.finish();
+}
+
 /// Multi-start hill climbing through the optimizer: the per-seed climber
 /// vs the lock-step batched climber (`use_batch` gathers each round's
 /// whole candidate neighborhood into one batched cost call). Plans and
@@ -454,6 +503,7 @@ criterion_group!(
     selinger_u64,
     idp_bridge,
     cost_kernel_simd,
+    grid_scan,
     hill_climb_batched,
     telemetry_overhead,
     cardinality

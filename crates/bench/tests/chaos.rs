@@ -123,19 +123,22 @@ fn resource_worker_panic_recovers_to_a_bit_identical_outcome() {
     let model = JoinCostModel::trained_hive();
     let query = QuerySpec::tpch_q3();
 
-    // Exhaustive resource planning fans the grid out across threads; the
+    // Exhaustive resource planning fans a grid out across threads once each
+    // worker gets 60 000 points or more (smaller grids scan inline); the
     // probe sits inside each grid worker.
-    let clean = optimizer(&schema, &model, ResourceStrategy::BruteForce)
-        .with_parallelism(Parallelism::Threads(2))
-        .optimize(&query)
-        .expect("clean plan");
+    let fanned = ClusterConditions::two_dim(1.0..=1000.0, 1.0..=125.0, 1.0, 1.0);
+    let brute_force_on_two_threads = || {
+        let mut opt = optimizer(&schema, &model, ResourceStrategy::BruteForce)
+            .with_parallelism(Parallelism::Threads(2));
+        opt.set_cluster(fanned);
+        opt
+    };
+    let clean = brute_force_on_two_threads().optimize(&query).expect("clean plan");
 
     let _guard = FaultGuard::new();
     raqo_faults::arm(Fault::once("resource.worker.grid", FaultKind::Panic));
-    raqo_faults::arm(Fault::once("resource.worker.grid_batch", FaultKind::Panic));
     let tel = Telemetry::enabled();
-    let mut opt = optimizer(&schema, &model, ResourceStrategy::BruteForce)
-        .with_parallelism(Parallelism::Threads(2));
+    let mut opt = brute_force_on_two_threads();
     opt.set_telemetry(tel.clone());
     let recovered = with_quiet_panics(|| opt.optimize(&query)).expect("plan despite worker panic");
 

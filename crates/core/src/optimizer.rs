@@ -1325,6 +1325,24 @@ mod tests {
     }
 
     #[test]
+    fn eval_cap_inside_a_long_grid_row_still_returns_a_flagged_plan() {
+        let schema = TpchSchema::new(1.0);
+        let mut opt =
+            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
+        // Rows of a thousand: the cap trips partway through the first row
+        // slice sequence of the first scan.
+        opt.set_cluster(ClusterConditions::two_dim(1.0..=10.0, 1.0..=8.8046875, 1.0, 0.0078125));
+        opt.set_budget(PlanningBudget::with_max_evals(1000));
+        let query = QuerySpec::tpch_q3();
+        let plan = opt.optimize(&query).expect("ladder must always produce a plan");
+        let d = plan.degradation.expect("exhaustion must be reported");
+        assert_eq!(d.trigger, crate::optimizer::DegradationTrigger::EvalBudget);
+        assert!(d.evals_used >= 1000);
+        assert_eq!(plan.query.joins.len(), query.num_joins());
+        assert!(plan.query.cost.is_finite() && plan.query.cost > 0.0);
+    }
+
+    #[test]
     fn unlimited_budget_is_free_and_undegraded() {
         let schema = TpchSchema::new(1.0);
         let query = QuerySpec::tpch_q3();

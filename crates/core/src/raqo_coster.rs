@@ -20,7 +20,7 @@ use raqo_cost::objective::CostVector;
 use raqo_cost::OperatorCost;
 use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
 use raqo_resource::{
-    brute_force_parallel_batch_traced, brute_force_parallel_traced, hill_climb,
+    brute_force_parallel_traced, brute_force_rows, hill_climb,
     hill_climb_multi_batched_traced, hill_climb_multi_with_traced, BudgetTracker, CacheLookup,
     CacheStats, ClusterConditions, Parallelism, PlanningOutcome, ResourceConfig, SeedStrategy,
     SharedCacheBank, ShardedCacheBank,
@@ -62,22 +62,49 @@ impl Objective {
     /// Scalarize an estimated time under a resource configuration;
     /// `INFINITY` = rejected. Three-dimensional configurations price their
     /// cores at the serverless memory-equivalent rate.
+    #[inline]
     fn score(&self, time_sec: f64, r: &ResourceConfig) -> f64 {
-        let money = money_of(time_sec, r);
         match self {
             Objective::Time => time_sec,
-            Objective::Money => money,
+            Objective::Money => money_of(time_sec, r),
             Objective::Weighted { time_weight } => {
-                time_weight * time_sec + (1.0 - time_weight) * money
+                time_weight * time_sec + (1.0 - time_weight) * money_of(time_sec, r)
             }
             Objective::TimeUnderBudget { money_budget_tb_sec } => {
-                if money <= *money_budget_tb_sec {
+                if money_of(time_sec, r) <= *money_budget_tb_sec {
                     time_sec
                 } else {
                     f64::INFINITY
                 }
             }
         }
+    }
+
+    /// [`Objective::score`] over one grid-row slice of raw model outputs, in
+    /// place, with the sanitization boundary fused in: point `k` is `base`
+    /// with its last coordinate replaced by `coords[k]`. A NaN or negative
+    /// output is a model bug and becomes `INFINITY`; the number of those is
+    /// returned. `+∞` (the legitimate infeasibility signal) stays `+∞` even
+    /// under objectives with a zero weight (0·∞ is NaN).
+    fn score_row(&self, base: &ResourceConfig, coords: &[f64], times: &mut [f64]) -> u64 {
+        let mut bad = 0;
+        if let Objective::Time = self {
+            for t in times.iter_mut() {
+                let ok = *t >= 0.0;
+                bad += u64::from(!ok);
+                *t = if ok { *t } else { f64::INFINITY };
+            }
+            return bad;
+        }
+        for (&x, t) in coords.iter().zip(times.iter_mut()) {
+            *t = if t.is_finite() && *t >= 0.0 {
+                self.score(*t, &base.with_last(x))
+            } else {
+                bad += u64::from(*t != f64::INFINITY);
+                f64::INFINITY
+            };
+        }
+        bad
     }
 }
 
@@ -160,16 +187,17 @@ pub struct RaqoCoster<'a, M: OperatorCost> {
     /// Thread parallelism for the per-operator resource search.
     /// [`Parallelism::Off`] (the default) preserves the sequential planners'
     /// evaluation order and iteration accounting exactly, keeping the
-    /// Figs. 12–14 counters reproducible; `Threads(n)`/`Auto` split the
+    /// Figs. 12–14 counters reproducible; `Threads(n)`/`Auto` split a large
     /// brute-force grid across workers (bit-identical result) and upgrade
     /// hill climbing to deterministic multi-start.
     pub parallelism: Parallelism,
-    /// Route resource search through the batched cost kernel
-    /// ([`OperatorCost::join_cost_batch_at`]), which evaluates the cost
-    /// polynomial over contiguous config slices instead of point-by-point:
-    /// brute-force scans go grid-slice-at-a-time, and parallel hill
-    /// climbing runs the lock-step batched multi-start climber (one fused
-    /// call per dimension per round across all live seeds). Also published
+    /// Route resource search through the batched cost kernels, which
+    /// evaluate the cost polynomial over whole slices instead of
+    /// point-by-point: brute-force scans go one grid-row slice at a time
+    /// ([`OperatorCost::join_cost_row_at`]), and parallel hill climbing runs
+    /// the lock-step batched multi-start climber (one fused
+    /// [`OperatorCost::join_cost_batch_at`] call per dimension per round
+    /// across all live seeds). Also published
     /// to the join planners via [`PlanCoster::prefers_batch`], so Selinger/
     /// IDP level fills batch their per-level `join_cost_many` submissions
     /// even when thread parallelism is off. Bit-identical winners; kept
@@ -405,48 +433,37 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
         };
 
         let outcome: PlanningOutcome = match self.strategy {
-            // Off routes through the sequential scan inside the parallel
-            // entry points; any other setting splits the grid across
-            // workers with a bit-identical merged result.
+            // Off scans on this thread; any other setting splits a grid
+            // that is large enough to repay the threads across workers, with
+            // a bit-identical merged result.
             ResourceStrategy::BruteForce => {
                 if self.use_batch {
-                    // Whole grid slices go through the fused kernel; raw
-                    // times are scalarized afterwards. The explicit
-                    // `is_finite` guard keeps infeasible points at +∞ even
-                    // under objectives with a zero weight (0·∞ is NaN).
-                    let batch_fn = |_lo: u64, configs: &[ResourceConfig], out: &mut [f64]| {
-                        tel.inc(Counter::BatchChunks);
-                        if !budget.charge(configs.len() as u64) {
-                            out.fill(f64::INFINITY);
-                            return;
-                        }
-                        match probes::probe("cost.model.batch") {
-                            probes::Action::Fail => {
+                    // Whole row slices go through the fused kernel, then one
+                    // pass sanitizes and scalarizes the raw times in place.
+                    let row_fn =
+                        |_start: u64, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
+                            tel.inc(Counter::BatchChunks);
+                            if !budget.charge(coords.len() as u64) {
                                 out.fill(f64::INFINITY);
                                 return;
                             }
-                            probes::Action::Nan => out.fill(f64::NAN),
-                            probes::Action::Proceed => {
-                                model.join_cost_batch_at(join, build, probe, configs, out)
+                            match probes::probe("cost.model.batch") {
+                                probes::Action::Fail => {
+                                    out.fill(f64::INFINITY);
+                                    return;
+                                }
+                                probes::Action::Nan => out.fill(f64::NAN),
+                                probes::Action::Proceed => {
+                                    model.join_cost_row_at(join, build, probe, base, coords, out)
+                                }
                             }
-                        }
-                        for (c, r) in out.iter_mut().zip(configs) {
-                            *c = if c.is_nan() || *c < 0.0 {
-                                tel.inc(Counter::CostSanitizationsBatch);
-                                f64::INFINITY
-                            } else if c.is_finite() {
-                                objective.score(*c, r)
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
-                    };
-                    brute_force_parallel_batch_traced(
-                        self.cluster,
-                        batch_fn,
-                        self.parallelism,
-                        tel,
-                    )
+                            let bad = objective.score_row(base, coords, out);
+                            if bad > 0 {
+                                // Counting also flags the current trace.
+                                tel.add(Counter::CostSanitizationsBatch, bad);
+                            }
+                        };
+                    brute_force_rows(self.cluster, row_fn, self.parallelism, tel)
                 } else {
                     brute_force_parallel_traced(self.cluster, cost_fn, self.parallelism, tel)
                 }
@@ -792,7 +809,7 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raqo_cost::SimOracleCost;
+    use raqo_cost::{JoinCostModel, SimOracleCost};
     use raqo_planner::JoinIo;
 
     fn io(build: f64, probe: f64) -> JoinIo {
@@ -926,10 +943,16 @@ mod tests {
 
     #[test]
     fn parallel_brute_force_matches_sequential_through_coster() {
-        let mut seq = coster(ResourceStrategy::BruteForce);
+        // 200 000 points: enough for three workers to clear the 60 000
+        // points each that a grid must offer before it is split at all.
+        let fanned = |mut c: RaqoCoster<'static, SimOracleCost>| {
+            c.set_cluster(ClusterConditions::two_dim(1.0..=1000.0, 1.0..=200.0, 1.0, 1.0));
+            c
+        };
+        let mut seq = fanned(coster(ResourceStrategy::BruteForce));
         let ds = seq.join_cost(&io(2.0, 40.0)).unwrap();
         for p in [Parallelism::Threads(3), Parallelism::Auto] {
-            let mut par = coster(ResourceStrategy::BruteForce).with_parallelism(p);
+            let mut par = fanned(coster(ResourceStrategy::BruteForce)).with_parallelism(p);
             let dp = par.join_cost(&io(2.0, 40.0)).unwrap();
             assert_eq!(ds, dp, "{p:?} must be bit-identical to sequential");
             assert_eq!(seq.stats, par.stats, "{p:?} iteration accounting must match");
@@ -1092,6 +1115,106 @@ mod tests {
             Objective::TimeUnderBudget { money_budget_tb_sec: cheapest * 0.5 },
         );
         assert!(strict.join_cost(&io(2.0, 77.0)).is_none());
+    }
+
+    /// Ten containers × a thousand container sizes in 1/128 GB steps: rows
+    /// long enough to be cut into several [`BATCH_CHUNK`] slices.
+    fn grid_10_by_1000() -> ClusterConditions {
+        let cluster = ClusterConditions::two_dim(1.0..=10.0, 1.0..=8.8046875, 1.0, 0.0078125);
+        assert_eq!((cluster.points_along(0), cluster.points_along(1)), (10, 1000));
+        cluster
+    }
+
+    #[test]
+    fn row_scan_winners_match_the_point_wise_scan_under_every_objective() {
+        let model = JoinCostModel::trained_hive_extended();
+        for objective in [
+            Objective::Time,
+            Objective::Money,
+            Objective::Weighted { time_weight: 0.3 },
+            Objective::TimeUnderBudget { money_budget_tb_sec: 2.0 },
+            // A budget nothing meets: every point is rejected.
+            Objective::TimeUnderBudget { money_budget_tb_sec: 0.0 },
+        ] {
+            for join_io in [io(0.5, 20.0), io(3.4, 77.0), io(9.0, 77.0), io(100.0, 200.0)] {
+                let plan = |use_batch: bool, parallelism: Parallelism| {
+                    let mut c = RaqoCoster::new(
+                        &model,
+                        grid_10_by_1000(),
+                        ResourceStrategy::BruteForce,
+                        objective,
+                    )
+                    .with_batch_kernel(use_batch)
+                    .with_parallelism(parallelism);
+                    (c.join_cost(&join_io), c.stats)
+                };
+                let (point_wise, stats) = plan(false, Parallelism::Off);
+                assert_eq!(stats.resource_iterations, 20_000);
+                for parallelism in [Parallelism::Off, Parallelism::Threads(2)] {
+                    let (rows, row_stats) = plan(true, parallelism);
+                    assert_eq!(rows, point_wise, "{objective:?} {join_io:?} {parallelism:?}");
+                    assert_eq!(
+                        rows.map(|d| d.cost.to_bits()),
+                        point_wise.map(|d| d.cost.to_bits())
+                    );
+                    assert_eq!(row_stats, stats);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn brute_force_under_an_eval_cap_overshoots_by_at_most_one_slice() {
+        use raqo_resource::{BudgetTrigger, PlanningBudget, BATCH_CHUNK};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Counts the grid points the wrapped model is actually asked about.
+        struct Counting(JoinCostModel, AtomicU64);
+        impl OperatorCost for Counting {
+            fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.join_cost(j, b, p, nc, cs)
+            }
+            fn join_cost_row_at(
+                &self,
+                j: JoinImpl,
+                b: f64,
+                p: f64,
+                base: &ResourceConfig,
+                coords: &[f64],
+                out: &mut [f64],
+            ) {
+                self.1.fetch_add(coords.len() as u64, Ordering::Relaxed);
+                self.0.join_cost_row_at(j, b, p, base, coords, out)
+            }
+        }
+
+        for cap in [1, 255, 256, 1000, 1024, 5000] {
+            for use_batch in [true, false] {
+                let model = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
+                let mut c = RaqoCoster::new(
+                    &model,
+                    grid_10_by_1000(),
+                    ResourceStrategy::BruteForce,
+                    Objective::Time,
+                )
+                .with_batch_kernel(use_batch);
+                c.budget = Arc::new(BudgetTracker::start(PlanningBudget::with_max_evals(cap)));
+                let first = c.join_cost(&io(3.4, 77.0));
+                let evaluated = model.1.load(Ordering::Relaxed);
+                // `+ 1`: the winner's time is re-read once after the scan.
+                assert!(
+                    evaluated <= cap + BATCH_CHUNK as u64 + 1,
+                    "cap {cap} use_batch {use_batch}: {evaluated} evaluations"
+                );
+                assert_eq!(c.budget.exhausted(), Some(BudgetTrigger::Evals));
+                // Whatever the scan saw before the cap is a usable decision;
+                // once exhausted, later calls drain immediately.
+                assert_eq!(first.is_some(), evaluated > 1, "cap {cap} use_batch {use_batch}");
+                assert_eq!(c.join_cost(&io(3.4, 77.0)), None);
+                assert_eq!(model.1.load(Ordering::Relaxed), evaluated);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ("we assume disk-based processing and join operators to be at the shuffle
 //! boundaries").
 
-use crate::features::FeatureMap;
+use crate::features::{extended_feature_vector, feature_vector, FeatureMap};
 use crate::regression::LinearModel;
 use raqo_resource::ResourceConfig;
 use raqo_sim::engine::{Engine, JoinImpl};
@@ -64,6 +64,24 @@ pub trait OperatorCost {
         }
     }
 
+    /// Row form of [`OperatorCost::join_cost_batch_at`], for scans that walk
+    /// a resource grid one row at a time: point `k` is `base` with its last
+    /// coordinate replaced by `coords[k]`, and `out[k]` receives its cost
+    /// (`f64::INFINITY` where infeasible). No configuration is materialized
+    /// per point by the caller. The default loops the scalar path; models
+    /// that can hoist the row-invariant terms override it.
+    fn join_cost_row_at(
+        &self,
+        join: JoinImpl,
+        build_gb: f64,
+        probe_gb: f64,
+        base: &ResourceConfig,
+        coords: &[f64],
+        out: &mut [f64],
+    ) {
+        row_by_point(self, join, build_gb, probe_gb, base, coords, out);
+    }
+
     /// Cheapest feasible implementation for one join, if any implementation
     /// is feasible (SMJ always is, for both provided models).
     fn best_impl(
@@ -82,6 +100,23 @@ pub trait OperatorCost {
             // `total_cmp`: feasible costs are finite by construction, but a
             // misbehaving model must not panic the comparison (NaN loses).
             .min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+}
+
+/// The point-wise loop behind [`OperatorCost::join_cost_row_at`].
+fn row_by_point<M: OperatorCost + ?Sized>(
+    model: &M,
+    join: JoinImpl,
+    build_gb: f64,
+    probe_gb: f64,
+    base: &ResourceConfig,
+    coords: &[f64],
+    out: &mut [f64],
+) {
+    assert_eq!(coords.len(), out.len(), "one output slot per coordinate");
+    for (&x, o) in coords.iter().zip(out.iter_mut()) {
+        let r = base.with_last(x);
+        *o = model.join_cost_at(join, build_gb, probe_gb, &r).unwrap_or(f64::INFINITY);
     }
 }
 
@@ -321,17 +356,22 @@ impl OperatorCost for JoinCostModel {
         containers: f64,
         container_size_gb: f64,
     ) -> Option<f64> {
-        let f = self.feature_map.build(build_gb, container_size_gb, containers);
-        match join {
-            JoinImpl::SortMerge => Some(self.smj.predict(&f).max(self.floor)),
-            JoinImpl::BroadcastHash => {
-                if build_gb > container_size_gb * self.bhj_capacity_per_gb {
-                    None
-                } else {
-                    Some(self.bhj.predict(&f).max(self.floor))
-                }
-            }
+        if join == JoinImpl::BroadcastHash
+            && build_gb > container_size_gb * self.bhj_capacity_per_gb
+        {
+            return None;
         }
+        let (model, _) = self.join_params(join);
+        // Features on the stack: this sits on every hill-climb probe.
+        let raw = match self.feature_map {
+            FeatureMap::Paper => {
+                model.predict(&feature_vector(build_gb, container_size_gb, containers))
+            }
+            FeatureMap::Extended => {
+                model.predict(&extended_feature_vector(build_gb, container_size_gb, containers))
+            }
+        };
+        Some(raw.max(self.floor))
     }
 
     fn join_cost_batch_at(
@@ -343,6 +383,50 @@ impl OperatorCost for JoinCostModel {
         out: &mut [f64],
     ) {
         self.join_cost_batch(join, build_gb, configs, out);
+    }
+
+    /// The §VI polynomial along one row of the 2-D ⟨containers, size⟩ grid:
+    /// `nc` is fixed by `base` and `cs` runs over `coords`, so every product
+    /// that involves only `ss` and `nc` (including the extended map's two
+    /// divisions) is computed once per row. The sum itself is still
+    /// `LinearModel::predict`'s left fold in feature order — same
+    /// operations, same order, same rounding — with the same
+    /// `build_gb > cs · capacity` select and the same `max(floor)`, hence
+    /// bit-identical to [`OperatorCost::join_cost`] by construction. Rows of
+    /// any other dimensionality vary a coordinate the model does not read
+    /// and take the point-wise loop.
+    fn join_cost_row_at(
+        &self,
+        join: JoinImpl,
+        build_gb: f64,
+        probe_gb: f64,
+        base: &ResourceConfig,
+        coords: &[f64],
+        out: &mut [f64],
+    ) {
+        if base.dims() != 2 {
+            return row_by_point(self, join, build_gb, probe_gb, base, coords, out);
+        }
+        assert_eq!(coords.len(), out.len(), "one output slot per coordinate");
+        let (model, cap) = self.join_params(join);
+        let c = &model.coefficients;
+        assert_eq!(c.len(), self.feature_map.arity(), "model arity matches feature map");
+        let (ss, nc, floor) = (build_gb, base.containers(), self.floor);
+        let ss_part = (0.0 + c[0] * ss) + c[1] * (ss * ss);
+        let (t4, t5) = (c[4] * nc, c[5] * (nc * nc));
+        let extended = match self.feature_map {
+            FeatureMap::Paper => None,
+            FeatureMap::Extended => Some((c[7] * (1.0 / nc), c[8] * (ss / nc), c[9] * 1.0)),
+        };
+        for (&cs, o) in coords.iter().zip(out.iter_mut()) {
+            let mut acc =
+                ((((ss_part + c[2] * cs) + c[3] * (cs * cs)) + t4) + t5) + c[6] * (cs * nc);
+            if let Some((t7, t8, t9)) = extended {
+                acc = ((acc + t7) + t8) + t9;
+            }
+            let cost = acc.max(floor);
+            *o = if build_gb > cs * cap { f64::INFINITY } else { cost };
+        }
     }
 }
 
@@ -534,6 +618,18 @@ mod tests {
                             b.to_bits(),
                             "{join:?} ss={build_gb} at {r:?}: scalar={scalar} batch={b}"
                         );
+                        // The scalar path reads its features off the stack;
+                        // the heap-built vector through `predict` is the
+                        // definition it must keep matching.
+                        let (cs, nc) = (r.container_size_gb(), r.containers());
+                        let features = model.feature_map.build(build_gb, cs, nc);
+                        let (member, cap) = model.join_params(join);
+                        let defined = if join == JoinImpl::BroadcastHash && build_gb > cs * cap {
+                            f64::INFINITY
+                        } else {
+                            member.predict(&features).max(model.floor)
+                        };
+                        assert_eq!(scalar.to_bits(), defined.to_bits(), "{join:?} at {r:?}");
                     }
                 }
             }
@@ -561,6 +657,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Bitwise comparison of the row kernel against `join_cost_at`, point by
+    /// point, along every row of `cluster` (rows run over the last axis).
+    fn assert_rows_match_point_wise(
+        model: &impl OperatorCost,
+        build_gb: f64,
+        cluster: &raqo_resource::ClusterConditions,
+    ) {
+        let inner = cluster.dims() - 1;
+        let coords: Vec<f64> = cluster.axis(inner).collect();
+        let mut out = vec![0.0; coords.len()];
+        for join in JoinImpl::ALL {
+            for base in cluster.grid().step_by(coords.len()) {
+                model.join_cost_row_at(join, build_gb, 77.0, &base, &coords, &mut out);
+                for (&x, o) in coords.iter().zip(&out) {
+                    let r = base.with_last(x);
+                    let scalar =
+                        model.join_cost_at(join, build_gb, 77.0, &r).unwrap_or(f64::INFINITY);
+                    assert_eq!(
+                        scalar.to_bits(),
+                        o.to_bits(),
+                        "{join:?} ss={build_gb} at {r:?}: scalar={scalar} row={o}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The paper grid (rows of ten whole GB) and a serverless-style one
+    /// (1/128 GB steps, rows of a thousand).
+    fn row_grids() -> [raqo_resource::ClusterConditions; 2] {
+        use raqo_resource::ClusterConditions;
+        [
+            ClusterConditions::paper_default(),
+            ClusterConditions::two_dim(1.0..=10.0, 1.0..=8.8046875, 1.0, 0.0078125),
+        ]
+    }
+
+    #[test]
+    fn row_kernel_matches_scalar_bitwise() {
+        use raqo_resource::ClusterConditions;
+        // Both feature maps, both joins, build sizes on either side of and
+        // across the BHJ capacity edge (which then falls mid-row).
+        for model in [
+            JoinCostModel::paper_hive(),
+            JoinCostModel::trained_hive(),
+            JoinCostModel::trained_hive_extended(),
+        ] {
+            for build_gb in [0.0, 0.4, 3.4, 9.0, 40.0] {
+                for cluster in row_grids() {
+                    assert_rows_match_point_wise(&model, build_gb, &cluster);
+                }
+            }
+            // A third dimension the model does not read: rows run over it.
+            let three_d = ClusterConditions::new(
+                ResourceConfig::from_slice(&[1.0, 1.0, 1.0]),
+                ResourceConfig::from_slice(&[6.0, 4.0, 8.0]),
+                ResourceConfig::from_slice(&[1.0, 1.0, 1.0]),
+            );
+            assert_rows_match_point_wise(&model, 3.4, &three_d);
+        }
+        // The trait's default row loop, on a model that does read dimension 2.
+        let oracle = SimOracleCost::hive();
+        assert_rows_match_point_wise(&oracle, 5.0, &ClusterConditions::paper_default());
     }
 
     #[test]
@@ -593,6 +754,7 @@ mod tests {
                     model.bhj_capacity_per_gb = cap;
                     for build_gb in [0.0, 0.4, 9.0, 1e9] {
                         assert_batch_matches_scalar(&model, build_gb, &grid);
+                        assert_rows_match_point_wise(&model, build_gb, &row_grids()[0]);
                     }
                 }
             }
@@ -611,6 +773,7 @@ mod tests {
                     model.smj.coefficients[slot] = bad;
                     model.bhj.coefficients[arity - 1 - slot] = bad;
                     assert_batch_matches_scalar(&model, 3.4, &grid[..101]);
+                    assert_rows_match_point_wise(&model, 3.4, &row_grids()[0]);
                 }
             }
             // A NaN floor forces the scalar path; the dispatcher must still
@@ -618,6 +781,9 @@ mod tests {
             let mut model = base.clone();
             model.floor = f64::NAN;
             assert_batch_matches_scalar(&model, 3.4, &grid[..101]);
+            for cluster in row_grids() {
+                assert_rows_match_point_wise(&model, 3.4, &cluster);
+            }
         }
     }
 

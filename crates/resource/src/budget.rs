@@ -19,8 +19,8 @@
 //!   end* of the search.
 //!
 //! Overshoot is bounded: exhaustion is detected at evaluation granularity,
-//! so a search never runs more than one batched chunk (256 evaluations)
-//! past its cap, and the deadline is re-checked at least every
+//! so a search never runs more than one row slice (≤ 256 evaluations) past
+//! its cap, and the deadline is re-checked at least every
 //! [`DEADLINE_CHECK_EVERY`] evaluations.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

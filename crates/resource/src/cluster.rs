@@ -69,9 +69,25 @@ impl ClusterConditions {
         self.min.dims()
     }
 
+    /// The grid coordinate after `v` along dimension `i`, if there is one:
+    /// `v + step`, admitted while it stays within `max` (plus a rounding
+    /// allowance). Every other view of the grid is derived from this rule.
+    fn step_from(&self, i: usize, v: f64) -> Option<f64> {
+        let next = v + self.step.get(i);
+        (next <= self.max.get(i) + 1e-9).then_some(next)
+    }
+
+    /// The grid's coordinates along dimension `i`, in order: `min`, then one
+    /// `step` added at a time. Accumulating (rather than multiplying) keeps
+    /// every enumeration bit-identical for steps that are not exactly
+    /// representable, such as 0.1.
+    pub fn axis(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        std::iter::successors(Some(self.min.get(i)), move |&v| self.step_from(i, v))
+    }
+
     /// Number of grid points along dimension `i`.
     pub fn points_along(&self, i: usize) -> u64 {
-        ((self.max.get(i) - self.min.get(i)) / self.step.get(i)).floor() as u64 + 1
+        self.axis(i).count() as u64
     }
 
     /// Total number of grid points in the space (the brute-force search
@@ -96,38 +112,30 @@ impl ClusterConditions {
         out
     }
 
-    /// Iterate every grid point (row-major over dimensions). Used by the
-    /// brute-force planner and by tests that cross-check hill climbing.
+    /// Iterate every grid point (row-major over dimensions): the order the
+    /// brute-force row scan indexes, and what tests cross-check it against.
     pub fn grid(&self) -> GridIter {
         GridIter { cond: *self, current: Some(self.min) }
     }
 
     /// The grid point at row-major `index` (dimension 0 most significant,
-    /// matching [`ClusterConditions::grid`] enumeration order). Lets the
-    /// parallel brute-force planner split the grid into index ranges and
-    /// break ties by global index, identically to a sequential scan.
+    /// matching [`ClusterConditions::grid`] enumeration order).
     pub fn point_at(&self, index: u64) -> ResourceConfig {
         debug_assert!(index < self.grid_size(), "grid index out of range");
         let mut rem = index;
         let mut out = self.min;
         for i in (0..self.dims()).rev() {
             let n = self.points_along(i);
-            let coord = rem % n;
+            // Infallible: `rem % n` indexes an axis of `n` coordinates.
+            let v = self.axis(i).nth((rem % n) as usize).expect("coordinate within its axis");
             rem /= n;
-            // Accumulate by repeated addition exactly as GridIter does, so
-            // chunked scans see bit-identical coordinates even when the
-            // step is not exactly representable (e.g. 0.1).
-            let mut v = self.min.get(i);
-            for _ in 0..coord {
-                v += self.step.get(i);
-            }
             out.set(i, v);
         }
         out
     }
 
     /// Iterate grid points starting from row-major `index` (same order as
-    /// [`ClusterConditions::grid`]); combine with `take` to scan a chunk.
+    /// [`ClusterConditions::grid`]); combine with `take` to walk a range.
     pub fn grid_from(&self, index: u64) -> GridIter {
         let current = (index < self.grid_size()).then(|| self.point_at(index));
         GridIter { cond: *self, current }
@@ -176,8 +184,7 @@ impl Iterator for GridIter {
                 break;
             }
             i -= 1;
-            let stepped = next.get(i) + self.cond.discrete_steps().get(i);
-            if stepped <= self.cond.max.get(i) + 1e-9 {
+            if let Some(stepped) = self.cond.step_from(i, next.get(i)) {
                 next.set(i, stepped);
                 self.current = Some(next);
                 break;
@@ -240,6 +247,26 @@ mod tests {
         assert_eq!(c.points_along(1), 4);
         let pts: Vec<_> = c.grid().collect();
         assert_eq!(pts.len(), 20);
+    }
+
+    #[test]
+    fn every_view_of_the_grid_agrees_on_non_representable_steps() {
+        // 0.1 is not a binary fraction: `floor((max − min) / step) + 1`
+        // undercounts both of these rows by one against the accumulated walk.
+        for (c, points) in [
+            (ClusterConditions::two_dim(1.0..=3.0, 1.0..=1.7, 1.0, 0.1), 3 * 8),
+            (ClusterConditions::two_dim(1.0..=1.0, 0.0..=0.3, 1.0, 0.1), 4),
+        ] {
+            let pts: Vec<_> = c.grid().collect();
+            assert_eq!(pts.len() as u64, points);
+            assert_eq!(c.grid_size(), points);
+            assert_eq!(c.points_along(1), c.axis(1).count() as u64);
+            for (i, p) in pts.iter().enumerate() {
+                assert_eq!(c.point_at(i as u64), *p, "point_at({i})");
+                assert_eq!(c.grid_from(i as u64).next(), Some(*p), "grid_from({i})");
+            }
+            assert_eq!(c.grid_from(points).next(), None);
+        }
     }
 
     #[test]

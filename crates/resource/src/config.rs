@@ -63,6 +63,14 @@ impl ResourceConfig {
         self.vals[i] += delta;
     }
 
+    /// This point moved along its last dimension to `v` — how a grid scan
+    /// names the points of one row.
+    #[inline]
+    pub fn with_last(mut self, v: f64) -> Self {
+        self.vals[self.dims() - 1] = v;
+        self
+    }
+
     /// The dimension values as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {

@@ -42,7 +42,7 @@ pub use cluster::ClusterConditions;
 pub use config::{ResourceConfig, MAX_DIMS};
 pub use parallel::{
     brute_force_parallel, brute_force_parallel_batch, brute_force_parallel_batch_traced,
-    brute_force_parallel_traced, hill_climb_multi, hill_climb_multi_batched,
+    brute_force_parallel_traced, brute_force_rows, hill_climb_multi, hill_climb_multi_batched,
     hill_climb_multi_batched_traced, hill_climb_multi_with, hill_climb_multi_with_traced,
     multi_start_seeds, seeds_with, Parallelism, SeedStrategy,
 };

@@ -6,10 +6,13 @@
 //! independent cost-model evaluation. This module exploits that with
 //! `std::thread::scope` workers while keeping results *deterministic*:
 //!
-//! * [`brute_force_parallel`] splits the grid into contiguous index ranges
-//!   and merges per-chunk winners by `(cost, global grid index)`, which is
-//!   exactly the sequential scan's "earlier grid point wins ties" rule —
-//!   the outcome is bit-identical to [`brute_force`] for any worker count.
+//! * [`brute_force_rows`] (and the per-point and array-of-configs adapters
+//!   over it, [`brute_force_parallel`] and [`brute_force_parallel_batch`])
+//!   splits a grid that is large enough to repay the threads into
+//!   contiguous index ranges, row-scans each, and merges the per-range
+//!   winners by `(cost, global grid index)`, which is exactly the
+//!   sequential scan's "earlier grid point wins ties" rule — the outcome is
+//!   bit-identical to [`crate::brute_force`] for any worker count.
 //! * [`hill_climb_multi`] climbs from a deterministic seed set (by default
 //!   a low-discrepancy Halton spread plus the min and max grid corners, see
 //!   [`SeedStrategy`]). Each climb is independent, so scheduling cannot
@@ -17,13 +20,13 @@
 //!   toward the earlier seed, and `iterations` sums all climbs (the true
 //!   total of cost evaluations spent).
 //!
-//! [`Parallelism::Off`] routes both entry points through the sequential
-//! code paths so the paper's Figs. 12–14 iteration accounting stays
-//! reproducible run-to-run regardless of the host's core count.
+//! [`Parallelism::Off`] keeps both searches on the calling thread, hill
+//! climbing single-start, so the paper's Figs. 12–14 iteration accounting
+//! stays reproducible run-to-run regardless of the host's core count.
 //!
 //! **Panic isolation**: every scoped worker runs under `catch_unwind`. A
 //! worker that panics (a buggy cost model, an injected chaos fault) no
-//! longer tears down the whole planning call — its chunk is re-executed
+//! longer tears down the whole planning call — its range is re-executed
 //! sequentially on the calling thread, which preserves bit-identical
 //! results, and the recovery is counted as `raqo_worker_panics_total`. A
 //! panic that *also* reproduces on the sequential re-run propagates: it is
@@ -31,7 +34,7 @@
 
 use crate::cluster::ClusterConditions;
 use crate::config::ResourceConfig;
-use crate::planner::{brute_force, brute_force_batch, hill_climb, PlanningOutcome, BATCH_CHUNK};
+use crate::planner::{by_configs, by_point, hill_climb, scan_rows, whole_grid, Best, PlanningOutcome};
 use crate::probes;
 use raqo_telemetry::{Counter, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,14 +64,94 @@ impl Parallelism {
     }
 }
 
-/// Exhaustive grid search split across worker threads.
-///
-/// Bit-identical to [`brute_force`]: each worker scans a contiguous
-/// row-major index range of the grid, tracking the lowest-cost point in its
-/// range (first such point on ties); the merge then prefers lower cost and,
-/// on equal cost, the lower global index — the same total order a single
-/// sequential scan applies. `iterations` is the full grid size, as for the
-/// sequential planner.
+/// Grid points a worker must have to itself before a scan is split at all:
+/// spawning and joining scoped workers costs ≈ 70 µs per scan, the row scan
+/// ≈ 1.7 ns per point, so two workers break even near 105 000 points
+/// (release build, two-core box, one `RaqoCoster::join_cost` = two scans:
+/// 100 000 points 348 µs inline vs 402 µs split, 200 000 points 661 vs 541).
+/// Outcomes are bit-identical for any worker count; this only moves time.
+const MIN_POINTS_PER_WORKER: u64 = 60_000;
+
+/// The one grid fan-out: split the grid into contiguous row-major index
+/// ranges, run `scan(axes, lo, hi)` on each in a scoped worker, and merge the
+/// per-range winners in range order — lower cost wins, the earlier range on
+/// ties, which is exactly a single sequential scan's "earlier grid point
+/// wins". `iterations` is the full grid size, as for the sequential planner.
+fn scan_grid_split<S>(
+    cluster: &ClusterConditions,
+    parallelism: Parallelism,
+    tel: &Telemetry,
+    scan: S,
+) -> PlanningOutcome
+where
+    S: Fn(&[Vec<f64>], u64, u64) -> Best + Sync,
+{
+    whole_grid(cluster, |axes, total| {
+        // Size first: a grid too small to split never asks `Auto` for cores.
+        let room = total / MIN_POINTS_PER_WORKER;
+        let workers = if room < 2 { 1 } else { room.min(parallelism.workers() as u64) };
+        if workers == 1 {
+            return scan(axes, 0, total);
+        }
+        let chunk = total.div_ceil(workers);
+        let scan = &scan;
+        // Workers enter the caller's trace scope so anything the evaluator
+        // reports (e.g. a sanitized model output) attributes to the right
+        // ticket rather than an ambient worker thread.
+        let scope_token = tel.current_scope();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(total));
+                    let h = scope.spawn(move || {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            let _in_scope = tel.enter_scope(scope_token);
+                            let _ = probes::probe("resource.worker.grid");
+                            scan(axes, lo, hi)
+                        }))
+                    });
+                    (lo, hi, h)
+                })
+                .collect();
+            handles
+                .into_iter()
+                .filter_map(|(lo, hi, h)| match h.join() {
+                    Ok(Ok(best)) => best,
+                    // The worker panicked (caught by catch_unwind, or before
+                    // reaching it). Re-run its range here: same scan, same
+                    // tie-breaks, bit-identical to an all-healthy run.
+                    Ok(Err(_payload)) | Err(_payload) => {
+                        tel.inc(Counter::WorkerPanics);
+                        scan(axes, lo, hi)
+                    }
+                })
+                .reduce(|best, next| if next.2 < best.2 { next } else { best })
+        })
+    })
+}
+
+/// Exhaustive grid search over a *row* evaluator, split across worker
+/// threads when the grid is large enough to repay them — the form the cost
+/// kernels are written for. `row_fn(start, base, coords, costs)` prices one
+/// slice of a grid row: point `k` is `base` with its last coordinate replaced
+/// by `coords[k]`, `start` is the row-major grid index of point 0, and
+/// `costs[k]` must receive its cost (`f64::INFINITY` where infeasible).
+/// Slices are at most [`crate::BATCH_CHUNK`] long. The winner is the lowest
+/// `(cost, grid index)` for any worker count.
+pub fn brute_force_rows<F>(
+    cluster: &ClusterConditions,
+    row_fn: F,
+    parallelism: Parallelism,
+    tel: &Telemetry,
+) -> PlanningOutcome
+where
+    F: Fn(u64, &ResourceConfig, &[f64], &mut [f64]) + Sync,
+{
+    scan_grid_split(cluster, parallelism, tel, |axes, lo, hi| scan_rows(axes, lo, hi, &row_fn))
+}
+
+/// [`crate::brute_force`] split across worker threads ([`brute_force_rows`]
+/// over a per-point cost function); bit-identical to it for any worker count.
 pub fn brute_force_parallel<F>(
     cluster: &ClusterConditions,
     cost_fn: F,
@@ -78,29 +161,6 @@ where
     F: Fn(&ResourceConfig) -> f64 + Sync,
 {
     brute_force_parallel_traced(cluster, cost_fn, parallelism, &Telemetry::disabled())
-}
-
-/// Sequential scan of one contiguous grid chunk `[lo, hi)`, tracking the
-/// lowest-cost point (first on ties). Shared by the spawned workers and the
-/// panic-recovery path so both produce identical results.
-fn scan_chunk<F>(
-    cluster: &ClusterConditions,
-    lo: u64,
-    hi: u64,
-    cost_fn: &F,
-) -> Option<(u64, ResourceConfig, f64)>
-where
-    F: Fn(&ResourceConfig) -> f64,
-{
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    for (off, r) in cluster.grid_from(lo).take((hi.saturating_sub(lo)) as usize).enumerate() {
-        let c = cost_fn(&r);
-        match best {
-            Some((_, _, bc)) if bc <= c => {}
-            _ => best = Some((lo + off as u64, r, c)),
-        }
-    }
-    best
 }
 
 /// [`brute_force_parallel`] with a telemetry sink for worker-panic
@@ -114,80 +174,15 @@ pub fn brute_force_parallel_traced<F>(
 where
     F: Fn(&ResourceConfig) -> f64 + Sync,
 {
-    let total = cluster.grid_size();
-    let workers = parallelism.workers().min(total.max(1) as usize).max(1);
-    if matches!(parallelism, Parallelism::Off) || workers == 1 {
-        return brute_force(cluster, |r| cost_fn(r));
-    }
-
-    let chunk = total.div_ceil(workers as u64);
-    let cost_fn = &cost_fn;
-    // Workers enter the caller's trace scope so anything the cost closure
-    // reports (e.g. a sanitized model output) attributes to the right
-    // ticket rather than an ambient worker thread.
-    let scope_token = tel.current_scope();
-    // Ok(best) = worker finished; Err(lo, hi) = worker panicked, chunk
-    // still owed.
-    let per_chunk: Vec<Result<Option<(u64, ResourceConfig, f64)>, (u64, u64)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let h = scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let _in_scope = tel.enter_scope(scope_token);
-                            let _ = probes::probe("resource.worker.grid");
-                            scan_chunk(cluster, lo, hi, cost_fn)
-                        }))
-                    });
-                    (lo, hi, h)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(lo, hi, h)| match h.join() {
-                    Ok(Ok(best)) => Ok(best),
-                    // The worker panicked (payload caught by catch_unwind) or
-                    // died before reaching it; either way the chunk is re-run.
-                    Ok(Err(_payload)) | Err(_payload) => Err((lo, hi)),
-                })
-                .collect()
-        });
-
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    for entry in per_chunk {
-        let chunk_best = match entry {
-            Ok(b) => b,
-            Err((lo, hi)) => {
-                // Recover the lost chunk sequentially on this thread — same
-                // scan, same tie-breaks, so the merged result is bit-identical
-                // to an all-healthy run.
-                tel.inc(Counter::WorkerPanics);
-                scan_chunk(cluster, lo, hi, cost_fn)
-            }
-        };
-        if let Some(c) = chunk_best {
-            match best {
-                Some(b) if b.2.total_cmp(&c.2).then(b.0.cmp(&c.0)).is_le() => {}
-                _ => best = Some(c),
-            }
-        }
-    }
-    // Infallible: workers cover the whole grid, grids have >= 1 point by
-    // construction (ClusterConditions ranges are inclusive), and failed
-    // chunks were re-scanned above.
-    let (_, config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations: total }
+    scan_grid_split(cluster, parallelism, tel, |axes, lo, hi| {
+        scan_rows(axes, lo, hi, by_point(&cost_fn))
+    })
 }
 
-/// Batched variant of [`brute_force_parallel`]: each worker scans its
-/// contiguous index range in [`BATCH_CHUNK`]-sized slices through a batched
-/// cost evaluator (see [`brute_force_batch`] for the evaluator contract),
-/// instead of calling a per-point closure. Winner selection stays by
-/// `(cost, global grid index)`, so the result is bit-identical to the
-/// sequential scan for any worker count whenever the evaluator agrees with
-/// the scalar cost function point-wise.
+/// [`crate::brute_force_batch`] split across worker threads
+/// ([`brute_force_rows`] over an array-of-configs evaluator, same contract as
+/// there); bit-identical to the sequential scan for any worker count whenever
+/// the evaluator agrees with the scalar cost function point-wise.
 pub fn brute_force_parallel_batch<F>(
     cluster: &ClusterConditions,
     batch_fn: F,
@@ -197,42 +192,6 @@ where
     F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
 {
     brute_force_parallel_batch_traced(cluster, batch_fn, parallelism, &Telemetry::disabled())
-}
-
-/// Batched scan of one contiguous grid chunk `[lo, hi)` in
-/// [`BATCH_CHUNK`]-sized slices. Shared by workers and panic recovery.
-fn scan_chunk_batch<F>(
-    cluster: &ClusterConditions,
-    lo: u64,
-    hi: u64,
-    batch_fn: &F,
-) -> Option<(u64, ResourceConfig, f64)>
-where
-    F: Fn(u64, &[ResourceConfig], &mut [f64]),
-{
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    let mut configs: Vec<ResourceConfig> = Vec::with_capacity(BATCH_CHUNK);
-    let mut costs = vec![0.0f64; BATCH_CHUNK];
-    let mut iter = cluster.grid_from(lo);
-    let mut at = lo;
-    while at < hi {
-        let take = ((hi - at) as usize).min(BATCH_CHUNK);
-        configs.clear();
-        configs.extend(iter.by_ref().take(take));
-        let n = configs.len();
-        if n == 0 {
-            break;
-        }
-        batch_fn(at, &configs, &mut costs[..n]);
-        for (off, (r, &c)) in configs.iter().zip(&costs[..n]).enumerate() {
-            match best {
-                Some((_, _, bc)) if bc <= c => {}
-                _ => best = Some((at + off as u64, *r, c)),
-            }
-        }
-        at += n as u64;
-    }
-    best
 }
 
 /// [`brute_force_parallel_batch`] with a telemetry sink for worker-panic
@@ -246,60 +205,9 @@ pub fn brute_force_parallel_batch_traced<F>(
 where
     F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
 {
-    let total = cluster.grid_size();
-    let workers = parallelism.workers().min(total.max(1) as usize).max(1);
-    if matches!(parallelism, Parallelism::Off) || workers == 1 {
-        return brute_force_batch(cluster, |lo, configs, costs| batch_fn(lo, configs, costs));
-    }
-
-    let chunk = total.div_ceil(workers as u64);
-    let batch_fn = &batch_fn;
-    let scope_token = tel.current_scope();
-    let per_chunk: Vec<Result<Option<(u64, ResourceConfig, f64)>, (u64, u64)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let h = scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let _in_scope = tel.enter_scope(scope_token);
-                            let _ = probes::probe("resource.worker.grid_batch");
-                            scan_chunk_batch(cluster, lo, hi, batch_fn)
-                        }))
-                    });
-                    (lo, hi, h)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(lo, hi, h)| match h.join() {
-                    Ok(Ok(best)) => Ok(best),
-                    Ok(Err(_payload)) | Err(_payload) => Err((lo, hi)),
-                })
-                .collect()
-        });
-
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    for entry in per_chunk {
-        let chunk_best = match entry {
-            Ok(b) => b,
-            Err((lo, hi)) => {
-                tel.inc(Counter::WorkerPanics);
-                scan_chunk_batch(cluster, lo, hi, batch_fn)
-            }
-        };
-        if let Some(c) = chunk_best {
-            match best {
-                Some(b) if b.2.total_cmp(&c.2).then(b.0.cmp(&c.0)).is_le() => {}
-                _ => best = Some(c),
-            }
-        }
-    }
-    // Infallible for the same reason as the scalar variant: full grid
-    // coverage, non-empty grid, failed chunks re-scanned.
-    let (_, config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations: total }
+    scan_grid_split(cluster, parallelism, tel, |axes, lo, hi| {
+        scan_rows(axes, lo, hi, by_configs(&batch_fn))
+    })
 }
 
 /// Which deterministic seed set multi-start hill climbing uses.
@@ -319,15 +227,10 @@ pub enum SeedStrategy {
     CornersCentroid,
 }
 
-/// The value of grid point `steps` along dimension `dim`, computed by
-/// repeated step addition so it is bit-identical to the grid iterator's
-/// coordinates.
+/// The value of grid point `steps` along dimension `dim`.
 fn grid_value(cluster: &ClusterConditions, dim: usize, steps: u64) -> f64 {
-    let mut v = cluster.min.get(dim);
-    for _ in 0..steps {
-        v += cluster.discrete_steps().get(dim);
-    }
-    v
+    // Infallible: callers derive `steps` from `points_along(dim)`.
+    cluster.axis(dim).nth(steps as usize).expect("step count within the axis")
 }
 
 /// Element `index` of the van der Corput sequence in the given base — the
@@ -529,8 +432,8 @@ where
 ///
 /// `batch_fn(configs, costs)` must fill `costs[i]` with the cost at
 /// `configs[i]`, using `f64::INFINITY` for infeasible points — the same
-/// contract as [`brute_force_batch`] minus the grid index (climb probes are
-/// not grid-indexed).
+/// contract as [`crate::brute_force_batch`] minus the grid index (climb probes
+/// are not grid-indexed).
 ///
 /// The outcome is **bit-identical** to [`hill_climb_multi_with`] (for any
 /// [`Parallelism`]) whenever the evaluator agrees with the scalar cost
@@ -671,12 +574,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::brute_force;
     use proptest::prelude::*;
 
     fn bowl(r: &ResourceConfig) -> f64 {
         let dc = r.containers() - 40.0;
         let ds = r.container_size_gb() - 7.0;
         dc * dc + 3.0 * ds * ds
+    }
+
+    /// A 1000 × 500 grid: enough points that up to eight workers each clear
+    /// [`MIN_POINTS_PER_WORKER`], so the tests below really fan out.
+    fn fanned_cluster() -> ClusterConditions {
+        let cluster = ClusterConditions::two_dim(1.0..=1000.0, 1.0..=500.0, 1.0, 1.0);
+        assert!(cluster.grid_size() >= 8 * MIN_POINTS_PER_WORKER);
+        cluster
     }
 
     #[test]
@@ -689,7 +601,7 @@ mod tests {
 
     #[test]
     fn parallel_brute_force_matches_sequential_bitwise() {
-        let cluster = ClusterConditions::paper_default();
+        let cluster = fanned_cluster();
         let seq = brute_force(&cluster, bowl);
         for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Threads(7), Parallelism::Auto] {
             let out = brute_force_parallel(&cluster, bowl, par);
@@ -703,7 +615,7 @@ mod tests {
     fn parallel_brute_force_tie_break_matches_sequential() {
         // Constant surface: every point ties; the winner must be the first
         // grid point for any chunking.
-        let cluster = ClusterConditions::two_dim(1.0..=13.0, 1.0..=5.0, 1.0, 1.0);
+        let cluster = fanned_cluster();
         let seq = brute_force(&cluster, |_| 2.5);
         for n in 1..=8 {
             let out = brute_force_parallel(&cluster, |_| 2.5, Parallelism::Threads(n));
@@ -719,8 +631,67 @@ mod tests {
     }
 
     #[test]
+    fn grid_fans_out_only_above_the_points_per_worker_floor() {
+        // Which threads evaluate the surface: only the caller's below the
+        // floor, more than one above it. The outcome is the same either way.
+        let threads_used = |cluster: &ClusterConditions| {
+            let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+            let out = brute_force_rows(
+                cluster,
+                |_, _, _, costs: &mut [f64]| {
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    costs.fill(1.0);
+                },
+                Parallelism::Threads(4),
+                &Telemetry::disabled(),
+            );
+            assert_eq!(out.config, cluster.min);
+            assert_eq!(out.iterations, cluster.grid_size());
+            seen.into_inner().unwrap()
+        };
+        let just_below = ClusterConditions::two_dim(1.0..=119_999.0, 1.0..=1.0, 1.0, 1.0);
+        assert!(just_below.grid_size() < 2 * MIN_POINTS_PER_WORKER);
+        for small in [ClusterConditions::paper_default(), just_below] {
+            let used = threads_used(&small);
+            assert_eq!(used.len(), 1);
+            assert!(used.contains(&std::thread::current().id()));
+        }
+        let used = threads_used(&fanned_cluster());
+        assert_eq!(used.len(), 4);
+        assert!(!used.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn fan_out_matches_sequential_on_a_non_representable_step() {
+        // 0.1 is not a binary fraction: the row length comes from the
+        // accumulated axis, and every worker must decompose its start index
+        // with that same length or the merged winner drifts.
+        let fanned = ClusterConditions::two_dim(1.0..=300.0, 1.0..=61.0, 1.0, 0.1);
+        assert!(fanned.grid_size() >= 3 * MIN_POINTS_PER_WORKER);
+        for cluster in [
+            fanned,
+            ClusterConditions::two_dim(1.0..=3.0, 1.0..=1.7, 1.0, 0.1),
+            ClusterConditions::two_dim(1.0..=1.0, 0.0..=0.3, 1.0, 0.1),
+        ] {
+            // Optimum on the last point of a row, where a short row length
+            // would wrap it onto the next one.
+            let top = cluster.axis(1).last().unwrap();
+            let ridge = |r: &ResourceConfig| {
+                (r.containers() - 2.0).abs() + (r.container_size_gb() - top).abs()
+            };
+            let seq = brute_force(&cluster, ridge);
+            assert_eq!(seq.iterations, cluster.grid().count() as u64);
+            assert_eq!(seq.cost, if cluster.max.containers() < 2.0 { 1.0 } else { 0.0 });
+            let par = brute_force_parallel(&cluster, ridge, Parallelism::Threads(3));
+            assert_eq!(par.config, seq.config);
+            assert_eq!(par.cost.to_bits(), seq.cost.to_bits());
+            assert_eq!(par.iterations, seq.iterations);
+        }
+    }
+
+    #[test]
     fn parallel_batched_brute_force_matches_sequential_bitwise() {
-        let cluster = ClusterConditions::paper_default();
+        let cluster = fanned_cluster();
         let seq = brute_force(&cluster, bowl);
         let eval = |_: u64, configs: &[ResourceConfig], costs: &mut [f64]| {
             for (r, c) in configs.iter().zip(costs.iter_mut()) {
@@ -737,7 +708,7 @@ mod tests {
 
     #[test]
     fn parallel_batched_brute_force_tie_break_matches_sequential() {
-        let cluster = ClusterConditions::two_dim(1.0..=13.0, 1.0..=5.0, 1.0, 1.0);
+        let cluster = fanned_cluster();
         let seq = brute_force(&cluster, |_| 2.5);
         for n in 1..=8 {
             let out = brute_force_parallel_batch(
@@ -833,7 +804,7 @@ mod tests {
     #[test]
     fn grid_worker_panic_recovers_bit_identical() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let cluster = ClusterConditions::paper_default();
+        let cluster = fanned_cluster();
         let seq = brute_force(&cluster, bowl);
         let tel = Telemetry::enabled();
         // Panic exactly once, at the surface's minimum, from whichever
@@ -858,7 +829,7 @@ mod tests {
     #[test]
     fn batch_worker_panic_recovers_bit_identical() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let cluster = ClusterConditions::paper_default();
+        let cluster = fanned_cluster();
         let seq = brute_force(&cluster, bowl);
         let tel = Telemetry::enabled();
         let fired = AtomicBool::new(false);
@@ -906,7 +877,7 @@ mod tests {
     fn deterministic_worker_panic_propagates() {
         // A panic that reproduces on the sequential re-run is a real bug;
         // recovery must not swallow it.
-        let cluster = ClusterConditions::paper_default();
+        let cluster = fanned_cluster();
         let always = |r: &ResourceConfig| -> f64 {
             if r.containers() == 40.0 && r.container_size_gb() == 7.0 {
                 panic!("deterministic cost-model bug");

@@ -1,7 +1,7 @@
 //! Resource planners: brute force (§VI-B1) and hill climbing (Algorithm 1).
 
 use crate::cluster::ClusterConditions;
-use crate::config::ResourceConfig;
+use crate::config::{ResourceConfig, MAX_DIMS};
 
 /// Result of one resource-planning call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,6 +15,138 @@ pub struct PlanningOutcome {
     pub iterations: u64,
 }
 
+/// Longest run of grid points handed to a row evaluator at once: large
+/// enough to amortize per-slice setup and give the cost kernel a
+/// vectorizable run, small enough that the cost buffer stays on the stack.
+pub const BATCH_CHUNK: usize = 256;
+
+/// Lowest-cost point of a scanned index range: `(grid index, point, cost)`.
+pub(crate) type Best = Option<(u64, ResourceConfig, f64)>;
+
+/// A cluster's grid laid out once as one coordinate list per dimension;
+/// grid indices are row-major over them, dimension 0 most significant.
+fn axes_of(cluster: &ClusterConditions) -> Vec<Vec<f64>> {
+    (0..cluster.dims()).map(|i| cluster.axis(i).collect()).collect()
+}
+
+/// The one grid enumeration: scan the row-major index range `[lo, hi)` and
+/// return its cheapest point, the earlier one on ties (`None` iff the range
+/// is empty). The outer dimensions advance as an odometer over the axes
+/// while the innermost axis goes to `eval` in slices of at most
+/// [`BATCH_CHUNK`] that never cross a row (the [`crate::brute_force_rows`]
+/// contract): no per-point [`ResourceConfig`] is built and nothing is
+/// allocated per slice. A cost that compares with nothing (NaN) never wins;
+/// a range holding no cost below `+∞` answers with its first point at `+∞`.
+pub(crate) fn scan_rows<F>(axes: &[Vec<f64>], lo: u64, hi: u64, mut eval: F) -> Best
+where
+    F: FnMut(u64, &ResourceConfig, &[f64], &mut [f64]),
+{
+    if lo >= hi {
+        return None;
+    }
+    debug_assert!(hi <= axes.iter().map(|a| a.len() as u64).product(), "index off the grid");
+    let inner = axes.len() - 1;
+
+    // Odometer position of `lo`, and the point it stands for.
+    let mut at = [0usize; MAX_DIMS];
+    let mut base = ResourceConfig::from_slice(&[0.0; MAX_DIMS][..axes.len()]);
+    let mut rem = lo;
+    for i in (0..=inner).rev() {
+        let n = axes[i].len() as u64;
+        at[i] = (rem % n) as usize;
+        rem /= n;
+        base.set(i, axes[i][at[i]]);
+    }
+
+    let mut costs = [0.0f64; BATCH_CHUNK];
+    let mut best = (lo, base, f64::INFINITY);
+    let mut index = lo;
+    while index < hi {
+        let row = &axes[inner][at[inner]..];
+        let n = row.len().min(BATCH_CHUNK).min((hi - index) as usize);
+        let (coords, costs) = (&row[..n], &mut costs[..n]);
+        base.set(inner, coords[0]);
+        eval(index, &base, coords, costs);
+        let low = slice_min(costs);
+        if low < best.2 {
+            // Infallible: `low` is one of the slice's costs.
+            let k = costs.iter().position(|&c| c == low).expect("minimum is in the slice");
+            best = (index + k as u64, base.with_last(coords[k]), costs[k]);
+        }
+        index += n as u64;
+        at[inner] += n;
+        if at[inner] == axes[inner].len() {
+            // Row finished: carry into the outer dimensions.
+            at[inner] = 0;
+            for i in (0..inner).rev() {
+                at[i] = (at[i] + 1) % axes[i].len();
+                base.set(i, axes[i][at[i]]);
+                if at[i] != 0 {
+                    break;
+                }
+            }
+        }
+    }
+    Some(best)
+}
+
+/// Smallest comparable value of `costs` (`+∞` when there is none). Eight
+/// independent running minima keep the fold free of a loop-carried
+/// dependency, so it compiles to packed `min`s.
+fn slice_min(costs: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    let pick = |a: f64, c: f64| if c < a { c } else { a };
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut groups = costs.chunks_exact(LANES);
+    for group in &mut groups {
+        for (a, &c) in lanes.iter_mut().zip(group) {
+            *a = pick(*a, c);
+        }
+    }
+    lanes.iter().chain(groups.remainder()).fold(f64::INFINITY, |a, &c| pick(a, c))
+}
+
+/// Row evaluator that prices each point of a slice through a per-point cost
+/// function.
+pub(crate) fn by_point<F>(mut cost_fn: F) -> impl FnMut(u64, &ResourceConfig, &[f64], &mut [f64])
+where
+    F: FnMut(&ResourceConfig) -> f64,
+{
+    move |_, base, coords, costs| {
+        for (&x, c) in coords.iter().zip(costs) {
+            *c = cost_fn(&base.with_last(x));
+        }
+    }
+}
+
+/// Row evaluator that materializes each slice as configurations for an
+/// array-of-configs batch evaluator (the [`brute_force_batch`] contract).
+pub(crate) fn by_configs<F>(mut batch_fn: F) -> impl FnMut(u64, &ResourceConfig, &[f64], &mut [f64])
+where
+    F: FnMut(u64, &[ResourceConfig], &mut [f64]),
+{
+    let mut configs: Vec<ResourceConfig> = Vec::with_capacity(BATCH_CHUNK);
+    move |start, base, coords, costs| {
+        configs.clear();
+        configs.extend(coords.iter().map(|&x| base.with_last(x)));
+        batch_fn(start, &configs, costs);
+    }
+}
+
+/// The outcome of a whole-grid search, given how to scan `[0, total)` over
+/// the grid's axes.
+pub(crate) fn whole_grid(
+    cluster: &ClusterConditions,
+    scan: impl FnOnce(&[Vec<f64>], u64) -> Best,
+) -> PlanningOutcome {
+    let axes = axes_of(cluster);
+    let iterations = axes.iter().map(|a| a.len() as u64).product();
+    // Infallible: `ClusterConditions` guarantees min <= max along every
+    // dimension, so the grid holds at least the min corner.
+    let (_, config, cost) = scan(&axes, iterations).expect("cluster grid is never empty");
+    PlanningOutcome { config, cost, iterations }
+}
+
 /// Exhaustive search over the whole resource grid (§VI-B1):
 ///
 /// > "The brute force approach to resource planning would perform an
@@ -23,70 +155,28 @@ pub struct PlanningOutcome {
 ///
 /// Ties are broken toward the earlier grid point, which — because the grid
 /// starts at the minimum allocation — prefers smaller resource footprints.
-pub fn brute_force<F>(cluster: &ClusterConditions, mut cost_fn: F) -> PlanningOutcome
+pub fn brute_force<F>(cluster: &ClusterConditions, cost_fn: F) -> PlanningOutcome
 where
     F: FnMut(&ResourceConfig) -> f64,
 {
-    let mut best: Option<(ResourceConfig, f64)> = None;
-    let mut iterations = 0u64;
-    for r in cluster.grid() {
-        let c = cost_fn(&r);
-        iterations += 1;
-        match best {
-            Some((_, bc)) if bc <= c => {}
-            _ => best = Some((r, c)),
-        }
-    }
-    // Infallible: `ClusterConditions` guarantees min <= max along every
-    // dimension, so `grid()` yields at least the min corner.
-    let (config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations }
+    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, by_point(cost_fn)))
 }
-
-/// Chunk size for the batched grid scans: large enough to amortize per-chunk
-/// setup and give the cost kernel a vectorizable run, small enough that the
-/// config/cost buffers stay cache-resident.
-pub const BATCH_CHUNK: usize = 256;
 
 /// Exhaustive grid search driven by a *batched* cost evaluator instead of a
 /// per-point closure.
 ///
 /// `batch_fn(start_index, configs, costs)` must fill `costs[i]` with the
 /// cost at `configs[i]` (using `f64::INFINITY` for infeasible points), where
-/// `start_index` is the row-major grid index of `configs[0]`. Winner
-/// selection is by `(cost, grid index)` with ties toward the earlier point —
+/// `start_index` is the row-major grid index of `configs[0]`; slices are at
+/// most [`BATCH_CHUNK`] long and stay within one grid row. Winner selection
+/// is by `(cost, grid index)` with ties toward the earlier point —
 /// bit-identical to [`brute_force`] whenever the evaluator agrees with the
 /// scalar cost function point-wise.
-pub fn brute_force_batch<F>(cluster: &ClusterConditions, mut batch_fn: F) -> PlanningOutcome
+pub fn brute_force_batch<F>(cluster: &ClusterConditions, batch_fn: F) -> PlanningOutcome
 where
     F: FnMut(u64, &[ResourceConfig], &mut [f64]),
 {
-    let total = cluster.grid_size();
-    let mut configs: Vec<ResourceConfig> = Vec::with_capacity(BATCH_CHUNK);
-    let mut costs = vec![0.0f64; BATCH_CHUNK];
-    let mut best: Option<(u64, ResourceConfig, f64)> = None;
-    let mut iter = cluster.grid();
-    let mut at = 0u64;
-    while at < total {
-        configs.clear();
-        configs.extend(iter.by_ref().take(BATCH_CHUNK));
-        let n = configs.len();
-        if n == 0 {
-            break;
-        }
-        batch_fn(at, &configs, &mut costs[..n]);
-        for (off, (r, &c)) in configs.iter().zip(&costs[..n]).enumerate() {
-            match best {
-                Some((_, _, bc)) if bc <= c => {}
-                _ => best = Some((at + off as u64, *r, c)),
-            }
-        }
-        at += n as u64;
-    }
-    // Infallible: same invariant as `brute_force` — the grid always
-    // contains at least the min corner.
-    let (_, config, cost) = best.expect("cluster grid is never empty");
-    PlanningOutcome { config, cost, iterations: total }
+    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, by_configs(batch_fn)))
 }
 
 /// Hill-climbing resource planning — a faithful transcription of the paper's
@@ -283,6 +373,113 @@ mod tests {
         let cluster = ClusterConditions::two_dim(1.0..=3.0, 1.0..=1.0, 1.0, 1.0);
         let out = brute_force(&cluster, |_| 1.0);
         assert_eq!(out.config, ResourceConfig::containers_and_size(1.0, 1.0));
+    }
+
+    /// The keep-first fold the row scan replaces, over `grid()` itself.
+    fn fold_by_point(
+        cluster: &ClusterConditions,
+        lo: u64,
+        hi: u64,
+        cost_fn: impl Fn(&ResourceConfig) -> f64,
+    ) -> Best {
+        let mut best: Best = None;
+        for (i, r) in cluster.grid().enumerate().take(hi as usize).skip(lo as usize) {
+            let c = cost_fn(&r);
+            match best {
+                Some((_, _, bc)) if bc <= c => {}
+                _ => best = Some((i as u64, r, c)),
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        /// Row scan ≡ point-by-point fold — winner index, config and cost
+        /// bits — on 1- to 3-D grids, exact and inexact steps, innermost
+        /// axes around [`BATCH_CHUNK`], surfaces full of ties and `+∞`, and
+        /// index ranges that start and end mid-row. The evaluator contract
+        /// (start index, base point, slices within one row) is checked on
+        /// the way.
+        #[test]
+        fn row_scan_matches_the_point_by_point_fold(
+            dims in 1usize..=3,
+            step_kind in 0usize..3,
+            inner_free in 0usize..400,
+            outer_len in 1usize..4,
+            salt in 0u64..1000,
+            lo_frac in 0.0f64..1.0,
+            len_frac in 0.0f64..=1.0,
+        ) {
+            let step = [1.0, 0.1, 1.0 / 128.0][step_kind];
+            let (short, long) = (1 + inner_free % 19, 300 + inner_free);
+            let inner_lens = [short, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1, long];
+            let cases = inner_lens.into_iter().flat_map(|n| (0..4).map(move |s| (n, s)));
+            for (inner_len, surface) in cases {
+                let lens: Vec<usize> =
+                    (0..dims).map(|i| if i == dims - 1 { inner_len } else { outer_len }).collect();
+                let max: Vec<f64> = lens.iter().map(|&n| 1.0 + (n - 1) as f64 * step).collect();
+                let cluster = ClusterConditions::new(
+                    ResourceConfig::from_slice(&vec![1.0; dims]),
+                    ResourceConfig::from_slice(&max),
+                    ResourceConfig::from_slice(&vec![step; dims]),
+                );
+                let total = cluster.grid_size();
+                proptest::prop_assert_eq!(total, cluster.grid().count() as u64);
+                let row_len = cluster.points_along(dims - 1);
+
+                let cost_fn = move |r: &ResourceConfig| -> f64 {
+                    let h = r.as_slice().iter().fold(salt, |h, v| {
+                        (h ^ v.to_bits()).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+                    });
+                    match surface {
+                        0 => (h % 7) as f64,
+                        1 => 3.5,
+                        2 => f64::INFINITY,
+                        _ if h % 3 == 0 => f64::INFINITY,
+                        _ => (h % 1000) as f64 / 7.0,
+                    }
+                };
+                let lo = (lo_frac * total as f64) as u64;
+                let hi = lo + (len_frac * (total - lo) as f64) as u64;
+
+                let axes = axes_of(&cluster);
+                let mut next = lo;
+                let got = scan_rows(&axes, lo, hi, |start, base, coords, costs| {
+                    assert_eq!(start, next, "slices are contiguous");
+                    assert_eq!(*base, cluster.point_at(start));
+                    assert!(!coords.is_empty() && coords.len() <= BATCH_CHUNK);
+                    assert!(start % row_len + coords.len() as u64 <= row_len, "row crossed");
+                    next += coords.len() as u64;
+                    by_point(cost_fn)(start, base, coords, costs);
+                });
+                proptest::prop_assert_eq!(next, hi);
+                let want = fold_by_point(&cluster, lo, hi, cost_fn);
+                proptest::prop_assert_eq!(got.is_none(), lo == hi);
+                proptest::prop_assert_eq!(
+                    got.map(|(i, r, c)| (i, r, c.to_bits())),
+                    want.map(|(i, r, c)| (i, r, c.to_bits()))
+                );
+
+                let whole = brute_force(&cluster, cost_fn);
+                let want = fold_by_point(&cluster, 0, total, cost_fn).unwrap();
+                proptest::prop_assert_eq!(whole.config, want.1);
+                proptest::prop_assert_eq!(whole.cost.to_bits(), want.2.to_bits());
+                proptest::prop_assert_eq!(whole.iterations, total);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_costs_never_win_the_scan() {
+        let cluster = paper_cluster();
+        let holes = |r: &ResourceConfig| -> f64 {
+            if r.containers() == 40.0 { bowl(r) } else { f64::NAN }
+        };
+        let out = brute_force(&cluster, holes);
+        assert_eq!(out.config, ResourceConfig::containers_and_size(40.0, 7.0));
+        assert_eq!(out.cost, 0.0);
+        let out = brute_force(&cluster, |_| f64::NAN);
+        assert_eq!((out.config, out.cost), (cluster.min, f64::INFINITY));
     }
 
     #[test]

@@ -171,13 +171,15 @@ proptest! {
 
     /// Parallel brute force is bit-identical to the sequential scan —
     /// same config, same cost bits, same iteration count — for random
-    /// grids, random cost surfaces, and any worker count.
+    /// grids, random cost surfaces, and any worker count. The grids hold
+    /// at least 480 000 points: below 60 000 per worker the scan runs inline
+    /// and there would be no split to compare.
     #[test]
     fn parallel_brute_force_bit_identical_on_random_grids(
-        max_nc in 2.0f64..30.0,
-        max_cs in 2.0f64..8.0,
-        cx in 1.0f64..30.0,
-        cy in 1.0f64..8.0,
+        max_nc in 900.0f64..1000.0,
+        max_cs in 540.0f64..600.0,
+        cx in 1.0f64..1000.0,
+        cy in 1.0f64..600.0,
         tilt in -1.0f64..1.0,
         workers in 1usize..9,
     ) {

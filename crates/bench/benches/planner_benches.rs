@@ -8,7 +8,8 @@ use raqo_core::{Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy, Telem
 use raqo_cost::JoinCostModel;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    CardinalityEstimator, DpFill, IdpConfig, IdpPlanner, RandomizedConfig, SelingerPlanner,
+    CardinalityEstimator, CascadesConfig, CascadesPlanner, DpFill, IdpConfig, IdpPlanner,
+    RandomizedConfig, SelingerPlanner,
 };
 use raqo_resource::{CacheLookup, ClusterConditions};
 use std::hint::black_box;
@@ -463,7 +464,7 @@ fn telemetry_overhead(c: &mut Criterion) {
 
 /// The set statistics under every planner: `join_io` and `connects` on
 /// small-right (5-vs-1, the left-deep DP's shape) and balanced (5-vs-5,
-/// the bushy memo's) splits of a ten-of-thirty random-schema query, and
+/// the bushy DP's) splits of a ten-of-thirty random-schema query, and
 /// the estimator's constructor — logarithms taken once per plan — on
 /// TPC-H and on a 100-table schema, so that per-plan cost is a number.
 fn cardinality(c: &mut Criterion) {
@@ -493,6 +494,48 @@ fn cardinality(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bushy search at left-deep prices: the dense subset DP against Selinger
+/// on a chain, a star and a clique of ten relations and on a ten-of-thirty
+/// random-schema query, at fixed resources so `getPlanCost` is cheap and
+/// the planners' own bookkeeping is what is timed. Before timing, the
+/// bushy plan is asserted no dearer than the left-deep one.
+fn bushy_dp(c: &mut Criterion) {
+    let model = JoinCostModel::trained_hive();
+    let random = RandomSchemaConfig::with_tables(30, 14).generate();
+    let random_query = QuerySpec::random_connected(&random.catalog, &random.graph, 10, 0);
+    let all = |s: &RandomSchema| QuerySpec::new("q", s.catalog.table_ids().collect());
+    let (chain, star, clique) =
+        (RandomSchema::chain(10, 7), RandomSchema::star(10, 7), RandomSchema::clique(10, 7));
+    let mut group = c.benchmark_group("bushy_dp");
+    for (name, schema, query) in [
+        ("chain10", &chain, all(&chain)),
+        ("star10", &star, all(&star)),
+        ("clique10", &clique, all(&clique)),
+        ("random10of30", &random, random_query),
+    ] {
+        let coster = || FixedResourceCoster::new(&model, 40.0, 8.0);
+        let bushy = |coster: &mut FixedResourceCoster<'_, JoinCostModel>| {
+            let config = CascadesConfig::default();
+            CascadesPlanner::plan(&schema.catalog, &schema.graph, &query, coster, &config)
+                .expect("bushy plan")
+                .planned
+        };
+        let left_deep = |coster: &mut FixedResourceCoster<'_, JoinCostModel>| {
+            SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, coster)
+                .expect("left-deep plan")
+        };
+        let (b, l) = (bushy(&mut coster()).cost, left_deep(&mut coster()).cost);
+        assert!(b <= l * (1.0 + 1e-12), "{name}: bushy {b} dearer than left-deep {l}");
+        group.bench_function(BenchmarkId::new("bushy", name), |bench| {
+            bench.iter(|| black_box(bushy(&mut coster())));
+        });
+        group.bench_function(BenchmarkId::new("selinger", name), |bench| {
+            bench.iter(|| black_box(left_deep(&mut coster())));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     fig12_raqo_planning,
@@ -506,6 +549,7 @@ criterion_group!(
     grid_scan,
     hill_climb_batched,
     telemetry_overhead,
-    cardinality
+    cardinality,
+    bushy_dp
 );
 criterion_main!(benches);

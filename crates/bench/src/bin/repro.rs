@@ -828,11 +828,11 @@ fn idp_smoke_gate() {
     );
 }
 
-/// `--smoke` Cascades gate: on the crafted fact/dim star the memo
+/// `--smoke` Cascades gate: on the crafted fact/dim star the bushy
 /// planner's winner must be *bushy* and strictly cheaper than the best
 /// left-deep Selinger plan; on a fully cyclic clique it must be no worse;
 /// and whenever its winner happens to be left-deep (chains at small n)
-/// its cost must agree with Selinger exactly — the memo search covers
+/// its cost must agree with Selinger exactly — the subset DP covers
 /// every left-deep order Selinger enumerates, plus the bushy shapes.
 fn cascades_smoke_gate() {
     let (series, ms) = timed(|| speedup::measure_cascades(true));

@@ -73,7 +73,7 @@ pub struct PlannerBenchReport {
     /// What the trace pipeline costs: the same ticketed workload with
     /// telemetry disabled, head-sampled at 1%, and fully recording.
     pub telemetry: TelemetryOverheadSeries,
-    /// The Cascades memo planner against left-deep Selinger on star,
+    /// The bushy planner against left-deep Selinger on star,
     /// clique, and chain shapes; the star point must be bushy and
     /// strictly cheaper (gated by `repro --smoke`).
     pub cascades: CascadesSeries,
@@ -435,13 +435,13 @@ pub struct CascadesPoint {
     pub cascades_cost: f64,
     /// The Cascades winner is a bushy tree (not left-deep).
     pub bushy: bool,
-    /// cascades_cost ≤ selinger_cost within fp tolerance — the memo
+    /// cascades_cost ≤ selinger_cost within fp tolerance — the bushy
     /// search covers every left-deep order Selinger enumerates.
     pub no_worse: bool,
 }
 
-/// Bushy-vs-left-deep series behind `repro --bench-json`: the Cascades
-/// memo planner against Selinger DP on the shapes where plan-space
+/// Bushy-vs-left-deep series behind `repro --bench-json`: the bushy
+/// subset DP against Selinger DP on the shapes where plan-space
 /// coverage differs — a wide fact/dim star (bushy dim×dim cross products
 /// halve the fact-sized probes), a fully cyclic clique, and a chain.
 #[derive(Debug, Clone, Serialize)]

@@ -43,8 +43,8 @@ struct PlannerRun {
     /// Selinger returned `TooManyRelations` (whether or not the bridge
     /// then recovered).
     relation_bound: bool,
-    /// The Cascades memo search was cut short by the planning budget and
-    /// answered with its best already-costed plan (or the seed chain).
+    /// The bushy search was cut short by the planning budget and answered
+    /// with the levels it had finished under the seed chain.
     memo_cut: bool,
 }
 
@@ -88,8 +88,7 @@ pub enum PlannerKind {
     Idp(IdpConfig),
     /// The fast randomized multi-objective planner.
     FastRandomized(RandomizedConfig),
-    /// Cascades-style memo optimizer: logical groups, an explicit task
-    /// stack, commutativity + associativity rules — the only planner here
+    /// One dense DP over relation-subset masks — the only planner here
     /// that searches *bushy* join trees. Costs every candidate through the
     /// same `getPlanCost` seam as Selinger, so resource planning, caching,
     /// memoization and planning budgets compose unchanged; queries past
@@ -104,12 +103,12 @@ impl PlannerKind {
         PlannerKind::Idp(IdpConfig::default())
     }
 
-    /// Cascades memo search over bushy trees, default bounds, no memo.
+    /// The subset DP over bushy trees, default bounds, no memo.
     pub fn cascades() -> Self {
         PlannerKind::Cascades(CascadesConfig::default())
     }
 
-    /// Cascades with the cross-run sub-plan cost memo (same memo and
+    /// The same with the cross-run sub-plan cost memo (same memo and
     /// context fingerprint as [`PlannerKind::SelingerMemoized`]).
     pub fn cascades_memoized() -> Self {
         PlannerKind::Cascades(CascadesConfig { memoize: true, ..Default::default() })
@@ -143,11 +142,11 @@ pub enum DegradationRung {
     /// Planning fell all the way to rule-based RAQO: decision-tree join
     /// dispatch at fixed (grid-midpoint) resources, no search at all.
     RuleBased,
-    /// The Cascades memo search was cut short by the planning budget: the
-    /// returned plan is the best fully-costed candidate at cut-off (or the
-    /// seed left-deep chain), not necessarily the memo optimum. The plan
-    /// still came out of the configured planner — this is the mildest rung
-    /// of all, milder than the IDP bridge.
+    /// The bushy search was cut short by the planning budget: the returned
+    /// plan is the best of the levels finished at cut-off under the seed
+    /// left-deep chain, not necessarily the optimum. The plan still came
+    /// out of the configured planner — this is the mildest rung of all,
+    /// milder than the IDP bridge.
     MemoCut,
 }
 
@@ -575,9 +574,9 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
                 let misses_before = self.selinger_memo.as_ref().map_or(0, CostMemo::misses);
                 let evictions_before =
                     self.selinger_memo.as_ref().map_or(0, CostMemo::evictions);
-                // The budget is polled by the planner at every task pop:
-                // on exhaustion the memo search cuts short and answers with
-                // its best costed plan instead of failing down a rung.
+                // The budget is polled by the planner at every subset: on
+                // exhaustion the search cuts short and answers with its
+                // best costed plan instead of failing down a rung.
                 let tracker = self.coster.budget.clone();
                 let stop_fn = move || tracker.exhausted().is_some() || !tracker.check_deadline();
                 let stop: Option<&dyn Fn() -> bool> = if self.coster.budget.is_limited() {
@@ -1549,6 +1548,29 @@ mod tests {
         assert_eq!(d.rung, crate::optimizer::DegradationRung::IdpBridge);
         assert_eq!(d.trigger, crate::optimizer::DegradationTrigger::RelationBoundBridged);
         assert_eq!(plan.query.joins.len(), 15);
+    }
+
+    #[test]
+    fn cascades_past_its_hard_cap_bridges_with_idp_whatever_the_config_asks() {
+        use raqo_catalog::RandomSchemaConfig;
+        let schema = RandomSchemaConfig::with_tables(20, 11).generate();
+        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 17, 11);
+        let mut opt = RaqoOptimizer::new(
+            std::sync::Arc::new(schema.catalog),
+            std::sync::Arc::new(schema.graph),
+            model(),
+            ClusterConditions::paper_default(),
+            PlannerKind::Cascades(raqo_planner::CascadesConfig {
+                max_relations: 64,
+                ..Default::default()
+            }),
+            ResourceStrategy::HillClimb,
+        );
+        let plan = opt.optimize(&query).expect("IDP bridge plans");
+        let d = plan.degradation.expect("relation-bound bridge must be reported");
+        assert_eq!(d.rung, crate::optimizer::DegradationRung::IdpBridge);
+        assert_eq!(d.trigger, crate::optimizer::DegradationTrigger::RelationBoundBridged);
+        assert_eq!(plan.query.joins.len(), 16);
     }
 
     #[test]

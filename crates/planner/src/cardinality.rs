@@ -51,7 +51,7 @@ impl<'a> CardinalityEstimator<'a> {
 
     /// `(rows, GB)` of the join result over `head ++ tail`, accumulated in
     /// that order.
-    fn set_size(&self, head: &[TableId], tail: &[TableId]) -> (f64, f64) {
+    pub(crate) fn set_size(&self, head: &[TableId], tail: &[TableId]) -> (f64, f64) {
         let mut members = TableSet::default();
         let mut log_card = 0.0f64;
         for &t in head.iter().chain(tail) {

@@ -1,90 +1,79 @@
-//! Cascades-style memo optimizer: logical groups over relation sets, an
-//! explicit task stack, and transformation rules that cover *bushy* join
-//! trees.
+//! Bushy join ordering: one dense dynamic program over relation-subset
+//! masks (DPsub).
 //!
-//! Selinger (and IDP, which inherits its shape) searches left-deep trees
-//! only. Star and clique queries leave money on the table there: joining
-//! two small dimension tables first and probing the fact table with the
-//! tiny cross product can be strictly cheaper than any left-deep order.
-//! This module searches the bushy space the way Cascades/Volcano engines
-//! do:
+//! Selinger and IDP search left-deep trees only, and star and clique
+//! queries leave money on the table there: joining two small dimension
+//! tables first and probing the fact table with the tiny cross product can
+//! beat every left-deep order. Here a subset of the query's sorted relation
+//! list is a bitmask, every per-subset fact lives in a 2ⁿ-slot table indexed
+//! by it (see [`Search`]), and subsets are planned level by level, by size:
 //!
-//! * **Groups** — equivalence classes of sub-plans keyed by their relation
-//!   *set* (a u64 bitmask over the query's sorted relation list). A group
-//!   holds every logical join expression discovered for that set plus, once
-//!   costed, the best physical candidate.
-//! * **Expressions** — binary joins `left-group ⋈ right-group`, deduplicated
-//!   per group by the (left-mask, right-mask) pair. Group identity is
-//!   resolved through a disjoint-set forest ([`Search::find`] /
-//!   [`Search::merge`]), so duplicate groups discovered independently can be
-//!   merged without rewriting expressions.
-//! * **Tasks** — an explicit LIFO stack of optimize-group / explore-group /
-//!   apply-rule steps (no recursion). Rules are **join commutativity**
-//!   (A ⋈ B → B ⋈ A) and **left associativity** ((A ⋈ B) ⋈ C → A ⋈ (B ⋈ C));
-//!   together with the closure re-firing in [`Search::insert_expr`] they
-//!   generate every admissible bushy tree.
+//! * **Splits** — the submasks holding a subset's lowest relation enumerate
+//!   each unordered split once. A split is a candidate when both halves are
+//!   planned and it is edge-connected, or is the seed chain's, or the
+//!   subset's estimated rows stay under [`CascadesConfig::cross_rows_cap`]:
+//!   chain queries stay polynomial in `getPlanCost` calls (only contiguous
+//!   intervals are ever planned) while star schemas still get their tiny
+//!   dimension×dimension products.
+//! * **Costing** — every candidate goes once through the same
+//!   [`PlanCoster::join_cost`] seam as Selinger (`getPlanCost`, §VI-C), so
+//!   resource planning, the plan-cost cache, [`CostMemo`] and planning
+//!   budgets compose unchanged; a level goes in
+//!   [`PlanCoster::join_cost_many`] batches when the coster prefers batches
+//!   or thread parallelism is on.
+//! * **Winners** — lowest total cost, then least intermediate data
+//!   (Σ `out_gb`), then the seed split, then the first enumerated. The
+//!   learned §VI model floors at one second, so many sub-plans tie exactly.
 //!
-//! Every physical candidate is costed through the same
-//! [`PlanCoster::join_cost`] seam as Selinger — `getPlanCost` in the
-//! paper's §VI-C — so resource planning, the plan-cost cache,
-//! memoization ([`CostMemo`]) and planning budgets compose unchanged;
-//! whole groups are costed in one [`PlanCoster::join_cost_many`] batch
-//! when the coster prefers batches or thread parallelism is on.
-//!
-//! **Cross products** are admitted only when the estimated output stays
-//! under [`CascadesConfig::cross_rows_cap`] rows (the seed left-deep chain
-//! bypasses the cap so a complete plan always exists). That keeps the memo
-//! polynomial on chain queries — only contiguous intervals form groups —
-//! while still admitting the tiny dimension×dimension products that make
-//! bushy plans win on star schemas.
-//!
-//! A `stop` probe (wired to the [`PlanningBudget`] by the optimizer) is
-//! checked at every task pop; when it fires mid-search the planner falls
-//! back to the best already-costed plan — or the seed left-deep tree — and
-//! reports `cut_short`, which the optimizer surfaces as its own
-//! degradation rung.
-//!
-//! [`PlanningBudget`]: raqo_resource::PlanningBudget
+//! A **seed** left-deep chain over a connected order is costed into the
+//! tables before the search. Its splits bypass the cap, so a complete plan
+//! always exists; and when the `stop` probe (the optimizer's planning
+//! budget, polled at every subset) fires, the tables still hold one — the
+//! finished levels' plans under the rest of the chain — which is returned
+//! with `cut_short` set, the optimizer's mildest degradation rung.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::coster::{cost_tree_traced, PlanCoster, PlannedQuery};
+use crate::coster::{JoinDecision, PlanCoster, PlannedQuery};
 use crate::memo::{cost_tree_memo_traced, CostMemo};
 use crate::plan::PlanTree;
+use crate::selinger::{adjacency_masks, bits};
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
 use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// Hard cap: groups are u64 relation-set bitmasks.
-pub const CASCADES_MAX_RELATIONS: usize = 64;
+/// Hard cap: the tables hold 2ⁿ slots and the search takes 3ⁿ submask
+/// steps — 64 K slots and ≈ 43 M steps at 16.
+pub const CASCADES_MAX_RELATIONS: usize = 16;
 
-/// Default bound on exhaustive memo search. The clique task space grows
-/// ~4ⁿ; 12 relations (≈ half a million expressions worst case) is already
-/// far past anything the paper plans exhaustively, and queries above the
-/// bound report [`CascadesError::TooManyRelations`] so the optimizer can
-/// bridge to IDP exactly as it does for Selinger.
+/// Default bound on the exhaustive search: a clique costs (3ⁿ − 2ⁿ⁺¹ + 1)/2
+/// candidates, a quarter of a million at 12. Queries above the bound report
+/// [`CascadesError::TooManyRelations`] so the optimizer can bridge to IDP
+/// exactly as it does for Selinger.
 pub const DEFAULT_CASCADES_THRESHOLD: usize = 12;
 
-/// Default cross-product admission cap, in estimated output rows. High
-/// enough to admit dimension×dimension products on star schemas (the
-/// bushy win), low enough to reject every fact-sized cross product, which
-/// keeps chain-query memos polynomial.
+/// Default cross-product admission cap, in estimated output rows: admits
+/// dimension×dimension products on star schemas (the bushy win), rejects
+/// every fact-sized cross product, which keeps chain queries polynomial.
 pub const DEFAULT_CROSS_ROWS_CAP: f64 = 1e8;
+
+/// Candidates gathered before a level's batch is costed early, so the
+/// batch buffers stay small however wide a level of a 16-relation clique is.
+const BATCH_CANDIDATES: usize = 4096;
 
 /// Tuning knobs for [`CascadesPlanner`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CascadesConfig {
     /// Queries with more relations fail with
-    /// [`CascadesError::TooManyRelations`] (clamped to
-    /// [`CASCADES_MAX_RELATIONS`]).
+    /// [`CascadesError::TooManyRelations`]; at most [`CASCADES_MAX_RELATIONS`].
     pub max_relations: usize,
     /// Reuse a [`CostMemo`] across runs (the optimizer owns the memo and
-    /// its context fingerprint, exactly as for Selinger).
+    /// its context fingerprint, exactly as for Selinger): candidates are
+    /// looked up in the caller's memo before they are costed, and recorded.
     pub memoize: bool,
-    /// Admit a cross-product expression only when its estimated output is
-    /// at most this many rows. Non-positive rejects all cross products
+    /// Admit a cross-product split only when the subset's estimated output
+    /// is at most this many rows. Non-positive rejects all cross products
     /// (the seed chain still bypasses the cap).
     pub cross_rows_cap: f64,
 }
@@ -99,7 +88,7 @@ impl Default for CascadesConfig {
     }
 }
 
-/// Why the memo search could not produce a plan.
+/// Why the search could not produce a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CascadesError {
     /// Query exceeds [`CascadesConfig::max_relations`]; callers bridge to
@@ -113,10 +102,9 @@ pub enum CascadesError {
 impl fmt::Display for CascadesError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CascadesError::TooManyRelations { n, max } => write!(
-                f,
-                "query has {n} relations, above the cascades memo bound of {max}"
-            ),
+            CascadesError::TooManyRelations { n, max } => {
+                write!(f, "query has {n} relations, above the bushy search bound of {max}")
+            }
             CascadesError::Infeasible => write!(f, "no feasible plan"),
         }
     }
@@ -124,540 +112,242 @@ impl fmt::Display for CascadesError {
 
 impl std::error::Error for CascadesError {}
 
-/// A finished memo search: the winning plan plus search-size accounting.
+/// A finished search: the winning plan plus search-size accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadesOutcome {
     pub planned: PlannedQuery,
-    /// True when the `stop` probe fired before the search completed; the
-    /// plan is then the best fully-costed candidate (or the seed left-deep
-    /// tree), not necessarily the memo optimum.
+    /// True when the `stop` probe fired before the search completed: the
+    /// plan is the finished levels' under the seed chain, maybe not optimal.
     pub cut_short: bool,
-    /// Logical groups materialized.
+    /// Subsets a plan was found for (single relations included).
     pub groups: usize,
-    /// Join expressions materialized (after dedup).
+    /// Candidate splits costed (or found in the caller's memo), each once.
     pub expressions: usize,
-    /// Tasks popped off the stack.
+    /// Subsets of two or more relations visited.
     pub tasks: u64,
 }
 
-type GroupId = usize;
-type ExprId = usize;
+/// A costed join: what [`CostMemo`] stores and a finished plan reports.
+type Costed = (JoinIo, JoinDecision);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rule {
-    /// A ⋈ B → B ⋈ A.
-    Commute,
-    /// (A ⋈ B) ⋈ C → A ⋈ (B ⋈ C).
-    AssocLeft,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Task {
-    OptimizeGroup(GroupId),
-    ExploreGroup(GroupId),
-    ApplyRule { expr: ExprId, rule: Rule },
-}
-
-/// Best physical candidate of a costed group. `expr` is `None` for leaf
-/// groups (a bare scan costs zero, as everywhere else in the planner).
-#[derive(Debug, Clone, Copy)]
-struct Best {
-    cost: f64,
-    expr: Option<ExprId>,
-}
-
-#[derive(Debug)]
-struct Group {
-    mask: u64,
-    /// Relations of `mask`, sorted (bit order over the query relation
-    /// list). Kept materialized because every costing and admission step
-    /// needs the slice.
-    rels: Vec<TableId>,
-    /// `set_gb(rels)`: a group joins many partners and its relations never
-    /// reorder, so its size as a join input is computed once.
-    gb: f64,
-    /// Expressions rooted at this group, in insertion order (append-only,
-    /// so [`Expr::assoc_seen`] cursors stay valid).
-    exprs: Vec<ExprId>,
-    /// Dedup of (left-mask, right-mask) pairs ever *proposed* for this
-    /// group — including pairs the admission test rejected, so each pair
-    /// is examined at most once.
-    expr_set: HashSet<(u64, u64)>,
-    /// Expressions (in any group) whose *left* input is this group; when
-    /// this group grows, their associativity bindings must be re-enumerated.
-    parents_left: Vec<ExprId>,
-    explored: bool,
-    costed: bool,
-    best: Option<Best>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Expr {
-    group: GroupId,
-    left: GroupId,
-    right: GroupId,
-    /// Has the commutativity rule fired for this expression?
-    commuted: bool,
-    /// Cursor into the left group's `exprs` list: associativity bindings
-    /// below this index have already been enumerated. Re-firing the rule
-    /// after the left group grows resumes here, making enumeration O(1)
-    /// amortized per (expression, binding) pair.
-    assoc_seen: usize,
-}
-
-/// The memo: groups, expressions, the disjoint-set forest over group ids,
-/// and the task stack.
-struct Search<'q> {
-    rels: &'q [TableId],
-    est: &'q CardinalityEstimator<'q>,
-    groups: Vec<Group>,
-    exprs: Vec<Expr>,
-    by_mask: HashMap<u64, GroupId>,
-    parent: Vec<GroupId>,
-    stack: Vec<Task>,
+/// One run. Subsets are `usize` masks over `rels` and index every table.
+struct Search<'a> {
+    rels: &'a [TableId],
+    est: &'a CardinalityEstimator<'a>,
+    coster: &'a mut dyn PlanCoster,
+    /// The caller's memo, or a per-run scratch one the final replay reads.
+    memo: &'a mut CostMemo,
+    /// Look candidates up in `memo` before costing them, and record them.
+    memoize: bool,
+    parallelism: Parallelism,
+    cross_rows_cap: f64,
+    stop: Option<&'a dyn Fn() -> bool>,
+    /// Relations adjacent to any member of the subset.
+    nbr: Vec<usize>,
+    /// `(cost, Σ out_gb of the joins)` of the subset's best plan so far;
+    /// infinite cost = not planned.
+    best: Vec<(f64, f64)>,
+    /// One half of that plan's top split (the other is the rest of the
+    /// subset) and the join of the two.
+    top: Vec<(usize, Option<Costed>)>,
+    /// Estimated `(rows, GB)` of the subset, NaN until asked for: one
+    /// `set_size` serves its candidates' output and every join it enters.
+    size: Vec<(f64, f64)>,
+    /// `prefix[k]`: the first k relations of the seed order, as far as the
+    /// seed chain was costed.
+    prefix: Vec<usize>,
+    /// Candidates gathered for the next batch, as (subset, one half).
+    cands: Vec<(usize, usize)>,
+    expressions: usize,
     tasks: u64,
+    /// Relation lists of the two sides last handed to `est` or `memo`.
+    lrels: Vec<TableId>,
+    rrels: Vec<TableId>,
 }
 
-impl<'q> Search<'q> {
-    fn new(rels: &'q [TableId], est: &'q CardinalityEstimator<'q>) -> Self {
-        Search {
-            rels,
-            est,
-            groups: Vec::new(),
-            exprs: Vec::new(),
-            by_mask: HashMap::new(),
-            parent: Vec::new(),
-            stack: Vec::new(),
-            tasks: 0,
+impl Search<'_> {
+    fn load_sides(&mut self, l: usize, r: usize) {
+        for (mask, out) in [(l, &mut self.lrels), (r, &mut self.rrels)] {
+            out.clear();
+            out.extend(bits(mask as u64).map(|i| self.rels[i]));
         }
     }
 
-    /// Canonical id of a group (disjoint-set find; no path compression —
-    /// merge chains are short because mask-keyed dedup makes real merges
-    /// rare).
-    fn find(&self, mut g: GroupId) -> GroupId {
-        while self.parent[g] != g {
-            g = self.parent[g];
+    /// `(rows, GB)` of a subset, relations accumulated in ascending order.
+    fn size(&mut self, mask: usize) -> (f64, f64) {
+        if self.size[mask].0.is_nan() {
+            self.load_sides(mask, 0);
+            self.size[mask] = self.est.set_size(&self.lrels, &[]);
         }
-        g
+        self.size[mask]
     }
 
-    fn group_rels(&self, mask: u64) -> Vec<TableId> {
-        let mut rels = Vec::with_capacity(mask.count_ones() as usize);
-        let mut m = mask;
-        while m != 0 {
-            rels.push(self.rels[m.trailing_zeros() as usize]);
-            m &= m - 1;
-        }
-        rels
+    /// The IO of joining `s` with the rest of `mask`.
+    fn join_io(&mut self, mask: usize, s: usize) -> JoinIo {
+        let (out_rows, out_gb) = self.size(mask);
+        let (l, r) = (self.size(s).1, self.size(mask ^ s).1);
+        JoinIo { build_gb: l.min(r), probe_gb: l.max(r), out_gb, out_rows }
     }
 
-    fn group_of(&self, mask: u64) -> Option<GroupId> {
-        self.by_mask.get(&mask).map(|&g| self.find(g))
+    /// `(cost, volume)` of joining the best plans of `s` and of the rest of `mask`.
+    fn totals(&self, mask: usize, s: usize, (io, decision): &Costed) -> (f64, f64) {
+        let (l, r) = (self.best[s], self.best[mask ^ s]);
+        (l.0 + r.0 + decision.cost, l.1 + r.1 + io.out_gb)
     }
 
-    /// Materialize a new group for `mask`. Leaf groups are born costed
-    /// (scans cost zero) and explored (no expressions to fire rules on).
-    fn create_group(&mut self, mask: u64) -> GroupId {
-        let id = self.groups.len();
-        let rels = self.group_rels(mask);
-        let leaf = mask.count_ones() == 1;
-        self.groups.push(Group {
-            mask,
-            gb: self.est.set_gb(&rels),
-            rels,
-            exprs: Vec::new(),
-            expr_set: HashSet::new(),
-            parents_left: Vec::new(),
-            explored: leaf,
-            costed: leaf,
-            best: leaf.then_some(Best { cost: 0.0, expr: None }),
-        });
-        self.parent.push(id);
-        self.by_mask.insert(mask, id);
-        id
-    }
-
-    fn ensure_group(&mut self, mask: u64) -> GroupId {
-        match self.by_mask.get(&mask) {
-            Some(&g) => self.find(g),
-            None => self.create_group(mask),
-        }
-    }
-
-    /// Merge two groups into one equivalence class (disjoint-set union).
-    /// The surviving group inherits the loser's expressions (dedup
-    /// preserved), its left-parent registrations, and the tighter of the
-    /// two bests when both sides were costed; parents of the survivor
-    /// re-fire associativity because the expression list grew.
-    ///
-    /// Masks key groups uniquely, so the mainline search never creates two
-    /// groups for one relation set; merge is the defensive path rules would
-    /// take if a transformation ever proved two masks equivalent.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn merge(&mut self, a: GroupId, b: GroupId) -> GroupId {
-        let a = self.find(a);
-        let b = self.find(b);
-        if a == b {
-            return a;
-        }
-        let (win, lose) = if a < b { (a, b) } else { (b, a) };
-        self.parent[lose] = win;
-        let moved_exprs = std::mem::take(&mut self.groups[lose].exprs);
-        let moved_set: Vec<(u64, u64)> = self.groups[lose].expr_set.drain().collect();
-        let moved_parents = std::mem::take(&mut self.groups[lose].parents_left);
-        let lose_explored = self.groups[lose].explored;
-        let lose_costed = self.groups[lose].costed;
-        let lose_best = self.groups[lose].best.take();
-        for pair in moved_set {
-            self.groups[win].expr_set.insert(pair);
-        }
-        for e in moved_exprs {
-            self.exprs[e].group = win;
-            self.groups[win].exprs.push(e);
-        }
-        self.groups[win].parents_left.extend(moved_parents);
-        self.groups[win].explored = self.groups[win].explored && lose_explored;
-        let costed = self.groups[win].costed && lose_costed;
-        self.groups[win].best = match (costed, self.groups[win].best, lose_best) {
-            (true, Some(x), Some(y)) => Some(if x.cost <= y.cost { x } else { y }),
-            (true, x, y) => x.or(y),
-            _ => None,
-        };
-        self.groups[win].costed = costed;
-        for i in 0..self.groups[win].parents_left.len() {
-            let p = self.groups[win].parents_left[i];
-            self.stack.push(Task::ApplyRule { expr: p, rule: Rule::AssocLeft });
-        }
-        win
-    }
-
-    /// Admission test for a candidate expression. Seeds always pass;
-    /// otherwise the join must be edge-connected or a cross product whose
-    /// estimated output fits under the cap.
-    fn admit(
-        &self,
-        l: GroupId,
-        r: GroupId,
-        seed: bool,
-        graph: &JoinGraph,
-        cap: f64,
-    ) -> bool {
-        seed
-            || graph.connects(&self.groups[l].rels, &self.groups[r].rels)
-            || self.join_io(l, r).out_rows <= cap
-    }
-
-    /// The IO of joining groups `l` and `r`, in that order.
-    fn join_io(&self, l: GroupId, r: GroupId) -> JoinIo {
-        let (l, r) = (&self.groups[l], &self.groups[r]);
-        self.est.join_io_sized(&l.rels, l.gb, &r.rels, r.gb)
-    }
-
-    /// Insert `left ⋈ right` into group `g` unless the pair was already
-    /// proposed or fails admission. On success, schedules the rule tasks
-    /// for the new expression, exploration of its children, and — the
-    /// closure step — re-fires associativity on every expression whose
-    /// left input is `g`, because their binding lists just grew.
-    fn insert_expr(
-        &mut self,
-        g: GroupId,
-        l: GroupId,
-        r: GroupId,
-        seed: bool,
-        graph: &JoinGraph,
-        cap: f64,
-    ) -> Option<ExprId> {
-        let g = self.find(g);
-        let l = self.find(l);
-        let r = self.find(r);
-        let (lmask, rmask) = (self.groups[l].mask, self.groups[r].mask);
-        debug_assert_eq!(lmask & rmask, 0, "expression inputs must be disjoint");
-        debug_assert_eq!(lmask | rmask, self.groups[g].mask, "inputs must cover the group");
-        if !self.groups[g].expr_set.insert((lmask, rmask)) {
-            return None;
-        }
-        if !self.admit(l, r, seed, graph, cap) {
-            return None;
-        }
-        let e = self.exprs.len();
-        self.exprs.push(Expr { group: g, left: l, right: r, commuted: false, assoc_seen: 0 });
-        self.groups[g].exprs.push(e);
-        self.groups[l].parents_left.push(e);
-        self.stack.push(Task::ApplyRule { expr: e, rule: Rule::AssocLeft });
-        self.stack.push(Task::ApplyRule { expr: e, rule: Rule::Commute });
-        if !self.groups[l].explored {
-            self.stack.push(Task::ExploreGroup(l));
-        }
-        if !self.groups[r].explored {
-            self.stack.push(Task::ExploreGroup(r));
-        }
-        for i in 0..self.groups[g].parents_left.len() {
-            let p = self.groups[g].parents_left[i];
-            self.stack.push(Task::ApplyRule { expr: p, rule: Rule::AssocLeft });
-        }
-        Some(e)
-    }
-
-    /// Fire both rules on every expression of the group. Largely belt and
-    /// braces — [`Search::insert_expr`] already schedules rules at
-    /// insertion — but it keeps groups correct if incremental scheduling
-    /// ever changes, and it marks the explored flag optimize-group waits
-    /// on.
-    fn explore_group(&mut self, g: GroupId) {
-        let g = self.find(g);
-        if self.groups[g].explored {
-            return;
-        }
-        self.groups[g].explored = true;
-        for i in 0..self.groups[g].exprs.len() {
-            let e = self.groups[g].exprs[i];
-            self.stack.push(Task::ApplyRule { expr: e, rule: Rule::AssocLeft });
-            self.stack.push(Task::ApplyRule { expr: e, rule: Rule::Commute });
-        }
-    }
-
-    fn apply_commute(
-        &mut self,
-        e: ExprId,
-        graph: &JoinGraph,
-        cap: f64,
-    ) {
-        if self.exprs[e].commuted {
-            return;
-        }
-        self.exprs[e].commuted = true;
-        let Expr { group, left, right, .. } = self.exprs[e];
-        self.insert_expr(group, right, left, false, graph, cap);
-    }
-
-    /// Enumerate the unseen associativity bindings of `e = (left ⋈ right)`:
-    /// for each expression `left = (a ⋈ b)`, derive `a ⋈ (b ⋈ right)`.
-    /// The cursor makes re-fires cheap; inserting into `left` mid-loop is
-    /// fine because the expression list is append-only.
-    fn apply_assoc(
-        &mut self,
-        e: ExprId,
-        graph: &JoinGraph,
-        cap: f64,
-    ) {
-        loop {
-            let left = self.find(self.exprs[e].left);
-            let idx = self.exprs[e].assoc_seen;
-            if idx >= self.groups[left].exprs.len() {
-                return;
-            }
-            self.exprs[e].assoc_seen = idx + 1;
-            let le = self.groups[left].exprs[idx];
-            let g = self.find(self.exprs[e].group);
-            let r = self.find(self.exprs[e].right);
-            let a = self.find(self.exprs[le].left);
-            let b = self.find(self.exprs[le].right);
-            let br_mask = self.groups[b].mask | self.groups[r].mask;
-            // Only materialize the (b ⋈ r) group if its first expression
-            // passes admission — otherwise rejected cross products would
-            // litter the memo with empty groups.
-            let br = match self.group_of(br_mask) {
-                Some(id) => {
-                    self.insert_expr(id, b, r, false, graph, cap);
-                    Some(id)
-                }
-                None if self.admit(b, r, false, graph, cap) => {
-                    let id = self.create_group(br_mask);
-                    self.insert_expr(id, b, r, false, graph, cap);
-                    Some(id)
-                }
-                None => None,
-            };
-            if let Some(br) = br {
-                if !self.groups[self.find(br)].exprs.is_empty() {
-                    self.insert_expr(g, a, br, false, graph, cap);
-                }
+    /// Cost the seed left-deep chain — the lowest relation, then greedily
+    /// the lowest one joined to the prefix (the lowest left, on a
+    /// disconnected query) — into the tables, so they hold a complete plan
+    /// whenever the search stops. Ends at the first infeasible join.
+    fn seed_chain(&mut self) {
+        let full = self.best.len() - 1;
+        let mut last = 1;
+        self.prefix.extend([0, last]);
+        while last != full {
+            let open = full & !last;
+            let joined = self.nbr[last] & open;
+            let next = if joined != 0 { joined } else { open };
+            let s = last;
+            last |= next & next.wrapping_neg();
+            self.prefix.push(last);
+            self.cands.push((last, s));
+            // A fired budget does not end the chain, only an infeasible
+            // join does: the seed is what a cut search answers with.
+            self.flush();
+            if self.best[last].0.is_infinite() {
+                break;
             }
         }
     }
 
-    /// Cost a group: every deduplicated candidate expression goes through
-    /// `getPlanCost` (one [`PlanCoster::join_cost_many`] batch when
-    /// batching is on), with the [`CostMemo`] probed first when supplied.
-    /// Re-queues itself behind exploration / child-costing tasks until the
-    /// group and all referenced child groups are ready.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_group(
-        &mut self,
-        g: GroupId,
-        coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
-        batch: bool,
-        mut memo: Option<&mut CostMemo>,
-        stop: Option<&dyn Fn() -> bool>,
-    ) {
-        let g = self.find(g);
-        if self.groups[g].costed {
-            return;
-        }
-        if !self.groups[g].explored {
-            self.stack.push(Task::OptimizeGroup(g));
-            self.stack.push(Task::ExploreGroup(g));
-            return;
-        }
-        let mut missing: Vec<GroupId> = Vec::new();
-        for i in 0..self.groups[g].exprs.len() {
-            let e = self.groups[g].exprs[i];
-            for c in [self.find(self.exprs[e].left), self.find(self.exprs[e].right)] {
-                if !self.groups[c].costed && !missing.contains(&c) {
-                    missing.push(c);
-                }
+    /// Gather the candidate splits of a `k`-relation subset.
+    fn visit(&mut self, mask: usize, k: usize) {
+        let low = mask & mask.wrapping_neg();
+        let rest = mask ^ low;
+        let mut seed_s = 0;
+        if self.prefix.get(k) == Some(&mask) {
+            // The seed split is the incumbent the others must beat: bring
+            // it up to date with what its prefix's best plan has become.
+            let p = self.prefix[k - 1];
+            seed_s = if p & low != 0 { p } else { mask ^ p };
+            if let Some(join) = self.top[mask].1 {
+                self.best[mask] = self.totals(mask, p, &join);
             }
         }
-        if !missing.is_empty() {
-            self.stack.push(Task::OptimizeGroup(g));
-            for c in missing {
-                self.stack.push(Task::OptimizeGroup(c));
-            }
-            return;
-        }
-
-        // Candidates: insertion order, deduplicated by *unordered* mask
-        // pair — `join_io` puts the smaller side on the build side, so a
-        // mirrored expression is the same physical join; keeping the
-        // first-inserted orientation means chain winners reproduce the
-        // seed left-deep orientation bit for bit.
-        struct Cand {
-            expr: ExprId,
-            l: GroupId,
-            r: GroupId,
-            children: f64,
-        }
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
-        let mut cands: Vec<Cand> = Vec::new();
-        for i in 0..self.groups[g].exprs.len() {
-            let e = self.groups[g].exprs[i];
-            let l = self.find(self.exprs[e].left);
-            let r = self.find(self.exprs[e].right);
-            let (Some(lb), Some(rb)) = (self.groups[l].best, self.groups[r].best) else {
-                // A child proved infeasible; this candidate can't be built.
-                continue;
-            };
-            let (lm, rm) = (self.groups[l].mask, self.groups[r].mask);
-            let key = if lm < rm { (lm, rm) } else { (rm, lm) };
-            if !seen.insert(key) {
+        // Every split once: the half holding the lowest relation is `s`.
+        let mut sub = rest;
+        while sub != 0 {
+            sub = (sub - 1) & rest;
+            let s = low | sub;
+            let t = mask ^ s;
+            if s == seed_s || self.best[s].0.is_infinite() || self.best[t].0.is_infinite() {
                 continue;
             }
-            cands.push(Cand { expr: e, l, r, children: lb.cost + rb.cost });
-        }
-
-        let mut costs: Vec<Option<Option<f64>>> = vec![None; cands.len()];
-        let mut ios: Vec<JoinIo> = Vec::new();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, c) in cands.iter().enumerate() {
-            let cached = memo
-                .as_deref_mut()
-                .and_then(|m| m.get(&self.groups[c.l].rels, &self.groups[c.r].rels));
-            match cached {
-                Some(outcome) => costs[i] = Some(outcome.map(|(_, d)| d.cost)),
-                None => {
-                    ios.push(self.join_io(c.l, c.r));
-                    pending.push(i);
-                }
+            // No edge crosses a cross product: its rows are the halves' product.
+            if self.nbr[s] & t != 0 || self.size(s).0 * self.size(t).0 <= self.cross_rows_cap {
+                self.cands.push((mask, s));
             }
         }
-        if !ios.is_empty() {
-            let outcomes = if batch && ios.len() >= 2 {
-                coster.join_cost_many(&ios, parallelism)
-            } else {
-                ios.iter().map(|io| coster.join_cost(io)).collect()
-            };
-            // A fired budget makes the coster report infeasible; don't let
-            // those poisoned "infeasible" verdicts into a memo that
-            // outlives this run.
-            let poisoned = stop.is_some_and(|s| s());
-            for (slot, outcome) in outcomes.into_iter().enumerate() {
-                let i = pending[slot];
-                if let Some(m) = memo.as_deref_mut() {
-                    if outcome.is_some() || !poisoned {
-                        // Record both orientations: join_io is
-                        // side-symmetric, and extract may canonicalize the
-                        // winner to the mirrored orientation — replay after
-                        // a budget cut must hit either way.
-                        m.record(
-                            &self.groups[cands[i].l].rels,
-                            &self.groups[cands[i].r].rels,
-                            outcome.map(|d| (ios[slot], d)),
-                        );
-                        m.record(
-                            &self.groups[cands[i].r].rels,
-                            &self.groups[cands[i].l].rels,
-                            outcome.map(|d| (ios[slot], d)),
-                        );
-                    }
-                }
-                costs[i] = Some(outcome.map(|d| d.cost));
-            }
-        }
-        let mut best: Option<Best> = None;
-        for (c, res) in cands.iter().zip(costs) {
-            let Some(Some(join_cost)) = res else { continue };
-            let total = c.children + join_cost;
-            match best {
-                Some(b) if b.cost <= total => {}
-                _ => best = Some(Best { cost: total, expr: Some(c.expr) }),
-            }
-        }
-        self.groups[g].best = best;
-        self.groups[g].costed = true;
     }
 
-    /// Reconstruct the winning tree from the best-expression chain, in the
-    /// stored (first-inserted) orientation. `None` when the group is
-    /// uncosted or infeasible.
-    fn extract(&self, g: GroupId) -> Option<PlanTree> {
-        let g = self.find(g);
-        if self.groups[g].mask.count_ones() == 1 {
-            return Some(PlanTree::leaf(self.groups[g].rels[0]));
+    /// Cost the gathered candidates — from the caller's memo when it holds
+    /// them, through the coster otherwise — and fold them into the tables.
+    /// False when the budget fired meanwhile: the coster then reports
+    /// infeasible, and neither the search nor a memo may build on that.
+    fn flush(&mut self) -> bool {
+        let cands = std::mem::take(&mut self.cands);
+        let (mut known, mut ios) = (Vec::with_capacity(cands.len()), Vec::new());
+        for &(mask, s) in &cands {
+            let mut cached = None;
+            if self.memoize {
+                self.load_sides(s, mask ^ s);
+                cached = self.memo.get(&self.lrels, &self.rrels);
+            }
+            if cached.is_none() {
+                ios.push(self.join_io(mask, s));
+            }
+            known.push(cached);
         }
-        let best = self.groups[g].best?;
-        let e = best.expr?;
-        let lg = self.find(self.exprs[e].left);
-        let rg = self.find(self.exprs[e].right);
-        let l = self.extract(lg)?;
-        let r = self.extract(rg)?;
-        // Canonical orientation: larger relation set on the left. join_io
-        // is side-symmetric (build = min side) so this never changes cost,
-        // but it makes linear trees come out shape-left-deep, matching the
-        // Selinger convention explain/parity checks rely on.
-        if self.groups[lg].mask.count_ones() < self.groups[rg].mask.count_ones() {
-            Some(PlanTree::join(r, l))
+        let wide = self.parallelism != Parallelism::Off && self.parallelism.workers() > 1;
+        let decisions = if ios.len() >= 2 && (wide || self.coster.prefers_batch()) {
+            self.coster.join_cost_many(&ios, self.parallelism)
         } else {
-            Some(PlanTree::join(l, r))
+            ios.iter().map(|io| self.coster.join_cost(io)).collect()
+        };
+        let poisoned = !ios.is_empty() && self.stop.is_some_and(|stop| stop());
+        let mut costed = ios.iter().zip(decisions).map(|(&io, d)| d.map(|d| (io, d)));
+        for (&(mask, s), known) in cands.iter().zip(known) {
+            let outcome = known.unwrap_or_else(|| {
+                let outcome = costed.next().expect("one decision per uncached candidate");
+                if self.memoize && (outcome.is_some() || !poisoned) {
+                    // Both ways round: the final tree may mirror the split.
+                    self.load_sides(s, mask ^ s);
+                    self.memo.record(&self.lrels, &self.rrels, outcome);
+                    self.memo.record(&self.rrels, &self.lrels, outcome);
+                }
+                outcome
+            });
+            let Some(join) = outcome else { continue };
+            // Strictly cheaper, or as cheap and moving less data.
+            let totals = self.totals(mask, s, &join);
+            if totals < self.best[mask] {
+                self.best[mask] = totals;
+                self.top[mask] = (s, outcome);
+            }
         }
+        self.expressions += cands.len();
+        self.cands = cands;
+        self.cands.clear();
+        !poisoned
     }
-}
 
-/// A deterministic connected join order: start at the first relation and
-/// greedily append the lowest-indexed relation connected to the prefix
-/// (falling back to the lowest-indexed remaining relation for disconnected
-/// queries). The seed left-deep chain is built over this order.
-fn connected_order(rels: &[TableId], graph: &JoinGraph) -> Vec<TableId> {
-    let mut order: Vec<TableId> = Vec::with_capacity(rels.len());
-    order.push(rels[0]);
-    let mut remaining: Vec<TableId> = rels[1..].to_vec();
-    while !remaining.is_empty() {
-        let pos = remaining
-            .iter()
-            .position(|t| graph.connects(&order, std::slice::from_ref(t)))
-            .unwrap_or(0);
-        order.push(remaining.remove(pos));
+    /// Plan every subset, level by level. False when cut short.
+    fn run(&mut self, tel: &Telemetry) -> bool {
+        for k in 2..=self.rels.len() {
+            let _level_span = tel.span_labeled("cascades.level", k);
+            let mut mask = (1usize << k) - 1; // Gosper's hack steps through the level
+            while mask < self.best.len() {
+                // A level's subsets never read each other: a batch may end at any.
+                if self.stop.is_some_and(|stop| stop())
+                    || (self.cands.len() >= BATCH_CANDIDATES && !self.flush())
+                {
+                    return false;
+                }
+                self.tasks += 1;
+                self.visit(mask, k);
+                let c = mask & mask.wrapping_neg();
+                let r = mask + c;
+                mask = (((r ^ mask) >> 2) / c) | r;
+            }
+            if !self.flush() {
+                return false;
+            }
+        }
+        true
     }
-    order
+
+    /// The tree the tables hold for a planned `mask`, its joins recorded in
+    /// `memo` for the final replay. The larger half goes left (`join_io` is
+    /// side-symmetric, so cost is unchanged): linear trees come out
+    /// left-deep, the Selinger convention explain and parity checks rely on.
+    fn assemble(&mut self, mask: usize) -> PlanTree {
+        if mask & (mask - 1) == 0 {
+            return PlanTree::leaf(self.rels[mask.trailing_zeros() as usize]);
+        }
+        let (s, join) = self.top[mask];
+        let t = mask ^ s;
+        let (l, r) = if s.count_ones() < t.count_ones() { (t, s) } else { (s, t) };
+        self.load_sides(l, r);
+        self.memo.record(&self.lrels, &self.rrels, join);
+        PlanTree::join(self.assemble(l), self.assemble(r))
+    }
 }
 
 /// The planner. Stateless — all state lives in the per-run [`Search`].
 pub struct CascadesPlanner;
 
 impl CascadesPlanner {
-    /// Plan with default wiring: no parallelism, no memo, no telemetry,
-    /// no budget probe.
+    /// Plan with default wiring: no parallelism, memo, telemetry or budget probe.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -665,24 +355,14 @@ impl CascadesPlanner {
         coster: &mut dyn PlanCoster,
         config: &CascadesConfig,
     ) -> Result<CascadesOutcome, CascadesError> {
-        Self::plan_traced(
-            catalog,
-            graph,
-            query,
-            coster,
-            Parallelism::Off,
-            None,
-            &Telemetry::disabled(),
-            config,
-            None,
-        )
+        let tel = Telemetry::disabled();
+        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, None, &tel, config, None)
     }
 
-    /// Full-wiring entry point: thread parallelism for batched costing,
-    /// an optional cross-run [`CostMemo`], telemetry (`cascades.task.*`
-    /// spans, group/expression/task counters, a `cascades.final_cost`
-    /// span around the winner's re-cost), and a `stop` probe polled at
-    /// every task pop for budget/deadline cut-off.
+    /// Full-wiring entry point: thread parallelism for batched costing, an
+    /// optional cross-run [`CostMemo`], telemetry (a `cascades.level.<k>` span
+    /// per subset size, a `cascades.final_cost` span around the replay, three
+    /// counters), and a `stop` probe for budget/deadline cut-off.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_traced(
         catalog: &Catalog,
@@ -706,143 +386,63 @@ impl CascadesPlanner {
         if n > max {
             return Err(CascadesError::TooManyRelations { n, max });
         }
-        // A scratch per-run memo when the caller brought none: every costed
-        // candidate is recorded, so a mid-search budget cut can
-        // re-materialize the winning tree from recorded decisions without
-        // touching the (by then exhausted) coster. Replay-only within one
-        // run — each candidate pair is costed at most once either way.
+        // The finished tree is replayed from a memo holding its joins, so
+        // nothing is costed twice and the replay needs nothing from a
+        // (possibly exhausted) coster: the caller's memo, or a scratch one.
+        let memoize = config.memoize && memo.is_some();
         let mut scratch = CostMemo::default();
-        let mut memo = Some(match memo {
-            Some(m) => m,
-            None => &mut scratch,
-        });
-        if let Some(m) = memo.as_deref_mut() {
-            m.ensure_relations(&rels);
-        }
+        let memo = memo.unwrap_or(&mut scratch);
+        memo.ensure_relations(&rels);
         let est = CardinalityEstimator::new(catalog, graph);
-        if n == 1 {
-            let leaf = PlanTree::leaf(rels[0]);
-            let planned = match memo.as_deref_mut() {
-                Some(m) => cost_tree_memo_traced(&leaf, &est, coster, m, tel),
-                None => cost_tree_traced(&leaf, &est, coster, tel),
-            }
-            .ok_or(CascadesError::Infeasible)?;
-            return Ok(CascadesOutcome {
-                planned,
-                cut_short: false,
-                groups: 1,
-                expressions: 0,
-                tasks: 0,
-            });
+        let slots = 1usize << n;
+        let adj = adjacency_masks(rels.iter().map(std::slice::from_ref), catalog.len(), graph);
+        let mut nbr = vec![0usize; slots];
+        for mask in 1..slots {
+            nbr[mask] = nbr[mask & (mask - 1)] | adj[mask.trailing_zeros() as usize] as usize;
         }
+        let mut search = Search {
+            rels: &rels,
+            est: &est,
+            coster,
+            memo,
+            memoize,
+            parallelism,
+            cross_rows_cap: config.cross_rows_cap,
+            stop,
+            nbr,
+            best: (0..slots)
+                .map(|m| (if m.is_power_of_two() { 0.0 } else { f64::INFINITY }, 0.0))
+                .collect(),
+            top: vec![(0, None); slots],
+            size: vec![(f64::NAN, f64::NAN); slots],
+            prefix: Vec::with_capacity(n + 1),
+            cands: Vec::new(),
+            expressions: 0,
+            tasks: 0,
+            lrels: Vec::with_capacity(n),
+            rrels: Vec::with_capacity(n),
+        };
+        // Before any search work, so a cut at any subset can still answer.
+        search.seed_chain();
+        let cut_short = !search.run(tel);
 
-        let batch = (parallelism != Parallelism::Off && parallelism.workers() > 1)
-            || coster.prefers_batch();
-        let cap = config.cross_rows_cap;
-
-        let mut search = Search::new(&rels, &est);
-        let order = connected_order(&rels, graph);
-        // Seed: a left-deep chain over the connected order. Seeds bypass
-        // the cross-product cap, so a complete plan for the root group
-        // always exists whatever the cap rejects.
-        let bit = |t: TableId| 1u64 << rels.binary_search(&t).unwrap();
-        let mut prev = search.ensure_group(bit(order[0]));
-        for &t in &order[1..] {
-            let leaf = search.ensure_group(bit(t));
-            let g_mask = search.groups[prev].mask | search.groups[leaf].mask;
-            let g = search.ensure_group(g_mask);
-            search.insert_expr(g, prev, leaf, true, graph, cap);
-            prev = g;
-        }
-        let root = prev;
-        // Warm the memo with the seed chain's joins before any search
-        // work. The total coster work is unchanged (each candidate pair is
-        // costed at most once per run either way), but a budget cut at any
-        // later task pop can then always re-materialize at least the seed
-        // left-deep plan from recorded decisions — anytime behaviour.
-        if let Some(m) = memo.as_deref_mut() {
-            let mut prefix: Vec<TableId> = vec![order[0]];
-            for &t in &order[1..] {
-                let next = std::slice::from_ref(&t);
-                if m.get(&prefix, next).is_none() {
-                    let io = est.join_io(&prefix, next);
-                    let outcome = coster.join_cost(&io).map(|d| (io, d));
-                    let feasible = outcome.is_some();
-                    if feasible || !stop.is_some_and(|s| s()) {
-                        m.record(&prefix, next, outcome);
-                    }
-                    if !feasible {
-                        break;
-                    }
-                }
-                prefix.push(t);
-                prefix.sort_unstable();
-            }
-        }
-        // The root's optimize task must sit at the *bottom* of the stack:
-        // its re-entries then always re-queue below the exploration tasks,
-        // so every group quiesces (no expression can arrive after costing)
-        // before any candidate is costed.
-        search.stack.insert(0, Task::OptimizeGroup(root));
-
-        let mut cut = false;
-        while let Some(task) = search.stack.pop() {
-            if stop.is_some_and(|s| s()) {
-                cut = true;
-                break;
-            }
-            search.tasks += 1;
-            match task {
-                Task::OptimizeGroup(g) => {
-                    let _span = tel.span("cascades.task.optimize_group");
-                    search.optimize_group(
-                        g,
-                        coster,
-                        parallelism,
-                        batch,
-                        memo.as_deref_mut(),
-                        stop,
-                    );
-                }
-                Task::ExploreGroup(g) => {
-                    let _span = tel.span("cascades.task.explore_group");
-                    search.explore_group(g);
-                }
-                Task::ApplyRule { expr, rule } => {
-                    let _span = tel.span("cascades.task.apply_rule");
-                    match rule {
-                        Rule::Commute => search.apply_commute(expr, graph, cap),
-                        Rule::AssocLeft => search.apply_assoc(expr, graph, cap),
-                    }
-                }
-            }
-        }
-
-        tel.add(Counter::CascadesGroups, search.groups.len() as u64);
-        tel.add(Counter::CascadesExpressions, search.exprs.len() as u64);
+        let groups = search.best.iter().filter(|b| b.0.is_finite()).count();
+        tel.add(Counter::CascadesGroups, groups as u64);
+        tel.add(Counter::CascadesExpressions, search.expressions as u64);
         tel.add(Counter::CascadesTasks, search.tasks);
 
-        let tree = match search.extract(root) {
-            Some(t) => t,
-            // The budget fired before the root was costed: fall back to
-            // the seed left-deep tree so the caller still gets a complete,
-            // annotated plan for the degradation ladder to report.
-            None if cut => PlanTree::left_deep(&order),
-            None => return Err(CascadesError::Infeasible),
-        };
-        let _final_span = tel.span("cascades.final_cost");
-        let planned = match memo.as_deref_mut() {
-            Some(m) => cost_tree_memo_traced(&tree, &est, coster, m, tel),
-            None => cost_tree_traced(&tree, &est, coster, tel),
+        // Cut or not, the tables hold the best plan found for every subset
+        // (the seed chain at worst) unless the coster left none feasible.
+        if search.best[slots - 1].0.is_infinite() {
+            return Err(CascadesError::Infeasible);
         }
-        .ok_or(CascadesError::Infeasible)?;
-        Ok(CascadesOutcome {
-            planned,
-            cut_short: cut,
-            groups: search.groups.len(),
-            expressions: search.exprs.len(),
-            tasks: search.tasks,
-        })
+        let tree = search.assemble(slots - 1);
+        let _final_span = tel.span("cascades.final_cost");
+        let planned =
+            cost_tree_memo_traced(&tree, &est, &mut *search.coster, &mut *search.memo, tel)
+                .ok_or(CascadesError::Infeasible)?;
+        let (expressions, tasks) = (search.expressions, search.tasks);
+        Ok(CascadesOutcome { planned, cut_short, groups, expressions, tasks })
     }
 }
 
@@ -850,6 +450,7 @@ impl CascadesPlanner {
 mod tests {
     use super::*;
     use crate::coster::{cost_tree, FixedResourceCoster};
+    use crate::oracle::brute_force;
     use crate::selinger::SelingerPlanner;
     use raqo_catalog::{Catalog, QuerySpec, RandomSchema, TableStats};
     use raqo_cost::SimOracleCost;
@@ -857,62 +458,6 @@ mod tests {
 
     fn fixed(model: &SimOracleCost) -> FixedResourceCoster<'_, SimOracleCost> {
         FixedResourceCoster::new(model, 40.0, 8.0)
-    }
-
-    /// Exhaustive optimum over *every* binary partition (cross products
-    /// included) — the ground truth the memo search must reach when the
-    /// cross cap is lifted.
-    fn brute_force(
-        rels: &[TableId],
-        est: &CardinalityEstimator<'_>,
-        coster: &mut dyn PlanCoster,
-    ) -> Option<f64> {
-        fn best(
-            set: &[TableId],
-            est: &CardinalityEstimator<'_>,
-            coster: &mut dyn PlanCoster,
-            memo: &mut HashMap<Vec<TableId>, Option<f64>>,
-        ) -> Option<f64> {
-            if set.len() == 1 {
-                return Some(0.0);
-            }
-            if let Some(&cached) = memo.get(set) {
-                return cached;
-            }
-            let mut out: Option<f64> = None;
-            // Enumerate proper subsets containing set[0] (fixes one side,
-            // halving the work and skipping the mirrored duplicates).
-            let n = set.len();
-            for pick in 0..(1u32 << (n - 1)) {
-                let mut l = vec![set[0]];
-                let mut r = Vec::new();
-                for (i, &t) in set[1..].iter().enumerate() {
-                    if pick >> i & 1 == 1 {
-                        l.push(t);
-                    } else {
-                        r.push(t);
-                    }
-                }
-                if r.is_empty() {
-                    continue;
-                }
-                let (Some(lc), Some(rc)) = (
-                    best(&l, est, coster, memo),
-                    best(&r, est, coster, memo),
-                ) else {
-                    continue;
-                };
-                let Some(d) = coster.join_cost(&est.join_io(&l, &r)) else { continue };
-                let total = lc + rc + d.cost;
-                if out.is_none_or(|o| total < o) {
-                    out = Some(total);
-                }
-            }
-            memo.insert(set.to_vec(), out);
-            out
-        }
-        let mut memo = HashMap::new();
-        best(rels, est, coster, &mut memo)
     }
 
     #[test]
@@ -1226,6 +771,22 @@ mod tests {
     }
 
     #[test]
+    fn hard_cap_clamps_whatever_the_config_asks() {
+        let s = RandomSchema::chain(17, 1);
+        let model = SimOracleCost::hive();
+        let q = QuerySpec::new("q", s.catalog.table_ids().collect());
+        let err = CascadesPlanner::plan(
+            &s.catalog,
+            &s.graph,
+            &q,
+            &mut fixed(&model),
+            &CascadesConfig { max_relations: 64, ..Default::default() },
+        )
+        .unwrap_err();
+        assert_eq!(err, CascadesError::TooManyRelations { n: 17, max: 16 });
+    }
+
+    #[test]
     fn single_relation_plans_as_leaf() {
         let s = RandomSchema::chain(3, 1);
         let model = SimOracleCost::hive();
@@ -1258,54 +819,5 @@ mod tests {
         let est = CardinalityEstimator::new(&catalog, &graph);
         let recosted = cost_tree(&out.planned.tree, &est, &mut fixed(&model)).unwrap();
         assert_eq!(recosted.cost, out.planned.cost);
-    }
-
-    #[test]
-    fn disjoint_set_merge_moves_expressions_and_keeps_dedup() {
-        let s = RandomSchema::chain(3, 1);
-        let rels: Vec<TableId> = s.catalog.table_ids().collect();
-        let est = CardinalityEstimator::new(&s.catalog, &s.graph);
-        let mut search = Search::new(&rels, &est);
-        let a = search.ensure_group(0b001);
-        let b = search.ensure_group(0b010);
-        let c = search.ensure_group(0b100);
-        // Two groups for the same {a,b,c} set, built independently (the
-        // merge scenario mask-keying normally prevents).
-        let g1 = search.create_group(0b111);
-        let ab = search.ensure_group(0b011);
-        search.insert_expr(ab, a, b, true, &s.graph, f64::INFINITY);
-        search.insert_expr(g1, ab, c, true, &s.graph, f64::INFINITY);
-        let g2 = search.groups.len();
-        search.groups.push(Group {
-            mask: 0b111,
-            rels: search.group_rels(0b111),
-            gb: search.groups[g1].gb,
-            exprs: Vec::new(),
-            expr_set: HashSet::new(),
-            parents_left: Vec::new(),
-            explored: false,
-            costed: false,
-            best: None,
-        });
-        search.parent.push(g2);
-        let bc = search.ensure_group(0b110);
-        search.insert_expr(bc, b, c, true, &s.graph, f64::INFINITY);
-        search.insert_expr(g2, a, bc, true, &s.graph, f64::INFINITY);
-        // Duplicate of g1's expression, to prove merge dedups.
-        search.insert_expr(g2, ab, c, true, &s.graph, f64::INFINITY);
-
-        let win = search.merge(g1, g2);
-        assert_eq!(search.find(g1), win);
-        assert_eq!(search.find(g2), win);
-        let merged = &search.groups[win];
-        // (ab,c), (a,bc), and the duplicate (ab,c) collapses: the merged
-        // expr list holds one entry per *pair* plus the moved duplicate,
-        // but the pair-dedup set has exactly two pairs.
-        assert_eq!(merged.expr_set.len(), 2);
-        assert!(merged.exprs.len() >= 2);
-        // Expressions moved to the winner resolve their group through find.
-        for &e in &merged.exprs {
-            assert_eq!(search.find(search.exprs[e].group), win);
-        }
     }
 }

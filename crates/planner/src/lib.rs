@@ -25,8 +25,7 @@
 //!   archive, iterative improvement);
 //! * [`memo`] — sub-plan cost memoization keyed on relation bitsets, so the
 //!   randomized planner re-costs only the joins a mutation actually changed;
-//! * [`cascades`] — a Cascades-style memo optimizer (logical groups,
-//!   explicit task stack, commutativity + associativity rules) searching
+//! * [`cascades`] — one dense DP over relation-subset masks searching
 //!   *bushy* join trees through the same `getPlanCost` seam.
 
 pub mod cardinality;
@@ -37,6 +36,11 @@ pub mod memo;
 pub mod plan;
 pub mod randomized;
 pub mod selinger;
+
+/// The exhaustive bushy oracle of `tests/bushy_oracle.rs`, for the unit tests.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 pub use cardinality::{CardinalityEstimator, JoinIo};
 pub use cascades::{

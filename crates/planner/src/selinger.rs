@@ -348,7 +348,7 @@ impl SelingerPlanner {
 }
 
 /// Indices of the set bits of `mask`, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let i = mask.trailing_zeros() as usize;
@@ -356,6 +356,32 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// One adjacency mask per item (an item is the relation slice the iterator
+/// yields): bit j of `adj[i]` is set when a join edge links a relation of
+/// item i to a relation of item j. `tables` is the catalog's table count.
+pub(crate) fn adjacency_masks<'a>(
+    items: impl ExactSizeIterator<Item = &'a [TableId]>,
+    tables: usize,
+    graph: &JoinGraph,
+) -> Vec<u64> {
+    let n = items.len();
+    // Items owning each table, as a mask (one item, unless a query lists a
+    // relation twice).
+    let mut owners = vec![0u64; tables];
+    for (i, rels) in items.enumerate() {
+        for t in rels {
+            owners[t.index()] |= 1u64 << i;
+        }
+    }
+    let mut adj = vec![0u64; n];
+    for e in graph.edges() {
+        let (a, b) = (owners[e.a.index()], owners[e.b.index()]);
+        bits(a).for_each(|i| adj[i] |= b);
+        bits(b).for_each(|i| adj[i] |= a);
+    }
+    adj
 }
 
 /// What [`Dp::probe`] found for one candidate.
@@ -417,21 +443,7 @@ impl<'a> Dp<'a> {
         let adj = if allow_cross {
             vec![u64::MAX; n]
         } else {
-            // Items owning each table, as a mask (one item, unless a query
-            // lists a relation twice).
-            let mut owners = vec![0u64; est.catalog.len()];
-            for (i, item) in items.iter().enumerate() {
-                for t in &item.rels {
-                    owners[t.index()] |= 1u64 << i;
-                }
-            }
-            let mut adj = vec![0u64; n];
-            for e in graph.edges() {
-                let (a, b) = (owners[e.a.index()], owners[e.b.index()]);
-                bits(a).for_each(|i| adj[i] |= b);
-                bits(b).for_each(|i| adj[i] |= a);
-            }
-            adj
+            adjacency_masks(items.iter().map(|item| item.rels.as_slice()), est.catalog.len(), graph)
         };
         let item_gb = items.iter().map(|item| est.set_gb(&item.rels)).collect();
         Dp {

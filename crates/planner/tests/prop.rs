@@ -377,9 +377,9 @@ proptest! {
         prop_assert!((io.out_gb - mirrored.out_gb).abs() <= 1e-9 * io.out_gb.abs().max(1e-300));
     }
 
-    /// The Cascades memo search plans every clique (no panics on cyclic
-    /// graphs) and never loses to left-deep Selinger, for arbitrary sizes
-    /// and seeds within the memo bound.
+    /// The bushy search plans every clique (no panics on cyclic graphs)
+    /// and never loses to left-deep Selinger, for arbitrary sizes and
+    /// seeds within its relation bound.
     #[test]
     fn cascades_plans_cliques_no_worse_than_selinger(n in 2usize..8, seed in 0u64..30) {
         use raqo_planner::{CascadesConfig, CascadesPlanner};

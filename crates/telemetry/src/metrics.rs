@@ -139,14 +139,14 @@ pub enum Counter {
     /// Client-side retry attempts (reconnect + resend of the same request
     /// id after an error, timeout, or overload reply).
     NetClientRetries,
-    /// Logical groups materialized by the Cascades memo search.
+    /// Relation subsets the bushy subset DP found a plan for.
     CascadesGroups,
-    /// Join expressions materialized (after dedup) by the Cascades memo.
+    /// Candidate splits the bushy subset DP costed, each once.
     CascadesExpressions,
-    /// Tasks popped off the Cascades task stack.
+    /// Relation subsets the bushy subset DP visited.
     CascadesTasks,
-    /// Cascades memo searches cut short by the planning budget (the plan
-    /// returned is the best costed so far, or the seed left-deep tree).
+    /// Bushy searches cut short by the planning budget (the plan returned
+    /// is the finished levels' best under the seed left-deep chain).
     DegradationsMemoCut,
 }
 
@@ -371,9 +371,9 @@ impl Counter {
             }
             Counter::NetIdleReaped => "idle connections closed by the reaper",
             Counter::NetClientRetries => "plan-client retry attempts",
-            Counter::CascadesGroups => "Cascades memo groups materialized",
-            Counter::CascadesExpressions => "Cascades memo join expressions (deduplicated)",
-            Counter::CascadesTasks => "Cascades task-stack pops",
+            Counter::CascadesGroups => "relation subsets the bushy subset DP planned",
+            Counter::CascadesExpressions => "candidate splits the bushy subset DP costed",
+            Counter::CascadesTasks => "relation subsets the bushy subset DP visited",
         }
     }
 }

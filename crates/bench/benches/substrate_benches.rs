@@ -8,6 +8,7 @@ use raqo_cost::{JoinCostModel, OperatorCost};
 use raqo_dtree::{CartConfig, Sample};
 use raqo_resource::{
     brute_force, hill_climb, CacheLookup, ClusterConditions, ResourceConfig, ResourcePlanCache,
+    ShardedCacheBank,
 };
 use raqo_sim::engine::{Engine, JoinImpl};
 use raqo_sim::profile::{labeled_grid, ProfileGrid};
@@ -61,6 +62,62 @@ fn cache_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// Incremental checkpoints of a bank the size the churn workload holds:
+/// 4 096 entries over 512 member caches in 8 shards.
+fn checkpoint(c: &mut Criterion) {
+    const CACHES: u32 = 512;
+    const HIGH_WATER: usize = 4096;
+    let fill = |bank: &ShardedCacheBank, models: std::ops::Range<u32>| {
+        for model in models {
+            for k in 0..(HIGH_WATER as u32 / CACHES) {
+                let config = ResourceConfig::containers_and_size(1.0 + k as f64, 2.5);
+                bank.insert(model, 0, model as f64 / 7.0 + k as f64, config);
+            }
+        }
+    };
+    let bank = ShardedCacheBank::with_shards(8);
+    fill(&bank, 0..CACHES);
+    assert_eq!(bank.total_entries(), HIGH_WATER);
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("raqo_bench_checkpoint_{}.json", std::process::id()));
+    let (reloaded, canonical) = (path.with_extension("reloaded"), path.with_extension("saved"));
+
+    // What is timed must be right: a checkpoint reloads to the bytes `save` writes.
+    assert_eq!(bank.checkpoint(&path).unwrap(), CACHES as usize);
+    ShardedCacheBank::load_with_shards(&path, 8).unwrap().save(&reloaded).unwrap();
+    bank.save(&canonical).unwrap();
+    assert_eq!(std::fs::read(&reloaded).unwrap(), std::fs::read(&canonical).unwrap());
+
+    let mut group = c.benchmark_group("checkpoint");
+    // Every text rendered. Re-sharding a copy is how a routine gets a bank
+    // with nothing rendered yet; it is a few percent of the figure.
+    let plain = bank.merged_bank();
+    group.bench_function("first", |b| {
+        b.iter(|| {
+            let fresh = ShardedCacheBank::from_bank_with_shards(plain.clone(), 8);
+            black_box(fresh.checkpoint(&path).unwrap())
+        })
+    });
+    // One housekeeping cycle of the churn workload: 32 never-seen caches
+    // arrive, compaction evicts back down to the mark, the checkpoint
+    // renders the new caches and the ones compaction took entries from.
+    let mut next = CACHES;
+    group.bench_function("after_32_new_caches_and_compaction", |b| {
+        b.iter(|| {
+            fill(&bank, next..next + 32);
+            next += 32;
+            bank.compact(HIGH_WATER);
+            black_box(bank.checkpoint(&path).unwrap())
+        })
+    });
+    // Nothing to render: assembly and the file write alone.
+    group.bench_function("unchanged", |b| b.iter(|| black_box(bank.checkpoint(&path).unwrap())));
+    group.finish();
+    for file in [&path, &reloaded, &canonical] {
+        std::fs::remove_file(file).ok();
+    }
+}
+
 /// One learned-model prediction (the hot operation of all planning).
 fn cost_model_eval(c: &mut Criterion) {
     let model = JoinCostModel::trained_hive();
@@ -112,6 +169,7 @@ criterion_group!(
     benches,
     resource_search,
     cache_lookup,
+    checkpoint,
     cost_model_eval,
     cart_training,
     simulator

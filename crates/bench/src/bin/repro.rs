@@ -1384,8 +1384,8 @@ fn main() {
         // `--enforce-floors`; the default is a loud warning.
         let mut breached = false;
         // Regression floor: a sharded service slower than the single-lock
-        // baseline means the sharding layer itself regressed.
-        if report.throughput.speedup_at_max_workers < 1.0 {
+        // baseline beyond noise means the sharding layer itself regressed.
+        if report.throughput.speedup_at_max_workers < throughput::SPEEDUP_FLOOR {
             eprintln!(
                 "{}: sharded plans/sec fell below the single-lock baseline \
                  ({:.2}x)",

@@ -415,12 +415,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
     /// entries — the Fig. 15(b) sweep-and-return pattern).
     fn selinger_context(&self) -> u64 {
         let c = &self.coster;
-        let (obj_tag, obj_param) = match c.objective {
-            Objective::Time => (0u64, 0.0),
-            Objective::Money => (1, 0.0),
-            Objective::Weighted { time_weight } => (2, time_weight),
-            Objective::TimeUnderBudget { money_budget_tb_sec } => (3, money_budget_tb_sec),
-        };
+        let (obj_tag, obj_param) = c.objective.tag();
         let (strat_tag, strat_param) = match c.strategy {
             ResourceStrategy::BruteForce => (0u64, 0.0),
             ResourceStrategy::HillClimb => (1, 0.0),
@@ -1033,6 +1028,31 @@ mod tests {
         // Same plan shape, but cheaper (or equal) in money than the
         // time-optimal resource choice.
         assert!(money_plan.money_tb_sec() <= joint.money_tb_sec() + 1e-9);
+    }
+
+    /// ROADMAP item 8's probe: the `Time` configurations `optimize` left in
+    /// the cache must not answer the `Money` question `resources_for_plan`
+    /// asks on the same optimizer.
+    #[test]
+    fn resources_for_plan_ignores_configs_cached_under_time() {
+        let schema = TpchSchema::new(1.0);
+        let cached = ResourceStrategy::HillClimbCached(CacheLookup::Exact);
+        for query in [QuerySpec::tpch_q3(), QuerySpec::tpch_q2()] {
+            let mut warm = optimizer(&schema, model(), PlannerKind::Selinger, cached);
+            let tree = warm.optimize(&query).unwrap().query.tree;
+            let after_optimize = warm.resources_for_plan(&tree).unwrap();
+            let mut cold = optimizer(&schema, model(), PlannerKind::Selinger, cached);
+            let from_cold = cold.resources_for_plan(&tree).unwrap();
+            assert_eq!(
+                after_optimize.money_tb_sec().to_bits(),
+                from_cold.money_tb_sec().to_bits(),
+                "{}: {} vs {} TB·s",
+                query.name,
+                after_optimize.money_tb_sec(),
+                from_cold.money_tb_sec()
+            );
+            assert_eq!(after_optimize.query, from_cold.query);
+        }
     }
 
     #[test]

@@ -59,6 +59,18 @@ pub enum Objective {
 }
 
 impl Objective {
+    /// A stable `(tag, parameter)` identity, for keys that must tell
+    /// objectives apart: the Selinger memo's context and the cache bank's
+    /// operator id.
+    pub(crate) fn tag(&self) -> (u64, f64) {
+        match *self {
+            Objective::Time => (0, 0.0),
+            Objective::Money => (1, 0.0),
+            Objective::Weighted { time_weight } => (2, time_weight),
+            Objective::TimeUnderBudget { money_budget_tb_sec } => (3, money_budget_tb_sec),
+        }
+    }
+
     /// Scalarize an estimated time under a resource configuration;
     /// `INFINITY` = rejected. Three-dimensional configurations price their
     /// cores at the serverless memory-equivalent rate.
@@ -174,9 +186,24 @@ fn model_key(namespace: u32, join: JoinImpl) -> u32 {
     (namespace << 1) | impl_cache_id(join)
 }
 
-/// Operator kind inside the cache bank; only joins for now ("a single join
-/// operator for now", §VI-B), scans pipeline into them.
-const OP_JOIN: u32 = 0;
+/// Operator id inside the cache bank. Only joins are planned ("a single
+/// join operator for now", §VI-B; scans pipeline into them), so the id
+/// carries what else a cached configuration depends on: the objective it
+/// minimised. A `Money` question must never be answered with a `Time`
+/// configuration. `Time` keeps the historical id 0; every other objective
+/// gets a non-zero 32-bit FNV-1a of its tag and parameter. The id is
+/// persisted with the cache, so checkpoints segregate the same way.
+fn operator_key(objective: Objective) -> u32 {
+    if objective == Objective::Time {
+        return 0;
+    }
+    let (tag, param) = objective.tag();
+    let mut h: u32 = 0x811c_9dc5;
+    for b in tag.to_le_bytes().into_iter().chain(param.to_bits().to_le_bytes()) {
+        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
+    }
+    h.max(1)
+}
 
 /// The resource-planning coster.
 pub struct RaqoCoster<'a, M: OperatorCost> {
@@ -538,11 +565,12 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     }
                 };
                 let model_id = model_key(self.cache_namespace, join);
+                let operator = operator_key(objective);
                 let cached = {
                     let _lookup = tel.span(lookup_span);
                     match self.sharded {
-                        Some(bank) => bank.lookup(model_id, OP_JOIN, io.build_gb, lookup),
-                        None => self.cache.lookup(model_id, OP_JOIN, io.build_gb, lookup),
+                        Some(bank) => bank.lookup(model_id, operator, io.build_gb, lookup),
+                        None => self.cache.lookup(model_id, operator, io.build_gb, lookup),
                     }
                 };
                 if let Some(cached) = cached {
@@ -566,10 +594,10 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     if out.cost.is_finite() {
                         match self.sharded {
                             Some(bank) => {
-                                bank.insert(model_id, OP_JOIN, io.build_gb, out.config)
+                                bank.insert(model_id, operator, io.build_gb, out.config)
                             }
                             None => {
-                                self.cache.insert(model_id, OP_JOIN, io.build_gb, out.config)
+                                self.cache.insert(model_id, operator, io.build_gb, out.config)
                             }
                         }
                     }
@@ -1056,6 +1084,45 @@ mod tests {
         // Re-running tenant a now hits its own warm namespace.
         a.join_cost(&io(2.0, 40.0)).unwrap();
         assert_eq!(a.stats.cache_hits, 2);
+    }
+
+    #[test]
+    fn objectives_never_share_cache_entries_on_one_bank() {
+        let bank = ShardedCacheBank::with_shards(8);
+        let objectives = [
+            Objective::Time,
+            Objective::Money,
+            Objective::Weighted { time_weight: 0.3 },
+            Objective::Weighted { time_weight: 0.7 },
+            Objective::TimeUnderBudget { money_budget_tb_sec: 50.0 },
+        ];
+        let join_io = io(2.0, 40.0);
+        for (seen, &objective) in objectives.iter().enumerate() {
+            // Same namespace, same data characteristics, a bank the other
+            // objectives have already filled: still a cold start, and the
+            // answer a coster with a bank of its own gives.
+            let mut shared = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
+            shared.objective = objective;
+            shared.share_sharded_cache(bank.clone());
+            let mut alone = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
+            alone.objective = objective;
+            assert_eq!(shared.join_cost(&join_io), alone.join_cost(&join_io), "{objective:?}");
+            assert_eq!(shared.stats.cache_hits, 0, "{objective:?} read another objective's entry");
+            assert_eq!(bank.total_entries(), 2 * (seen + 1), "one entry per implementation");
+            // Its own entries do serve it.
+            shared.reset_stats();
+            shared.join_cost(&join_io).unwrap();
+            assert_eq!(shared.stats.cache_hits, 2, "{objective:?}");
+        }
+        // `Time` keeps the historical operator id; every other id is
+        // non-zero and they are pairwise distinct.
+        let ids: std::collections::BTreeSet<u32> =
+            objectives.iter().map(|&o| operator_key(o)).collect();
+        assert_eq!(operator_key(Objective::Time), 0);
+        assert_eq!(ids.len(), objectives.len());
+        let persisted: std::collections::BTreeSet<u32> =
+            bank.merged_bank().iter().map(|(&(_, operator), _)| operator).collect();
+        assert_eq!(persisted, ids, "the operator id is what a checkpoint stores");
     }
 
     #[test]

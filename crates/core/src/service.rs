@@ -17,7 +17,7 @@
 //! * one [`ShardedCacheBank`] shared by every worker, with per-request
 //!   tenant namespaces keying cache entries apart, and optional periodic
 //!   incremental checkpoints of that bank every `checkpoint_every`
-//!   completed plans;
+//!   completed plans, taken by the completing worker after it has replied;
 //! * a shed path that still answers: when the queue is full the request
 //!   is planned inline under a zero-evaluation budget, so the ladder
 //!   drops straight to its cheap bottom rungs and the caller receives a
@@ -413,6 +413,14 @@ impl PlanningService {
         &self.config
     }
 
+    /// Run the configured cache-bank housekeeping now: compaction down to
+    /// `compact_high_water`, then a checkpoint to `checkpoint_path`.
+    /// Workers do it after replying to every `checkpoint_every`-th plan; a
+    /// front end calls this once it has drained, so a restart starts warm.
+    pub fn housekeep(&self) {
+        housekeep(&self.config, &self.bank);
+    }
+
     /// Stop accepting the queue as a live service and wait for the
     /// workers to drain every admitted request.
     pub fn shutdown(mut self) {
@@ -431,6 +439,23 @@ impl PlanningService {
 impl Drop for PlanningService {
     fn drop(&mut self) {
         self.stop_and_join();
+    }
+}
+
+/// Cache-bank housekeeping: compact `bank` down to `compact_high_water`
+/// first, so a long-lived bank stays bounded and the checkpoint reflects
+/// the compacted contents, then checkpoint it to `checkpoint_path` with
+/// the model fingerprint. A failed checkpoint is dropped: the previous
+/// file stays in place and the next round writes everything again.
+fn housekeep(config: &ServiceConfig, bank: &ShardedCacheBank) {
+    if let Some(high_water) = config.compact_high_water {
+        bank.compact(high_water);
+    }
+    if let Some(path) = &config.checkpoint_path {
+        let _ = match config.model_fingerprint {
+            Some(fp) => bank.checkpoint_with_fingerprint(path, fp),
+            None => bank.checkpoint(path),
+        };
     }
 }
 
@@ -493,24 +518,6 @@ fn worker_loop<M: OperatorCost + Send + Sync>(
         let service_us = sw.elapsed().as_micros() as u64;
         tel.inc(Counter::ServiceCompleted);
         let done = shared.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        // Periodic incremental checkpoint: the worker that crosses the
-        // boundary writes it. Sharded banks re-render only dirty shards;
-        // a 1-shard bank degenerates to a whole-bank rewrite, which is
-        // exactly the single-lock baseline the throughput bench compares
-        // against.
-        if config.checkpoint_every > 0 && done % config.checkpoint_every == 0 {
-            // Compact before persisting so a long-lived bank stays bounded
-            // and the checkpoint reflects the compacted contents.
-            if let Some(high_water) = config.compact_high_water {
-                bank.compact(high_water);
-            }
-            if let Some(path) = &config.checkpoint_path {
-                let _ = match config.model_fingerprint {
-                    Some(fp) => bank.checkpoint_with_fingerprint(path, fp).map(|_| ()),
-                    None => bank.checkpoint(path).map(|_| ()),
-                };
-            }
-        }
         let trace_id = job.trace.trace_id();
         let _ = job.reply.send(ServiceReply {
             plan,
@@ -522,6 +529,12 @@ fn worker_loop<M: OperatorCost + Send + Sync>(
             deadline_expired,
         });
         job.trace.finish();
+        // Periodic housekeeping: the worker that crosses the boundary does
+        // it, once its caller has the reply — the request that happens to
+        // be the sixteenth does not wait for the bank to be written out.
+        if config.checkpoint_every > 0 && done % config.checkpoint_every == 0 {
+            housekeep(config, bank);
+        }
     }
 }
 
@@ -532,7 +545,7 @@ mod tests {
     use crate::raqo_coster::ResourceStrategy;
     use raqo_catalog::tpch::TpchSchema;
     use raqo_cost::SimOracleCost;
-    use raqo_resource::{CacheLookup, ClusterConditions};
+    use raqo_resource::{CacheLookup, ClusterConditions, ResourceConfig};
 
     fn build_optimizer(_worker: usize) -> RaqoOptimizer<'static, SimOracleCost> {
         static MODEL: std::sync::OnceLock<SimOracleCost> = std::sync::OnceLock::new();
@@ -840,6 +853,64 @@ mod tests {
         // The persisted checkpoint reflects the compacted bank.
         let loaded = ShardedCacheBank::load_with_shards(&path, 4).unwrap();
         assert!(loaded.total_entries() <= high_water);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The reply leaves before housekeeping starts. Forced, not timed: the
+    /// test holds the write lock of a shard the request never touches, so
+    /// the checkpoint (which reads every shard) cannot finish until the
+    /// test lets go — and the ticket must resolve regardless.
+    #[test]
+    fn worker_replies_before_it_checkpoints() {
+        let path = std::env::temp_dir().join("raqo_service_reply_first_test.json");
+        std::fs::remove_file(&path).ok();
+        let bank = ShardedCacheBank::with_shards(8);
+        // Namespace 3 plans under model ids 6 and 7; block some other shard.
+        let namespace = 3u32;
+        let busy = [bank.shard_of(6, 0), bank.shard_of(7, 0)];
+        let blocked_model =
+            (100..).find(|&m| !busy.contains(&bank.shard_of(m, 0))).expect("8 shards, 2 busy");
+        bank.insert(blocked_model, 0, 1.0, ResourceConfig::containers_and_size(1.0, 1.0));
+        let service = PlanningService::start(
+            ServiceConfig {
+                workers: 1,
+                checkpoint_every: 1,
+                checkpoint_path: Some(path.clone()),
+                ..Default::default()
+            },
+            bank.clone(),
+            Telemetry::disabled(),
+            build_optimizer,
+        );
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // Owned by this closure: a failed assertion below drops it on
+            // the way out, which lets the holder go instead of hanging.
+            let release_tx = release_tx;
+            let holder = bank.clone();
+            scope.spawn(move || {
+                holder.with_shard_bank(blocked_model, 0, |_| {
+                    locked_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                });
+            });
+            locked_rx.recv().unwrap();
+            let reply = service
+                .submit(
+                    PlanRequest::new(QuerySpec::tpch_q3(), Priority::Standard)
+                        .with_namespace(namespace),
+                )
+                .wait_timeout(Duration::from_secs(10))
+                .expect("the reply must not wait for the checkpoint");
+            assert!(reply.plan.is_some());
+            assert!(!path.exists(), "the checkpoint cannot have been written yet");
+            release_tx.send(()).unwrap();
+        });
+        drop(service); // joins the worker, which finishes its housekeeping first
+        let loaded = ShardedCacheBank::load_with_shards(&path, 8).unwrap();
+        assert_eq!(loaded.total_entries(), bank.total_entries());
+        assert!(!path.with_extension("json.tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 

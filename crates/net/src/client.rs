@@ -268,7 +268,8 @@ impl PlanClient {
         let mut buf: Vec<u8> = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {
-            match frame::decode(&buf, self.config.max_body) {
+            let (decoded, plan) = frame::decode_with_plan(&buf, self.config.max_body);
+            match decoded {
                 Decoded::Incomplete { .. } => {}
                 Decoded::Corrupt(e) => {
                     return Err(NetError::Protocol(format!("reply stream corrupt: {e}")))
@@ -276,7 +277,7 @@ impl PlanClient {
                 Decoded::Frame(frame, _) => {
                     return match frame {
                         Frame::Reply(reply) if reply.request_id == request_id => {
-                            Ok(decode_reply(reply))
+                            Ok(decode_reply(reply, plan.as_ref()))
                         }
                         Frame::Reply(reply) => Err(NetError::Protocol(format!(
                             "reply for request {} while waiting for {}",
@@ -304,8 +305,9 @@ impl PlanClient {
     }
 }
 
-fn decode_reply(reply: ReplyFrame) -> NetReply {
-    let plan = plan_summary(&reply.plan_json);
+/// `plan` is the tree the frame decoder parsed `reply.plan_json` into.
+fn decode_reply(reply: ReplyFrame, plan: Option<&Value>) -> NetReply {
+    let plan = plan.and_then(summarize);
     NetReply {
         request_id: reply.request_id,
         trace_id: reply.trace_id,
@@ -346,14 +348,18 @@ fn variant_name(v: &Value) -> Option<String> {
 /// Returns `None` for a null plan or an unrecognised shape — never panics
 /// on server output.
 pub fn plan_summary(plan_json: &str) -> Option<PlanSummary> {
-    let value = serde_json::from_str(plan_json).ok()?;
-    let Value::Object(plan) = value else { return None };
-    let Some(Value::Object(query)) = field(&plan, "query") else { return None };
+    summarize(&serde_json::from_str(plan_json).ok()?)
+}
+
+/// [`plan_summary`] over an already parsed plan.
+fn summarize(plan: &Value) -> Option<PlanSummary> {
+    let Value::Object(plan) = plan else { return None };
+    let Some(Value::Object(query)) = field(plan, "query") else { return None };
     let cost = num(field(query, "cost"))?;
     let Some(Value::Object(objectives)) = field(query, "objectives") else { return None };
     let time_sec = num(field(objectives, "time_sec"))?;
     let money_tb_sec = num(field(objectives, "money_tb_sec"))?;
-    let degradation = match field(&plan, "degradation") {
+    let degradation = match field(plan, "degradation") {
         Some(Value::Object(d)) => Some(DegradationSummary {
             rung: field(d, "rung").and_then(variant_name).unwrap_or_default(),
             trigger: field(d, "trigger").and_then(variant_name).unwrap_or_default(),

@@ -455,16 +455,20 @@ fn decode_query(json: &str) -> Result<QuerySpec, DecodeError> {
     Ok(QuerySpec::new(name, relations))
 }
 
-fn decode_body(kind: FrameKind, body: &[u8]) -> Result<Frame, DecodeError> {
+/// Decode one frame body. A reply's plan JSON is parsed here to validate
+/// it; the tree comes back beside the frame so the client's summary walk
+/// need not parse the same text again (`None` for the other kinds).
+fn decode_body(kind: FrameKind, body: &[u8]) -> Result<(Frame, Option<Value>), DecodeError> {
     let mut r = Reader { bytes: body, pos: 0 };
-    match kind {
+    Ok(match kind {
         FrameKind::Request => {
             let request_id = r.u64()?;
             let priority = decode_priority(r.u8()?)?;
             let namespace = r.u32()?;
             let deadline_ms = r.u32()?;
             let query = decode_query(r.rest_utf8()?)?;
-            Ok(Frame::Request(RequestFrame { request_id, priority, namespace, deadline_ms, query }))
+            let request = RequestFrame { request_id, priority, namespace, deadline_ms, query };
+            (Frame::Request(request), None)
         }
         FrameKind::Reply => {
             let request_id = r.u64()?;
@@ -475,16 +479,11 @@ fn decode_body(kind: FrameKind, body: &[u8]) -> Result<Frame, DecodeError> {
             let plan_json = r.rest_utf8()?.to_string();
             // Validate the tail parses so a corrupt reply surfaces here as
             // a typed error, not later inside a client summary walk.
-            serde_json::from_str(&plan_json)
+            let plan = serde_json::from_str(&plan_json)
                 .map_err(|e| DecodeError::BadBody(format!("plan JSON: {e}")))?;
-            Ok(Frame::Reply(ReplyFrame {
-                request_id,
-                trace_id,
-                flags,
-                queue_wait_us,
-                service_us,
-                plan_json,
-            }))
+            let reply =
+                ReplyFrame { request_id, trace_id, flags, queue_wait_us, service_us, plan_json };
+            (Frame::Reply(reply), Some(plan))
         }
         FrameKind::Error => {
             let request_id = r.u64()?;
@@ -492,43 +491,49 @@ fn decode_body(kind: FrameKind, body: &[u8]) -> Result<Frame, DecodeError> {
             let code = ErrorCode::from_u8(code_byte)
                 .ok_or_else(|| DecodeError::BadBody(format!("unknown error code {code_byte}")))?;
             let message = r.rest_utf8()?.to_string();
-            Ok(Frame::Error(ErrorFrame { request_id, code, message }))
+            (Frame::Error(ErrorFrame { request_id, code, message }), None)
         }
-    }
+    })
 }
 
 /// Try to decode one frame from the front of `buf`. Never panics on any
 /// input; never reads past `buf`. See [`Decoded`] for the three outcomes.
 pub fn decode(buf: &[u8], max_body: usize) -> Decoded {
+    decode_with_plan(buf, max_body).0
+}
+
+/// [`decode`], also handing out the parsed plan JSON of a reply frame.
+pub(crate) fn decode_with_plan(buf: &[u8], max_body: usize) -> (Decoded, Option<Value>) {
+    let corrupt = |e| (Decoded::Corrupt(e), None);
     if buf.len() < HEADER_LEN {
         // Check what we do have of the magic so garbage fails fast instead
         // of idling as a forever-incomplete header.
         let have = buf.len().min(MAGIC.len());
         if buf[..have] != MAGIC[..have] {
-            return Decoded::Corrupt(DecodeError::BadMagic);
+            return corrupt(DecodeError::BadMagic);
         }
-        return Decoded::Incomplete { needed: HEADER_LEN };
+        return (Decoded::Incomplete { needed: HEADER_LEN }, None);
     }
     if buf[..4] != MAGIC {
-        return Decoded::Corrupt(DecodeError::BadMagic);
+        return corrupt(DecodeError::BadMagic);
     }
     if buf[4] != VERSION {
-        return Decoded::Corrupt(DecodeError::BadVersion(buf[4]));
+        return corrupt(DecodeError::BadVersion(buf[4]));
     }
     let Some(kind) = FrameKind::from_u8(buf[5]) else {
-        return Decoded::Corrupt(DecodeError::BadKind(buf[5]));
+        return corrupt(DecodeError::BadKind(buf[5]));
     };
     let len = u32::from_be_bytes(buf[6..10].try_into().unwrap()) as usize;
     if len > max_body {
-        return Decoded::Corrupt(DecodeError::Oversized { len, max: max_body });
+        return corrupt(DecodeError::Oversized { len, max: max_body });
     }
     let total = HEADER_LEN + len;
     if buf.len() < total {
-        return Decoded::Incomplete { needed: total };
+        return (Decoded::Incomplete { needed: total }, None);
     }
     match decode_body(kind, &buf[HEADER_LEN..total]) {
-        Ok(frame) => Decoded::Frame(frame, total),
-        Err(e) => Decoded::Corrupt(e),
+        Ok((frame, plan)) => (Decoded::Frame(frame, total), plan),
+        Err(e) => corrupt(e),
     }
 }
 
@@ -581,6 +586,18 @@ mod tests {
         roundtrip(Frame::Request(request()));
         roundtrip(Frame::Reply(reply()));
         roundtrip(Frame::Error(error()));
+    }
+
+    #[test]
+    fn reply_decode_hands_out_the_tree_it_validated() {
+        let (decoded, plan) = decode_with_plan(&Frame::Reply(reply()).encode(), DEFAULT_MAX_BODY);
+        assert!(matches!(decoded, Decoded::Frame(Frame::Reply(_), _)));
+        assert_eq!(plan, serde_json::from_str(&reply().plan_json).ok());
+        for other in [Frame::Request(request()), Frame::Error(error())] {
+            let (decoded, plan) = decode_with_plan(&other.encode(), DEFAULT_MAX_BODY);
+            assert!(matches!(decoded, Decoded::Frame(..)));
+            assert_eq!(plan, None);
+        }
     }
 
     #[test]

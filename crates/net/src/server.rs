@@ -499,17 +499,7 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
 
     // Drained (or drain timed out): flush the shared cache bank so a
     // restarted server starts warm, close everything, release dispatchers.
-    let svc_cfg = shared.service.config();
-    let bank = shared.service.bank();
-    if let Some(high_water) = svc_cfg.compact_high_water {
-        bank.compact(high_water);
-    }
-    if let Some(path) = &svc_cfg.checkpoint_path {
-        let _ = match svc_cfg.model_fingerprint {
-            Some(fp) => bank.checkpoint_with_fingerprint(path, fp).map(|_| ()),
-            None => bank.checkpoint(path).map(|_| ()),
-        };
-    }
+    shared.service.housekeep();
     tel.add(Counter::NetConnectionsClosed, conns.len() as u64);
     shared.live_connections.fetch_sub(conns.len(), Ordering::Relaxed);
     drop(conns);

@@ -20,6 +20,19 @@
 use crate::config::ResourceConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`ResourcePlanCache::revision`] stamps. Process-wide, so a
+/// stamp is never handed out twice — not to another cache, and not to a
+/// cache re-created under the same (model, operator) key after a clear or
+/// an eviction dropped its predecessor. `Relaxed` is enough: the atomic
+/// add alone makes each stamp unique, and a stamp publishes no other data
+/// (caches are read and written under their bank's lock).
+static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
+
+fn next_revision() -> u64 {
+    NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Cache lookup policy (§VI-B3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,6 +96,8 @@ pub struct ResourcePlanCache {
     generations: Vec<u64>,
     /// Monotonic access clock, bumped once per insert or lookup.
     clock: u64,
+    /// Content stamp: see [`revision`](Self::revision).
+    revision: u64,
     stats: CacheStats,
 }
 
@@ -110,7 +125,19 @@ impl ResourcePlanCache {
         self.entries.clear();
         self.generations.clear();
         self.clock = 0;
+        self.revision = next_revision();
         self.stats = CacheStats::default();
+    }
+
+    /// Content stamp: 0 for a cache that never held anything, otherwise a
+    /// process-unique value renewed by every [`insert`](Self::insert),
+    /// successful [`remove`](Self::remove) and [`clear`](Self::clear) —
+    /// never by a lookup, which moves only the access clock and the
+    /// statistics. Two reads that return the same stamp saw the same
+    /// `(key, config)` entries, which is what lets a checkpoint reuse the
+    /// text it rendered last time. A clone keeps its source's stamp.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// The sorted `(key, config)` entries — read access for persistence and
@@ -130,7 +157,13 @@ impl ResourcePlanCache {
         entries.dedup_by(|a, b| a.0 == b.0);
         entries.reverse();
         let generations = vec![0; entries.len()];
-        ResourcePlanCache { entries, generations, clock: 0, stats: CacheStats::default() }
+        ResourcePlanCache {
+            entries,
+            generations,
+            clock: 0,
+            revision: next_revision(),
+            stats: CacheStats::default(),
+        }
     }
 
     /// The current value of the access clock (bumped once per insert or
@@ -152,6 +185,7 @@ impl ResourcePlanCache {
         if i < self.entries.len() && self.entries[i].0 == key {
             self.entries.remove(i);
             self.generations.remove(i);
+            self.revision = next_revision();
             true
         } else {
             false
@@ -169,6 +203,7 @@ impl ResourcePlanCache {
     pub fn insert(&mut self, key: f64, config: ResourceConfig) {
         assert!(key.is_finite(), "cache keys must be finite");
         self.clock += 1;
+        self.revision = next_revision();
         let i = self.partition(key);
         if i < self.entries.len() && self.entries[i].0 == key {
             self.entries[i].1 = config;
@@ -277,6 +312,54 @@ fn weighted_average(key: f64, neighbors: &[(f64, ResourceConfig)]) -> ResourceCo
     ResourceConfig::from_slice(&acc)
 }
 
+/// One compaction candidate: an entry, how cold it is, and what eviction
+/// needs to find it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Victim {
+    /// Accesses its cache has seen since the entry last answered one.
+    pub staleness: u64,
+    pub model: u32,
+    pub operator: u32,
+    pub key_bits: u64,
+    /// Its cache's access clock when the candidate was listed; see
+    /// [`CacheBank::evict`].
+    pub clock: u64,
+    /// Owning shard (0 in a plain bank): rides along for the sharded
+    /// bank's eviction pass and never influences the order.
+    pub shard: usize,
+}
+
+/// Append every entry of `bank` (shard `shard` of its owner) to `out`.
+pub(crate) fn push_victims(bank: &CacheBank, shard: usize, out: &mut Vec<Victim>) {
+    for (&(model, operator), cache) in bank.iter() {
+        let clock = cache.generation();
+        for (key, generation) in cache.entry_generations() {
+            let staleness = clock - generation;
+            out.push(Victim { staleness, model, operator, key_bits: key.to_bits(), clock, shard });
+        }
+    }
+}
+
+/// The one eviction policy, shared by [`CacheBank::compact`] and
+/// [`ShardedCacheBank::compact`](crate::ShardedCacheBank::compact): cut
+/// `victims` down to its `evict` coldest members — stalest first, ties
+/// broken on (model, operator, key bits), which no two entries share, so
+/// the chosen set is unique. A selection, not a sort: the order among the
+/// victims decides nothing.
+pub(crate) fn keep_coldest(victims: &mut Vec<Victim>, evict: usize) {
+    if evict == 0 {
+        victims.clear();
+    } else if evict < victims.len() {
+        victims.select_nth_unstable_by(evict - 1, |a, b| {
+            (b.staleness.cmp(&a.staleness))
+                .then(a.model.cmp(&b.model))
+                .then(a.operator.cmp(&b.operator))
+                .then(a.key_bits.cmp(&b.key_bits))
+        });
+        victims.truncate(evict);
+    }
+}
+
 /// One [`ResourcePlanCache`] per (cost model, operator kind) pair, as §VI-B3
 /// prescribes. Model/operator identifiers are small integers assigned by the
 /// optimizer layer.
@@ -341,6 +424,20 @@ impl CacheBank {
         removed
     }
 
+    /// Remove the entry `victim` names — unless its cache has been
+    /// accessed since the victim was listed. Then a plan is working in that
+    /// cache right now (a sharded bank lists under a read lock and evicts
+    /// later under a write lock), and evicting under it would make it
+    /// climb again for what it had just cached: the same plan for more
+    /// work, and a reply that differs from the one an undisturbed request
+    /// gets. Such a cache keeps its entries until the next compaction.
+    /// Returns whether an entry was removed.
+    pub(crate) fn evict(&mut self, victim: &Victim) -> bool {
+        let pair = (victim.model, victim.operator);
+        let idle = self.caches.get(&pair).is_some_and(|c| c.generation() == victim.clock);
+        idle && self.remove_entry(pair.0, pair.1, f64::from_bits(victim.key_bits))
+    }
+
     /// Evict the coldest entries until the bank holds at most `high_water`
     /// entries. Coldness is staleness under each cache's access clock
     /// (`clock − last-hit generation`); ties break deterministically on
@@ -353,21 +450,12 @@ impl CacheBank {
         if total <= high_water {
             return 0;
         }
-        // (staleness, model, operator, key bits) — stalest first, then the
-        // deterministic key-space order.
-        let mut victims: Vec<(u64, u32, u32, u64)> = Vec::with_capacity(total);
-        for (&(model, operator), cache) in self.caches.iter() {
-            let clock = cache.generation();
-            for (key, generation) in cache.entry_generations() {
-                victims.push((clock - generation, model, operator, key.to_bits()));
-            }
-        }
-        victims.sort_by(|a, b| {
-            b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)).then(a.3.cmp(&b.3))
-        });
+        let mut victims = Vec::with_capacity(total);
+        push_victims(self, 0, &mut victims);
+        keep_coldest(&mut victims, total - high_water);
         let mut evicted = 0;
-        for &(_, model, operator, bits) in victims.iter().take(total - high_water) {
-            if self.remove_entry(model, operator, f64::from_bits(bits)) {
+        for victim in &victims {
+            if self.evict(victim) {
                 evicted += 1;
             }
         }
@@ -654,7 +742,96 @@ mod tests {
         assert_eq!(bank.iter().next().unwrap().0, &(1, 0));
     }
 
+    #[test]
+    fn revision_follows_content_not_access() {
+        let mut cache = ResourcePlanCache::new();
+        assert_eq!(cache.revision(), 0, "never held anything");
+        cache.insert(1.0, cfg(1.0, 1.0));
+        let inserted = cache.revision();
+        assert_ne!(inserted, 0);
+        // Hits and misses move the clock and the statistics only.
+        cache.lookup(1.0, CacheLookup::Exact);
+        cache.lookup(2.0, CacheLookup::NearestNeighbor { threshold: 0.1 });
+        assert!(!cache.remove(2.0), "nothing there");
+        assert_eq!(cache.revision(), inserted);
+        assert_eq!(cache.clone().revision(), inserted, "a clone has the same content");
+        // Overwriting, removing and clearing each renew it, and a fresh
+        // cache that repeats this one's history never repeats its stamps.
+        let mut seen = vec![inserted];
+        cache.insert(1.0, cfg(9.0, 9.0));
+        seen.push(cache.revision());
+        assert!(cache.remove(1.0));
+        seen.push(cache.revision());
+        cache.clear();
+        seen.push(cache.revision());
+        let mut again = ResourcePlanCache::new();
+        again.insert(1.0, cfg(1.0, 1.0));
+        seen.push(again.revision());
+        seen.push(ResourcePlanCache::from_entries(vec![(1.0, cfg(1.0, 1.0))]).revision());
+        let distinct: std::collections::BTreeSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "{seen:?}");
+    }
+
+    #[test]
+    fn eviction_spares_a_cache_accessed_since_it_was_listed() {
+        let mut bank = CacheBank::new();
+        for k in 0..4u32 {
+            bank.cache(0, 0).insert(k as f64, cfg(1.0, 1.0));
+            bank.cache(1, 0).insert(k as f64, cfg(1.0, 1.0));
+        }
+        let mut victims = Vec::new();
+        push_victims(&bank, 0, &mut victims);
+        assert_eq!(victims.len(), 8);
+        // A plan looks into cache (1, 0) — hit or miss — after the listing.
+        bank.cache(1, 0).lookup(9.0, CacheLookup::Exact);
+        let evicted: Vec<(u32, bool)> = victims.iter().map(|v| (v.model, bank.evict(v))).collect();
+        assert!(evicted.iter().all(|&(model, gone)| gone == (model == 0)), "{evicted:?}");
+        assert_eq!(bank.total_entries(), 4);
+        // Listed again, the cache is idle and loses its entries like any other.
+        victims.clear();
+        push_victims(&bank, 0, &mut victims);
+        assert!(victims.iter().all(|v| bank.evict(v)));
+        assert_eq!(bank.total_entries(), 0);
+    }
+
     proptest::proptest! {
+        /// The selection keeps exactly the set the full sort kept, for any
+        /// candidates (ties in staleness included) and any eviction count.
+        #[test]
+        fn prop_keep_coldest_matches_the_full_sort(
+            raw in proptest::collection::vec((0u64..4, 0u32..3, 0u32..2, 0u64..6), 0..60),
+            evict in 0usize..70,
+        ) {
+            // (model, operator, key bits) identifies an entry: no duplicates.
+            let mut seen = std::collections::BTreeSet::new();
+            let candidates: Vec<Victim> = raw
+                .into_iter()
+                .filter(|&(_, m, o, k)| seen.insert((m, o, k)))
+                .enumerate()
+                .map(|(i, (staleness, model, operator, key_bits))| Victim {
+                    staleness,
+                    model,
+                    operator,
+                    key_bits,
+                    clock: 0,
+                    shard: i % 3,
+                })
+                .collect();
+            let mut sorted = candidates.clone();
+            sorted.sort_by(|a, b| {
+                (b.staleness.cmp(&a.staleness))
+                    .then(a.model.cmp(&b.model))
+                    .then(a.operator.cmp(&b.operator))
+                    .then(a.key_bits.cmp(&b.key_bits))
+            });
+            sorted.truncate(evict);
+            let mut selected = candidates;
+            keep_coldest(&mut selected, evict);
+            selected.sort();
+            sorted.sort();
+            proptest::prop_assert_eq!(selected, sorted);
+        }
+
         /// Compaction never changes what a retained key answers: for any
         /// insert/lookup history and any high-water mark, every key that
         /// survives answers its exact lookup bit-identically to the

@@ -23,6 +23,7 @@
 use crate::cache::{CacheBank, ResourcePlanCache};
 use crate::config::ResourceConfig;
 use serde::Value;
+use std::fmt::Write;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -99,10 +100,12 @@ pub fn bank_to_json(bank: &CacheBank) -> String {
 /// as good as the model that priced them — a stamped file is invalidated
 /// on load when the model has retrained (fingerprint mismatch).
 pub fn bank_to_json_with(bank: &CacheBank, model_fingerprint: Option<u64>) -> String {
-    document_from_fragments(std::slice::from_ref(&caches_fragment(bank)), model_fingerprint)
+    document_from_fragments([caches_fragment(bank).as_str()], model_fingerprint)
 }
 
-/// One member cache as its `caches[]` array element.
+/// One member cache as its `caches[]` array element: the `Value`-tree
+/// rendition [`write_cache`] must reproduce byte for byte.
+#[cfg(test)]
 fn cache_value(model: u32, operator: u32, cache: &ResourcePlanCache) -> Value {
     let entries: Vec<Value> = cache
         .entries()
@@ -119,54 +122,112 @@ fn cache_value(model: u32, operator: u32, cache: &ResourcePlanCache) -> Value {
     ])
 }
 
+/// Stream one member cache into `out` as its `caches[]` array element.
+/// The `caches` array sits at depth 1 of the document, so the element
+/// renders at depth 2 behind a 4-space pad: exactly the bytes
+/// `serde::write_value` renders the equivalent `Value` tree to at that
+/// depth, without building the tree. (A configuration has 1 to
+/// [`MAX_DIMS`](crate::config::MAX_DIMS) coordinates, so its array is
+/// never the empty `[]`.)
+pub(crate) fn write_cache(out: &mut String, model: u32, operator: u32, cache: &ResourcePlanCache) {
+    // The one number rule (integral values as integers, non-finite as
+    // `null`) stays in `serde`.
+    fn num(out: &mut String, n: f64) {
+        serde::write_value(out, &Value::Num(n), None, 0);
+    }
+    // `write!` into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "    {{\n      \"model\": {model},\n      \"operator\": {operator},\n      \"entries\": ["
+    );
+    if cache.is_empty() {
+        out.push_str("]\n    }");
+        return;
+    }
+    for (i, (key, cfg)) in cache.entries().iter().enumerate() {
+        out.push_str(if i == 0 { "\n        [\n          " } else { ",\n        [\n          " });
+        num(out, *key);
+        out.push_str(",\n          [");
+        for (d, coord) in cfg.as_slice().iter().enumerate() {
+            out.push_str(if d == 0 { "\n            " } else { ",\n            " });
+            num(out, *coord);
+        }
+        out.push_str("\n          ]\n        ]");
+    }
+    out.push_str("\n      ]\n    }");
+}
+
 /// Render `bank`'s member caches as a pre-indented, comma-joined run of
 /// `caches[]` array elements (empty string for an empty bank). Fragments
 /// from disjoint banks concatenate into one document via
-/// [`document_from_fragments`] — the sharded bank caches one fragment per
-/// shard and re-renders only dirty shards at checkpoint time.
+/// [`document_from_fragments`] — the sharded bank keeps one single-cache
+/// fragment per member cache and re-renders only the caches whose content
+/// changed since the last checkpoint.
 pub(crate) fn caches_fragment(bank: &CacheBank) -> String {
     let mut out = String::new();
     for (i, (&(model, operator), cache)) in bank.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
-        // The `caches` array sits at depth 1 of the document, so its
-        // elements render at depth 2 behind a 4-space pad.
-        out.push_str("    ");
-        serde::write_value(&mut out, &cache_value(model, operator, cache), Some(2), 2);
+        write_cache(&mut out, model, operator, cache);
     }
     out
 }
 
 /// Assemble the version-1 document from pre-rendered [`caches_fragment`]
-/// runs. With a single whole-bank fragment this is byte-identical to the
-/// historical writer; with per-shard fragments the element order follows
-/// shard order instead of global key order, which loads identically
-/// (parsing is order-independent).
-pub(crate) fn document_from_fragments(
-    fragments: &[String],
-    model_fingerprint: Option<u64>,
-) -> String {
-    let mut out = format!("{{\n  \"version\": {FORMAT_VERSION},");
+/// runs, in one buffer sized up front. With a single whole-bank fragment
+/// this is byte-identical to the historical writer; with per-cache
+/// fragments in shard order the element order follows shard order instead
+/// of global key order, which loads identically (parsing is
+/// order-independent).
+pub(crate) fn document_from_fragments<I>(fragments: I, model_fingerprint: Option<u64>) -> String
+where
+    I: IntoIterator,
+    I::IntoIter: Clone,
+    I::Item: AsRef<str>,
+{
+    let live = fragments.into_iter().filter(|f| !f.as_ref().is_empty());
+    // Header and footer are under 100 bytes; each fragment brings a
+    // two-byte separator.
+    let body: usize = live.clone().map(|f| f.as_ref().len() + 2).sum();
+    let mut out = String::with_capacity(body + 100);
+    // `write!` into a `String` cannot fail.
+    let _ = write!(out, "{{\n  \"version\": {FORMAT_VERSION},");
     if let Some(fp) = model_fingerprint {
         // Hex string, not a number: the JSON number space is f64 (53-bit
         // mantissa) and cannot hold a 64-bit fingerprint losslessly.
-        out.push_str(&format!("\n  \"model_fingerprint\": \"{fp:016x}\","));
+        let _ = write!(out, "\n  \"model_fingerprint\": \"{fp:016x}\",");
     }
-    let mut live = fragments.iter().filter(|f| !f.is_empty()).peekable();
-    if live.peek().is_none() {
-        out.push_str("\n  \"caches\": []\n}\n");
-        return out;
+    out.push_str("\n  \"caches\": [");
+    let mut any = false;
+    for fragment in live {
+        out.push_str(if any { ",\n" } else { "\n" });
+        out.push_str(fragment.as_ref());
+        any = true;
     }
-    out.push_str("\n  \"caches\": [\n");
-    for (i, fragment) in live.enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(fragment);
-    }
-    out.push_str("\n  ]\n}\n");
+    out.push_str(if any { "\n  ]\n}\n" } else { "]\n}\n" });
     out
+}
+
+/// `<path><suffix>`: a file beside `path`, named after it.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Replace `path` with `bytes` in one step: write `<path>.tmp` beside it,
+/// then rename over it, so a reader — or a restart after a crash mid-write
+/// — finds the previous file or the new one, never a torn one. On failure
+/// `path` is untouched and the temporary is removed. Not `fsync`ed: losing
+/// the newest checkpoint to a power cut costs a cold start, nothing else.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = sibling(path, ".tmp");
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 fn bad(msg: &str) -> PersistError {
@@ -280,9 +341,7 @@ pub fn save_bank(bank: &CacheBank, path: impl AsRef<Path>) -> Result<(), Persist
 /// Best-effort: a failed rename (e.g. read-only directory) leaves the file
 /// in place and reports no quarantine location.
 fn quarantine(path: &Path) -> Option<PathBuf> {
-    let mut target = path.as_os_str().to_os_string();
-    target.push(".corrupt");
-    let target = PathBuf::from(target);
+    let target = sibling(path, ".corrupt");
     std::fs::rename(path, &target).ok().map(|_| target)
 }
 
@@ -532,6 +591,32 @@ mod tests {
             document_from_fragments(&[String::new()], None),
             bank_to_json(&CacheBank::new())
         );
+    }
+
+    /// `write_cache` against its oracle: the `Value` tree rendered by
+    /// `serde::write_value` at depth 2 behind the 4-space pad.
+    #[test]
+    fn streamed_cache_matches_the_value_tree_bytes() {
+        let mut mixed = ResourcePlanCache::new();
+        mixed.insert(3.0, cfg(10.0, 3.0)); // integers
+        mixed.insert(1.0 / 3.0, cfg(0.1, 2.5e-7)); // fractions
+        mixed.insert(-7.25, ResourceConfig::from_slice(&[4.0])); // 1 dim
+        mixed.insert(1e16, ResourceConfig::from_slice(&[1.0, 2.5, 8.0])); // 3 dims, key too big for the integer form
+        mixed.insert(9.0, ResourceConfig::from_slice(&[1.0, 2.0, 3.0, 4.5])); // 4 dims
+        mixed.insert(2.0, cfg(f64::INFINITY, f64::NAN)); // non-finite → null
+        let mut one = ResourcePlanCache::new();
+        one.insert(0.0, cfg(-0.0, 1.0));
+        for (model, operator, cache) in [
+            (0u32, 0u32, &mixed),
+            (u32::MAX, 0x8000_0001, &one),
+            (7, 2, &ResourcePlanCache::new()), // empty cache
+        ] {
+            let mut oracle = String::from("    ");
+            serde::write_value(&mut oracle, &cache_value(model, operator, cache), Some(2), 2);
+            let mut streamed = String::new();
+            write_cache(&mut streamed, model, operator, cache);
+            assert_eq!(streamed, oracle);
+        }
     }
 
     #[test]

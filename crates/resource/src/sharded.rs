@@ -10,43 +10,74 @@
 //!   an FNV-1a hash of the pair salted with a tenant/cluster salt, so the
 //!   per-pair cache semantics (and therefore every lookup result and every
 //!   statistic) are bit-identical to the single-lock bank;
-//! * each shard carries a dirty flag and a cached rendition of its member
-//!   caches in the version-1 persistence format. A [`checkpoint`]
-//!   re-renders only shards dirtied since the previous checkpoint and
-//!   concatenates cached fragments for the rest — `O(entries in dirty
-//!   shards)` instead of the single bank's `O(all entries)` — then writes
-//!   the file outside every lock;
+//! * each shard keeps, per member cache, the text it last rendered for it
+//!   in the version-1 persistence format and the content
+//!   [`revision`](crate::ResourcePlanCache::revision) that text was
+//!   rendered from. A [`checkpoint`] re-renders only the caches whose
+//!   revision moved since the previous checkpoint — `O(entries in changed
+//!   caches)`, whatever the shard count — appends the kept texts for the
+//!   rest, and replaces the file atomically outside every bank lock;
 //! * `N = 1` degenerates to exactly the single-lock bank (one shard owns
-//!   every pair and every checkpoint is a whole-bank render).
+//!   every pair), and checkpoints just as incrementally.
 //!
 //! [`checkpoint`]: ShardedCacheBank::checkpoint
 
-use crate::cache::{CacheBank, CacheLookup, CacheStats};
+use crate::cache::{self, CacheBank, CacheLookup, CacheStats};
 use crate::config::ResourceConfig;
 use crate::persist::{self, PersistError};
 use parking_lot::{Mutex, RwLock};
 use raqo_telemetry::{Counter, Hist, Telemetry};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One member cache's `caches[]` element as last rendered.
+struct Text {
+    key: (u32, u32),
+    /// The content revision `text` was rendered from.
+    revision: u64,
+    text: String,
+}
+
 /// One lock's worth of the bank, plus its incremental-checkpoint state.
 struct Shard {
     bank: RwLock<CacheBank>,
-    /// Set on any mutation of the shard's entries; cleared when the
-    /// fragment below is re-rendered from the current contents.
-    dirty: AtomicBool,
-    /// Cached v1 `caches[]` fragment for this shard. The mutex also
-    /// serializes concurrent checkpoints per shard so a stale render can
-    /// never overwrite a fresher one.
-    fragment: Mutex<Option<String>>,
+    /// What the previous checkpoint rendered for each member cache, in the
+    /// bank's key order. The mutex also serializes concurrent checkpoints
+    /// per shard so a stale render can never overwrite a fresher one.
+    texts: Mutex<Vec<Text>>,
 }
 
 impl Shard {
     fn new(bank: CacheBank) -> Shard {
-        Shard { bank: RwLock::new(bank), dirty: AtomicBool::new(true), fragment: Mutex::new(None) }
+        Shard { bank: RwLock::new(bank), texts: Mutex::new(Vec::new()) }
+    }
+
+    /// Bring `texts` in line with the shard's member caches — drop the
+    /// texts of caches that are gone, render those of caches that are new
+    /// or whose revision moved — under the shard's read lock, held for
+    /// exactly that. Returns the number of caches rendered.
+    fn refresh(&self, texts: &mut Vec<Text>) -> usize {
+        let mut kept = std::mem::take(texts).into_iter().peekable();
+        let mut rendered = 0;
+        let bank = self.bank.read();
+        for (&key, cache) in bank.iter() {
+            // Both sides run in key order: a text that sorts before this
+            // cache belongs to one that no longer exists.
+            while kept.next_if(|t| t.key < key).is_some() {}
+            texts.push(match kept.next_if(|t| t.key == key) {
+                Some(current) if current.revision == cache.revision() => current,
+                reused => {
+                    let mut text = reused.map_or_else(String::new, |t| t.text);
+                    text.clear();
+                    persist::write_cache(&mut text, key.0, key.1, cache);
+                    rendered += 1;
+                    Text { key, revision: cache.revision(), text }
+                }
+            });
+        }
+        rendered
     }
 }
 
@@ -182,15 +213,13 @@ impl ShardedCacheBank {
     }
 
     /// Insert the best configuration found for `key` into the
-    /// (model, operator) cache and mark the owning shard dirty.
+    /// (model, operator) cache.
     pub fn insert(&self, model: u32, operator: u32, key: f64, config: ResourceConfig) {
         let idx = self.shard_of(model, operator);
-        let shard = &self.inner.shards[idx];
         let sw = self.telemetry.stopwatch();
-        let mut bank = shard.bank.write();
+        let mut bank = self.inner.shards[idx].bank.write();
         self.telemetry.observe_elapsed_us(Hist::CacheLockWaitUs, &sw);
         bank.cache(model, operator).insert(key, config);
-        shard.dirty.store(true, Ordering::Release);
     }
 
     /// Aggregate hit/miss/insertion counters summed across every shard.
@@ -214,79 +243,57 @@ impl ShardedCacheBank {
     pub fn clear(&self) {
         for shard in &self.inner.shards {
             shard.bank.write().clear();
-            shard.dirty.store(true, Ordering::Release);
         }
     }
 
     /// Run `f` with exclusive access to the shard owning (model, operator),
-    /// for multi-step atomic sections on that pair's cache. The shard is
-    /// marked dirty (the closure gets mutable access).
+    /// for multi-step atomic sections on that pair's cache.
     pub fn with_shard_bank<T>(
         &self,
         model: u32,
         operator: u32,
         f: impl FnOnce(&mut CacheBank) -> T,
     ) -> T {
-        let shard = &self.inner.shards[self.shard_of(model, operator)];
-        let out = f(&mut shard.bank.write());
-        shard.dirty.store(true, Ordering::Release);
-        out
+        f(&mut self.inner.shards[self.shard_of(model, operator)].bank.write())
     }
 
     /// Evict the coldest entries across every shard until the bank holds
     /// at most `high_water` entries — the same staleness-first,
     /// deterministic-tie-break policy as [`CacheBank::compact`], applied
     /// globally, so a sharded bank and a single-lock bank with the same
-    /// access history compact to the same retained set. Evicted-from
-    /// shards are marked dirty for the next incremental checkpoint;
-    /// evictions are counted on `raqo_cache_evictions_total`. Candidate
+    /// access history compact to the same retained set. Evictions are
+    /// counted on `raqo_cache_evictions_total`. Candidate
     /// collection runs under per-shard read locks, eviction under
-    /// per-shard write locks (best-effort against concurrent inserts:
-    /// entries added mid-compaction survive). Returns the eviction count.
+    /// per-shard write locks — best-effort against concurrent use:
+    /// entries added mid-compaction survive, and so does every entry of a
+    /// cache that was accessed in between (see `CacheBank::evict`; the
+    /// bank then ends a few entries above the mark until the next
+    /// compaction). Returns the eviction count.
     pub fn compact(&self, high_water: usize) -> usize {
         let total = self.total_entries();
         if total <= high_water {
             return 0;
         }
-        // (staleness, model, operator, key bits, shard) — the shard index
-        // rides along for the apply pass and never influences the order.
-        let mut victims: Vec<(u64, u32, u32, u64, usize)> = Vec::with_capacity(total);
+        let mut victims = Vec::with_capacity(total);
         for (idx, shard) in self.inner.shards.iter().enumerate() {
-            let bank = shard.bank.read();
-            for (&(model, operator), cache) in bank.iter() {
-                let clock = cache.generation();
-                for (key, generation) in cache.entry_generations() {
-                    victims.push((clock - generation, model, operator, key.to_bits(), idx));
-                }
-            }
+            cache::push_victims(&shard.bank.read(), idx, &mut victims);
         }
-        victims.sort_by(|a, b| {
-            b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)).then(a.3.cmp(&b.3))
-        });
-        victims.truncate(total - high_water);
+        cache::keep_coldest(&mut victims, total - high_water);
         let mut evicted = 0u64;
         for (idx, shard) in self.inner.shards.iter().enumerate() {
-            let mine: Vec<&(u64, u32, u32, u64, usize)> =
-                victims.iter().filter(|v| v.4 == idx).collect();
+            let mine: Vec<&cache::Victim> = victims.iter().filter(|v| v.shard == idx).collect();
             if mine.is_empty() {
                 continue;
             }
             let mut bank = shard.bank.write();
-            for &(_, model, operator, bits, _) in mine {
-                if bank.remove_entry(model, operator, f64::from_bits(bits)) {
+            for victim in mine {
+                if bank.evict(victim) {
                     evicted += 1;
                 }
             }
-            shard.dirty.store(true, Ordering::Release);
         }
         self.telemetry.add(Counter::CacheEvictions, evicted);
         evicted as usize
-    }
-
-    /// Number of shards currently marked dirty (bench/diagnostics: the
-    /// work a checkpoint would re-render).
-    pub fn dirty_shard_count(&self) -> usize {
-        self.inner.shards.iter().filter(|s| s.dirty.load(Ordering::Acquire)).count()
     }
 
     /// A merged copy of all shards as one [`CacheBank`] (canonical global
@@ -351,30 +358,12 @@ impl ShardedCacheBank {
         Ok((Self::from_bank_with_shards(bank, shards), invalidated))
     }
 
-    /// The per-shard fragment, re-rendered only when the shard is dirty.
-    fn shard_fragment(&self, shard: &Shard) -> String {
-        let mut slot = shard.fragment.lock();
-        if !shard.dirty.load(Ordering::Acquire) {
-            if let Some(fragment) = slot.as_ref() {
-                return fragment.clone();
-            }
-        }
-        // Render under the shard's read lock: writers are excluded, so the
-        // dirty flag can be cleared before rendering without losing a
-        // concurrent mutation (any post-render insert re-sets it).
-        let bank = shard.bank.read();
-        shard.dirty.store(false, Ordering::Release);
-        let fragment = persist::caches_fragment(&bank);
-        drop(bank);
-        *slot = Some(fragment.clone());
-        fragment
-    }
-
-    /// Incremental checkpoint: re-render only shards dirtied since the
-    /// previous checkpoint, splice cached fragments for the rest, and
-    /// write one valid version-1 document (element order follows shard
-    /// order; loads are order-independent). The file write happens outside
-    /// every lock. Returns the number of shards that had to be
+    /// Incremental checkpoint: re-render only the member caches whose
+    /// content changed since the previous checkpoint, append the kept
+    /// texts of the rest, and atomically replace `path` with one valid
+    /// version-1 document (element order follows shard order; loads are
+    /// order-independent). No bank lock is held while the document is
+    /// assembled or written. Returns the number of caches that had to be
     /// re-rendered.
     pub fn checkpoint(&self, path: impl AsRef<std::path::Path>) -> Result<usize, PersistError> {
         self.checkpoint_inner(path, None)
@@ -395,21 +384,26 @@ impl ShardedCacheBank {
         model_fingerprint: Option<u64>,
     ) -> Result<usize, PersistError> {
         let mut rendered = 0;
-        let fragments: Vec<String> = self
+        // Every shard's texts stay locked until the file is in place, so
+        // the document is assembled straight from them, and a concurrent
+        // checkpoint of this bank queues behind this one: the two never
+        // interleave in the temporary file, and the later — fresher — one
+        // is the file that stays. Lookups and inserts never take this lock.
+        let locked: Vec<_> = self
             .inner
             .shards
             .iter()
             .map(|shard| {
-                let was_dirty =
-                    shard.dirty.load(Ordering::Acquire) || shard.fragment.lock().is_none();
-                if was_dirty {
-                    rendered += 1;
-                }
-                self.shard_fragment(shard)
+                let mut texts = shard.texts.lock();
+                rendered += shard.refresh(&mut texts);
+                texts
             })
             .collect();
-        let doc = persist::document_from_fragments(&fragments, model_fingerprint);
-        std::fs::write(path, doc)?;
+        let doc = persist::document_from_fragments(
+            locked.iter().flat_map(|texts| texts.iter().map(|t| &t.text)),
+            model_fingerprint,
+        );
+        persist::write_atomic(path.as_ref(), doc.as_bytes())?;
         Ok(rendered)
     }
 }
@@ -567,30 +561,110 @@ mod tests {
         }
     }
 
+    /// The checkpoint file at `path` loads to exactly the bank's contents.
+    fn assert_reloads_to_merged(bank: &ShardedCacheBank, path: &std::path::Path) {
+        let loaded = persist::load_bank(path).unwrap();
+        assert_eq!(persist::bank_to_json(&loaded), persist::bank_to_json(&bank.merged_bank()));
+    }
+
     #[test]
-    fn checkpoint_rerenders_only_dirty_shards() {
+    fn checkpoint_rerenders_only_changed_caches() {
         let bank = ShardedCacheBank::with_shards(8);
         for model in 0..32u32 {
             bank.insert(model, 0, 1.0, cfg(model as f64, 1.0));
         }
         let path = std::env::temp_dir().join("raqo_sharded_ckpt_test.json");
-        // First checkpoint renders every populated shard.
-        let first = bank.checkpoint(&path).unwrap();
-        assert_eq!(first, 8, "all shards start dirty");
-        assert_eq!(bank.dirty_shard_count(), 0);
-        // No mutations: the next checkpoint splices cached fragments only.
+        // First checkpoint renders every cache.
+        assert_eq!(bank.checkpoint(&path).unwrap(), 32, "nothing is rendered yet");
+        assert_reloads_to_merged(&bank, &path);
+        // No mutations: the next checkpoint appends kept texts only.
         assert_eq!(bank.checkpoint(&path).unwrap(), 0);
-        // One insert dirties exactly one shard.
+        assert_reloads_to_merged(&bank, &path);
+        // One insert changes exactly one cache, however many share its shard.
         bank.insert(5, 0, 2.0, cfg(9.0, 9.0));
-        assert_eq!(bank.dirty_shard_count(), 1);
         assert_eq!(bank.checkpoint(&path).unwrap(), 1);
-        // The incremental file loads to exactly the merged contents.
-        let loaded = persist::load_bank(&path).unwrap();
-        assert_eq!(
-            persist::bank_to_json(&loaded),
-            persist::bank_to_json(&bank.merged_bank())
-        );
+        assert_reloads_to_merged(&bank, &path);
+        // Compaction changes exactly the caches it evicts from: the older
+        // of cache 5's two entries is the only stale one, and among the
+        // rest the tie-break takes the only entries of caches 0 and 1 —
+        // those caches vanish, so there is nothing to render for them.
+        assert_eq!(bank.compact(30), 3);
+        assert_eq!(bank.checkpoint(&path).unwrap(), 1, "caches 0 and 1 are gone, 5 shrank");
+        assert_reloads_to_merged(&bank, &path);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("\"model\": 0,"), "an emptied cache leaves the file");
+        assert!(text.contains("\"model\": 2,"));
+        // Clearing and refilling a pair must not replay an old text, even
+        // though the fresh cache repeats the old one's insert count.
+        bank.clear();
+        bank.insert(7, 0, 3.0, cfg(3.0, 3.0));
+        assert_eq!(bank.checkpoint(&path).unwrap(), 1);
+        assert_reloads_to_merged(&bank, &path);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lookups_between_checkpoints_rerender_nothing() {
+        let bank = ShardedCacheBank::with_shards(4);
+        for model in 0..12u32 {
+            bank.insert(model, 0, 1.0, cfg(model as f64, 1.0));
+        }
+        let path = std::env::temp_dir().join("raqo_sharded_lookup_only_ckpt.json");
+        assert_eq!(bank.checkpoint(&path).unwrap(), 12);
+        let before = std::fs::read(&path).unwrap();
+        // Hits, misses in a known pair and misses in a never-seen pair all
+        // move access clocks and statistics, never content.
+        for model in 0..12u32 {
+            assert!(bank.lookup(model, 0, 1.0, CacheLookup::Exact).is_some());
+            assert!(bank.lookup(model, 0, 2.0, CacheLookup::Exact).is_none());
+        }
+        assert!(bank.lookup(99, 0, 1.0, CacheLookup::Exact).is_none());
+        // The missed pair now exists as an empty cache: that one is new.
+        assert_eq!(bank.checkpoint(&path).unwrap(), 1);
+        for model in 0..12u32 {
+            bank.lookup(model, 0, 1.0, CacheLookup::NearestNeighbor { threshold: 0.5 });
+        }
+        assert_eq!(bank.checkpoint(&path).unwrap(), 0);
+        assert_reloads_to_merged(&bank, &path);
+        assert_eq!(persist::load_bank(&path).unwrap().total_entries(), 12);
+        assert_ne!(std::fs::read(&path).unwrap(), before, "the empty cache is persisted too");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoint_replaces_the_file_atomically() {
+        let dir = std::env::temp_dir().join("raqo_sharded_atomic_ckpt");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bank.json");
+        let tmp = dir.join("bank.json.tmp");
+        let bank = ShardedCacheBank::with_shards(4);
+        bank.insert(1, 0, 1.0, cfg(1.0, 1.0));
+        bank.checkpoint_with_fingerprint(&path, 7).unwrap();
+        assert!(path.exists() && !tmp.exists(), "the temporary is renamed away");
+        let good = std::fs::read(&path).unwrap();
+        // The temporary cannot be created (its name is taken by a
+        // directory): the call fails and the last good file is untouched.
+        std::fs::create_dir(&tmp).unwrap();
+        bank.insert(2, 0, 2.0, cfg(2.0, 2.0));
+        let err = bank.checkpoint_with_fingerprint(&path, 7).expect_err("no temporary, no write");
+        assert!(matches!(err, PersistError::Io(_)), "{err:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), good);
+        let (loaded, invalidated) =
+            ShardedCacheBank::load_checked_with_shards(&path, 7, 4).unwrap();
+        assert!(!invalidated);
+        assert_eq!(loaded.total_entries(), 1);
+        // Once the obstacle is gone the same bank checkpoints everything.
+        std::fs::remove_dir(&tmp).unwrap();
+        bank.checkpoint_with_fingerprint(&path, 7).unwrap();
+        assert_reloads_to_merged(&bank, &path);
+        // The destination is a directory: the rename fails, and the
+        // temporary written beside it is cleaned up.
+        let taken = dir.join("taken");
+        std::fs::create_dir(&taken).unwrap();
+        assert!(bank.checkpoint(&taken).is_err());
+        assert!(!dir.join("taken.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -678,7 +752,6 @@ mod tests {
         }
         let path = std::env::temp_dir().join("raqo_sharded_compact_ckpt.json");
         sharded.checkpoint(&path).unwrap();
-        assert_eq!(sharded.dirty_shard_count(), 0);
         let evicted_sharded = sharded.compact(15);
         let evicted_single = single.compact(15);
         assert_eq!(evicted_sharded, evicted_single);
@@ -687,9 +760,7 @@ mod tests {
         // Same global eviction policy → identical retained sets and bytes.
         let single_json = single.with_bank(|b| persist::bank_to_json(b));
         assert_eq!(persist::bank_to_json(&sharded.merged_bank()), single_json);
-        // Evicted-from shards are dirty; the next checkpoint persists the
-        // compacted contents.
-        assert!(sharded.dirty_shard_count() > 0, "compaction dirties shards");
+        // The next checkpoint persists the compacted contents.
         sharded.checkpoint(&path).unwrap();
         let loaded = persist::load_bank(&path).unwrap();
         assert_eq!(loaded.total_entries(), 15);

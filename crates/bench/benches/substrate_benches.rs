@@ -1,8 +1,12 @@
 //! Criterion micro-benches for the substrates the planning experiments
-//! lean on: resource-space search primitives, the cache, cost-model
-//! evaluation, CART training, and the simulator sweeps behind Figs. 1–9.
+//! lean on: resource-space search primitives, the cache, plan JSON,
+//! cost-model evaluation, CART training, and the simulator sweeps behind
+//! Figs. 1–9.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use raqo_catalog::tpch::TpchSchema;
+use raqo_catalog::QuerySpec;
+use raqo_core::{PlannerKind, RaqoOptimizer, RaqoPlan, ResourceStrategy};
 use raqo_cost::features::feature_vector;
 use raqo_cost::{JoinCostModel, OperatorCost};
 use raqo_dtree::{CartConfig, Sample};
@@ -14,6 +18,7 @@ use raqo_sim::engine::{Engine, JoinImpl};
 use raqo_sim::profile::{labeled_grid, ProfileGrid};
 use raqo_sim::queue::{simulate, QueueSimConfig};
 use raqo_sim::sweeps::switch_point_small_size;
+use serde::Serialize;
 use std::hint::black_box;
 
 /// The §VI-B search primitives on the learned quadratic surface.
@@ -118,6 +123,49 @@ fn checkpoint(c: &mut Criterion) {
     }
 }
 
+/// A wire reply's plan JSON, rendered on the planning worker: the
+/// streaming `serde_json::to_string` against building the `Value` tree
+/// and rendering that, over the 22 TPC-H plans `wire_tpch_warm` serves.
+fn plan_json(c: &mut Criterion) {
+    let schema = TpchSchema::sf100();
+    let model = JoinCostModel::trained_hive();
+    let mut optimizer = RaqoOptimizer::new(
+        &schema.catalog,
+        &schema.graph,
+        &model,
+        ClusterConditions::paper_default(),
+        PlannerKind::Selinger,
+        ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.05 }),
+    );
+    let plans: Vec<Option<RaqoPlan>> =
+        QuerySpec::tpch_full_suite().iter().map(|q| optimizer.optimize(q)).collect();
+    let tree = |plan: &Option<RaqoPlan>| {
+        let mut out = String::new();
+        serde::write_value(&mut out, &plan.to_value(), None, 0);
+        out
+    };
+    // What is timed must be right: both write the same bytes.
+    for plan in &plans {
+        assert_eq!(serde_json::to_string(plan).unwrap(), tree(plan));
+    }
+    let mut group = c.benchmark_group("plan_json");
+    group.bench_function("to_string_22_plans", |b| {
+        b.iter(|| {
+            for plan in &plans {
+                black_box(serde_json::to_string(plan).unwrap());
+            }
+        })
+    });
+    group.bench_function("tree_then_write_value_22_plans", |b| {
+        b.iter(|| {
+            for plan in &plans {
+                black_box(tree(plan));
+            }
+        })
+    });
+    group.finish();
+}
+
 /// One learned-model prediction (the hot operation of all planning).
 fn cost_model_eval(c: &mut Criterion) {
     let model = JoinCostModel::trained_hive();
@@ -170,6 +218,7 @@ criterion_group!(
     resource_search,
     cache_lookup,
     checkpoint,
+    plan_json,
     cost_model_eval,
     cart_training,
     simulator

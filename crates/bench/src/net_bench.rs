@@ -3,7 +3,7 @@
 //! A [`raqo_net::PlanServer`] wrapping the same sharded planning service
 //! the in-process throughput bench drives, hammered by closed-loop
 //! [`raqo_net::PlanClient`]s at 1, 4, and 8 connections. Every request is
-//! a full round trip — frame encode, TCP, decode, dispatch queue, worker
+//! a full round trip — frame encode, TCP, decode, admission queue, worker
 //! pool, reply frame — so the series prices exactly what the network
 //! layer adds on top of `ThroughputSeries`.
 //!
@@ -114,12 +114,7 @@ fn run_point(connections: usize, per_conn: usize) -> NetPoint {
     ));
     let server = PlanServer::bind(
         "127.0.0.1:0",
-        NetConfig {
-            max_connections: connections + 4,
-            dispatchers: 4,
-            dispatch_capacity: total.max(connections),
-            ..NetConfig::default()
-        },
+        NetConfig { max_connections: connections + 4, ..NetConfig::default() },
         service.clone(),
         tel.clone(),
     )

@@ -81,14 +81,20 @@ fn client(server: &PlanServer, read_timeout: Duration, retries: u32, tel: &Telem
     .with_telemetry(tel.clone())
 }
 
-/// Kernel threads of this process, from `/proc/self/status`.
+/// Kernel threads of this process that carry the calling thread's name:
+/// itself and every unnamed thread started from it, directly or not (a new
+/// thread inherits its creator's name), so the server, worker and client
+/// threads a test starts all count. The test threads the harness starts
+/// beside it carry their own names and do not — one that starts while the
+/// soak runs is not a leak.
 fn threads_now() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
+    let name = |task: &std::path::Path| std::fs::read_to_string(task.join("comm")).ok();
+    let own = name(std::path::Path::new("/proc/thread-self")).expect("own thread name");
+    std::fs::read_dir("/proc/self/task")
+        .expect("proc tasks")
+        .filter_map(Result::ok)
+        .filter(|task| name(&task.path()).as_ref() == Some(&own))
+        .count()
 }
 
 /// Assert every opened connection was accounted closed.
@@ -301,15 +307,8 @@ fn soak_survives_one_in_eight_faulted_frames_with_zero_leaks() {
     let _serial = lock();
     let threads_before = threads_now();
     let _guard = FaultGuard::new();
-    let (server, service, tel) = start_stack(
-        NetConfig {
-            max_connections: 64,
-            dispatchers: 4,
-            dispatch_capacity: 256,
-            ..NetConfig::default()
-        },
-        4,
-    );
+    let (server, service, tel) =
+        start_stack(NetConfig { max_connections: 64, ..NetConfig::default() }, 4);
 
     // The schedule: every 8th `net.frame` probe is faulted — mostly
     // garbage bytes, every fifth one a torn frame — and one seeded reset
@@ -386,8 +385,8 @@ fn soak_survives_one_in_eight_faulted_frames_with_zero_leaks() {
     assert!(!raqo_faults::armed(), "soak: faults leaked");
     assert_connections_balanced(&tel);
 
-    // Thread accounting: every server, dispatcher, worker, and client
-    // thread must be joined. Detached threads would show up here.
+    // Thread accounting: every server, worker, and client thread must be
+    // joined. Detached threads would show up here.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let now = threads_now();

@@ -23,6 +23,15 @@
 //!   drops straight to its cheap bottom rungs and the caller receives a
 //!   [`Degradation`]-annotated plan rather than an error.
 //!
+//! Two entry points share one admission path. [`PlanningService::submit`]
+//! returns a [`PlanTicket`] to block on and sheds inline when the queue is
+//! full. [`PlanningService::try_submit_with`] takes a reply hook instead —
+//! it runs once, on the worker thread that planned the request — and hands
+//! the request back unplanned when the queue is full, so a caller on an
+//! I/O thread (the `raqo-net` event loop) never waits and never plans.
+//! Either way a job dropped unanswered, by a worker unwinding out of a
+//! panicking plan, still answers: with a `None`-plan reply.
+//!
 //! Queue depth, queue-wait, and shed/admit/complete counters flow through
 //! `raqo-telemetry` (`raqo_service_queue_depth`,
 //! `raqo_service_queue_wait_us`, `raqo_service_*_total`).
@@ -155,7 +164,8 @@ impl PlanRequest {
 pub struct ServiceReply {
     /// The plan; `None` only if the optimizer found the query outright
     /// unplannable (no feasible join at all), which the ladder's
-    /// rule-based rung prevents for any executable query.
+    /// rule-based rung prevents for any executable query, or if the worker
+    /// planning it panicked.
     pub plan: Option<RaqoPlan>,
     pub priority: Priority,
     /// True when admission control shed the request and it was planned
@@ -190,7 +200,7 @@ impl std::fmt::Display for WaitTimeout {
 impl std::error::Error for WaitTimeout {}
 
 impl ServiceReply {
-    /// The reply a dropped worker sender degenerates to (never a hang).
+    /// The reply a job dropped unanswered degenerates to (never a hang).
     fn lost_worker() -> ServiceReply {
         ServiceReply {
             plan: None,
@@ -210,18 +220,15 @@ pub struct PlanTicket {
 }
 
 impl PlanTicket {
-    /// Block until the reply arrives. A worker dying mid-request would
-    /// drop the sender; that surfaces as a `None` plan reply here rather
-    /// than a hang.
+    /// Block until the reply arrives. A worker dying mid-request answers
+    /// with a `None` plan reply rather than leaving this to hang.
     pub fn wait(self) -> ServiceReply {
         self.rx.recv().unwrap_or_else(|_| ServiceReply::lost_worker())
     }
 
     /// Block until the reply arrives or `timeout` passes, whichever comes
-    /// first. A lost ticket (worker died, service wedged) surfaces as a
-    /// typed [`WaitTimeout`] instead of blocking its caller forever — the
-    /// server's reply path leans on this so one stuck ticket cannot wedge
-    /// a whole connection.
+    /// first. A wedged service surfaces as a typed [`WaitTimeout`] instead
+    /// of blocking its caller forever.
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServiceReply, WaitTimeout> {
         match self.rx.recv_timeout(timeout) {
             Ok(reply) => Ok(reply),
@@ -231,14 +238,51 @@ impl PlanTicket {
     }
 }
 
+/// A caller's completion hook (see [`PlanningService::try_submit_with`]).
+type ReplyFn = Box<dyn FnOnce(ServiceReply) + Send>;
+
+/// A job's completion hook, run exactly once: with the worker's reply, or
+/// — when the job is dropped unanswered, i.e. by a worker unwinding out of
+/// a panicking plan — with [`ServiceReply::lost_worker`], so the caller is
+/// answered instead of left to time out.
+struct ReplyHook(Option<ReplyFn>);
+
+impl ReplyHook {
+    fn send(mut self, reply: ServiceReply) {
+        if let Some(hook) = self.0.take() {
+            hook(reply);
+        }
+    }
+}
+
+impl Drop for ReplyHook {
+    fn drop(&mut self) {
+        if let Some(hook) = self.0.take() {
+            hook(ServiceReply::lost_worker());
+        }
+    }
+}
+
 struct Job {
     request: PlanRequest,
     enqueued: Instant,
-    reply: mpsc::Sender<ServiceReply>,
+    reply: ReplyHook,
     /// The ticket's trace, opened at submission so the queue wait is part
     /// of the trace; the worker enters it while planning and finishes it
     /// after replying.
     trace: TraceContext,
+}
+
+impl Job {
+    /// Admission refused the job: drop its hook uncalled, close its trace,
+    /// and hand the request back.
+    fn refuse(self) -> PlanRequest {
+        let Job { request, mut reply, trace, .. } = self;
+        reply.0 = None;
+        trace.attr("admission.refused", true);
+        trace.finish();
+        request
+    }
 }
 
 struct Shared {
@@ -339,6 +383,36 @@ impl PlanningService {
     /// ticket resolves immediately).
     pub fn submit(&self, request: PlanRequest) -> PlanTicket {
         let (tx, rx) = mpsc::channel();
+        let hook = Box::new(move |reply| {
+            let _ = tx.send(reply);
+        });
+        if let Err(job) = self.enqueue(request, hook) {
+            self.shed_inline(job);
+        }
+        PlanTicket { rx }
+    }
+
+    /// Submit a request whose reply goes to `on_reply` instead of a ticket.
+    /// The hook runs once, on the worker thread that planned the request,
+    /// before that worker does anything else — so it should be short (the
+    /// wire front end encodes the reply and posts it to its event loop). A
+    /// worker that panics mid-plan still runs it, with a `None` plan.
+    ///
+    /// When the admission queue is full the request comes back unplanned
+    /// (`Err`) and the hook is dropped uncalled: no inline shed lane, no
+    /// [`shed`](Self::shed) count, so the caller never plans on its own
+    /// thread and answers the overload however it sees fit.
+    pub fn try_submit_with<F>(&self, request: PlanRequest, on_reply: F) -> Result<(), PlanRequest>
+    where
+        F: FnOnce(ServiceReply) + Send + 'static,
+    {
+        self.enqueue(request, Box::new(on_reply)).map_err(Job::refuse)
+    }
+
+    /// The one admission path: open the request's trace and push it onto
+    /// the queue, or hand the job back when the queue is full.
+    #[allow(clippy::result_large_err)] // the job moves back only on overload
+    fn enqueue(&self, request: PlanRequest, reply: ReplyFn) -> Result<(), Job> {
         let class = request.priority as usize;
         // Each ticket is one trace; the tenant namespace and priority
         // class ride along as attributes so an operator can attribute any
@@ -346,46 +420,44 @@ impl PlanningService {
         let trace = self.telemetry.start_trace("plan.ticket");
         trace.attr("tenant.namespace", request.namespace);
         trace.attr("priority.class", request.priority.name());
-        let job = Job { request, enqueued: Instant::now(), reply: tx, trace };
-        let rejected = {
+        let job = Job { request, enqueued: Instant::now(), reply: ReplyHook(Some(reply)), trace };
+        {
             let mut queue = lock_queue(&self.shared.queue);
-            let out = queue.try_push(class, job);
+            let pushed = queue.try_push(class, job);
             self.telemetry.gauge_set(Gauge::ServiceQueueDepth, queue.len() as i64);
-            out
-        };
-        match rejected {
-            Ok(()) => {
-                self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.inc(Counter::ServiceAdmitted);
-                self.shared.work_ready.notify_one();
-            }
-            Err(job) => {
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.inc(Counter::ServiceShed);
-                job.trace.attr("shed", true);
-                let sw = Instant::now();
-                let plan = {
-                    // Entering the trace here makes the zero-budget
-                    // ladder's degradation counters flag it for tail
-                    // retention.
-                    let _in_trace = job.trace.enter();
-                    let mut lane = self.shed_lane.lock().unwrap_or_else(|e| e.into_inner());
-                    lane(&job.request)
-                };
-                let trace_id = job.trace.trace_id();
-                let _ = job.reply.send(ServiceReply {
-                    plan,
-                    priority: job.request.priority,
-                    shed: true,
-                    queue_wait_us: 0,
-                    service_us: sw.elapsed().as_micros() as u64,
-                    trace_id,
-                    deadline_expired: false,
-                });
-                job.trace.finish();
-            }
+            pushed?;
         }
-        PlanTicket { rx }
+        self.shared.admitted.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.inc(Counter::ServiceAdmitted);
+        self.shared.work_ready.notify_one();
+        Ok(())
+    }
+
+    /// `submit`'s answer to a full queue: plan inline under a
+    /// zero-evaluation budget.
+    fn shed_inline(&self, job: Job) {
+        self.shared.shed.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.inc(Counter::ServiceShed);
+        job.trace.attr("shed", true);
+        let sw = Instant::now();
+        let plan = {
+            // Entering the trace here makes the zero-budget ladder's
+            // degradation counters flag it for tail retention.
+            let _in_trace = job.trace.enter();
+            let mut lane = self.shed_lane.lock().unwrap_or_else(|e| e.into_inner());
+            lane(&job.request)
+        };
+        let trace_id = job.trace.trace_id();
+        job.reply.send(ServiceReply {
+            plan,
+            priority: job.request.priority,
+            shed: true,
+            queue_wait_us: 0,
+            service_us: sw.elapsed().as_micros() as u64,
+            trace_id,
+            deadline_expired: false,
+        });
+        job.trace.finish();
     }
 
     /// Plans completed by workers so far (excludes shed replies).
@@ -519,7 +591,9 @@ fn worker_loop<M: OperatorCost + Send + Sync>(
         tel.inc(Counter::ServiceCompleted);
         let done = shared.completed.fetch_add(1, Ordering::Relaxed) + 1;
         let trace_id = job.trace.trace_id();
-        let _ = job.reply.send(ServiceReply {
+        // Were this thread to unwind before here, dropping `job` would
+        // answer the hook with `lost_worker`.
+        job.reply.send(ServiceReply {
             plan,
             priority: Priority::from_class(class),
             shed: false,
@@ -546,6 +620,7 @@ mod tests {
     use raqo_catalog::tpch::TpchSchema;
     use raqo_cost::SimOracleCost;
     use raqo_resource::{CacheLookup, ClusterConditions, ResourceConfig};
+    use raqo_sim::engine::JoinImpl;
 
     fn build_optimizer(_worker: usize) -> RaqoOptimizer<'static, SimOracleCost> {
         static MODEL: std::sync::OnceLock<SimOracleCost> = std::sync::OnceLock::new();
@@ -678,6 +753,85 @@ mod tests {
             snap.get(Counter::ServiceAdmitted),
             (replies.len() - shed.len()) as u64
         );
+    }
+
+    #[test]
+    fn try_submit_with_hands_back_what_a_full_queue_refuses() {
+        let tel = Telemetry::enabled();
+        let service = PlanningService::start(
+            ServiceConfig { workers: 1, queue_capacity: 1, ..Default::default() },
+            ShardedCacheBank::with_shards(4),
+            tel.clone(),
+            build_optimizer,
+        );
+        let q3 = || PlanRequest::new(QuerySpec::tpch_q3(), Priority::Standard);
+        // Park the only worker inside the first request's hook, so the
+        // queue holds exactly what is submitted next.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        service
+            .try_submit_with(q3(), move |reply| {
+                entered_tx.send(reply.plan.is_some()).unwrap();
+                let _ = release_rx.recv();
+            })
+            .expect("an empty queue admits");
+        assert!(entered_rx.recv().unwrap(), "the first request was planned");
+        let (second_tx, second_rx) = mpsc::channel();
+        service
+            .try_submit_with(q3(), move |reply| second_tx.send(reply).unwrap())
+            .expect("the one slot is free");
+        let refused = service
+            .try_submit_with(q3().with_namespace(9), |_| panic!("a refused request's hook never runs"))
+            .expect_err("a full queue refuses");
+        assert_eq!(refused.namespace, 9, "the request comes back as submitted");
+        release_tx.send(()).unwrap();
+        assert!(second_rx.recv().unwrap().plan.is_some());
+        assert_eq!(service.completed(), 2, "the refused request was never planned");
+        assert_eq!((service.admitted(), service.shed()), (2, 0));
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.get(Counter::ServiceShed), 0, "refusal is not an inline shed");
+        assert_eq!(snap.get(Counter::ServiceAdmitted), 2);
+        drop(service);
+        assert_eq!(tel.active_trace_count(), 0, "the refused request's trace is closed too");
+    }
+
+    #[test]
+    fn a_panicking_plan_reaches_the_hook_as_a_lost_worker_reply() {
+        struct PanickingCost;
+        impl OperatorCost for PanickingCost {
+            fn join_cost(&self, _: JoinImpl, _: f64, _: f64, _: f64, _: f64) -> Option<f64> {
+                panic!("cost model failure (deliberate, test)");
+            }
+        }
+        fn build_panicking(_worker: usize) -> RaqoOptimizer<'static, PanickingCost> {
+            static SCHEMA: std::sync::OnceLock<TpchSchema> = std::sync::OnceLock::new();
+            let schema = SCHEMA.get_or_init(|| TpchSchema::new(1.0));
+            RaqoOptimizer::new(
+                Arc::new(schema.catalog.clone()),
+                Arc::new(schema.graph.clone()),
+                &PanickingCost,
+                ClusterConditions::paper_default(),
+                PlannerKind::fast_randomized(7),
+                ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor {
+                    threshold: 0.05,
+                }),
+            )
+        }
+        let service = PlanningService::start(
+            ServiceConfig { workers: 2, ..Default::default() },
+            ShardedCacheBank::with_shards(4),
+            Telemetry::disabled(),
+            build_panicking,
+        );
+        let q3 = || PlanRequest::new(QuerySpec::tpch_q3(), Priority::Standard);
+        let (tx, rx) = mpsc::channel();
+        service.try_submit_with(q3(), move |reply| tx.send(reply).unwrap()).unwrap();
+        let reply = rx.recv_timeout(Duration::from_secs(30)).expect("answered, not left hanging");
+        assert!(reply.plan.is_none());
+        assert!(!reply.shed && !reply.deadline_expired);
+        // The ticket path degenerates the same way, on the other worker.
+        assert!(service.submit(q3()).wait().plan.is_none());
+        assert_eq!(service.completed(), 0);
     }
 
     #[test]

@@ -83,11 +83,11 @@ pub enum ErrorCode {
     Torn = 4,
     /// The body failed validation (bad JSON, missing fields, bad enum).
     BadBody = 5,
-    /// Admission control shed the request (dispatch queue full).
+    /// Admission control shed the request (planning queue full).
     Overloaded = 6,
     /// The server is draining for shutdown and accepts no new work.
     Draining = 7,
-    /// The planning ticket did not resolve within the server's wait cap.
+    /// Planning did not finish within the server's ticket timeout.
     WaitTimeout = 8,
     /// Unattributable server-side failure.
     Internal = 9,

@@ -5,9 +5,10 @@
 //! network without giving up any of its robustness guarantees. Everything is
 //! std-only (no async runtime, no protobuf): one nonblocking event loop over
 //! plain `TcpListener`/`TcpStream` that sleeps in `poll(2)` until a socket
-//! is ready, a timer is due, or a dispatcher wakes it ([`server`]); a
-//! versioned length-prefixed frame protocol ([`frame`]); and a bounded
-//! handoff into the planning service's admission queue.
+//! is ready, a timer is due, or a planning worker's completion hook wakes
+//! it ([`server`]); a versioned length-prefixed frame protocol ([`frame`]);
+//! and direct submission into the planning service's bounded admission
+//! queue.
 //!
 //! The crate's single `unsafe` block is the `poll` foreign call in
 //! `poll.rs` (std links the C library already; there is no `libc` crate
@@ -28,9 +29,9 @@
 //!   whose deadline expired in the queue is answered from the ladder's
 //!   zero-evaluation rung (still a plan, annotated), not planned stale.
 //! * **Backpressure sheds, never buffers without bound**: the connection
-//!   cap and the bounded dispatch queue answer `Overloaded` error frames
-//!   instead of queueing forever; `raqo_net_shed_total{reason}` counts each
-//!   shed class.
+//!   cap and the service's bounded admission queue answer `Overloaded`
+//!   error frames instead of queueing forever;
+//!   `raqo_net_shed_total{reason}` counts each shed class.
 //! * **Shutdown drains**: stop accepting, answer `Draining` to new
 //!   requests, finish in-flight work, flush the cache-bank checkpoint, then
 //!   close — bounded by a drain timeout so shutdown itself cannot hang.

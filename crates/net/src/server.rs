@@ -5,13 +5,15 @@
 //! reaper all run in a single loop that blocks in `poll(2)`
 //! ([`crate::poll`]) until a socket is ready, a timer is due, or another
 //! thread wakes it; no peer can block another by stalling, and an idle
-//! server does not run at all. Decoded requests hand off through a bounded
-//! [`AdmissionQueue`] to a small pool of dispatcher threads; each
-//! dispatcher submits to the in-process [`PlanningService`], waits on the
-//! ticket *with a timeout*, encodes the reply, posts it back to the event
-//! loop and wakes it to write. The dispatch queue is the backpressure
-//! point: when it is full the event loop answers `Overloaded` immediately
-//! instead of buffering without bound.
+//! server does not run at all. The loop submits each decoded request
+//! straight into the [`PlanningService`]'s admission queue with a
+//! completion hook ([`PlanningService::try_submit_with`]); the planning
+//! worker that finishes the request runs the hook, which renders and
+//! encodes the reply, posts it to the loop's outbox and wakes the loop to
+//! write it. A request crosses two threads — loop to worker, worker back to
+//! loop — and no thread ever blocks waiting on one. The service's own
+//! bounded queue is the backpressure point: when admission is full the
+//! loop answers `Overloaded` at once instead of buffering without bound.
 //!
 //! How the loop waits, since a missed wake-up is a hang and a spurious one
 //! a hot core:
@@ -22,14 +24,15 @@
 //!   `POLLOUT` only while output is pending. After the wait the loop acts
 //!   only on what was reported — it accepts only a readable listener and
 //!   reads only readable connections.
-//! * **The waker** is how other threads end the wait: a dispatcher after
-//!   pushing a completion, `shutdown` after setting the stop flag. The
-//!   loop drains it *before* reading what they published, so a wake that
-//!   races the drain is either seen or still pending.
+//! * **The waker** is how other threads end the wait: a completion hook
+//!   after posting a reply to an empty outbox, `shutdown` after setting
+//!   the stop flag. The loop drains it *before* collecting what they
+//!   published, so a wake that races the drain is either seen or still
+//!   pending.
 //! * **The timeout** is the nearest real timer — the earliest idle
-//!   deadline among connections with nothing in flight, the drain
-//!   deadline, an accept back-off — or none, so there is no cadence to
-//!   tune.
+//!   deadline among connections with nothing in flight, the oldest
+//!   unanswered request's `ticket_timeout`, the drain deadline, an accept
+//!   back-off — or none, so there is no cadence to tune.
 //! * **Level-triggered readiness must not spin.** A connection past peer
 //!   EOF, or one that drew a protocol error, is never read again (its
 //!   `POLLIN` would stay set forever; after a framing error its bytes mean
@@ -42,10 +45,14 @@
 //!
 //! * **Deadline anchoring.** The wire carries a relative `deadline_ms`
 //!   budget (clients don't share our clock); the server anchors it at
-//!   decode time. Everything after — dispatch queue wait, the planning
-//!   service's own admission queue — counts against the budget, and the
-//!   planning workers answer expired requests from the ladder's
-//!   zero-evaluation rung.
+//!   decode time. Everything after — the planning service's admission
+//!   queue above all — counts against the budget, and the planning workers
+//!   answer expired requests from the ladder's zero-evaluation rung.
+//! * **The ticket timeout is the loop's.** A request still unanswered
+//!   [`NetConfig::ticket_timeout`] after its decode is answered
+//!   `WaitTimeout` by the event loop itself, and its completion, should it
+//!   ever come, is dropped: one wedged plan cannot hold a connection, and
+//!   no thread waits for it.
 //! * **Reply-ring idempotence.** The last [`NetConfig::reply_ring`]
 //!   successfully encoded replies are kept by request id *and* content
 //!   fingerprint. A client retry of an answered request — including on a
@@ -54,11 +61,12 @@
 //!   to reuse an id never sees another request's reply. Error replies are
 //!   never cached: a retry after `WaitTimeout` deserves a fresh attempt.
 //! * **Graceful drain.** Shutdown stops accepting, answers `Draining` to
-//!   new requests, lets in-flight work finish (bounded by
-//!   [`NetConfig::drain_timeout`]) — past that bound even queued work is
-//!   discarded, so drain can never overrun its timeout by a ticket wait —
-//!   flushes the cache-bank checkpoint so a restarted server plans warm,
-//!   then closes every connection and joins the dispatchers.
+//!   new requests, lets in-flight requests finish (bounded by
+//!   [`NetConfig::drain_timeout`]), flushes the cache-bank checkpoint so a
+//!   restarted server plans warm, then closes every connection and joins
+//!   the event loop — the server's only thread, so the bound holds. A
+//!   request still queued in the service past the bound is planned by the
+//!   service, which outlives the server, and its reply is dropped.
 //! * **The reaper spares working connections, not half-open ones.** Idle
 //!   is "no in-flight request and no socket activity" for
 //!   [`NetConfig::idle_timeout`]; a connection waiting on a slow plan is
@@ -78,16 +86,15 @@ use crate::frame::{
 };
 use crate::poll::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::probes;
-use raqo_core::service::{PlanRequest, PlanningService};
-use raqo_sim::AdmissionQueue;
+use raqo_core::service::{PlanRequest, PlanningService, ServiceReply};
 use raqo_telemetry::{Counter, Telemetry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::raw::c_short;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long the listener stays out of the poll set after `accept` failed
@@ -101,10 +108,6 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 pub struct NetConfig {
     /// Live connections before accept-time shedding (`conn_cap`).
     pub max_connections: usize,
-    /// Dispatcher threads bridging the event loop to the planning service.
-    pub dispatchers: usize,
-    /// Bounded dispatch handoff; full means `Overloaded` replies.
-    pub dispatch_capacity: usize,
     /// Frame body cap; larger length prefixes are rejected unbuffered.
     pub max_body: usize,
     /// Cap on unflushed reply bytes buffered per connection. A peer that
@@ -113,8 +116,9 @@ pub struct NetConfig {
     pub output_cap: usize,
     /// Reap connections with no activity and no in-flight work after this.
     pub idle_timeout: Duration,
-    /// Cap on waiting for a planning ticket before a `WaitTimeout` error
-    /// frame — one wedged ticket must not hold a dispatcher forever.
+    /// How long after its decode a request may go unanswered before the
+    /// event loop answers it with a `WaitTimeout` error frame — one wedged
+    /// plan must not hold a connection forever.
     pub ticket_timeout: Duration,
     /// Recently answered request ids kept for retry dedup (0: no ring).
     pub reply_ring: usize,
@@ -126,8 +130,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_connections: 64,
-            dispatchers: 2,
-            dispatch_capacity: 64,
             max_body: frame::DEFAULT_MAX_BODY,
             output_cap: 4 * frame::DEFAULT_MAX_BODY,
             idle_timeout: Duration::from_secs(30),
@@ -138,26 +140,59 @@ impl Default for NetConfig {
     }
 }
 
-/// A decoded request waiting for a dispatcher.
-struct DispatchJob {
-    conn_id: u64,
-    request: RequestFrame,
-    /// Content fingerprint, forwarded into the reply ring for dedup.
-    fingerprint: u64,
-    /// When the frame was decoded — the deadline anchor.
-    decoded_at: Instant,
+/// An encoded reply on its way back to the event loop, tagged with the
+/// submission it answers.
+struct Completion {
+    seq: u64,
+    bytes: Vec<u8>,
 }
 
-/// An encoded reply travelling back to the event loop.
-struct Completion {
-    conn_id: u64,
-    request_id: u64,
-    /// The request's content fingerprint, keyed into the reply ring.
-    fingerprint: u64,
-    bytes: Vec<u8>,
-    /// Only successful replies enter the dedup ring; errors (WaitTimeout)
-    /// must not be replayed to a retry that deserves a fresh attempt.
-    cacheable: bool,
+/// Where completion hooks post replies for the event loop. The hooks hold
+/// this and nothing else of the server, so a request still queued in the
+/// service after the server has gone keeps only this alive.
+struct Outbox {
+    done: Mutex<Vec<Completion>>,
+    /// Ends the event loop's wait: after a post to an empty `done`, after
+    /// `stop` is set.
+    waker: Waker,
+    telemetry: Telemetry,
+}
+
+impl Outbox {
+    /// The completion hook, run on the planning worker: render the plan,
+    /// encode the reply frame, post it and wake the loop. A post to an
+    /// outbox that is not empty needs no wake — the post that made it
+    /// non-empty woke the loop, which has not collected since.
+    fn post(&self, seq: u64, request_id: u64, reply: ServiceReply) {
+        if reply.deadline_expired {
+            self.telemetry.inc(Counter::NetShedDeadline);
+        }
+        let mut flags = 0u8;
+        if reply.shed {
+            flags |= FLAG_SHED;
+        }
+        if reply.deadline_expired {
+            flags |= FLAG_DEADLINE_EXPIRED;
+        }
+        let plan_json = serde_json::to_string(&reply.plan).unwrap_or_else(|_| "null".to_string());
+        let bytes = ReplyFrame {
+            request_id,
+            trace_id: reply.trace_id,
+            flags,
+            queue_wait_us: reply.queue_wait_us,
+            service_us: reply.service_us,
+            plan_json,
+        }
+        .encode();
+        let first = {
+            let mut done = lock(&self.done);
+            done.push(Completion { seq, bytes });
+            done.len() == 1
+        };
+        if first {
+            self.waker.wake();
+        }
+    }
 }
 
 struct NetShared {
@@ -166,16 +201,9 @@ struct NetShared {
     config: NetConfig,
     /// Graceful-drain request (set by shutdown/Drop).
     stop: AtomicBool,
-    dispatch: Mutex<AdmissionQueue<DispatchJob>>,
-    dispatch_ready: Condvar,
-    /// Set by the event loop once drained; releases the dispatchers.
-    dispatch_stop: AtomicBool,
-    completions: Mutex<Vec<Completion>>,
-    /// Ends the event loop's wait: after a push to `completions`, after
-    /// `stop` is set.
-    waker: Waker,
-    /// Requests handed to dispatch whose completions the event loop has
-    /// not yet consumed — the drain barrier.
+    outbox: Arc<Outbox>,
+    /// Requests submitted to the service and not yet answered — the drain
+    /// barrier, mirrored from the event loop's [`Tickets`].
     in_flight: AtomicUsize,
     live_connections: AtomicUsize,
     /// Event-loop passes, i.e. returns from the readiness wait.
@@ -183,8 +211,9 @@ struct NetShared {
 }
 
 fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
-    // A panic fault inside a dispatcher (chaos suite) may poison these;
-    // the protected state is structurally valid after any single push/pop.
+    // Completion hooks push from planning workers, which a panic fault
+    // (chaos suite) may unwind; the outbox is structurally valid after any
+    // single push or take.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -195,7 +224,6 @@ pub struct PlanServer {
     shared: Arc<NetShared>,
     local_addr: SocketAddr,
     event: Option<std::thread::JoinHandle<()>>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl PlanServer {
@@ -210,34 +238,26 @@ impl PlanServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let classes = raqo_core::Priority::ALL.len();
+        let outbox = Arc::new(Outbox {
+            done: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+            telemetry: telemetry.clone(),
+        });
         let shared = Arc::new(NetShared {
             service,
             telemetry,
-            dispatch: Mutex::new(AdmissionQueue::bounded(
-                classes,
-                config.dispatch_capacity.max(1),
-            )),
-            dispatch_ready: Condvar::new(),
-            dispatch_stop: AtomicBool::new(false),
-            completions: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
+            outbox,
             in_flight: AtomicUsize::new(0),
             live_connections: AtomicUsize::new(0),
             wakeups: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             config,
         });
-        let mut dispatchers = Vec::new();
-        for _ in 0..shared.config.dispatchers.max(1) {
-            let shared = Arc::clone(&shared);
-            dispatchers.push(std::thread::spawn(move || dispatcher_loop(&shared)));
-        }
         let event = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || event_loop(&shared, listener))
         };
-        Ok(PlanServer { shared, local_addr, event: Some(event), dispatchers })
+        Ok(PlanServer { shared, local_addr, event: Some(event) })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
@@ -249,7 +269,7 @@ impl PlanServer {
         self.shared.live_connections.load(Ordering::Relaxed)
     }
 
-    /// Requests dispatched but not yet answered back to the event loop.
+    /// Requests submitted to the planning service and not yet answered.
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::Relaxed)
     }
@@ -262,23 +282,16 @@ impl PlanServer {
     }
 
     /// Graceful drain: stop accepting, answer `Draining`, finish in-flight
-    /// work, flush the cache-bank checkpoint, close, join every thread.
+    /// work, flush the cache-bank checkpoint, close, join the event loop.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        self.shared.waker.wake();
+        self.shared.outbox.waker.wake();
         if let Some(event) = self.event.take() {
             let _ = event.join();
-        }
-        // The event loop sets dispatch_stop on its way out; belt and
-        // braces in case it died by panic.
-        self.shared.dispatch_stop.store(true, Ordering::Release);
-        self.shared.dispatch_ready.notify_all();
-        for handle in self.dispatchers.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -388,6 +401,34 @@ enum Fate {
 /// retry dedup.
 type ReplyRing = VecDeque<(u64, u64, Vec<u8>)>;
 
+/// A request in the planning service, as the event loop tracks it.
+struct Pending {
+    conn_id: u64,
+    request_id: u64,
+    /// Content fingerprint, keyed into the reply ring with the reply.
+    fingerprint: u64,
+    /// Decode time plus `ticket_timeout`: when the loop answers
+    /// `WaitTimeout` itself (`None` when too far off to represent).
+    due: Option<Instant>,
+}
+
+/// Requests submitted to the planning service and not yet answered, by
+/// submission number. Numbers are never reused, so a completion that
+/// arrives after its request timed out finds nothing and is dropped. They
+/// follow decode order and every request gets the same `ticket_timeout`,
+/// so the first entry is always the next one due.
+#[derive(Default)]
+struct Tickets {
+    pending: BTreeMap<u64, Pending>,
+    next_seq: u64,
+}
+
+impl Tickets {
+    fn next_due(&self) -> Option<Instant> {
+        self.pending.values().next().and_then(|p| p.due)
+    }
+}
+
 fn earlier(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
     a.into_iter().chain(b).min()
 }
@@ -399,6 +440,7 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 1;
     let mut reply_ring = ReplyRing::new();
+    let mut tickets = Tickets::default();
     let mut drain_started: Option<Instant> = None;
     let mut accept_retry_at: Option<Instant> = None;
     let mut fds: Vec<PollFd> = Vec::new();
@@ -407,13 +449,13 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
         // Register interest and find the nearest timer. A deadline too far
         // off to represent (`checked_add` overflow) is no deadline.
         fds.clear();
-        fds.push(PollFd::new(shared.waker.fd(), POLLIN));
+        fds.push(PollFd::new(shared.outbox.waker.fd(), POLLIN));
         let listener_slot = (drain_started.is_none() && accept_retry_at.is_none()).then(|| {
             fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
             fds.len() - 1
         });
         let mut timer = earlier(
-            accept_retry_at,
+            earlier(accept_retry_at, tickets.next_due()),
             drain_started.and_then(|t| t.checked_add(cfg.drain_timeout)),
         );
         for conn in conns.values_mut() {
@@ -436,7 +478,7 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
         // Drain the waker *before* reading what its callers published.
         let woken = fds[WAKER_SLOT].revents() != 0;
         if woken {
-            shared.waker.drain();
+            shared.outbox.waker.drain();
         }
         let draining = shared.stop.load(Ordering::Acquire);
         if draining && drain_started.is_none() {
@@ -458,15 +500,17 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
             accept_retry_at = now.checked_add(ACCEPT_BACKOFF);
         }
         if woken {
-            route_completions(shared, &mut conns, &mut reply_ring);
+            route_completions(shared, &mut conns, &mut reply_ring, &mut tickets);
         }
+        expire_tickets(shared, &mut conns, &mut tickets, now);
 
         // One pass decides each connection's fate: serve what poll
         // reported, flush what is pending, then the idle reaper.
         let before = conns.len();
         conns.retain(|&id, conn| {
             let revents = conn.slot.take().map_or(0, |slot| fds[slot].revents());
-            if service_conn(id, conn, revents, shared, &reply_ring, draining) == Fate::Close {
+            let fate = service_conn(id, conn, revents, shared, &reply_ring, &mut tickets, draining);
+            if fate == Fate::Close {
                 return false;
             }
             // Inactivity with no in-flight work is enough — a
@@ -489,8 +533,7 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
         }
 
         if let Some(started) = drain_started {
-            let quiesced = shared.in_flight.load(Ordering::Relaxed) == 0
-                && conns.values().all(Conn::flushed);
+            let quiesced = tickets.pending.is_empty() && conns.values().all(Conn::flushed);
             if quiesced || started.elapsed() >= cfg.drain_timeout {
                 break;
             }
@@ -498,13 +541,10 @@ fn event_loop(shared: &NetShared, listener: TcpListener) {
     }
 
     // Drained (or drain timed out): flush the shared cache bank so a
-    // restarted server starts warm, close everything, release dispatchers.
+    // restarted server starts warm, then close everything.
     shared.service.housekeep();
     tel.add(Counter::NetConnectionsClosed, conns.len() as u64);
     shared.live_connections.fetch_sub(conns.len(), Ordering::Relaxed);
-    drop(conns);
-    shared.dispatch_stop.store(true, Ordering::Release);
-    shared.dispatch_ready.notify_all();
 }
 
 /// Accept until the backlog is empty. Returns `false` if `accept` failed in
@@ -552,28 +592,60 @@ fn route_completions(
     shared: &NetShared,
     conns: &mut HashMap<u64, Conn>,
     reply_ring: &mut ReplyRing,
+    tickets: &mut Tickets,
 ) {
     let cfg = &shared.config;
-    let done: Vec<Completion> = std::mem::take(&mut *lock(&shared.completions));
+    let done: Vec<Completion> = std::mem::take(&mut *lock(&shared.outbox.done));
     for c in done {
+        // Not pending: the loop already answered `WaitTimeout`. The late
+        // reply is dropped and kept out of the ring — the client was told
+        // to retry, and a retry deserves a fresh attempt.
+        let Some(p) = tickets.pending.remove(&c.seq) else { continue };
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        // A cacheable reply moves into the ring and is written from there:
-        // no copy beyond the one into the output buffer.
-        let bytes = if c.cacheable && cfg.reply_ring > 0 {
+        // The reply moves into the ring and is written from there: no copy
+        // beyond the one into the output buffer.
+        let bytes = if cfg.reply_ring > 0 {
             if reply_ring.len() >= cfg.reply_ring {
                 reply_ring.pop_front();
             }
-            reply_ring.push_back((c.request_id, c.fingerprint, c.bytes));
+            reply_ring.push_back((p.request_id, p.fingerprint, c.bytes));
             &reply_ring.back().expect("just pushed").2
         } else {
             &c.bytes
         };
-        if let Some(conn) = conns.get_mut(&c.conn_id) {
+        if let Some(conn) = conns.get_mut(&p.conn_id) {
             conn.in_flight = conn.in_flight.saturating_sub(1);
             conn.push_frame(bytes, cfg.output_cap, &shared.telemetry);
         }
         // Connection gone: the ring above still serves a retry that
         // arrives on a replacement connection.
+    }
+}
+
+/// Answer `WaitTimeout` for every request past its `ticket_timeout`.
+fn expire_tickets(
+    shared: &NetShared,
+    conns: &mut HashMap<u64, Conn>,
+    tickets: &mut Tickets,
+    now: Instant,
+) {
+    let cfg = &shared.config;
+    while let Some(entry) = tickets.pending.first_entry() {
+        if entry.get().due.is_none_or(|due| due > now) {
+            break;
+        }
+        let p = entry.remove();
+        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        if let Some(conn) = conns.get_mut(&p.conn_id) {
+            conn.in_flight = conn.in_flight.saturating_sub(1);
+            let bytes = ErrorFrame {
+                request_id: p.request_id,
+                code: ErrorCode::WaitTimeout,
+                message: format!("planning did not finish within {:?}", cfg.ticket_timeout),
+            }
+            .encode();
+            conn.push_frame(&bytes, cfg.output_cap, &shared.telemetry);
+        }
     }
 }
 
@@ -615,7 +687,7 @@ fn reap(conn: &mut Conn, telemetry: &Telemetry) {
 }
 
 /// One pass over a connection, acting on what poll reported (`revents`):
-/// drain readable bytes and decode and dispatch their frames, then flush
+/// drain readable bytes and decode and submit their frames, then flush
 /// pending output. Returns the connection's fate.
 fn service_conn(
     id: u64,
@@ -623,11 +695,12 @@ fn service_conn(
     revents: c_short,
     shared: &NetShared,
     reply_ring: &ReplyRing,
+    tickets: &mut Tickets,
     draining: bool,
 ) -> Fate {
     if conn.reading() {
         if revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0
-            && read_and_decode(id, conn, shared, reply_ring, draining) == Fate::Close
+            && read_and_decode(id, conn, shared, reply_ring, tickets, draining) == Fate::Close
         {
             return Fate::Close;
         }
@@ -686,6 +759,7 @@ fn read_and_decode(
     conn: &mut Conn,
     shared: &NetShared,
     reply_ring: &ReplyRing,
+    tickets: &mut Tickets,
     draining: bool,
 ) -> Fate {
     // -- read --
@@ -746,7 +820,7 @@ fn read_and_decode(
                 shared.telemetry.inc(Counter::NetFramesIn);
                 match frame {
                     Frame::Request(req) => {
-                        handle_request(id, conn, req, shared, reply_ring, draining)
+                        handle_request(id, conn, req, shared, reply_ring, tickets, draining)
                     }
                     Frame::Reply(_) | Frame::Error(_) => {
                         // Clients send requests; anything else means the
@@ -775,12 +849,15 @@ fn read_and_decode(
     Fate::Keep
 }
 
+/// Answer one decoded request from the drain state or the reply ring, or
+/// submit it to the planning service.
 fn handle_request(
     conn_id: u64,
     conn: &mut Conn,
     req: RequestFrame,
     shared: &NetShared,
     reply_ring: &ReplyRing,
+    tickets: &mut Tickets,
     draining: bool,
 ) {
     let tel = &shared.telemetry;
@@ -808,127 +885,37 @@ fn handle_request(
         conn.push_frame(bytes, shared.config.output_cap, tel);
         return;
     }
-    let class = req.priority as usize;
+    // Anchor the deadline budget and the ticket timeout at decode time:
+    // the service's queue wait counts against both.
+    let decoded_at = Instant::now();
     let request_id = req.request_id;
-    let job = DispatchJob { conn_id, request: req, fingerprint, decoded_at: Instant::now() };
-    let pushed = lock(&shared.dispatch).try_push(class, job);
-    match pushed {
+    let mut request = PlanRequest::new(req.query, req.priority).with_namespace(req.namespace);
+    if req.deadline_ms > 0 {
+        request = request
+            .with_deadline_at(decoded_at + Duration::from_millis(u64::from(req.deadline_ms)));
+    }
+    let seq = tickets.next_seq;
+    tickets.next_seq += 1;
+    let outbox = Arc::clone(&shared.outbox);
+    let on_reply = move |reply| outbox.post(seq, request_id, reply);
+    match shared.service.try_submit_with(request, on_reply) {
         Ok(()) => {
+            let due = decoded_at.checked_add(shared.config.ticket_timeout);
+            tickets.pending.insert(seq, Pending { conn_id, request_id, fingerprint, due });
             conn.in_flight += 1;
             shared.in_flight.fetch_add(1, Ordering::Relaxed);
-            shared.dispatch_ready.notify_one();
         }
-        Err(_rejected) => {
-            // The bounded handoff is full: shed with a typed reply rather
-            // than buffer without bound.
+        Err(_unplanned) => {
+            // Admission is full: shed with a typed reply rather than
+            // buffer without bound, or plan on this thread.
             tel.inc(Counter::NetShedOverloaded);
             let bytes = ErrorFrame {
                 request_id,
                 code: ErrorCode::Overloaded,
-                message: "dispatch queue full".into(),
+                message: "planning queue full".into(),
             }
             .encode();
             conn.push_frame(&bytes, shared.config.output_cap, tel);
-        }
-    }
-}
-
-// ---- dispatchers -------------------------------------------------------
-
-fn dispatcher_loop(shared: &NetShared) {
-    loop {
-        let job = {
-            let mut queue = lock(&shared.dispatch);
-            loop {
-                // Stop check first: once the drain (or its timeout) has
-                // released the dispatchers, leftover queued jobs are
-                // discarded, not planned — each could wait up to
-                // `ticket_timeout`, and shutdown joins this thread, so
-                // planning them would let shutdown overrun the
-                // `drain_timeout` bound by queued_jobs × ticket_timeout.
-                if shared.dispatch_stop.load(Ordering::Acquire) {
-                    while queue.pop_next().is_some() {
-                        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    break None;
-                }
-                if let Some((_, job)) = queue.pop_next() {
-                    break Some(job);
-                }
-                queue = shared
-                    .dispatch_ready
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(job) = job else { return };
-        let completion = run_job(shared, job);
-        lock(&shared.completions).push(completion);
-        shared.waker.wake();
-    }
-}
-
-/// Plan one request through the in-process service and encode the answer.
-fn run_job(shared: &NetShared, job: DispatchJob) -> Completion {
-    let req = &job.request;
-    let mut request =
-        PlanRequest::new(req.query.clone(), req.priority).with_namespace(req.namespace);
-    if req.deadline_ms > 0 {
-        // Anchor at decode time: dispatch-queue wait has already been
-        // spent, and the planning service charges its own queue wait too.
-        request = request.with_deadline_at(
-            job.decoded_at + Duration::from_millis(u64::from(req.deadline_ms)),
-        );
-    }
-    let ticket = shared.service.submit(request);
-    match ticket.wait_timeout(shared.config.ticket_timeout) {
-        Ok(reply) => {
-            if reply.deadline_expired {
-                shared.telemetry.inc(Counter::NetShedDeadline);
-            }
-            let mut flags = 0u8;
-            if reply.shed {
-                flags |= FLAG_SHED;
-            }
-            if reply.deadline_expired {
-                flags |= FLAG_DEADLINE_EXPIRED;
-            }
-            let plan_json =
-                serde_json::to_string(&reply.plan).unwrap_or_else(|_| "null".to_string());
-            let bytes = ReplyFrame {
-                request_id: req.request_id,
-                trace_id: reply.trace_id,
-                flags,
-                queue_wait_us: reply.queue_wait_us,
-                service_us: reply.service_us,
-                plan_json,
-            }
-            .encode();
-            Completion {
-                conn_id: job.conn_id,
-                request_id: req.request_id,
-                fingerprint: job.fingerprint,
-                bytes,
-                cacheable: true,
-            }
-        }
-        Err(_timeout) => {
-            let bytes = ErrorFrame {
-                request_id: req.request_id,
-                code: ErrorCode::WaitTimeout,
-                message: format!(
-                    "planning did not finish within {:?}",
-                    shared.config.ticket_timeout
-                ),
-            }
-            .encode();
-            Completion {
-                conn_id: job.conn_id,
-                request_id: req.request_id,
-                fingerprint: job.fingerprint,
-                bytes,
-                cacheable: false,
-            }
         }
     }
 }

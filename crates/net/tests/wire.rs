@@ -147,10 +147,10 @@ fn reply_carries_trace_id_and_timings() {
 
 #[test]
 fn expired_deadline_comes_back_annotated_not_stale() {
-    // One worker and one dispatcher: queue a slow-ish request ahead so the
-    // 1 ms deadline is long gone when the worker reaches it.
+    // One worker: queue a slow-ish request ahead so the 1 ms deadline is
+    // long gone when the worker reaches it.
     let (server, _tel) = start_server(
-        NetConfig { dispatchers: 1, ..NetConfig::default() },
+        NetConfig::default(),
         ServiceConfig { workers: 1, ..ServiceConfig::default() },
     );
     let addr = server.local_addr();
@@ -316,18 +316,13 @@ fn connection_cap_sheds_with_an_overloaded_frame() {
 }
 
 #[test]
-fn dispatch_overload_sheds_with_typed_replies_not_hangs() {
-    // A dispatch queue of 1 and a deliberately wedged service (zero ticket
-    // timeout answers WaitTimeout fast, but the queue only holds one):
-    // burst requests on one socket and count typed answers.
+fn admission_overload_sheds_with_typed_replies_not_hangs() {
+    // One worker and a one-slot admission queue: burst requests on one
+    // socket and count typed answers. The loop never plans inline, so what
+    // admission refuses comes back `Overloaded` at once.
     let (server, tel) = start_server(
-        NetConfig {
-            dispatchers: 1,
-            dispatch_capacity: 1,
-            ticket_timeout: Duration::from_secs(30),
-            ..NetConfig::default()
-        },
-        ServiceConfig { workers: 1, ..ServiceConfig::default() },
+        NetConfig { ticket_timeout: Duration::from_secs(30), ..NetConfig::default() },
+        ServiceConfig { workers: 1, queue_capacity: 1, ..ServiceConfig::default() },
     );
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -357,17 +352,18 @@ fn dispatch_overload_sheds_with_typed_replies_not_hangs() {
         }
     }
     assert_eq!(replies + overloaded, burst);
-    assert!(overloaded > 0, "a 1-slot handoff under an 8-burst must shed");
+    assert!(overloaded > 0, "a 1-slot admission queue under an 8-burst must shed");
     let snap = tel.snapshot().unwrap();
     assert_eq!(snap.get(Counter::NetShedOverloaded), overloaded);
+    assert_eq!(snap.get(Counter::ServiceShed), 0, "nothing was planned inline");
     server.shutdown();
 }
 
 #[test]
 fn wedged_tickets_surface_as_wait_timeout_errors() {
     // Wedged for real (see `GatedCost`): a zero timeout alone races a
-    // release-build worker that can answer a warm retry before the
-    // dispatcher even starts to wait.
+    // release-build worker that can answer a warm retry before the loop
+    // even looks at its timer.
     let (server, _tel, gate) = start_gated_server(NetConfig {
         ticket_timeout: Duration::from_millis(20),
         ..NetConfig::default()
@@ -680,6 +676,15 @@ fn start_gated_server(net: NetConfig) -> (PlanServer, Telemetry, GateOpener) {
         open: Mutex::new(false),
         opened: Condvar::new(),
     }));
+    let (server, telemetry) = start_server_with_model(gated, net);
+    (server, telemetry, GateOpener(gated))
+}
+
+/// A server whose planning workers price joins with `model`.
+fn start_server_with_model<M: OperatorCost + Send + Sync + 'static>(
+    model: &'static M,
+    net: NetConfig,
+) -> (PlanServer, Telemetry) {
     static SCHEMA: std::sync::OnceLock<TpchSchema> = std::sync::OnceLock::new();
     let schema = SCHEMA.get_or_init(|| TpchSchema::new(1.0));
     let telemetry = Telemetry::enabled();
@@ -691,7 +696,7 @@ fn start_gated_server(net: NetConfig) -> (PlanServer, Telemetry, GateOpener) {
             RaqoOptimizer::new(
                 Arc::new(schema.catalog.clone()),
                 Arc::new(schema.graph.clone()),
-                gated,
+                model,
                 ClusterConditions::paper_default(),
                 PlannerKind::fast_randomized(7),
                 ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor {
@@ -702,14 +707,88 @@ fn start_gated_server(net: NetConfig) -> (PlanServer, Telemetry, GateOpener) {
     ));
     let server = PlanServer::bind("127.0.0.1:0", net, service, telemetry.clone())
         .expect("bind loopback");
-    (server, telemetry, GateOpener(gated))
+    (server, telemetry)
+}
+
+/// A cost model that panics on every evaluation: a plan that never
+/// finishes because its worker unwinds.
+struct PanickingCost;
+
+impl OperatorCost for PanickingCost {
+    fn join_cost(&self, _: JoinImpl, _: f64, _: f64, _: f64, _: f64) -> Option<f64> {
+        panic!("cost model failure (deliberate, test)");
+    }
+}
+
+#[test]
+fn a_completion_after_its_wait_timeout_is_dropped() {
+    let (server, tel, gate) = start_gated_server(NetConfig {
+        ticket_timeout: Duration::from_millis(20),
+        ..NetConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = FrameReader::new();
+    stream.write_all(&request(91).encode()).unwrap();
+    match reader.next(&mut stream) {
+        Some(Frame::Error(e)) => {
+            assert_eq!(e.code, ErrorCode::WaitTimeout);
+            assert_eq!(e.request_id, 91);
+        }
+        other => panic!("the wedged request must time out, got {other:?}"),
+    }
+    assert_eq!(server.in_flight(), 0, "a timed-out request is no longer in flight");
+    // Let the wedged plan finish. A ticket's trace closes after its reply
+    // hook has run, so once one has closed the late completion is in the
+    // outbox, ahead of anything sent from here on.
+    drop(gate);
+    assert!(wait_until(|| {
+        let snap = tel.snapshot().unwrap();
+        snap.get(Counter::TracesRetained) + snap.get(Counter::TracesSampledOut) >= 1
+    }));
+    // The next frame answers the next request: nothing more for 91.
+    stream.write_all(&request(92).encode()).unwrap();
+    match reader.next(&mut stream) {
+        Some(Frame::Reply(r)) => assert_eq!(r.request_id, 92),
+        other => panic!("the late completion must be dropped, got {other:?}"),
+    }
+    // A retry of 91 is planned afresh, not replayed from the reply ring.
+    stream.write_all(&request(91).encode()).unwrap();
+    match reader.next(&mut stream) {
+        Some(Frame::Reply(r)) => assert_eq!(r.request_id, 91),
+        other => panic!("expected a fresh reply, got {other:?}"),
+    }
+    let snap = tel.snapshot().unwrap();
+    assert_eq!(snap.get(Counter::NetRepliesDeduped), 0);
+    assert_eq!(snap.get(Counter::ServiceCompleted), 3, "91 planned twice, 92 once");
+    assert_eq!(server.in_flight(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn a_panicking_plan_is_answered_with_a_null_plan_not_a_timeout() {
+    static MODEL: PanickingCost = PanickingCost;
+    let (server, tel) = start_server_with_model(&MODEL, no_timers());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(&request(95).encode()).unwrap();
+    match read_frame(&mut stream) {
+        Some(Frame::Reply(r)) => {
+            assert_eq!(r.request_id, 95);
+            assert_eq!(r.plan_json, "null", "the unwinding worker answers with no plan");
+        }
+        other => panic!("a panicking plan must still be answered, got {other:?}"),
+    }
+    assert_eq!(server.in_flight(), 0);
+    assert_eq!(tel.snapshot().unwrap().get(Counter::ServiceCompleted), 0);
+    server.shutdown();
 }
 
 #[test]
 fn completions_and_new_connections_wake_a_loop_with_no_timer() {
     let (server, _tel) = start_server(no_timers(), ServiceConfig::default());
-    // Completion wake: the reply exists only once a dispatcher has posted
-    // it, and nothing but the waker tells the loop.
+    // Completion wake: the reply exists only once a completion hook has
+    // posted it, and nothing but the waker tells the loop.
     let mut first = PlanClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
     first.plan(&QuerySpec::tpch_q3(), Priority::Standard).expect("completion wake");
     // Listener readiness: the first connection now sits idle, so only the

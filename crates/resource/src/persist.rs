@@ -21,7 +21,7 @@
 //! are *not* persisted; a loaded bank starts with fresh counters.
 
 use crate::cache::{CacheBank, ResourcePlanCache};
-use crate::config::ResourceConfig;
+use crate::config::{ResourceConfig, MAX_DIMS};
 use serde::Value;
 use std::fmt::Write;
 use std::io;
@@ -132,9 +132,7 @@ fn cache_value(model: u32, operator: u32, cache: &ResourcePlanCache) -> Value {
 pub(crate) fn write_cache(out: &mut String, model: u32, operator: u32, cache: &ResourcePlanCache) {
     // The one number rule (integral values as integers, non-finite as
     // `null`) stays in `serde`.
-    fn num(out: &mut String, n: f64) {
-        serde::write_value(out, &Value::Num(n), None, 0);
-    }
+    use serde::write_num as num;
     // `write!` into a `String` cannot fail.
     let _ = write!(
         out,
@@ -319,6 +317,14 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
             let Value::Array(coords) = config else {
                 return Err(bad("entry config is not an array"));
             };
+            // `from_slice` asserts the dimension count; a file is not
+            // trusted to respect it.
+            if coords.is_empty() || coords.len() > MAX_DIMS {
+                return Err(bad(&format!(
+                    "entry config has {} coordinates, not 1..={MAX_DIMS}",
+                    coords.len()
+                )));
+            }
             let mut vals = Vec::with_capacity(coords.len());
             for c in coords {
                 vals.push(as_num(c, "config coordinate")?);
@@ -330,11 +336,10 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
     Ok(bank)
 }
 
-/// Write `bank` to `path` (version-1 JSON, atomic only at the filesystem's
-/// whole-file-write granularity).
+/// Write `bank` to `path` (version-1 JSON), replacing any previous file in
+/// one step (see [`write_atomic`]).
 pub fn save_bank(bank: &CacheBank, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    std::fs::write(path, bank_to_json(bank))?;
-    Ok(())
+    save_bank_with(bank, path, None)
 }
 
 /// Move a corrupt file out of the way by renaming it to `<name>.corrupt`.
@@ -376,13 +381,14 @@ pub fn load_bank(path: impl AsRef<Path>) -> Result<CacheBank, PersistError> {
 }
 
 /// Write `bank` to `path` with the cost-model fingerprint stamped into the
-/// header (see [`bank_to_json_with`]).
+/// header (see [`bank_to_json_with`]), replacing any previous file in one
+/// step (see [`write_atomic`]).
 pub fn save_bank_with(
     bank: &CacheBank,
     path: impl AsRef<Path>,
     model_fingerprint: Option<u64>,
 ) -> Result<(), PersistError> {
-    std::fs::write(path, bank_to_json_with(bank, model_fingerprint))?;
+    write_atomic(path.as_ref(), bank_to_json_with(bank, model_fingerprint).as_bytes())?;
     Ok(())
 }
 
@@ -547,6 +553,64 @@ mod tests {
         assert!(err.is_corrupt());
         assert!(quarantined.exists());
         std::fs::remove_file(&quarantined).ok();
+    }
+
+    #[test]
+    fn coordinate_counts_outside_the_config_bounds_are_corrupt_not_a_panic() {
+        let doc = |entry: &str| {
+            format!(r#"{{"version": 1, "caches": [{{"model": 0, "operator": 0, "entries": [{entry}]}}]}}"#)
+        };
+        let dir = std::env::temp_dir();
+        for (name, entry) in [
+            ("raqo_persist_zero_coords.json", "[1,[]]"),
+            ("raqo_persist_five_coords.json", "[1,[1,2,3,4,5]]"),
+        ] {
+            assert!(bank_from_json(&doc(entry)).unwrap_err().is_corrupt(), "{name}");
+            let path = dir.join(name);
+            let quarantined = dir.join(format!("{name}.corrupt"));
+            std::fs::remove_file(&quarantined).ok();
+            std::fs::write(&path, doc(entry)).unwrap();
+            match load_bank(&path) {
+                Err(PersistError::Corrupt { quarantined: Some(q), .. }) => {
+                    assert_eq!(q, quarantined, "{name}")
+                }
+                other => panic!("{name}: expected Corrupt with quarantine, got {other:?}"),
+            }
+            std::fs::remove_file(&quarantined).ok();
+        }
+        // The bounds themselves load.
+        for entry in ["[1,[4]]", "[1,[1,2,3,4]]"] {
+            assert_eq!(bank_from_json(&doc(entry)).unwrap().total_entries(), 1, "{entry}");
+        }
+    }
+
+    #[test]
+    fn saves_replace_the_file_in_one_step() {
+        let path = std::env::temp_dir().join("raqo_persist_atomic_save.json");
+        let tmp = sibling(&path, ".tmp");
+        std::fs::remove_dir(&tmp).ok();
+        let mut old = CacheBank::new();
+        old.cache(0, 0).insert(1.0, cfg(2.0, 3.0));
+        let mut new = CacheBank::new();
+        new.cache(0, 0).insert(4.0, cfg(5.0, 6.0));
+        new.cache(1, 0).insert(7.0, cfg(8.0, 9.0));
+        for fingerprint in [None, Some(0xfeed)] {
+            save_bank_with(&old, &path, fingerprint).unwrap();
+            assert!(!tmp.exists(), "no temporary is left behind");
+            // A directory where the temporary goes makes the next save
+            // fail before it can touch the file.
+            std::fs::create_dir(&tmp).unwrap();
+            assert!(save_bank_with(&new, &path, fingerprint).is_err());
+            assert!(save_bank(&new, &path).is_err());
+            std::fs::remove_dir(&tmp).unwrap();
+            let (loaded, _) = load_bank_checked(&path, fingerprint).unwrap();
+            assert_eq!(bank_to_json(&loaded), bank_to_json(&old), "the previous file still loads");
+            save_bank_with(&new, &path, fingerprint).unwrap();
+            assert!(!tmp.exists());
+            let (loaded, _) = load_bank_checked(&path, fingerprint).unwrap();
+            assert_eq!(bank_to_json(&loaded), bank_to_json(&new));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

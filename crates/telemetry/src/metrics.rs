@@ -120,13 +120,14 @@ pub enum Counter {
     /// Inbound frames rejected as malformed (bad magic/version, oversized,
     /// torn, or an undecodable body) and answered with a typed error frame.
     NetFrameErrors,
-    /// Requests shed by the server because the dispatch queue was full,
-    /// answered with an `Overloaded` error frame.
+    /// Requests shed by the server because the planning service's
+    /// admission queue was full, answered with an `Overloaded` error frame.
     NetShedOverloaded,
     /// Connections shed at accept because the connection cap was reached.
     NetShedConnCap,
-    /// Requests whose deadline budget had already expired when a dispatcher
-    /// picked them up (planned at the zero-eval rung, not stale).
+    /// Wire requests whose deadline budget had already expired when a
+    /// planning worker picked them up (planned at the zero-eval rung, not
+    /// stale).
     NetShedDeadline,
     /// Connections dropped because the peer stopped reading and its
     /// buffered reply backlog hit the per-connection output cap.

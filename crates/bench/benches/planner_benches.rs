@@ -190,16 +190,13 @@ fn planner_speedup(c: &mut Criterion) {
         });
     }
 
-    // The Selinger DP through the same ladder: scalar baseline vs the
-    // batched cost kernel vs batched + parallel DP levels (all brute-force
-    // resource planning, all bit-identical plans).
+    // The Selinger DP through the same ladder: sequential batched level
+    // fills vs parallel DP levels (all brute-force resource planning, all
+    // bit-identical plans).
     let selinger_query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 8, 3);
-    let selinger_modes: [(&str, Parallelism, bool); 3] = [
-        ("selinger_scalar", Parallelism::Off, false),
-        ("selinger_batched", Parallelism::Off, true),
-        ("selinger_parallel", Parallelism::Auto, true),
-    ];
-    for (name, parallelism, batch) in selinger_modes {
+    let selinger_modes: [(&str, Parallelism); 2] =
+        [("selinger_batched", Parallelism::Off), ("selinger_parallel", Parallelism::Auto)];
+    for (name, parallelism) in selinger_modes {
         group.bench_function(name, |b| {
             let mut opt = RaqoOptimizer::new(
                 &schema.catalog,
@@ -210,7 +207,6 @@ fn planner_speedup(c: &mut Criterion) {
                 ResourceStrategy::BruteForce,
             );
             opt.set_parallelism(parallelism);
-            opt.set_batch_kernel(batch);
             b.iter(|| black_box(opt.optimize(&selinger_query)));
         });
     }
@@ -373,17 +369,17 @@ fn grid_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multi-start hill climbing through the optimizer: the per-seed climber
-/// vs the lock-step batched climber (`use_batch` gathers each round's
-/// whole candidate neighborhood into one batched cost call). Plans and
-/// accounting are asserted identical across both modes before timing
-/// starts, telemetry_overhead-style.
+/// Multi-start hill climbing through the optimizer: the lock-step climber
+/// gathers each round's whole candidate neighborhood into one batched cost
+/// call.
 fn hill_climb_batched(c: &mut Criterion) {
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
     let cluster = ClusterConditions::two_dim(1.0..=200.0, 1.0..=10.0, 1.0, 1.0);
     let query = QuerySpec::tpch_all(&schema);
-    let make_opt = |batch: bool| {
+    let mut group = c.benchmark_group("hill_climb_batched");
+    group.sample_size(10);
+    group.bench_function("batched", |b| {
         let mut opt = RaqoOptimizer::new(
             &schema.catalog,
             &schema.graph,
@@ -393,22 +389,8 @@ fn hill_climb_batched(c: &mut Criterion) {
             ResourceStrategy::HillClimb,
         );
         opt.set_parallelism(Parallelism::Threads(2));
-        opt.set_batch_kernel(batch);
-        opt
-    };
-    let per_seed = make_opt(false).optimize(&query).expect("plan");
-    let batched = make_opt(true).optimize(&query).expect("plan");
-    assert_eq!(per_seed.query, batched.query, "batched climb changed the plan");
-    assert_eq!(per_seed.stats, batched.stats, "batched climb changed the accounting");
-
-    let mut group = c.benchmark_group("hill_climb_batched");
-    group.sample_size(10);
-    for (name, batch) in [("per_seed", false), ("batched", true)] {
-        group.bench_function(name, |b| {
-            let mut opt = make_opt(batch);
-            b.iter(|| black_box(opt.optimize(&query)));
-        });
-    }
+        b.iter(|| black_box(opt.optimize(&query)));
+    });
     group.finish();
 }
 
@@ -432,7 +414,6 @@ fn telemetry_overhead(c: &mut Criterion) {
             ResourceStrategy::BruteForce,
         );
         opt.set_parallelism(Parallelism::Off);
-        opt.set_batch_kernel(true);
         opt.set_telemetry(telemetry);
         opt
     };

@@ -27,7 +27,7 @@ use raqo_core::{
     Telemetry,
 };
 use raqo_cost::JoinCostModel;
-use raqo_resource::{CacheLookup, ClusterConditions, SharedCacheBank};
+use raqo_resource::{CacheLookup, ClusterConditions, ShardedCacheBank};
 use raqo_telemetry::{aggregate_spans, Counter};
 use serde::Value;
 
@@ -44,7 +44,7 @@ fn run_cache_file(path: &str) {
     let fingerprint = model.fingerprint();
     let tel = Telemetry::enabled();
     let bank = if std::path::Path::new(path).exists() {
-        match SharedCacheBank::load_checked(path, fingerprint) {
+        match ShardedCacheBank::load_checked_with_shards(path, fingerprint, 1) {
             Ok((bank, invalidated)) => {
                 if invalidated {
                     tel.inc(Counter::CacheFileInvalidations);
@@ -62,13 +62,13 @@ fn run_cache_file(path: &str) {
             Err(e) if e.is_corrupt() => {
                 tel.inc(Counter::CacheFileInvalidations);
                 println!("cache file at {path} is corrupt ({e}); starting cold");
-                SharedCacheBank::new()
+                ShardedCacheBank::with_shards(1)
             }
             Err(e) => panic!("loading cache bank from {path}: {e}"),
         }
     } else {
         println!("no cache file at {path}; starting cold");
-        SharedCacheBank::new()
+        ShardedCacheBank::with_shards(1)
     };
 
     let queries = [
@@ -88,7 +88,7 @@ fn run_cache_file(path: &str) {
             PlannerKind::Selinger,
             ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.01 }),
         );
-        opt.share_cache(bank.clone());
+        opt.share_sharded_cache(bank.clone());
         opt.set_telemetry(tel.clone());
         let (plan, ms) = timed(|| opt.optimize(query).expect("plan"));
         total_ms += ms;
@@ -885,12 +885,9 @@ fn cascades_smoke_gate() {
 /// scalar fold otherwise), the dispatching batch entry point must be
 /// bit-identical to the scalar fold — across both feature maps, both join
 /// implementations, BHJ-infeasible points, and slice lengths sweeping the
-/// 4-lane remainder — and the lock-step batched multi-start hill climber
-/// must reproduce the per-seed climber's outcome bit-for-bit.
+/// 4-lane remainder.
 fn simd_parity_smoke_gate() {
-    use raqo_resource::{
-        hill_climb_multi, hill_climb_multi_batched, ResourceConfig, SeedStrategy,
-    };
+    use raqo_resource::ResourceConfig;
     use raqo_sim::engine::JoinImpl;
 
     let (_, ms) = timed(|| {
@@ -923,45 +920,9 @@ fn simd_parity_smoke_gate() {
                 }
             }
         }
-
-        // The batched climber against the per-seed reference on a surface
-        // with a basin and an infeasible region.
-        let cost = |r: &ResourceConfig| {
-            let (c, s) = (r.containers(), r.container_size_gb());
-            if c > 35.0 {
-                f64::INFINITY
-            } else {
-                (c - 23.0) * (c - 23.0) + 3.0 * (s - 4.0) * (s - 4.0)
-            }
-        };
-        let per_seed = hill_climb_multi(&cluster, cost, Parallelism::Off);
-        let batched = hill_climb_multi_batched(
-            &cluster,
-            |probes: &[ResourceConfig], out: &mut [f64]| {
-                for (r, o) in probes.iter().zip(out.iter_mut()) {
-                    *o = cost(r);
-                }
-            },
-            SeedStrategy::default(),
-        );
-        assert_eq!(per_seed.config, batched.config, "simd smoke: climbers pick different configs");
-        assert_eq!(
-            per_seed.cost.to_bits(),
-            batched.cost.to_bits(),
-            "simd smoke: climber costs diverge: {} vs {}",
-            per_seed.cost,
-            batched.cost
-        );
-        assert_eq!(
-            per_seed.iterations, batched.iterations,
-            "simd smoke: climber evaluation counts diverge"
-        );
     });
     let kernel = if raqo_cost::simd_active() { "avx2" } else { "scalar" };
-    println!(
-        "simd      ok  {ms:>8.0} ms  {kernel} kernel; batch==scalar bitwise; \
-         batched climb == per-seed climb"
-    );
+    println!("simd      ok  {ms:>8.0} ms  {kernel} kernel; batch==scalar bitwise");
 }
 
 /// `--smoke` concurrency gate: the threaded cache-bank stress harness (8
@@ -1167,10 +1128,10 @@ fn chaos_smoke_gate() {
             let dir = std::env::temp_dir().join(format!("raqo-chaos-{}", std::process::id()));
             std::fs::create_dir_all(&dir).expect("chaos: temp dir");
             let path = dir.join("bank.json");
-            let bank = SharedCacheBank::new();
+            let bank = ShardedCacheBank::with_shards(1);
             bank.save(&path).expect("chaos: save bank");
             raqo_faults::corrupt_file(&path, 42).expect("chaos: corrupt file");
-            let err = SharedCacheBank::load(&path).expect_err("chaos: corrupt load must fail");
+            let err = ShardedCacheBank::load(&path).expect_err("chaos: corrupt load must fail");
             assert!(err.is_corrupt(), "chaos: expected a corruption error, got {err}");
             let quarantined = dir.join("bank.json.corrupt");
             assert!(quarantined.exists(), "chaos: corrupt file was not quarantined");
@@ -1331,13 +1292,6 @@ fn main() {
             report.cost_kernel.repeats,
             report.cost_kernel.configs,
             report.cost_kernel.bitwise_identical
-        );
-        println!(
-            "batched climb: {:.2}x ({} -> {} ms), outcomes identical: {}",
-            report.climb.speedup,
-            report.climb.runs[0].wall_ms.round(),
-            report.climb.runs[1].wall_ms.round(),
-            report.climb.outcomes_identical
         );
         for p in &report.idp.points {
             println!(

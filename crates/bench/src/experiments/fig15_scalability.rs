@@ -16,7 +16,7 @@ use crate::Table;
 use raqo_catalog::{QuerySpec, RandomSchemaConfig};
 use raqo_core::{PlannerKind, RaqoOptimizer, ResourceStrategy};
 use raqo_cost::SimOracleCost;
-use raqo_resource::{CacheLookup, ClusterConditions, SharedCacheBank};
+use raqo_resource::{CacheLookup, ClusterConditions, ShardedCacheBank};
 
 fn cached_strategy() -> ResourceStrategy {
     ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.01 })
@@ -116,7 +116,7 @@ pub fn measure_cluster_scaling(quick: bool) -> Vec<ScaleClusterRow> {
     // Across-query caching: every condition gets a fresh optimizer, but all
     // of them adopt the same shared bank — the cache outlives any single
     // optimizer run, which is exactly the paper's across-query mode.
-    let bank = SharedCacheBank::new();
+    let bank = ShardedCacheBank::with_shards(1);
 
     let mut out = Vec::new();
     for &max_nc in container_scales {
@@ -141,7 +141,7 @@ pub fn measure_cluster_scaling(quick: bool) -> Vec<ScaleClusterRow> {
                 planner.clone(),
                 cached_strategy(),
             );
-            across.share_cache(bank.clone());
+            across.share_sharded_cache(bank.clone());
             let (_, across_ms) = timed(|| across.optimize(&query).expect("plan"));
 
             out.push(ScaleClusterRow {

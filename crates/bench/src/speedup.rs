@@ -18,7 +18,6 @@
 
 use crate::experiments::timed;
 use crate::Table;
-use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, RandomSchema, RandomSchemaConfig, TableStats};
 use raqo_core::{DegradationRung, Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy};
 use raqo_cost::JoinCostModel;
@@ -60,9 +59,6 @@ pub struct PlannerBenchReport {
     /// The raw §VI cost kernel: scalar fold vs the dispatching batch entry
     /// point (explicit AVX2 under `--features simd`, else the same scalar).
     pub cost_kernel: CostKernelSeries,
-    /// Multi-start hill climbing: per-seed climbs vs the lock-step batched
-    /// climber that fuses each round's neighborhood into one batch call.
-    pub climb: ClimbSeries,
     /// The concurrent planning service under a bursty open-loop workload:
     /// single-lock vs sharded cache banks at 1/4/8 workers.
     pub throughput: crate::throughput::ThroughputSeries,
@@ -212,22 +208,6 @@ pub struct CostKernelSeries {
     pub bitwise_identical: bool,
 }
 
-/// Per-seed multi-start hill climbing vs the batched lock-step climber,
-/// run end to end through the optimizer (Selinger join ordering, hill-climb
-/// resource planning) so the batch seam is the one production uses.
-#[derive(Debug, Clone, Serialize)]
-pub struct ClimbSeries {
-    pub tables: usize,
-    pub grid_points: u64,
-    /// `hill_climb_per_seed` then `hill_climb_batched`.
-    pub runs: Vec<ModeResult>,
-    /// per-seed wall-clock / batched wall-clock.
-    pub speedup: f64,
-    /// Both modes produced the same joint plan (tree + cost bits) and the
-    /// same planning statistics.
-    pub outcomes_identical: bool,
-}
-
 /// Measure the cost-kernel series (see [`CostKernelSeries`]).
 pub fn measure_cost_kernel(quick: bool) -> CostKernelSeries {
     use raqo_sim::engine::JoinImpl;
@@ -274,71 +254,15 @@ pub fn measure_cost_kernel(quick: bool) -> CostKernelSeries {
     }
 }
 
-/// Measure the hill-climb series (see [`ClimbSeries`]).
-pub fn measure_climb(quick: bool) -> ClimbSeries {
-    let schema = TpchSchema::new(1.0);
-    let model = JoinCostModel::trained_hive();
-    let cluster = if quick {
-        ClusterConditions::two_dim(1.0..=50.0, 1.0..=8.0, 1.0, 1.0)
-    } else {
-        ClusterConditions::two_dim(1.0..=1000.0, 1.0..=10.0, 1.0, 1.0)
-    };
-    let query = QuerySpec::tpch_all(&schema);
-
-    let modes: [(&str, bool); 2] =
-        [("hill_climb_per_seed", false), ("hill_climb_batched", true)];
-    let mut runs = Vec::new();
-    let mut plans: Vec<(raqo_planner::PlanTree, f64)> = Vec::new();
-    let mut stats = Vec::new();
-    for (name, batch) in modes {
-        let mut opt = RaqoOptimizer::new(
-            &schema.catalog,
-            &schema.graph,
-            &model,
-            cluster,
-            PlannerKind::Selinger,
-            ResourceStrategy::HillClimb,
-        )
-        .with_parallelism(Parallelism::Threads(2))
-        .with_batch_kernel(batch);
-        let (plan, wall_ms) = timed(|| opt.optimize(&query).expect("plan"));
-        runs.push(ModeResult {
-            name: name.into(),
-            parallelism: mode_name(Parallelism::Threads(2)),
-            memoize: false,
-            wall_ms,
-            plan_cost: plan.query.cost,
-            plan_cost_calls: plan.stats.plan_cost_calls,
-            resource_iterations: plan.stats.resource_iterations,
-            memo_hits: plan.stats.memo_hits,
-        });
-        plans.push((plan.query.tree.clone(), plan.query.cost));
-        stats.push(plan.stats);
-    }
-
-    let outcomes_identical = plans[0].0 == plans[1].0
-        && plans[0].1.to_bits() == plans[1].1.to_bits()
-        && stats[0] == stats[1];
-    ClimbSeries {
-        tables: query.relations.len(),
-        grid_points: cluster.grid_size(),
-        runs: runs.clone(),
-        speedup: runs[0].wall_ms / runs[1].wall_ms.max(1e-9),
-        outcomes_identical,
-    }
-}
-
 /// The Selinger half of the report: the full System-R DP with exhaustive
 /// per-operator resource planning, run through the cumulative optimization
-/// ladder of this PR — batched cost kernel, parallel DP levels, cross-run
-/// memoization:
+/// ladder — parallel DP levels, then cross-run memoization:
 ///
-/// 1. `selinger_scalar` — `Parallelism::Off`, scalar kernel: the seed path;
-/// 2. `selinger_batched` — the §VI polynomial evaluated over contiguous
-///    grid slices, branch-free, same winners bit-for-bit;
-/// 3. `selinger_parallel` — DP levels fanned over worker threads with a
-///    deterministic merge, still bit-identical;
-/// 4. `selinger_parallel_memoized` — a *warm* re-optimization replaying
+/// 1. `selinger_batched` — `Parallelism::Off`: the §VI polynomial evaluated
+///    over contiguous grid slices, one DP level per batch;
+/// 2. `selinger_parallel` — DP levels fanned over worker threads with a
+///    deterministic merge, bit-identical;
+/// 3. `selinger_parallel_memoized` — a *warm* re-optimization replaying
 ///    `(left, right, context)` sub-plan decisions from the cross-run memo,
 ///    the Fig. 15(b) recurring-conditions pattern.
 #[derive(Debug, Clone, Serialize)]
@@ -346,9 +270,9 @@ pub struct SelingerSeries {
     pub tables: usize,
     pub grid_points: u64,
     pub runs: Vec<ModeResult>,
-    /// scalar-sequential wall-clock / batched+parallel+memoized wall-clock.
+    /// sequential wall-clock / parallel+memoized wall-clock.
     pub speedup: f64,
-    /// Scalar, batched, and parallel plans are bitwise identical; the warm
+    /// Sequential and parallel plans are bitwise identical; the warm
     /// memoized run has the same tree with cost equal to fp noise (the memo
     /// replays DP-time IO accumulation order).
     pub plans_identical: bool,
@@ -659,7 +583,6 @@ pub fn measure(quick: bool) -> PlannerBenchReport {
         selinger: measure_selinger(quick),
         idp: measure_idp(quick),
         cost_kernel: measure_cost_kernel(quick),
-        climb: measure_climb(quick),
         throughput: crate::throughput::measure(quick),
         net: crate::net_bench::measure(quick),
         telemetry: measure_telemetry(quick),
@@ -682,19 +605,18 @@ pub fn measure_selinger(quick: bool) -> SelingerSeries {
     let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, tables, 3);
     let model = JoinCostModel::trained_hive();
 
-    // (name, planner, parallelism, batch kernel, warm runs before timing)
-    let modes: [(&str, PlannerKind, Parallelism, bool, usize); 4] = [
-        ("selinger_scalar", PlannerKind::Selinger, Parallelism::Off, false, 0),
-        ("selinger_batched", PlannerKind::Selinger, Parallelism::Off, true, 0),
-        ("selinger_parallel", PlannerKind::Selinger, Parallelism::Auto, true, 0),
+    // (name, planner, parallelism, warm runs before timing)
+    let modes: [(&str, PlannerKind, Parallelism, usize); 3] = [
+        ("selinger_batched", PlannerKind::Selinger, Parallelism::Off, 0),
+        ("selinger_parallel", PlannerKind::Selinger, Parallelism::Auto, 0),
         // Timed *warm*: the memo pays off on re-optimization under
         // recurring conditions (Fig. 15(b) cluster sweeps).
-        ("selinger_parallel_memoized", PlannerKind::SelingerMemoized, Parallelism::Auto, true, 1),
+        ("selinger_parallel_memoized", PlannerKind::SelingerMemoized, Parallelism::Auto, 1),
     ];
 
     let mut runs = Vec::new();
     let mut plans: Vec<(raqo_planner::PlanTree, f64)> = Vec::new();
-    for (name, planner, parallelism, batch, warm_runs) in modes {
+    for (name, planner, parallelism, warm_runs) in modes {
         let mut opt = RaqoOptimizer::new(
             &schema.catalog,
             &schema.graph,
@@ -703,8 +625,7 @@ pub fn measure_selinger(quick: bool) -> SelingerSeries {
             planner,
             ResourceStrategy::BruteForce,
         )
-        .with_parallelism(parallelism)
-        .with_batch_kernel(batch);
+        .with_parallelism(parallelism);
         for _ in 0..warm_runs {
             opt.optimize(&query).expect("warm-up plan");
         }
@@ -722,14 +643,12 @@ pub fn measure_selinger(quick: bool) -> SelingerSeries {
         plans.push((plan.query.tree.clone(), plan.query.cost));
     }
 
-    // Scalar, batched, and parallel DP are bit-identical; the memoized run
+    // Sequential and parallel DP are bit-identical; the memoized run
     // replays DP-time IOs, so its cost agrees only up to fp noise.
-    let exact = plans[..3]
-        .windows(2)
-        .all(|w| w[0].0 == w[1].0 && w[0].1.to_bits() == w[1].1.to_bits());
-    let warm_matches = plans[3].0 == plans[0].0
-        && (plans[3].1 - plans[0].1).abs() <= 1e-9 * plans[0].1.abs();
-    let speedup = runs[0].wall_ms / runs[3].wall_ms.max(1e-9);
+    let exact = plans[0].0 == plans[1].0 && plans[0].1.to_bits() == plans[1].1.to_bits();
+    let warm_matches = plans[2].0 == plans[0].0
+        && (plans[2].1 - plans[0].1).abs() <= 1e-9 * plans[0].1.abs();
+    let speedup = runs[0].wall_ms / runs[2].wall_ms.max(1e-9);
     SelingerSeries {
         tables,
         grid_points: cluster.grid_size(),
@@ -753,7 +672,7 @@ pub fn table(report: &PlannerBenchReport) -> Table {
             "#memo hits",
         ],
     );
-    for r in report.runs.iter().chain(&report.selinger.runs).chain(&report.climb.runs) {
+    for r in report.runs.iter().chain(&report.selinger.runs) {
         t.row(vec![
             r.name.clone().into(),
             r.parallelism.clone().into(),
@@ -818,17 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_climb_reproduces_the_per_seed_outcome() {
-        let _serial = crate::timing_lock();
-        let series = measure_climb(true);
-        assert!(series.outcomes_identical, "climb modes disagree: {series:?}");
-        let (per_seed, batched) = (&series.runs[0], &series.runs[1]);
-        assert_eq!(per_seed.plan_cost.to_bits(), batched.plan_cost.to_bits(), "{series:?}");
-        assert_eq!(per_seed.plan_cost_calls, batched.plan_cost_calls, "{series:?}");
-        assert_eq!(per_seed.resource_iterations, batched.resource_iterations, "{series:?}");
-    }
-
-    #[test]
     fn cascades_series_star_is_bushy_and_strictly_cheaper() {
         let _serial = crate::timing_lock();
         let series = measure_cascades(true);
@@ -851,11 +759,11 @@ mod tests {
         let _serial = crate::timing_lock();
         let series = measure_selinger(true);
         assert!(series.plans_identical, "modes disagree: {series:?}");
-        let scalar = &series.runs[0];
-        let warm = &series.runs[3];
-        assert_eq!(scalar.memo_hits, 0);
+        let sequential = &series.runs[0];
+        let warm = &series.runs[2];
+        assert_eq!(sequential.memo_hits, 0);
         assert!(warm.memo_hits > 0, "warm memoized run never hit: {series:?}");
-        assert!(warm.plan_cost_calls < scalar.plan_cost_calls);
+        assert!(warm.plan_cost_calls < sequential.plan_cost_calls);
         assert!(
             series.speedup >= 2.0,
             "Selinger speedup {:.2}x below the 2x bar: {series:?}",

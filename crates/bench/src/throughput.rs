@@ -3,8 +3,8 @@
 //!
 //! A bursty open-loop workload — Poisson arrivals across 16 tenant
 //! namespaces — is pushed through a [`PlanningService`] twice: once with
-//! the cache bank collapsed to a single shard (the old single-lock
-//! `SharedCacheBank` topology) and once sharded 16 ways, at 1/4/8
+//! the cache bank collapsed to a single shard (one lock, as a coster's
+//! private bank) and once sharded 16 ways, at 1/4/8
 //! workers each. The service checkpoints the shared bank every
 //! [`CHECKPOINT_EVERY`] completed plans. A checkpoint re-renders only the
 //! member caches whose content changed, whatever the shard count, so what

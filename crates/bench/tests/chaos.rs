@@ -13,7 +13,7 @@ use raqo_core::{
 };
 use raqo_cost::JoinCostModel;
 use raqo_faults::{Fault, FaultGuard, FaultKind};
-use raqo_resource::{ClusterConditions, SharedCacheBank};
+use raqo_resource::{ClusterConditions, ShardedCacheBank};
 use raqo_telemetry::Counter;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -244,11 +244,11 @@ fn corrupted_cache_file_is_quarantined_with_a_typed_error() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("bank.json");
 
-    let bank = SharedCacheBank::new();
+    let bank = ShardedCacheBank::with_shards(1);
     bank.save(&path).expect("save bank");
     raqo_faults::corrupt_file(&path, 1234).expect("corrupt file");
 
-    let err = SharedCacheBank::load(&path).expect_err("corrupt load must fail");
+    let err = ShardedCacheBank::load(&path).expect_err("corrupt load must fail");
     assert!(err.is_corrupt(), "expected a corruption error, got: {err}");
     assert!(!path.exists(), "corrupt file must be moved out of the way");
     assert!(

@@ -40,7 +40,7 @@ pub use optimizer::{
 };
 pub use raqo_coster::{Objective, RaqoCoster, RaqoStats, ResourceStrategy};
 pub use raqo_resource::{
-    BudgetTracker, BudgetTrigger, Parallelism, PlanningBudget, ShardedCacheBank, SharedCacheBank,
+    BudgetTracker, BudgetTrigger, Parallelism, PlanningBudget, ShardedCacheBank,
 };
 pub use service::{
     PlanRequest, PlanTicket, PlanningService, Priority, ServiceConfig, ServiceReply, WaitTimeout,

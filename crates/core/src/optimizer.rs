@@ -15,7 +15,7 @@ use raqo_planner::{
 };
 use raqo_resource::{
     BudgetTracker, BudgetTrigger, CacheLookup, ClusterConditions, Parallelism, PlanningBudget,
-    ResourceConfig, SharedCacheBank,
+    ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::Engine;
 use raqo_sim::profile::ProfileGrid;
@@ -306,19 +306,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         self.coster.parallelism = parallelism;
     }
 
-    /// Builder form of [`RaqoOptimizer::set_batch_kernel`].
-    pub fn with_batch_kernel(mut self, on: bool) -> Self {
-        self.coster.use_batch = on;
-        self
-    }
-
-    /// Route brute-force resource scans through the batched cost kernel
-    /// (on by default; bit-identical winners either way — see
-    /// [`RaqoCoster::use_batch`]).
-    pub fn set_batch_kernel(&mut self, on: bool) {
-        self.coster.use_batch = on;
-    }
-
     /// Builder form of [`RaqoOptimizer::set_budget`].
     pub fn with_budget(mut self, budget: PlanningBudget) -> Self {
         self.budget = budget;
@@ -372,27 +359,17 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         self.coster.clear_cache();
     }
 
-    /// A cloneable handle onto the resource-plan cache; hand it to another
-    /// optimizer via [`RaqoOptimizer::share_cache`] for the Fig. 15(b)
-    /// across-query caching mode.
-    pub fn shared_cache(&self) -> SharedCacheBank {
-        self.coster.shared_cache()
-    }
-
-    /// Adopt `bank` as this optimizer's resource-plan cache.
-    pub fn share_cache(&mut self, bank: SharedCacheBank) {
-        self.coster.share_cache(bank);
-    }
-
-    /// Route the resource-plan cache through a sharded bank shared with
-    /// other optimizers — the concurrent planning service's mode (each
-    /// (namespace, implementation) pair locks only its own shard).
-    pub fn share_sharded_cache(&mut self, bank: raqo_resource::ShardedCacheBank) {
+    /// Adopt `bank` as this optimizer's resource-plan cache: one shared with
+    /// other optimizers, for the Fig. 15(b) across-query caching mode or the
+    /// concurrent planning service (each (namespace, implementation) pair
+    /// locks only its own shard).
+    pub fn share_sharded_cache(&mut self, bank: ShardedCacheBank) {
         self.coster.share_sharded_cache(bank);
     }
 
-    /// The sharded cache-bank handle, when one is installed.
-    pub fn sharded_cache(&self) -> Option<raqo_resource::ShardedCacheBank> {
+    /// A cloneable handle onto the resource-plan cache; hand it to another
+    /// optimizer via [`RaqoOptimizer::share_sharded_cache`] to share it.
+    pub fn sharded_cache(&self) -> ShardedCacheBank {
         self.coster.sharded_cache()
     }
 
@@ -1162,7 +1139,7 @@ mod tests {
         // Repeated join IOs already hit within one run; a second optimizer
         // adopting the warmed bank must do strictly better than that.
         let mut second = optimizer(&schema, model(), PlannerKind::Selinger, strategy);
-        second.share_cache(first.shared_cache());
+        second.share_sharded_cache(first.sharded_cache());
         second.optimize(&query).unwrap();
         assert!(
             second.stats().cache_hits > first.stats().cache_hits,
@@ -1250,17 +1227,29 @@ mod tests {
 
     #[test]
     fn batch_kernel_toggle_is_bit_identical() {
+        use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
+        /// The RAQO coster behind a seam that declines level batches, so
+        /// Selinger asks for one join at a time.
+        struct OneAtATime(RaqoCoster<'static, SimOracleCost>);
+        impl PlanCoster for OneAtATime {
+            fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+                self.0.join_cost(io)
+            }
+        }
         let schema = TpchSchema::new(1.0);
         let query = QuerySpec::tpch_all(&schema);
         let mut batched =
             optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
         let a = batched.optimize(&query).unwrap();
-        let mut scalar =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
-        scalar.set_batch_kernel(false);
-        let b = scalar.optimize(&query).unwrap();
-        assert_eq!(a.query, b.query, "batched grid scan must be bit-identical to scalar");
-        assert_eq!(a.stats, b.stats);
+        let mut one = OneAtATime(RaqoCoster::new(
+            model(),
+            ClusterConditions::paper_default(),
+            ResourceStrategy::BruteForce,
+            Objective::Time,
+        ));
+        let b = SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut one).unwrap();
+        assert_eq!(a.query, b, "batched level fills must be bit-identical to per-join costing");
+        assert_eq!(a.stats, one.0.stats);
     }
 
     #[test]

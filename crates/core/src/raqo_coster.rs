@@ -20,10 +20,8 @@ use raqo_cost::objective::CostVector;
 use raqo_cost::OperatorCost;
 use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
 use raqo_resource::{
-    brute_force_parallel_traced, brute_force_rows, hill_climb,
-    hill_climb_multi_batched_traced, hill_climb_multi_with_traced, BudgetTracker, CacheLookup,
-    CacheStats, ClusterConditions, Parallelism, PlanningOutcome, ResourceConfig, SeedStrategy,
-    SharedCacheBank, ShardedCacheBank,
+    brute_force_rows, hill_climb, hill_climb_multi, BudgetTracker, CacheLookup, CacheStats,
+    ClusterConditions, Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::JoinImpl;
 use raqo_telemetry::{Counter, Hist, MetricsSnapshot, Telemetry};
@@ -211,25 +209,15 @@ pub struct RaqoCoster<'a, M: OperatorCost> {
     pub cluster: ClusterConditions,
     pub strategy: ResourceStrategy,
     pub objective: Objective,
-    /// Thread parallelism for the per-operator resource search.
+    /// Parallelism of the per-operator resource search.
     /// [`Parallelism::Off`] (the default) preserves the sequential planners'
     /// evaluation order and iteration accounting exactly, keeping the
-    /// Figs. 12–14 counters reproducible; `Threads(n)`/`Auto` split a large
-    /// brute-force grid across workers (bit-identical result) and upgrade
-    /// hill climbing to deterministic multi-start.
+    /// Figs. 12–14 counters reproducible. `Threads(n)`/`Auto` split a large
+    /// brute-force grid across workers (bit-identical result); under
+    /// [`ResourceStrategy::HillClimb`] they select deterministic multi-start
+    /// climbing, which runs its seeds in lock-step on the calling thread and
+    /// spawns no thread.
     pub parallelism: Parallelism,
-    /// Route resource search through the batched cost kernels, which
-    /// evaluate the cost polynomial over whole slices instead of
-    /// point-by-point: brute-force scans go one grid-row slice at a time
-    /// ([`OperatorCost::join_cost_row_at`]), and parallel hill climbing runs
-    /// the lock-step batched multi-start climber (one fused
-    /// [`OperatorCost::join_cost_batch_at`] call per dimension per round
-    /// across all live seeds). Also published
-    /// to the join planners via [`PlanCoster::prefers_batch`], so Selinger/
-    /// IDP level fills batch their per-level `join_cost_many` submissions
-    /// even when thread parallelism is off. Bit-identical winners; kept
-    /// switchable so benchmarks can isolate the kernel's contribution.
-    pub use_batch: bool,
     pub stats: RaqoStats,
     /// Span/metrics sink. [`Telemetry::disabled`] (the default) keeps every
     /// instrumentation site a branch on `None` — no clocks, locks, or
@@ -240,12 +228,10 @@ pub struct RaqoCoster<'a, M: OperatorCost> {
     /// budget-free runs are bit-identical to builds without budgets; the
     /// optimizer installs a fresh limited tracker per `optimize` call.
     pub budget: Arc<BudgetTracker>,
-    cache: SharedCacheBank,
-    /// When set, cache lookups and inserts route through this sharded bank
-    /// instead of the single-lock `cache` — the planning service installs
-    /// one bank here for every worker. `None` (the default) keeps the
-    /// historical single-lock behaviour bit for bit.
-    sharded: Option<ShardedCacheBank>,
+    /// The resource-plan cache: a private one-shard bank by default, or a
+    /// bank shared with other costers (see
+    /// [`RaqoCoster::share_sharded_cache`]).
+    cache: ShardedCacheBank,
     /// Tenant/workload namespace folded into the cache-bank model key (see
     /// [`model_key`]); 0 is the historical single-tenant id space.
     cache_namespace: u32,
@@ -264,12 +250,10 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
             strategy,
             objective,
             parallelism: Parallelism::Off,
-            use_batch: true,
             stats: RaqoStats::default(),
             telemetry: Telemetry::disabled(),
             budget: Arc::new(BudgetTracker::unlimited()),
-            cache: SharedCacheBank::new(),
-            sharded: None,
+            cache: ShardedCacheBank::with_shards(1),
             cache_namespace: 0,
         }
     }
@@ -285,13 +269,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
         self.parallelism = parallelism;
         self
     }
-
-    /// Builder form of setting [`RaqoCoster::use_batch`].
-    pub fn with_batch_kernel(mut self, on: bool) -> Self {
-        self.use_batch = on;
-        self
-    }
-
 
     /// Builder form of setting the tenant/workload cache namespace (see
     /// [`model_key`]). Namespace 0 — the default — is the historical
@@ -310,46 +287,26 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
     /// Clear the resource-plan cache (the evaluation clears it between
     /// queries unless across-query caching is under test, §VII).
     pub fn clear_cache(&mut self) {
-        match &self.sharded {
-            Some(bank) => bank.clear(),
-            None => self.cache.clear(),
-        }
+        self.cache.clear();
     }
 
     /// Aggregate cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
-        match &self.sharded {
-            Some(bank) => bank.aggregate_stats(),
-            None => self.cache.aggregate_stats(),
-        }
+        self.cache.aggregate_stats()
+    }
+
+    /// Adopt `bank` as this coster's resource-plan cache: one warmed by
+    /// earlier queries (the Fig. 15(b) across-query caching mode) or shared
+    /// with concurrent costers (the planning service's mode, where each
+    /// (namespace, implementation) pair locks only its own shard).
+    pub fn share_sharded_cache(&mut self, bank: ShardedCacheBank) {
+        self.cache = bank;
     }
 
     /// A handle onto this coster's resource-plan cache. Clones share state,
-    /// so handing the handle to another coster realizes the Fig. 15(b)
-    /// across-query caching mode.
-    pub fn shared_cache(&self) -> SharedCacheBank {
+    /// so handing it to another coster shares the cache.
+    pub fn sharded_cache(&self) -> ShardedCacheBank {
         self.cache.clone()
-    }
-
-    /// Adopt `bank` as this coster's resource-plan cache (e.g. one warmed
-    /// by earlier queries or shared with concurrent costers). Clears any
-    /// sharded bank installed earlier — the two routes are exclusive.
-    pub fn share_cache(&mut self, bank: SharedCacheBank) {
-        self.cache = bank;
-        self.sharded = None;
-    }
-
-    /// Route this coster's cache traffic through a [`ShardedCacheBank`]
-    /// shared with other costers — the concurrent planning service's mode:
-    /// every worker holds a handle onto one bank, each (namespace,
-    /// implementation) pair locking only its own shard.
-    pub fn share_sharded_cache(&mut self, bank: ShardedCacheBank) {
-        self.sharded = Some(bank);
-    }
-
-    /// The sharded bank handle, when one is installed.
-    pub fn sharded_cache(&self) -> Option<ShardedCacheBank> {
-        self.sharded.clone()
     }
 
     /// Reset counters (the cache is kept).
@@ -377,9 +334,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
             strategy: self.strategy,
             objective: self.objective,
             parallelism: self.parallelism,
-            use_batch: self.use_batch,
             cache: &self.cache,
-            sharded: self.sharded.as_ref(),
             cache_namespace: self.cache_namespace,
             tel: &self.telemetry,
             budget: &self.budget,
@@ -399,9 +354,7 @@ struct CostCtx<'c, M> {
     objective: Objective,
     /// Resource-search parallelism *inside* one join's planning.
     parallelism: Parallelism,
-    use_batch: bool,
-    cache: &'c SharedCacheBank,
-    sharded: Option<&'c ShardedCacheBank>,
+    cache: &'c ShardedCacheBank,
     cache_namespace: u32,
     /// Shared with every fan-out worker: counters are atomic, and spans
     /// opened on worker threads parent under the spawning thread's span
@@ -462,50 +415,48 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
         let outcome: PlanningOutcome = match self.strategy {
             // Off scans on this thread; any other setting splits a grid
             // that is large enough to repay the threads across workers, with
-            // a bit-identical merged result.
+            // a bit-identical merged result. Whole row slices go through the
+            // fused kernel, then one pass sanitizes and scalarizes the raw
+            // times in place.
             ResourceStrategy::BruteForce => {
-                if self.use_batch {
-                    // Whole row slices go through the fused kernel, then one
-                    // pass sanitizes and scalarizes the raw times in place.
-                    let row_fn =
-                        |_start: u64, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
-                            tel.inc(Counter::BatchChunks);
-                            if !budget.charge(coords.len() as u64) {
+                let row_fn =
+                    |_start: u64, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
+                        tel.inc(Counter::BatchChunks);
+                        if !budget.charge(coords.len() as u64) {
+                            out.fill(f64::INFINITY);
+                            return;
+                        }
+                        match probes::probe("cost.model.batch") {
+                            probes::Action::Fail => {
                                 out.fill(f64::INFINITY);
                                 return;
                             }
-                            match probes::probe("cost.model.batch") {
-                                probes::Action::Fail => {
-                                    out.fill(f64::INFINITY);
-                                    return;
-                                }
-                                probes::Action::Nan => out.fill(f64::NAN),
-                                probes::Action::Proceed => {
-                                    model.join_cost_row_at(join, build, probe, base, coords, out)
-                                }
+                            probes::Action::Nan => out.fill(f64::NAN),
+                            probes::Action::Proceed => {
+                                model.join_cost_row_at(join, build, probe, base, coords, out)
                             }
-                            let bad = objective.score_row(base, coords, out);
-                            if bad > 0 {
-                                // Counting also flags the current trace.
-                                tel.add(Counter::CostSanitizationsBatch, bad);
-                            }
-                        };
-                    brute_force_rows(self.cluster, row_fn, self.parallelism, tel)
-                } else {
-                    brute_force_parallel_traced(self.cluster, cost_fn, self.parallelism, tel)
-                }
+                        }
+                        let bad = objective.score_row(base, coords, out);
+                        if bad > 0 {
+                            // Counting also flags the current trace.
+                            tel.add(Counter::CostSanitizationsBatch, bad);
+                        }
+                    };
+                brute_force_rows(self.cluster, row_fn, self.parallelism, tel)
             }
             ResourceStrategy::HillClimb => {
                 tel.inc(Counter::HillClimbClimbs);
                 if self.parallelism == Parallelism::Off {
                     let start = self.feasible_start(join, io)?;
                     hill_climb(self.cluster, start, cost_fn)
-                } else if self.use_batch {
-                    // Parallel mode upgrades to multi-start climbing, and
-                    // with the batch kernel on, the lock-step batched
-                    // climber evaluates every live seed's neighborhood in
-                    // one fused call per dimension — bit-identical outcomes
-                    // to the per-seed multi-start below.
+                } else {
+                    // Parallel mode upgrades to multi-start climbing: the
+                    // lock-step climber evaluates every live seed's
+                    // neighborhood in one fused call per dimension. The seed
+                    // set subsumes `feasible_start`: BHJ feasibility is
+                    // monotone in container size and the seeds include the
+                    // max-size corner, so whenever any start is feasible
+                    // that corner is too.
                     let batch_fn = |configs: &[ResourceConfig], out: &mut [f64]| {
                         tel.inc(Counter::BatchChunks);
                         if !budget.charge(configs.len() as u64) {
@@ -533,25 +484,7 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                             };
                         }
                     };
-                    hill_climb_multi_batched_traced(
-                        self.cluster,
-                        batch_fn,
-                        SeedStrategy::default(),
-                        tel,
-                    )
-                } else {
-                    // Per-seed multi-start climbing. The seed set subsumes
-                    // `feasible_start`: BHJ feasibility is monotone in
-                    // container size, and both seed strategies include the
-                    // max-size corner, so whenever any start is feasible
-                    // that corner is too.
-                    hill_climb_multi_with_traced(
-                        self.cluster,
-                        cost_fn,
-                        self.parallelism,
-                        SeedStrategy::default(),
-                        tel,
-                    )
+                    hill_climb_multi(self.cluster, batch_fn, tel)
                 }
             }
             ResourceStrategy::HillClimbCached(lookup) => {
@@ -568,10 +501,7 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                 let operator = operator_key(objective);
                 let cached = {
                     let _lookup = tel.span(lookup_span);
-                    match self.sharded {
-                        Some(bank) => bank.lookup(model_id, operator, io.build_gb, lookup),
-                        None => self.cache.lookup(model_id, operator, io.build_gb, lookup),
-                    }
+                    self.cache.lookup(model_id, operator, io.build_gb, lookup)
                 };
                 if let Some(cached) = cached {
                     // Cached configurations may come from interpolation or
@@ -592,14 +522,7 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     let start = self.feasible_start(join, io)?;
                     let out = hill_climb(self.cluster, start, cost_fn);
                     if out.cost.is_finite() {
-                        match self.sharded {
-                            Some(bank) => {
-                                bank.insert(model_id, operator, io.build_gb, out.config)
-                            }
-                            None => {
-                                self.cache.insert(model_id, operator, io.build_gb, out.config)
-                            }
-                        }
+                        self.cache.insert(model_id, operator, io.build_gb, out.config);
                     }
                     out
                 }
@@ -705,11 +628,11 @@ fn snap_to_grid(cluster: &ClusterConditions, r: &ResourceConfig) -> ResourceConf
 }
 
 impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
-    /// With the batch kernel on, ask the join planners to submit whole DP
-    /// levels through [`PlanCoster::join_cost_many`] even when thread
-    /// parallelism is off, so level fills arrive as wide batches.
+    /// Ask the join planners to submit whole DP levels through
+    /// [`PlanCoster::join_cost_many`] even when thread parallelism is off,
+    /// so level fills arrive as wide batches.
     fn prefers_batch(&self) -> bool {
-        self.use_batch
+        true
     }
 
     fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
@@ -719,9 +642,7 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
             strategy: self.strategy,
             objective: self.objective,
             parallelism: self.parallelism,
-            use_batch: self.use_batch,
             cache: &self.cache,
-            sharded: self.sharded.as_ref(),
             cache_namespace: self.cache_namespace,
             tel: &self.telemetry,
             budget: &self.budget,
@@ -763,9 +684,7 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
             strategy: self.strategy,
             objective: self.objective,
             parallelism: worker_parallelism,
-            use_batch: self.use_batch,
             cache: &self.cache,
-            sharded: self.sharded.as_ref(),
             cache_namespace: self.cache_namespace,
             tel: &self.telemetry,
             budget: &self.budget,
@@ -848,6 +767,40 @@ mod tests {
         static MODEL: std::sync::OnceLock<SimOracleCost> = std::sync::OnceLock::new();
         let model = MODEL.get_or_init(SimOracleCost::hive);
         RaqoCoster::new(model, ClusterConditions::paper_default(), strategy, Objective::Time)
+    }
+
+    /// The coster's per-point search surface rebuilt from public parts: the
+    /// model's time, infeasible where it is absent, NaN or negative, and
+    /// scalarized under `objective` — the reference the searches must match.
+    fn scorer<'m>(
+        model: &'m impl OperatorCost,
+        join: JoinImpl,
+        io: JoinIo,
+        objective: Objective,
+    ) -> impl Fn(&ResourceConfig) -> f64 + 'm {
+        move |r| match model.join_cost_at(join, io.build_gb, io.probe_gb, r) {
+            Some(t) if t.is_finite() && t >= 0.0 => objective.score(t, r),
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// What [`RaqoCoster::plan_operator`] answers for a search outcome (the
+    /// configuration and its raw time, `None` when nothing reachable is
+    /// feasible), with the time as bits.
+    fn answer(
+        model: &impl OperatorCost,
+        join: JoinImpl,
+        io: &JoinIo,
+        out: PlanningOutcome,
+    ) -> Option<(ResourceConfig, u64)> {
+        out.cost.is_finite().then(|| {
+            let time = model.join_cost_at(join, io.build_gb, io.probe_gb, &out.config);
+            (out.config, time.expect("a finite winner has a time").to_bits())
+        })
+    }
+
+    fn bits(planned: Option<(ResourceConfig, f64)>) -> Option<(ResourceConfig, u64)> {
+        planned.map(|(r, time)| (r, time.to_bits()))
     }
 
     #[test]
@@ -1001,20 +954,31 @@ mod tests {
 
     #[test]
     fn batched_multi_start_climb_matches_per_seed_bitwise() {
-        // Parallel HillClimb with the batch kernel on runs the lock-step
-        // batched climber; with it off, thread-per-seed multi-start. The
-        // decisions and iteration accounting must be bit-identical.
+        // Parallel HillClimb runs the lock-step climber; the reference
+        // climbs from each seed in turn over the per-point surface and keeps
+        // the best (the earlier seed on ties). Configurations, times and
+        // iteration accounting must be bit-identical.
+        use raqo_resource::multi_start_seeds;
+        let model = SimOracleCost::hive();
+        let cluster = ClusterConditions::paper_default();
         for join_io in [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0), io(100.0, 200.0)] {
-            let mut per_seed = coster(ResourceStrategy::HillClimb)
-                .with_parallelism(Parallelism::Threads(4))
-                .with_batch_kernel(false);
-            let dp = per_seed.join_cost(&join_io);
-            let mut batched = coster(ResourceStrategy::HillClimb)
-                .with_parallelism(Parallelism::Threads(4))
-                .with_batch_kernel(true);
-            let db = batched.join_cost(&join_io);
-            assert_eq!(dp, db, "decision mismatch at {join_io:?}");
-            assert_eq!(per_seed.stats, batched.stats, "stats mismatch at {join_io:?}");
+            for join in JoinImpl::ALL {
+                let cost_fn = scorer(&model, join, join_io, Objective::Time);
+                let (mut best, mut iterations) = (None::<PlanningOutcome>, 0);
+                for seed in multi_start_seeds(&cluster) {
+                    let out = hill_climb(&cluster, seed, &cost_fn);
+                    iterations += out.iterations;
+                    if best.is_none_or(|b| out.cost.total_cmp(&b.cost).is_lt()) {
+                        best = Some(out);
+                    }
+                }
+                let want = answer(&model, join, &join_io, best.expect("at least one seed"));
+                let mut c =
+                    RaqoCoster::new(&model, cluster, ResourceStrategy::HillClimb, Objective::Time)
+                        .with_parallelism(Parallelism::Threads(4));
+                assert_eq!(bits(c.plan_operator(join, &join_io)), want, "{join:?} {join_io:?}");
+                assert_eq!(c.stats.resource_iterations, iterations, "{join:?} {join_io:?}");
+            }
         }
     }
 
@@ -1041,10 +1005,20 @@ mod tests {
         // A second coster adopting a's bank answers straight from it: the
         // Fig. 15(b) across-query caching mode.
         let mut b = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
-        b.share_cache(a.shared_cache());
+        b.share_sharded_cache(a.sharded_cache());
         b.join_cost(&io(2.0, 40.0)).unwrap();
         assert_eq!(b.stats.cache_hits, 2, "SMJ + BHJ both warm");
         assert!(b.stats.resource_iterations <= 4);
+    }
+
+    #[test]
+    fn each_coster_starts_on_a_private_one_shard_bank() {
+        let mut a = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
+        let b = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
+        assert_eq!(a.sharded_cache().shard_count(), 1);
+        a.join_cost(&io(2.0, 40.0)).unwrap();
+        assert_eq!(a.sharded_cache().total_entries(), 2);
+        assert_eq!(b.sharded_cache().total_entries(), 0, "costers must not share by default");
     }
 
     #[test]
@@ -1204,27 +1178,22 @@ mod tests {
             Objective::TimeUnderBudget { money_budget_tb_sec: 0.0 },
         ] {
             for join_io in [io(0.5, 20.0), io(3.4, 77.0), io(9.0, 77.0), io(100.0, 200.0)] {
-                let plan = |use_batch: bool, parallelism: Parallelism| {
-                    let mut c = RaqoCoster::new(
-                        &model,
-                        grid_10_by_1000(),
-                        ResourceStrategy::BruteForce,
-                        objective,
-                    )
-                    .with_batch_kernel(use_batch)
-                    .with_parallelism(parallelism);
-                    (c.join_cost(&join_io), c.stats)
-                };
-                let (point_wise, stats) = plan(false, Parallelism::Off);
-                assert_eq!(stats.resource_iterations, 20_000);
                 for parallelism in [Parallelism::Off, Parallelism::Threads(2)] {
-                    let (rows, row_stats) = plan(true, parallelism);
-                    assert_eq!(rows, point_wise, "{objective:?} {join_io:?} {parallelism:?}");
-                    assert_eq!(
-                        rows.map(|d| d.cost.to_bits()),
-                        point_wise.map(|d| d.cost.to_bits())
-                    );
-                    assert_eq!(row_stats, stats);
+                    let cluster = grid_10_by_1000();
+                    let mut c =
+                        RaqoCoster::new(&model, cluster, ResourceStrategy::BruteForce, objective)
+                            .with_parallelism(parallelism);
+                    for join in JoinImpl::ALL {
+                        let surface = scorer(&model, join, join_io, objective);
+                        let point_wise = raqo_resource::brute_force(&cluster, surface);
+                        assert_eq!(point_wise.iterations, 10_000);
+                        assert_eq!(
+                            bits(c.plan_operator(join, &join_io)),
+                            answer(&model, join, &join_io, point_wise),
+                            "{objective:?} {join_io:?} {join:?} {parallelism:?}"
+                        );
+                    }
+                    assert_eq!(c.stats.resource_iterations, 20_000);
                 }
             }
         }
@@ -1257,30 +1226,86 @@ mod tests {
         }
 
         for cap in [1, 255, 256, 1000, 1024, 5000] {
-            for use_batch in [true, false] {
-                let model = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
-                let mut c = RaqoCoster::new(
-                    &model,
-                    grid_10_by_1000(),
-                    ResourceStrategy::BruteForce,
-                    Objective::Time,
-                )
-                .with_batch_kernel(use_batch);
-                c.budget = Arc::new(BudgetTracker::start(PlanningBudget::with_max_evals(cap)));
-                let first = c.join_cost(&io(3.4, 77.0));
-                let evaluated = model.1.load(Ordering::Relaxed);
-                // `+ 1`: the winner's time is re-read once after the scan.
-                assert!(
-                    evaluated <= cap + BATCH_CHUNK as u64 + 1,
-                    "cap {cap} use_batch {use_batch}: {evaluated} evaluations"
-                );
-                assert_eq!(c.budget.exhausted(), Some(BudgetTrigger::Evals));
-                // Whatever the scan saw before the cap is a usable decision;
-                // once exhausted, later calls drain immediately.
-                assert_eq!(first.is_some(), evaluated > 1, "cap {cap} use_batch {use_batch}");
-                assert_eq!(c.join_cost(&io(3.4, 77.0)), None);
-                assert_eq!(model.1.load(Ordering::Relaxed), evaluated);
+            let model = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
+            let mut c = RaqoCoster::new(
+                &model,
+                grid_10_by_1000(),
+                ResourceStrategy::BruteForce,
+                Objective::Time,
+            );
+            c.budget = Arc::new(BudgetTracker::start(PlanningBudget::with_max_evals(cap)));
+            let first = c.join_cost(&io(3.4, 77.0));
+            let evaluated = model.1.load(Ordering::Relaxed);
+            // `+ 1`: the winner's time is re-read once after the scan.
+            assert!(
+                evaluated <= cap + BATCH_CHUNK as u64 + 1,
+                "cap {cap}: {evaluated} evaluations"
+            );
+            assert_eq!(c.budget.exhausted(), Some(BudgetTrigger::Evals));
+            // Whatever the scan saw before the cap is a usable decision;
+            // once exhausted, later calls drain immediately.
+            assert_eq!(first.is_some(), evaluated > 1, "cap {cap}");
+            assert_eq!(c.join_cost(&io(3.4, 77.0)), None);
+            assert_eq!(model.1.load(Ordering::Relaxed), evaluated);
+        }
+    }
+
+    #[test]
+    fn multi_start_climb_under_an_eval_cap_never_evaluates_past_it() {
+        use raqo_resource::{BudgetTrigger, PlanningBudget};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Counts the configurations the wrapped model is actually asked about.
+        struct Counting(JoinCostModel, AtomicU64);
+        impl OperatorCost for Counting {
+            fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.join_cost(j, b, p, nc, cs)
             }
+            fn join_cost_batch_at(
+                &self,
+                j: JoinImpl,
+                b: f64,
+                p: f64,
+                configs: &[ResourceConfig],
+                out: &mut [f64],
+            ) {
+                self.1.fetch_add(configs.len() as u64, Ordering::Relaxed);
+                self.0.join_cost_batch_at(j, b, p, configs, out)
+            }
+        }
+        fn climber(model: &Counting) -> RaqoCoster<'_, Counting> {
+            RaqoCoster::new(
+                model,
+                ClusterConditions::paper_default(),
+                ResourceStrategy::HillClimb,
+                Objective::Time,
+            )
+            .with_parallelism(Parallelism::Threads(2))
+        }
+
+        let unbounded = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
+        climber(&unbounded).join_cost(&io(3.4, 77.0)).expect("feasible");
+        let full = unbounded.1.load(Ordering::Relaxed);
+
+        for cap in [1, 4, 5, 12, 50, full / 2] {
+            let model = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
+            let mut c = climber(&model);
+            c.budget = Arc::new(BudgetTracker::start(PlanningBudget::with_max_evals(cap)));
+            let first = c.join_cost(&io(3.4, 77.0));
+            let evaluated = model.1.load(Ordering::Relaxed);
+            // A batch that would cross the cap is never evaluated; beyond
+            // the cap only each finite winner's time is re-read once.
+            assert!(
+                evaluated <= cap + JoinImpl::ALL.len() as u64,
+                "cap {cap}: {evaluated} evaluations"
+            );
+            assert_eq!(c.budget.exhausted(), Some(BudgetTrigger::Evals), "cap {cap}");
+            // Round 0 scores every seed; once it fits under the cap the
+            // climb has a usable decision.
+            assert_eq!(first.is_some(), evaluated > 0, "cap {cap}");
+            assert_eq!(c.join_cost(&io(3.4, 77.0)), None);
+            assert_eq!(model.1.load(Ordering::Relaxed), evaluated);
         }
     }
 

@@ -63,8 +63,8 @@ pub trait PlanCoster {
 
     /// Does this coster want whole DP levels submitted through
     /// [`PlanCoster::join_cost_many`] even when thread parallelism is off?
-    /// Costers backed by a batched cost kernel (e.g. the RAQO coster with
-    /// `use_batch`) return `true` so Selinger/IDP level fills hand them
+    /// Costers backed by a batched cost kernel (e.g. the RAQO coster)
+    /// return `true` so Selinger/IDP level fills hand them
     /// wide candidate batches the kernel can fuse; the default `false`
     /// keeps plain costers on the sequential fill path.
     fn prefers_batch(&self) -> bool {

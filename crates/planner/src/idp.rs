@@ -413,7 +413,7 @@ mod tests {
     fn batch_preferring_coster_gets_wide_level_batches_and_identical_plans() {
         /// A coster that asks for level batching without thread
         /// parallelism, recording the width of every batch it receives —
-        /// the planner-side contract behind the RAQO coster's `use_batch`.
+        /// the planner-side contract the RAQO coster relies on.
         struct BatchPreferring<'a> {
             inner: FixedResourceCoster<'a, SimOracleCost>,
             batches: Vec<usize>,

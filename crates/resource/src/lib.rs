@@ -32,7 +32,6 @@ pub mod parallel;
 pub mod persist;
 pub mod planner;
 pub(crate) mod probes;
-pub mod shared;
 pub mod sharded;
 pub mod stress;
 
@@ -40,14 +39,8 @@ pub use budget::{BudgetTracker, BudgetTrigger, PlanningBudget, DEADLINE_CHECK_EV
 pub use cache::{CacheBank, CacheLookup, CacheStats, ResourcePlanCache};
 pub use cluster::ClusterConditions;
 pub use config::{ResourceConfig, MAX_DIMS};
-pub use parallel::{
-    brute_force_parallel, brute_force_parallel_batch, brute_force_parallel_batch_traced,
-    brute_force_parallel_traced, brute_force_rows, hill_climb_multi, hill_climb_multi_batched,
-    hill_climb_multi_batched_traced, hill_climb_multi_with, hill_climb_multi_with_traced,
-    multi_start_seeds, seeds_with, Parallelism, SeedStrategy,
-};
+pub use parallel::{brute_force_rows, hill_climb_multi, multi_start_seeds, Parallelism};
 pub use persist::PersistError;
 pub use planner::{brute_force, brute_force_batch, hill_climb, PlanningOutcome, BATCH_CHUNK};
-pub use shared::SharedCacheBank;
 pub use sharded::ShardedCacheBank;
 pub use stress::{concurrency_stress, StressReport};

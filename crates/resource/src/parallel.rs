@@ -1,30 +1,29 @@
-//! Parallel resource planning: chunked brute force and multi-start hill
-//! climbing over OS threads.
+//! Parallel resource planning: the brute-force grid split over OS threads,
+//! and multi-start hill climbing in lock-step.
 //!
 //! The paper's resource planners are embarrassingly parallel — every grid
 //! point (brute force) and every start point (hill climbing) is an
-//! independent cost-model evaluation. This module exploits that with
-//! `std::thread::scope` workers while keeping results *deterministic*:
+//! independent cost-model evaluation. This module exploits that while
+//! keeping results *deterministic*:
 //!
-//! * [`brute_force_rows`] (and the per-point and array-of-configs adapters
-//!   over it, [`brute_force_parallel`] and [`brute_force_parallel_batch`])
-//!   splits a grid that is large enough to repay the threads into
-//!   contiguous index ranges, row-scans each, and merges the per-range
-//!   winners by `(cost, global grid index)`, which is exactly the
-//!   sequential scan's "earlier grid point wins ties" rule — the outcome is
-//!   bit-identical to [`crate::brute_force`] for any worker count.
-//! * [`hill_climb_multi`] climbs from a deterministic seed set (by default
-//!   a low-discrepancy Halton spread plus the min and max grid corners, see
-//!   [`SeedStrategy`]). Each climb is independent, so scheduling cannot
-//!   change the merged result: the best local optimum wins, ties broken
-//!   toward the earlier seed, and `iterations` sums all climbs (the true
-//!   total of cost evaluations spent).
+//! * [`brute_force_rows`] splits a grid that is large enough to repay the
+//!   threads into contiguous index ranges, row-scans each in a
+//!   `std::thread::scope` worker, and merges the per-range winners by
+//!   `(cost, global grid index)`, which is exactly the sequential scan's
+//!   "earlier grid point wins ties" rule — the outcome is bit-identical to
+//!   [`crate::brute_force`] for any worker count.
+//! * [`hill_climb_multi`] climbs from the deterministic
+//!   [`multi_start_seeds`] (a low-discrepancy Halton spread plus the min and
+//!   max grid corners) on the calling thread, every live seed in lock-step,
+//!   so each round's whole neighborhood reaches the cost model as one batch.
+//!   The best local optimum wins, ties broken toward the earlier seed, and
+//!   `iterations` sums all climbs (the true total of cost evaluations spent).
 //!
-//! [`Parallelism::Off`] keeps both searches on the calling thread, hill
-//! climbing single-start, so the paper's Figs. 12–14 iteration accounting
-//! stays reproducible run-to-run regardless of the host's core count.
+//! [`Parallelism::Off`] keeps the grid scan on the calling thread, so the
+//! paper's Figs. 12–14 iteration accounting stays reproducible run-to-run
+//! regardless of the host's core count.
 //!
-//! **Panic isolation**: every scoped worker runs under `catch_unwind`. A
+//! **Panic isolation**: every grid worker runs under `catch_unwind`. A
 //! worker that panics (a buggy cost model, an injected chaos fault) no
 //! longer tears down the whole planning call — its range is re-executed
 //! sequentially on the calling thread, which preserves bit-identical
@@ -34,7 +33,7 @@
 
 use crate::cluster::ClusterConditions;
 use crate::config::ResourceConfig;
-use crate::planner::{by_configs, by_point, hill_climb, scan_rows, whole_grid, Best, PlanningOutcome};
+use crate::planner::{scan_rows, whole_grid, PlanningOutcome};
 use crate::probes;
 use raqo_telemetry::{Counter, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,20 +71,27 @@ impl Parallelism {
 /// Outcomes are bit-identical for any worker count; this only moves time.
 const MIN_POINTS_PER_WORKER: u64 = 60_000;
 
-/// The one grid fan-out: split the grid into contiguous row-major index
-/// ranges, run `scan(axes, lo, hi)` on each in a scoped worker, and merge the
-/// per-range winners in range order — lower cost wins, the earlier range on
-/// ties, which is exactly a single sequential scan's "earlier grid point
-/// wins". `iterations` is the full grid size, as for the sequential planner.
-fn scan_grid_split<S>(
+/// Exhaustive grid search over a *row* evaluator, split across worker
+/// threads when the grid is large enough to repay them — the form the cost
+/// kernels are written for. `row_fn(start, base, coords, costs)` prices one
+/// slice of a grid row: point `k` is `base` with its last coordinate replaced
+/// by `coords[k]`, `start` is the row-major grid index of point 0, and
+/// `costs[k]` must receive its cost (`f64::INFINITY` where infeasible).
+/// Slices are at most [`crate::BATCH_CHUNK`] long. The winner is the lowest
+/// `(cost, grid index)` for any worker count: the grid is cut into
+/// contiguous row-major index ranges and the per-range winners are merged in
+/// range order — lower cost wins, the earlier range on ties. `iterations` is
+/// the full grid size, as for the sequential planner.
+pub fn brute_force_rows<F>(
     cluster: &ClusterConditions,
+    row_fn: F,
     parallelism: Parallelism,
     tel: &Telemetry,
-    scan: S,
 ) -> PlanningOutcome
 where
-    S: Fn(&[Vec<f64>], u64, u64) -> Best + Sync,
+    F: Fn(u64, &ResourceConfig, &[f64], &mut [f64]) + Sync,
 {
+    let scan = |axes: &[Vec<f64>], lo: u64, hi: u64| scan_rows(axes, lo, hi, &row_fn);
     whole_grid(cluster, |axes, total| {
         // Size first: a grid too small to split never asks `Auto` for cores.
         let room = total / MIN_POINTS_PER_WORKER;
@@ -130,103 +136,6 @@ where
     })
 }
 
-/// Exhaustive grid search over a *row* evaluator, split across worker
-/// threads when the grid is large enough to repay them — the form the cost
-/// kernels are written for. `row_fn(start, base, coords, costs)` prices one
-/// slice of a grid row: point `k` is `base` with its last coordinate replaced
-/// by `coords[k]`, `start` is the row-major grid index of point 0, and
-/// `costs[k]` must receive its cost (`f64::INFINITY` where infeasible).
-/// Slices are at most [`crate::BATCH_CHUNK`] long. The winner is the lowest
-/// `(cost, grid index)` for any worker count.
-pub fn brute_force_rows<F>(
-    cluster: &ClusterConditions,
-    row_fn: F,
-    parallelism: Parallelism,
-    tel: &Telemetry,
-) -> PlanningOutcome
-where
-    F: Fn(u64, &ResourceConfig, &[f64], &mut [f64]) + Sync,
-{
-    scan_grid_split(cluster, parallelism, tel, |axes, lo, hi| scan_rows(axes, lo, hi, &row_fn))
-}
-
-/// [`crate::brute_force`] split across worker threads ([`brute_force_rows`]
-/// over a per-point cost function); bit-identical to it for any worker count.
-pub fn brute_force_parallel<F>(
-    cluster: &ClusterConditions,
-    cost_fn: F,
-    parallelism: Parallelism,
-) -> PlanningOutcome
-where
-    F: Fn(&ResourceConfig) -> f64 + Sync,
-{
-    brute_force_parallel_traced(cluster, cost_fn, parallelism, &Telemetry::disabled())
-}
-
-/// [`brute_force_parallel`] with a telemetry sink for worker-panic
-/// accounting.
-pub fn brute_force_parallel_traced<F>(
-    cluster: &ClusterConditions,
-    cost_fn: F,
-    parallelism: Parallelism,
-    tel: &Telemetry,
-) -> PlanningOutcome
-where
-    F: Fn(&ResourceConfig) -> f64 + Sync,
-{
-    scan_grid_split(cluster, parallelism, tel, |axes, lo, hi| {
-        scan_rows(axes, lo, hi, by_point(&cost_fn))
-    })
-}
-
-/// [`crate::brute_force_batch`] split across worker threads
-/// ([`brute_force_rows`] over an array-of-configs evaluator, same contract as
-/// there); bit-identical to the sequential scan for any worker count whenever
-/// the evaluator agrees with the scalar cost function point-wise.
-pub fn brute_force_parallel_batch<F>(
-    cluster: &ClusterConditions,
-    batch_fn: F,
-    parallelism: Parallelism,
-) -> PlanningOutcome
-where
-    F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
-{
-    brute_force_parallel_batch_traced(cluster, batch_fn, parallelism, &Telemetry::disabled())
-}
-
-/// [`brute_force_parallel_batch`] with a telemetry sink for worker-panic
-/// accounting.
-pub fn brute_force_parallel_batch_traced<F>(
-    cluster: &ClusterConditions,
-    batch_fn: F,
-    parallelism: Parallelism,
-    tel: &Telemetry,
-) -> PlanningOutcome
-where
-    F: Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
-{
-    scan_grid_split(cluster, parallelism, tel, |axes, lo, hi| {
-        scan_rows(axes, lo, hi, by_configs(&batch_fn))
-    })
-}
-
-/// Which deterministic seed set multi-start hill climbing uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedStrategy {
-    /// Low-discrepancy Halton points over the cluster bounding box, plus the
-    /// min corner (the paper's Algorithm 1 start) and the grid-max corner
-    /// (kept because BHJ feasibility is monotone in container size: whenever
-    /// any grid point is feasible, the max corner is too). The default:
-    /// Halton points spread over the interior instead of clustering on the
-    /// boundary, so on multimodal surfaces they find interior basins the
-    /// corner seeds miss.
-    #[default]
-    Halton,
-    /// The former default: every corner of the bounding box followed by the
-    /// grid-snapped centroid. Kept as a fallback/reference mode.
-    CornersCentroid,
-}
-
 /// The value of grid point `steps` along dimension `dim`.
 fn grid_value(cluster: &ClusterConditions, dim: usize, steps: u64) -> f64 {
     // Infallible: callers derive `steps` from `points_along(dim)`.
@@ -247,26 +156,15 @@ fn halton(mut index: u64, base: u64) -> f64 {
     r
 }
 
-/// Deterministic multi-start seeds with the default [`SeedStrategy`].
+/// Deterministic multi-start seeds: the min corner (the paper's Algorithm 1
+/// start, first so a single seed degenerates to it), the grid-max corner
+/// (kept because BHJ feasibility is monotone in container size: whenever
+/// any grid point is feasible, the max corner is too), then `2^dims - 1`
+/// Halton points (bases 2, 3, 5, 7 per dimension) snapped to the grid, which
+/// spread over the interior instead of clustering on the boundary. Every
+/// seed is a reachable grid point and duplicates are removed (a 1-point
+/// cluster yields exactly one seed).
 pub fn multi_start_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
-    seeds_with(cluster, SeedStrategy::default())
-}
-
-/// Deterministic multi-start seeds for an explicit strategy. The minimum
-/// corner always comes first so a single seed degenerates to the paper's
-/// Algorithm 1 start; every seed is a reachable grid point and duplicates
-/// are removed (a 1-point cluster yields exactly one seed).
-pub fn seeds_with(cluster: &ClusterConditions, strategy: SeedStrategy) -> Vec<ResourceConfig> {
-    match strategy {
-        SeedStrategy::Halton => halton_seeds(cluster),
-        SeedStrategy::CornersCentroid => corners_centroid_seeds(cluster),
-    }
-}
-
-/// Min corner, grid-max corner, then `2^dims - 1` Halton points (bases
-/// 2, 3, 5, 7 per dimension) snapped to the grid — the same seed count as
-/// the corners+centroid set on a full-dimensional cluster.
-fn halton_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
     const PRIMES: [u64; 4] = [2, 3, 5, 7];
     let dims = cluster.dims();
     assert!(dims <= PRIMES.len(), "Halton bases cover up to {} dims", PRIMES.len());
@@ -294,149 +192,20 @@ fn halton_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
     seeds
 }
 
-/// Every corner of the bounding box (2^dims points, deduplicated when
-/// min == max on a dimension) followed by the grid-snapped centroid.
-fn corners_centroid_seeds(cluster: &ClusterConditions) -> Vec<ResourceConfig> {
-    let dims = cluster.dims();
-    let mut seeds: Vec<ResourceConfig> = Vec::with_capacity((1 << dims) + 1);
-    for corner in 0u32..(1 << dims) {
-        let mut r = cluster.min;
-        for i in 0..dims {
-            if corner & (1 << i) != 0 {
-                // Top of the *grid*, not the raw max bound: step from min so
-                // the seed is always a reachable grid point.
-                r.set(i, grid_value(cluster, i, cluster.points_along(i) - 1));
-            }
-        }
-        if !seeds.contains(&r) {
-            seeds.push(r);
-        }
-    }
-    let mut centroid = cluster.min;
-    for i in 0..dims {
-        centroid.set(i, grid_value(cluster, i, cluster.points_along(i) / 2));
-    }
-    if !seeds.contains(&centroid) {
-        seeds.push(centroid);
-    }
-    seeds
-}
-
-/// Multi-start hill climbing: run Algorithm 1 from every
-/// [`multi_start_seeds`] point and keep the best local optimum.
-///
-/// The merged outcome is independent of the worker count: climbs do not
-/// interact, the winner is the lowest-cost optimum with ties broken toward
-/// the earlier seed, and `iterations` is the sum over all climbs — the
-/// actual number of cost evaluations spent, so speed/quality trade-offs
-/// stay visible in the Figs. 13–14 accounting.
-pub fn hill_climb_multi<F>(
-    cluster: &ClusterConditions,
-    cost_fn: F,
-    parallelism: Parallelism,
-) -> PlanningOutcome
-where
-    F: Fn(&ResourceConfig) -> f64 + Sync,
-{
-    hill_climb_multi_with(cluster, cost_fn, parallelism, SeedStrategy::default())
-}
-
-/// [`hill_climb_multi`] with an explicit [`SeedStrategy`].
-pub fn hill_climb_multi_with<F>(
-    cluster: &ClusterConditions,
-    cost_fn: F,
-    parallelism: Parallelism,
-    strategy: SeedStrategy,
-) -> PlanningOutcome
-where
-    F: Fn(&ResourceConfig) -> f64 + Sync,
-{
-    hill_climb_multi_with_traced(cluster, cost_fn, parallelism, strategy, &Telemetry::disabled())
-}
-
-/// [`hill_climb_multi_with`] with a telemetry sink for worker-panic
-/// accounting.
-pub fn hill_climb_multi_with_traced<F>(
-    cluster: &ClusterConditions,
-    cost_fn: F,
-    parallelism: Parallelism,
-    strategy: SeedStrategy,
-    tel: &Telemetry,
-) -> PlanningOutcome
-where
-    F: Fn(&ResourceConfig) -> f64 + Sync,
-{
-    let seeds = seeds_with(cluster, strategy);
-    let outcomes: Vec<PlanningOutcome> = if matches!(parallelism, Parallelism::Off)
-        || parallelism.workers() == 1
-        || seeds.len() == 1
-    {
-        seeds.iter().map(|&s| hill_climb(cluster, s, |r| cost_fn(r))).collect()
-    } else {
-        let cost_fn = &cost_fn;
-        let seeds = &seeds;
-        let scope_token = tel.current_scope();
-        let per_seed: Vec<Result<PlanningOutcome, ResourceConfig>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = seeds
-                    .iter()
-                    .map(|&s| {
-                        let h = scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                let _in_scope = tel.enter_scope(scope_token);
-                                let _ = probes::probe("resource.worker.climb");
-                                hill_climb(cluster, s, |r| cost_fn(r))
-                            }))
-                        });
-                        (s, h)
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(s, h)| match h.join() {
-                        Ok(Ok(out)) => Ok(out),
-                        Ok(Err(_payload)) | Err(_payload) => Err(s),
-                    })
-                    .collect()
-            });
-        per_seed
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|seed| {
-                    // Re-climb the lost seed sequentially; climbs are
-                    // independent, so this reproduces the worker's result.
-                    tel.inc(Counter::WorkerPanics);
-                    hill_climb(cluster, seed, |r| cost_fn(r))
-                })
-            })
-            .collect()
-    };
-
-    let iterations = outcomes.iter().map(|o| o.iterations).sum();
-    let best = outcomes
-        .into_iter()
-        .enumerate()
-        .min_by(|(ai, a), (bi, b)| a.cost.total_cmp(&b.cost).then(ai.cmp(bi)))
-        .map(|(_, o)| o)
-        // Infallible: seeds_with always returns >= 1 seed (the min corner).
-        .expect("at least one seed");
-    PlanningOutcome { iterations, ..best }
-}
-
-/// Multi-start hill climbing driven by a *batched* cost evaluator: instead
-/// of one thread per seed issuing scalar cost calls, a single thread runs
-/// every live seed in lock-step and gathers each round's whole candidate
-/// neighborhood (≤ 2 probes × dims × live seeds) into one `batch_fn` call
-/// per dimension — wide enough for the batched cost kernel (and, with the
-/// `simd` feature of `raqo-cost`, its AVX2 path) to pay off.
+/// Multi-start hill climbing: Algorithm 1 from every [`multi_start_seeds`]
+/// point, keeping the best local optimum. A single thread runs every live
+/// seed in lock-step and gathers each round's whole candidate neighborhood
+/// (≤ 2 probes × dims × live seeds) into one `batch_fn` call per dimension —
+/// wide enough for the batched cost kernel to pay off. Each lock-step round
+/// increments `raqo_hill_climb_batched_rounds_total`.
 ///
 /// `batch_fn(configs, costs)` must fill `costs[i]` with the cost at
 /// `configs[i]`, using `f64::INFINITY` for infeasible points — the same
 /// contract as [`crate::brute_force_batch`] minus the grid index (climb probes
 /// are not grid-indexed).
 ///
-/// The outcome is **bit-identical** to [`hill_climb_multi_with`] (for any
-/// [`Parallelism`]) whenever the evaluator agrees with the scalar cost
+/// The outcome is **bit-identical** to running [`crate::hill_climb`] from
+/// each seed in turn whenever the evaluator agrees with the scalar cost
 /// function point-wise:
 ///
 /// * probe configurations replay the scalar climber's nudge → evaluate →
@@ -448,24 +217,9 @@ where
 ///   probe order;
 /// * `iterations` counts the same distinct configurations probed, summed
 ///   over all seeds, and the winner is merged by `(cost, seed index)`.
-pub fn hill_climb_multi_batched<F>(
-    cluster: &ClusterConditions,
-    batch_fn: F,
-    strategy: SeedStrategy,
-) -> PlanningOutcome
-where
-    F: FnMut(&[ResourceConfig], &mut [f64]),
-{
-    hill_climb_multi_batched_traced(cluster, batch_fn, strategy, &Telemetry::disabled())
-}
-
-/// [`hill_climb_multi_batched`] with a telemetry sink: each lock-step round
-/// (one whole-neighborhood sweep over all live seeds) increments
-/// `raqo_hill_climb_batched_rounds_total`.
-pub fn hill_climb_multi_batched_traced<F>(
+pub fn hill_climb_multi<F>(
     cluster: &ClusterConditions,
     mut batch_fn: F,
-    strategy: SeedStrategy,
     tel: &Telemetry,
 ) -> PlanningOutcome
 where
@@ -482,7 +236,7 @@ where
         live: bool,
     }
 
-    let seeds = seeds_with(cluster, strategy);
+    let seeds = multi_start_seeds(cluster);
     let step_size = cluster.discrete_steps();
     let dims = cluster.dims();
     let candidate = [-1.0, 1.0];
@@ -566,7 +320,7 @@ where
         .iter()
         .enumerate()
         .min_by(|(ai, a), (bi, b)| a.curr_cost.total_cmp(&b.curr_cost).then(ai.cmp(bi)))
-        // Infallible: seeds_with always returns >= 1 seed (the min corner).
+        // Infallible: there is always at least one seed (the min corner).
         .expect("at least one seed");
     PlanningOutcome { config: best.curr, cost: best.curr_cost, iterations }
 }
@@ -574,7 +328,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::brute_force;
+    use crate::planner::{brute_force, hill_climb};
     use proptest::prelude::*;
 
     fn bowl(r: &ResourceConfig) -> f64 {
@@ -591,6 +345,73 @@ mod tests {
         cluster
     }
 
+    /// [`brute_force_rows`] over a per-point cost function.
+    fn rows_by_point(
+        cluster: &ClusterConditions,
+        cost_fn: impl Fn(&ResourceConfig) -> f64 + Sync,
+        parallelism: Parallelism,
+        tel: &Telemetry,
+    ) -> PlanningOutcome {
+        let row_fn = |_: u64, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+            for (&x, c) in coords.iter().zip(costs) {
+                *c = cost_fn(&base.with_last(x));
+            }
+        };
+        brute_force_rows(cluster, row_fn, parallelism, tel)
+    }
+
+    /// [`brute_force_rows`] over an array-of-configs evaluator.
+    fn rows_by_configs(
+        cluster: &ClusterConditions,
+        batch_fn: impl Fn(u64, &[ResourceConfig], &mut [f64]) + Sync,
+        parallelism: Parallelism,
+        tel: &Telemetry,
+    ) -> PlanningOutcome {
+        let row_fn = |start: u64, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+            let configs: Vec<ResourceConfig> = coords.iter().map(|&x| base.with_last(x)).collect();
+            batch_fn(start, &configs, costs);
+        };
+        brute_force_rows(cluster, row_fn, parallelism, tel)
+    }
+
+    /// The per-seed reference for the lock-step climber: Algorithm 1 from
+    /// every seed in turn on this thread, the best local optimum kept (the
+    /// earlier seed on ties), iterations summed.
+    fn hill_climb_per_seed(
+        cluster: &ClusterConditions,
+        mut cost_fn: impl FnMut(&ResourceConfig) -> f64,
+    ) -> PlanningOutcome {
+        let mut best: Option<PlanningOutcome> = None;
+        let mut iterations = 0;
+        for seed in multi_start_seeds(cluster) {
+            let out = hill_climb(cluster, seed, &mut cost_fn);
+            iterations += out.iterations;
+            if best.is_none_or(|b| out.cost.total_cmp(&b.cost).is_lt()) {
+                best = Some(out);
+            }
+        }
+        PlanningOutcome { iterations, ..best.expect("at least one seed") }
+    }
+
+    /// Point-wise batch evaluator over a scalar surface, for parity tests.
+    fn batch_of(
+        f: impl Fn(&ResourceConfig) -> f64,
+    ) -> impl FnMut(&[ResourceConfig], &mut [f64]) {
+        move |configs, costs| {
+            for (r, c) in configs.iter().zip(costs.iter_mut()) {
+                *c = f(r);
+            }
+        }
+    }
+
+    /// The lock-step climber with telemetry off.
+    fn lockstep(
+        cluster: &ClusterConditions,
+        batch_fn: impl FnMut(&[ResourceConfig], &mut [f64]),
+    ) -> PlanningOutcome {
+        hill_climb_multi(cluster, batch_fn, &Telemetry::disabled())
+    }
+
     #[test]
     fn parallelism_workers_resolve() {
         assert_eq!(Parallelism::Off.workers(), 1);
@@ -604,7 +425,7 @@ mod tests {
         let cluster = fanned_cluster();
         let seq = brute_force(&cluster, bowl);
         for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Threads(7), Parallelism::Auto] {
-            let out = brute_force_parallel(&cluster, bowl, par);
+            let out = rows_by_point(&cluster, bowl, par, &Telemetry::disabled());
             assert_eq!(out.config, seq.config, "{par:?}");
             assert!(out.cost.to_bits() == seq.cost.to_bits(), "{par:?}");
             assert_eq!(out.iterations, seq.iterations, "{par:?}");
@@ -618,7 +439,8 @@ mod tests {
         let cluster = fanned_cluster();
         let seq = brute_force(&cluster, |_| 2.5);
         for n in 1..=8 {
-            let out = brute_force_parallel(&cluster, |_| 2.5, Parallelism::Threads(n));
+            let out =
+                rows_by_point(&cluster, |_| 2.5, Parallelism::Threads(n), &Telemetry::disabled());
             assert_eq!(out.config, seq.config, "workers={n}");
         }
     }
@@ -626,7 +448,7 @@ mod tests {
     #[test]
     fn more_workers_than_grid_points() {
         let cluster = ClusterConditions::two_dim(1.0..=2.0, 1.0..=1.0, 1.0, 1.0);
-        let out = brute_force_parallel(&cluster, bowl, Parallelism::Threads(16));
+        let out = rows_by_point(&cluster, bowl, Parallelism::Threads(16), &Telemetry::disabled());
         assert_eq!(out, brute_force(&cluster, bowl));
     }
 
@@ -682,7 +504,8 @@ mod tests {
             let seq = brute_force(&cluster, ridge);
             assert_eq!(seq.iterations, cluster.grid().count() as u64);
             assert_eq!(seq.cost, if cluster.max.containers() < 2.0 { 1.0 } else { 0.0 });
-            let par = brute_force_parallel(&cluster, ridge, Parallelism::Threads(3));
+            let par =
+                rows_by_point(&cluster, ridge, Parallelism::Threads(3), &Telemetry::disabled());
             assert_eq!(par.config, seq.config);
             assert_eq!(par.cost.to_bits(), seq.cost.to_bits());
             assert_eq!(par.iterations, seq.iterations);
@@ -699,7 +522,7 @@ mod tests {
             }
         };
         for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Threads(7), Parallelism::Auto] {
-            let out = brute_force_parallel_batch(&cluster, eval, par);
+            let out = rows_by_configs(&cluster, eval, par, &Telemetry::disabled());
             assert_eq!(out.config, seq.config, "{par:?}");
             assert_eq!(out.cost.to_bits(), seq.cost.to_bits(), "{par:?}");
             assert_eq!(out.iterations, seq.iterations, "{par:?}");
@@ -711,10 +534,11 @@ mod tests {
         let cluster = fanned_cluster();
         let seq = brute_force(&cluster, |_| 2.5);
         for n in 1..=8 {
-            let out = brute_force_parallel_batch(
+            let out = rows_by_configs(
                 &cluster,
                 |_, _, costs: &mut [f64]| costs.fill(2.5),
                 Parallelism::Threads(n),
+                &Telemetry::disabled(),
             );
             assert_eq!(out.config, seq.config, "workers={n}");
         }
@@ -738,27 +562,12 @@ mod tests {
     }
 
     #[test]
-    fn corner_seeds_cover_corners_and_centroid() {
-        let cluster = ClusterConditions::paper_default();
-        let seeds = seeds_with(&cluster, SeedStrategy::CornersCentroid);
-        assert_eq!(seeds.len(), 5); // 4 corners + centroid
-        assert_eq!(seeds[0], cluster.min);
-        assert!(seeds.contains(&ResourceConfig::containers_and_size(100.0, 10.0)));
-        assert!(seeds.iter().all(|s| cluster.contains(s)));
-        let tiny = ClusterConditions::two_dim(3.0..=3.0, 2.0..=2.0, 1.0, 1.0);
-        assert_eq!(
-            seeds_with(&tiny, SeedStrategy::CornersCentroid),
-            vec![ResourceConfig::containers_and_size(3.0, 2.0)]
-        );
-    }
-
-    #[test]
     fn halton_seeds_find_interior_basin_corner_seeds_miss() {
         // A broad bowl with its minimum at the min corner, plus a deep,
         // narrow dent centred on one of the Halton seeds (26, 7). Climbs
-        // from the corners and the centroid all slide down the bowl without
-        // entering the dent's radius; the Halton spread starts at its centre
-        // and finds the negative-cost basin.
+        // from the two corner seeds slide down the bowl without entering
+        // the dent's radius; the Halton spread starts at its centre and
+        // finds the negative-cost basin.
         let dented = |r: &ResourceConfig| -> f64 {
             let d1 = (r.containers() - 1.0).powi(2) + (r.container_size_gb() - 1.0).powi(2);
             let dc = ((r.containers() - 26.0).powi(2)
@@ -767,20 +576,18 @@ mod tests {
             d1 - (500.0 * (3.0 - dc)).max(0.0)
         };
         let cluster = ClusterConditions::paper_default();
-        let halton =
-            hill_climb_multi_with(&cluster, dented, Parallelism::Off, SeedStrategy::Halton);
-        let corners = hill_climb_multi_with(
-            &cluster,
-            dented,
-            Parallelism::Off,
-            SeedStrategy::CornersCentroid,
-        );
-        assert!(
-            halton.cost < corners.cost,
-            "halton={} corners={}",
-            halton.cost,
-            corners.cost
-        );
+        let halton = lockstep(&cluster, batch_of(dented));
+        let seeds = multi_start_seeds(&cluster);
+        for corner in &seeds[..2] {
+            let climbed = hill_climb(&cluster, *corner, dented);
+            assert!(
+                halton.cost < climbed.cost,
+                "halton={} corner {corner:?}={}",
+                halton.cost,
+                climbed.cost
+            );
+        }
+        assert_eq!(halton.config, ResourceConfig::containers_and_size(26.0, 7.0));
     }
 
     #[test]
@@ -796,7 +603,7 @@ mod tests {
         };
         let cluster = ClusterConditions::paper_default();
         let single = hill_climb(&cluster, cluster.min, two_basins);
-        let multi = hill_climb_multi(&cluster, two_basins, Parallelism::Auto);
+        let multi = lockstep(&cluster, batch_of(two_basins));
         assert!(multi.cost < single.cost);
         assert_eq!(multi.config, ResourceConfig::containers_and_size(90.0, 9.0));
     }
@@ -819,7 +626,7 @@ mod tests {
             }
             bowl(r)
         };
-        let out = brute_force_parallel_traced(&cluster, spiky, Parallelism::Threads(4), &tel);
+        let out = rows_by_point(&cluster, spiky, Parallelism::Threads(4), &tel);
         assert_eq!(out.config, seq.config);
         assert_eq!(out.cost.to_bits(), seq.cost.to_bits());
         assert_eq!(out.iterations, seq.iterations);
@@ -841,35 +648,9 @@ mod tests {
                 *c = bowl(r);
             }
         };
-        let out = brute_force_parallel_batch_traced(&cluster, eval, Parallelism::Threads(4), &tel);
+        let out = rows_by_configs(&cluster, eval, Parallelism::Threads(4), &tel);
         assert_eq!(out.config, seq.config);
         assert_eq!(out.cost.to_bits(), seq.cost.to_bits());
-        assert_eq!(tel.snapshot().unwrap().get(Counter::WorkerPanics), 1);
-    }
-
-    #[test]
-    fn climb_worker_panic_recovers_bit_identical() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let cluster = ClusterConditions::paper_default();
-        let seq = hill_climb_multi(&cluster, bowl, Parallelism::Off);
-        let tel = Telemetry::enabled();
-        let fired = AtomicBool::new(false);
-        let spiky = |r: &ResourceConfig| -> f64 {
-            if !fired.swap(true, Ordering::SeqCst) {
-                panic!("injected climb panic");
-            }
-            bowl(r)
-        };
-        let out = hill_climb_multi_with_traced(
-            &cluster,
-            spiky,
-            Parallelism::Threads(4),
-            SeedStrategy::default(),
-            &tel,
-        );
-        assert_eq!(out.config, seq.config);
-        assert_eq!(out.cost.to_bits(), seq.cost.to_bits());
-        assert_eq!(out.iterations, seq.iterations);
         assert_eq!(tel.snapshot().unwrap().get(Counter::WorkerPanics), 1);
     }
 
@@ -885,45 +666,31 @@ mod tests {
             bowl(r)
         };
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            brute_force_parallel_traced(
-                &cluster,
-                always,
-                Parallelism::Threads(4),
-                &Telemetry::disabled(),
-            )
+            rows_by_point(&cluster, always, Parallelism::Threads(4), &Telemetry::disabled())
         }));
         assert!(r.is_err(), "deterministic panic must propagate");
     }
 
     #[test]
     fn multi_start_is_scheduling_invariant() {
+        // Lock-step interleaving of the seeds' climbs is invisible: the
+        // outcome is the one climbing each seed in turn produces.
         let cluster = ClusterConditions::paper_default();
-        let seq = hill_climb_multi(&cluster, bowl, Parallelism::Off);
-        let par = hill_climb_multi(&cluster, bowl, Parallelism::Threads(4));
-        assert_eq!(seq, par);
+        let per_seed = hill_climb_per_seed(&cluster, bowl);
+        let lock_step = lockstep(&cluster, batch_of(bowl));
+        assert_eq!(per_seed, lock_step);
         // All seeds converge on the single bowl minimum.
-        assert_eq!(seq.config, ResourceConfig::containers_and_size(40.0, 7.0));
+        assert_eq!(lock_step.config, ResourceConfig::containers_and_size(40.0, 7.0));
         // Iterations are summed over all climbs, so the multi-start run
         // spends more than a single Algorithm 1 climb.
-        assert!(seq.iterations > hill_climb(&cluster, cluster.min, bowl).iterations);
-    }
-
-    /// Point-wise batch evaluator over a scalar surface, for parity tests.
-    fn batch_of(
-        f: impl Fn(&ResourceConfig) -> f64,
-    ) -> impl FnMut(&[ResourceConfig], &mut [f64]) {
-        move |configs, costs| {
-            for (r, c) in configs.iter().zip(costs.iter_mut()) {
-                *c = f(r);
-            }
-        }
+        assert!(lock_step.iterations > hill_climb(&cluster, cluster.min, bowl).iterations);
     }
 
     #[test]
     fn batched_climb_matches_multi_start_bitwise() {
-        // Convex, multimodal, and dented surfaces; both seed strategies;
-        // every parallelism mode of the per-seed climber. The batched
-        // climber must agree bit-for-bit on config, cost, and iterations.
+        // Convex, multimodal, and dented surfaces: the lock-step climber
+        // must agree with the per-seed reference bit-for-bit on config,
+        // cost, and iterations.
         let two_basins = |r: &ResourceConfig| -> f64 {
             let near = (r.containers() - 5.0).powi(2) + (r.container_size_gb() - 2.0).powi(2);
             let far =
@@ -936,26 +703,14 @@ mod tests {
                 .sqrt();
             d1 - (500.0 * (3.0 - dc)).max(0.0)
         };
-        let surfaces: [&(dyn Fn(&ResourceConfig) -> f64 + Sync); 3] =
-            [&bowl, &two_basins, &dented];
+        let surfaces: [&dyn Fn(&ResourceConfig) -> f64; 3] = [&bowl, &two_basins, &dented];
         let cluster = ClusterConditions::paper_default();
         for (si, surface) in surfaces.iter().enumerate() {
-            for strategy in [SeedStrategy::Halton, SeedStrategy::CornersCentroid] {
-                let batched = hill_climb_multi_batched(&cluster, batch_of(surface), strategy);
-                for par in [Parallelism::Off, Parallelism::Threads(4), Parallelism::Auto] {
-                    let scalar = hill_climb_multi_with(&cluster, surface, par, strategy);
-                    assert_eq!(batched.config, scalar.config, "s{si} {strategy:?} {par:?}");
-                    assert_eq!(
-                        batched.cost.to_bits(),
-                        scalar.cost.to_bits(),
-                        "s{si} {strategy:?} {par:?}"
-                    );
-                    assert_eq!(
-                        batched.iterations, scalar.iterations,
-                        "s{si} {strategy:?} {par:?}"
-                    );
-                }
-            }
+            let batched = lockstep(&cluster, batch_of(surface));
+            let scalar = hill_climb_per_seed(&cluster, surface);
+            assert_eq!(batched.config, scalar.config, "s{si}");
+            assert_eq!(batched.cost.to_bits(), scalar.cost.to_bits(), "s{si}");
+            assert_eq!(batched.iterations, scalar.iterations, "s{si}");
         }
     }
 
@@ -963,14 +718,10 @@ mod tests {
     fn batched_climb_tie_break_matches_multi_start() {
         // Constant surface: every seed's optimum ties at the start; the
         // merged winner must be the earliest seed (the min corner), exactly
-        // like the per-seed climber.
+        // like the per-seed reference.
         let cluster = ClusterConditions::paper_default();
-        let scalar = hill_climb_multi(&cluster, |_| 3.0, Parallelism::Off);
-        let batched = hill_climb_multi_batched(
-            &cluster,
-            |_: &[ResourceConfig], costs: &mut [f64]| costs.fill(3.0),
-            SeedStrategy::default(),
-        );
+        let scalar = hill_climb_per_seed(&cluster, |_| 3.0);
+        let batched = lockstep(&cluster, |_: &[ResourceConfig], costs: &mut [f64]| costs.fill(3.0));
         assert_eq!(batched, scalar);
         assert_eq!(batched.config, cluster.min);
     }
@@ -978,15 +729,14 @@ mod tests {
     #[test]
     fn batched_climb_handles_infeasible_points() {
         // A feasibility mask (INFINITY outside a band) must not derail the
-        // lock-step replay: parity with the per-seed climber, which sees the
-        // same INFINITY costs from its scalar calls.
+        // lock-step replay: parity with the per-seed reference, which sees
+        // the same INFINITY costs from its scalar calls.
         let masked = |r: &ResourceConfig| -> f64 {
             if r.container_size_gb() < 4.0 { f64::INFINITY } else { bowl(r) }
         };
         let cluster = ClusterConditions::paper_default();
-        let scalar = hill_climb_multi(&cluster, masked, Parallelism::Off);
-        let batched =
-            hill_climb_multi_batched(&cluster, batch_of(masked), SeedStrategy::default());
+        let scalar = hill_climb_per_seed(&cluster, masked);
+        let batched = lockstep(&cluster, batch_of(masked));
         assert_eq!(batched, scalar);
     }
 
@@ -996,39 +746,90 @@ mod tests {
         // Flat surface: every seed probes its round-1 neighborhood, nothing
         // improves, all seeds retire — exactly one lock-step round.
         let tel = Telemetry::enabled();
-        hill_climb_multi_batched_traced(
-            &cluster,
-            |_: &[ResourceConfig], costs: &mut [f64]| costs.fill(1.0),
-            SeedStrategy::default(),
-            &tel,
-        );
+        hill_climb_multi(&cluster, |_: &[ResourceConfig], costs: &mut [f64]| costs.fill(1.0), &tel);
         assert_eq!(tel.snapshot().unwrap().get(Counter::HillClimbBatchedRounds), 1);
 
         // The bowl needs many rounds: at least as many as the longest
         // single-seed climb's accepted-step count.
         let tel = Telemetry::enabled();
-        hill_climb_multi_batched_traced(
-            &cluster,
-            batch_of(bowl),
-            SeedStrategy::default(),
-            &tel,
-        );
+        hill_climb_multi(&cluster, batch_of(bowl), &tel);
         let rounds = tel.snapshot().unwrap().get(Counter::HillClimbBatchedRounds);
         assert!(rounds > 10, "bowl should take many lock-step rounds, got {rounds}");
     }
 
     #[test]
+    fn lock_step_climb_evaluates_on_the_calling_thread() {
+        // The climber fans probes out across seeds, not threads: every
+        // batch, round 0 included, runs on the caller's thread.
+        let caller = std::thread::current().id();
+        let mut batches = 0;
+        let out = lockstep(&ClusterConditions::paper_default(), |configs, costs| {
+            assert_eq!(std::thread::current().id(), caller);
+            batches += 1;
+            batch_of(bowl)(configs, costs);
+        });
+        assert_eq!(out.config, ResourceConfig::containers_and_size(40.0, 7.0));
+        assert!(batches > 1, "round 0 plus at least one probe batch, got {batches}");
+    }
+
+    #[test]
+    fn climb_panic_propagates_without_recovery() {
+        // No worker threads means nothing to recover: a panicking evaluator
+        // unwinds straight to the caller, even one that would succeed on a
+        // retry, and no worker panic is counted.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let cluster = ClusterConditions::paper_default();
+        let tel = Telemetry::enabled();
+        let fired = AtomicBool::new(false);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            hill_climb_multi(
+                &cluster,
+                |configs: &[ResourceConfig], costs: &mut [f64]| {
+                    if !fired.swap(true, Ordering::SeqCst) {
+                        panic!("injected climb panic");
+                    }
+                    batch_of(bowl)(configs, costs);
+                },
+                &tel,
+            )
+        }));
+        assert!(r.is_err(), "a climb panic must reach the caller");
+        assert_eq!(tel.snapshot().unwrap().get(Counter::WorkerPanics), 0);
+    }
+
+    #[test]
     fn batched_climb_single_point_cluster() {
         let tiny = ClusterConditions::two_dim(3.0..=3.0, 2.0..=2.0, 1.0, 1.0);
-        let out = hill_climb_multi_batched(&tiny, batch_of(bowl), SeedStrategy::default());
+        let out = lockstep(&tiny, batch_of(bowl));
         assert_eq!(out.config, ResourceConfig::containers_and_size(3.0, 2.0));
         assert_eq!(out.iterations, 1);
     }
 
     proptest::proptest! {
-        /// Batched == per-seed multi-start parity on randomized quadratic
-        /// surfaces (optionally dented and masked), random grids, both seed
-        /// strategies, every parallelism mode.
+        /// On any grid the seeds are distinct grid points, led by the min
+        /// corner and including the grid-max corner, at most `2^dims + 1`.
+        #[test]
+        fn multi_start_seeds_are_distinct_grid_points(
+            max_c in 1.0f64..40.0,
+            max_s in 1.0f64..10.0,
+            half_steps in proptest::bool::ANY,
+        ) {
+            let step_s = if half_steps { 0.5 } else { 1.0 };
+            let cluster =
+                ClusterConditions::two_dim(1.0..=max_c.floor(), 1.0..=max_s.floor(), 1.0, step_s);
+            let seeds = multi_start_seeds(&cluster);
+            prop_assert_eq!(seeds[0], cluster.min);
+            prop_assert!(seeds.len() <= (1 << cluster.dims()) + 1);
+            let grid: Vec<ResourceConfig> = cluster.grid().collect();
+            prop_assert!(seeds.contains(grid.last().unwrap()), "grid-max corner missing");
+            for (i, s) in seeds.iter().enumerate() {
+                prop_assert!(grid.contains(s), "seed {:?} is off the grid", s);
+                prop_assert!(!seeds[..i].contains(s), "seed {:?} repeats", s);
+            }
+        }
+
+        /// Lock-step == per-seed multi-start parity on randomized quadratic
+        /// surfaces (optionally dented) over random grids.
         #[test]
         fn batched_climb_parity_randomized(
             max_c in 2.0f64..40.0,
@@ -1038,7 +839,6 @@ mod tests {
             dent_c in 0.0f64..1.0,
             dent_s in 0.0f64..1.0,
             dent_depth in 0.0f64..500.0,
-            strategy_bit in 0usize..2,
         ) {
             let cluster = ClusterConditions::two_dim(1.0..=max_c.floor(), 1.0..=max_s.floor(), 1.0, 1.0);
             let (oc, os) = (1.0 + opt_c * (max_c - 1.0), 1.0 + opt_s * (max_s - 1.0));
@@ -1050,18 +850,11 @@ mod tests {
                 .sqrt();
                 d1 - (dent_depth * (2.0 - dd)).max(0.0)
             };
-            let strategy = if strategy_bit == 0 {
-                SeedStrategy::Halton
-            } else {
-                SeedStrategy::CornersCentroid
-            };
-            let batched = hill_climb_multi_batched(&cluster, batch_of(surface), strategy);
-            for par in [Parallelism::Off, Parallelism::Threads(3)] {
-                let scalar = hill_climb_multi_with(&cluster, surface, par, strategy);
-                prop_assert_eq!(batched.config, scalar.config);
-                prop_assert_eq!(batched.cost.to_bits(), scalar.cost.to_bits());
-                prop_assert_eq!(batched.iterations, scalar.iterations);
-            }
+            let batched = lockstep(&cluster, batch_of(surface));
+            let scalar = hill_climb_per_seed(&cluster, surface);
+            prop_assert_eq!(batched.config, scalar.config);
+            prop_assert_eq!(batched.cost.to_bits(), scalar.cost.to_bits());
+            prop_assert_eq!(batched.iterations, scalar.iterations);
         }
     }
 }

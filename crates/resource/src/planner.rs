@@ -108,7 +108,7 @@ fn slice_min(costs: &[f64]) -> f64 {
 
 /// Row evaluator that prices each point of a slice through a per-point cost
 /// function.
-pub(crate) fn by_point<F>(mut cost_fn: F) -> impl FnMut(u64, &ResourceConfig, &[f64], &mut [f64])
+fn by_point<F>(mut cost_fn: F) -> impl FnMut(u64, &ResourceConfig, &[f64], &mut [f64])
 where
     F: FnMut(&ResourceConfig) -> f64,
 {
@@ -121,7 +121,7 @@ where
 
 /// Row evaluator that materializes each slice as configurations for an
 /// array-of-configs batch evaluator (the [`brute_force_batch`] contract).
-pub(crate) fn by_configs<F>(mut batch_fn: F) -> impl FnMut(u64, &ResourceConfig, &[f64], &mut [f64])
+fn by_configs<F>(mut batch_fn: F) -> impl FnMut(u64, &ResourceConfig, &[f64], &mut [f64])
 where
     F: FnMut(u64, &[ResourceConfig], &mut [f64]),
 {

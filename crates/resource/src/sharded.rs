@@ -1,15 +1,16 @@
 //! Sharded resource-plan cache banks.
 //!
-//! [`SharedCacheBank`](crate::SharedCacheBank) serializes every lookup and
-//! insertion behind one bank-wide lock. Under the concurrent planning
-//! service that lock — and, worse, whole-bank re-serialization at every
-//! periodic checkpoint — becomes the bottleneck. [`ShardedCacheBank`]
-//! splits the §VI-B3 bank into `N` independently locked shards:
+//! [`ShardedCacheBank`] is the thread-safe handle onto the §VI-B3
+//! [`CacheBank`]. Clones share state, so one bank serves concurrent costers
+//! (the planning service's workers) and the Fig. 15(b) "across-query
+//! caching" mode, where a workload's queries warm a cache that outlives any
+//! single optimizer run. The bank is split into `N` independently locked
+//! shards:
 //!
 //! * a (cost model, operator) pair is owned by exactly one shard, chosen by
 //!   an FNV-1a hash of the pair salted with a tenant/cluster salt, so the
 //!   per-pair cache semantics (and therefore every lookup result and every
-//!   statistic) are bit-identical to the single-lock bank;
+//!   statistic) are bit-identical to one unsharded [`CacheBank`];
 //! * each shard keeps, per member cache, the text it last rendered for it
 //!   in the version-1 persistence format and the content
 //!   [`revision`](crate::ResourcePlanCache::revision) that text was
@@ -17,8 +18,8 @@
 //!   revision moved since the previous checkpoint — `O(entries in changed
 //!   caches)`, whatever the shard count — appends the kept texts for the
 //!   rest, and replaces the file atomically outside every bank lock;
-//! * `N = 1` degenerates to exactly the single-lock bank (one shard owns
-//!   every pair), and checkpoints just as incrementally.
+//! * `N = 1` is one lock over one bank (a coster's private default), and
+//!   checkpoints just as incrementally.
 //!
 //! [`checkpoint`]: ShardedCacheBank::checkpoint
 
@@ -195,8 +196,8 @@ impl ShardedCacheBank {
     }
 
     /// Look up the (model, operator) cache under `mode`. Counts a hit or a
-    /// miss, exactly as [`SharedCacheBank`](crate::SharedCacheBank) does —
-    /// only the shard's lock is taken, not the whole bank's.
+    /// miss, exactly as the unsharded [`CacheBank`] does — only the shard's
+    /// lock is taken, not the whole bank's.
     pub fn lookup(
         &self,
         model: u32,
@@ -309,8 +310,8 @@ impl ShardedCacheBank {
     }
 
     /// Persist the merged bank to `path` in the canonical version-1 format
-    /// — byte-identical to [`SharedCacheBank::save`](crate::SharedCacheBank)
-    /// of the same entries. Serialization and I/O run outside all locks.
+    /// — byte-identical to saving an unsharded [`CacheBank`] with the same
+    /// entries. Serialization and I/O run outside all locks.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PersistError> {
         persist::save_bank(&self.merged_bank(), path)
     }
@@ -338,9 +339,12 @@ impl ShardedCacheBank {
         Ok(Self::from_bank_with_shards(persist::load_bank(path)?, shards))
     }
 
-    /// Fingerprint-checked load (see
-    /// [`SharedCacheBank::load_checked`](crate::SharedCacheBank::load_checked))
-    /// into the default shard count.
+    /// Load a bank, discarding it as stale when its stamped fingerprint
+    /// differs from `model_fingerprint` (or when the file predates
+    /// stamping), into the default shard count. Returns `(bank,
+    /// invalidated)`; an invalidated load yields an empty, usable bank.
+    /// Corrupt files are quarantined and reported as
+    /// [`PersistError::Corrupt`].
     pub fn load_checked(
         path: impl AsRef<std::path::Path>,
         model_fingerprint: u64,
@@ -411,7 +415,6 @@ impl ShardedCacheBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::SharedCacheBank;
 
     fn cfg(c: f64, s: f64) -> ResourceConfig {
         ResourceConfig::containers_and_size(c, s)
@@ -460,60 +463,37 @@ mod tests {
     }
 
     /// The core bit-parity claim: any op sequence gives identical results,
-    /// stats, and persisted bytes on the sharded and single-lock banks.
+    /// stats, and persisted bytes on the sharded bank and one bare
+    /// [`CacheBank`].
     fn parity_under_ops(shards: usize, salt: u64, ops: &[(u32, u32, f64, u8)]) {
         let sharded = ShardedCacheBank::with_shards_and_salt(shards, salt);
-        let single = SharedCacheBank::new();
+        let mut single = CacheBank::new();
         for &(model, operator, key, kind) in ops {
-            match kind % 5 {
+            let mode = match kind % 5 {
                 0 => {
                     sharded.insert(model, operator, key, cfg(key + 1.0, 2.0));
-                    single.insert(model, operator, key, cfg(key + 1.0, 2.0));
+                    single.cache(model, operator).insert(key, cfg(key + 1.0, 2.0));
+                    continue;
                 }
-                1 => assert_eq!(
-                    sharded.lookup(model, operator, key, CacheLookup::Exact),
-                    single.lookup(model, operator, key, CacheLookup::Exact),
-                ),
-                2 => assert_eq!(
-                    sharded.lookup(
-                        model,
-                        operator,
-                        key,
-                        CacheLookup::NearestNeighbor { threshold: 1.5 }
-                    ),
-                    single.lookup(
-                        model,
-                        operator,
-                        key,
-                        CacheLookup::NearestNeighbor { threshold: 1.5 }
-                    ),
-                ),
-                3 => assert_eq!(
-                    sharded.lookup(
-                        model,
-                        operator,
-                        key,
-                        CacheLookup::WeightedAverage { threshold: 2.5 }
-                    ),
-                    single.lookup(
-                        model,
-                        operator,
-                        key,
-                        CacheLookup::WeightedAverage { threshold: 2.5 }
-                    ),
-                ),
+                1 => CacheLookup::Exact,
+                2 => CacheLookup::NearestNeighbor { threshold: 1.5 },
+                3 => CacheLookup::WeightedAverage { threshold: 2.5 },
                 _ => {
                     sharded.clear();
                     single.clear();
+                    continue;
                 }
-            }
+            };
+            assert_eq!(
+                sharded.lookup(model, operator, key, mode),
+                single.cache(model, operator).lookup(key, mode),
+            );
         }
         assert_eq!(sharded.total_entries(), single.total_entries());
         assert_eq!(sharded.aggregate_stats(), single.aggregate_stats());
         // Canonical persistence is byte-identical.
         let merged = sharded.merged_bank();
-        let single_json = single.with_bank(|b| persist::bank_to_json(b));
-        assert_eq!(persist::bank_to_json(&merged), single_json);
+        assert_eq!(persist::bank_to_json(&merged), persist::bank_to_json(&single));
     }
 
     #[test]
@@ -535,8 +515,8 @@ mod tests {
 
     proptest::proptest! {
         /// Property form of the parity claim: arbitrary op sequences over
-        /// arbitrary shard counts and salts never diverge from the
-        /// single-lock bank in results, stats, or persisted bytes.
+        /// arbitrary shard counts and salts never diverge from a bare
+        /// [`CacheBank`] in results, stats, or persisted bytes.
         #[test]
         fn prop_sharded_bank_is_bit_identical(
             raw_ops in proptest::collection::vec((0u32..12, 0u32..3, 0u64..48, 0u8..5), 0..120),
@@ -694,17 +674,17 @@ mod tests {
     #[test]
     fn canonical_save_matches_single_bank_bytes() {
         let sharded = ShardedCacheBank::with_shards(16);
-        let single = SharedCacheBank::new();
+        let mut single = CacheBank::new();
         for i in 0..40u32 {
             let key = i as f64 / 7.0;
             sharded.insert(i % 9, i % 3, key, cfg(i as f64, 3.0));
-            single.insert(i % 9, i % 3, key, cfg(i as f64, 3.0));
+            single.cache(i % 9, i % 3).insert(key, cfg(i as f64, 3.0));
         }
         let dir = std::env::temp_dir();
         let a = dir.join("raqo_sharded_canonical_a.json");
         let b = dir.join("raqo_sharded_canonical_b.json");
         sharded.save_with_fingerprint(&a, 42).unwrap();
-        single.save_with_fingerprint(&b, 42).unwrap();
+        persist::save_bank_with(&single, &b, Some(42)).unwrap();
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
@@ -738,17 +718,17 @@ mod tests {
     #[test]
     fn compact_matches_single_lock_bank_and_dirties_shards() {
         let sharded = ShardedCacheBank::with_shards(8);
-        let single = SharedCacheBank::new();
+        let mut single = CacheBank::new();
         for i in 0..40u32 {
             let key = i as f64 / 3.0;
             sharded.insert(i % 7, i % 2, key, cfg(i as f64, 2.0));
-            single.insert(i % 7, i % 2, key, cfg(i as f64, 2.0));
+            single.cache(i % 7, i % 2).insert(key, cfg(i as f64, 2.0));
         }
         // Touch a hot subset on both banks identically.
         for i in 0..12u32 {
             let key = i as f64 / 3.0;
             sharded.lookup(i % 7, i % 2, key, CacheLookup::Exact);
-            single.lookup(i % 7, i % 2, key, CacheLookup::Exact);
+            single.cache(i % 7, i % 2).lookup(key, CacheLookup::Exact);
         }
         let path = std::env::temp_dir().join("raqo_sharded_compact_ckpt.json");
         sharded.checkpoint(&path).unwrap();
@@ -758,8 +738,7 @@ mod tests {
         assert_eq!(sharded.total_entries(), 15);
         assert_eq!(single.total_entries(), 15);
         // Same global eviction policy → identical retained sets and bytes.
-        let single_json = single.with_bank(|b| persist::bank_to_json(b));
-        assert_eq!(persist::bank_to_json(&sharded.merged_bank()), single_json);
+        assert_eq!(persist::bank_to_json(&sharded.merged_bank()), persist::bank_to_json(&single));
         // The next checkpoint persists the compacted contents.
         sharded.checkpoint(&path).unwrap();
         let loaded = persist::load_bank(&path).unwrap();
@@ -816,5 +795,72 @@ mod tests {
         let loaded = persist::load_bank(&path).unwrap();
         assert_eq!(loaded.total_entries(), 200);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lookup_modes_match_unshared_semantics() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 1.0, cfg(10.0, 2.0));
+        bank.insert(0, 0, 3.0, cfg(30.0, 6.0));
+        assert_eq!(bank.lookup(0, 0, 2.0, CacheLookup::Exact), None);
+        assert_eq!(
+            bank.lookup(0, 0, 2.2, CacheLookup::NearestNeighbor { threshold: 1.0 }),
+            Some(cfg(30.0, 6.0))
+        );
+        let wa = bank.lookup(0, 0, 2.0, CacheLookup::WeightedAverage { threshold: 1.5 }).unwrap();
+        assert!((wa.containers() - 20.0).abs() < 1e-9);
+        // 1 miss + 2 hits recorded, as the unshared cache would.
+        let stats = bank.aggregate_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+    }
+
+    #[test]
+    fn model_operator_pairs_stay_separate() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 1.0, cfg(1.0, 1.0));
+        bank.insert(1, 0, 1.0, cfg(2.0, 2.0));
+        assert_eq!(bank.lookup(0, 0, 1.0, CacheLookup::Exact), Some(cfg(1.0, 1.0)));
+        assert_eq!(bank.lookup(1, 0, 1.0, CacheLookup::Exact), Some(cfg(2.0, 2.0)));
+    }
+
+    #[test]
+    fn fingerprinted_save_and_checked_load() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 1.0, cfg(4.0, 2.0));
+        let path = std::env::temp_dir().join("raqo_sharded_bank_fp_test.json");
+        bank.save_with_fingerprint(&path, 0xabc).unwrap();
+        let (same, invalidated) = ShardedCacheBank::load_checked(&path, 0xabc).unwrap();
+        assert!(!invalidated);
+        assert_eq!(same.total_entries(), 1);
+        let (stale, invalidated) = ShardedCacheBank::load_checked(&path, 0xdef).unwrap();
+        assert!(invalidated, "retrained model must invalidate the persisted bank");
+        assert_eq!(stale.total_entries(), 0);
+        // Unstamped legacy files are also stale under a checked load.
+        bank.save(&path).unwrap();
+        let (_, invalidated) = ShardedCacheBank::load_checked(&path, 0xabc).unwrap();
+        assert!(invalidated);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn panic_inside_with_bank_does_not_poison_the_lock() {
+        // The vendored parking_lot locks recover from a panicking critical
+        // section (no std-style poisoning), so a worker dying mid-update must
+        // leave the shared bank fully usable for every other handle.
+        let shared = ShardedCacheBank::with_shards(1);
+        shared.insert(0, 0, 1.0, cfg(5.0, 2.0));
+        let clone = shared.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            clone.with_shard_bank(0, 1, |bank| {
+                bank.cache(0, 1).insert(9.0, cfg(9.0, 9.0));
+                panic!("injected panic while holding the write lock");
+            })
+        }));
+        assert!(caught.is_err(), "the injected panic must propagate");
+        // Lock is free again: reads, writes, and multi-step sections all work.
+        assert_eq!(shared.lookup(0, 0, 1.0, CacheLookup::Exact), Some(cfg(5.0, 2.0)));
+        shared.insert(0, 0, 2.0, cfg(6.0, 3.0));
+        assert_eq!(shared.lookup(0, 0, 2.0, CacheLookup::Exact), Some(cfg(6.0, 3.0)));
+        assert_eq!(shared.with_shard_bank(0, 0, |bank| bank.total_entries()), 3);
     }
 }

@@ -20,7 +20,8 @@ use raqo::catalog::RandomSchema;
 use raqo::core::{explain, RaqoCoster, RaqoPlan, Telemetry};
 use raqo::planner::selinger::DEFAULT_DP_THRESHOLD;
 use raqo::planner::{
-    CascadesConfig, CascadesPlanner, IdpPlanner, RandomizedPlanner, SelingerPlanner,
+    CascadesConfig, CascadesPlanner, IdpPlanner, JoinDecision, JoinIo, PlanCoster,
+    RandomizedPlanner, SelingerPlanner,
 };
 use raqo::prelude::*;
 use raqo::resource::Parallelism;
@@ -35,7 +36,7 @@ fn selinger(
     catalog: &Catalog,
     graph: &JoinGraph,
     query: &QuerySpec,
-    coster: &mut Coster<'_>,
+    coster: &mut dyn PlanCoster,
     fill: DpFill,
 ) -> Option<PlannedQuery> {
     SelingerPlanner::plan_opts(
@@ -52,12 +53,21 @@ fn selinger(
     .ok()
 }
 
+/// The RAQO coster behind a seam that declines level batches, so
+/// Selinger's dense fill costs one candidate at a time.
+struct OneAtATime<'c, 'a>(&'c mut Coster<'a>);
+
+impl PlanCoster for OneAtATime<'_, '_> {
+    fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+        self.0.join_cost(io)
+    }
+}
+
 /// Every planner path a plan can come out of, by the name its section
 /// carries in the golden files.
 const PLANNERS: [(&str, Planner); 6] = [
     ("selinger dense-sequential", |c, g, q, coster| {
-        coster.use_batch = false;
-        selinger(c, g, q, coster, DpFill::Dense)
+        selinger(c, g, q, &mut OneAtATime(coster), DpFill::Dense)
     }),
     ("selinger dense-batched", |c, g, q, coster| selinger(c, g, q, coster, DpFill::Dense)),
     ("selinger streamed", |c, g, q, coster| selinger(c, g, q, coster, DpFill::Streamed)),

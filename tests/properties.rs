@@ -183,7 +183,8 @@ proptest! {
         tilt in -1.0f64..1.0,
         workers in 1usize..9,
     ) {
-        use raqo::resource::{brute_force_parallel, Parallelism};
+        use raqo::resource::{brute_force_rows, Parallelism};
+        use raqo::core::Telemetry;
         let cluster =
             ClusterConditions::two_dim(1.0..=max_nc.floor(), 1.0..=max_cs.floor(), 1.0, 1.0);
         let cost = |r: &ResourceConfig| -> f64 {
@@ -191,7 +192,13 @@ proptest! {
                 + tilt * r.containers()
         };
         let seq = brute_force(&cluster, cost);
-        let par = brute_force_parallel(&cluster, cost, Parallelism::Threads(workers));
+        let rows = |_: u64, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+            for (&x, c) in coords.iter().zip(costs) {
+                *c = cost(&base.with_last(x));
+            }
+        };
+        let par =
+            brute_force_rows(&cluster, rows, Parallelism::Threads(workers), &Telemetry::disabled());
         prop_assert_eq!(par.config, seq.config);
         prop_assert_eq!(par.cost.to_bits(), seq.cost.to_bits());
         prop_assert_eq!(par.iterations, seq.iterations);
@@ -227,15 +234,16 @@ proptest! {
         prop_assert_eq!(memo_coster.calls + memoized.memo_hits, plain_coster.calls);
     }
 
-    /// `SharedCacheBank` under concurrent insert/lookup from 4 threads
-    /// preserves exact-lookup round-trips: no thread ever loses its own
-    /// insert, and all entries survive.
+    /// A one-shard `ShardedCacheBank` (one lock, as a coster's private
+    /// bank) under concurrent insert/lookup from 4 threads preserves
+    /// exact-lookup round-trips: no thread ever loses its own insert, and
+    /// all entries survive.
     #[test]
     fn shared_cache_bank_concurrent_roundtrips(
         keys in proptest::collection::vec(0.0f64..1000.0, 4..40),
     ) {
-        use raqo::resource::SharedCacheBank;
-        let shared = SharedCacheBank::new();
+        use raqo::resource::ShardedCacheBank;
+        let shared = ShardedCacheBank::with_shards(1);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let handle = shared.clone();

@@ -8,7 +8,7 @@ use raqo_core::{Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy, Telem
 use raqo_cost::JoinCostModel;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    CardinalityEstimator, CascadesConfig, CascadesPlanner, DpFill, IdpConfig, IdpPlanner,
+    CardinalityEstimator, CascadesConfig, CascadesPlanner, IdpConfig, IdpPlanner,
     RandomizedConfig, SelingerPlanner,
 };
 use raqo_resource::{CacheLookup, ClusterConditions};
@@ -213,10 +213,9 @@ fn planner_speedup(c: &mut Criterion) {
     group.finish();
 }
 
-/// The u64-mask DP at the widened threshold: a 20-relation chain (the
-/// sparse best case that now fits exhaustive DP) and a 16-relation star
-/// (the dense adversarial case), dense table vs the two-level streamed
-/// fill. Plain join ordering at fixed resources isolates the DP itself.
+/// The u64-mask DP at its relation bound: a 20-relation chain (the sparse
+/// best case) and a 16-relation star (the dense adversarial case). Plain
+/// join ordering at fixed resources isolates the DP itself.
 fn selinger_u64(c: &mut Criterion) {
     let model = JoinCostModel::trained_hive();
     let mut group = c.benchmark_group("selinger_u64");
@@ -225,24 +224,12 @@ fn selinger_u64(c: &mut Criterion) {
         [("chain_20", RandomSchema::chain(20, 20)), ("star_16", RandomSchema::star(16, 16))];
     for (name, schema) in &workloads {
         let query = QuerySpec::new(*name, schema.catalog.table_ids().collect::<Vec<_>>());
-        for (fill_name, fill) in [("dense", DpFill::Dense), ("streamed", DpFill::Streamed)] {
-            group.bench_with_input(BenchmarkId::new(*name, fill_name), &query, |b, q| {
-                b.iter(|| {
-                    let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-                    black_box(SelingerPlanner::plan_opts(
-                        &schema.catalog,
-                        &schema.graph,
-                        q,
-                        &mut coster,
-                        raqo_resource::Parallelism::Off,
-                        None,
-                        &raqo_telemetry::Telemetry::disabled(),
-                        raqo_planner::selinger::DEFAULT_DP_THRESHOLD,
-                        fill,
-                    ))
-                });
+        group.bench_with_input(BenchmarkId::from_parameter(name), &query, |b, q| {
+            b.iter(|| {
+                let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
+                black_box(SelingerPlanner::plan(&schema.catalog, &schema.graph, q, &mut coster))
             });
-        }
+        });
     }
     group.finish();
 }

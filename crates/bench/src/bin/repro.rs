@@ -731,7 +731,7 @@ fn selinger_smoke_gate() {
 fn idp_smoke_gate() {
     use raqo_core::{DegradationRung, DegradationTrigger};
     use raqo_planner::coster::FixedResourceCoster;
-    use raqo_planner::{DpFill, IdpConfig, IdpPlanner, RandomizedConfig, SelingerPlanner};
+    use raqo_planner::{IdpConfig, IdpPlanner, RandomizedConfig, SelingerPlanner};
 
     let model = JoinCostModel::trained_hive();
     let (_, ms) = timed(|| {
@@ -748,7 +748,7 @@ fn idp_smoke_gate() {
             &schema.graph,
             &query,
             &mut idp_coster,
-            IdpConfig { block_size: 20, fill: DpFill::Auto },
+            IdpConfig { block_size: 20 },
         )
         .expect("idp smoke: n=20 IDP plan");
         assert_eq!(dp.tree, idp.tree, "idp smoke: n=20 trees diverge");

@@ -342,7 +342,7 @@ pub fn measure_idp(quick: bool) -> IdpSeries {
     let all_bridged = points.iter().all(|p| p.bridged);
     IdpSeries {
         block_size: raqo_planner::idp::DEFAULT_BLOCK_SIZE,
-        dp_threshold: raqo_planner::selinger::DEFAULT_DP_THRESHOLD,
+        dp_threshold: raqo_planner::selinger::MAX_RELATIONS,
         points,
         all_bridged,
     }

@@ -9,9 +9,9 @@ use raqo_cost::OperatorCost;
 use raqo_dtree::DecisionTree;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    CardinalityEstimator, CascadesConfig, CascadesError, CascadesPlanner, CostMemo, IdpConfig,
-    IdpPlanner, PlanTree, PlannedQuery, RandomizedConfig, RandomizedPlanner, SelingerError,
-    SelingerPlanner,
+    cost_tree, CardinalityEstimator, CascadesConfig, CascadesError, CascadesPlanner, CostMemo,
+    IdpConfig, IdpPlanner, PlanCoster, PlanTree, PlannedQuery, RandomizedConfig,
+    RandomizedPlanner, SelingerError, SelingerPlanner,
 };
 use raqo_resource::{
     BudgetTracker, BudgetTrigger, CacheLookup, ClusterConditions, Parallelism, PlanningBudget,
@@ -32,26 +32,114 @@ use std::time::Instant;
 /// rule-based rung, which cannot exhaust.
 const RUNG2_GRACE_EVALS: u64 = 250_000;
 
-/// One `run_planner` invocation's outcome: the plan (if any), whether the
-/// IDP bridge produced it, and whether the Selinger relation bound was hit
-/// at all (so a later rung can report the right trigger).
+/// One planner run's outcome: the plan (if any), whether the IDP bridge
+/// produced it, and whether the relation bound was hit at all (so a later
+/// rung can report the right trigger).
+#[derive(Default)]
 struct PlannerRun {
     planned: Option<PlannedQuery>,
-    /// The plan came out of the IDP bridge after Selinger refused on
-    /// relation count.
+    /// The plan came out of the IDP bridge after the configured planner
+    /// refused on relation count.
     bridged: bool,
-    /// Selinger returned `TooManyRelations` (whether or not the bridge
-    /// then recovered).
+    /// The configured planner returned `TooManyRelations` (whether or not
+    /// the bridge then recovered).
     relation_bound: bool,
     /// The bushy search was cut short by the planning budget and answered
     /// with the levels it had finished under the seed chain.
     memo_cut: bool,
+    /// Joins the randomized planner's own per-run memo answered.
+    memo_hits: u64,
 }
 
 impl PlannerRun {
-    fn direct(planned: Option<PlannedQuery>) -> Self {
-        PlannerRun { planned, bridged: false, relation_bound: false, memo_cut: false }
+    /// The plan, or — past the relation bound with a failed bridge — the
+    /// randomized planner's: the last resort of the entry points that have
+    /// no degradation ladder of their own.
+    fn or_randomized(
+        self,
+        catalog: &Catalog,
+        graph: &JoinGraph,
+        query: &QuerySpec,
+        coster: &mut dyn PlanCoster,
+    ) -> Option<PlannedQuery> {
+        if self.planned.is_some() || !self.relation_bound {
+            return self.planned;
+        }
+        RandomizedPlanner::plan(catalog, graph, query, coster, &RandomizedConfig::default())
+            .map(|o| o.best)
     }
+}
+
+/// The planner dispatch every entry point shares: run `kind` through
+/// `coster` and, when the exhaustive search refuses on relation count,
+/// bridge with iterative DP — no relation bound, but the DP search (and the
+/// memo) stay intact. `stop` is the budget probe the bushy search polls at
+/// every subset.
+#[allow(clippy::too_many_arguments)]
+fn run_kind(
+    kind: &PlannerKind,
+    catalog: &Catalog,
+    graph: &JoinGraph,
+    query: &QuerySpec,
+    coster: &mut dyn PlanCoster,
+    parallelism: Parallelism,
+    mut memo: Option<&mut CostMemo>,
+    tel: &Telemetry,
+    stop: Option<&dyn Fn() -> bool>,
+) -> PlannerRun {
+    let span = match kind {
+        PlannerKind::Selinger | PlannerKind::SelingerMemoized => Some("planner.selinger"),
+        PlannerKind::Cascades(_) => Some("planner.cascades"),
+        PlannerKind::FastRandomized(_) => Some("planner.randomized"),
+        // IDP opens its own `planner.idp` span.
+        PlannerKind::Idp(_) => None,
+    };
+    let _span = span.map(|name| tel.span(name));
+    let mut run = PlannerRun::default();
+    match kind {
+        PlannerKind::Selinger | PlannerKind::SelingerMemoized => {
+            let m = memo.as_deref_mut();
+            match SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, m, tel) {
+                Err(SelingerError::TooManyRelations { .. }) => run.relation_bound = true,
+                out => run.planned = out.ok(),
+            }
+        }
+        PlannerKind::Idp(cfg) => {
+            let m = memo.as_deref_mut();
+            let out =
+                IdpPlanner::plan_traced(catalog, graph, query, coster, parallelism, m, tel, *cfg);
+            run.planned = out.ok();
+        }
+        PlannerKind::FastRandomized(cfg) => {
+            let out = RandomizedPlanner::plan_traced(catalog, graph, query, coster, cfg, tel);
+            if let Some(out) = out {
+                run.memo_hits = out.memo_hits;
+                run.planned = Some(out.best);
+            }
+        }
+        PlannerKind::Cascades(cfg) => {
+            let m = memo.as_deref_mut();
+            match CascadesPlanner::plan_traced(
+                catalog, graph, query, coster, parallelism, m, tel, cfg, stop,
+            ) {
+                Ok(out) => {
+                    run.memo_cut = out.cut_short;
+                    run.planned = Some(out.planned);
+                }
+                Err(CascadesError::TooManyRelations { .. }) => run.relation_bound = true,
+                Err(CascadesError::Infeasible) => {}
+            }
+        }
+    }
+    if run.relation_bound {
+        let config = IdpConfig::default();
+        let out = IdpPlanner::plan_traced(
+            catalog, graph, query, coster, parallelism, memo, tel, config,
+        );
+        run.planned = out.ok();
+        run.bridged = run.planned.is_some();
+    }
+    run
 }
 
 /// The on-grid configuration closest to the center of the cluster's
@@ -424,218 +512,52 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         h
     }
 
+    /// The configured planner through [`run_kind`], with this optimizer's
+    /// coster, telemetry, budget probe and — for the memoized kinds — its
+    /// cross-run memo under the current context.
     fn run_planner(&mut self, query: &QuerySpec) -> PlannerRun {
         // Cheap handle (a `None` or an `Arc` clone): the planners borrow
         // the coster mutably while they record into the same sink.
         let tel = self.coster.telemetry.clone();
-        match &self.planner {
-            PlannerKind::Selinger | PlannerKind::SelingerMemoized => {
-                let _span = tel.span("planner.selinger");
-                let parallelism = self.coster.parallelism;
-                let memoized = matches!(self.planner, PlannerKind::SelingerMemoized);
-                let context = self.selinger_context();
-                let hits_before = self.selinger_memo.as_ref().map_or(0, CostMemo::hits);
-                let misses_before = self.selinger_memo.as_ref().map_or(0, CostMemo::misses);
-                let evictions_before =
-                    self.selinger_memo.as_ref().map_or(0, CostMemo::evictions);
-                let memo = if memoized {
-                    let m = self.selinger_memo.get_or_insert_with(CostMemo::default);
-                    m.set_context(context);
-                    Some(m)
-                } else {
-                    None
-                };
-                let result = SelingerPlanner::plan_traced(
-                    &self.catalog,
-                    &self.graph,
-                    query,
-                    &mut self.coster,
-                    parallelism,
-                    memo,
-                    &tel,
-                );
-                let note_memo = |coster: &mut RaqoCoster<'a, M>, memo: &Option<CostMemo>| {
-                    if let Some(m) = memo {
-                        let hits = m.hits() - hits_before;
-                        coster.stats.memo_hits += hits;
-                        tel.add(Counter::MemoHits, hits);
-                        tel.add(Counter::MemoMisses, m.misses() - misses_before);
-                        tel.add(Counter::MemoEvictions, m.evictions() - evictions_before);
-                    }
-                };
-                match result {
-                    Ok(planned) => {
-                        note_memo(&mut self.coster, &self.selinger_memo);
-                        PlannerRun::direct(Some(planned))
-                    }
-                    Err(SelingerError::TooManyRelations { .. }) => {
-                        // Mildest fallback first: bridge with iterative DP,
-                        // which has no relation bound but keeps the DP
-                        // search (and the memo) intact. The randomized
-                        // rung only answers if the bridge itself fails
-                        // (e.g. the planning budget ran out mid-round).
-                        let memo = if memoized { self.selinger_memo.as_mut() } else { None };
-                        let bridged = IdpPlanner::plan_traced(
-                            &self.catalog,
-                            &self.graph,
-                            query,
-                            &mut self.coster,
-                            parallelism,
-                            memo,
-                            &tel,
-                            IdpConfig::default(),
-                        );
-                        if let Ok(planned) = bridged {
-                            note_memo(&mut self.coster, &self.selinger_memo);
-                            return PlannerRun {
-                                planned: Some(planned),
-                                bridged: true,
-                                relation_bound: true,
-                                memo_cut: false,
-                            };
-                        }
-                        PlannerRun {
-                            planned: None,
-                            bridged: false,
-                            relation_bound: true,
-                            memo_cut: false,
-                        }
-                    }
-                    Err(SelingerError::Infeasible) => PlannerRun::direct(None),
-                }
+        let parallelism = self.coster.parallelism;
+        // On a blown budget the bushy search cuts short and answers with
+        // its best costed plan instead of failing down a rung.
+        let tracker = self.coster.budget.clone();
+        let stop_fn = move || tracker.exhausted().is_some() || !tracker.check_deadline();
+        let stop = self.coster.budget.is_limited().then_some(&stop_fn as &dyn Fn() -> bool);
+        let memoized = match &self.planner {
+            PlannerKind::SelingerMemoized => true,
+            PlannerKind::Cascades(cfg) => cfg.memoize,
+            _ => false,
+        };
+        let context = self.selinger_context();
+        let memo = memoized.then(|| {
+            let m = self.selinger_memo.get_or_insert_with(CostMemo::default);
+            m.set_context(context);
+            m
+        });
+        let before = memo.as_ref().map(|m| (m.hits(), m.misses(), m.evictions()));
+        let (catalog, graph) = (&*self.catalog, &*self.graph);
+        let coster = &mut self.coster;
+        let run =
+            run_kind(&self.planner, catalog, graph, query, coster, parallelism, memo, &tel, stop);
+        if run.planned.is_some() {
+            let mut hits = run.memo_hits;
+            if let (Some((h, m, e)), Some(memo)) = (before, &self.selinger_memo) {
+                hits += memo.hits() - h;
+                tel.add(Counter::MemoMisses, memo.misses() - m);
+                tel.add(Counter::MemoEvictions, memo.evictions() - e);
             }
-            PlannerKind::Idp(cfg) => {
-                let cfg = *cfg;
-                let parallelism = self.coster.parallelism;
-                let out = IdpPlanner::plan_traced(
-                    &self.catalog,
-                    &self.graph,
-                    query,
-                    &mut self.coster,
-                    parallelism,
-                    None,
-                    &tel,
-                    cfg,
-                );
-                PlannerRun::direct(out.ok())
-            }
-            PlannerKind::FastRandomized(cfg) => {
-                let _span = tel.span("planner.randomized");
-                let cfg = cfg.clone();
-                let out = RandomizedPlanner::plan_traced(
-                    &self.catalog,
-                    &self.graph,
-                    query,
-                    &mut self.coster,
-                    &cfg,
-                    &tel,
-                );
-                let planned = out.map(|o| {
-                    self.coster.stats.memo_hits += o.memo_hits;
-                    tel.add(Counter::MemoHits, o.memo_hits);
-                    o.best
-                });
-                PlannerRun::direct(planned)
-            }
-            PlannerKind::Cascades(cfg) => {
-                let _span = tel.span("planner.cascades");
-                let cfg = cfg.clone();
-                let parallelism = self.coster.parallelism;
-                let context = self.selinger_context();
-                let hits_before = self.selinger_memo.as_ref().map_or(0, CostMemo::hits);
-                let misses_before = self.selinger_memo.as_ref().map_or(0, CostMemo::misses);
-                let evictions_before =
-                    self.selinger_memo.as_ref().map_or(0, CostMemo::evictions);
-                // The budget is polled by the planner at every subset: on
-                // exhaustion the search cuts short and answers with its
-                // best costed plan instead of failing down a rung.
-                let tracker = self.coster.budget.clone();
-                let stop_fn = move || tracker.exhausted().is_some() || !tracker.check_deadline();
-                let stop: Option<&dyn Fn() -> bool> = if self.coster.budget.is_limited() {
-                    Some(&stop_fn)
-                } else {
-                    None
-                };
-                let memo = if cfg.memoize {
-                    let m = self.selinger_memo.get_or_insert_with(CostMemo::default);
-                    m.set_context(context);
-                    Some(m)
-                } else {
-                    None
-                };
-                let result = CascadesPlanner::plan_traced(
-                    &self.catalog,
-                    &self.graph,
-                    query,
-                    &mut self.coster,
-                    parallelism,
-                    memo,
-                    &tel,
-                    &cfg,
-                    stop,
-                );
-                let note_memo = |coster: &mut RaqoCoster<'a, M>, memo: &Option<CostMemo>| {
-                    if cfg.memoize {
-                        if let Some(m) = memo {
-                            let hits = m.hits() - hits_before;
-                            coster.stats.memo_hits += hits;
-                            tel.add(Counter::MemoHits, hits);
-                            tel.add(Counter::MemoMisses, m.misses() - misses_before);
-                            tel.add(Counter::MemoEvictions, m.evictions() - evictions_before);
-                        }
-                    }
-                };
-                match result {
-                    Ok(out) => {
-                        note_memo(&mut self.coster, &self.selinger_memo);
-                        PlannerRun {
-                            planned: Some(out.planned),
-                            bridged: false,
-                            relation_bound: false,
-                            memo_cut: out.cut_short,
-                        }
-                    }
-                    Err(CascadesError::TooManyRelations { .. }) => {
-                        // Same bridge order as the Selinger relation bound:
-                        // iterative DP keeps the DP search (and the memo)
-                        // intact past the memo-search bound.
-                        let memo = if cfg.memoize { self.selinger_memo.as_mut() } else { None };
-                        let bridged = IdpPlanner::plan_traced(
-                            &self.catalog,
-                            &self.graph,
-                            query,
-                            &mut self.coster,
-                            parallelism,
-                            memo,
-                            &tel,
-                            IdpConfig::default(),
-                        );
-                        if let Ok(planned) = bridged {
-                            note_memo(&mut self.coster, &self.selinger_memo);
-                            return PlannerRun {
-                                planned: Some(planned),
-                                bridged: true,
-                                relation_bound: true,
-                                memo_cut: false,
-                            };
-                        }
-                        PlannerRun {
-                            planned: None,
-                            bridged: false,
-                            relation_bound: true,
-                            memo_cut: false,
-                        }
-                    }
-                    Err(CascadesError::Infeasible) => PlannerRun::direct(None),
-                }
-            }
+            self.coster.stats.memo_hits += hits;
+            tel.add(Counter::MemoHits, hits);
         }
+        run
     }
 
     /// The ladder's bottom rung: rule-based RAQO (§V). Join implementations
     /// come from a lazily-trained decision tree, resources are pinned to
-    /// the cluster grid's midpoint, join ordering is Selinger (randomized
-    /// beyond its relation bound), and nothing consults the budget — the
+    /// the cluster grid's midpoint, join ordering is Selinger (IDP beyond
+    /// its relation bound), and nothing consults the budget — the
     /// rung is O(query size) and cannot exhaust. With SMJ as the tree's
     /// runtime fallback this always produces an executable plan for any
     /// query the planners can order.
@@ -651,33 +573,14 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         let mut coster =
             RuleBasedCoster::new(tree, &*self.model, mid.containers(), mid.container_size_gb())
                 .with_telemetry(tel.clone());
-        match SelingerPlanner::plan(&self.catalog, &self.graph, query, &mut coster) {
-            Ok(planned) => Some(planned),
-            Err(SelingerError::TooManyRelations { .. }) => {
-                // Same bridge order as rung 1: iterative DP first (the
-                // rule-based coster never rejects a join, so this
-                // succeeds), randomized only as the last resort.
-                IdpPlanner::plan(
-                    &self.catalog,
-                    &self.graph,
-                    query,
-                    &mut coster,
-                    IdpConfig::default(),
-                )
-                .ok()
-                .or_else(|| {
-                    RandomizedPlanner::plan(
-                        &self.catalog,
-                        &self.graph,
-                        query,
-                        &mut coster,
-                        &RandomizedConfig::default(),
-                    )
-                    .map(|o| o.best)
-                })
-            }
-            Err(SelingerError::Infeasible) => None,
-        }
+        // Rung 1's dispatch, Selinger whatever the configured planner: past
+        // the bound IDP plans (the rule-based coster never rejects a join),
+        // the randomized planner only as the last resort.
+        let (catalog, graph) = (&*self.catalog, &*self.graph);
+        let (selinger, untraced) = (PlannerKind::Selinger, Telemetry::disabled());
+        let off = Parallelism::Off;
+        run_kind(&selinger, catalog, graph, query, &mut coster, off, None, &untraced, None)
+            .or_randomized(catalog, graph, query, &mut coster)
     }
 
     // ---- The §IV use-cases ---------------------------------------------
@@ -819,55 +722,11 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         container_size_gb: f64,
     ) -> Option<PlannedQuery> {
         let mut fixed = FixedResourceCoster::new(&*self.model, containers, container_size_gb);
-        match &self.planner {
-            PlannerKind::Selinger | PlannerKind::SelingerMemoized => {
-                match SelingerPlanner::plan(&self.catalog, &self.graph, query, &mut fixed) {
-                    Ok(planned) => Some(planned),
-                    Err(SelingerError::TooManyRelations { .. }) => IdpPlanner::plan(
-                        &self.catalog,
-                        &self.graph,
-                        query,
-                        &mut fixed,
-                        IdpConfig::default(),
-                    )
-                    .ok()
-                    .or_else(|| {
-                        let cfg = RandomizedConfig::default();
-                        RandomizedPlanner::plan(&self.catalog, &self.graph, query, &mut fixed, &cfg)
-                            .map(|o| o.best)
-                    }),
-                    Err(SelingerError::Infeasible) => None,
-                }
-            }
-            PlannerKind::Idp(cfg) => {
-                IdpPlanner::plan(&self.catalog, &self.graph, query, &mut fixed, *cfg).ok()
-            }
-            PlannerKind::FastRandomized(cfg) => {
-                let cfg = cfg.clone();
-                RandomizedPlanner::plan(&self.catalog, &self.graph, query, &mut fixed, &cfg)
-                    .map(|o| o.best)
-            }
-            PlannerKind::Cascades(cfg) => {
-                let cfg = cfg.clone();
-                match CascadesPlanner::plan(&self.catalog, &self.graph, query, &mut fixed, &cfg) {
-                    Ok(out) => Some(out.planned),
-                    Err(CascadesError::TooManyRelations { .. }) => IdpPlanner::plan(
-                        &self.catalog,
-                        &self.graph,
-                        query,
-                        &mut fixed,
-                        IdpConfig::default(),
-                    )
-                    .ok()
-                    .or_else(|| {
-                        let rcfg = RandomizedConfig::default();
-                        RandomizedPlanner::plan(&self.catalog, &self.graph, query, &mut fixed, &rcfg)
-                            .map(|o| o.best)
-                    }),
-                    Err(CascadesError::Infeasible) => None,
-                }
-            }
-        }
+        let (catalog, graph) = (&*self.catalog, &*self.graph);
+        let untraced = Telemetry::disabled();
+        let off = Parallelism::Off;
+        run_kind(&self.planner, catalog, graph, query, &mut fixed, off, None, &untraced, None)
+            .or_randomized(catalog, graph, query, &mut fixed)
     }
 
     /// Use-case `p ⇒ (r, c)`: the user is happy with a given plan shape;
@@ -879,7 +738,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         self.coster.reset_stats();
         self.coster.objective = Objective::Money;
         let est = CardinalityEstimator::new(&self.catalog, &self.graph);
-        let planned = raqo_planner::coster::cost_tree(tree, &est, &mut self.coster)?;
+        let planned = cost_tree(tree, &est, &mut self.coster, None, &Telemetry::disabled())?;
         self.coster.objective = Objective::Time;
         Some(RaqoPlan { query: planned, stats: self.coster.stats, degradation: None })
     }
@@ -1225,31 +1084,27 @@ mod tests {
         );
     }
 
+    /// The optimizer's level batches plan exactly what the one-join-at-a-
+    /// time oracle plans through the same RAQO coster, with the same
+    /// `getPlanCost` accounting.
     #[test]
     fn batch_kernel_toggle_is_bit_identical() {
-        use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
-        /// The RAQO coster behind a seam that declines level batches, so
-        /// Selinger asks for one join at a time.
-        struct OneAtATime(RaqoCoster<'static, SimOracleCost>);
-        impl PlanCoster for OneAtATime {
-            fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
-                self.0.join_cost(io)
-            }
-        }
         let schema = TpchSchema::new(1.0);
         let query = QuerySpec::tpch_all(&schema);
         let mut batched =
             optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
         let a = batched.optimize(&query).unwrap();
-        let mut one = OneAtATime(RaqoCoster::new(
+        let mut one = RaqoCoster::new(
             model(),
             ClusterConditions::paper_default(),
             ResourceStrategy::BruteForce,
             Objective::Time,
-        ));
-        let b = SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut one).unwrap();
+        );
+        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
+        let b = super::oracle::left_deep(&query.relations, &schema.graph, &est, &mut one).unwrap();
+        assert_eq!(a.query.cost.to_bits(), b.cost.to_bits());
         assert_eq!(a.query, b, "batched level fills must be bit-identical to per-join costing");
-        assert_eq!(a.stats, one.0.stats);
+        assert_eq!(a.stats, one.stats);
     }
 
     #[test]
@@ -1620,6 +1475,44 @@ mod tests {
         assert!(planned.cost.is_finite() && planned.cost > 0.0);
     }
 
+    /// Past both exhaustive bounds, Selinger and the bushy search bridge to
+    /// IDP from every entry point: `optimize` reports the bridge,
+    /// fixed-resource planning plans, and a budget too small for any
+    /// resource search still plans on the rule-based rung.
+    #[test]
+    fn every_entry_point_bridges_past_the_bound() {
+        use raqo_catalog::RandomSchemaConfig;
+        let schema = RandomSchemaConfig::with_tables(26, 4).generate();
+        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 24, 7);
+        let catalog = std::sync::Arc::new(schema.catalog);
+        let graph = std::sync::Arc::new(schema.graph);
+        for planner in [PlannerKind::Selinger, PlannerKind::cascades()] {
+            let mut opt = RaqoOptimizer::new(
+                catalog.clone(),
+                graph.clone(),
+                model(),
+                ClusterConditions::paper_default(),
+                planner.clone(),
+                ResourceStrategy::BruteForce,
+            );
+            let plan = opt.optimize(&query).expect("IDP bridge plans");
+            let d = plan.degradation.expect("the bridge must be reported");
+            assert_eq!(d.rung, DegradationRung::IdpBridge, "{planner:?}");
+            assert_eq!(d.trigger, DegradationTrigger::RelationBoundBridged, "{planner:?}");
+            assert_eq!(plan.query.joins.len(), 23);
+
+            let fixed = opt.plan_for_resources(&query, 10.0, 6.0).expect("fixed-resource bridge");
+            assert!(raqo_planner::plan::covers_exactly(&fixed.tree, &query.relations));
+
+            opt.set_budget(PlanningBudget::with_max_evals(0));
+            let plan = opt.optimize(&query).expect("the bottom rung always plans");
+            let d = plan.degradation.expect("the blown budget must be reported");
+            assert_eq!(d.rung, DegradationRung::RuleBased, "{planner:?}");
+            assert_eq!(plan.query.joins.len(), 23);
+            assert!(raqo_planner::plan::covers_exactly(&plan.query.tree, &query.relations));
+        }
+    }
+
     #[test]
     fn memoized_bridge_replays_on_the_second_run() {
         use raqo_catalog::RandomSchemaConfig;
@@ -1647,3 +1540,8 @@ mod tests {
         assert!(b.stats.plan_cost_calls < a.stats.plan_cost_calls);
     }
 }
+
+/// The left-deep oracle of `raqo-planner`'s tests, for the unit tests.
+#[cfg(test)]
+#[path = "../../planner/tests/oracle/mod.rs"]
+mod oracle;

@@ -628,13 +628,6 @@ fn snap_to_grid(cluster: &ClusterConditions, r: &ResourceConfig) -> ResourceConf
 }
 
 impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
-    /// Ask the join planners to submit whole DP levels through
-    /// [`PlanCoster::join_cost_many`] even when thread parallelism is off,
-    /// so level fills arrive as wide batches.
-    fn prefers_batch(&self) -> bool {
-        true
-    }
-
     fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
         let ctx = CostCtx {
             model: &*self.model,
@@ -651,7 +644,7 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
     }
 
     /// Fan a batch of independent joins out over `parallelism` scoped
-    /// threads (the parallel Selinger DP's per-level submission). Costing
+    /// threads (a DP level's batch of candidates). Costing
     /// here is a pure function of the `JoinIo` — except under
     /// `HillClimbCached`, whose cache warms in call order, so that strategy
     /// stays sequential. Decisions land at their input index and worker

@@ -19,8 +19,7 @@
 //!   [`PlanCoster::join_cost`] seam as Selinger (`getPlanCost`, §VI-C), so
 //!   resource planning, the plan-cost cache, [`CostMemo`] and planning
 //!   budgets compose unchanged; a level goes in
-//!   [`PlanCoster::join_cost_many`] batches when the coster prefers batches
-//!   or thread parallelism is on.
+//!   [`PlanCoster::join_cost_many`] batches of at most [`BATCH_CANDIDATES`].
 //! * **Winners** — lowest total cost, then least intermediate data
 //!   (Σ `out_gb`), then the seed split, then the first enumerated. The
 //!   learned §VI model floors at one second, so many sub-plans tie exactly.
@@ -33,8 +32,10 @@
 //! with `cut_short` set, the optimizer's mildest degradation rung.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::coster::{JoinDecision, PlanCoster, PlannedQuery};
-use crate::memo::{cost_tree_memo_traced, CostMemo};
+use crate::coster::{
+    cost_batch, cost_tree, JoinDecision, PlanCoster, PlannedQuery, BATCH_CANDIDATES,
+};
+use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use crate::selinger::{adjacency_masks, bits};
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
@@ -57,10 +58,6 @@ pub const DEFAULT_CASCADES_THRESHOLD: usize = 12;
 /// dimension×dimension products on star schemas (the bushy win), rejects
 /// every fact-sized cross product, which keeps chain queries polynomial.
 pub const DEFAULT_CROSS_ROWS_CAP: f64 = 1e8;
-
-/// Candidates gathered before a level's batch is costed early, so the
-/// batch buffers stay small however wide a level of a 16-relation clique is.
-const BATCH_CANDIDATES: usize = 4096;
 
 /// Tuning knobs for [`CascadesPlanner`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -268,12 +265,7 @@ impl Search<'_> {
             }
             known.push(cached);
         }
-        let wide = self.parallelism != Parallelism::Off && self.parallelism.workers() > 1;
-        let decisions = if ios.len() >= 2 && (wide || self.coster.prefers_batch()) {
-            self.coster.join_cost_many(&ios, self.parallelism)
-        } else {
-            ios.iter().map(|io| self.coster.join_cost(io)).collect()
-        };
+        let decisions = cost_batch(&mut *self.coster, &ios, self.parallelism);
         let poisoned = !ios.is_empty() && self.stop.is_some_and(|stop| stop());
         let mut costed = ios.iter().zip(decisions).map(|(&io, d)| d.map(|d| (io, d)));
         for (&(mask, s), known) in cands.iter().zip(known) {
@@ -438,9 +430,8 @@ impl CascadesPlanner {
         }
         let tree = search.assemble(slots - 1);
         let _final_span = tel.span("cascades.final_cost");
-        let planned =
-            cost_tree_memo_traced(&tree, &est, &mut *search.coster, &mut *search.memo, tel)
-                .ok_or(CascadesError::Infeasible)?;
+        let planned = cost_tree(&tree, &est, &mut *search.coster, Some(&mut *search.memo), tel)
+            .ok_or(CascadesError::Infeasible)?;
         let (expressions, tasks) = (search.expressions, search.tasks);
         Ok(CascadesOutcome { planned, cut_short, groups, expressions, tasks })
     }
@@ -449,7 +440,7 @@ impl CascadesPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coster::{cost_tree, FixedResourceCoster};
+    use crate::coster::FixedResourceCoster;
     use crate::oracle::brute_force;
     use crate::selinger::SelingerPlanner;
     use raqo_catalog::{Catalog, QuerySpec, RandomSchema, TableStats};
@@ -817,7 +808,8 @@ mod tests {
         )
         .unwrap();
         let est = CardinalityEstimator::new(&catalog, &graph);
-        let recosted = cost_tree(&out.planned.tree, &est, &mut fixed(&model)).unwrap();
+        let tel = Telemetry::disabled();
+        let recosted = cost_tree(&out.planned.tree, &est, &mut fixed(&model), None, &tel).unwrap();
         assert_eq!(recosted.cost, out.planned.cost);
     }
 }

@@ -8,13 +8,15 @@
 //! yet easily pluggable, with the query planning."
 //!
 //! [`PlanCoster::join_cost`] is that `getPlanCost`: the join-ordering
-//! algorithms (Selinger, randomized) call it for every candidate sub-plan;
+//! algorithms (Selinger, bushy DP, randomized) call it for every candidate
+//! sub-plan, and [`cost_tree`] for every join of a finished tree;
 //! implementations decide the operator implementation and, in RAQO mode,
 //! the per-operator resource configuration (and consult the resource-plan
 //! cache). The trait takes `&mut self` precisely so implementations can
 //! count explored configurations and maintain caches.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
+use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use raqo_catalog::TableId;
 use raqo_cost::objective::CostVector;
@@ -47,12 +49,13 @@ pub trait PlanCoster {
     fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision>;
 
     /// Cost a batch of *independent* joins, returning one decision per
-    /// input, in input order. The parallel Selinger DP submits a whole
-    /// level's candidate extensions through this seam. The default costs
-    /// them sequentially (any coster is trivially correct); implementations
-    /// whose costing is a pure function of the `JoinIo` may fan the batch
-    /// out over `parallelism` worker threads, as long as the returned
-    /// decisions are identical to sequential per-call costing.
+    /// input, in input order. The Selinger and bushy DPs submit the
+    /// uncached candidates of a level through this seam, up to
+    /// [`BATCH_CANDIDATES`] at a time. The default costs them sequentially
+    /// (any coster is trivially correct); implementations whose costing is
+    /// a pure function of the `JoinIo` may fan the batch out over
+    /// `parallelism` worker threads, as long as the returned decisions are
+    /// identical to sequential per-call costing.
     fn join_cost_many(
         &mut self,
         ios: &[JoinIo],
@@ -61,14 +64,30 @@ pub trait PlanCoster {
         ios.iter().map(|io| self.join_cost(io)).collect()
     }
 
-    /// Does this coster want whole DP levels submitted through
-    /// [`PlanCoster::join_cost_many`] even when thread parallelism is off?
-    /// Costers backed by a batched cost kernel (e.g. the RAQO coster)
-    /// return `true` so Selinger/IDP level fills hand them
-    /// wide candidate batches the kernel can fuse; the default `false`
-    /// keeps plain costers on the sequential fill path.
+    /// Read by no planner: every DP level goes through
+    /// [`PlanCoster::join_cost_many`]. Kept, with its default, only because
+    /// the benchmark harness's timing coster still overrides it.
     fn prefers_batch(&self) -> bool {
         false
+    }
+}
+
+/// Most candidates a DP gathers before costing them, so the batch buffers
+/// stay small however wide a level of a large clique is.
+pub(crate) const BATCH_CANDIDATES: usize = 4096;
+
+/// Cost one batch of independent joins: two or more through
+/// [`PlanCoster::join_cost_many`], a single one through
+/// [`PlanCoster::join_cost`].
+pub(crate) fn cost_batch(
+    coster: &mut dyn PlanCoster,
+    ios: &[JoinIo],
+    parallelism: Parallelism,
+) -> Vec<Option<JoinDecision>> {
+    if ios.len() >= 2 {
+        coster.join_cost_many(ios, parallelism)
+    } else {
+        ios.iter().map(|io| coster.join_cost(io)).collect()
     }
 }
 
@@ -97,13 +116,29 @@ pub struct PlannedQuery {
 
 /// Cost an entire plan tree with a coster. Returns `None` when any join is
 /// infeasible. Single-relation plans cost zero.
+///
+/// With a `memo`, identical (left, right) joins across calls are costed
+/// once (see [`CostMemo`]). With telemetry enabled, each join's costing is
+/// wrapped in a labeled span `final_cost.join.<mask>`, `<mask>` being the
+/// join's *output* relation-set bitmask over the tree's sorted relation
+/// list: EXPLAIN ANALYZE matches those spans by mask, so the attribution
+/// is position-independent and correct on bushy trees too. Decisions are
+/// the same whichever of the four ways the walk runs.
 pub fn cost_tree(
     tree: &PlanTree,
     est: &CardinalityEstimator<'_>,
     coster: &mut dyn PlanCoster,
+    memo: Option<&mut CostMemo>,
+    tel: &Telemetry,
 ) -> Option<PlannedQuery> {
+    let sorted = tel.is_enabled().then(|| {
+        let mut sorted = tree.relations();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted
+    });
     let mut joins = Vec::new();
-    let rels = cost_rec(tree, est, coster, &mut joins)?;
+    let rels = cost_rec(tree, est, coster, memo, sorted.as_deref(), tel, &mut joins)?;
     debug_assert_eq!(rels.len(), tree.relations().len());
     let cost = joins.iter().map(|j| j.decision.cost).sum();
     let objectives = joins
@@ -116,17 +151,28 @@ fn cost_rec(
     tree: &PlanTree,
     est: &CardinalityEstimator<'_>,
     coster: &mut dyn PlanCoster,
+    mut memo: Option<&mut CostMemo>,
+    sorted: Option<&[TableId]>,
+    tel: &Telemetry,
     joins: &mut Vec<PlannedJoin>,
 ) -> Option<Vec<TableId>> {
     match tree {
         PlanTree::Leaf(t) => Some(vec![*t]),
         PlanTree::Join(l, r) => {
-            let lrels = cost_rec(l, est, coster, joins)?;
-            let rrels = cost_rec(r, est, coster, joins)?;
-            let io = est.join_io(&lrels, &rrels);
-            let decision = coster.join_cost(&io)?;
+            let lrels = cost_rec(l, est, coster, memo.as_deref_mut(), sorted, tel, joins)?;
+            let rrels = cost_rec(r, est, coster, memo.as_deref_mut(), sorted, tel, joins)?;
             let mut all = lrels.clone();
             all.extend_from_slice(&rrels);
+            let _span = sorted
+                .and_then(|sorted| relation_set_mask(sorted, &all))
+                .map(|m| tel.span_labeled("final_cost.join", m as usize));
+            let (io, decision) = match memo {
+                Some(m) => m.join_cost(&lrels, &rrels, est, coster)?,
+                None => {
+                    let io = est.join_io(&lrels, &rrels);
+                    (io, coster.join_cost(&io)?)
+                }
+            };
             joins.push(PlannedJoin { left: lrels, right: rrels, io, decision });
             Some(all)
         }
@@ -148,59 +194,6 @@ pub fn relation_set_mask(rels: &[TableId], set: &[TableId]) -> Option<u64> {
         mask |= 1u64 << i;
     }
     Some(mask)
-}
-
-/// [`cost_tree`], but wrapping each join's costing in a labeled span
-/// `final_cost.join.<mask>` where `<mask>` is the join's *output*
-/// relation-set bitmask over the tree's sorted relation list. EXPLAIN
-/// ANALYZE matches those spans by mask — position-independent, so the
-/// attribution is correct on bushy trees too. Falls back to the untraced
-/// walk when telemetry is disabled (identical decisions either way).
-pub fn cost_tree_traced(
-    tree: &PlanTree,
-    est: &CardinalityEstimator<'_>,
-    coster: &mut dyn PlanCoster,
-    tel: &Telemetry,
-) -> Option<PlannedQuery> {
-    if !tel.is_enabled() {
-        return cost_tree(tree, est, coster);
-    }
-    let mut sorted = tree.relations();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut joins = Vec::new();
-    let rels = cost_rec_traced(tree, est, coster, &mut joins, &sorted, tel)?;
-    debug_assert_eq!(rels.len(), tree.relations().len());
-    let cost = joins.iter().map(|j| j.decision.cost).sum();
-    let objectives = joins
-        .iter()
-        .fold(CostVector::ZERO, |acc, j| acc.add(&j.decision.objectives));
-    Some(PlannedQuery { tree: tree.clone(), joins, cost, objectives })
-}
-
-fn cost_rec_traced(
-    tree: &PlanTree,
-    est: &CardinalityEstimator<'_>,
-    coster: &mut dyn PlanCoster,
-    joins: &mut Vec<PlannedJoin>,
-    sorted: &[TableId],
-    tel: &Telemetry,
-) -> Option<Vec<TableId>> {
-    match tree {
-        PlanTree::Leaf(t) => Some(vec![*t]),
-        PlanTree::Join(l, r) => {
-            let lrels = cost_rec_traced(l, est, coster, joins, sorted, tel)?;
-            let rrels = cost_rec_traced(r, est, coster, joins, sorted, tel)?;
-            let mut all = lrels.clone();
-            all.extend_from_slice(&rrels);
-            let _span = relation_set_mask(sorted, &all)
-                .map(|m| tel.span_labeled("final_cost.join", m as usize));
-            let io = est.join_io(&lrels, &rrels);
-            let decision = coster.join_cost(&io)?;
-            joins.push(PlannedJoin { left: lrels, right: rrels, io, decision });
-            Some(all)
-        }
-    }
 }
 
 /// The plain query-optimizer baseline ("QO"): cost joins under a *fixed*
@@ -250,13 +243,120 @@ mod tests {
         (TpchSchema::new(1.0), SimOracleCost::hive())
     }
 
+    fn walk(
+        tree: &PlanTree,
+        est: &CardinalityEstimator<'_>,
+        coster: &mut dyn PlanCoster,
+    ) -> Option<PlannedQuery> {
+        cost_tree(tree, est, coster, None, &Telemetry::disabled())
+    }
+
+    /// Telemetry on or off, memo or none: one walk, the same plan. A traced
+    /// run leaves one `final_cost.join.<mask>` span per join, keyed by the
+    /// join's output set, and a memo replay costs nothing.
+    #[test]
+    fn one_walk_whatever_it_records_or_replays() {
+        let (schema, model) = setup();
+        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
+        // (customer ⋈ orders) ⋈ (lineitem ⋈ supplier): bushy, and the
+        // relation ids are not in tree order.
+        let tree = PlanTree::join(
+            PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS]),
+            PlanTree::left_deep(&[table::LINEITEM, table::SUPPLIER]),
+        );
+        assert!(!tree.is_left_deep());
+        let plain = walk(&tree, &est, &mut FixedResourceCoster::new(&model, 10.0, 4.0)).unwrap();
+        let mut sorted = tree.relations();
+        sorted.sort_unstable();
+        let spans: Vec<String> = plain
+            .joins
+            .iter()
+            .map(|j| {
+                let mask = relation_set_mask(&sorted, &[j.left.clone(), j.right.clone()].concat());
+                format!("final_cost.join.{}", mask.unwrap())
+            })
+            .collect();
+
+        let mut memo = CostMemo::new(&tree.relations());
+        // (traced, memoized, coster calls): the memo's first run fills it.
+        for (traced, memoized, calls) in [(true, false, 3), (false, true, 3), (true, true, 0)] {
+            let tel = if traced { Telemetry::enabled() } else { Telemetry::disabled() };
+            let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
+            let memo = memoized.then_some(&mut memo);
+            let got = cost_tree(&tree, &est, &mut coster, memo, &tel).unwrap();
+            let case = format!("traced={traced} memoized={memoized}");
+            assert_eq!(plain, got, "{case}");
+            assert_eq!(plain.cost.to_bits(), got.cost.to_bits(), "{case}");
+            assert_eq!(coster.calls, calls, "{case}");
+            let recorded: Vec<String> = tel.spans().into_iter().map(|s| s.name).collect();
+            assert_eq!(recorded, if traced { spans.clone() } else { Vec::new() }, "{case}");
+        }
+    }
+
+    /// Both DPs hand the coster batches of two or more candidates through
+    /// `join_cost_many` and a lone candidate through `join_cost`.
+    #[test]
+    fn dp_batches_hold_two_or_more_candidates() {
+        use crate::cascades::{CascadesConfig, CascadesPlanner};
+        use crate::selinger::SelingerPlanner;
+        use raqo_catalog::QuerySpec;
+        struct Recording<'a> {
+            inner: FixedResourceCoster<'a, SimOracleCost>,
+            singles: u64,
+            batches: Vec<usize>,
+        }
+        impl PlanCoster for Recording<'_> {
+            fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+                self.singles += 1;
+                self.inner.join_cost(io)
+            }
+            fn join_cost_many(
+                &mut self,
+                ios: &[JoinIo],
+                _parallelism: Parallelism,
+            ) -> Vec<Option<JoinDecision>> {
+                self.batches.push(ios.len());
+                ios.iter().map(|io| self.inner.join_cost(io)).collect()
+            }
+        }
+        let (schema, model) = setup();
+        let (catalog, graph) = (&schema.catalog, &schema.graph);
+        let recording = || Recording {
+            inner: FixedResourceCoster::new(&model, 10.0, 4.0),
+            singles: 0,
+            batches: Vec::new(),
+        };
+        // Two relations: Selinger's one level holds both orders, the final
+        // re-cost one join; the bushy search costs its seed join alone and
+        // replays the final tree from its memo.
+        let q12 = QuerySpec::tpch_q12();
+        let mut selinger = recording();
+        SelingerPlanner::plan(catalog, graph, &q12, &mut selinger).unwrap();
+        assert_eq!((selinger.singles, selinger.batches.as_slice()), (1, &[2][..]));
+        let mut bushy = recording();
+        CascadesPlanner::plan(catalog, graph, &q12, &mut bushy, &CascadesConfig::default())
+            .unwrap();
+        assert_eq!((bushy.singles, bushy.batches.as_slice()), (1, &[][..]));
+
+        let all = QuerySpec::tpch_all(&schema);
+        let mut selinger = recording();
+        SelingerPlanner::plan(catalog, graph, &all, &mut selinger).unwrap();
+        let mut bushy = recording();
+        CascadesPlanner::plan(catalog, graph, &all, &mut bushy, &CascadesConfig::default())
+            .unwrap();
+        for coster in [selinger, bushy] {
+            assert!(!coster.batches.is_empty());
+            assert!(coster.batches.iter().all(|&w| w >= 2), "{:?}", coster.batches);
+        }
+    }
+
     #[test]
     fn fixed_coster_costs_q12_tree() {
         let (schema, model) = setup();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
         let tree = PlanTree::left_deep(&[table::ORDERS, table::LINEITEM]);
-        let planned = cost_tree(&tree, &est, &mut coster).unwrap();
+        let planned = walk(&tree, &est, &mut coster).unwrap();
         assert_eq!(planned.joins.len(), 1);
         assert!(planned.cost > 0.0);
         assert_eq!(planned.cost, planned.objectives.time_sec);
@@ -270,7 +370,7 @@ mod tests {
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
         let tree =
             PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS, table::LINEITEM]);
-        let planned = cost_tree(&tree, &est, &mut coster).unwrap();
+        let planned = walk(&tree, &est, &mut coster).unwrap();
         assert_eq!(planned.joins.len(), 2);
         let sum: f64 = planned.joins.iter().map(|j| j.decision.cost).sum();
         assert!((planned.cost - sum).abs() < 1e-9);
@@ -283,7 +383,7 @@ mod tests {
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
         let tree =
             PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS, table::LINEITEM]);
-        let planned = cost_tree(&tree, &est, &mut coster).unwrap();
+        let planned = walk(&tree, &est, &mut coster).unwrap();
         // First join: customer ⋈ orders; second: result ⋈ lineitem.
         assert_eq!(planned.joins[0].left, vec![table::CUSTOMER]);
         assert_eq!(planned.joins[0].right, vec![table::ORDERS]);
@@ -299,7 +399,7 @@ mod tests {
         let (schema, model) = setup();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        let planned = cost_tree(&PlanTree::leaf(table::ORDERS), &est, &mut coster).unwrap();
+        let planned = walk(&PlanTree::leaf(table::ORDERS), &est, &mut coster).unwrap();
         assert_eq!(planned.cost, 0.0);
         assert!(planned.joins.is_empty());
     }
@@ -315,11 +415,11 @@ mod tests {
         let tree = PlanTree::left_deep(&[table::ORDERS, table::LINEITEM]);
         // Few containers: broadcasting ~8 MB beats shuffling lineitem.
         let mut narrow = FixedResourceCoster::new(&model, 10.0, 10.0);
-        let planned_narrow = cost_tree(&tree, &est, &mut narrow).unwrap();
+        let planned_narrow = walk(&tree, &est, &mut narrow).unwrap();
         assert_eq!(planned_narrow.joins[0].decision.join, JoinImpl::BroadcastHash);
         // Very many containers make broadcast expensive → SMJ.
         let mut wide = FixedResourceCoster::new(&model, 500.0, 10.0);
-        let planned_wide = cost_tree(&tree, &est, &mut wide).unwrap();
+        let planned_wide = walk(&tree, &est, &mut wide).unwrap();
         assert_eq!(planned_wide.joins[0].decision.join, JoinImpl::SortMerge);
     }
 }

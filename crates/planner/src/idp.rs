@@ -1,26 +1,18 @@
 //! Iterative dynamic programming (IDP) for queries past the exhaustive-DP
 //! bound.
 //!
-//! Exhaustive Selinger DP is exponential in the relation count, so the
-//! optimizer caps it at a configurable `dp_threshold` (default 20). Above
-//! that, falling straight to the randomized planner throws away the DP
-//! guarantee entirely — a plan-quality cliff, not a capacity limit. IDP-1
-//! in its *standard-best-plan* variant (Kossmann & Stocker, TODS 2000)
-//! bridges the gap: repeatedly run exhaustive DP over a bounded block of
-//! the k cheapest unmerged subplans, collapse the winning block plan into
-//! one compound relation, and iterate until a single tree remains. Each
-//! round is a full [`SelingerPlanner::plan_items`] run, so every candidate
-//! sub-plan is costed through the same [`PlanCoster`] — RAQO's embedded
-//! resource planning, budget charging, and cross-run memoization all
-//! compose unchanged.
-//!
-//! Each round's block DP inherits the Selinger level batching: with thread
-//! parallelism, or with a coster that reports
-//! [`PlanCoster::prefers_batch`] (the RAQO coster's batched cost kernel),
-//! every block-DP level's candidate extensions are submitted through one
-//! [`PlanCoster::join_cost_many`] call — so 21–64-relation bridged queries
-//! feed the batched (and, when enabled, SIMD) cost kernel wide slices
-//! instead of scalar point evaluations, without any change in plans.
+//! Exhaustive Selinger DP is exponential in the relation count, so it stops
+//! at [`MAX_RELATIONS`] = 20. Above that, falling straight to the randomized
+//! planner throws away the DP guarantee entirely — a plan-quality cliff,
+//! not a capacity limit. IDP-1 in its *standard-best-plan* variant
+//! (Kossmann & Stocker, TODS 2000) bridges the gap: repeatedly run
+//! exhaustive DP over a bounded block of the k cheapest unmerged subplans,
+//! collapse the winning block plan into one compound relation, and iterate
+//! until a single tree remains. Each round is a full Selinger DP over the
+//! block's items, so every candidate sub-plan is costed through the same
+//! [`PlanCoster`] — RAQO's embedded resource planning, budget charging,
+//! level batches through [`PlanCoster::join_cost_many`] and cross-run
+//! memoization all compose unchanged.
 //!
 //! Complexity: with block size k, each round runs one O(2ᵏ·k) DP and
 //! removes k−1 units, so an n-relation query takes ⌈(n−1)/(k−1)⌉ rounds —
@@ -34,9 +26,9 @@
 
 use crate::cardinality::CardinalityEstimator;
 use crate::coster::{cost_tree, PlanCoster, PlannedQuery};
-use crate::memo::{cost_tree_memo, CostMemo};
+use crate::memo::CostMemo;
 use crate::plan::PlanTree;
-use crate::selinger::{DpFill, DpItem, SelingerError, SelingerPlanner, MAX_RELATIONS};
+use crate::selinger::{DpItem, SelingerError, SelingerPlanner, MAX_RELATIONS};
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec};
 use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
@@ -53,13 +45,11 @@ pub struct IdpConfig {
     /// blocks approach exhaustive-DP quality at exponentially growing
     /// per-round cost; `block_size >= n` *is* exhaustive DP.
     pub block_size: usize,
-    /// Fill strategy for each block's DP table.
-    pub fill: DpFill,
 }
 
 impl Default for IdpConfig {
     fn default() -> Self {
-        IdpConfig { block_size: DEFAULT_BLOCK_SIZE, fill: DpFill::Auto }
+        IdpConfig { block_size: DEFAULT_BLOCK_SIZE }
     }
 }
 
@@ -71,7 +61,7 @@ struct Unit {
 }
 
 /// The IDP-1 (standard-best-plan) join-order planner. No relation bound:
-/// only each *block* needs to fit the DP's mask width.
+/// only each *block* needs to fit the DP's bound.
 pub struct IdpPlanner;
 
 impl IdpPlanner {
@@ -122,13 +112,13 @@ impl IdpPlanner {
         }
         let est = CardinalityEstimator::new(catalog, graph);
         if n == 1 {
-            return cost_tree(&PlanTree::leaf(rels[0]), &est, coster)
+            return cost_tree(&PlanTree::leaf(rels[0]), &est, coster, None, tel)
                 .ok_or(SelingerError::Infeasible);
         }
 
         let _idp_span = tel.span("planner.idp");
-        // Block size 1 would never shrink the forest; blocks past the mask
-        // width cannot be DP'd at all.
+        // Block size 1 would never shrink the forest; blocks past the DP's
+        // bound cannot be DP'd at all.
         let block = config.block_size.clamp(2, MAX_RELATIONS);
 
         // Every base relation starts as its own unit, ranked by table size
@@ -155,7 +145,6 @@ impl IdpPlanner {
                 parallelism,
                 memo.as_deref_mut(),
                 tel,
-                config.fill,
             )
             // A block with no feasible plan (the coster rejected every
             // order — e.g. the planning budget ran out mid-round) fails
@@ -178,19 +167,8 @@ impl IdpPlanner {
         let _round_span = tel.span_labeled("idp.round", round);
         tel.inc(Counter::IdpRounds);
         let items: Vec<DpItem> = units.into_iter().map(|u| u.item).collect();
-        if items.len() == 1 {
-            // The whole query collapsed into one compound tree (possible
-            // when block == n exactly); re-cost it for the final report.
-            return match memo {
-                Some(m) => cost_tree_memo(&items[0].tree, &est, coster, m),
-                None => cost_tree(&items[0].tree, &est, coster),
-            }
-            .ok_or(SelingerError::Infeasible);
-        }
-        SelingerPlanner::plan_items(
-            &items, graph, &est, coster, parallelism, memo, tel, config.fill,
-        )
-        .ok_or(SelingerError::Infeasible)
+        SelingerPlanner::plan_items(&items, graph, &est, coster, parallelism, memo, tel)
+            .ok_or(SelingerError::Infeasible)
     }
 
     /// Pick the indices of the next DP block: anchor on the unit with the
@@ -300,7 +278,7 @@ mod tests {
                 &schema.graph,
                 &query,
                 &mut coster,
-                IdpConfig { block_size, fill: DpFill::Auto },
+                IdpConfig { block_size },
             )
             .unwrap_or_else(|e| panic!("block {block_size}: {e}"));
             assert!(covers_exactly(&planned.tree, &query.relations), "block {block_size}");
@@ -411,14 +389,13 @@ mod tests {
 
     #[test]
     fn batch_preferring_coster_gets_wide_level_batches_and_identical_plans() {
-        /// A coster that asks for level batching without thread
-        /// parallelism, recording the width of every batch it receives —
-        /// the planner-side contract the RAQO coster relies on.
-        struct BatchPreferring<'a> {
+        /// A coster recording the width of every batch it receives — the
+        /// planner-side contract the RAQO coster's batched kernel relies on.
+        struct BatchWidths<'a> {
             inner: FixedResourceCoster<'a, SimOracleCost>,
             batches: Vec<usize>,
         }
-        impl PlanCoster for BatchPreferring<'_> {
+        impl PlanCoster for BatchWidths<'_> {
             fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
                 self.inner.join_cost(io)
             }
@@ -430,15 +407,12 @@ mod tests {
                 self.batches.push(ios.len());
                 ios.iter().map(|io| self.inner.join_cost(io)).collect()
             }
-            fn prefers_batch(&self) -> bool {
-                true
-            }
         }
 
-        // A 24-relation bridged query with parallelism Off: the
-        // `prefers_batch` hook alone must route every block DP through
-        // per-level `join_cost_many`, with bit-identical plans and the
-        // same total `getPlanCost` call count as the sequential fill.
+        // A 24-relation bridged query with parallelism Off: every block DP
+        // level arrives through `join_cost_many`, with bit-identical plans
+        // and the same total `getPlanCost` call count as a coster that
+        // costs each batch through the trait's default.
         let model = SimOracleCost::hive();
         let schema = RandomSchemaConfig::with_tables(26, 4).generate();
         let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 24, 7);
@@ -446,7 +420,7 @@ mod tests {
         let sequential =
             IdpPlanner::plan(&schema.catalog, &schema.graph, &query, &mut seq, IdpConfig::default())
                 .unwrap();
-        let mut bp = BatchPreferring {
+        let mut bp = BatchWidths {
             inner: FixedResourceCoster::new(&model, 10.0, 6.0),
             batches: Vec::new(),
         };
@@ -460,6 +434,28 @@ mod tests {
         assert!(!bp.batches.is_empty(), "block DP levels must arrive via join_cost_many");
         let widest = bp.batches.iter().copied().max().unwrap();
         assert!(widest > 4, "level batches should be wide, got widths {:?}", bp.batches);
+    }
+
+    /// Blocks past the Selinger DP's bound clamp to it: asking for one
+    /// 64-unit block plans a 24-relation query exactly as a 20-unit one.
+    #[test]
+    fn idp_block_sizes_past_the_dp_bound_clamp_to_it() {
+        let model = SimOracleCost::hive();
+        let schema = RandomSchemaConfig::with_tables(26, 4).generate();
+        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 24, 7);
+        let plan = |block_size| {
+            let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
+            let config = IdpConfig { block_size };
+            let planned =
+                IdpPlanner::plan(&schema.catalog, &schema.graph, &query, &mut coster, config);
+            (planned.unwrap(), coster.calls)
+        };
+        let (wide, wide_calls) = plan(64);
+        let (bound, bound_calls) = plan(MAX_RELATIONS);
+        assert_eq!(wide.tree, bound.tree);
+        assert_eq!(wide.cost.to_bits(), bound.cost.to_bits());
+        assert_eq!(wide.joins, bound.joins);
+        assert_eq!(wide_calls, bound_calls);
     }
 
     #[test]

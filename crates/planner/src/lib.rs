@@ -17,14 +17,15 @@
 //!   resource planning (or lookup in the cache) and then return the
 //!   sub-plan cost" (§VI-C);
 //! * [`selinger`] — bottom-up dynamic programming over left-deep trees
-//!   (u64 subset masks, dense or level-streamed fills);
+//!   (one dense table over u64 subset masks, filled level by level);
 //! * [`idp`] — iterative dynamic programming (IDP-1, standard-best-plan)
 //!   bridging queries past the exhaustive-DP bound;
 //! * [`randomized`] — the fast randomized multi-objective planner
 //!   re-implementation (associativity + exchange mutations, ε-Pareto
 //!   archive, iterative improvement);
 //! * [`memo`] — sub-plan cost memoization keyed on relation bitsets, so the
-//!   randomized planner re-costs only the joins a mutation actually changed;
+//!   randomized planner re-costs only the joins a mutation actually changed
+//!   and the DPs replay joins costed in earlier runs;
 //! * [`cascades`] — one dense DP over relation-subset masks searching
 //!   *bushy* join trees through the same `getPlanCost` seam.
 
@@ -37,7 +38,7 @@ pub mod plan;
 pub mod randomized;
 pub mod selinger;
 
-/// The exhaustive bushy oracle of `tests/bushy_oracle.rs`, for the unit tests.
+/// The bushy and left-deep oracles of the integration tests, for the unit tests.
 #[cfg(test)]
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
@@ -47,9 +48,9 @@ pub use cascades::{
     CascadesConfig, CascadesError, CascadesOutcome, CascadesPlanner,
     DEFAULT_CASCADES_THRESHOLD,
 };
-pub use coster::{JoinDecision, PlanCoster, PlannedJoin, PlannedQuery};
+pub use coster::{cost_tree, JoinDecision, PlanCoster, PlannedJoin, PlannedQuery};
 pub use idp::{IdpConfig, IdpPlanner};
-pub use memo::{cost_tree_memo, CostMemo};
+pub use memo::CostMemo;
 pub use plan::PlanTree;
 pub use randomized::{RandomizedConfig, RandomizedPlanner};
-pub use selinger::{DpFill, SelingerError, SelingerPlanner};
+pub use selinger::{SelingerError, SelingerPlanner};

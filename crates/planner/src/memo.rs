@@ -1,4 +1,4 @@
-//! Sub-plan cost memoization for the randomized planner.
+//! Sub-plan cost memoization for every planner.
 //!
 //! `getPlanCost` (the [`PlanCoster::join_cost`] seam) is by far the hottest
 //! call in joint planning: in RAQO mode every invocation runs a full
@@ -13,8 +13,9 @@
 //! relation-bitsets of its inputs (relative to the query's relation list)
 //! and replays the stored [`JoinIo`] + [`JoinDecision`] on a hit —
 //! infeasible joins are memoized too, so repeated dead-end mutants cost
-//! nothing. [`cost_tree_memo`] is the drop-in [`crate::coster::cost_tree`] variant that
-//! consults the memo.
+//! nothing. [`crate::coster::cost_tree`] consults it when given one; the
+//! Selinger and bushy DPs look their candidates up and record them, and the
+//! optimizer keeps one memo across runs.
 //!
 //! Correctness requires the coster to be deterministic in the join's IO
 //! characteristics (true for fixed-resource costing and for RAQO costing
@@ -25,11 +26,8 @@
 //! [`CostMemo::MAX_RELATIONS`] relations silently bypass the memo.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::coster::{JoinDecision, PlanCoster, PlannedJoin, PlannedQuery};
-use crate::plan::PlanTree;
+use crate::coster::{JoinDecision, PlanCoster};
 use raqo_catalog::TableId;
-use raqo_cost::objective::CostVector;
-use raqo_telemetry::Telemetry;
 use std::collections::HashMap;
 
 /// Memo of join decisions keyed on (left bitset, right bitset, context) of
@@ -285,104 +283,24 @@ impl CostMemo {
     }
 }
 
-/// [`crate::coster::cost_tree`] with sub-plan memoization: identical
-/// (left, right) joins across candidate trees are costed once per memo.
-pub fn cost_tree_memo(
-    tree: &PlanTree,
-    est: &CardinalityEstimator<'_>,
-    coster: &mut dyn PlanCoster,
-    memo: &mut CostMemo,
-) -> Option<PlannedQuery> {
-    let mut joins = Vec::new();
-    let rels = cost_rec_memo(tree, est, coster, memo, &mut joins)?;
-    debug_assert_eq!(rels.len(), tree.relations().len());
-    let cost = joins.iter().map(|j| j.decision.cost).sum();
-    let objectives = joins
-        .iter()
-        .fold(CostVector::ZERO, |acc, j| acc.add(&j.decision.objectives));
-    Some(PlannedQuery { tree: tree.clone(), joins, cost, objectives })
-}
-
-fn cost_rec_memo(
-    tree: &PlanTree,
-    est: &CardinalityEstimator<'_>,
-    coster: &mut dyn PlanCoster,
-    memo: &mut CostMemo,
-    joins: &mut Vec<PlannedJoin>,
-) -> Option<Vec<TableId>> {
-    match tree {
-        PlanTree::Leaf(t) => Some(vec![*t]),
-        PlanTree::Join(l, r) => {
-            let lrels = cost_rec_memo(l, est, coster, memo, joins)?;
-            let rrels = cost_rec_memo(r, est, coster, memo, joins)?;
-            let (io, decision) = memo.join_cost(&lrels, &rrels, est, coster)?;
-            let mut all = lrels.clone();
-            all.extend_from_slice(&rrels);
-            joins.push(PlannedJoin { left: lrels, right: rrels, io, decision });
-            Some(all)
-        }
-    }
-}
-
-/// [`cost_tree_memo`] with the labeled `final_cost.join.<mask>` spans of
-/// [`crate::coster::cost_tree_traced`]: one span per join keyed by the
-/// join's output relation-set bitmask, wrapping the memo lookup (so hits
-/// attribute their — tiny — planning time correctly too).
-pub fn cost_tree_memo_traced(
-    tree: &PlanTree,
-    est: &CardinalityEstimator<'_>,
-    coster: &mut dyn PlanCoster,
-    memo: &mut CostMemo,
-    tel: &Telemetry,
-) -> Option<PlannedQuery> {
-    if !tel.is_enabled() {
-        return cost_tree_memo(tree, est, coster, memo);
-    }
-    let mut sorted = tree.relations();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut joins = Vec::new();
-    let rels = cost_rec_memo_traced(tree, est, coster, memo, &mut joins, &sorted, tel)?;
-    debug_assert_eq!(rels.len(), tree.relations().len());
-    let cost = joins.iter().map(|j| j.decision.cost).sum();
-    let objectives = joins
-        .iter()
-        .fold(CostVector::ZERO, |acc, j| acc.add(&j.decision.objectives));
-    Some(PlannedQuery { tree: tree.clone(), joins, cost, objectives })
-}
-
-fn cost_rec_memo_traced(
-    tree: &PlanTree,
-    est: &CardinalityEstimator<'_>,
-    coster: &mut dyn PlanCoster,
-    memo: &mut CostMemo,
-    joins: &mut Vec<PlannedJoin>,
-    sorted: &[TableId],
-    tel: &Telemetry,
-) -> Option<Vec<TableId>> {
-    match tree {
-        PlanTree::Leaf(t) => Some(vec![*t]),
-        PlanTree::Join(l, r) => {
-            let lrels = cost_rec_memo_traced(l, est, coster, memo, joins, sorted, tel)?;
-            let rrels = cost_rec_memo_traced(r, est, coster, memo, joins, sorted, tel)?;
-            let mut all = lrels.clone();
-            all.extend_from_slice(&rrels);
-            let _span = crate::coster::relation_set_mask(sorted, &all)
-                .map(|m| tel.span_labeled("final_cost.join", m as usize));
-            let (io, decision) = memo.join_cost(&lrels, &rrels, est, coster)?;
-            joins.push(PlannedJoin { left: lrels, right: rrels, io, decision });
-            Some(all)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cardinality::CardinalityEstimator;
-    use crate::coster::{cost_tree, FixedResourceCoster};
+    use crate::coster::{cost_tree, FixedResourceCoster, PlannedQuery};
+    use crate::plan::PlanTree;
     use raqo_catalog::tpch::{table, TpchSchema};
     use raqo_cost::SimOracleCost;
+    use raqo_telemetry::Telemetry;
+
+    fn walk(
+        tree: &PlanTree,
+        est: &CardinalityEstimator<'_>,
+        coster: &mut dyn PlanCoster,
+        memo: &mut CostMemo,
+    ) -> Option<PlannedQuery> {
+        cost_tree(tree, est, coster, Some(memo), &Telemetry::disabled())
+    }
 
     #[test]
     fn memoized_tree_cost_matches_unmemoized() {
@@ -393,11 +311,12 @@ mod tests {
         let tree = PlanTree::left_deep(&rels);
 
         let mut plain_coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        let plain = cost_tree(&tree, &est, &mut plain_coster).unwrap();
+        let tel = Telemetry::disabled();
+        let plain = cost_tree(&tree, &est, &mut plain_coster, None, &tel).unwrap();
 
         let mut memo = CostMemo::new(&rels);
         let mut memo_coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        let memoized = cost_tree_memo(&tree, &est, &mut memo_coster, &mut memo).unwrap();
+        let memoized = walk(&tree, &est, &mut memo_coster, &mut memo).unwrap();
         assert_eq!(plain, memoized);
         assert_eq!(memo.hits(), 0);
         assert_eq!(memo.misses(), 2);
@@ -413,9 +332,9 @@ mod tests {
 
         let mut memo = CostMemo::new(&rels);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        let first = cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        let first = walk(&tree, &est, &mut coster, &mut memo).unwrap();
         let calls_after_first = coster.calls;
-        let second = cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        let second = walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!(first, second);
         assert_eq!(coster.calls, calls_after_first, "second pass must not re-cost");
         assert_eq!(memo.hits(), 2);
@@ -433,9 +352,9 @@ mod tests {
         // Both trees share the bottom join customer ⋈ orders.
         let t1 = PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS, table::LINEITEM]);
         let t2 = PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS, table::SUPPLIER]);
-        cost_tree_memo(&t1, &est, &mut coster, &mut memo).unwrap();
+        walk(&t1, &est, &mut coster, &mut memo).unwrap();
         let calls_after_t1 = coster.calls;
-        cost_tree_memo(&t2, &est, &mut coster, &mut memo).unwrap();
+        walk(&t2, &est, &mut coster, &mut memo).unwrap();
         // Only the top join of t2 needed the coster.
         assert_eq!(coster.calls, calls_after_t1 + 1);
         assert_eq!(memo.hits(), 1);
@@ -456,8 +375,8 @@ mod tests {
         let tree = PlanTree::left_deep(&rels);
         let mut memo = CostMemo::new(&rels);
         let mut never = CountingNever(0);
-        assert!(cost_tree_memo(&tree, &est, &mut never, &mut memo).is_none());
-        assert!(cost_tree_memo(&tree, &est, &mut never, &mut memo).is_none());
+        assert!(walk(&tree, &est, &mut never, &mut memo).is_none());
+        assert!(walk(&tree, &est, &mut never, &mut memo).is_none());
         assert_eq!(never.0, 1, "infeasibility must be cached");
         assert_eq!(memo.hits(), 1);
     }
@@ -472,18 +391,18 @@ mod tests {
         let mut memo = CostMemo::new(&rels);
 
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!((memo.hits(), memo.misses()), (0, 2));
 
         // A new context must not replay context-0 decisions.
         memo.set_context(7);
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!((memo.hits(), memo.misses()), (0, 4));
 
         // Restoring an old context makes its entries live again.
         memo.set_context(0);
         let calls_before = coster.calls;
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!(coster.calls, calls_before);
         assert_eq!((memo.hits(), memo.misses()), (2, 4));
     }
@@ -501,9 +420,9 @@ mod tests {
 
         // Fill contexts 0 and 1 (2 entries each), then touch context 2:
         // context 0 is the LRU victim.
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         memo.set_context(1);
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!(memo.len(), 4);
         assert_eq!(memo.evictions(), 0);
         memo.set_context(2);
@@ -515,12 +434,12 @@ mod tests {
         // Fig. 15(b) revive-on-restore behavior is preserved)...
         memo.set_context(1);
         let calls_before = coster.calls;
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!(coster.calls, calls_before, "context 1 survived the LRU window");
         // ...while returning to the evicted context re-costs from scratch.
         memo.set_context(0);
         let calls_before = coster.calls;
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!(coster.calls, calls_before + 2);
     }
 
@@ -551,7 +470,7 @@ mod tests {
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
         for c in 0..4 {
             memo.set_context(c);
-            cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+            walk(&tree, &est, &mut coster, &mut memo).unwrap();
         }
         assert_eq!(memo.len(), 4);
         memo.set_max_contexts(1);
@@ -593,7 +512,7 @@ mod tests {
                     for i in 0..ROUNDS {
                         let mut m = memo.lock().unwrap();
                         m.set_context(1 + t * ROUNDS + i);
-                        cost_tree_memo(tree, &est, &mut coster, &mut m).unwrap();
+                        walk(tree, &est, &mut coster, &mut m).unwrap();
                     }
                 });
             }
@@ -617,13 +536,13 @@ mod tests {
 
         // SUPPLIER is unknown → this tree's top join bypasses the memo.
         let tree = PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS, table::SUPPLIER]);
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!((memo.hits(), memo.misses()), (0, 1));
 
         // After extending the index the same join is memoized normally.
         memo.ensure_relations(&[table::SUPPLIER]);
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
-        cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
+        walk(&tree, &est, &mut coster, &mut memo).unwrap();
         assert_eq!((memo.hits(), memo.misses()), (3, 2));
     }
 
@@ -671,9 +590,10 @@ mod tests {
         let tree = PlanTree::left_deep(&[table::CUSTOMER, table::ORDERS]);
         let mut memo = CostMemo::new(&rels);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        let got = cost_tree_memo(&tree, &est, &mut coster, &mut memo).unwrap();
+        let got = walk(&tree, &est, &mut coster, &mut memo).unwrap();
         let mut coster2 = FixedResourceCoster::new(&model, 10.0, 4.0);
-        assert_eq!(got, cost_tree(&tree, &est, &mut coster2).unwrap());
+        let tel = Telemetry::disabled();
+        assert_eq!(got, cost_tree(&tree, &est, &mut coster2, None, &tel).unwrap());
         assert_eq!(memo.hits() + memo.misses(), 0);
     }
 }

@@ -15,8 +15,8 @@
 //! itself is available for Pareto-front inspection).
 
 use crate::cardinality::CardinalityEstimator;
-use crate::coster::{cost_tree, cost_tree_traced, PlanCoster, PlannedQuery};
-use crate::memo::{cost_tree_memo, cost_tree_memo_traced, CostMemo};
+use crate::coster::{cost_tree, PlanCoster, PlannedQuery};
+use crate::memo::CostMemo;
 use crate::plan::{Mutation, PlanTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,9 +116,9 @@ impl RandomizedPlanner {
         // One memo per planning run; `None` keeps the exact unmemoized
         // call pattern (and thus the paper's per-call accounting).
         let mut memo = config.memoize.then(|| CostMemo::new(rels));
-        let mut cost = |tree: &PlanTree, coster: &mut dyn PlanCoster| match memo.as_mut() {
-            Some(m) => cost_tree_memo(tree, &est, coster, m),
-            None => cost_tree(tree, &est, coster),
+        let untraced = Telemetry::disabled();
+        let mut cost = |tree: &PlanTree, coster: &mut dyn PlanCoster| {
+            cost_tree(tree, &est, coster, memo.as_mut(), &untraced)
         };
 
         if rels.len() == 1 {
@@ -175,10 +175,7 @@ impl RandomizedPlanner {
         // Re-cost the winner so the returned per-join decisions correspond
         // to the final plan.
         let _final_span = tel.span("randomized.final_cost");
-        let best = match memo.as_mut() {
-            Some(m) => cost_tree_memo_traced(&best_entry.tree.clone(), &est, coster, m, tel),
-            None => cost_tree_traced(&best_entry.tree.clone(), &est, coster, tel),
-        }?;
+        let best = cost_tree(&best_entry.tree, &est, coster, memo.as_mut(), tel)?;
         let frontier = archive.iter().map(|a| a.objectives).collect();
         let memo_hits = memo.as_ref().map_or(0, |m| m.hits());
         Some(RandomizedOutcome { best, frontier, plans_costed, memo_hits })

@@ -8,64 +8,36 @@
 //! if no cross-product-free left-deep plan exists the search is rerun with
 //! cross products admitted.
 //!
-//! Subsets are u64 bitmasks, so the DP's hard cap is [`MAX_RELATIONS`]
-//! (= 64) relations; the *practical* bound is the configurable
-//! `dp_threshold` ([`DEFAULT_DP_THRESHOLD`] = 20 by default), above which
-//! [`SelingerError::TooManyRelations`] tells callers to bridge with the
+//! Subsets are u64 bitmasks indexing one dense table of 2ⁿ slots, so the
+//! DP stops at [`MAX_RELATIONS`] = 20 relations (≈ 16 MB of table); above
+//! it [`SelingerError::TooManyRelations`] tells callers to bridge with the
 //! iterative-DP planner ([`crate::idp::IdpPlanner`]) or fall back to the
-//! randomized planner. Two fill strategies back the same DP:
+//! randomized planner.
 //!
-//! * **Dense** — the classic `Vec` table indexed by mask, used up to
-//!   20 relations where 2²⁰ slots are cheap. Bit-for-bit the pre-widening
-//!   behaviour.
-//! * **Streamed** ([`DpFill::Streamed`]) — the table is stratified by
-//!   subset size and only levels k−1 and k are materialized (sparse maps
-//!   keyed by mask), so memory follows the number of *feasible* subsets
-//!   per level (O(n²) for chains, C(n, k) worst case) instead of 2ⁿ slots.
-//!   Candidates are folded in (mask ascending, table ascending) order —
-//!   the dense loop's visit order — so winners and tie-breaks are
-//!   identical.
-//!
-//! Two performance levers, both off by default and bit-identical to the
-//! plain DP when engaged (see [`SelingerPlanner::plan_with`]):
-//!
-//! * **Parallel levels** — the DP is stratified by subset size, so all
-//!   candidate extensions of one level are independent. With a
-//!   [`Parallelism`] other than `Off` each level's uncached candidates are
-//!   costed in one [`PlanCoster::join_cost_many`] batch (which costers may
-//!   fan out over threads), then folded into the table in the exact order
-//!   the sequential loop would have visited them — same keep-first
-//!   tie-breaks, same winner.
-//! * **Memoization** — a [`CostMemo`] caches (left-bitset, right-bitset,
-//!   context) → decision across runs, so a Fig. 15(b) cluster sweep re-costs
-//!   only joins it has never seen under the current cluster conditions.
+//! The table is filled level by level, by subset size: a subset only reads
+//! subsets one relation smaller, so the candidate extensions of a level are
+//! independent. They are costed [`BATCH_CANDIDATES`] at a time through
+//! [`PlanCoster::join_cost_many`] (which costers may fan out over
+//! [`Parallelism`] worker threads) and folded into the table in generation
+//! order — masks ascending, item ascending — with keep-first tie-breaks. A
+//! [`CostMemo`] caches (left-bitset, right-bitset, context) → decision
+//! across runs, so a Fig. 15(b) cluster sweep re-costs only the joins it
+//! has never seen under the current cluster conditions.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::coster::{cost_tree, cost_tree_traced, JoinDecision, PlanCoster, PlannedQuery};
-use crate::memo::{cost_tree_memo_traced, CostMemo};
+use crate::coster::{cost_batch, cost_tree, PlanCoster, PlannedQuery, BATCH_CANDIDATES};
+use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
 use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
-use std::collections::HashMap;
 use std::fmt;
 
-/// Hard cap of the bitset DP: u64 subset masks hold at most 64 relations.
-/// Exhaustive DP anywhere near this is computationally infeasible — the cap
-/// exists so mask arithmetic is well-defined for any threshold a caller
-/// configures; the *practical* bound is [`DEFAULT_DP_THRESHOLD`].
-pub const MAX_RELATIONS: usize = 64;
-
-/// Default exhaustive-DP bound. 2^20 subsets is already far beyond anything
-/// the paper runs through Selinger (TPC-H "All" is 8); queries above it
-/// should go through the IDP bridge ([`crate::idp::IdpPlanner`]) rather
-/// than exhaustive DP.
-pub const DEFAULT_DP_THRESHOLD: usize = 20;
-
-/// Largest relation count the dense (full 2ⁿ table) fill is used for under
-/// [`DpFill::Auto`]; larger DPs stream levels instead. 2²⁰ `Option<Entry>`
-/// slots ≈ 16 MB — the dense table stops being cheap right about here.
-const DENSE_FILL_MAX: usize = 20;
+/// The DP's relation bound: the dense table holds 2ⁿ slots. Far beyond
+/// anything the paper runs through Selinger (TPC-H "All" is 8); larger
+/// queries go through the IDP bridge ([`crate::idp::IdpPlanner`]), whose
+/// blocks are clamped to it.
+pub const MAX_RELATIONS: usize = 20;
 
 /// log₂ of the most subset sizes a DP run keeps at once ([`Dp::rest_gb`]).
 const SIZE_SLOT_BITS: usize = 12;
@@ -75,8 +47,7 @@ const SIZE_SLOT_BITS: usize = 12;
 /// back to the randomized planner, neither of which has a relation bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelingerError {
-    /// The query exceeds the configured exhaustive-DP bound (`max` is the
-    /// live `dp_threshold`, not a compile-time constant).
+    /// The query exceeds the exhaustive-DP bound `max` ([`MAX_RELATIONS`]).
     TooManyRelations { n: usize, max: usize },
     /// No complete plan exists: the query is empty, or every join order
     /// contains a join the coster rejects.
@@ -99,20 +70,6 @@ impl fmt::Display for SelingerError {
 
 impl std::error::Error for SelingerError {}
 
-/// Which fill strategy backs the DP table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum DpFill {
-    /// Dense table up to 20 relations, streamed levels beyond.
-    #[default]
-    Auto,
-    /// Force the dense 2ⁿ table (falls back to streaming above 20
-    /// relations, where a dense table would not fit in memory).
-    Dense,
-    /// Force level streaming — mainly for parity testing against the
-    /// dense fill on small queries.
-    Streamed,
-}
-
 /// One DP unit: a (sub-)plan tree and the base relations it covers. For a
 /// plain query every item is a single-leaf tree; the IDP bridge feeds
 /// compound items (already-merged subtrees) through the same DP, which is
@@ -131,25 +88,12 @@ impl DpItem {
     }
 }
 
-/// Best plan for one dense-DP subset: scalar cost plus the local index of
-/// the last-joined item, for order reconstruction.
+/// Best plan for one subset: scalar cost plus the local index of the
+/// last-joined item, for order reconstruction.
 #[derive(Clone, Copy)]
 struct Entry {
     cost: f64,
     last: usize,
-}
-
-/// Best plan for one streamed-DP subset. Streaming drops level k−2 before
-/// level k+1 is built, so back-pointer reconstruction is impossible; each
-/// entry carries its full join order instead (one byte per item — the
-/// per-level maps hold only feasible subsets, so this stays far below the
-/// dense table's 2ⁿ slots).
-#[derive(Clone)]
-struct StreamEntry {
-    cost: f64,
-    /// Local item indices in join order. `u8` is enough: indices are
-    /// < [`MAX_RELATIONS`] = 64.
-    order: Vec<u8>,
 }
 
 /// The Selinger planner.
@@ -158,40 +102,24 @@ pub struct SelingerPlanner;
 impl SelingerPlanner {
     /// Find the cheapest left-deep join order for `query`, costing every
     /// candidate sub-plan through `coster` (which is where RAQO's resource
-    /// planning hooks in). Sequential, unmemoized — equivalent to
-    /// [`SelingerPlanner::plan_with`] under `Parallelism::Off` and no memo.
+    /// planning hooks in). No thread parallelism, memo or telemetry.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
     ) -> Result<PlannedQuery, SelingerError> {
-        Self::plan_with(catalog, graph, query, coster, Parallelism::Off, None)
+        let tel = Telemetry::disabled();
+        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, None, &tel)
     }
 
-    /// [`SelingerPlanner::plan`] with the performance levers exposed.
-    ///
-    /// `parallelism` other than `Off` batches each DP level through
-    /// [`PlanCoster::join_cost_many`]; a `memo` replays previously costed
-    /// (left, right) sub-plans under the memo's current context. Both
-    /// produce bit-identical plans to the sequential unmemoized run as long
-    /// as the coster is deterministic in the join's IO characteristics.
-    pub fn plan_with(
-        catalog: &Catalog,
-        graph: &JoinGraph,
-        query: &QuerySpec,
-        coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
-        memo: Option<&mut CostMemo>,
-    ) -> Result<PlannedQuery, SelingerError> {
-        Self::plan_traced(catalog, graph, query, coster, parallelism, memo, &Telemetry::disabled())
-    }
-
-    /// [`SelingerPlanner::plan_with`] with telemetry: the DP fill and the
-    /// final re-cost are wrapped in spans (per-level spans in the batched
-    /// fill), and filled levels are counted. With the disabled handle
-    /// (what [`SelingerPlanner::plan_with`] passes) every telemetry site
-    /// is a no-op.
+    /// [`SelingerPlanner::plan`] with every lever: `parallelism` is handed
+    /// to [`PlanCoster::join_cost_many`] with each batch, a `memo` replays
+    /// previously costed (left, right) sub-plans under the memo's current
+    /// context, and `tel` records a span around the fill, one per level and
+    /// one around the final re-cost, and counts the levels. The plan is
+    /// the same under every setting as long as the coster is deterministic
+    /// in the join's IO characteristics.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_traced(
         catalog: &Catalog,
@@ -199,43 +127,13 @@ impl SelingerPlanner {
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
-        memo: Option<&mut CostMemo>,
-        tel: &Telemetry,
-    ) -> Result<PlannedQuery, SelingerError> {
-        Self::plan_opts(
-            catalog,
-            graph,
-            query,
-            coster,
-            parallelism,
-            memo,
-            tel,
-            DEFAULT_DP_THRESHOLD,
-            DpFill::Auto,
-        )
-    }
-
-    /// Fully parameterized planning: `dp_threshold` is the live relation
-    /// bound (clamped to [`MAX_RELATIONS`]) reported in
-    /// [`SelingerError::TooManyRelations`]; `fill` picks the DP fill
-    /// strategy (see [`DpFill`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_opts(
-        catalog: &Catalog,
-        graph: &JoinGraph,
-        query: &QuerySpec,
-        coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
         mut memo: Option<&mut CostMemo>,
         tel: &Telemetry,
-        dp_threshold: usize,
-        fill: DpFill,
     ) -> Result<PlannedQuery, SelingerError> {
         let rels = &query.relations;
         let n = rels.len();
-        let max = dp_threshold.clamp(1, MAX_RELATIONS);
-        if n > max {
-            return Err(SelingerError::TooManyRelations { n, max });
+        if n > MAX_RELATIONS {
+            return Err(SelingerError::TooManyRelations { n, max: MAX_RELATIONS });
         }
         if n == 0 {
             return Err(SelingerError::Infeasible);
@@ -244,21 +142,15 @@ impl SelingerPlanner {
             m.ensure_relations(rels);
         }
         let est = CardinalityEstimator::new(catalog, graph);
-        if n == 1 {
-            return cost_tree(&PlanTree::leaf(rels[0]), &est, coster)
-                .ok_or(SelingerError::Infeasible);
-        }
-
         let items: Vec<DpItem> = rels.iter().copied().map(DpItem::leaf).collect();
-        Self::plan_items(&items, graph, &est, coster, parallelism, memo, tel, fill)
+        Self::plan_items(&items, graph, &est, coster, parallelism, memo, tel)
             .ok_or(SelingerError::Infeasible)
     }
 
     /// Run the DP over arbitrary items (leaves for a plain query, compound
     /// subtrees inside an IDP round). First pass avoids cross products;
     /// falls back to admitting them if no cross-product-free plan exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_items(
+    pub(crate) fn plan_items(
         items: &[DpItem],
         graph: &JoinGraph,
         est: &CardinalityEstimator<'_>,
@@ -266,84 +158,33 @@ impl SelingerPlanner {
         parallelism: Parallelism,
         mut memo: Option<&mut CostMemo>,
         tel: &Telemetry,
-        fill: DpFill,
     ) -> Option<PlannedQuery> {
         let n = items.len();
+        // The dense table and the `1u64 << i` masks need this bound.
         assert!(
             (1..=MAX_RELATIONS).contains(&n),
             "plan_items requires 1..={MAX_RELATIONS} items, got {n}"
         );
         if n == 1 {
-            return match memo {
-                Some(m) => cost_tree_memo_traced(&items[0].tree, est, coster, m, tel),
-                None => cost_tree_traced(&items[0].tree, est, coster, tel),
+            return cost_tree(&items[0].tree, est, coster, memo, tel);
+        }
+        [false, true].into_iter().find_map(|allow_cross| {
+            let order = {
+                let _dp_span = tel.span("selinger.dp");
+                let memo = memo.as_deref_mut();
+                Dp::new(items, graph, est, coster, allow_cross, parallelism, memo, tel).solve()?
             };
-        }
-        Self::plan_inner(
-            items,
-            graph,
-            est,
-            coster,
-            false,
-            parallelism,
-            memo.as_deref_mut(),
-            tel,
-            fill,
-        )
-        .or_else(|| {
-            Self::plan_inner(items, graph, est, coster, true, parallelism, memo, tel, fill)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn plan_inner(
-        items: &[DpItem],
-        graph: &JoinGraph,
-        est: &CardinalityEstimator<'_>,
-        coster: &mut dyn PlanCoster,
-        allow_cross: bool,
-        parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
-        tel: &Telemetry,
-        fill: DpFill,
-    ) -> Option<PlannedQuery> {
-        let n = items.len();
-        // `plan_opts` enforces the dp_threshold (≤ MAX_RELATIONS = 64)
-        // bound, so `1u64 << i` for any item index i < n cannot overflow
-        // the u64 masks; keep the invariant checked here because the shift
-        // silently wraps (release) or panics (debug) if it is ever
-        // violated.
-        debug_assert!(
-            (1..=MAX_RELATIONS).contains(&n),
-            "plan_inner requires 1..={MAX_RELATIONS} items, got {n}"
-        );
-        // The dense table allocates 2ⁿ slots, so it is only used while that
-        // is cheap; larger DPs always stream, whatever `fill` says.
-        let dense = n <= DENSE_FILL_MAX && fill != DpFill::Streamed;
-
-        let order: Vec<usize> = {
-            let _dp_span = tel.span("selinger.dp");
-            let memo = memo.as_deref_mut();
-            let mut dp = Dp::new(items, graph, est, coster, allow_cross, parallelism, memo, tel);
-            if dense {
-                dp.solve_dense()?
-            } else {
-                dp.solve_streamed()?
+            // Re-cost the final tree so the returned decisions are exactly
+            // the winning plan's (the DP only kept scalar costs). For
+            // single-leaf items this fold builds precisely
+            // `PlanTree::left_deep`.
+            let _final_span = tel.span("selinger.final_cost");
+            let mut tree = items[order[0]].tree.clone();
+            for &i in &order[1..] {
+                tree = PlanTree::join(tree, items[i].tree.clone());
             }
-        };
-
-        // Re-cost the final tree so the returned decisions are exactly the
-        // winning plan's (the DP only kept scalar costs). For single-leaf
-        // items this fold builds precisely `PlanTree::left_deep`.
-        let _final_span = tel.span("selinger.final_cost");
-        let mut tree = items[order[0]].tree.clone();
-        for &i in &order[1..] {
-            tree = PlanTree::join(tree, items[i].tree.clone());
-        }
-        match memo {
-            Some(m) => cost_tree_memo_traced(&tree, est, coster, m, tel),
-            None => cost_tree_traced(&tree, est, coster, tel),
-        }
+            cost_tree(&tree, est, coster, memo.as_deref_mut(), tel)
+        })
     }
 }
 
@@ -388,15 +229,14 @@ pub(crate) fn adjacency_masks<'a>(
 enum Probe {
     /// The memo holds the pair: its join cost, `None` = infeasible.
     Known(Option<f64>),
-    /// Not memoized (or no memo): the join's IO, to cost and then
-    /// [`Dp::record`].
+    /// Not memoized (or no memo): the join's IO, to cost and record.
     Unknown(JoinIo),
 }
 
-/// One DP run over `items`: the three fills, and under them the one
-/// candidate generator they share — which (subset `rest`, item `i`)
-/// extensions are admissible, and what each one's [`JoinIo`] and cost is.
-/// Three things make a candidate cheap:
+/// One DP run over `items`: the level fill, and under it the candidate
+/// generator — which (subset `rest`, item `i`) extensions are admissible,
+/// and what each one's [`JoinIo`] and cost is. Three things make a
+/// candidate cheap:
 ///
 /// * one **adjacency mask** per item, so "does `rest` join item `i`" is
 ///   `adj[i] & rest != 0`, tested before anything is materialized;
@@ -425,6 +265,8 @@ struct Dp<'a> {
     /// Relations of the subset `loaded`, items ascending.
     tables: Vec<TableId>,
     loaded: u64,
+    /// The table, indexed by subset mask.
+    dp: Vec<Option<Entry>>,
 }
 
 impl<'a> Dp<'a> {
@@ -446,6 +288,10 @@ impl<'a> Dp<'a> {
             adjacency_masks(items.iter().map(|item| item.rels.as_slice()), est.catalog.len(), graph)
         };
         let item_gb = items.iter().map(|item| est.set_gb(&item.rels)).collect();
+        let mut dp = vec![None; 1 << n];
+        for i in 0..n {
+            dp[1 << i] = Some(Entry { cost: 0.0, last: i });
+        }
         Dp {
             items,
             est,
@@ -458,14 +304,8 @@ impl<'a> Dp<'a> {
             rest_gb: vec![(0, 0.0); 1 << n.min(SIZE_SLOT_BITS)],
             tables: Vec::with_capacity(n),
             loaded: 0,
+            dp,
         }
-    }
-
-    /// May item `i` extend subset `rest` — is the join edge-connected, or
-    /// are cross products admitted?
-    #[inline]
-    fn admits(&self, rest: u64, i: usize) -> bool {
-        self.adj[i] & rest != 0
     }
 
     /// Make `self.tables` the relations of `rest`.
@@ -494,19 +334,10 @@ impl<'a> Dp<'a> {
         Probe::Unknown(self.est.join_io_sized(&self.tables, rest_gb, item, self.item_gb[i]))
     }
 
-    fn record(&mut self, rest: u64, i: usize, io: JoinIo, outcome: Option<JoinDecision>) {
-        if self.memo.is_some() {
-            self.load(rest);
-        }
-        if let Some(m) = self.memo.as_deref_mut() {
-            m.record(&self.tables, &self.items[i].rels, outcome.map(|d| (io, d)));
-        }
-    }
-
-    /// Join cost of each of one level's candidates, in order (`None` =
-    /// infeasible): memo hits are answered in place, everything else goes
-    /// to the coster as one [`PlanCoster::join_cost_many`] batch.
-    fn cost_level(&mut self, cands: &[(u64, usize)]) -> Vec<Option<f64>> {
+    /// Cost `cands` — from the memo when it holds them, through the coster
+    /// otherwise — and fold them into the table in order, keeping the first
+    /// of equally cheap plans. Leaves `cands` empty.
+    fn flush(&mut self, cands: &mut Vec<(u64, usize)>) {
         let mut costs: Vec<Option<f64>> = vec![None; cands.len()];
         let mut ios: Vec<JoinIo> = Vec::new();
         // Candidate index of each pending io, parallel to `ios`.
@@ -520,62 +351,71 @@ impl<'a> Dp<'a> {
                 }
             }
         }
-        if !ios.is_empty() {
-            let results = self.coster.join_cost_many(&ios, self.parallelism);
-            debug_assert_eq!(results.len(), ios.len());
-            for ((outcome, &io), &idx) in results.into_iter().zip(&ios).zip(&pending) {
-                let (rest, i) = cands[idx];
-                self.record(rest, i, io, outcome);
-                costs[idx] = outcome.map(|d| d.cost);
+        let results = cost_batch(&mut *self.coster, &ios, self.parallelism);
+        for ((outcome, io), idx) in results.into_iter().zip(ios).zip(pending) {
+            let (rest, i) = cands[idx];
+            if self.memo.is_some() {
+                self.load(rest);
+            }
+            if let Some(m) = self.memo.as_deref_mut() {
+                m.record(&self.tables, &self.items[i].rels, outcome.map(|d| (io, d)));
+            }
+            costs[idx] = outcome.map(|d| d.cost);
+        }
+        for (&(rest, i), decision) in cands.iter().zip(costs) {
+            let Some(decision_cost) = decision else { continue };
+            let prev = self.dp[rest as usize].expect("candidates extend filled subsets");
+            let cost = prev.cost + decision_cost;
+            let slot = &mut self.dp[(rest | 1u64 << i) as usize];
+            match *slot {
+                Some(e) if e.cost <= cost => {}
+                _ => *slot = Some(Entry { cost, last: i }),
             }
         }
-        costs
+        cands.clear();
     }
 
-    /// Dense-table DP: allocate all 2ⁿ slots, fill, and reconstruct the
-    /// winning join order by peeling `last` back-pointers off the full
-    /// mask. Only reached for n ≤ [`DENSE_FILL_MAX`].
-    fn solve_dense(&mut self) -> Option<Vec<usize>> {
+    /// Fill the table level by level — masks of k bits in increasing order
+    /// (Gosper's hack), `i` ascending within a mask — and reconstruct the
+    /// winning join order by peeling `last` back-pointers off the full mask.
+    fn solve(mut self) -> Option<Vec<usize>> {
         let n = self.items.len();
-        debug_assert!(
-            (2..=DENSE_FILL_MAX).contains(&n),
-            "dense fill requires 2..={DENSE_FILL_MAX} items (2ⁿ table slots), got {n}"
-        );
-        let full: u64 = (1u64 << n) - 1;
-
-        let mut dp: Vec<Option<Entry>> = vec![None; (full as usize) + 1];
-        for i in 0..n {
-            dp[1usize << i] = Some(Entry { cost: 0.0, last: i });
+        let limit: u64 = 1u64 << n;
+        let tel = self.tel;
+        let mut cands: Vec<(u64, usize)> = Vec::new();
+        for k in 2..=n as u32 {
+            let _level_span = tel.span_labeled("selinger.level", k as usize);
+            tel.inc(Counter::SelingerLevels);
+            let mut mask: u64 = (1u64 << k) - 1;
+            while mask < limit {
+                for i in bits(mask) {
+                    let rest = mask & !(1u64 << i);
+                    if self.dp[rest as usize].is_some() && self.adj[i] & rest != 0 {
+                        cands.push((rest, i));
+                        // The level's subsets never read each other, so a
+                        // batch may end anywhere in it.
+                        if cands.len() == BATCH_CANDIDATES {
+                            self.flush(&mut cands);
+                        }
+                    }
+                }
+                // Gosper's hack: next mask with the same popcount; n ≤ 20
+                // keeps every intermediate far below the u64 width.
+                let c = mask & mask.wrapping_neg();
+                let r = mask + c;
+                mask = (((r ^ mask) >> 2) / c) | r;
+            }
+            self.flush(&mut cands);
         }
 
-        // Batching pays when the coster can fan out over threads, or when
-        // it asks for wide `join_cost_many` batches outright (a batched
-        // cost kernel fuses a whole level's candidates even single-
-        // threaded) — and a level holds more than a handful of candidates.
-        if (self.parallelism != Parallelism::Off && self.parallelism.workers() > 1
-            || self.coster.prefers_batch())
-            && n >= 3
-        {
-            self.fill_levels_batched(&mut dp);
-        } else {
-            // The mask-ascending loop interleaves levels, so it gets
-            // one span; it still fills the same n-1 levels.
-            self.tel.add(Counter::SelingerLevels, n.saturating_sub(1) as u64);
-            self.fill_sequential(&mut dp);
-        }
-
-        dp[full as usize]?;
-
-        // Reconstruct the join order by peeling off `last` items.
+        let full = limit - 1;
+        self.dp[full as usize]?;
         let mut order_rev = Vec::with_capacity(n);
         let mut mask = full;
         while mask.count_ones() > 1 {
-            // Infallible: `dp[full]` was checked above, and every entry's
-            // predecessor mask (`mask` minus its `last` bit) was filled
-            // before the entry itself could be — the DP builds strictly
-            // bottom-up over subset sizes.
-            let e = dp[mask as usize].expect("reachable by construction");
-            debug_assert!(e.last < n, "back-pointer {} out of mask width {n}", e.last);
+            // Infallible: every entry's predecessor (`mask` minus its
+            // `last` bit) was filled a level before the entry could be.
+            let e = self.dp[mask as usize].expect("reachable by construction");
             order_rev.push(e.last);
             mask &= !(1u64 << e.last);
         }
@@ -583,167 +423,28 @@ impl<'a> Dp<'a> {
         order_rev.reverse();
         Some(order_rev)
     }
-
-    /// The classic mask-ascending DP loop: every admissible (rest, i)
-    /// extension is costed on the spot — from the memo when it holds the
-    /// pair, through [`PlanCoster::join_cost`] otherwise.
-    fn fill_sequential(&mut self, dp: &mut [Option<Entry>]) {
-        let n = self.items.len();
-        debug_assert!(n <= DENSE_FILL_MAX, "sequential fill is dense-only, got {n} items");
-        let full: u64 = (1u64 << n) - 1;
-
-        for mask in 1..=full {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            for i in bits(mask) {
-                let rest = mask & !(1u64 << i);
-                let Some(prev) = dp[rest as usize] else { continue };
-                if !self.admits(rest, i) {
-                    continue;
-                }
-                let decision = match self.probe(rest, i) {
-                    Probe::Known(cost) => cost,
-                    Probe::Unknown(io) => {
-                        let outcome = self.coster.join_cost(&io);
-                        self.record(rest, i, io, outcome);
-                        outcome.map(|d| d.cost)
-                    }
-                };
-                let Some(decision_cost) = decision else { continue };
-                let cost = prev.cost + decision_cost;
-                match dp[mask as usize] {
-                    Some(e) if e.cost <= cost => {}
-                    _ => dp[mask as usize] = Some(Entry { cost, last: i }),
-                }
-            }
-        }
-    }
-
-    /// Level-synchronous DP fill: the table is stratified by subset size
-    /// (dp[mask] only reads entries with one fewer bit), so every candidate
-    /// extension of level k is independent. Uncached candidates are costed
-    /// in one [`PlanCoster::join_cost_many`] batch per level, then folded
-    /// into the table in generation order — masks ascending (Gosper's
-    /// hack yields them in increasing numeric order), `i` ascending within
-    /// a mask — which is the exact visit order of the sequential loop
-    /// restricted to that level, so tie-breaking is identical.
-    fn fill_levels_batched(&mut self, dp: &mut [Option<Entry>]) {
-        let n = self.items.len();
-        debug_assert!(n <= DENSE_FILL_MAX, "batched fill is dense-only, got {n} items");
-        let limit: u64 = 1u64 << n;
-        let tel = self.tel;
-
-        for k in 2..=n as u32 {
-            let _level_span = tel.span_labeled("selinger.level", k as usize);
-            tel.inc(Counter::SelingerLevels);
-            let mut cands: Vec<(u64, usize)> = Vec::new();
-            let mut mask: u64 = (1u64 << k) - 1;
-            while mask < limit {
-                for i in bits(mask) {
-                    let rest = mask & !(1u64 << i);
-                    if dp[rest as usize].is_some() && self.admits(rest, i) {
-                        cands.push((rest, i));
-                    }
-                }
-                // Gosper's hack: next mask with the same popcount. Cannot
-                // wrap: this fill is dense-only (n ≤ 20), so intermediate
-                // values stay below 2²¹ — far under the u64 mask width.
-                let c = mask & mask.wrapping_neg();
-                let r = mask + c;
-                mask = (((r ^ mask) >> 2) / c) | r;
-            }
-
-            let costs = self.cost_level(&cands);
-            for (&(rest, i), decision) in cands.iter().zip(costs) {
-                let Some(decision_cost) = decision else { continue };
-                let prev = dp[rest as usize].expect("candidates extend filled subsets");
-                let cost = prev.cost + decision_cost;
-                let slot = &mut dp[(rest | 1u64 << i) as usize];
-                match *slot {
-                    Some(e) if e.cost <= cost => {}
-                    _ => *slot = Some(Entry { cost, last: i }),
-                }
-            }
-        }
-    }
-
-    /// Streamed DP fill: only levels k−1 and k are materialized, as sparse
-    /// maps keyed by mask. Candidates are generated by extending each
-    /// feasible level-(k−1) entry with each absent item (so work scales
-    /// with feasible subsets, not 2ⁿ), then sorted into (mask ascending,
-    /// item ascending) order — the dense loop's visit order — before the
-    /// keep-first fold, so winners and tie-breaks are bit-identical to the
-    /// dense fill. Each entry carries its full join order (streaming
-    /// discards the back-pointer chain), which is also the return value.
-    fn solve_streamed(&mut self) -> Option<Vec<usize>> {
-        let n = self.items.len();
-        // u64 masks: item indices must stay below the mask width or the
-        // shifts below would wrap.
-        debug_assert!(
-            (2..=MAX_RELATIONS).contains(&n),
-            "streamed fill requires 2..={MAX_RELATIONS} items, got {n}"
-        );
-        // n = 64 would overflow `(1u64 << n) - 1`; shift the all-ones mask
-        // down instead.
-        let full: u64 = u64::MAX >> (64 - n as u32);
-        let tel = self.tel;
-
-        let mut prev: HashMap<u64, StreamEntry> = (0..n)
-            .map(|i| (1u64 << i, StreamEntry { cost: 0.0, order: vec![i as u8] }))
-            .collect();
-
-        for k in 2..=n {
-            let _level_span = tel.span_labeled("selinger.level", k);
-            tel.inc(Counter::SelingerLevels);
-
-            // Generate (feasible-predecessor, absent-item) extensions. The
-            // map iterates in arbitrary order; sorting restores the dense
-            // loop's deterministic visit order.
-            let mut cands: Vec<(u64, usize)> = Vec::new();
-            for &rest in prev.keys() {
-                cands.extend(
-                    bits(full & !rest).filter(|&i| self.admits(rest, i)).map(|i| (rest, i)),
-                );
-            }
-            cands.sort_unstable_by_key(|&(rest, i)| (rest | 1u64 << i, i));
-
-            // Keep-first fold in sorted order — identical tie-breaks to the
-            // dense loops.
-            let costs = self.cost_level(&cands);
-            let mut cur: HashMap<u64, StreamEntry> = HashMap::new();
-            for (&(rest, i), decision) in cands.iter().zip(costs) {
-                let Some(decision_cost) = decision else { continue };
-                let pe = &prev[&rest];
-                let cost = pe.cost + decision_cost;
-                let mask = rest | 1u64 << i;
-                match cur.get(&mask) {
-                    Some(e) if e.cost <= cost => {}
-                    _ => {
-                        let mut order = pe.order.clone();
-                        order.push(i as u8);
-                        cur.insert(mask, StreamEntry { cost, order });
-                    }
-                }
-            }
-            // Level k−1 is dropped here: only the last two levels ever live.
-            prev = cur;
-        }
-
-        let winner = prev.remove(&full)?;
-        debug_assert_eq!(winner.order.len(), n);
-        Some(winner.order.into_iter().map(usize::from).collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cardinality::JoinIo;
     use crate::coster::{FixedResourceCoster, JoinDecision};
+    use crate::oracle::left_deep;
     use raqo_catalog::tpch::{table, TpchSchema};
-    use raqo_catalog::RandomSchemaConfig;
+    use raqo_catalog::{RandomSchema, RandomSchemaConfig};
     use raqo_cost::SimOracleCost;
+
+    fn plan_par(
+        schema: &TpchSchema,
+        query: &QuerySpec,
+        coster: &mut dyn PlanCoster,
+        parallelism: Parallelism,
+        memo: Option<&mut CostMemo>,
+    ) -> Result<PlannedQuery, SelingerError> {
+        let tel = Telemetry::disabled();
+        let (catalog, graph) = (&schema.catalog, &schema.graph);
+        SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, memo, &tel)
+    }
 
     /// Exhaustive left-deep search (no cross-product pruning) for
     /// cross-checking DP optimality on small queries.
@@ -774,7 +475,7 @@ mod tests {
         for perm in permutations(&query.relations) {
             let mut coster = FixedResourceCoster::new(model, nc, cs);
             let tree = PlanTree::left_deep(&perm);
-            if let Some(p) = cost_tree(&tree, &est, &mut coster) {
+            if let Some(p) = cost_tree(&tree, &est, &mut coster, None, &Telemetry::disabled()) {
                 best = Some(best.map_or(p.cost, |b: f64| b.min(p.cost)));
             }
         }
@@ -858,60 +559,18 @@ mod tests {
     fn too_many_relations_is_a_typed_error() {
         let schema = TpchSchema::new(1.0);
         let model = SimOracleCost::hive();
-        let rels: Vec<TableId> = (0..(DEFAULT_DP_THRESHOLD as u32 + 1)).map(TableId).collect();
+        let rels: Vec<TableId> = (0..(MAX_RELATIONS as u32 + 1)).map(TableId).collect();
         let query = QuerySpec::new("huge", rels);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
         let err = SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut coster)
             .unwrap_err();
         assert_eq!(
             err,
-            SelingerError::TooManyRelations {
-                n: DEFAULT_DP_THRESHOLD + 1,
-                max: DEFAULT_DP_THRESHOLD
-            }
+            SelingerError::TooManyRelations { n: MAX_RELATIONS + 1, max: MAX_RELATIONS }
         );
-        // The error explains itself (it is surfaced to CLI users) and
-        // reports the live threshold, not a stale compile-time bound.
+        // The error explains itself (it is surfaced to CLI users).
         assert!(err.to_string().contains("21"));
         assert!(err.to_string().contains("20"));
-    }
-
-    #[test]
-    fn too_many_relations_reports_the_live_threshold() {
-        let model = SimOracleCost::hive();
-        let schema = RandomSchemaConfig::with_tables(40, 3).generate();
-        let query = QuerySpec::new("r33", (0..33u32).map(TableId).collect::<Vec<_>>());
-        let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-        let err = SelingerPlanner::plan_opts(
-            &schema.catalog,
-            &schema.graph,
-            &query,
-            &mut coster,
-            Parallelism::Off,
-            None,
-            &Telemetry::disabled(),
-            32,
-            DpFill::Auto,
-        )
-        .unwrap_err();
-        assert_eq!(err, SelingerError::TooManyRelations { n: 33, max: 32 });
-        assert!(err.to_string().contains("32"), "{err}");
-        // Thresholds above the hard cap clamp to the mask width: a
-        // 65-relation query is rejected with max = 64 even for a huge
-        // configured threshold.
-        let err = SelingerPlanner::plan_opts(
-            &schema.catalog,
-            &schema.graph,
-            &QuerySpec::new("r65", (0..65u32).map(TableId).collect::<Vec<_>>()),
-            &mut coster,
-            Parallelism::Off,
-            None,
-            &Telemetry::disabled(),
-            usize::MAX,
-            DpFill::Auto,
-        )
-        .unwrap_err();
-        assert_eq!(err, SelingerError::TooManyRelations { n: 65, max: MAX_RELATIONS });
     }
 
     #[test]
@@ -975,21 +634,17 @@ mod tests {
         assert_eq!(p1.tree, p2.tree);
     }
 
-    /// The parallel level-batched DP must produce bit-identical plans to
-    /// the sequential loop for every `Parallelism` mode.
+    /// The level fill produces bit-identical plans to the one-candidate-at-
+    /// a-time oracle for every `Parallelism` mode, costing the same
+    /// candidates.
     #[test]
     fn parallel_levels_match_sequential_for_every_mode() {
         let schema = TpchSchema::new(1.0);
         let model = SimOracleCost::hive();
+        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         for query in [QuerySpec::tpch_q3(), QuerySpec::tpch_all(&schema)] {
             let mut seq_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-            let seq = SelingerPlanner::plan(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                &mut seq_coster,
-            )
-            .unwrap();
+            let seq = left_deep(&query.relations, &schema.graph, &est, &mut seq_coster).unwrap();
             for par in [
                 Parallelism::Off,
                 Parallelism::Threads(2),
@@ -997,15 +652,7 @@ mod tests {
                 Parallelism::Auto,
             ] {
                 let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-                let got = SelingerPlanner::plan_with(
-                    &schema.catalog,
-                    &schema.graph,
-                    &query,
-                    &mut coster,
-                    par,
-                    None,
-                )
-                .unwrap();
+                let got = plan_par(&schema, &query, &mut coster, par, None).unwrap();
                 assert_eq!(seq.tree, got.tree, "{par:?}");
                 assert_eq!(seq.cost.to_bits(), got.cost.to_bits(), "{par:?}");
                 assert_eq!(seq.joins, got.joins, "{par:?}");
@@ -1016,88 +663,43 @@ mod tests {
         }
     }
 
-    /// The streamed (two-level) fill is bit-identical to the dense table —
-    /// same winners, same tie-breaks, same final costs — for every
-    /// parallelism mode.
+    /// A level of a 14-relation clique holds up to C(14, 7)·7 = 24 024
+    /// candidates; the coster never sees more than [`BATCH_CANDIDATES`] of
+    /// them at once, and the plan is the oracle's.
     #[test]
-    fn streamed_fill_matches_dense_bit_for_bit() {
-        let schema = TpchSchema::new(1.0);
-        let model = SimOracleCost::hive();
-        for query in [QuerySpec::tpch_q3(), QuerySpec::tpch_q2(), QuerySpec::tpch_all(&schema)] {
-            let mut dense_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-            let dense = SelingerPlanner::plan(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                &mut dense_coster,
-            )
-            .unwrap();
-            for par in [Parallelism::Off, Parallelism::Auto] {
-                let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-                let streamed = SelingerPlanner::plan_opts(
-                    &schema.catalog,
-                    &schema.graph,
-                    &query,
-                    &mut coster,
-                    par,
-                    None,
-                    &Telemetry::disabled(),
-                    DEFAULT_DP_THRESHOLD,
-                    DpFill::Streamed,
-                )
-                .unwrap();
-                assert_eq!(dense.tree, streamed.tree, "{} {par:?}", query.name);
-                assert_eq!(
-                    dense.cost.to_bits(),
-                    streamed.cost.to_bits(),
-                    "{} {par:?}",
-                    query.name
-                );
-                assert_eq!(dense.joins, streamed.joins, "{} {par:?}", query.name);
+    fn level_batches_never_exceed_batch_candidates() {
+        struct Widest<'a> {
+            inner: FixedResourceCoster<'a, SimOracleCost>,
+            widest: usize,
+        }
+        impl PlanCoster for Widest<'_> {
+            fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+                self.inner.join_cost(io)
+            }
+            fn join_cost_many(
+                &mut self,
+                ios: &[JoinIo],
+                _parallelism: Parallelism,
+            ) -> Vec<Option<JoinDecision>> {
+                self.widest = self.widest.max(ios.len());
+                ios.iter().map(|io| self.inner.join_cost(io)).collect()
             }
         }
-    }
-
-    /// Memoized planning is bit-identical to plain planning, and a second
-    /// run under the same context answers every candidate from the memo —
-    /// for the streamed fill too.
-    #[test]
-    fn streamed_fill_composes_with_memo() {
-        let schema = TpchSchema::new(1.0);
+        let schema = RandomSchema::clique(14, 14);
+        let query = QuerySpec::new("clique14", schema.catalog.table_ids().collect());
         let model = SimOracleCost::hive();
-        let query = QuerySpec::tpch_all(&schema);
-        let mut plain_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let plain =
-            SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut plain_coster)
-                .unwrap();
+        let mut coster = Widest { inner: FixedResourceCoster::new(&model, 10.0, 6.0), widest: 0 };
+        let got =
+            SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut coster).unwrap();
+        assert_eq!(coster.widest, BATCH_CANDIDATES);
 
-        let mut memo = CostMemo::new(&query.relations);
-        let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let run = |memo: &mut CostMemo, coster: &mut dyn PlanCoster| {
-            SelingerPlanner::plan_opts(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                coster,
-                Parallelism::Off,
-                Some(memo),
-                &Telemetry::disabled(),
-                DEFAULT_DP_THRESHOLD,
-                DpFill::Streamed,
-            )
-            .unwrap()
-        };
-        let first = run(&mut memo, &mut coster);
-        assert_eq!(plain.tree, first.tree);
-        assert!((plain.cost - first.cost).abs() <= 1e-9 * plain.cost.abs());
-        let calls_after_first = coster.calls;
-        let second = run(&mut memo, &mut coster);
-        assert_eq!(first, second);
-        assert_eq!(
-            coster.calls, calls_after_first,
-            "second streamed run must be answered entirely from the memo"
-        );
-        assert!(memo.hits() > 0);
+        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
+        let mut oracle_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
+        let want = left_deep(&query.relations, &schema.graph, &est, &mut oracle_coster).unwrap();
+        assert_eq!(want.tree, got.tree);
+        assert_eq!(want.cost.to_bits(), got.cost.to_bits());
+        assert_eq!(want.joins, got.joins);
+        assert_eq!(oracle_coster.calls, coster.inner.calls);
     }
 
     /// Memoized planning is bit-identical to plain planning, and a second
@@ -1115,15 +717,7 @@ mod tests {
         for par in [Parallelism::Off, Parallelism::Auto] {
             let mut memo = CostMemo::new(&query.relations);
             let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-            let first = SelingerPlanner::plan_with(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                &mut coster,
-                par,
-                Some(&mut memo),
-            )
-            .unwrap();
+            let first = plan_par(&schema, &query, &mut coster, par, Some(&mut memo)).unwrap();
             assert_eq!(plain.tree, first.tree, "{par:?}");
             // The memo replays each join's DP-time IO, whose floats were
             // accumulated over bit-ordered (not tree-ordered) relation
@@ -1139,15 +733,7 @@ mod tests {
             }
 
             let calls_after_first = coster.calls;
-            let second = SelingerPlanner::plan_with(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                &mut coster,
-                par,
-                Some(&mut memo),
-            )
-            .unwrap();
+            let second = plan_par(&schema, &query, &mut coster, par, Some(&mut memo)).unwrap();
             assert_eq!(first, second, "{par:?}");
             assert_eq!(
                 coster.calls, calls_after_first,

@@ -12,9 +12,9 @@ use raqo_cost::objective::CostVector;
 use raqo_cost::SimOracleCost;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    CardinalityEstimator, CascadesConfig, CascadesPlanner, DpFill, IdpConfig, IdpPlanner,
-    JoinDecision, JoinIo, PlanCoster, PlanTree, RandomizedConfig, RandomizedPlanner,
-    SelingerPlanner,
+    cost_tree, CardinalityEstimator, CascadesConfig, CascadesPlanner, IdpConfig, IdpPlanner,
+    JoinDecision, JoinIo, PlanCoster, PlanTree, PlannedQuery, RandomizedConfig,
+    RandomizedPlanner, SelingerPlanner,
 };
 use raqo_sim::engine::JoinImpl;
 
@@ -72,7 +72,7 @@ proptest! {
             "capped DP {capped} lost to left-deep {selinger}"
         );
 
-        let idp_config = IdpConfig { block_size: 4, fill: DpFill::Auto };
+        let idp_config = IdpConfig { block_size: 4 };
         let idp = IdpPlanner::plan(&s.catalog, &s.graph, &q, &mut fixed(), idp_config).unwrap().cost;
         let randomized = RandomizedPlanner::plan(
             &s.catalog,

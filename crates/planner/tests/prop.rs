@@ -5,13 +5,15 @@ use raqo_catalog::{
     Catalog, JoinGraph, QuerySpec, RandomSchema, RandomSchemaConfig, TableId, TableStats, GB,
 };
 use raqo_cost::SimOracleCost;
-use raqo_planner::coster::{cost_tree, FixedResourceCoster};
+use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    CardinalityEstimator, CostMemo, DpFill, IdpConfig, IdpPlanner, PlanTree, RandomizedConfig,
-    RandomizedPlanner, SelingerPlanner,
+    cost_tree, CardinalityEstimator, CostMemo, IdpConfig, IdpPlanner, PlanCoster, PlanTree,
+    PlannedQuery, RandomizedConfig, RandomizedPlanner, SelingerPlanner,
 };
 use raqo_resource::Parallelism;
 use raqo_telemetry::Telemetry;
+
+mod oracle;
 
 /// The set statistics as every planner computed them before the estimator
 /// precomputed anything: a fold over the slice, `contains` scans against
@@ -147,7 +149,7 @@ proptest! {
         let model = SimOracleCost::hive();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        if let Some(planned) = cost_tree(&tree, &est, &mut coster) {
+        if let Some(planned) = cost_tree(&tree, &est, &mut coster, None, &Telemetry::disabled()) {
             let sum: f64 = planned.joins.iter().map(|j| j.decision.cost).sum();
             prop_assert!((planned.cost - sum).abs() < 1e-9);
             prop_assert_eq!(planned.joins.len(), k - 1);
@@ -182,42 +184,47 @@ proptest! {
         }
     }
 
-    /// Parallel level-batched and memoized Selinger runs are bit-identical
-    /// to the plain sequential DP on arbitrary random schemas, for every
-    /// `Parallelism` mode and with/without a memo.
+    /// Selinger's level fill — for every `Parallelism` mode, with and
+    /// without a memo — plans what the one-candidate-at-a-time oracle plans
+    /// on arbitrary random schemas, costing the same candidates.
     #[test]
     fn selinger_modes_agree(seed in 0u64..40, k in 2usize..8) {
         let schema = RandomSchemaConfig::with_tables(10, seed).generate();
         let q = QuerySpec::random_connected(&schema.catalog, &schema.graph, k, seed);
         let model = SimOracleCost::hive();
+        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut c0 = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let base = SelingerPlanner::plan(&schema.catalog, &schema.graph, &q, &mut c0);
+        let base = oracle::left_deep(&q.relations, &schema.graph, &est, &mut c0);
         for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Auto] {
             let mut memo = CostMemo::new(&q.relations);
             for memoized in [false, true] {
                 let mut c = FixedResourceCoster::new(&model, 10.0, 6.0);
-                let got = SelingerPlanner::plan_with(
+                let got = SelingerPlanner::plan_traced(
                     &schema.catalog,
                     &schema.graph,
                     &q,
                     &mut c,
                     par,
                     memoized.then_some(&mut memo),
+                    &Telemetry::disabled(),
                 );
                 match (&base, &got) {
-                    (Ok(b), Ok(g)) => {
+                    (Some(b), Ok(g)) => {
                         prop_assert_eq!(&b.tree, &g.tree);
                         if memoized {
                             // Memo replays DP-time IOs (bit-ordered float
-                            // accumulation): costs agree to fp noise.
+                            // accumulation): costs agree to fp noise, and
+                            // the final re-cost is answered from the memo.
                             prop_assert!((b.cost - g.cost).abs() <= 1e-9 * b.cost.abs());
+                            prop_assert_eq!(c0.calls, c.calls + (k as u64 - 1));
                         } else {
                             prop_assert_eq!(b.cost.to_bits(), g.cost.to_bits());
                             prop_assert_eq!(&b.joins, &g.joins);
+                            prop_assert_eq!(c0.calls, c.calls);
                         }
                     }
-                    (Err(b), Err(g)) => prop_assert_eq!(b, g),
-                    _ => prop_assert!(false, "modes disagree on feasibility"),
+                    (None, Err(_)) => {}
+                    _ => prop_assert!(false, "planner and oracle disagree on feasibility"),
                 }
             }
         }
@@ -245,42 +252,6 @@ proptest! {
         }
     }
 
-    /// The streamed (two-level) DP fill is bit-identical to the dense
-    /// table — same tree, same cost bits, same join decisions — for every
-    /// n ≤ 20 query across seeds, engines, and resource points.
-    #[test]
-    fn streamed_fill_is_bit_identical_to_dense(seed in 0u64..60, k in 2usize..13) {
-        let schema = RandomSchemaConfig::with_tables(16, seed).generate();
-        let q = QuerySpec::random_connected(&schema.catalog, &schema.graph, k, seed);
-        let model =
-            if seed % 2 == 0 { SimOracleCost::hive() } else { SimOracleCost::spark() };
-        let (nc, cs) = [(10.0, 6.0), (50.0, 4.0), (100.0, 10.0)][(seed % 3) as usize];
-        let mut dense_coster = FixedResourceCoster::new(&model, nc, cs);
-        let dense =
-            SelingerPlanner::plan(&schema.catalog, &schema.graph, &q, &mut dense_coster);
-        let mut streamed_coster = FixedResourceCoster::new(&model, nc, cs);
-        let streamed = SelingerPlanner::plan_opts(
-            &schema.catalog,
-            &schema.graph,
-            &q,
-            &mut streamed_coster,
-            Parallelism::Off,
-            None,
-            &Telemetry::disabled(),
-            20,
-            DpFill::Streamed,
-        );
-        match (dense, streamed) {
-            (Ok(d), Ok(s)) => {
-                prop_assert_eq!(&d.tree, &s.tree);
-                prop_assert_eq!(d.cost.to_bits(), s.cost.to_bits());
-                prop_assert_eq!(&d.joins, &s.joins);
-            }
-            (Err(d), Err(s)) => prop_assert_eq!(d, s),
-            _ => prop_assert!(false, "fills disagree on feasibility"),
-        }
-    }
-
     /// IDP with a block size at least the relation count *is* exhaustive
     /// DP: identical trees, costs, and decisions.
     #[test]
@@ -296,7 +267,7 @@ proptest! {
             &schema.graph,
             &q,
             &mut idp_coster,
-            IdpConfig { block_size: 16, fill: DpFill::Auto },
+            IdpConfig { block_size: 16 },
         );
         match (dp, idp) {
             (Ok(d), Ok(i)) => {

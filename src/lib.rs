@@ -68,7 +68,7 @@ pub mod prelude {
         RaqoOptimizer, RaqoPlan, ResourceStrategy,
     };
     pub use raqo_cost::{JoinCostModel, OperatorCost, SimOracleCost};
-    pub use raqo_planner::{DpFill, IdpConfig, PlannedQuery, PlanTree, RandomizedConfig};
+    pub use raqo_planner::{IdpConfig, PlannedQuery, PlanTree, RandomizedConfig};
     pub use raqo_resource::{CacheLookup, ClusterConditions, ResourceConfig};
     pub use raqo_sim::engine::{Engine, EngineKind, JoinImpl};
 }

@@ -17,14 +17,11 @@
 //! how many candidates were costed.
 
 use raqo::catalog::RandomSchema;
-use raqo::core::{explain, RaqoCoster, RaqoPlan, Telemetry};
-use raqo::planner::selinger::DEFAULT_DP_THRESHOLD;
+use raqo::core::{explain, RaqoCoster, RaqoPlan};
 use raqo::planner::{
-    CascadesConfig, CascadesPlanner, IdpPlanner, JoinDecision, JoinIo, PlanCoster,
-    RandomizedPlanner, SelingerPlanner,
+    CascadesConfig, CascadesPlanner, IdpPlanner, RandomizedPlanner, SelingerPlanner,
 };
 use raqo::prelude::*;
-use raqo::resource::Parallelism;
 use std::path::PathBuf;
 
 const REGEN_VAR: &str = "RAQO_REGEN_GOLDEN";
@@ -32,47 +29,12 @@ const REGEN_VAR: &str = "RAQO_REGEN_GOLDEN";
 type Coster<'a> = RaqoCoster<'a, SimOracleCost>;
 type Planner = fn(&Catalog, &JoinGraph, &QuerySpec, &mut Coster<'_>) -> Option<PlannedQuery>;
 
-fn selinger(
-    catalog: &Catalog,
-    graph: &JoinGraph,
-    query: &QuerySpec,
-    coster: &mut dyn PlanCoster,
-    fill: DpFill,
-) -> Option<PlannedQuery> {
-    SelingerPlanner::plan_opts(
-        catalog,
-        graph,
-        query,
-        coster,
-        Parallelism::Off,
-        None,
-        &Telemetry::disabled(),
-        DEFAULT_DP_THRESHOLD,
-        fill,
-    )
-    .ok()
-}
-
-/// The RAQO coster behind a seam that declines level batches, so
-/// Selinger's dense fill costs one candidate at a time.
-struct OneAtATime<'c, 'a>(&'c mut Coster<'a>);
-
-impl PlanCoster for OneAtATime<'_, '_> {
-    fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
-        self.0.join_cost(io)
-    }
-}
-
-/// Every planner path a plan can come out of, by the name its section
-/// carries in the golden files.
-const PLANNERS: [(&str, Planner); 6] = [
-    ("selinger dense-sequential", |c, g, q, coster| {
-        selinger(c, g, q, &mut OneAtATime(coster), DpFill::Dense)
-    }),
-    ("selinger dense-batched", |c, g, q, coster| selinger(c, g, q, coster, DpFill::Dense)),
-    ("selinger streamed", |c, g, q, coster| selinger(c, g, q, coster, DpFill::Streamed)),
+/// Every planner a plan can come out of, by the name its section carries
+/// in the golden files.
+const PLANNERS: [(&str, Planner); 4] = [
+    ("selinger", |c, g, q, coster| SelingerPlanner::plan(c, g, q, coster).ok()),
     ("idp block=4", |c, g, q, coster| {
-        IdpPlanner::plan(c, g, q, coster, IdpConfig { block_size: 4, fill: DpFill::Auto }).ok()
+        IdpPlanner::plan(c, g, q, coster, IdpConfig { block_size: 4 }).ok()
     }),
     ("cascades", |c, g, q, coster| {
         CascadesPlanner::plan(c, g, q, coster, &CascadesConfig::default()).ok().map(|o| o.planned)
@@ -101,7 +63,7 @@ fn plan_with(
     RaqoPlan { query, stats: coster.stats, degradation: None }
 }
 
-/// All six planners over `queries`, one `== query / planner ==` section each.
+/// All four planners over `queries`, one `== query / planner ==` section each.
 fn render(catalog: &Catalog, graph: &JoinGraph, queries: &[QuerySpec]) -> String {
     let model = SimOracleCost::hive();
     let mut out = String::new();

@@ -294,6 +294,7 @@ proptest! {
         use rand::{seq::SliceRandom, SeedableRng};
         use raqo::planner::coster::{cost_tree, FixedResourceCoster};
         use raqo::planner::{CardinalityEstimator, SelingerPlanner};
+        use raqo::core::Telemetry;
 
         let schema = TpchSchema::new(1.0);
         let model = SimOracleCost::hive();
@@ -307,7 +308,8 @@ proptest! {
         order.shuffle(&mut rng);
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut coster2 = FixedResourceCoster::new(&model, 10.0, 6.0);
-        if let Some(random_plan) = cost_tree(&PlanTree::left_deep(&order), &est, &mut coster2) {
+        let (tree, tel) = (PlanTree::left_deep(&order), Telemetry::disabled());
+        if let Some(random_plan) = cost_tree(&tree, &est, &mut coster2, None, &tel) {
             prop_assert!(best.cost <= random_plan.cost + 1e-9);
         }
     }

@@ -4,12 +4,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{QuerySpec, RandomSchema, RandomSchemaConfig};
-use raqo_core::{Parallelism, PlannerKind, RaqoOptimizer, ResourceStrategy, Telemetry};
+use raqo_core::{
+    Objective, Parallelism, PlannerKind, RaqoCoster, RaqoOptimizer, ResourceStrategy, Telemetry,
+};
+use raqo_cost::objective::CostVector;
 use raqo_cost::JoinCostModel;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    CardinalityEstimator, CascadesConfig, CascadesPlanner, IdpConfig, IdpPlanner,
-    RandomizedConfig, SelingerPlanner,
+    CardinalityEstimator, CascadesConfig, CascadesPlanner, IdpConfig, IdpPlanner, JoinDecision,
+    JoinIo, PlanCoster, RandomizedConfig, SelingerPlanner,
 };
 use raqo_resource::{CacheLookup, ClusterConditions};
 use std::hint::black_box;
@@ -504,6 +507,59 @@ fn bushy_dp(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `svc_dp10_warm` workload's planning, in process and without the
+/// service: its sixteen connected ten-relation queries over the 30-table
+/// random schema (seed 0x5241514F, 1e6–2e8 rows per table) through
+/// Selinger. Against a constant coster the DP's own search is timed;
+/// against a warm `RaqoCoster` (hill climbing behind a nearest-neighbour
+/// cache, threshold 0.05, warmed by one pass) the search plus
+/// `getPlanCost` is. The difference is the per-candidate price of
+/// `getPlanCost` on a warm cache.
+fn dp10(c: &mut Criterion) {
+    const SEED: u64 = 0x5241_514F;
+    let schema =
+        RandomSchemaConfig { tables: 30, rows: (1e6, 2e8), seed: SEED, ..Default::default() }
+            .generate();
+    let mut queries: Vec<QuerySpec> = Vec::with_capacity(16);
+    let mut draw = SEED;
+    while queries.len() < 16 {
+        draw += 1;
+        let q = QuerySpec::random_connected(&schema.catalog, &schema.graph, 10, draw);
+        if queries.iter().all(|seen| seen.relations != q.relations) {
+            queries.push(q);
+        }
+    }
+    let plan_all = |coster: &mut dyn PlanCoster| {
+        for q in &queries {
+            black_box(SelingerPlanner::plan(&schema.catalog, &schema.graph, q, coster).ok());
+        }
+    };
+
+    /// Every join costs one second: the DP does all its work, `getPlanCost` none.
+    struct Constant;
+    impl PlanCoster for Constant {
+        fn join_cost(&mut self, _io: &JoinIo) -> Option<JoinDecision> {
+            Some(JoinDecision {
+                join: raqo_sim::engine::JoinImpl::SortMerge,
+                cost: 1.0,
+                objectives: CostVector { time_sec: 1.0, money_tb_sec: 0.0 },
+                resources: None,
+                cores: None,
+            })
+        }
+    }
+
+    let model = JoinCostModel::trained_hive();
+    let cached = ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.05 });
+    let mut warm = RaqoCoster::new(&model, ClusterConditions::paper_default(), cached, Objective::Time);
+    plan_all(&mut warm);
+    let mut group = c.benchmark_group("dp10");
+    group.sample_size(20);
+    group.bench_function("search_only", |b| b.iter(|| plan_all(&mut Constant)));
+    group.bench_function("warm_raqo", |b| b.iter(|| plan_all(&mut warm)));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     fig12_raqo_planning,
@@ -518,6 +574,7 @@ criterion_group!(
     hill_climb_batched,
     telemetry_overhead,
     cardinality,
-    bushy_dp
+    bushy_dp,
+    dp10
 );
 criterion_main!(benches);

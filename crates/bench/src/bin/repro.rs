@@ -98,8 +98,10 @@ fn run_cache_file(path: &str) {
             plan.query.cost, plan.stats.cache_hits
         );
     }
-    bank.save_with_fingerprint(path, fingerprint)
-        .unwrap_or_else(|e| panic!("saving cache bank to {path}: {e}"));
+    if let Err(e) = bank.save_with_fingerprint(path, fingerprint) {
+        eprintln!("repro: saving cache bank to {path}: {e}");
+        std::process::exit(1);
+    }
     let invalidations =
         tel.snapshot().map_or(0, |s| s.get(Counter::CacheFileInvalidations));
     println!(
@@ -171,7 +173,7 @@ fn run_trace(path: &str) {
     let mut out = String::new();
     serde::write_value(&mut out, &Value::Array(docs), Some(2), 0);
     out.push('\n');
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    write_or_exit(path, out);
     println!("wrote span trees and metrics for 4 queries to {path}");
 }
 
@@ -193,10 +195,8 @@ fn run_metrics(base: &str) {
     let snap = tel.snapshot().expect("enabled");
     let prom_path = format!("{base}.prom");
     let json_path = format!("{base}.json");
-    std::fs::write(&prom_path, snap.to_prometheus())
-        .unwrap_or_else(|e| panic!("writing {prom_path}: {e}"));
-    std::fs::write(&json_path, snap.to_json())
-        .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
+    write_or_exit(&prom_path, snap.to_prometheus());
+    write_or_exit(&json_path, snap.to_json());
     println!("wrote {prom_path} and {json_path}");
 }
 
@@ -264,7 +264,7 @@ fn run_otlp(path: &str, flight_dir: Option<&str>) {
         );
     }
     drop(service);
-    std::fs::write(path, tel.otlp_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    write_or_exit(path, tel.otlp_json());
     println!(
         "wrote {} trace(s) ({} spans) as OTLP/JSON to {path}",
         tel.completed_traces().len(),
@@ -1144,127 +1144,126 @@ fn chaos_smoke_gate() {
     );
 }
 
+/// The one-line synopsis printed with every command-line error.
+const USAGE: &str = "usage: repro --list | --all | --fig <id> [--quick] [--json <path>] | \
+    --smoke | --chaos | --service-demo | --bench-json [path] [--quick] [--enforce-floors] | \
+    --cache-file <path> | --trace <file> | --metrics <base> | --otlp <file> [--flight-dir <dir>] | \
+    --serve <addr> | --client <addr>";
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 7] =
+    ["--quick", "--list", "--all", "--smoke", "--chaos", "--service-demo", "--enforce-floors"];
+
+/// Flags that take a value, and what the value is.
+const VALUED: [(&str, &str); 9] = [
+    ("--fig", "an experiment id (see --list)"),
+    ("--json", "an output path"),
+    ("--cache-file", "a path"),
+    ("--trace", "an output file"),
+    ("--metrics", "an output base path"),
+    ("--otlp", "an output file"),
+    ("--flight-dir", "a directory"),
+    ("--serve", "a bind address (e.g. 127.0.0.1:7432)"),
+    ("--client", "a server address (e.g. 127.0.0.1:7432)"),
+];
+
+/// The command line, checked: every argument is a known flag, and every
+/// flag that takes a value has one that is not itself a flag.
+#[derive(Default)]
+struct Args {
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    fn parse(args: &[String]) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut args = args.iter().peekable();
+        let is_value = |v: &&String| !v.starts_with("--");
+        while let Some(arg) = args.next() {
+            if let Some(&switch) = SWITCHES.iter().find(|&&f| f == arg) {
+                out.switches.push(switch);
+            } else if let Some(&(flag, what)) = VALUED.iter().find(|(f, _)| f == arg) {
+                let value = args.next_if(is_value).ok_or(format!("{flag} needs {what}"))?;
+                out.values.push((flag, value.clone()));
+            } else if arg == "--bench-json" {
+                // The path is optional.
+                let path = args.next_if(is_value).map_or("BENCH_planner.json", |p| p.as_str());
+                out.values.push(("--bench-json", path.to_string()));
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(out)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+}
+
+/// Write `contents` to `path`; on failure print the path and the OS error
+/// and exit 1.
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("repro: writing {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list");
-    let all = args.iter().any(|a| a == "--all");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let service_demo = args.iter().any(|a| a == "--service-demo");
-    let bench_json = args.iter().position(|a| a == "--bench-json");
-    let enforce_floors = args.iter().any(|a| a == "--enforce-floors");
-    let serve = args
-        .iter()
-        .position(|a| a == "--serve")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let client = args
-        .iter()
-        .position(|a| a == "--client")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let cache_file = args
-        .iter()
-        .position(|a| a == "--cache-file")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let trace = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let metrics = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let otlp = args
-        .iter()
-        .position(|a| a == "--otlp")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let flight_dir = args
-        .iter()
-        .position(|a| a == "--flight-dir")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned();
-    let fig = args
-        .iter()
-        .position(|a| a == "--fig")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let quick = args.has("--quick");
+    let list = args.has("--list");
+    let all = args.has("--all");
+    let smoke = args.has("--smoke");
+    let chaos = args.has("--chaos");
+    let service_demo = args.has("--service-demo");
+    let enforce_floors = args.has("--enforce-floors");
+    let fig = args.value("--fig");
 
     let experiments = registry();
 
-    if args.iter().any(|a| a == "--serve") {
-        let Some(addr) = serve else {
-            eprintln!("--serve needs a bind address argument (e.g. 127.0.0.1:7432)");
-            std::process::exit(2);
-        };
-        run_serve(&addr);
+    if let Some(addr) = args.value("--serve") {
+        run_serve(addr);
         return;
     }
 
-    if args.iter().any(|a| a == "--client") {
-        let Some(addr) = client else {
-            eprintln!("--client needs a server address argument (e.g. 127.0.0.1:7432)");
-            std::process::exit(2);
-        };
-        run_client(&addr);
+    if let Some(addr) = args.value("--client") {
+        run_client(addr);
         return;
     }
 
-    if args.iter().any(|a| a == "--cache-file") {
-        let Some(path) = cache_file else {
-            eprintln!("--cache-file needs a path argument");
-            std::process::exit(2);
-        };
-        run_cache_file(&path);
+    if let Some(path) = args.value("--cache-file") {
+        run_cache_file(path);
         return;
     }
 
-    if args.iter().any(|a| a == "--trace") {
-        let Some(path) = trace else {
-            eprintln!("--trace needs an output file argument");
-            std::process::exit(2);
-        };
-        run_trace(&path);
+    if let Some(path) = args.value("--trace") {
+        run_trace(path);
         return;
     }
 
-    if args.iter().any(|a| a == "--metrics") {
-        let Some(base) = metrics else {
-            eprintln!("--metrics needs an output base-path argument");
-            std::process::exit(2);
-        };
-        run_metrics(&base);
+    if let Some(base) = args.value("--metrics") {
+        run_metrics(base);
         return;
     }
 
-    if args.iter().any(|a| a == "--otlp") {
-        let Some(path) = otlp else {
-            eprintln!("--otlp needs an output file argument");
-            std::process::exit(2);
-        };
-        run_otlp(&path, flight_dir.as_deref());
+    if let Some(path) = args.value("--otlp") {
+        run_otlp(path, args.value("--flight-dir"));
         return;
     }
 
     // The joint-planning hot-path benchmark: three modes, JSON report.
-    if let Some(i) = bench_json {
-        let path = args
-            .get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_planner.json".to_string());
+    if let Some(path) = args.value("--bench-json") {
         let report = speedup::measure(quick);
         speedup::table(&report).print();
         println!(
@@ -1331,7 +1330,7 @@ fn main() {
             );
         }
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_or_exit(path, json);
         eprintln!("wrote planner bench report to {path}");
         // Performance floors. Timing-sensitive by nature (shared CI
         // runners wobble), so breaches only fail the run under
@@ -1425,20 +1424,11 @@ fn main() {
         return;
     }
 
-    let selected: Vec<_> = experiments
-        .iter()
-        .filter(|e| all || fig.as_deref() == Some(e.id))
-        .collect();
+    let selected: Vec<_> = experiments.iter().filter(|e| all || fig == Some(e.id)).collect();
     if selected.is_empty() {
         eprintln!("no experiment with id {fig:?}; try --list");
         std::process::exit(2);
     }
-
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     let mut all_tables: Vec<(String, Vec<Table>)> = Vec::new();
     for e in selected {
@@ -1450,9 +1440,9 @@ fn main() {
         all_tables.push((e.id.to_string(), tables));
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.value("--json") {
         let json = serde_json::to_string_pretty(&all_tables).expect("tables serialize");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_or_exit(path, json);
         eprintln!("wrote JSON tables to {path}");
     }
 }

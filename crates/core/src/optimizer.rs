@@ -898,12 +898,14 @@ mod tests {
             optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
         let query = QuerySpec::tpch_q3();
         let unconstrained = opt.optimize(&query).unwrap();
-        // Budget at half the unconstrained plan's spend.
+        // Budget at half the unconstrained plan's spend: the exhaustive
+        // resource search finds a Q3 plan at 0.49× of it (24.7 s against
+        // 21.9 s), so the budget must be met, never answered with `None`.
         let budget = unconstrained.money_tb_sec() * 0.5;
-        if let Some(constrained) = opt.optimize_under_budget(&query, budget) {
-            assert!(constrained.money_tb_sec() <= budget + 1e-9);
-            assert!(constrained.time_sec() >= unconstrained.time_sec() - 1e-9);
-        }
+        let constrained =
+            opt.optimize_under_budget(&query, budget).expect("half the spend is feasible");
+        assert!(constrained.money_tb_sec() <= budget + 1e-9);
+        assert!(constrained.time_sec() >= unconstrained.time_sec() - 1e-9);
         // An absurdly small budget must be infeasible.
         assert!(opt.optimize_under_budget(&query, 1e-9).is_none());
     }

@@ -21,7 +21,7 @@ use raqo_cost::OperatorCost;
 use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
 use raqo_resource::{
     brute_force_rows, hill_climb, hill_climb_multi, BudgetTracker, CacheLookup, CacheStats,
-    ClusterConditions, Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
+    ClusterConditions, PairGuard, Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::JoinImpl;
 use raqo_telemetry::{Counter, Hist, MetricsSnapshot, Telemetry};
@@ -339,7 +339,29 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
             tel: &self.telemetry,
             budget: &self.budget,
         };
-        ctx.plan_operator(join, io, &mut self.stats)
+        ctx.plan_operator(join, io, &mut self.stats, &mut ctx.cache_guard())
+    }
+
+    /// Cost `ios` one after another on this thread, handing each decision
+    /// to `emit`. Under [`ResourceStrategy::HillClimbCached`] one
+    /// [`PairGuard`] serves the whole batch: the shards of the SMJ and BHJ
+    /// caches are locked once, and let go only around each hill climb.
+    fn cost_in_order(&mut self, ios: &[JoinIo], mut emit: impl FnMut(Option<JoinDecision>)) {
+        let ctx = CostCtx {
+            model: &*self.model,
+            cluster: &self.cluster,
+            strategy: self.strategy,
+            objective: self.objective,
+            parallelism: self.parallelism,
+            cache: &self.cache,
+            cache_namespace: self.cache_namespace,
+            tel: &self.telemetry,
+            budget: &self.budget,
+        };
+        let mut cache = ctx.cache_guard();
+        for io in ios {
+            emit(ctx.cost_join(io, &mut self.stats, &mut cache));
+        }
     }
 }
 
@@ -365,13 +387,22 @@ struct CostCtx<'c, M> {
     budget: &'c BudgetTracker,
 }
 
-impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
-    /// See [`RaqoCoster::plan_operator`].
+impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
+    /// A guard over this context's SMJ and BHJ caches, pair
+    /// `impl_cache_id(join)` each. It locks nothing until a cached lookup.
+    fn cache_guard(&self) -> PairGuard<'c> {
+        let operator = operator_key(self.objective);
+        let pair = |join| (model_key(self.cache_namespace, join), operator);
+        self.cache.lock_pair(pair(JoinImpl::SortMerge), pair(JoinImpl::BroadcastHash))
+    }
+
+    /// See [`RaqoCoster::plan_operator`]; `cache` is [`CostCtx::cache_guard`].
     fn plan_operator(
         &self,
         join: JoinImpl,
         io: &JoinIo,
         stats: &mut RaqoStats,
+        cache: &mut PairGuard<'_>,
     ) -> Option<(ResourceConfig, f64)> {
         // The scalarized cost surface for the search.
         let model = self.model;
@@ -391,9 +422,10 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
         // prediction is a model bug, mapped to "infeasible" and counted
         // instead of being allowed to poison comparisons downstream. (+∞
         // stays the legitimate OOM/infeasibility signal and is not counted.)
-        let cost_fn = |r: &ResourceConfig| -> f64 {
+        // Returns the score and, when that is finite, the raw time.
+        let evaluate = |r: &ResourceConfig| -> (f64, f64) {
             if !budget.charge(1) {
-                return f64::INFINITY;
+                return (f64::INFINITY, f64::NAN);
             }
             let raw = match probes::probe("cost.model.scalar") {
                 probes::Action::Nan => Some(f64::NAN),
@@ -401,17 +433,20 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                 probes::Action::Proceed => model.join_cost_at(join, build, probe, r),
             };
             match raw {
-                Some(t) if t.is_finite() && t >= 0.0 => objective.score(t, r),
+                Some(t) if t.is_finite() && t >= 0.0 => (objective.score(t, r), t),
                 // The scalar API signals OOM with `None`, so *any* non-finite
                 // or negative `Some` is a model bug worth counting.
                 Some(_) => {
                     tel.inc(Counter::CostSanitizationsScalar);
-                    f64::INFINITY
+                    (f64::INFINITY, f64::NAN)
                 }
-                None => f64::INFINITY,
+                None => (f64::INFINITY, f64::NAN),
             }
         };
+        let cost_fn = |r: &ResourceConfig| evaluate(r).0;
 
+        // The raw time under the winner, when the search already has it.
+        let mut known_time = None;
         let outcome: PlanningOutcome = match self.strategy {
             // Off scans on this thread; any other setting splits a grid
             // that is large enough to repay the threads across workers, with
@@ -497,11 +532,10 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                         ("cache.lookup.weighted", Counter::CacheHitsWeighted)
                     }
                 };
-                let model_id = model_key(self.cache_namespace, join);
-                let operator = operator_key(objective);
+                let pair = impl_cache_id(join) as usize;
                 let cached = {
                     let _lookup = tel.span(lookup_span);
-                    self.cache.lookup(model_id, operator, io.build_gb, lookup)
+                    cache.lookup(pair, io.build_gb, lookup)
                 };
                 if let Some(cached) = cached {
                     // Cached configurations may come from interpolation or
@@ -510,7 +544,8 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     let snapped = snap_to_grid(self.cluster, &cached);
                     stats.cache_hits += 1;
                     tel.inc(hit_counter);
-                    let c = cost_fn(&snapped);
+                    let (c, time) = evaluate(&snapped);
+                    known_time = Some(time);
                     PlanningOutcome { config: snapped, cost: c, iterations: 1 }
                 } else {
                     // The cached strategy stays single-start even in
@@ -519,10 +554,12 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
                     // multi-start search would defeat the accounting.
                     tel.inc(Counter::CacheMisses);
                     tel.inc(Counter::HillClimbClimbs);
+                    // No search runs under a shard lock.
+                    cache.release();
                     let start = self.feasible_start(join, io)?;
                     let out = hill_climb(self.cluster, start, cost_fn);
                     if out.cost.is_finite() {
-                        self.cache.insert(model_id, operator, io.build_gb, out.config);
+                        cache.insert(pair, io.build_gb, out.config);
                     }
                     out
                 }
@@ -536,8 +573,11 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
         }
         // Recover the raw time estimate under the chosen configuration,
         // re-applying the sanitization boundary: the winner's time feeds
-        // the emitted plan directly.
+        // the emitted plan directly. A cache hit evaluated it already.
         let r = outcome.config;
+        if let Some(time) = known_time {
+            return Some((r, time));
+        }
         let time = model.join_cost_at(join, build, probe, &r)?;
         if !(time.is_finite() && time >= 0.0) {
             tel.inc(Counter::CostSanitizationsScalar);
@@ -574,7 +614,12 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
     }
 
     /// One full `getPlanCost` evaluation (both implementations, best wins).
-    fn cost_join(&self, io: &JoinIo, stats: &mut RaqoStats) -> Option<JoinDecision> {
+    fn cost_join(
+        &self,
+        io: &JoinIo,
+        stats: &mut RaqoStats,
+        cache: &mut PairGuard<'_>,
+    ) -> Option<JoinDecision> {
         // Budget gate: once either limit has tripped, every remaining
         // `getPlanCost` call fails immediately and the planners drain in
         // bounded time — the optimizer's ladder takes over from there. The
@@ -592,7 +637,7 @@ impl<M: OperatorCost + Send + Sync> CostCtx<'_, M> {
         self.tel.inc(Counter::PlanCostCalls);
         let mut best: Option<JoinDecision> = None;
         for join in JoinImpl::ALL {
-            let Some((r, time)) = self.plan_operator(join, io, stats) else { continue };
+            let Some((r, time)) = self.plan_operator(join, io, stats, cache) else { continue };
             let (nc, cs) = (r.containers(), r.container_size_gb());
             let cost = self.objective.score(time, &r);
             if !cost.is_finite() {
@@ -628,28 +673,20 @@ fn snap_to_grid(cluster: &ClusterConditions, r: &ResourceConfig) -> ResourceConf
 }
 
 impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
+    /// A batch of one: the same path as [`PlanCoster::join_cost_many`].
     fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
-        let ctx = CostCtx {
-            model: &*self.model,
-            cluster: &self.cluster,
-            strategy: self.strategy,
-            objective: self.objective,
-            parallelism: self.parallelism,
-            cache: &self.cache,
-            cache_namespace: self.cache_namespace,
-            tel: &self.telemetry,
-            budget: &self.budget,
-        };
-        ctx.cost_join(io, &mut self.stats)
+        let mut decision = None;
+        self.cost_in_order(std::slice::from_ref(io), |d| decision = d);
+        decision
     }
 
     /// Fan a batch of independent joins out over `parallelism` scoped
     /// threads (a DP level's batch of candidates). Costing
     /// here is a pure function of the `JoinIo` — except under
     /// `HillClimbCached`, whose cache warms in call order, so that strategy
-    /// stays sequential. Decisions land at their input index and worker
-    /// stats are summed back in chunk order, so results and counters are
-    /// deterministic for any thread count.
+    /// stays sequential, under one cache guard per batch. Decisions land at
+    /// their input index and worker stats are summed back in chunk order,
+    /// so results and counters are deterministic for any thread count.
     fn join_cost_many(
         &mut self,
         ios: &[JoinIo],
@@ -660,7 +697,9 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
             && ios.len() > 1
             && !matches!(self.strategy, ResourceStrategy::HillClimbCached(_));
         if !fan_out {
-            return ios.iter().map(|io| self.join_cost(io)).collect();
+            let mut decisions = Vec::with_capacity(ios.len());
+            self.cost_in_order(ios, |d| decisions.push(d));
+            return decisions;
         }
         // Workers keep this coster's algorithm choices (multi-start
         // climbing iff the coster itself is parallel) but search
@@ -705,9 +744,10 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
                                 let _in_scope = ctx.tel.enter_scope(scope_token);
                                 let _ = probes::probe("core.worker.cost");
                                 let mut stats = RaqoStats::default();
+                                let mut cache = ctx.cache_guard();
                                 let decisions: Vec<Option<JoinDecision>> = ios_chunk
                                     .iter()
-                                    .map(|io| ctx.cost_join(io, &mut stats))
+                                    .map(|io| ctx.cost_join(io, &mut stats, &mut cache))
                                     .collect();
                                 (decisions, stats)
                             }))
@@ -725,9 +765,10 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
                         Ok(Err(_)) | Err(_) => {
                             ctx.tel.inc(Counter::WorkerPanics);
                             let mut stats = RaqoStats::default();
+                            let mut cache = ctx.cache_guard();
                             let decisions: Vec<Option<JoinDecision>> = ios_chunk
                                 .iter()
-                                .map(|io| ctx.cost_join(io, &mut stats))
+                                .map(|io| ctx.cost_join(io, &mut stats, &mut cache))
                                 .collect();
                             (decisions, stats)
                         }
@@ -1090,6 +1131,130 @@ mod tests {
         let persisted: std::collections::BTreeSet<u32> =
             bank.merged_bank().iter().map(|(&(_, operator), _)| operator).collect();
         assert_eq!(persisted, ids, "the operator id is what a checkpoint stores");
+    }
+
+    /// The oracle model, with the first evaluation of a join held until
+    /// the test lets it go (or 10 s pass, which is recorded).
+    struct Gated {
+        inner: SimOracleCost,
+        entered: std::sync::Mutex<Option<std::sync::mpsc::Sender<()>>>,
+        resume: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        timed_out: std::sync::atomic::AtomicBool,
+    }
+
+    impl OperatorCost for Gated {
+        fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+            self.inner.join_cost(j, b, p, nc, cs)
+        }
+
+        fn join_cost_at(&self, j: JoinImpl, b: f64, p: f64, r: &ResourceConfig) -> Option<f64> {
+            if let Some(entered) = self.entered.lock().unwrap().take() {
+                entered.send(()).unwrap();
+                let wait = std::time::Duration::from_secs(10);
+                if self.resume.lock().unwrap().recv_timeout(wait).is_err() {
+                    self.timed_out.store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+            }
+            self.inner.join_cost_at(j, b, p, r)
+        }
+    }
+
+    /// A missed lookup's hill climb runs with the cache unlocked: while the
+    /// climb is stuck inside the model, another thread looks up the same
+    /// shard. Were the climb under the lock, that lookup would wait for the
+    /// climb and the climb for the lookup; the model's bounded wait turns
+    /// that deadlock into a failure.
+    #[test]
+    fn hill_climbs_run_outside_the_shard_lock() {
+        use std::sync::mpsc::channel;
+        let (entered_tx, entered_rx) = channel();
+        let (resume_tx, resume_rx) = channel();
+        let model = Gated {
+            inner: SimOracleCost::hive(),
+            entered: std::sync::Mutex::new(Some(entered_tx)),
+            resume: std::sync::Mutex::new(resume_rx),
+            timed_out: Default::default(),
+        };
+        let bank = ShardedCacheBank::with_shards(1);
+        let cached = ResourceStrategy::HillClimbCached(CacheLookup::Exact);
+        let mut c = RaqoCoster::new(&model, ClusterConditions::paper_default(), cached, Objective::Time);
+        c.share_sharded_cache(bank.clone());
+        std::thread::scope(|scope| {
+            let climber = scope.spawn(move || c.join_cost_many(&[io(2.0, 40.0), io(3.0, 40.0)], Parallelism::Off));
+            entered_rx.recv_timeout(std::time::Duration::from_secs(10)).expect("the climb starts");
+            bank.lookup(0, 0, 2.0, CacheLookup::Exact);
+            resume_tx.send(()).unwrap();
+            assert!(climber.join().unwrap().iter().all(Option::is_some));
+        });
+        assert!(!model.timed_out.load(std::sync::atomic::Ordering::SeqCst), "the climb held the lock");
+    }
+
+    /// Costers whose SMJ and BHJ caches sit on the same two shards in
+    /// opposite orders, costing batches of warm and cold joins while other
+    /// threads compact and checkpoint the bank: nothing deadlocks (a
+    /// watchdog fails the test instead), and every decision is the one a
+    /// coster on a bank of its own makes — under exact lookups a hit and a
+    /// fresh climb choose the same configuration.
+    #[test]
+    fn opposite_shard_orders_soak_with_compaction_and_checkpoints() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let bank = ShardedCacheBank::with_shards(8);
+        let shards = |ns: u32| {
+            let shard = |join| bank.shard_of(model_key(ns, join), 0);
+            (shard(JoinImpl::SortMerge), shard(JoinImpl::BroadcastHash))
+        };
+        let (a, b) = (1..)
+            .filter(|&a| shards(a).0 < shards(a).1)
+            .find_map(|a| {
+                let (smj, bhj) = shards(a);
+                (1..4096).find(|&b| shards(b) == (bhj, smj)).map(|b| (a, b))
+            })
+            .expect("namespaces on the same shards, opposite orders");
+
+        let ios: Vec<JoinIo> = (0..24).map(|k| io(0.25 + 0.5 * (k % 12) as f64, 40.0)).collect();
+        let cached = ResourceStrategy::HillClimbCached(CacheLookup::Exact);
+        let want = coster(cached).join_cost_many(&ios, Parallelism::Off);
+        let done = std::sync::Arc::new(AtomicBool::new(false));
+        let (finished_tx, finished_rx) = channel();
+        let mut workers = Vec::new();
+        for ns in [a, b, a, b] {
+            let (bank, ios, want, finished) =
+                (bank.clone(), ios.clone(), want.clone(), finished_tx.clone());
+            workers.push(std::thread::spawn(move || {
+                let mut c = coster(cached).with_cache_namespace(ns);
+                c.share_sharded_cache(bank);
+                for round in 0..400 {
+                    assert_eq!(c.join_cost_many(&ios, Parallelism::Off), want, "ns {ns} round {round}");
+                }
+                finished.send(()).unwrap();
+            }));
+        }
+        let dir = std::env::temp_dir().join(format!("raqo_guard_soak_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        drop(finished_tx);
+        let housekeeping = {
+            let (bank, done, path) = (bank.clone(), done.clone(), dir.join("bank.json"));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    bank.compact(16);
+                    bank.checkpoint(&path).unwrap();
+                }
+            })
+        };
+        for _ in 0..workers.len() {
+            // Disconnected: a coster failed, and its join below says how.
+            let wait = finished_rx.recv_timeout(std::time::Duration::from_secs(120));
+            if let Err(RecvTimeoutError::Timeout) = wait {
+                panic!("a coster neither finished nor failed: deadlock");
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        housekeeping.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! reproduces that fold bit for bit from logarithms taken once per plan and
 //! a [`TableSet`] built from the slices, so a candidate costs a handful of
 //! adds and bit tests and no allocation.
+//!
+//! A DP run asks for the same few relations over and over, so it works on
+//! a [`LocalView`] instead: the fold's terms for just its items, and just
+//! the edges with both ends among them, as item masks. The fold is the
+//! same, so the bits are too.
 
 use raqo_catalog::{Catalog, JoinGraph, TableId, TableSet, GB};
 use serde::{Deserialize, Serialize};
@@ -25,49 +30,95 @@ pub struct JoinIo {
     pub out_rows: f64,
 }
 
+impl JoinIo {
+    /// The join of sides of `left_gb` and `right_gb` into `(rows, GB)`. The
+    /// smaller side becomes the build input, as every engine in the paper
+    /// does.
+    pub(crate) fn of(left_gb: f64, right_gb: f64, (out_rows, out_gb): (f64, f64)) -> JoinIo {
+        JoinIo {
+            build_gb: left_gb.min(right_gb),
+            probe_gb: left_gb.max(right_gb),
+            out_gb,
+            out_rows,
+        }
+    }
+}
+
+/// Indices of the set bits of `mask`, ascending.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The relation part of the set-statistics fold, as far as it has got:
+/// `ln rows` and row width summed over the relations taken so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SetFold {
+    log_card: f64,
+    width: f64,
+}
+
+impl SetFold {
+    #[inline]
+    fn take(self, (ln_rows, width): (f64, f64)) -> SetFold {
+        SetFold { log_card: self.log_card + ln_rows, width: self.width + width }
+    }
+
+    /// `(rows, GB)` once `ln selectivity` of the set's edges is in.
+    #[inline]
+    fn finish(self) -> (f64, f64) {
+        let rows = self.log_card.exp();
+        (rows, rows * self.width / GB)
+    }
+}
+
 /// Estimates sub-result sizes for arbitrary relation sets.
 pub struct CardinalityEstimator<'a> {
     pub catalog: &'a Catalog,
     pub graph: &'a JoinGraph,
-    /// `ln(max(rows, MIN_POSITIVE))` per table, by [`TableId::index`].
-    ln_rows: Vec<f64>,
-    /// Row width per table, by [`TableId::index`].
-    row_width: Vec<f64>,
+    /// `(ln(max(rows, MIN_POSITIVE)), row width)` per table, by
+    /// [`TableId::index`].
+    terms: Vec<(f64, f64)>,
     /// `(a, b, ln selectivity)` per join edge, in graph order.
     edges: Vec<(TableId, TableId, f64)>,
 }
 
 impl<'a> CardinalityEstimator<'a> {
     pub fn new(catalog: &'a Catalog, graph: &'a JoinGraph) -> Self {
-        let stats = || catalog.tables().iter().map(|t| t.stats);
         CardinalityEstimator {
             catalog,
             graph,
-            ln_rows: stats().map(|s| s.rows.max(f64::MIN_POSITIVE).ln()).collect(),
-            row_width: stats().map(|s| s.row_width).collect(),
+            terms: catalog
+                .tables()
+                .iter()
+                .map(|t| (t.stats.rows.max(f64::MIN_POSITIVE).ln(), t.stats.row_width))
+                .collect(),
             edges: graph.edges().iter().map(|e| (e.a, e.b, e.selectivity.ln())).collect(),
         }
     }
 
     /// `(rows, GB)` of the join result over `head ++ tail`, accumulated in
-    /// that order.
+    /// that order: the reference definition every faster path reproduces.
     pub(crate) fn set_size(&self, head: &[TableId], tail: &[TableId]) -> (f64, f64) {
         let mut members = TableSet::default();
-        let mut log_card = 0.0f64;
+        let mut fold = SetFold::default();
         for &t in head.iter().chain(tail) {
             let fresh = members.insert(t);
             // A repeated table would count its rows twice and its edges once.
             debug_assert!(fresh, "{t} appears twice in one relation set (sides must be disjoint)");
-            log_card += self.ln_rows[t.index()];
+            fold = fold.take(self.terms[t.index()]);
         }
         for &(a, b, ln_selectivity) in &self.edges {
             if members.contains(a) && members.contains(b) {
-                log_card += ln_selectivity;
+                fold.log_card += ln_selectivity;
             }
         }
-        let rows = log_card.exp();
-        let width: f64 = head.iter().chain(tail).map(|t| self.row_width[t.index()]).sum();
-        (rows, rows * width / GB)
+        fold.finish()
     }
 
     /// Estimated byte size (GB) of the join result over `tables`.
@@ -83,26 +134,93 @@ impl<'a> CardinalityEstimator<'a> {
     /// Characterize the join of two disjoint relation sets. The smaller
     /// side becomes the build input, as every engine in the paper does.
     pub fn join_io(&self, left: &[TableId], right: &[TableId]) -> JoinIo {
-        self.join_io_sized(left, self.set_gb(left), right, self.set_gb(right))
+        JoinIo::of(self.set_gb(left), self.set_gb(right), self.set_size(left, right))
     }
 
-    /// [`CardinalityEstimator::join_io`] for a caller that already holds
-    /// `set_gb` of each side — a DP subset or a memo group joins many
-    /// partners, and its own size never changes.
-    pub fn join_io_sized(
-        &self,
-        left: &[TableId],
-        left_gb: f64,
-        right: &[TableId],
-        right_gb: f64,
-    ) -> JoinIo {
-        let (out_rows, out_gb) = self.set_size(left, right);
-        JoinIo {
-            build_gb: left_gb.min(right_gb),
-            probe_gb: left_gb.max(right_gb),
-            out_gb,
-            out_rows,
+    /// The statistics of one DP run over `items` (at most 64, each a
+    /// relation slice; the relations of different items are disjoint).
+    /// Built once per run; every set of items it is asked about after that
+    /// is a mask over `items`.
+    pub fn local_view<'s>(&self, items: impl IntoIterator<Item = &'s [TableId]>) -> LocalView {
+        let mut view = LocalView { terms: Vec::new(), ends: Vec::new(), edges: Vec::new() };
+        // Items owning each table, as a mask (one item, unless a query lists
+        // a relation twice).
+        let mut owners = vec![0u64; self.terms.len()];
+        for (i, rels) in items.into_iter().enumerate() {
+            assert!(i < 64, "a local view holds at most 64 items");
+            for &t in rels {
+                owners[t.index()] |= 1u64 << i;
+                view.terms.push(self.terms[t.index()]);
+            }
+            view.ends.push(view.terms.len());
         }
+        for &(a, b, ln_selectivity) in &self.edges {
+            let (a, b) = (owners[a.index()], owners[b.index()]);
+            if a != 0 && b != 0 {
+                view.edges.push((a, b, ln_selectivity));
+            }
+        }
+        view
+    }
+}
+
+/// The set statistics of one DP run's items (see
+/// [`CardinalityEstimator::local_view`]). A set of items is a mask; its
+/// relations are its items' in ascending item order, each item's in slice
+/// order — the order [`LocalView::fold`] takes them in.
+#[derive(Debug, Clone)]
+pub struct LocalView {
+    /// `(ln rows, row width)` of every item's relations, items in order.
+    terms: Vec<(f64, f64)>,
+    /// Item i's terms end at `ends[i]` (and start where item i − 1's end).
+    ends: Vec<usize>,
+    /// `(items holding a, items holding b, ln selectivity)` per edge with
+    /// both ends among the items, in graph order.
+    edges: Vec<(u64, u64, f64)>,
+}
+
+impl LocalView {
+    /// `fold` continued with item `i`'s relations.
+    #[inline]
+    pub fn push(&self, fold: SetFold, i: usize) -> SetFold {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        self.terms[start..self.ends[i]].iter().fold(fold, |f, &term| f.take(term))
+    }
+
+    /// The relation part of the statistics of the items in `mask`.
+    pub fn fold(&self, mask: u64) -> SetFold {
+        bits(mask).fold(SetFold::default(), |f, i| self.push(f, i))
+    }
+
+    /// `(rows, GB)` of the items in `mask`, from `fold`: the relation part
+    /// of those items, taken in any item order the caller means.
+    #[inline]
+    pub fn finish(&self, mut fold: SetFold, mask: u64) -> (f64, f64) {
+        for &(a, b, ln_selectivity) in &self.edges {
+            // A select, not a branch: which edges a candidate holds is data,
+            // and a mispredicted test per edge cost more than the add. The
+            // added +0.0 of an outside edge leaves the sum's bits as they
+            // were, because the sum starts at +0.0 and so is never −0.0.
+            let inside = (a & mask != 0) & (b & mask != 0);
+            fold.log_card += if inside { ln_selectivity } else { 0.0 };
+        }
+        fold.finish()
+    }
+
+    /// `(rows, GB)` of the items in `mask`, in ascending item order.
+    pub fn size(&self, mask: u64) -> (f64, f64) {
+        self.finish(self.fold(mask), mask)
+    }
+
+    /// One mask per item: bit j of entry i is set when a join edge links a
+    /// relation of item i to a relation of item j.
+    pub(crate) fn adjacency(&self) -> Vec<u64> {
+        let mut adj = vec![0u64; self.ends.len()];
+        for &(a, b, _) in &self.edges {
+            bits(a).for_each(|i| adj[i] |= b);
+            bits(b).for_each(|i| adj[i] |= a);
+        }
+        adj
     }
 }
 

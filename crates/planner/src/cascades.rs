@@ -31,13 +31,12 @@
 //! finished levels' plans under the rest of the chain — which is returned
 //! with `cut_short` set, the optimizer's mildest degradation rung.
 
-use crate::cardinality::{CardinalityEstimator, JoinIo};
+use crate::cardinality::{bits, CardinalityEstimator, JoinIo, LocalView};
 use crate::coster::{
     cost_batch, cost_tree, JoinDecision, PlanCoster, PlannedQuery, BATCH_CANDIDATES,
 };
 use crate::memo::CostMemo;
 use crate::plan::PlanTree;
-use crate::selinger::{adjacency_masks, bits};
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
 use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
@@ -130,7 +129,8 @@ type Costed = (JoinIo, JoinDecision);
 /// One run. Subsets are `usize` masks over `rels` and index every table.
 struct Search<'a> {
     rels: &'a [TableId],
-    est: &'a CardinalityEstimator<'a>,
+    /// The statistics of `rels`, one item per relation.
+    view: &'a LocalView,
     coster: &'a mut dyn PlanCoster,
     /// The caller's memo, or a per-run scratch one the final replay reads.
     memo: &'a mut CostMemo,
@@ -148,7 +148,8 @@ struct Search<'a> {
     /// subset) and the join of the two.
     top: Vec<(usize, Option<Costed>)>,
     /// Estimated `(rows, GB)` of the subset, NaN until asked for: one
-    /// `set_size` serves its candidates' output and every join it enters.
+    /// [`LocalView::size`] serves its candidates' output and every join it
+    /// enters.
     size: Vec<(f64, f64)>,
     /// `prefix[k]`: the first k relations of the seed order, as far as the
     /// seed chain was costed.
@@ -173,17 +174,15 @@ impl Search<'_> {
     /// `(rows, GB)` of a subset, relations accumulated in ascending order.
     fn size(&mut self, mask: usize) -> (f64, f64) {
         if self.size[mask].0.is_nan() {
-            self.load_sides(mask, 0);
-            self.size[mask] = self.est.set_size(&self.lrels, &[]);
+            self.size[mask] = self.view.size(mask as u64);
         }
         self.size[mask]
     }
 
     /// The IO of joining `s` with the rest of `mask`.
     fn join_io(&mut self, mask: usize, s: usize) -> JoinIo {
-        let (out_rows, out_gb) = self.size(mask);
-        let (l, r) = (self.size(s).1, self.size(mask ^ s).1);
-        JoinIo { build_gb: l.min(r), probe_gb: l.max(r), out_gb, out_rows }
+        let out = self.size(mask);
+        JoinIo::of(self.size(s).1, self.size(mask ^ s).1, out)
     }
 
     /// `(cost, volume)` of joining the best plans of `s` and of the rest of `mask`.
@@ -386,15 +385,16 @@ impl CascadesPlanner {
         let memo = memo.unwrap_or(&mut scratch);
         memo.ensure_relations(&rels);
         let est = CardinalityEstimator::new(catalog, graph);
+        let view = est.local_view(rels.iter().map(std::slice::from_ref));
         let slots = 1usize << n;
-        let adj = adjacency_masks(rels.iter().map(std::slice::from_ref), catalog.len(), graph);
+        let adj = view.adjacency();
         let mut nbr = vec![0usize; slots];
         for mask in 1..slots {
             nbr[mask] = nbr[mask & (mask - 1)] | adj[mask.trailing_zeros() as usize] as usize;
         }
         let mut search = Search {
             rels: &rels,
-            est: &est,
+            view: &view,
             coster,
             memo,
             memoize,

@@ -139,7 +139,6 @@ impl IdpPlanner {
                 picked.iter().map(|&i| units[i].item.clone()).collect();
             let planned = SelingerPlanner::plan_items(
                 &block_items,
-                graph,
                 &est,
                 coster,
                 parallelism,
@@ -167,7 +166,7 @@ impl IdpPlanner {
         let _round_span = tel.span_labeled("idp.round", round);
         tel.inc(Counter::IdpRounds);
         let items: Vec<DpItem> = units.into_iter().map(|u| u.item).collect();
-        SelingerPlanner::plan_items(&items, graph, &est, coster, parallelism, memo, tel)
+        SelingerPlanner::plan_items(&items, &est, coster, parallelism, memo, tel)
             .ok_or(SelingerError::Infeasible)
     }
 

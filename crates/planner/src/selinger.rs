@@ -24,7 +24,7 @@
 //! across runs, so a Fig. 15(b) cluster sweep re-costs only the joins it
 //! has never seen under the current cluster conditions.
 
-use crate::cardinality::{CardinalityEstimator, JoinIo};
+use crate::cardinality::{bits, CardinalityEstimator, JoinIo, LocalView, SetFold};
 use crate::coster::{cost_batch, cost_tree, PlanCoster, PlannedQuery, BATCH_CANDIDATES};
 use crate::memo::CostMemo;
 use crate::plan::PlanTree;
@@ -39,7 +39,7 @@ use std::fmt;
 /// blocks are clamped to it.
 pub const MAX_RELATIONS: usize = 20;
 
-/// log₂ of the most subset sizes a DP run keeps at once ([`Dp::rest_gb`]).
+/// log₂ of the most subset sizes a DP run keeps at once ([`Dp::rest_size`]).
 const SIZE_SLOT_BITS: usize = 12;
 
 /// Why Selinger planning failed. `TooManyRelations` is recoverable —
@@ -143,7 +143,7 @@ impl SelingerPlanner {
         }
         let est = CardinalityEstimator::new(catalog, graph);
         let items: Vec<DpItem> = rels.iter().copied().map(DpItem::leaf).collect();
-        Self::plan_items(&items, graph, &est, coster, parallelism, memo, tel)
+        Self::plan_items(&items, &est, coster, parallelism, memo, tel)
             .ok_or(SelingerError::Infeasible)
     }
 
@@ -152,7 +152,6 @@ impl SelingerPlanner {
     /// falls back to admitting them if no cross-product-free plan exists.
     pub(crate) fn plan_items(
         items: &[DpItem],
-        graph: &JoinGraph,
         est: &CardinalityEstimator<'_>,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
@@ -168,11 +167,12 @@ impl SelingerPlanner {
         if n == 1 {
             return cost_tree(&items[0].tree, est, coster, memo, tel);
         }
+        let view = est.local_view(items.iter().map(|item| item.rels.as_slice()));
         [false, true].into_iter().find_map(|allow_cross| {
             let order = {
                 let _dp_span = tel.span("selinger.dp");
                 let memo = memo.as_deref_mut();
-                Dp::new(items, graph, est, coster, allow_cross, parallelism, memo, tel).solve()?
+                Dp::new(items, &view, coster, allow_cross, parallelism, memo, tel).solve()?
             };
             // Re-cost the final tree so the returned decisions are exactly
             // the winning plan's (the DP only kept scalar costs). For
@@ -186,43 +186,6 @@ impl SelingerPlanner {
             cost_tree(&tree, est, coster, memo.as_deref_mut(), tel)
         })
     }
-}
-
-/// Indices of the set bits of `mask`, ascending.
-pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            i
-        })
-    })
-}
-
-/// One adjacency mask per item (an item is the relation slice the iterator
-/// yields): bit j of `adj[i]` is set when a join edge links a relation of
-/// item i to a relation of item j. `tables` is the catalog's table count.
-pub(crate) fn adjacency_masks<'a>(
-    items: impl ExactSizeIterator<Item = &'a [TableId]>,
-    tables: usize,
-    graph: &JoinGraph,
-) -> Vec<u64> {
-    let n = items.len();
-    // Items owning each table, as a mask (one item, unless a query lists a
-    // relation twice).
-    let mut owners = vec![0u64; tables];
-    for (i, rels) in items.enumerate() {
-        for t in rels {
-            owners[t.index()] |= 1u64 << i;
-        }
-    }
-    let mut adj = vec![0u64; n];
-    for e in graph.edges() {
-        let (a, b) = (owners[e.a.index()], owners[e.b.index()]);
-        bits(a).for_each(|i| adj[i] |= b);
-        bits(b).for_each(|i| adj[i] |= a);
-    }
-    adj
 }
 
 /// What [`Dp::probe`] found for one candidate.
@@ -240,14 +203,18 @@ enum Probe {
 ///
 /// * one **adjacency mask** per item, so "does `rest` join item `i`" is
 ///   `adj[i] & rest != 0`, tested before anything is materialized;
-/// * the **size of every subset** used as a left side: `rest`'s relations
-///   are always laid out in ascending item order, so `set_gb` of them is a
-///   pure function of the mask, computed once and not once per partner;
-/// * the **relation list** of the last subset asked for, rebuilt only when
-///   the mask changes.
+/// * the run's [`LocalView`], and in it the **relation part of every
+///   subset** used as a left side: `rest`'s relations are always laid out
+///   in ascending item order, so that part of the fold, and `rest`'s own
+///   size, are pure functions of the mask, computed once and not once per
+///   partner. A candidate continues the fold with item `i`'s relations and
+///   adds the few edges inside the query — `est.join_io(rest, item)` bit
+///   for bit;
+/// * with a memo, the **relation list** of the last subset asked for,
+///   rebuilt only when the mask changes.
 struct Dp<'a> {
     items: &'a [DpItem],
-    est: &'a CardinalityEstimator<'a>,
+    view: &'a LocalView,
     coster: &'a mut dyn PlanCoster,
     parallelism: Parallelism,
     memo: Option<&'a mut CostMemo>,
@@ -257,12 +224,13 @@ struct Dp<'a> {
     adj: Vec<u64>,
     /// `set_gb(items[i].rels)`.
     item_gb: Vec<f64>,
-    /// `(rest, set_gb of its relations)` in slot `rest mod len`, allocated
-    /// once per run so a fill neither hashes nor grows anything. Subsets of
-    /// up to [`SIZE_SLOT_BITS`] items map one to one; wider ones share slots
-    /// and a miss recomputes, which costs time and never bits.
-    rest_gb: Vec<(u64, f64)>,
-    /// Relations of the subset `loaded`, items ascending.
+    /// `(rest, relation part of its fold, set_gb of its relations)` in slot
+    /// `rest mod len`, allocated once per run so a fill neither hashes nor
+    /// grows anything. Subsets of up to [`SIZE_SLOT_BITS`] items map one to
+    /// one; wider ones share slots and a miss recomputes, which costs time
+    /// and never bits.
+    rest_size: Vec<(u64, SetFold, f64)>,
+    /// Relations of the subset `loaded`, items ascending (memo keys).
     tables: Vec<TableId>,
     loaded: u64,
     /// The table, indexed by subset mask.
@@ -270,11 +238,9 @@ struct Dp<'a> {
 }
 
 impl<'a> Dp<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         items: &'a [DpItem],
-        graph: &JoinGraph,
-        est: &'a CardinalityEstimator<'a>,
+        view: &'a LocalView,
         coster: &'a mut dyn PlanCoster,
         allow_cross: bool,
         parallelism: Parallelism,
@@ -282,26 +248,22 @@ impl<'a> Dp<'a> {
         tel: &'a Telemetry,
     ) -> Self {
         let n = items.len();
-        let adj = if allow_cross {
-            vec![u64::MAX; n]
-        } else {
-            adjacency_masks(items.iter().map(|item| item.rels.as_slice()), est.catalog.len(), graph)
-        };
-        let item_gb = items.iter().map(|item| est.set_gb(&item.rels)).collect();
+        let adj = if allow_cross { vec![u64::MAX; n] } else { view.adjacency() };
+        let item_gb = (0..n).map(|i| view.size(1 << i).1).collect();
         let mut dp = vec![None; 1 << n];
         for i in 0..n {
             dp[1 << i] = Some(Entry { cost: 0.0, last: i });
         }
         Dp {
             items,
-            est,
+            view,
             coster,
             parallelism,
             memo,
             tel,
             adj,
             item_gb,
-            rest_gb: vec![(0, 0.0); 1 << n.min(SIZE_SLOT_BITS)],
+            rest_size: vec![(0, SetFold::default(), 0.0); 1 << n.min(SIZE_SLOT_BITS)],
             tables: Vec::with_capacity(n),
             loaded: 0,
             dp,
@@ -321,17 +283,21 @@ impl<'a> Dp<'a> {
 
     /// Look the candidate up in the memo, or work out its IO.
     fn probe(&mut self, rest: u64, i: usize) -> Probe {
-        self.load(rest);
-        let item = &self.items[i].rels;
-        if let Some(outcome) = self.memo.as_deref_mut().and_then(|m| m.get(&self.tables, item)) {
-            return Probe::Known(outcome.map(|(_, d)| d.cost));
+        if self.memo.is_some() {
+            self.load(rest);
+            let item = &self.items[i].rels;
+            if let Some(outcome) = self.memo.as_deref_mut().and_then(|m| m.get(&self.tables, item)) {
+                return Probe::Known(outcome.map(|(_, d)| d.cost));
+            }
         }
-        let slot = rest as usize & (self.rest_gb.len() - 1);
-        if self.rest_gb[slot].0 != rest {
-            self.rest_gb[slot] = (rest, self.est.set_gb(&self.tables));
+        let slot = rest as usize & (self.rest_size.len() - 1);
+        if self.rest_size[slot].0 != rest {
+            let fold = self.view.fold(rest);
+            self.rest_size[slot] = (rest, fold, self.view.finish(fold, rest).1);
         }
-        let rest_gb = self.rest_gb[slot].1;
-        Probe::Unknown(self.est.join_io_sized(&self.tables, rest_gb, item, self.item_gb[i]))
+        let (_, fold, rest_gb) = self.rest_size[slot];
+        let out = self.view.finish(self.view.push(fold, i), rest | 1 << i);
+        Probe::Unknown(JoinIo::of(rest_gb, self.item_gb[i], out))
     }
 
     /// Cost `cands` — from the memo when it holds them, through the coster
@@ -750,11 +716,12 @@ mod tests {
         let schema = raqo_catalog::RandomSchema::chain(SIZE_SLOT_BITS + 2, 7);
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let items: Vec<DpItem> = schema.catalog.table_ids().map(DpItem::leaf).collect();
+        let view = est.local_view(items.iter().map(|item| item.rels.as_slice()));
         let model = SimOracleCost::hive();
         let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
         let tel = Telemetry::disabled();
         let par = Parallelism::Off;
-        let mut dp = Dp::new(&items, &schema.graph, &est, &mut coster, true, par, None, &tel);
+        let mut dp = Dp::new(&items, &view, &mut coster, true, par, None, &tel);
         // Equal in their low SIZE_SLOT_BITS bits: one slot for both.
         let (a, b) = (0b11 | 1 << SIZE_SLOT_BITS, 0b11 | 1 << (SIZE_SLOT_BITS + 1));
         for rest in [a, b, a, a, b] {

@@ -1,9 +1,10 @@
 //! The set statistics under every planner must not touch the allocator:
-//! `join_io` runs once per DP candidate and `connects` once per rejected
-//! one. A counting global allocator tracks per-thread allocation counts
-//! (the pattern of `raqo-telemetry`'s `no_alloc.rs`); the calls must leave
-//! the count unchanged at the benchmark's catalog sizes — 8-table TPC-H
-//! and a 30-table random schema.
+//! a DP run folds one candidate through its `LocalView`, and `join_io`
+//! and `connects` serve the final re-cost and the greedy planners. A
+//! counting global allocator tracks per-thread allocation counts (the
+//! pattern of `raqo-telemetry`'s `no_alloc.rs`); the calls must leave the
+//! count unchanged at the benchmark's catalog sizes — 8-table TPC-H and a
+//! 30-table random schema.
 
 use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, RandomSchemaConfig, TableId};
@@ -64,6 +65,21 @@ fn assert_set_statistics_do_not_allocate(
     }
     let allocated = allocations() - before;
     assert_eq!(allocated, 0, "set statistics allocated {allocated} times");
+
+    // A DP run's view over (at most twelve of) the relations, built outside
+    // the window like the estimator: every (rest, item) candidate's fold
+    // and finish, and every subset's size.
+    let n = relations.len().min(12);
+    let view = est.local_view(relations[..n].chunks(1));
+    let before = allocations();
+    for rest in 1..(1u64 << n) - 1 {
+        for i in (0..n).filter(|i| rest >> i & 1 == 0) {
+            black_box(view.finish(view.push(view.fold(rest), i), rest | 1 << i));
+        }
+        black_box(view.size(rest));
+    }
+    let allocated = allocations() - before;
+    assert_eq!(allocated, 0, "a local view allocated {allocated} times");
 }
 
 #[test]

@@ -58,6 +58,45 @@ impl NaiveEstimator<'_> {
     }
 }
 
+/// A schema of one of six shapes — chain, star, clique, and random
+/// catalogs of 30, 100 and 300 tables (past one bitset word and past the
+/// inline width) — with a second predicate on two existing edges and one
+/// table emptied (the `MIN_POSITIVE` clamp), and `k` of its tables in
+/// shuffled order, always including the empty table and the highest id
+/// (the last bitset word).
+fn perturbed_pick(shape: usize, seed: u64, k: usize) -> (Catalog, JoinGraph, Vec<TableId>) {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let RandomSchema { mut catalog, mut graph } = match shape {
+        0 => RandomSchema::chain(12, seed),
+        1 => RandomSchema::star(12, seed),
+        2 => RandomSchema::clique(9, seed),
+        3 => RandomSchemaConfig::with_tables(30, seed).generate(),
+        4 => RandomSchemaConfig::with_tables(100, seed).generate(),
+        _ => RandomSchemaConfig::with_tables(300, seed).generate(),
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5e7);
+    let mut all: Vec<TableId> = catalog.table_ids().collect();
+    for _ in 0..2 {
+        let e = graph.edges()[rng.gen_range(0..graph.edges().len())];
+        graph.add_edge(e.a, e.b, rng.gen_range(0.01..=1.0));
+    }
+    let empty = all[rng.gen_range(0..all.len())];
+    let width = catalog.table(empty).stats.row_width;
+    catalog.set_stats(empty, TableStats::new(0.0, width));
+
+    let last = *all.last().unwrap();
+    all.shuffle(&mut rng);
+    let mut picked = vec![empty];
+    for &t in std::iter::once(&last).chain(&all) {
+        if picked.len() < k.max(2) && !picked.contains(&t) {
+            picked.push(t);
+        }
+    }
+    picked.shuffle(&mut rng);
+    (catalog, graph, picked)
+}
+
 proptest! {
     /// The bitset / precomputed-log estimator returns the slice-scanning
     /// fold's values bit for bit: on every graph shape, for shuffled slice
@@ -71,38 +110,8 @@ proptest! {
         k in 2usize..12,
         cut in 1u32..2047,
     ) {
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        let RandomSchema { mut catalog, mut graph } = match shape {
-            0 => RandomSchema::chain(12, seed),
-            1 => RandomSchema::star(12, seed),
-            2 => RandomSchema::clique(9, seed),
-            3 => RandomSchemaConfig::with_tables(30, seed).generate(),
-            4 => RandomSchemaConfig::with_tables(100, seed).generate(),
-            _ => RandomSchemaConfig::with_tables(300, seed).generate(),
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5e7);
-        let mut all: Vec<TableId> = catalog.table_ids().collect();
-        // A second predicate on two existing edges, and an empty table.
-        for _ in 0..2 {
-            let e = graph.edges()[rng.gen_range(0..graph.edges().len())];
-            graph.add_edge(e.a, e.b, rng.gen_range(0.01..=1.0));
-        }
-        let empty = all[rng.gen_range(0..all.len())];
-        let width = catalog.table(empty).stats.row_width;
-        catalog.set_stats(empty, TableStats::new(0.0, width));
-
-        // k tables in shuffled order, always including the empty table and
-        // the highest id (the last bitset word); `cut` deals them to sides.
-        let last = *all.last().unwrap();
-        all.shuffle(&mut rng);
-        let mut picked = vec![empty];
-        for &t in std::iter::once(&last).chain(&all) {
-            if picked.len() < k.max(2) && !picked.contains(&t) {
-                picked.push(t);
-            }
-        }
-        picked.shuffle(&mut rng);
+        let (catalog, graph, picked) = perturbed_pick(shape, seed, k);
+        // `cut` deals the picked tables to sides.
         let (mut left, mut right) = (Vec::new(), Vec::new());
         for (i, &t) in picked.iter().enumerate() {
             if cut & (1 << i) != 0 { left.push(t) } else { right.push(t) }
@@ -120,8 +129,6 @@ proptest! {
         {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", field, g, w);
         }
-        let sized = est.join_io_sized(&left, est.set_gb(&left), &right, est.set_gb(&right));
-        prop_assert_eq!(sized, io);
         for side in [&left, &right, &picked] {
             prop_assert_eq!(est.set_gb(side).to_bits(), naive.gb(side).to_bits());
             prop_assert_eq!(est.set_rows(side).to_bits(), naive.rows(side).to_bits());
@@ -134,6 +141,52 @@ proptest! {
         prop_assert_eq!(graph.connects(&right, &left), naive.connects(&left, &right));
         for &t in &right {
             prop_assert_eq!(graph.connects(&left, &[t]), naive.connects(&left, &[t]));
+        }
+    }
+
+    /// A DP run's `LocalView` returns the slice-scanning fold's values
+    /// bit for bit, for every set of items in ascending order (what the
+    /// bushy DP's size table holds) and for every set extended by one more
+    /// item (what Selinger folds per candidate) — over leaf and compound
+    /// items in shuffled order, on the same perturbed catalogs.
+    #[test]
+    fn local_view_bit_matches_the_slice_scanning_fold(
+        shape in 0usize..6,
+        seed in 0u64..500,
+        k in 2usize..12,
+        deal in 0u64..u64::MAX,
+    ) {
+        let (catalog, graph, picked) = perturbed_pick(shape, seed, k);
+        // `deal` groups runs of the picked tables into at most six items,
+        // so single-leaf and compound items mix.
+        let mut items: Vec<Vec<TableId>> = Vec::new();
+        for (i, &t) in picked.iter().enumerate() {
+            if items.is_empty() || (items.len() < 6 && deal >> i & 1 != 0) {
+                items.push(vec![t]);
+            } else {
+                items.last_mut().expect("not empty").push(t);
+            }
+        }
+        let naive = NaiveEstimator { catalog: &catalog, graph: &graph };
+        let est = CardinalityEstimator::new(&catalog, &graph);
+        let view = est.local_view(items.iter().map(Vec::as_slice));
+        let rels = |mask: u64| -> Vec<TableId> {
+            (0..items.len()).filter(|i| mask >> i & 1 != 0).flat_map(|i| items[i].clone()).collect()
+        };
+        let bits = |(rows, gb): (f64, f64)| (rows.to_bits(), gb.to_bits());
+        let n = items.len();
+        for mask in 1..1u64 << n {
+            let tables = rels(mask);
+            let want = (naive.rows(&tables).to_bits(), naive.gb(&tables).to_bits());
+            prop_assert_eq!(bits(view.size(mask)), want, "mask {:#b}", mask);
+            for i in (0..n).filter(|i| mask >> i & 1 == 0) {
+                let all = [tables.as_slice(), &items[i]].concat();
+                let got = view.finish(view.push(view.fold(mask), i), mask | 1 << i);
+                let want = (naive.rows(&all).to_bits(), naive.gb(&all).to_bits());
+                prop_assert_eq!(bits(got), want, "mask {:#b} + item {}", mask, i);
+                let io = est.join_io(&tables, &items[i]);
+                prop_assert_eq!(bits(got), bits((io.out_rows, io.out_gb)));
+            }
         }
     }
 

@@ -42,5 +42,5 @@ pub use config::{ResourceConfig, MAX_DIMS};
 pub use parallel::{brute_force_rows, hill_climb_multi, multi_start_seeds, Parallelism};
 pub use persist::PersistError;
 pub use planner::{brute_force, brute_force_batch, hill_climb, PlanningOutcome, BATCH_CHUNK};
-pub use sharded::ShardedCacheBank;
+pub use sharded::{PairGuard, ShardedCacheBank};
 pub use stress::{concurrency_stress, StressReport};

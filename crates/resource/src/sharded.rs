@@ -19,14 +19,19 @@
 //!   caches)`, whatever the shard count — appends the kept texts for the
 //!   rest, and replaces the file atomically outside every bank lock;
 //! * `N = 1` is one lock over one bank (a coster's private default), and
-//!   checkpoints just as incrementally.
+//!   checkpoints just as incrementally;
+//! * a [`PairGuard`] holds the shards of two pairs — a coster's SMJ and
+//!   BHJ caches — across a batch of lookups: one lock when both pairs
+//!   share a shard, otherwise two. Wherever this crate holds more than one
+//!   shard's lock at once it takes them in ascending shard order, so no two
+//!   holders can wait on each other.
 //!
 //! [`checkpoint`]: ShardedCacheBank::checkpoint
 
 use crate::cache::{self, CacheBank, CacheLookup, CacheStats};
 use crate::config::ResourceConfig;
 use crate::persist::{self, PersistError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use raqo_telemetry::{Counter, Hist, Telemetry};
 use std::sync::Arc;
 
@@ -211,6 +216,17 @@ impl ShardedCacheBank {
         let mut bank = self.inner.shards[idx].bank.write();
         self.telemetry.observe_elapsed_us(Hist::CacheLockWaitUs, &sw);
         bank.cache(model, operator).lookup(key, mode)
+    }
+
+    /// A [`PairGuard`] over the caches of pairs `a` and `b`. It takes no
+    /// lock until its first lookup or insert.
+    pub fn lock_pair(&self, a: (u32, u32), b: (u32, u32)) -> PairGuard<'_> {
+        PairGuard {
+            bank: self,
+            pairs: [a, b],
+            shards: [self.shard_of(a.0, a.1), self.shard_of(b.0, b.1)],
+            held: None,
+        }
     }
 
     /// Insert the best configuration found for `key` into the
@@ -409,6 +425,59 @@ impl ShardedCacheBank {
         );
         persist::write_atomic(path.as_ref(), doc.as_bytes())?;
         Ok(rendered)
+    }
+}
+
+/// Exclusive hold on the shards owning two (model, operator) pairs, for a
+/// batch of lookups that would otherwise hash, lock and unlock once each.
+/// Made by [`ShardedCacheBank::lock_pair`]; pair `i` is addressed by its
+/// index. The first lookup or insert takes the locks — one if both pairs
+/// share a shard, otherwise both in ascending shard order — and they stay
+/// held until [`PairGuard::release`] or drop. Release before any long
+/// computation (a hill climb): nothing should run under a shard lock that
+/// another thread's lookup could be waiting on for long.
+pub struct PairGuard<'b> {
+    bank: &'b ShardedCacheBank,
+    pairs: [(u32, u32); 2],
+    shards: [usize; 2],
+    /// The lower shard's write guard, and the higher one's when the pairs
+    /// live apart; `None` while released.
+    held: Option<(RwLockWriteGuard<'b, CacheBank>, Option<RwLockWriteGuard<'b, CacheBank>>)>,
+}
+
+impl PairGuard<'_> {
+    /// The bank of pair `i`'s shard, locking both shards first if needed.
+    fn bank_of(&mut self, i: usize) -> &mut CacheBank {
+        let (low, high) = (self.shards[0].min(self.shards[1]), self.shards[0].max(self.shards[1]));
+        let (bank, shards) = (self.bank, &self.bank.inner.shards);
+        let (low_bank, high_bank) = self.held.get_or_insert_with(|| {
+            let sw = bank.telemetry.stopwatch();
+            let locked = (shards[low].bank.write(), (high != low).then(|| shards[high].bank.write()));
+            bank.telemetry.observe_elapsed_us(Hist::CacheLockWaitUs, &sw);
+            locked
+        });
+        match high_bank {
+            Some(high_bank) if self.shards[i] == high => high_bank,
+            _ => low_bank,
+        }
+    }
+
+    /// [`ShardedCacheBank::lookup`] on pair `i`'s cache.
+    pub fn lookup(&mut self, i: usize, key: f64, mode: CacheLookup) -> Option<ResourceConfig> {
+        self.bank.telemetry.inc(Counter::cache_shard(self.shards[i]));
+        let (model, operator) = self.pairs[i];
+        self.bank_of(i).cache(model, operator).lookup(key, mode)
+    }
+
+    /// [`ShardedCacheBank::insert`] into pair `i`'s cache.
+    pub fn insert(&mut self, i: usize, key: f64, config: ResourceConfig) {
+        let (model, operator) = self.pairs[i];
+        self.bank_of(i).cache(model, operator).insert(key, config);
+    }
+
+    /// Unlock the shards; the next lookup or insert locks them again.
+    pub fn release(&mut self) {
+        self.held = None;
     }
 }
 
@@ -795,6 +864,71 @@ mod tests {
         let loaded = persist::load_bank(&path).unwrap();
         assert_eq!(loaded.total_entries(), 200);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Two models of `bank` whose caches live on different shards, the
+    /// lower shard's first.
+    fn models_on_two_shards(bank: &ShardedCacheBank) -> (u32, u32) {
+        let low = 0;
+        let high = (1..).find(|&m| bank.shard_of(m, 0) != bank.shard_of(low, 0)).unwrap();
+        if bank.shard_of(low, 0) < bank.shard_of(high, 0) { (low, high) } else { (high, low) }
+    }
+
+    #[test]
+    fn pair_guard_answers_like_the_bank_and_counts_every_lookup() {
+        let tel = Telemetry::enabled();
+        let bank = ShardedCacheBank::with_shards(8).with_telemetry(tel.clone());
+        let (a, b) = models_on_two_shards(&bank);
+        let mut guard = bank.lock_pair((b, 0), (a, 0));
+        guard.insert(0, 1.0, cfg(2.0, 2.0));
+        guard.insert(1, 1.0, cfg(3.0, 3.0));
+        assert_eq!(guard.lookup(0, 1.0, CacheLookup::Exact), Some(cfg(2.0, 2.0)));
+        assert_eq!(guard.lookup(1, 1.0, CacheLookup::Exact), Some(cfg(3.0, 3.0)));
+        assert_eq!(guard.lookup(1, 9.0, CacheLookup::Exact), None);
+        // Both shards stay locked until the guard lets go.
+        for model in [a, b] {
+            assert!(bank.inner.shards[bank.shard_of(model, 0)].bank.try_write().is_none());
+        }
+        guard.release();
+        assert_eq!(bank.lookup(b, 0, 1.0, CacheLookup::Exact), Some(cfg(2.0, 2.0)));
+        drop(guard);
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.cache_shard_lookups_total(), 4, "one count per lookup, guarded or not");
+        assert_eq!(bank.aggregate_stats().hits, 3);
+        // Pairs that share a shard take its lock once (twice would never
+        // return).
+        let op = (1..).find(|&op| bank.shard_of(a, op) == bank.shard_of(a, 0)).unwrap();
+        let mut same = bank.lock_pair((a, 0), (a, op));
+        assert_eq!(same.lookup(0, 1.0, CacheLookup::Exact), Some(cfg(3.0, 3.0)));
+        same.insert(1, 2.0, cfg(4.0, 4.0));
+        drop(same);
+        assert_eq!(bank.lookup(a, op, 2.0, CacheLookup::Exact), Some(cfg(4.0, 4.0)));
+    }
+
+    /// Whichever order its pairs come in, a guard takes the lower shard
+    /// first: with the higher one held elsewhere, the guard waits holding
+    /// the lower one. (The other order is what would let two guards over
+    /// the same shards deadlock.)
+    #[test]
+    fn pair_guard_locks_shards_in_ascending_order() {
+        let bank = ShardedCacheBank::with_shards(8);
+        let (a, b) = models_on_two_shards(&bank);
+        let (low, high) = (bank.shard_of(a, 0), bank.shard_of(b, 0));
+        for pairs in [[(a, 0), (b, 0)], [(b, 0), (a, 0)]] {
+            let blocker = bank.inner.shards[high].bank.write();
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| {
+                    bank.lock_pair(pairs[0], pairs[1]).lookup(0, 1.0, CacheLookup::Exact)
+                });
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+                while bank.inner.shards[low].bank.try_write().is_some() {
+                    assert!(std::time::Instant::now() < deadline, "{pairs:?}: lower shard never taken");
+                    std::thread::yield_now();
+                }
+                drop(blocker);
+                assert_eq!(waiter.join().unwrap(), None);
+            });
+        }
     }
 
     #[test]

@@ -155,35 +155,6 @@ pub(crate) fn otlp_value(
     )])
 }
 
-/// Chrome trace-event-format rendering (`chrome://tracing` /
-/// [Perfetto](https://ui.perfetto.dev) loadable): one complete (`"X"`)
-/// event per closed span, one begin (`"B"`) event per still-open span.
-/// Traces map to Chrome "processes" so concurrent tickets lay out on
-/// separate tracks.
-pub(crate) fn chrome_trace_value(views: &[TraceView]) -> Value {
-    let mut events = Vec::new();
-    for (pid, view) in views.iter().enumerate() {
-        for s in &view.spans {
-            let mut ev = vec![
-                ("name".to_string(), Value::String(s.name.clone())),
-                ("cat".to_string(), Value::String("raqo".to_string())),
-                (
-                    "ph".to_string(),
-                    Value::String(if s.is_open() { "B" } else { "X" }.to_string()),
-                ),
-                ("ts".to_string(), Value::Num(s.start_ns as f64 / 1e3)),
-                ("pid".to_string(), Value::Num(pid as f64)),
-                ("tid".to_string(), Value::Num(s.id as f64)),
-            ];
-            if !s.is_open() {
-                ev.push(("dur".to_string(), Value::Num(s.dur_ns() as f64 / 1e3)));
-            }
-            events.push(Value::Object(ev));
-        }
-    }
-    Value::Array(events)
-}
-
 impl Telemetry {
     fn export_views(&self) -> Vec<TraceView> {
         let Some(inner) = self.inner() else {
@@ -229,15 +200,5 @@ impl Telemetry {
         write_value(&mut out, &self.otlp_json_value(), Some(2), 0);
         out.push('\n');
         out
-    }
-
-    /// Chrome trace-event-format export of every trace currently held
-    /// (load in `chrome://tracing` or Perfetto). `Value::Null` when
-    /// disabled.
-    pub fn chrome_trace_json_value(&self) -> Value {
-        if self.inner().is_none() {
-            return Value::Null;
-        }
-        chrome_trace_value(&self.export_views())
     }
 }

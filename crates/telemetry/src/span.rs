@@ -333,13 +333,6 @@ impl Telemetry {
         }
     }
 
-    /// The sampling/capacity configuration, when enabled.
-    pub fn trace_config(&self) -> Option<TraceConfig> {
-        self.inner
-            .as_ref()
-            .map(|i| i.pipeline.lock().unwrap().config)
-    }
-
     // ---- ambient span views (legacy one-shot API) ----------------------
 
     /// Copy of the ambient trace's spans (empty when disabled). Ticket

@@ -23,7 +23,6 @@ fn fast_randomized() -> PlannerKind {
         rounds_per_join: 4,
         epsilon: 0.05,
         seed: 17,
-        memoize: false,
     })
 }
 
@@ -156,42 +155,26 @@ fn fig15_scale(c: &mut Criterion) {
 }
 
 /// The joint-planning hot path: fast randomized planner + brute-force
-/// resource planning, sequential baseline vs sub-plan memoization vs
-/// memoization + parallel grid scan (the `BENCH_planner.json` modes at
-/// criterion-friendly sizes).
+/// resource planning, sequential, at criterion-friendly sizes.
 fn planner_speedup(c: &mut Criterion) {
     let schema = RandomSchemaConfig::with_tables(24, 5).generate();
     let model = JoinCostModel::trained_hive();
     let cluster = ClusterConditions::two_dim(1.0..=50.0, 1.0..=8.0, 1.0, 1.0);
     let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 24, 3);
-    let config = |memoize: bool| RandomizedConfig {
-        restarts: 1,
-        rounds_per_join: 2,
-        epsilon: 0.05,
-        seed: 17,
-        memoize,
-    };
+    let config = RandomizedConfig { restarts: 1, rounds_per_join: 2, epsilon: 0.05, seed: 17 };
     let mut group = c.benchmark_group("planner_speedup");
     group.sample_size(10);
-    let modes: [(&str, Parallelism, bool); 3] = [
-        ("sequential", Parallelism::Off, false),
-        ("memoized", Parallelism::Off, true),
-        ("parallel_memoized", Parallelism::Auto, true),
-    ];
-    for (name, parallelism, memoize) in modes {
-        group.bench_function(name, |b| {
-            let mut opt = RaqoOptimizer::new(
-                &schema.catalog,
-                &schema.graph,
-                &model,
-                cluster,
-                PlannerKind::FastRandomized(config(memoize)),
-                ResourceStrategy::BruteForce,
-            );
-            opt.set_parallelism(parallelism);
-            b.iter(|| black_box(opt.optimize(&query)));
-        });
-    }
+    group.bench_function("sequential", |b| {
+        let mut opt = RaqoOptimizer::new(
+            &schema.catalog,
+            &schema.graph,
+            &model,
+            cluster,
+            PlannerKind::FastRandomized(config.clone()),
+            ResourceStrategy::BruteForce,
+        );
+        b.iter(|| black_box(opt.optimize(&query)));
+    });
 
     // The Selinger DP through the same ladder: sequential batched level
     // fills vs parallel DP levels (all brute-force resource planning, all

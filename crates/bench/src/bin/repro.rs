@@ -7,8 +7,6 @@
 //! repro --all --json out.json  # machine-readable tables as well
 //! repro --smoke                # fast path: every figure at tiny sizes
 //! repro --chaos                # fault-injection gate: ladder + recovery paths
-//! repro --bench-json [path]    # planner speedup bench -> BENCH_planner.json
-//! repro --bench-json --enforce-floors  # ... and exit non-zero on perf-floor breaches
 //! repro --cache-file <path>    # TPC-H sweep warm-started from a persisted cache
 //! repro --trace <file>         # traced TPC-H sweep: EXPLAIN ANALYZE + span trees
 //! repro --metrics <base>       # TPC-H sweep -> <base>.prom + <base>.json
@@ -20,7 +18,7 @@
 //! ```
 
 use raqo_bench::experiments::{registry, timed};
-use raqo_bench::{net_bench, speedup, throughput, Table};
+use raqo_bench::{bushy, throughput, Table};
 use raqo_catalog::{tpch::TpchSchema, QuerySpec};
 use raqo_core::{
     explain_analyze, Parallelism, PlannerKind, RaqoOptimizer, RaqoStats, ResourceStrategy,
@@ -677,49 +675,42 @@ fn telemetry_smoke_gate() {
 }
 
 /// `--smoke` gate: one Selinger figure (TPC-H, all tables, exhaustive
-/// resource planning) through every `Parallelism` × memoization
-/// combination; all modes must agree on the joint plan.
+/// resource planning) through every `Parallelism` mode; all modes must
+/// agree on the joint plan, cost bit for bit.
 fn selinger_smoke_gate() {
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
     let query = QuerySpec::tpch_all(&schema);
     let cluster = ClusterConditions::two_dim(1.0..=50.0, 1.0..=8.0, 1.0, 1.0);
     let mut base: Option<(raqo_planner::PlanTree, f64)> = None;
-    let mut combos = 0;
+    let modes = [Parallelism::Off, Parallelism::Threads(2), Parallelism::Auto];
     let (_, ms) = timed(|| {
-        for parallelism in [Parallelism::Off, Parallelism::Threads(2), Parallelism::Auto] {
-            for planner in [PlannerKind::Selinger, PlannerKind::SelingerMemoized] {
-                let memoized = matches!(planner, PlannerKind::SelingerMemoized);
-                let mut opt = RaqoOptimizer::new(
-                    &schema.catalog,
-                    &schema.graph,
-                    &model,
-                    cluster,
-                    planner,
-                    ResourceStrategy::BruteForce,
-                )
-                .with_parallelism(parallelism);
-                let plan = opt.optimize(&query).expect("smoke plan");
-                let (tree, cost) = (plan.query.tree.clone(), plan.query.cost);
-                match &base {
-                    None => base = Some((tree, cost)),
-                    Some((t0, c0)) => {
-                        assert_eq!(t0, &tree, "Selinger smoke: trees diverge at {parallelism:?}");
-                        // Memoized runs replay DP-time IO accumulation
-                        // order; plain runs must agree bitwise.
-                        let ok = if memoized {
-                            (c0 - cost).abs() <= 1e-9 * c0.abs()
-                        } else {
-                            c0.to_bits() == cost.to_bits()
-                        };
-                        assert!(ok, "Selinger smoke: costs diverge at {parallelism:?}: {c0} vs {cost}");
-                    }
+        for parallelism in modes {
+            let mut opt = RaqoOptimizer::new(
+                &schema.catalog,
+                &schema.graph,
+                &model,
+                cluster,
+                PlannerKind::Selinger,
+                ResourceStrategy::BruteForce,
+            )
+            .with_parallelism(parallelism);
+            let plan = opt.optimize(&query).expect("smoke plan");
+            let (tree, cost) = (plan.query.tree.clone(), plan.query.cost);
+            match &base {
+                None => base = Some((tree, cost)),
+                Some((t0, c0)) => {
+                    assert_eq!(t0, &tree, "Selinger smoke: trees diverge at {parallelism:?}");
+                    assert_eq!(
+                        c0.to_bits(),
+                        cost.to_bits(),
+                        "Selinger smoke: costs diverge at {parallelism:?}: {c0} vs {cost}"
+                    );
                 }
-                combos += 1;
             }
         }
     });
-    println!("selinger  ok  {ms:>8.0} ms  {combos} parallelism x memoize combinations agree");
+    println!("selinger  ok  {ms:>8.0} ms  {} parallelism modes agree bit for bit", modes.len());
 }
 
 /// `--smoke` IDP parity gate: at the exhaustive-DP threshold (n = 20) a
@@ -810,7 +801,6 @@ fn idp_smoke_gate() {
                 rounds_per_join: 5,
                 epsilon: 0.05,
                 seed: 24,
-                memoize: false,
             }))
             .optimize(&query)
             .unwrap_or_else(|| panic!("idp smoke: {shape} randomized plan not found"));
@@ -835,7 +825,7 @@ fn idp_smoke_gate() {
 /// its cost must agree with Selinger exactly — the subset DP covers
 /// every left-deep order Selinger enumerates, plus the bushy shapes.
 fn cascades_smoke_gate() {
-    let (series, ms) = timed(|| speedup::measure_cascades(true));
+    let (series, ms) = timed(|| bushy::measure_cascades(true));
     let star = series
         .points
         .iter()
@@ -1146,13 +1136,12 @@ fn chaos_smoke_gate() {
 
 /// The one-line synopsis printed with every command-line error.
 const USAGE: &str = "usage: repro --list | --all | --fig <id> [--quick] [--json <path>] | \
-    --smoke | --chaos | --service-demo | --bench-json [path] [--quick] [--enforce-floors] | \
+    --smoke | --chaos | --service-demo | \
     --cache-file <path> | --trace <file> | --metrics <base> | --otlp <file> [--flight-dir <dir>] | \
     --serve <addr> | --client <addr>";
 
 /// Flags that stand alone.
-const SWITCHES: [&str; 7] =
-    ["--quick", "--list", "--all", "--smoke", "--chaos", "--service-demo", "--enforce-floors"];
+const SWITCHES: [&str; 6] = ["--quick", "--list", "--all", "--smoke", "--chaos", "--service-demo"];
 
 /// Flags that take a value, and what the value is.
 const VALUED: [(&str, &str); 9] = [
@@ -1186,10 +1175,6 @@ impl Args {
             } else if let Some(&(flag, what)) = VALUED.iter().find(|(f, _)| f == arg) {
                 let value = args.next_if(is_value).ok_or(format!("{flag} needs {what}"))?;
                 out.values.push((flag, value.clone()));
-            } else if arg == "--bench-json" {
-                // The path is optional.
-                let path = args.next_if(is_value).map_or("BENCH_planner.json", |p| p.as_str());
-                out.values.push(("--bench-json", path.to_string()));
             } else {
                 return Err(format!("unknown argument {arg:?}"));
             }
@@ -1227,7 +1212,6 @@ fn main() {
     let smoke = args.has("--smoke");
     let chaos = args.has("--chaos");
     let service_demo = args.has("--service-demo");
-    let enforce_floors = args.has("--enforce-floors");
     let fig = args.value("--fig");
 
     let experiments = registry();
@@ -1259,110 +1243,6 @@ fn main() {
 
     if let Some(path) = args.value("--otlp") {
         run_otlp(path, args.value("--flight-dir"));
-        return;
-    }
-
-    // The joint-planning hot-path benchmark: three modes, JSON report.
-    if let Some(path) = args.value("--bench-json") {
-        let report = speedup::measure(quick);
-        speedup::table(&report).print();
-        println!(
-            "randomized speedup: {:.2}x ({} -> {} over {} workers), plans identical: {}",
-            report.speedup,
-            report.runs[0].wall_ms.round(),
-            report.runs[report.runs.len() - 1].wall_ms.round(),
-            report.worker_threads,
-            report.plans_identical
-        );
-        println!(
-            "selinger speedup: {:.2}x ({} -> {} over {} workers), plans identical: {}",
-            report.selinger.speedup,
-            report.selinger.runs[0].wall_ms.round(),
-            report.selinger.runs[report.selinger.runs.len() - 1].wall_ms.round(),
-            report.worker_threads,
-            report.selinger.plans_identical
-        );
-        println!(
-            "cost kernel ({}): {:.2}x ({:.1} -> {:.1} ms over {} x {} configs), bitwise identical: {}",
-            report.cost_kernel.kernel,
-            report.cost_kernel.speedup,
-            report.cost_kernel.scalar_ms,
-            report.cost_kernel.dispatch_ms,
-            report.cost_kernel.repeats,
-            report.cost_kernel.configs,
-            report.cost_kernel.bitwise_identical
-        );
-        for p in &report.idp.points {
-            println!(
-                "idp bridge {:>5} n={:<2}  {:>8.1} ms  cost {:>12.3}  {} joins  bridged: {}",
-                p.shape, p.tables, p.wall_ms, p.plan_cost, p.joins, p.bridged
-            );
-        }
-        println!(
-            "telemetry overhead over {} tickets: sampled(1%) {:+.1}%, full {:+.1}% \
-             ({} -> {} traces retained), plans identical: {}",
-            report.telemetry.tickets,
-            report.telemetry.sampled_overhead_pct,
-            report.telemetry.full_overhead_pct,
-            report.telemetry.runs[1].traces_retained,
-            report.telemetry.runs[2].traces_retained,
-            report.telemetry.plans_identical
-        );
-        throughput::table(&report.throughput).print();
-        println!(
-            "service throughput: {:.2}x sharded over single-lock at 8 workers \
-             ({} warm entries, checkpoint every {} plans)",
-            report.throughput.speedup_at_max_workers,
-            report.throughput.warm_entries,
-            report.throughput.checkpoint_every
-        );
-        net_bench::table(&report.net).print();
-        let peak = report.net.points.last().expect("net series has points");
-        println!(
-            "wire front end: {:.0} req/s at {} connections (p50 {:.0} us, p99 {:.0} us e2e)",
-            peak.requests_per_sec, peak.connections, peak.p50_latency_us, peak.p99_latency_us
-        );
-        for p in &report.cascades.points {
-            println!(
-                "cascades {:>6} n={:<2}  selinger {:>12.3} -> cascades {:>12.3}  \
-                 bushy: {:<5}  no worse: {}",
-                p.shape, p.tables, p.selinger_cost, p.cascades_cost, p.bushy, p.no_worse
-            );
-        }
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_or_exit(path, json);
-        eprintln!("wrote planner bench report to {path}");
-        // Performance floors. Timing-sensitive by nature (shared CI
-        // runners wobble), so breaches only fail the run under
-        // `--enforce-floors`; the default is a loud warning.
-        let mut breached = false;
-        // Regression floor: a sharded service slower than the single-lock
-        // baseline beyond noise means the sharding layer itself regressed.
-        if report.throughput.speedup_at_max_workers < throughput::SPEEDUP_FLOOR {
-            eprintln!(
-                "{}: sharded plans/sec fell below the single-lock baseline \
-                 ({:.2}x)",
-                if enforce_floors { "FAIL" } else { "WARN" },
-                report.throughput.speedup_at_max_workers
-            );
-            breached = true;
-        }
-        // The wire layer may tax throughput, but dropping below even the
-        // slowest in-process configuration (×0.8 margin) means the event
-        // loop or framing regressed, not the planner.
-        let floor = net_bench::in_process_floor(&report.throughput) * 0.8;
-        if report.net.peak_requests_per_sec < floor {
-            eprintln!(
-                "{}: wire requests/sec fell below the in-process floor x0.8 \
-                 ({:.0}/s < {:.0}/s)",
-                if enforce_floors { "FAIL" } else { "WARN" },
-                report.net.peak_requests_per_sec, floor
-            );
-            breached = true;
-        }
-        if breached && enforce_floors {
-            std::process::exit(1);
-        }
         return;
     }
 
@@ -1410,7 +1290,6 @@ fn main() {
         println!("  --smoke      every figure at tiny sizes (CI fast path)");
         println!("  --chaos      fault-injection gate: degradation ladder + recovery paths");
         println!("  --service-demo  planning service under overload: priorities + degradation");
-        println!("  --bench-json planner speedup benchmark -> BENCH_planner.json");
         println!("  --cache-file <path>  TPC-H sweep warm-started from a persisted cache");
         println!("  --trace <file>       traced TPC-H sweep: EXPLAIN ANALYZE + span trees -> file");
         println!("  --metrics <base>     TPC-H sweep metrics -> <base>.prom + <base>.json");

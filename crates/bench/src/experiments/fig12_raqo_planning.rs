@@ -33,7 +33,7 @@ pub struct PlanningMeasurement {
 /// than the library default so a 100-table query stays in paper-scale
 /// planning times.
 pub fn experiment_randomized_config(seed: u64) -> RandomizedConfig {
-    RandomizedConfig { restarts: 4, rounds_per_join: 4, epsilon: 0.05, seed, memoize: false }
+    RandomizedConfig { restarts: 4, rounds_per_join: 4, epsilon: 0.05, seed }
 }
 
 /// Run every (query × planner × mode) combination of the figure.

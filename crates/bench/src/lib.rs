@@ -10,10 +10,9 @@
 //! the *shapes* (who wins, where crossovers fall, relative overheads) are
 //! the reproduction targets. See `EXPERIMENTS.md` for paper-vs-measured.
 
+pub mod bushy;
 pub mod experiments;
-pub mod net_bench;
 pub mod report;
-pub mod speedup;
 pub mod throughput;
 
 pub use report::{Cell, Table};

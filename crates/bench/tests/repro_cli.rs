@@ -45,7 +45,13 @@ fn assert_rejected(case: &str, args: &[&str], message: &str) {
 fn unknown_flags_are_rejected() {
     assert_rejected("typo", &["--fig", "1", "--quik"], "unknown argument \"--quik\"");
     assert_rejected("stray", &["--fig", "1", "extra"], "unknown argument \"extra\"");
-    assert_rejected("bench", &["--bench-json", "--enforce-flors"], "unknown argument");
+    // The retired planner-speedup report and its floors are unknown too.
+    for (case, flag) in [("bench", "--bench-json"), ("floors", "--enforce-floors")] {
+        let unknown = format!("unknown argument \"{flag}\"");
+        assert_rejected(case, &[flag], &unknown);
+        assert_rejected(&format!("{case}_quick"), &[flag, "--quick"], &unknown);
+    }
+    assert_rejected("bench_path", &["--smoke", "--bench-json", "b.json"], "unknown argument");
 }
 
 #[test]
@@ -77,5 +83,27 @@ fn a_well_formed_quick_figure_writes_its_tables() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = std::fs::read_to_string(dir.join("tables.json")).unwrap();
     assert!(text.starts_with('['), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The service walkthrough answers its whole 32-request burst: the
+/// 8-slot queue admits part of it, which the workers complete, and sheds
+/// the rest; every ticket prints one reply line.
+#[test]
+fn the_service_demo_answers_its_whole_burst() {
+    let dir = workdir("service_demo");
+    let out = repro(&dir, &["--service-demo"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let replies = text.lines().filter(|l| l.contains(" tenant ")).count();
+    assert_eq!(replies, 32, "{text}");
+    // "admitted A / shed S / completed C; queue depth now ..."
+    let summary = text.lines().find(|l| l.starts_with("admitted ")).expect("a summary line");
+    let words: Vec<&str> = summary.split_whitespace().collect();
+    let number = |i: usize| -> u64 { words[i].trim_end_matches(';').parse().unwrap() };
+    let (admitted, shed, completed) = (number(1), number(4), number(7));
+    assert_eq!(completed, admitted, "{summary}");
+    assert_eq!(admitted + shed, 32, "{text}");
+    assert!(admitted > 0 && shed > 0, "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

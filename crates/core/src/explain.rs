@@ -166,14 +166,6 @@ pub fn explain_analyze(plan: &RaqoPlan, catalog: &Catalog, telemetry: &Telemetry
                 snap.get(Counter::CacheMisses),
             ));
         }
-        if snap.get(Counter::MemoHits) + snap.get(Counter::MemoMisses) > 0 {
-            out.push_str(&format!(
-                "  sub-plan memo: {} hits, {} misses, {} context evictions\n",
-                snap.get(Counter::MemoHits),
-                snap.get(Counter::MemoMisses),
-                snap.get(Counter::MemoEvictions),
-            ));
-        }
         if snap.get(Counter::SelingerLevels) > 0 {
             out.push_str(&format!(
                 "  Selinger DP levels: {}\n",

@@ -9,9 +9,9 @@ use raqo_cost::OperatorCost;
 use raqo_dtree::DecisionTree;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    cost_tree, CardinalityEstimator, CascadesConfig, CascadesError, CascadesPlanner, CostMemo,
-    IdpConfig, IdpPlanner, PlanCoster, PlanTree, PlannedQuery, RandomizedConfig,
-    RandomizedPlanner, SelingerError, SelingerPlanner,
+    cost_tree, CardinalityEstimator, CascadesConfig, CascadesError, CascadesPlanner, IdpConfig,
+    IdpPlanner, PlanCoster, PlanTree, PlannedQuery, RandomizedConfig, RandomizedPlanner,
+    SelingerError, SelingerPlanner,
 };
 use raqo_resource::{
     BudgetTracker, BudgetTrigger, CacheLookup, ClusterConditions, Parallelism, PlanningBudget,
@@ -46,9 +46,7 @@ struct PlannerRun {
     relation_bound: bool,
     /// The bushy search was cut short by the planning budget and answered
     /// with the levels it had finished under the seed chain.
-    memo_cut: bool,
-    /// Joins the randomized planner's own per-run memo answered.
-    memo_hits: u64,
+    cut_short: bool,
 }
 
 impl PlannerRun {
@@ -72,9 +70,9 @@ impl PlannerRun {
 
 /// The planner dispatch every entry point shares: run `kind` through
 /// `coster` and, when the exhaustive search refuses on relation count,
-/// bridge with iterative DP — no relation bound, but the DP search (and the
-/// memo) stay intact. `stop` is the budget probe the bushy search polls at
-/// every subset.
+/// bridge with iterative DP — no relation bound, but the DP search stays
+/// intact. `stop` is the budget probe the bushy search polls at every
+/// subset.
 #[allow(clippy::too_many_arguments)]
 fn run_kind(
     kind: &PlannerKind,
@@ -83,12 +81,11 @@ fn run_kind(
     query: &QuerySpec,
     coster: &mut dyn PlanCoster,
     parallelism: Parallelism,
-    mut memo: Option<&mut CostMemo>,
     tel: &Telemetry,
     stop: Option<&dyn Fn() -> bool>,
 ) -> PlannerRun {
     let span = match kind {
-        PlannerKind::Selinger | PlannerKind::SelingerMemoized => Some("planner.selinger"),
+        PlannerKind::Selinger => Some("planner.selinger"),
         PlannerKind::Cascades(_) => Some("planner.cascades"),
         PlannerKind::FastRandomized(_) => Some("planner.randomized"),
         // IDP opens its own `planner.idp` span.
@@ -97,33 +94,27 @@ fn run_kind(
     let _span = span.map(|name| tel.span(name));
     let mut run = PlannerRun::default();
     match kind {
-        PlannerKind::Selinger | PlannerKind::SelingerMemoized => {
-            let m = memo.as_deref_mut();
-            match SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, m, tel) {
+        PlannerKind::Selinger => {
+            match SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, tel) {
                 Err(SelingerError::TooManyRelations { .. }) => run.relation_bound = true,
                 out => run.planned = out.ok(),
             }
         }
         PlannerKind::Idp(cfg) => {
-            let m = memo.as_deref_mut();
             let out =
-                IdpPlanner::plan_traced(catalog, graph, query, coster, parallelism, m, tel, *cfg);
+                IdpPlanner::plan_traced(catalog, graph, query, coster, parallelism, tel, *cfg);
             run.planned = out.ok();
         }
         PlannerKind::FastRandomized(cfg) => {
             let out = RandomizedPlanner::plan_traced(catalog, graph, query, coster, cfg, tel);
-            if let Some(out) = out {
-                run.memo_hits = out.memo_hits;
-                run.planned = Some(out.best);
-            }
+            run.planned = out.map(|out| out.best);
         }
         PlannerKind::Cascades(cfg) => {
-            let m = memo.as_deref_mut();
             match CascadesPlanner::plan_traced(
-                catalog, graph, query, coster, parallelism, m, tel, cfg, stop,
+                catalog, graph, query, coster, parallelism, tel, cfg, stop,
             ) {
                 Ok(out) => {
-                    run.memo_cut = out.cut_short;
+                    run.cut_short = out.cut_short;
                     run.planned = Some(out.planned);
                 }
                 Err(CascadesError::TooManyRelations { .. }) => run.relation_bound = true,
@@ -133,9 +124,7 @@ fn run_kind(
     }
     if run.relation_bound {
         let config = IdpConfig::default();
-        let out = IdpPlanner::plan_traced(
-            catalog, graph, query, coster, parallelism, memo, tel, config,
-        );
+        let out = IdpPlanner::plan_traced(catalog, graph, query, coster, parallelism, tel, config);
         run.planned = out.ok();
         run.bridged = run.planned.is_some();
     }
@@ -159,15 +148,6 @@ fn grid_midpoint(cluster: &ClusterConditions) -> ResourceConfig {
 pub enum PlannerKind {
     /// System-R bottom-up DP over left-deep trees.
     Selinger,
-    /// Selinger with a sub-plan cost memo that outlives individual
-    /// `optimize` calls: repeated planning of the same query — notably the
-    /// Fig. 15(b) cluster sweeps — replays previously costed (left, right)
-    /// sub-plans instead of re-running resource planning. The memo is
-    /// keyed on a context folding in the cluster fingerprint, objective,
-    /// and resource strategy, so changed conditions never replay stale
-    /// decisions. Identical plans to [`PlannerKind::Selinger`] whenever
-    /// the coster is deterministic in a join's IO characteristics.
-    SelingerMemoized,
     /// Iterative DP (IDP-1, standard-best-plan): bounded Selinger blocks
     /// collapsed round by round, so there is no relation bound. For
     /// queries at or under the block size this *is* exhaustive DP; above
@@ -178,8 +158,8 @@ pub enum PlannerKind {
     FastRandomized(RandomizedConfig),
     /// One dense DP over relation-subset masks — the only planner here
     /// that searches *bushy* join trees. Costs every candidate through the
-    /// same `getPlanCost` seam as Selinger, so resource planning, caching,
-    /// memoization and planning budgets compose unchanged; queries past
+    /// same `getPlanCost` seam as Selinger, so resource planning, caching
+    /// and planning budgets compose unchanged; queries past
     /// [`raqo_planner::DEFAULT_CASCADES_THRESHOLD`] bridge to IDP exactly
     /// like the Selinger relation bound.
     Cascades(CascadesConfig),
@@ -191,27 +171,13 @@ impl PlannerKind {
         PlannerKind::Idp(IdpConfig::default())
     }
 
-    /// The subset DP over bushy trees, default bounds, no memo.
+    /// The subset DP over bushy trees, default bounds.
     pub fn cascades() -> Self {
         PlannerKind::Cascades(CascadesConfig::default())
     }
 
-    /// The same with the cross-run sub-plan cost memo (same memo and
-    /// context fingerprint as [`PlannerKind::SelingerMemoized`]).
-    pub fn cascades_memoized() -> Self {
-        PlannerKind::Cascades(CascadesConfig { memoize: true, ..Default::default() })
-    }
-
     pub fn fast_randomized(seed: u64) -> Self {
         PlannerKind::FastRandomized(RandomizedConfig { seed, ..Default::default() })
-    }
-
-    /// Fast randomized planner with sub-plan cost memoization: mutation
-    /// rounds re-cost only the joins a mutation actually changed. Identical
-    /// plans and costs to [`PlannerKind::fast_randomized`] whenever the
-    /// coster is deterministic in a join's IO characteristics.
-    pub fn fast_randomized_memoized(seed: u64) -> Self {
-        PlannerKind::FastRandomized(RandomizedConfig { seed, memoize: true, ..Default::default() })
     }
 }
 
@@ -329,9 +295,6 @@ pub struct RaqoOptimizer<'a, M: OperatorCost> {
     pub model: Shared<'a, M>,
     pub planner: PlannerKind,
     coster: RaqoCoster<'a, M>,
-    /// Cross-run Selinger sub-plan memo ([`PlannerKind::SelingerMemoized`]),
-    /// lazily created on the first memoized run.
-    selinger_memo: Option<CostMemo>,
     /// Declarative planning budget applied to every [`RaqoOptimizer::optimize`]
     /// call; unlimited by default. The deadline clock starts at the call.
     budget: PlanningBudget,
@@ -357,7 +320,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
             model,
             planner,
             coster,
-            selinger_memo: None,
             budget: PlanningBudget::unlimited(),
             rule_based_tree: None,
         }
@@ -473,48 +435,8 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         self.coster.set_cluster(cluster);
     }
 
-    /// Context tag for the Selinger memo: everything a cached join
-    /// decision depends on besides the join's own IO. A change in any of
-    /// these keys the memo into a fresh partition, so stale decisions are
-    /// never replayed (restoring previous conditions revives their
-    /// entries — the Fig. 15(b) sweep-and-return pattern).
-    fn selinger_context(&self) -> u64 {
-        let c = &self.coster;
-        let (obj_tag, obj_param) = c.objective.tag();
-        let (strat_tag, strat_param) = match c.strategy {
-            ResourceStrategy::BruteForce => (0u64, 0.0),
-            ResourceStrategy::HillClimb => (1, 0.0),
-            ResourceStrategy::HillClimbCached(lookup) => match lookup {
-                CacheLookup::Exact => (2, 0.0),
-                CacheLookup::NearestNeighbor { threshold } => (3, threshold),
-                CacheLookup::WeightedAverage { threshold } => (4, threshold),
-            },
-        };
-        // Parallel hill climbing is multi-start and can land in a different
-        // (better) optimum than the single greedy climb, so the flag is
-        // part of the context.
-        let multi_start = u64::from(c.parallelism != Parallelism::Off);
-        let words = [
-            c.cluster.fingerprint(),
-            obj_tag,
-            obj_param.to_bits(),
-            strat_tag,
-            strat_param.to_bits(),
-            multi_start,
-        ];
-        // FNV-1a over the words, matching the cluster fingerprint's scheme.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in words {
-            for b in w.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
     /// The configured planner through [`run_kind`], with this optimizer's
-    /// coster, telemetry, budget probe and — for the memoized kinds — its
-    /// cross-run memo under the current context.
+    /// coster, telemetry and budget probe.
     fn run_planner(&mut self, query: &QuerySpec) -> PlannerRun {
         // Cheap handle (a `None` or an `Arc` clone): the planners borrow
         // the coster mutably while they record into the same sink.
@@ -525,33 +447,9 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         let tracker = self.coster.budget.clone();
         let stop_fn = move || tracker.exhausted().is_some() || !tracker.check_deadline();
         let stop = self.coster.budget.is_limited().then_some(&stop_fn as &dyn Fn() -> bool);
-        let memoized = match &self.planner {
-            PlannerKind::SelingerMemoized => true,
-            PlannerKind::Cascades(cfg) => cfg.memoize,
-            _ => false,
-        };
-        let context = self.selinger_context();
-        let memo = memoized.then(|| {
-            let m = self.selinger_memo.get_or_insert_with(CostMemo::default);
-            m.set_context(context);
-            m
-        });
-        let before = memo.as_ref().map(|m| (m.hits(), m.misses(), m.evictions()));
         let (catalog, graph) = (&*self.catalog, &*self.graph);
         let coster = &mut self.coster;
-        let run =
-            run_kind(&self.planner, catalog, graph, query, coster, parallelism, memo, &tel, stop);
-        if run.planned.is_some() {
-            let mut hits = run.memo_hits;
-            if let (Some((h, m, e)), Some(memo)) = (before, &self.selinger_memo) {
-                hits += memo.hits() - h;
-                tel.add(Counter::MemoMisses, memo.misses() - m);
-                tel.add(Counter::MemoEvictions, memo.evictions() - e);
-            }
-            self.coster.stats.memo_hits += hits;
-            tel.add(Counter::MemoHits, hits);
-        }
-        run
+        run_kind(&self.planner, catalog, graph, query, coster, parallelism, &tel, stop)
     }
 
     /// The ladder's bottom rung: rule-based RAQO (§V). Join implementations
@@ -579,7 +477,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         let (catalog, graph) = (&*self.catalog, &*self.graph);
         let (selinger, untraced) = (PlannerKind::Selinger, Telemetry::disabled());
         let off = Parallelism::Off;
-        run_kind(&selinger, catalog, graph, query, &mut coster, off, None, &untraced, None)
+        run_kind(&selinger, catalog, graph, query, &mut coster, off, &untraced, None)
             .or_randomized(catalog, graph, query, &mut coster)
     }
 
@@ -659,7 +557,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         }
         // A Cascades search cut short by the budget still answered in-rung
         // with an annotated (best-so-far) plan — the mildest degradation.
-        if run.planned.is_some() && run.memo_cut {
+        if run.planned.is_some() && run.cut_short {
             note(
                 DegradationRung::MemoCut,
                 trigger_now(&tracker, DegradationTrigger::EvalBudget),
@@ -725,7 +623,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         let (catalog, graph) = (&*self.catalog, &*self.graph);
         let untraced = Telemetry::disabled();
         let off = Parallelism::Off;
-        run_kind(&self.planner, catalog, graph, query, &mut fixed, off, None, &untraced, None)
+        run_kind(&self.planner, catalog, graph, query, &mut fixed, off, &untraced, None)
             .or_randomized(catalog, graph, query, &mut fixed)
     }
 
@@ -738,7 +636,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         self.coster.reset_stats();
         self.coster.objective = Objective::Money;
         let est = CardinalityEstimator::new(&self.catalog, &self.graph);
-        let planned = cost_tree(tree, &est, &mut self.coster, None, &Telemetry::disabled())?;
+        let planned = cost_tree(tree, &est, &mut self.coster, &Telemetry::disabled())?;
         self.coster.objective = Objective::Time;
         Some(RaqoPlan { query: planned, stats: self.coster.stats, degradation: None })
     }
@@ -943,39 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_randomized_matches_unmemoized_plan_and_cost() {
-        let schema = TpchSchema::new(1.0);
-        let query = QuerySpec::tpch_all(&schema);
-        let mut plain = optimizer(
-            &schema,
-            model(),
-            PlannerKind::fast_randomized(11),
-            ResourceStrategy::HillClimb,
-        );
-        let a = plain.optimize(&query).unwrap();
-        let mut memo = optimizer(
-            &schema,
-            model(),
-            PlannerKind::fast_randomized_memoized(11),
-            ResourceStrategy::HillClimb,
-        );
-        let b = memo.optimize(&query).unwrap();
-        // Deterministic coster ⇒ identical joint plan, fewer searches.
-        assert_eq!(a.query.tree, b.query.tree);
-        assert_eq!(a.query.cost, b.query.cost);
-        assert_eq!(a.stats.memo_hits, 0);
-        assert!(b.stats.memo_hits > 0, "memo never hit");
-        assert!(
-            b.stats.plan_cost_calls + b.stats.memo_hits == a.stats.plan_cost_calls,
-            "every skipped getPlanCost call must be a memo hit: plain={} memo={} hits={}",
-            a.stats.plan_cost_calls,
-            b.stats.plan_cost_calls,
-            b.stats.memo_hits
-        );
-        assert!(b.stats.resource_iterations < a.stats.resource_iterations);
-    }
-
-    #[test]
     fn parallel_resource_planning_reproduces_sequential_joint_plan() {
         let schema = TpchSchema::new(1.0);
         let query = QuerySpec::tpch_q3();
@@ -1021,71 +886,6 @@ mod tests {
         assert_eq!(a.stats.resource_iterations, b.stats.resource_iterations);
     }
 
-    #[test]
-    fn memoized_selinger_matches_plain_and_reuses_across_runs() {
-        let schema = TpchSchema::new(1.0);
-        let query = QuerySpec::tpch_all(&schema);
-        let mut plain =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::HillClimb);
-        let a = plain.optimize(&query).unwrap();
-        let mut memo = optimizer(
-            &schema,
-            model(),
-            PlannerKind::SelingerMemoized,
-            ResourceStrategy::HillClimb,
-        );
-        let b1 = memo.optimize(&query).unwrap();
-        let b2 = memo.optimize(&query).unwrap();
-        // Same winning join order; costs agree to fp noise (the memo
-        // replays DP-time IOs, whose float accumulation order differs from
-        // the final tree walk in the last bits).
-        assert_eq!(a.query.tree, b1.query.tree);
-        assert_eq!(b1.query.tree, b2.query.tree);
-        assert!((a.query.cost - b1.query.cost).abs() <= 1e-9 * a.query.cost.abs());
-        assert!((b1.query.cost - b2.query.cost).abs() <= 1e-9 * b1.query.cost.abs());
-        // The Fig. 15(b) cluster-sweep payoff: a repeated run replays every
-        // sub-plan decision from the memo instead of re-searching.
-        assert!(
-            b2.stats.memo_hits > b1.stats.memo_hits,
-            "second memoized run never hit: first={} second={}",
-            b1.stats.memo_hits,
-            b2.stats.memo_hits
-        );
-        assert!(b2.stats.plan_cost_calls < b1.stats.plan_cost_calls);
-    }
-
-    #[test]
-    fn memoized_selinger_never_replays_stale_cluster_decisions() {
-        let schema = TpchSchema::new(1.0);
-        let query = QuerySpec::tpch_q3();
-        let mut opt = optimizer(
-            &schema,
-            model(),
-            PlannerKind::SelingerMemoized,
-            ResourceStrategy::BruteForce,
-        );
-        let warm = opt.optimize(&query).unwrap();
-        // The cluster shrinks: cached decisions for the old conditions must
-        // not leak into the new context.
-        let small = ClusterConditions::two_dim(1.0..=8.0, 1.0..=2.0, 1.0, 1.0);
-        opt.set_cluster(small.clone());
-        let shrunk = opt.optimize(&query).unwrap();
-        let mut fresh =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
-        fresh.set_cluster(small);
-        let expect = fresh.optimize(&query).unwrap();
-        assert_eq!(shrunk.query.tree, expect.query.tree);
-        assert!((shrunk.query.cost - expect.query.cost).abs() <= 1e-9 * expect.query.cost.abs());
-        // Restoring the original conditions revives the old partition.
-        opt.set_cluster(ClusterConditions::paper_default());
-        let revived = opt.optimize(&query).unwrap();
-        assert_eq!(revived.query.tree, warm.query.tree);
-        assert!(
-            revived.stats.memo_hits > 0,
-            "restored cluster should replay its original memo entries"
-        );
-    }
-
     /// The optimizer's level batches plan exactly what the one-join-at-a-
     /// time oracle plans through the same RAQO coster, with the same
     /// `getPlanCost` accounting.
@@ -1121,12 +921,12 @@ mod tests {
             (PlannerKind::Selinger, ResourceStrategy::BruteForce),
             (PlannerKind::Selinger, ResourceStrategy::HillClimb),
             (
-                PlannerKind::SelingerMemoized,
+                PlannerKind::Selinger,
                 ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor {
                     threshold: 0.01,
                 }),
             ),
-            (PlannerKind::fast_randomized_memoized(7), ResourceStrategy::HillClimb),
+            (PlannerKind::fast_randomized(7), ResourceStrategy::HillClimb),
         ];
         for (planner, strategy) in combos {
             let mut opt = optimizer(&schema, model(), planner.clone(), strategy);
@@ -1335,7 +1135,7 @@ mod tests {
                 ResourceStrategy::HillClimb,
             );
             let cascades = cas.optimize(&query).expect("cascades plans");
-            // Rung 1, no degradation: the memo search is the configured
+            // Rung 1, no degradation: the bushy search is the configured
             // planner, not a fallback.
             assert!(cascades.degradation.is_none());
             assert_eq!(cascades.query.joins.len(), query.num_joins());
@@ -1354,33 +1154,13 @@ mod tests {
     }
 
     #[test]
-    fn cascades_memoized_replays_on_second_optimize() {
-        let schema = TpchSchema::new(1.0);
-        let query = QuerySpec::tpch_q3();
-        let mut plain =
-            optimizer(&schema, model(), PlannerKind::cascades(), ResourceStrategy::HillClimb);
-        let a = plain.optimize(&query).unwrap();
-        let mut memoized = optimizer(
-            &schema,
-            model(),
-            PlannerKind::cascades_memoized(),
-            ResourceStrategy::HillClimb,
-        );
-        let b = memoized.optimize(&query).unwrap();
-        assert_eq!(a.query, b.query, "memoization must not change the plan");
-        let c = memoized.optimize(&query).unwrap();
-        assert_eq!(a.query, c.query);
-        assert!(c.stats.memo_hits > 0, "second optimize must replay the cross-run memo");
-    }
-
-    #[test]
     fn cascades_budget_cut_returns_annotated_memo_cut_plan() {
         let schema = TpchSchema::new(1.0);
         let mut opt =
             optimizer(&schema, model(), PlannerKind::cascades(), ResourceStrategy::BruteForce);
         // Brute force charges 2 000 evaluations per getPlanCost call. The
         // seed warm-up for q3's two joins takes 4 000; 5 000 exhausts on
-        // the first exploration candidate, so the memo search is cut short
+        // the first exploration candidate, so the bushy search is cut short
         // *after* a complete seed plan was recorded — the cut must answer
         // in-rung with that plan, annotated as the memo_cut rung.
         opt.set_budget(PlanningBudget::with_max_evals(5_000));
@@ -1480,43 +1260,88 @@ mod tests {
     /// Past both exhaustive bounds, Selinger and the bushy search bridge to
     /// IDP from every entry point: `optimize` reports the bridge,
     /// fixed-resource planning plans, and a budget too small for any
-    /// resource search still plans on the rule-based rung.
+    /// resource search still plans on the rule-based rung. Inputs: a
+    /// 24-relation random join, and 32-relation chain and star queries.
     #[test]
     fn every_entry_point_bridges_past_the_bound() {
-        use raqo_catalog::RandomSchemaConfig;
-        let schema = RandomSchemaConfig::with_tables(26, 4).generate();
-        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 24, 7);
-        let catalog = std::sync::Arc::new(schema.catalog);
-        let graph = std::sync::Arc::new(schema.graph);
-        for planner in [PlannerKind::Selinger, PlannerKind::cascades()] {
-            let mut opt = RaqoOptimizer::new(
-                catalog.clone(),
-                graph.clone(),
-                model(),
-                ClusterConditions::paper_default(),
-                planner.clone(),
+        use raqo_catalog::{RandomSchema, RandomSchemaConfig};
+        let random = RandomSchemaConfig::with_tables(26, 4).generate();
+        let (chain, star) = (RandomSchema::chain(32, 32), RandomSchema::star(32, 32));
+        let every_table = |s: &RandomSchema| QuerySpec::new("q", s.catalog.table_ids().collect());
+        let inputs = [
+            (
+                &random,
+                QuerySpec::random_connected(&random.catalog, &random.graph, 24, 7),
                 ResourceStrategy::BruteForce,
-            );
-            let plan = opt.optimize(&query).expect("IDP bridge plans");
-            let d = plan.degradation.expect("the bridge must be reported");
-            assert_eq!(d.rung, DegradationRung::IdpBridge, "{planner:?}");
-            assert_eq!(d.trigger, DegradationTrigger::RelationBoundBridged, "{planner:?}");
-            assert_eq!(plan.query.joins.len(), 23);
+            ),
+            (&chain, every_table(&chain), ResourceStrategy::HillClimb),
+            (&star, every_table(&star), ResourceStrategy::HillClimb),
+        ];
+        for (schema, query, strategy) in &inputs {
+            let joins = query.relations.len() - 1;
+            for planner in [PlannerKind::Selinger, PlannerKind::cascades()] {
+                let case = format!("{planner:?}, {} relations", joins + 1);
+                let mut opt = RaqoOptimizer::new(
+                    &schema.catalog,
+                    &schema.graph,
+                    model(),
+                    ClusterConditions::paper_default(),
+                    planner.clone(),
+                    *strategy,
+                );
+                let plan = opt.optimize(query).expect("IDP bridge plans");
+                let d = plan.degradation.expect("the bridge must be reported");
+                assert_eq!(d.rung, DegradationRung::IdpBridge, "{case}");
+                assert_eq!(d.trigger, DegradationTrigger::RelationBoundBridged, "{case}");
+                assert_eq!(plan.query.joins.len(), joins, "{case}");
+                assert!(plan.query.cost.is_finite() && plan.query.cost > 0.0, "{case}");
 
-            let fixed = opt.plan_for_resources(&query, 10.0, 6.0).expect("fixed-resource bridge");
-            assert!(raqo_planner::plan::covers_exactly(&fixed.tree, &query.relations));
+                let fixed =
+                    opt.plan_for_resources(query, 10.0, 6.0).expect("fixed-resource bridge");
+                assert!(raqo_planner::plan::covers_exactly(&fixed.tree, &query.relations));
 
-            opt.set_budget(PlanningBudget::with_max_evals(0));
-            let plan = opt.optimize(&query).expect("the bottom rung always plans");
-            let d = plan.degradation.expect("the blown budget must be reported");
-            assert_eq!(d.rung, DegradationRung::RuleBased, "{planner:?}");
-            assert_eq!(plan.query.joins.len(), 23);
-            assert!(raqo_planner::plan::covers_exactly(&plan.query.tree, &query.relations));
+                opt.set_budget(PlanningBudget::with_max_evals(0));
+                let plan = opt.optimize(query).expect("the bottom rung always plans");
+                let d = plan.degradation.expect("the blown budget must be reported");
+                assert_eq!(d.rung, DegradationRung::RuleBased, "{case}");
+                assert_eq!(plan.query.joins.len(), joins, "{case}");
+                assert!(raqo_planner::plan::covers_exactly(&plan.query.tree, &query.relations));
+            }
         }
     }
 
+    /// `Counter::MemoHits` is still exported, and nothing bumps it: every
+    /// planner costs its candidates afresh on every run, and EXPLAIN
+    /// ANALYZE has no memo line to print.
     #[test]
-    fn memoized_bridge_replays_on_the_second_run() {
+    fn no_planner_counts_a_memo_hit() {
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_all(&schema);
+        for planner in [
+            PlannerKind::Selinger,
+            PlannerKind::idp(),
+            PlannerKind::fast_randomized(7),
+            PlannerKind::cascades(),
+        ] {
+            let tel = Telemetry::enabled();
+            let mut opt = optimizer(&schema, model(), planner.clone(), ResourceStrategy::HillClimb);
+            opt.set_telemetry(tel.clone());
+            let first = opt.optimize(&query).unwrap();
+            let second = opt.optimize(&query).unwrap();
+            assert_eq!(first.stats, second.stats, "{planner:?}");
+            let snap = tel.snapshot().unwrap();
+            assert_eq!(snap.get(Counter::PlanCostCalls), 2 * first.stats.plan_cost_calls);
+            assert_eq!(snap.get(Counter::MemoHits), 0, "{planner:?}");
+            let analyzed = crate::explain_analyze(&second, &schema.catalog, &tel);
+            assert!(!analyzed.contains("memo"), "{planner:?}: {analyzed}");
+        }
+    }
+
+    /// Nothing carries over between two bridged runs of one optimizer:
+    /// the second re-plans every sub-plan and gets the first's plan, bit
+    /// for bit, with the same `getPlanCost` accounting.
+    #[test]
+    fn bridged_rerun_replans_the_same_plan_from_scratch() {
         use raqo_catalog::RandomSchemaConfig;
         let schema = RandomSchemaConfig::with_tables(24, 19).generate();
         let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 22, 19);
@@ -1525,21 +1350,87 @@ mod tests {
             std::sync::Arc::new(schema.graph),
             model(),
             ClusterConditions::paper_default(),
-            PlannerKind::SelingerMemoized,
+            PlannerKind::Selinger,
             ResourceStrategy::HillClimb,
         );
         let a = opt.optimize(&query).expect("bridged plan");
         let b = opt.optimize(&query).expect("bridged plan");
-        assert_eq!(a.query.tree, b.query.tree);
-        // The memo keys on base-relation bitsets, so IDP's compound
-        // sub-plans replay across runs exactly like exhaustive DP's.
+        assert_eq!(a.degradation.map(|d| d.rung), Some(DegradationRung::IdpBridge));
+        assert_eq!(a.query, b.query);
+        assert_eq!(a.query.cost.to_bits(), b.query.cost.to_bits());
+        assert_eq!(a.stats, b.stats);
+        assert!(a.stats.plan_cost_calls > 0);
+    }
+
+    /// Re-planning after the cluster changes is planning afresh: the new
+    /// plan is what a fresh optimizer makes for the new conditions, and
+    /// going back gives the first plan again, bit for bit.
+    #[test]
+    fn each_cluster_gets_the_plan_a_fresh_optimizer_makes_for_it() {
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_q3();
+        let small = ClusterConditions::two_dim(1.0..=8.0, 1.0..=2.0, 1.0, 1.0);
+        let selinger =
+            || optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
+        let mut opt = selinger();
+        let first = opt.optimize(&query).unwrap();
+        opt.set_cluster(small.clone());
+        let shrunk = opt.optimize(&query).unwrap();
+        opt.set_cluster(ClusterConditions::paper_default());
+        let restored = opt.optimize(&query).unwrap();
+
+        let mut fresh = selinger();
+        fresh.set_cluster(small);
+        let expect = fresh.optimize(&query).unwrap();
+        assert_eq!(shrunk.query, expect.query);
+        assert_eq!(shrunk.query.cost.to_bits(), expect.query.cost.to_bits());
+        assert_eq!(shrunk.stats, expect.stats);
+        assert_ne!(shrunk.query, first.query, "the smaller cluster must change the decisions");
+        assert_eq!(restored.query, first.query);
+        assert_eq!(restored.query.cost.to_bits(), first.query.cost.to_bits());
+        assert_eq!(restored.stats, first.stats);
+    }
+
+    /// A bushy plan re-planned on the same optimizer, or on a fresh one,
+    /// is the first plan bit for bit after the same search.
+    #[test]
+    fn cascades_rerun_reproduces_the_first_plan_bit_for_bit() {
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_all(&schema);
+        let cascades =
+            || optimizer(&schema, model(), PlannerKind::cascades(), ResourceStrategy::HillClimb);
+        let mut opt = cascades();
+        let first = opt.optimize(&query).unwrap();
+        let again = opt.optimize(&query).unwrap();
+        let fresh = cascades().optimize(&query).unwrap();
+        for (case, run) in [("rerun", &again), ("fresh", &fresh)] {
+            assert_eq!(run.query, first.query, "{case}");
+            assert_eq!(run.query.cost.to_bits(), first.query.cost.to_bits(), "{case}");
+            assert_eq!(run.stats, first.stats, "{case}");
+        }
+    }
+
+    /// What carries over between runs is the resource-plan cache (§VI-B),
+    /// not sub-plans: a rerun on a warm exact-match cache costs every
+    /// candidate join again, answers its resource searches from the cache,
+    /// and lands on the same plan.
+    #[test]
+    fn a_warm_cache_rerun_reuses_resource_plans_not_sub_plans() {
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_all(&schema);
+        let strategy = ResourceStrategy::HillClimbCached(CacheLookup::Exact);
+        let mut opt = optimizer(&schema, model(), PlannerKind::Selinger, strategy);
+        let cold = opt.optimize(&query).unwrap();
+        let warm = opt.optimize(&query).unwrap();
+        assert_eq!(warm.query, cold.query);
+        assert_eq!(warm.stats.plan_cost_calls, cold.stats.plan_cost_calls);
         assert!(
-            b.stats.memo_hits > a.stats.memo_hits,
-            "second bridged run never hit the memo: first={} second={}",
-            a.stats.memo_hits,
-            b.stats.memo_hits
+            warm.stats.cache_hits > cold.stats.cache_hits,
+            "the rerun never hit the warm cache: cold={:?} warm={:?}",
+            cold.stats,
+            warm.stats
         );
-        assert!(b.stats.plan_cost_calls < a.stats.plan_cost_calls);
+        assert!(warm.stats.resource_iterations < cold.stats.resource_iterations);
     }
 }
 

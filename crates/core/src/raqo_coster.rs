@@ -58,8 +58,7 @@ pub enum Objective {
 
 impl Objective {
     /// A stable `(tag, parameter)` identity, for keys that must tell
-    /// objectives apart: the Selinger memo's context and the cache bank's
-    /// operator id.
+    /// objectives apart: the cache bank's operator id.
     pub(crate) fn tag(&self) -> (u64, f64) {
         match *self {
             Objective::Time => (0, 0.0),
@@ -143,10 +142,6 @@ pub struct RaqoStats {
     pub plan_cost_calls: u64,
     /// Resource-planning invocations answered by the cache.
     pub cache_hits: u64,
-    /// `getPlanCost` invocations answered by the planner's sub-plan memo
-    /// (randomized planner with [`raqo_planner::RandomizedConfig::memoize`]);
-    /// each hit skipped a full resource-planning search.
-    pub memo_hits: u64,
 }
 
 impl RaqoStats {
@@ -163,7 +158,6 @@ impl RaqoStats {
             cache_hits: after.delta(before, Counter::CacheHitsExact)
                 + after.delta(before, Counter::CacheHitsNearest)
                 + after.delta(before, Counter::CacheHitsWeighted),
-            memo_hits: after.delta(before, Counter::MemoHits),
         }
     }
 }
@@ -781,7 +775,6 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
             self.stats.resource_iterations += stats.resource_iterations;
             self.stats.plan_cost_calls += stats.plan_cost_calls;
             self.stats.cache_hits += stats.cache_hits;
-            self.stats.memo_hits += stats.memo_hits;
         }
         out
     }

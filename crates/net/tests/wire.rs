@@ -135,6 +135,52 @@ fn wire_plans_match_in_process_planning_bit_for_bit() {
     server.shutdown();
 }
 
+/// Eight clients on their own threads, each in its own tenant namespace,
+/// plan several queries in turn with no fault armed: every reply carries
+/// a plan, none is shed, and each is byte-identical to planning the same
+/// sequence in process.
+#[test]
+fn concurrent_connections_each_get_their_in_process_plans() {
+    const CONNECTIONS: u32 = 8;
+    let queries =
+        [QuerySpec::tpch_q3(), QuerySpec::tpch_q12(), QuerySpec::tpch_q2(), QuerySpec::tpch_q3()];
+    let (server, _tel) = start_server(NetConfig::default(), ServiceConfig::default());
+    let addr = server.local_addr();
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let queries = queries.clone();
+            std::thread::spawn(move || {
+                let mut client = PlanClient::connect(addr, ClientConfig::default()).unwrap();
+                let mut replies = Vec::new();
+                for query in &queries {
+                    let reply = client
+                        .plan_with(query, Priority::Standard, 100 + c, 0)
+                        .expect("wire plan");
+                    assert!(!reply.shed && !reply.deadline_expired, "connection {c}");
+                    let summary = reply.plan.expect("every reply carries a plan");
+                    assert!(summary.degradation.is_none(), "connection {c}: {summary:?}");
+                    replies.push(reply.plan_json);
+                }
+                replies
+            })
+        })
+        .collect();
+    let wire: Vec<Vec<String>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    server.shutdown();
+
+    // The twin replays each namespace's sequence: a namespace's cache
+    // entries see only its own requests, in the same order.
+    let local = start_service(ServiceConfig::default(), Telemetry::disabled());
+    for (c, replies) in (100..).zip(&wire) {
+        for (query, json) in queries.iter().zip(replies) {
+            let request = PlanRequest::new(query.clone(), Priority::Standard).with_namespace(c);
+            let plan = local.submit(request).wait().plan;
+            let local = serde_json::to_string(&plan).unwrap();
+            assert_eq!(*json, local, "namespace {c}, {}", query.name);
+        }
+    }
+}
+
 #[test]
 fn reply_carries_trace_id_and_timings() {
     let (server, _tel) = start_server(NetConfig::default(), ServiceConfig::default());
@@ -143,6 +189,33 @@ fn reply_carries_trace_id_and_timings() {
     assert_ne!(reply.trace_id, 0, "enabled telemetry stamps a trace id into the frame");
     assert!(reply.service_us > 0);
     server.shutdown();
+}
+
+/// A reply's plan JSON reports exactly the planner's three counters —
+/// resource iterations, `getPlanCost` calls, cache hits — as whole
+/// numbers describing real work.
+#[test]
+fn reply_stats_carry_exactly_the_planner_counters() {
+    use serde_json::Value;
+    let (server, _tel) = start_server(NetConfig::default(), ServiceConfig::default());
+    let mut client = PlanClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+    let reply = client.plan(&QuerySpec::tpch_q3(), Priority::Standard).unwrap();
+    server.shutdown();
+    let field = |value: &Value, name: &str| match value {
+        Value::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone()),
+        _ => None,
+    };
+    let plan = serde_json::from_str(&reply.plan_json).expect("the plan JSON parses");
+    let Some(Value::Object(stats)) = field(&plan, "stats") else {
+        panic!("no stats object in {}", reply.plan_json);
+    };
+    let names: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["resource_iterations", "plan_cost_calls", "cache_hits"]);
+    for (name, value) in &stats {
+        let Value::Num(n) = value else { panic!("{name} = {value:?}") };
+        assert!(n.fract() == 0.0 && *n >= 0.0, "{name} = {n}");
+    }
+    assert!(matches!(field(&Value::Object(stats), "plan_cost_calls"), Some(Value::Num(n)) if n > 0.0));
 }
 
 #[test]

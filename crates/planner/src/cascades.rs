@@ -17,8 +17,8 @@
 //!   dimension×dimension products.
 //! * **Costing** — every candidate goes once through the same
 //!   [`PlanCoster::join_cost`] seam as Selinger (`getPlanCost`, §VI-C), so
-//!   resource planning, the plan-cost cache, [`CostMemo`] and planning
-//!   budgets compose unchanged; a level goes in
+//!   resource planning, the plan-cost cache and planning budgets compose
+//!   unchanged; a level goes in
 //!   [`PlanCoster::join_cost_many`] batches of at most [`BATCH_CANDIDATES`].
 //! * **Winners** — lowest total cost, then least intermediate data
 //!   (Σ `out_gb`), then the seed split, then the first enumerated. The
@@ -30,12 +30,14 @@
 //! budget, polled at every subset) fires, the tables still hold one — the
 //! finished levels' plans under the rest of the chain — which is returned
 //! with `cut_short` set, the optimizer's mildest degradation rung.
+//!
+//! The finished plan is read off the tables: every planned subset's top
+//! split holds its costed join, so nothing is costed after the search.
 
-use crate::cardinality::{bits, CardinalityEstimator, JoinIo, LocalView};
+use crate::cardinality::{CardinalityEstimator, JoinIo, LocalView};
 use crate::coster::{
-    cost_batch, cost_tree, JoinDecision, PlanCoster, PlannedQuery, BATCH_CANDIDATES,
+    cost_batch, JoinDecision, PlanCoster, PlannedJoin, PlannedQuery, BATCH_CANDIDATES,
 };
-use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
 use raqo_resource::Parallelism;
@@ -64,10 +66,6 @@ pub struct CascadesConfig {
     /// Queries with more relations fail with
     /// [`CascadesError::TooManyRelations`]; at most [`CASCADES_MAX_RELATIONS`].
     pub max_relations: usize,
-    /// Reuse a [`CostMemo`] across runs (the optimizer owns the memo and
-    /// its context fingerprint, exactly as for Selinger): candidates are
-    /// looked up in the caller's memo before they are costed, and recorded.
-    pub memoize: bool,
     /// Admit a cross-product split only when the subset's estimated output
     /// is at most this many rows. Non-positive rejects all cross products
     /// (the seed chain still bypasses the cap).
@@ -78,7 +76,6 @@ impl Default for CascadesConfig {
     fn default() -> Self {
         CascadesConfig {
             max_relations: DEFAULT_CASCADES_THRESHOLD,
-            memoize: false,
             cross_rows_cap: DEFAULT_CROSS_ROWS_CAP,
         }
     }
@@ -117,13 +114,13 @@ pub struct CascadesOutcome {
     pub cut_short: bool,
     /// Subsets a plan was found for (single relations included).
     pub groups: usize,
-    /// Candidate splits costed (or found in the caller's memo), each once.
+    /// Candidate splits costed, each once.
     pub expressions: usize,
     /// Subsets of two or more relations visited.
     pub tasks: u64,
 }
 
-/// A costed join: what [`CostMemo`] stores and a finished plan reports.
+/// A costed join: what the tables hold and a finished plan reports.
 type Costed = (JoinIo, JoinDecision);
 
 /// One run. Subsets are `usize` masks over `rels` and index every table.
@@ -132,10 +129,6 @@ struct Search<'a> {
     /// The statistics of `rels`, one item per relation.
     view: &'a LocalView,
     coster: &'a mut dyn PlanCoster,
-    /// The caller's memo, or a per-run scratch one the final replay reads.
-    memo: &'a mut CostMemo,
-    /// Look candidates up in `memo` before costing them, and record them.
-    memoize: bool,
     parallelism: Parallelism,
     cross_rows_cap: f64,
     stop: Option<&'a dyn Fn() -> bool>,
@@ -158,19 +151,9 @@ struct Search<'a> {
     cands: Vec<(usize, usize)>,
     expressions: usize,
     tasks: u64,
-    /// Relation lists of the two sides last handed to `est` or `memo`.
-    lrels: Vec<TableId>,
-    rrels: Vec<TableId>,
 }
 
 impl Search<'_> {
-    fn load_sides(&mut self, l: usize, r: usize) {
-        for (mask, out) in [(l, &mut self.lrels), (r, &mut self.rrels)] {
-            out.clear();
-            out.extend(bits(mask as u64).map(|i| self.rels[i]));
-        }
-    }
-
     /// `(rows, GB)` of a subset, relations accumulated in ascending order.
     fn size(&mut self, mask: usize) -> (f64, f64) {
         if self.size[mask].0.is_nan() {
@@ -246,44 +229,22 @@ impl Search<'_> {
         }
     }
 
-    /// Cost the gathered candidates — from the caller's memo when it holds
-    /// them, through the coster otherwise — and fold them into the tables.
-    /// False when the budget fired meanwhile: the coster then reports
-    /// infeasible, and neither the search nor a memo may build on that.
+    /// Cost the gathered candidates and fold them into the tables. False
+    /// when the budget fired meanwhile: the coster then reports infeasible,
+    /// and the search may not build on that.
     fn flush(&mut self) -> bool {
         let cands = std::mem::take(&mut self.cands);
-        let (mut known, mut ios) = (Vec::with_capacity(cands.len()), Vec::new());
-        for &(mask, s) in &cands {
-            let mut cached = None;
-            if self.memoize {
-                self.load_sides(s, mask ^ s);
-                cached = self.memo.get(&self.lrels, &self.rrels);
-            }
-            if cached.is_none() {
-                ios.push(self.join_io(mask, s));
-            }
-            known.push(cached);
-        }
+        let ios: Vec<JoinIo> = cands.iter().map(|&(mask, s)| self.join_io(mask, s)).collect();
         let decisions = cost_batch(&mut *self.coster, &ios, self.parallelism);
         let poisoned = !ios.is_empty() && self.stop.is_some_and(|stop| stop());
-        let mut costed = ios.iter().zip(decisions).map(|(&io, d)| d.map(|d| (io, d)));
-        for (&(mask, s), known) in cands.iter().zip(known) {
-            let outcome = known.unwrap_or_else(|| {
-                let outcome = costed.next().expect("one decision per uncached candidate");
-                if self.memoize && (outcome.is_some() || !poisoned) {
-                    // Both ways round: the final tree may mirror the split.
-                    self.load_sides(s, mask ^ s);
-                    self.memo.record(&self.lrels, &self.rrels, outcome);
-                    self.memo.record(&self.rrels, &self.lrels, outcome);
-                }
-                outcome
-            });
-            let Some(join) = outcome else { continue };
+        for ((&(mask, s), io), decision) in cands.iter().zip(ios).zip(decisions) {
+            let Some(decision) = decision else { continue };
+            let join = (io, decision);
             // Strictly cheaper, or as cheap and moving less data.
             let totals = self.totals(mask, s, &join);
             if totals < self.best[mask] {
                 self.best[mask] = totals;
-                self.top[mask] = (s, outcome);
+                self.top[mask] = (s, Some(join));
             }
         }
         self.expressions += cands.len();
@@ -317,20 +278,32 @@ impl Search<'_> {
         true
     }
 
-    /// The tree the tables hold for a planned `mask`, its joins recorded in
-    /// `memo` for the final replay. The larger half goes left (`join_io` is
-    /// side-symmetric, so cost is unchanged): linear trees come out
+    /// The tree the tables hold for a planned `mask` and its relations in
+    /// leaf order; its joins are pushed onto `joins` in execution order
+    /// (left subtree, right subtree, then the join), each under a
+    /// `final_cost.join.<mask>` span. The larger half goes left (`join_io`
+    /// is side-symmetric, so cost is unchanged): linear trees come out
     /// left-deep, the Selinger convention explain and parity checks rely on.
-    fn assemble(&mut self, mask: usize) -> PlanTree {
+    fn assemble(
+        &self,
+        mask: usize,
+        tel: &Telemetry,
+        joins: &mut Vec<PlannedJoin>,
+    ) -> (PlanTree, Vec<TableId>) {
         if mask & (mask - 1) == 0 {
-            return PlanTree::leaf(self.rels[mask.trailing_zeros() as usize]);
+            let t = self.rels[mask.trailing_zeros() as usize];
+            return (PlanTree::leaf(t), vec![t]);
         }
         let (s, join) = self.top[mask];
+        let (io, decision) = join.expect("a planned subset holds its top join");
         let t = mask ^ s;
         let (l, r) = if s.count_ones() < t.count_ones() { (t, s) } else { (s, t) };
-        self.load_sides(l, r);
-        self.memo.record(&self.lrels, &self.rrels, join);
-        PlanTree::join(self.assemble(l), self.assemble(r))
+        let (ltree, left) = self.assemble(l, tel, joins);
+        let (rtree, right) = self.assemble(r, tel, joins);
+        let _span = tel.span_labeled("final_cost.join", mask);
+        let all = [left.as_slice(), &right].concat();
+        joins.push(PlannedJoin { left, right, io, decision });
+        (PlanTree::join(ltree, rtree), all)
     }
 }
 
@@ -338,7 +311,7 @@ impl Search<'_> {
 pub struct CascadesPlanner;
 
 impl CascadesPlanner {
-    /// Plan with default wiring: no parallelism, memo, telemetry or budget probe.
+    /// Plan with default wiring: no parallelism, telemetry or budget probe.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -347,13 +320,13 @@ impl CascadesPlanner {
         config: &CascadesConfig,
     ) -> Result<CascadesOutcome, CascadesError> {
         let tel = Telemetry::disabled();
-        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, None, &tel, config, None)
+        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, &tel, config, None)
     }
 
-    /// Full-wiring entry point: thread parallelism for batched costing, an
-    /// optional cross-run [`CostMemo`], telemetry (a `cascades.level.<k>` span
-    /// per subset size, a `cascades.final_cost` span around the replay, three
-    /// counters), and a `stop` probe for budget/deadline cut-off.
+    /// Full-wiring entry point: thread parallelism for batched costing,
+    /// telemetry (a `cascades.level.<k>` span per subset size, a
+    /// `cascades.final_cost` span around reading the plan off the tables,
+    /// three counters), and a `stop` probe for budget/deadline cut-off.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_traced(
         catalog: &Catalog,
@@ -361,7 +334,6 @@ impl CascadesPlanner {
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
-        memo: Option<&mut CostMemo>,
         tel: &Telemetry,
         config: &CascadesConfig,
         stop: Option<&dyn Fn() -> bool>,
@@ -377,13 +349,6 @@ impl CascadesPlanner {
         if n > max {
             return Err(CascadesError::TooManyRelations { n, max });
         }
-        // The finished tree is replayed from a memo holding its joins, so
-        // nothing is costed twice and the replay needs nothing from a
-        // (possibly exhausted) coster: the caller's memo, or a scratch one.
-        let memoize = config.memoize && memo.is_some();
-        let mut scratch = CostMemo::default();
-        let memo = memo.unwrap_or(&mut scratch);
-        memo.ensure_relations(&rels);
         let est = CardinalityEstimator::new(catalog, graph);
         let view = est.local_view(rels.iter().map(std::slice::from_ref));
         let slots = 1usize << n;
@@ -396,8 +361,6 @@ impl CascadesPlanner {
             rels: &rels,
             view: &view,
             coster,
-            memo,
-            memoize,
             parallelism,
             cross_rows_cap: config.cross_rows_cap,
             stop,
@@ -411,8 +374,6 @@ impl CascadesPlanner {
             cands: Vec::new(),
             expressions: 0,
             tasks: 0,
-            lrels: Vec::with_capacity(n),
-            rrels: Vec::with_capacity(n),
         };
         // Before any search work, so a cut at any subset can still answer.
         search.seed_chain();
@@ -428,10 +389,10 @@ impl CascadesPlanner {
         if search.best[slots - 1].0.is_infinite() {
             return Err(CascadesError::Infeasible);
         }
-        let tree = search.assemble(slots - 1);
         let _final_span = tel.span("cascades.final_cost");
-        let planned = cost_tree(&tree, &est, &mut *search.coster, Some(&mut *search.memo), tel)
-            .ok_or(CascadesError::Infeasible)?;
+        let mut joins = Vec::with_capacity(n - 1);
+        let (tree, _) = search.assemble(slots - 1, tel, &mut joins);
+        let planned = PlannedQuery::new(tree, joins);
         let (expressions, tasks) = (search.expressions, search.tasks);
         Ok(CascadesOutcome { planned, cut_short, groups, expressions, tasks })
     }
@@ -440,7 +401,7 @@ impl CascadesPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coster::FixedResourceCoster;
+    use crate::coster::{cost_tree, FixedResourceCoster};
     use crate::oracle::brute_force;
     use crate::selinger::SelingerPlanner;
     use raqo_catalog::{Catalog, QuerySpec, RandomSchema, TableStats};
@@ -650,21 +611,36 @@ mod tests {
 
     #[test]
     fn stop_probe_cuts_search_short_with_seed_plan() {
+        /// Counts every `getPlanCost` call, single or batched, in one cell
+        /// the stop probe can read.
+        struct Counting<'a> {
+            inner: FixedResourceCoster<'a, SimOracleCost>,
+            calls: &'a Cell<u64>,
+        }
+        impl PlanCoster for Counting<'_> {
+            fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+                self.calls.set(self.calls.get() + 1);
+                self.inner.join_cost(io)
+            }
+        }
         let s = RandomSchema::chain(8, 4);
         let model = SimOracleCost::hive();
         let q = QuerySpec::new("q", s.catalog.table_ids().collect());
-        let fired = Cell::new(false);
-        let stop = move || {
-            fired.set(true);
+        let calls = Cell::new(0);
+        // Calls made when the probe last fired: the seed chain polls it
+        // after each of its joins, the search once before cutting.
+        let fired = Cell::new(None);
+        let stop = || {
+            fired.set(Some(calls.get()));
             true
         };
+        let mut coster = Counting { inner: fixed(&model), calls: &calls };
         let out = CascadesPlanner::plan_traced(
             &s.catalog,
             &s.graph,
             &q,
-            &mut fixed(&model),
+            &mut coster,
             Parallelism::Off,
-            None,
             &Telemetry::disabled(),
             &CascadesConfig::default(),
             Some(&stop),
@@ -672,49 +648,70 @@ mod tests {
         .unwrap();
         assert!(out.cut_short);
         assert_eq!(out.tasks, 0, "stop fired before the first task");
+        // The seed chain's seven joins were costed before the search, and
+        // nothing after the cut: the plan is read off the tables.
+        assert_eq!(fired.get(), Some(7));
+        assert_eq!(calls.get(), 7);
         // The fallback is still a complete, costed plan.
         assert_eq!(out.planned.joins.len(), 7);
         assert!(out.planned.cost > 0.0);
         assert!(out.planned.tree.is_left_deep());
     }
 
-    #[test]
-    fn memoized_run_matches_unmemoized_and_hits_on_rerun() {
-        let (catalog, graph) = fact_dim_star(6);
-        let model = SimOracleCost::hive();
-        let q = QuerySpec::new("q", catalog.table_ids().collect());
-        let plain = CascadesPlanner::plan(
-            &catalog,
-            &graph,
-            &q,
-            &mut fixed(&model),
-            &CascadesConfig::default(),
-        )
-        .unwrap();
-        let mut memo = CostMemo::new(&q.relations);
-        let run = |memo: &mut CostMemo| {
-            CascadesPlanner::plan_traced(
-                &catalog,
-                &graph,
-                &q,
-                &mut fixed(&model),
-                Parallelism::Off,
-                Some(memo),
-                &Telemetry::disabled(),
-                &CascadesConfig { memoize: true, ..Default::default() },
-                None,
-            )
-            .unwrap()
-        };
-        let first = run(&mut memo);
-        assert_eq!(first.planned.cost, plain.planned.cost);
-        let hits_after_first = memo.hits();
-        let second = run(&mut memo);
-        assert_eq!(second.planned, first.planned);
-        assert!(
-            memo.hits() > hits_after_first,
-            "second run must replay memoized decisions"
-        );
+    proptest::proptest! {
+        /// The plan read off the tables is the plan a fresh walk of its
+        /// tree costs: the same joins in the same order — sides in leaf
+        /// order, the decision a fresh coster makes for each join's
+        /// `JoinIo` — and the same cost to the bit. The walk takes each
+        /// join's statistics over its relation sets in ascending order, as
+        /// the DP does; `cost_tree` folds them in leaf order, which moves
+        /// the floats by an ulp or so and nothing else.
+        fn assembled_bushy_plan_bit_matches_a_fresh_walk(
+            shape in 0usize..3,
+            n in 2usize..9,
+            seed in 0u64..1000,
+        ) {
+            let schema = match shape {
+                0 => RandomSchema::chain(n, seed),
+                1 => RandomSchema::star(n, seed),
+                _ => RandomSchema::clique(n, seed),
+            };
+            let (catalog, graph) = (&schema.catalog, &schema.graph);
+            let model = SimOracleCost::hive();
+            let q = QuerySpec::new("q", catalog.table_ids().collect());
+            let config = CascadesConfig::default();
+            let out = CascadesPlanner::plan(catalog, graph, &q, &mut fixed(&model), &config);
+            let planned = out.unwrap().planned;
+            let est = CardinalityEstimator::new(catalog, graph);
+            let tel = Telemetry::disabled();
+            let walked = cost_tree(&planned.tree, &est, &mut fixed(&model), &tel).unwrap();
+
+            let ascending = |sides: &[&[TableId]]| {
+                let mut set = sides.concat();
+                set.sort_unstable();
+                set
+            };
+            let mut coster = fixed(&model);
+            let mut cost = 0.0;
+            proptest::prop_assert_eq!(planned.joins.len(), walked.joins.len());
+            for (got, walk) in planned.joins.iter().zip(&walked.joins) {
+                let (l, r) = (ascending(&[&walk.left]), ascending(&[&walk.right]));
+                let out = est.set_size(&ascending(&[&l, &r]), &[]);
+                let io = JoinIo::of(est.set_gb(&l), est.set_gb(&r), out);
+                let want = PlannedJoin {
+                    left: walk.left.clone(),
+                    right: walk.right.clone(),
+                    io,
+                    decision: coster.join_cost(&io).unwrap(),
+                };
+                proptest::prop_assert_eq!(got, &want);
+                proptest::prop_assert_eq!(got.decision.join, walk.decision.join);
+                cost += want.decision.cost;
+            }
+            proptest::prop_assert_eq!(&planned.tree, &walked.tree);
+            proptest::prop_assert_eq!(planned.cost.to_bits(), cost.to_bits());
+            proptest::prop_assert!((planned.cost - walked.cost).abs() <= 1e-9 * walked.cost);
+        }
     }
 
     #[test]
@@ -736,7 +733,6 @@ mod tests {
             &q,
             &mut fixed(&model),
             Parallelism::Threads(4),
-            None,
             &Telemetry::disabled(),
             &CascadesConfig::default(),
             None,
@@ -809,7 +805,131 @@ mod tests {
         .unwrap();
         let est = CardinalityEstimator::new(&catalog, &graph);
         let tel = Telemetry::disabled();
-        let recosted = cost_tree(&out.planned.tree, &est, &mut fixed(&model), None, &tel).unwrap();
+        let recosted = cost_tree(&out.planned.tree, &est, &mut fixed(&model), &tel).unwrap();
         assert_eq!(recosted.cost, out.planned.cost);
+    }
+
+    /// A bushy winner, a clique's and a chain's, each planned over all its
+    /// relations.
+    fn assembled_shapes() -> Vec<(Catalog, JoinGraph)> {
+        let clique = RandomSchema::clique(7, 5);
+        let chain = RandomSchema::chain(8, 3);
+        vec![fact_dim_star(8), (clique.catalog, clique.graph), (chain.catalog, chain.graph)]
+    }
+
+    /// The `(left, right)` relation lists of every join node of `tree`,
+    /// left subtree, right subtree, then the node.
+    fn post_order(tree: &PlanTree, out: &mut Vec<(Vec<TableId>, Vec<TableId>)>) {
+        if let PlanTree::Join(l, r) = tree {
+            post_order(l, out);
+            post_order(r, out);
+            out.push((l.relations(), r.relations()));
+        }
+    }
+
+    /// The plan read off the tables lists its joins in the tree's
+    /// execution order, each side the relations of that subtree in leaf
+    /// order, and the larger half of every split on the left.
+    #[test]
+    fn assembled_joins_follow_the_tree_with_the_larger_half_left() {
+        let model = SimOracleCost::hive();
+        for (catalog, graph) in &assembled_shapes() {
+            let q = QuerySpec::new("q", catalog.table_ids().collect());
+            let config = CascadesConfig::default();
+            let planned =
+                CascadesPlanner::plan(catalog, graph, &q, &mut fixed(&model), &config)
+                    .unwrap()
+                    .planned;
+            let mut nodes = Vec::new();
+            post_order(&planned.tree, &mut nodes);
+            let sides: Vec<_> =
+                planned.joins.iter().map(|j| (j.left.clone(), j.right.clone())).collect();
+            assert_eq!(sides, nodes);
+            for (left, right) in &nodes {
+                assert!(left.len() >= right.len(), "{left:?} ⋈ {right:?}");
+            }
+            assert_eq!(planned.tree.is_left_deep(), nodes.iter().all(|(_, r)| r.len() == 1));
+        }
+    }
+
+    /// With telemetry on, reading the plan off the tables opens one
+    /// `final_cost.join.<mask>` span per join under `cascades.final_cost`,
+    /// in join order, `<mask>` the join's output set over the sorted
+    /// relations: the spans EXPLAIN ANALYZE attributes time by.
+    #[test]
+    fn final_cost_opens_one_span_per_join_keyed_by_its_relation_set() {
+        use crate::coster::relation_set_mask;
+        let model = SimOracleCost::hive();
+        for (catalog, graph) in &assembled_shapes() {
+            let q = QuerySpec::new("q", catalog.table_ids().collect());
+            let tel = Telemetry::enabled();
+            let out = CascadesPlanner::plan_traced(
+                catalog,
+                graph,
+                &q,
+                &mut fixed(&model),
+                Parallelism::Off,
+                &tel,
+                &CascadesConfig::default(),
+                None,
+            )
+            .unwrap();
+            let spans = tel.spans();
+            let final_id = spans
+                .iter()
+                .find(|s| s.name == "cascades.final_cost")
+                .expect("a traced run opens the final-cost span")
+                .id;
+            let got: Vec<&str> = spans
+                .iter()
+                .filter(|s| s.parent == Some(final_id))
+                .map(|s| s.name.as_str())
+                .collect();
+            let mut rels = q.relations.clone();
+            rels.sort_unstable();
+            let want: Vec<String> = out
+                .planned
+                .joins
+                .iter()
+                .map(|j| {
+                    let set = [j.left.as_slice(), &j.right].concat();
+                    format!("final_cost.join.{}", relation_set_mask(&rels, &set).unwrap())
+                })
+                .collect();
+            assert_eq!(got, want);
+            let joins = spans.iter().filter(|s| s.name.starts_with("final_cost.join.")).count();
+            assert_eq!(joins, out.planned.joins.len(), "no join span outside the final cost");
+        }
+    }
+
+    /// Tracing records the search; it does not steer it. Telemetry on or
+    /// off, the same plan to the bit after the same amount of work.
+    #[test]
+    fn tracing_leaves_plan_and_search_unchanged() {
+        let model = SimOracleCost::hive();
+        for (catalog, graph) in &assembled_shapes() {
+            let q = QuerySpec::new("q", catalog.table_ids().collect());
+            let config = CascadesConfig::default();
+            let plain =
+                CascadesPlanner::plan(catalog, graph, &q, &mut fixed(&model), &config).unwrap();
+            let tel = Telemetry::enabled();
+            let traced = CascadesPlanner::plan_traced(
+                catalog,
+                graph,
+                &q,
+                &mut fixed(&model),
+                Parallelism::Off,
+                &tel,
+                &config,
+                None,
+            )
+            .unwrap();
+            assert_eq!(traced, plain);
+            assert_eq!(traced.planned.cost.to_bits(), plain.planned.cost.to_bits());
+            let snap = tel.snapshot().expect("enabled");
+            assert_eq!(snap.get(Counter::CascadesGroups), plain.groups as u64);
+            assert_eq!(snap.get(Counter::CascadesExpressions), plain.expressions as u64);
+            assert_eq!(snap.get(Counter::CascadesTasks), plain.tasks);
+        }
     }
 }

@@ -16,7 +16,6 @@
 //! count explored configurations and maintain caches.
 
 use crate::cardinality::{CardinalityEstimator, JoinIo};
-use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use raqo_catalog::TableId;
 use raqo_cost::objective::CostVector;
@@ -114,21 +113,31 @@ pub struct PlannedQuery {
     pub objectives: CostVector,
 }
 
+impl PlannedQuery {
+    /// The plan of `tree` whose joins, in execution order, are `joins`:
+    /// costs summed and objectives folded in that order.
+    pub fn new(tree: PlanTree, joins: Vec<PlannedJoin>) -> Self {
+        let cost = joins.iter().map(|j| j.decision.cost).sum();
+        let objectives = joins
+            .iter()
+            .fold(CostVector::ZERO, |acc, j| acc.add(&j.decision.objectives));
+        PlannedQuery { tree, joins, cost, objectives }
+    }
+}
+
 /// Cost an entire plan tree with a coster. Returns `None` when any join is
 /// infeasible. Single-relation plans cost zero.
 ///
-/// With a `memo`, identical (left, right) joins across calls are costed
-/// once (see [`CostMemo`]). With telemetry enabled, each join's costing is
-/// wrapped in a labeled span `final_cost.join.<mask>`, `<mask>` being the
-/// join's *output* relation-set bitmask over the tree's sorted relation
-/// list: EXPLAIN ANALYZE matches those spans by mask, so the attribution
-/// is position-independent and correct on bushy trees too. Decisions are
-/// the same whichever of the four ways the walk runs.
+/// With telemetry enabled, each join's costing is wrapped in a labeled
+/// span `final_cost.join.<mask>`, `<mask>` being the join's *output*
+/// relation-set bitmask over the tree's sorted relation list: EXPLAIN
+/// ANALYZE matches those spans by mask, so the attribution is
+/// position-independent and correct on bushy trees too. Decisions are the
+/// same traced or not.
 pub fn cost_tree(
     tree: &PlanTree,
     est: &CardinalityEstimator<'_>,
     coster: &mut dyn PlanCoster,
-    memo: Option<&mut CostMemo>,
     tel: &Telemetry,
 ) -> Option<PlannedQuery> {
     let sorted = tel.is_enabled().then(|| {
@@ -138,20 +147,15 @@ pub fn cost_tree(
         sorted
     });
     let mut joins = Vec::new();
-    let rels = cost_rec(tree, est, coster, memo, sorted.as_deref(), tel, &mut joins)?;
+    let rels = cost_rec(tree, est, coster, sorted.as_deref(), tel, &mut joins)?;
     debug_assert_eq!(rels.len(), tree.relations().len());
-    let cost = joins.iter().map(|j| j.decision.cost).sum();
-    let objectives = joins
-        .iter()
-        .fold(CostVector::ZERO, |acc, j| acc.add(&j.decision.objectives));
-    Some(PlannedQuery { tree: tree.clone(), joins, cost, objectives })
+    Some(PlannedQuery::new(tree.clone(), joins))
 }
 
 fn cost_rec(
     tree: &PlanTree,
     est: &CardinalityEstimator<'_>,
     coster: &mut dyn PlanCoster,
-    mut memo: Option<&mut CostMemo>,
     sorted: Option<&[TableId]>,
     tel: &Telemetry,
     joins: &mut Vec<PlannedJoin>,
@@ -159,20 +163,15 @@ fn cost_rec(
     match tree {
         PlanTree::Leaf(t) => Some(vec![*t]),
         PlanTree::Join(l, r) => {
-            let lrels = cost_rec(l, est, coster, memo.as_deref_mut(), sorted, tel, joins)?;
-            let rrels = cost_rec(r, est, coster, memo.as_deref_mut(), sorted, tel, joins)?;
+            let lrels = cost_rec(l, est, coster, sorted, tel, joins)?;
+            let rrels = cost_rec(r, est, coster, sorted, tel, joins)?;
             let mut all = lrels.clone();
             all.extend_from_slice(&rrels);
             let _span = sorted
                 .and_then(|sorted| relation_set_mask(sorted, &all))
                 .map(|m| tel.span_labeled("final_cost.join", m as usize));
-            let (io, decision) = match memo {
-                Some(m) => m.join_cost(&lrels, &rrels, est, coster)?,
-                None => {
-                    let io = est.join_io(&lrels, &rrels);
-                    (io, coster.join_cost(&io)?)
-                }
-            };
+            let io = est.join_io(&lrels, &rrels);
+            let decision = coster.join_cost(&io)?;
             joins.push(PlannedJoin { left: lrels, right: rrels, io, decision });
             Some(all)
         }
@@ -248,14 +247,14 @@ mod tests {
         est: &CardinalityEstimator<'_>,
         coster: &mut dyn PlanCoster,
     ) -> Option<PlannedQuery> {
-        cost_tree(tree, est, coster, None, &Telemetry::disabled())
+        cost_tree(tree, est, coster, &Telemetry::disabled())
     }
 
-    /// Telemetry on or off, memo or none: one walk, the same plan. A traced
-    /// run leaves one `final_cost.join.<mask>` span per join, keyed by the
-    /// join's output set, and a memo replay costs nothing.
+    /// Telemetry on or off: one walk, the same plan. A traced run leaves
+    /// one `final_cost.join.<mask>` span per join, keyed by the join's
+    /// output set.
     #[test]
-    fn one_walk_whatever_it_records_or_replays() {
+    fn one_walk_whatever_it_records() {
         let (schema, model) = setup();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         // (customer ⋈ orders) ⋈ (lineitem ⋈ supplier): bushy, and the
@@ -277,17 +276,14 @@ mod tests {
             })
             .collect();
 
-        let mut memo = CostMemo::new(&tree.relations());
-        // (traced, memoized, coster calls): the memo's first run fills it.
-        for (traced, memoized, calls) in [(true, false, 3), (false, true, 3), (true, true, 0)] {
+        for traced in [false, true] {
             let tel = if traced { Telemetry::enabled() } else { Telemetry::disabled() };
             let mut coster = FixedResourceCoster::new(&model, 10.0, 4.0);
-            let memo = memoized.then_some(&mut memo);
-            let got = cost_tree(&tree, &est, &mut coster, memo, &tel).unwrap();
-            let case = format!("traced={traced} memoized={memoized}");
+            let got = cost_tree(&tree, &est, &mut coster, &tel).unwrap();
+            let case = format!("traced={traced}");
             assert_eq!(plain, got, "{case}");
             assert_eq!(plain.cost.to_bits(), got.cost.to_bits(), "{case}");
-            assert_eq!(coster.calls, calls, "{case}");
+            assert_eq!(coster.calls, 3, "{case}");
             let recorded: Vec<String> = tel.spans().into_iter().map(|s| s.name).collect();
             assert_eq!(recorded, if traced { spans.clone() } else { Vec::new() }, "{case}");
         }
@@ -328,7 +324,7 @@ mod tests {
         };
         // Two relations: Selinger's one level holds both orders, the final
         // re-cost one join; the bushy search costs its seed join alone and
-        // replays the final tree from its memo.
+        // reads the final tree off its own tables.
         let q12 = QuerySpec::tpch_q12();
         let mut selinger = recording();
         SelingerPlanner::plan(catalog, graph, &q12, &mut selinger).unwrap();

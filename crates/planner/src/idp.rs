@@ -10,9 +10,9 @@
 //! collapse the winning block plan into one compound relation, and iterate
 //! until a single tree remains. Each round is a full Selinger DP over the
 //! block's items, so every candidate sub-plan is costed through the same
-//! [`PlanCoster`] — RAQO's embedded resource planning, budget charging,
-//! level batches through [`PlanCoster::join_cost_many`] and cross-run
-//! memoization all compose unchanged.
+//! [`PlanCoster`] — RAQO's embedded resource planning, budget charging and
+//! level batches through [`PlanCoster::join_cost_many`] all compose
+//! unchanged.
 //!
 //! Complexity: with block size k, each round runs one O(2ᵏ·k) DP and
 //! removes k−1 units, so an n-relation query takes ⌈(n−1)/(k−1)⌉ rounds —
@@ -26,7 +26,6 @@
 
 use crate::cardinality::CardinalityEstimator;
 use crate::coster::{cost_tree, PlanCoster, PlannedQuery};
-use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use crate::selinger::{DpItem, SelingerError, SelingerPlanner, MAX_RELATIONS};
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec};
@@ -65,7 +64,7 @@ struct Unit {
 pub struct IdpPlanner;
 
 impl IdpPlanner {
-    /// Plan `query` with iterative DP. Sequential, unmemoized.
+    /// Plan `query` with iterative DP. Sequential, untraced.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -79,26 +78,21 @@ impl IdpPlanner {
             query,
             coster,
             Parallelism::Off,
-            None,
             &Telemetry::disabled(),
             config,
         )
     }
 
     /// [`IdpPlanner::plan`] with the performance levers and telemetry
-    /// exposed: `parallelism` batches each block-DP level, `memo` replays
-    /// previously costed sub-plans (memo keys are base-relation bitsets,
-    /// so compound units hit the same entries exhaustive DP would), and
-    /// the run is traced as `planner.idp` with one `idp.round.<i>` span
-    /// per collapse round.
-    #[allow(clippy::too_many_arguments)]
+    /// exposed: `parallelism` batches each block-DP level, and the run is
+    /// traced as `planner.idp` with one `idp.round.<i>` span per collapse
+    /// round.
     pub fn plan_traced(
         catalog: &Catalog,
         graph: &JoinGraph,
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
         tel: &Telemetry,
         config: IdpConfig,
     ) -> Result<PlannedQuery, SelingerError> {
@@ -107,12 +101,9 @@ impl IdpPlanner {
         if n == 0 {
             return Err(SelingerError::Infeasible);
         }
-        if let Some(m) = memo.as_deref_mut() {
-            m.ensure_relations(rels);
-        }
         let est = CardinalityEstimator::new(catalog, graph);
         if n == 1 {
-            return cost_tree(&PlanTree::leaf(rels[0]), &est, coster, None, tel)
+            return cost_tree(&PlanTree::leaf(rels[0]), &est, coster, tel)
                 .ok_or(SelingerError::Infeasible);
         }
 
@@ -137,19 +128,12 @@ impl IdpPlanner {
             let picked = Self::pick_block(&units, graph, &est, block);
             let block_items: Vec<DpItem> =
                 picked.iter().map(|&i| units[i].item.clone()).collect();
-            let planned = SelingerPlanner::plan_items(
-                &block_items,
-                &est,
-                coster,
-                parallelism,
-                memo.as_deref_mut(),
-                tel,
-            )
             // A block with no feasible plan (the coster rejected every
             // order — e.g. the planning budget ran out mid-round) fails
             // the whole query; the optimizer's degradation ladder takes
             // over from there.
-            .ok_or(SelingerError::Infeasible)?;
+            let planned = SelingerPlanner::plan_items(&block_items, &est, coster, parallelism, tel)
+                .ok_or(SelingerError::Infeasible)?;
 
             // Collapse the winning block plan into one compound unit,
             // ranked like every other unit by its estimated result size.
@@ -166,7 +150,7 @@ impl IdpPlanner {
         let _round_span = tel.span_labeled("idp.round", round);
         tel.inc(Counter::IdpRounds);
         let items: Vec<DpItem> = units.into_iter().map(|u| u.item).collect();
-        SelingerPlanner::plan_items(&items, &est, coster, parallelism, memo, tel)
+        SelingerPlanner::plan_items(&items, &est, coster, parallelism, tel)
             .ok_or(SelingerError::Infeasible)
     }
 
@@ -322,49 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_replay_answers_second_run_from_cache() {
-        let model = SimOracleCost::hive();
-        let schema = RandomSchemaConfig::with_tables(26, 4).generate();
-        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 22, 5);
-        let mut plain_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let plain = IdpPlanner::plan(
-            &schema.catalog,
-            &schema.graph,
-            &query,
-            &mut plain_coster,
-            IdpConfig::default(),
-        )
-        .unwrap();
-
-        let mut memo = CostMemo::new(&query.relations);
-        let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let run = |memo: &mut CostMemo, coster: &mut dyn PlanCoster| {
-            IdpPlanner::plan_traced(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                coster,
-                Parallelism::Off,
-                Some(memo),
-                &Telemetry::disabled(),
-                IdpConfig::default(),
-            )
-            .unwrap()
-        };
-        let first = run(&mut memo, &mut coster);
-        assert_eq!(plain.tree, first.tree);
-        assert!((plain.cost - first.cost).abs() <= 1e-9 * plain.cost.abs());
-        let calls_after_first = coster.calls;
-        let second = run(&mut memo, &mut coster);
-        assert_eq!(first.tree, second.tree);
-        assert_eq!(
-            coster.calls, calls_after_first,
-            "second IDP run must be answered entirely from the memo"
-        );
-        assert!(memo.hits() > 0);
-    }
-
-    #[test]
     fn infeasible_when_every_join_is_rejected() {
         struct Never;
         impl PlanCoster for Never {
@@ -470,7 +411,6 @@ mod tests {
             &query,
             &mut coster,
             Parallelism::Off,
-            None,
             &tel,
             IdpConfig::default(),
         )

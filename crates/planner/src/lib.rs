@@ -23,9 +23,6 @@
 //! * [`randomized`] — the fast randomized multi-objective planner
 //!   re-implementation (associativity + exchange mutations, ε-Pareto
 //!   archive, iterative improvement);
-//! * [`memo`] — sub-plan cost memoization keyed on relation bitsets, so the
-//!   randomized planner re-costs only the joins a mutation actually changed
-//!   and the DPs replay joins costed in earlier runs;
 //! * [`cascades`] — one dense DP over relation-subset masks searching
 //!   *bushy* join trees through the same `getPlanCost` seam.
 
@@ -33,7 +30,6 @@ pub mod cardinality;
 pub mod cascades;
 pub mod coster;
 pub mod idp;
-pub mod memo;
 pub mod plan;
 pub mod randomized;
 pub mod selinger;
@@ -50,7 +46,6 @@ pub use cascades::{
 };
 pub use coster::{cost_tree, JoinDecision, PlanCoster, PlannedJoin, PlannedQuery};
 pub use idp::{IdpConfig, IdpPlanner};
-pub use memo::CostMemo;
 pub use plan::PlanTree;
 pub use randomized::{RandomizedConfig, RandomizedPlanner};
 pub use selinger::{SelingerError, SelingerPlanner};

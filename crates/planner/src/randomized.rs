@@ -16,7 +16,6 @@
 
 use crate::cardinality::CardinalityEstimator;
 use crate::coster::{cost_tree, PlanCoster, PlannedQuery};
-use crate::memo::CostMemo;
 use crate::plan::{Mutation, PlanTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,23 +38,11 @@ pub struct RandomizedConfig {
     pub epsilon: f64,
     /// RNG seed: the planner is deterministic given the seed.
     pub seed: u64,
-    /// Memoize per-join decisions on the (left, right) relation bitsets for
-    /// the duration of one `plan` call, so re-costing a mutant only pays for
-    /// the joins the mutation changed. Sound whenever the coster is
-    /// deterministic in the join IO (see [`crate::memo`]); off by default so
-    /// the paper's per-call accounting (Figs. 12–14) is reproduced exactly.
-    pub memoize: bool,
 }
 
 impl Default for RandomizedConfig {
     fn default() -> Self {
-        RandomizedConfig {
-            restarts: 10,
-            rounds_per_join: 20,
-            epsilon: 0.05,
-            seed: 42,
-            memoize: false,
-        }
+        RandomizedConfig { restarts: 10, rounds_per_join: 20, epsilon: 0.05, seed: 42 }
     }
 }
 
@@ -76,9 +63,6 @@ pub struct RandomizedOutcome {
     pub frontier: Vec<CostVector>,
     /// Number of plans costed (mutants + restarts).
     pub plans_costed: u64,
-    /// Per-join `getPlanCost` calls answered from the sub-plan memo
-    /// (0 when [`RandomizedConfig::memoize`] is off).
-    pub memo_hits: u64,
 }
 
 /// The FastRandomized planner.
@@ -113,12 +97,9 @@ impl RandomizedPlanner {
         let rels = &query.relations;
         let mut archive: Vec<Archived> = Vec::new();
         let mut plans_costed = 0u64;
-        // One memo per planning run; `None` keeps the exact unmemoized
-        // call pattern (and thus the paper's per-call accounting).
-        let mut memo = config.memoize.then(|| CostMemo::new(rels));
         let untraced = Telemetry::disabled();
-        let mut cost = |tree: &PlanTree, coster: &mut dyn PlanCoster| {
-            cost_tree(tree, &est, coster, memo.as_mut(), &untraced)
+        let cost = |tree: &PlanTree, coster: &mut dyn PlanCoster| {
+            cost_tree(tree, &est, coster, &untraced)
         };
 
         if rels.len() == 1 {
@@ -127,7 +108,6 @@ impl RandomizedPlanner {
                 frontier: vec![planned.objectives],
                 best: planned,
                 plans_costed: 1,
-                memo_hits: 0,
             });
         }
 
@@ -175,10 +155,9 @@ impl RandomizedPlanner {
         // Re-cost the winner so the returned per-join decisions correspond
         // to the final plan.
         let _final_span = tel.span("randomized.final_cost");
-        let best = cost_tree(&best_entry.tree, &est, coster, memo.as_mut(), tel)?;
+        let best = cost_tree(&best_entry.tree, &est, coster, tel)?;
         let frontier = archive.iter().map(|a| a.objectives).collect();
-        let memo_hits = memo.as_ref().map_or(0, |m| m.hits());
-        Some(RandomizedOutcome { best, frontier, plans_costed, memo_hits })
+        Some(RandomizedOutcome { best, frontier, plans_costed })
     }
 }
 
@@ -330,41 +309,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.plans_costed, 1);
         assert_eq!(out.best.cost, 0.0);
-    }
-
-    #[test]
-    fn memoized_run_matches_unmemoized_exactly() {
-        // Same seed → same RNG stream → same candidate trees; with a
-        // deterministic coster the memo must not change any decision, so
-        // best plan, cost, frontier and plans_costed all agree.
-        let schema = TpchSchema::new(1.0);
-        let model = SimOracleCost::hive();
-        let query = QuerySpec::tpch_all(&schema);
-        let run = |memoize| {
-            let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-            let out = RandomizedPlanner::plan(
-                &schema.catalog,
-                &schema.graph,
-                &query,
-                &mut coster,
-                &RandomizedConfig { memoize, ..config(17) },
-            )
-            .unwrap();
-            (out, coster.calls)
-        };
-        let (plain, plain_calls) = run(false);
-        let (memoized, memo_calls) = run(true);
-        assert_eq!(plain.best.tree, memoized.best.tree);
-        assert_eq!(plain.best.cost, memoized.best.cost);
-        assert_eq!(plain.best.joins, memoized.best.joins);
-        assert_eq!(plain.plans_costed, memoized.plans_costed);
-        assert_eq!(plain.memo_hits, 0);
-        assert!(memoized.memo_hits > 0, "expected memo hits on repeated sub-plans");
-        assert!(
-            memo_calls < plain_calls,
-            "memo should cut coster calls: {memo_calls} vs {plain_calls}"
-        );
-        assert_eq!(memo_calls + memoized.memo_hits, plain_calls);
     }
 
     #[test]

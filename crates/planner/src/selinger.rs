@@ -19,14 +19,10 @@
 //! independent. They are costed [`BATCH_CANDIDATES`] at a time through
 //! [`PlanCoster::join_cost_many`] (which costers may fan out over
 //! [`Parallelism`] worker threads) and folded into the table in generation
-//! order — masks ascending, item ascending — with keep-first tie-breaks. A
-//! [`CostMemo`] caches (left-bitset, right-bitset, context) → decision
-//! across runs, so a Fig. 15(b) cluster sweep re-costs only the joins it
-//! has never seen under the current cluster conditions.
+//! order — masks ascending, item ascending — with keep-first tie-breaks.
 
 use crate::cardinality::{bits, CardinalityEstimator, JoinIo, LocalView, SetFold};
 use crate::coster::{cost_batch, cost_tree, PlanCoster, PlannedQuery, BATCH_CANDIDATES};
-use crate::memo::CostMemo;
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
 use raqo_resource::Parallelism;
@@ -102,7 +98,7 @@ pub struct SelingerPlanner;
 impl SelingerPlanner {
     /// Find the cheapest left-deep join order for `query`, costing every
     /// candidate sub-plan through `coster` (which is where RAQO's resource
-    /// planning hooks in). No thread parallelism, memo or telemetry.
+    /// planning hooks in). No thread parallelism or telemetry.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -110,24 +106,21 @@ impl SelingerPlanner {
         coster: &mut dyn PlanCoster,
     ) -> Result<PlannedQuery, SelingerError> {
         let tel = Telemetry::disabled();
-        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, None, &tel)
+        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, &tel)
     }
 
     /// [`SelingerPlanner::plan`] with every lever: `parallelism` is handed
-    /// to [`PlanCoster::join_cost_many`] with each batch, a `memo` replays
-    /// previously costed (left, right) sub-plans under the memo's current
-    /// context, and `tel` records a span around the fill, one per level and
-    /// one around the final re-cost, and counts the levels. The plan is
-    /// the same under every setting as long as the coster is deterministic
-    /// in the join's IO characteristics.
-    #[allow(clippy::too_many_arguments)]
+    /// to [`PlanCoster::join_cost_many`] with each batch, and `tel` records
+    /// a span around the fill, one per level and one around the final
+    /// re-cost, and counts the levels. The plan is the same under every
+    /// setting as long as the coster is deterministic in the join's IO
+    /// characteristics.
     pub fn plan_traced(
         catalog: &Catalog,
         graph: &JoinGraph,
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
         tel: &Telemetry,
     ) -> Result<PlannedQuery, SelingerError> {
         let rels = &query.relations;
@@ -138,12 +131,9 @@ impl SelingerPlanner {
         if n == 0 {
             return Err(SelingerError::Infeasible);
         }
-        if let Some(m) = memo.as_deref_mut() {
-            m.ensure_relations(rels);
-        }
         let est = CardinalityEstimator::new(catalog, graph);
         let items: Vec<DpItem> = rels.iter().copied().map(DpItem::leaf).collect();
-        Self::plan_items(&items, &est, coster, parallelism, memo, tel)
+        Self::plan_items(&items, &est, coster, parallelism, tel)
             .ok_or(SelingerError::Infeasible)
     }
 
@@ -155,7 +145,6 @@ impl SelingerPlanner {
         est: &CardinalityEstimator<'_>,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
-        mut memo: Option<&mut CostMemo>,
         tel: &Telemetry,
     ) -> Option<PlannedQuery> {
         let n = items.len();
@@ -165,14 +154,13 @@ impl SelingerPlanner {
             "plan_items requires 1..={MAX_RELATIONS} items, got {n}"
         );
         if n == 1 {
-            return cost_tree(&items[0].tree, est, coster, memo, tel);
+            return cost_tree(&items[0].tree, est, coster, tel);
         }
         let view = est.local_view(items.iter().map(|item| item.rels.as_slice()));
         [false, true].into_iter().find_map(|allow_cross| {
             let order = {
                 let _dp_span = tel.span("selinger.dp");
-                let memo = memo.as_deref_mut();
-                Dp::new(items, &view, coster, allow_cross, parallelism, memo, tel).solve()?
+                Dp::new(items, &view, coster, allow_cross, parallelism, tel).solve()?
             };
             // Re-cost the final tree so the returned decisions are exactly
             // the winning plan's (the DP only kept scalar costs). For
@@ -183,22 +171,14 @@ impl SelingerPlanner {
             for &i in &order[1..] {
                 tree = PlanTree::join(tree, items[i].tree.clone());
             }
-            cost_tree(&tree, est, coster, memo.as_deref_mut(), tel)
+            cost_tree(&tree, est, coster, tel)
         })
     }
 }
 
-/// What [`Dp::probe`] found for one candidate.
-enum Probe {
-    /// The memo holds the pair: its join cost, `None` = infeasible.
-    Known(Option<f64>),
-    /// Not memoized (or no memo): the join's IO, to cost and record.
-    Unknown(JoinIo),
-}
-
 /// One DP run over `items`: the level fill, and under it the candidate
 /// generator — which (subset `rest`, item `i`) extensions are admissible,
-/// and what each one's [`JoinIo`] and cost is. Three things make a
+/// and what each one's [`JoinIo`] and cost is. Two things make a
 /// candidate cheap:
 ///
 /// * one **adjacency mask** per item, so "does `rest` join item `i`" is
@@ -209,15 +189,12 @@ enum Probe {
 ///   size, are pure functions of the mask, computed once and not once per
 ///   partner. A candidate continues the fold with item `i`'s relations and
 ///   adds the few edges inside the query — `est.join_io(rest, item)` bit
-///   for bit;
-/// * with a memo, the **relation list** of the last subset asked for,
-///   rebuilt only when the mask changes.
+///   for bit.
 struct Dp<'a> {
     items: &'a [DpItem],
     view: &'a LocalView,
     coster: &'a mut dyn PlanCoster,
     parallelism: Parallelism,
-    memo: Option<&'a mut CostMemo>,
     tel: &'a Telemetry,
     /// `adj[i]` has bit j set when a join edge links a relation of item i
     /// to a relation of item j; all ones when cross products are admitted.
@@ -230,9 +207,6 @@ struct Dp<'a> {
     /// one; wider ones share slots and a miss recomputes, which costs time
     /// and never bits.
     rest_size: Vec<(u64, SetFold, f64)>,
-    /// Relations of the subset `loaded`, items ascending (memo keys).
-    tables: Vec<TableId>,
-    loaded: u64,
     /// The table, indexed by subset mask.
     dp: Vec<Option<Entry>>,
 }
@@ -244,7 +218,6 @@ impl<'a> Dp<'a> {
         coster: &'a mut dyn PlanCoster,
         allow_cross: bool,
         parallelism: Parallelism,
-        memo: Option<&'a mut CostMemo>,
         tel: &'a Telemetry,
     ) -> Self {
         let n = items.len();
@@ -259,37 +232,16 @@ impl<'a> Dp<'a> {
             view,
             coster,
             parallelism,
-            memo,
             tel,
             adj,
             item_gb,
             rest_size: vec![(0, SetFold::default(), 0.0); 1 << n.min(SIZE_SLOT_BITS)],
-            tables: Vec::with_capacity(n),
-            loaded: 0,
             dp,
         }
     }
 
-    /// Make `self.tables` the relations of `rest`.
-    fn load(&mut self, rest: u64) {
-        if self.loaded != rest {
-            self.tables.clear();
-            for j in bits(rest) {
-                self.tables.extend_from_slice(&self.items[j].rels);
-            }
-            self.loaded = rest;
-        }
-    }
-
-    /// Look the candidate up in the memo, or work out its IO.
-    fn probe(&mut self, rest: u64, i: usize) -> Probe {
-        if self.memo.is_some() {
-            self.load(rest);
-            let item = &self.items[i].rels;
-            if let Some(outcome) = self.memo.as_deref_mut().and_then(|m| m.get(&self.tables, item)) {
-                return Probe::Known(outcome.map(|(_, d)| d.cost));
-            }
-        }
+    /// The IO of joining `rest` with item `i`.
+    fn probe(&mut self, rest: u64, i: usize) -> JoinIo {
         let slot = rest as usize & (self.rest_size.len() - 1);
         if self.rest_size[slot].0 != rest {
             let fold = self.view.fold(rest);
@@ -297,41 +249,18 @@ impl<'a> Dp<'a> {
         }
         let (_, fold, rest_gb) = self.rest_size[slot];
         let out = self.view.finish(self.view.push(fold, i), rest | 1 << i);
-        Probe::Unknown(JoinIo::of(rest_gb, self.item_gb[i], out))
+        JoinIo::of(rest_gb, self.item_gb[i], out)
     }
 
-    /// Cost `cands` — from the memo when it holds them, through the coster
-    /// otherwise — and fold them into the table in order, keeping the first
-    /// of equally cheap plans. Leaves `cands` empty.
+    /// Cost `cands` and fold them into the table in order, keeping the
+    /// first of equally cheap plans. Leaves `cands` empty.
     fn flush(&mut self, cands: &mut Vec<(u64, usize)>) {
-        let mut costs: Vec<Option<f64>> = vec![None; cands.len()];
-        let mut ios: Vec<JoinIo> = Vec::new();
-        // Candidate index of each pending io, parallel to `ios`.
-        let mut pending: Vec<usize> = Vec::new();
-        for (idx, &(rest, i)) in cands.iter().enumerate() {
-            match self.probe(rest, i) {
-                Probe::Known(cost) => costs[idx] = cost,
-                Probe::Unknown(io) => {
-                    ios.push(io);
-                    pending.push(idx);
-                }
-            }
-        }
+        let ios: Vec<JoinIo> = cands.iter().map(|&(rest, i)| self.probe(rest, i)).collect();
         let results = cost_batch(&mut *self.coster, &ios, self.parallelism);
-        for ((outcome, io), idx) in results.into_iter().zip(ios).zip(pending) {
-            let (rest, i) = cands[idx];
-            if self.memo.is_some() {
-                self.load(rest);
-            }
-            if let Some(m) = self.memo.as_deref_mut() {
-                m.record(&self.tables, &self.items[i].rels, outcome.map(|d| (io, d)));
-            }
-            costs[idx] = outcome.map(|d| d.cost);
-        }
-        for (&(rest, i), decision) in cands.iter().zip(costs) {
-            let Some(decision_cost) = decision else { continue };
+        for (&(rest, i), decision) in cands.iter().zip(results) {
+            let Some(decision) = decision else { continue };
             let prev = self.dp[rest as usize].expect("candidates extend filled subsets");
-            let cost = prev.cost + decision_cost;
+            let cost = prev.cost + decision.cost;
             let slot = &mut self.dp[(rest | 1u64 << i) as usize];
             match *slot {
                 Some(e) if e.cost <= cost => {}
@@ -405,11 +334,10 @@ mod tests {
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
         parallelism: Parallelism,
-        memo: Option<&mut CostMemo>,
     ) -> Result<PlannedQuery, SelingerError> {
         let tel = Telemetry::disabled();
         let (catalog, graph) = (&schema.catalog, &schema.graph);
-        SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, memo, &tel)
+        SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, &tel)
     }
 
     /// Exhaustive left-deep search (no cross-product pruning) for
@@ -441,7 +369,7 @@ mod tests {
         for perm in permutations(&query.relations) {
             let mut coster = FixedResourceCoster::new(model, nc, cs);
             let tree = PlanTree::left_deep(&perm);
-            if let Some(p) = cost_tree(&tree, &est, &mut coster, None, &Telemetry::disabled()) {
+            if let Some(p) = cost_tree(&tree, &est, &mut coster, &Telemetry::disabled()) {
                 best = Some(best.map_or(p.cost, |b: f64| b.min(p.cost)));
             }
         }
@@ -618,7 +546,7 @@ mod tests {
                 Parallelism::Auto,
             ] {
                 let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-                let got = plan_par(&schema, &query, &mut coster, par, None).unwrap();
+                let got = plan_par(&schema, &query, &mut coster, par).unwrap();
                 assert_eq!(seq.tree, got.tree, "{par:?}");
                 assert_eq!(seq.cost.to_bits(), got.cost.to_bits(), "{par:?}");
                 assert_eq!(seq.joins, got.joins, "{par:?}");
@@ -668,47 +596,6 @@ mod tests {
         assert_eq!(oracle_coster.calls, coster.inner.calls);
     }
 
-    /// Memoized planning is bit-identical to plain planning, and a second
-    /// run under the same context answers every candidate from the memo.
-    #[test]
-    fn memoized_matches_plain_and_replays() {
-        let schema = TpchSchema::new(1.0);
-        let model = SimOracleCost::hive();
-        let query = QuerySpec::tpch_all(&schema);
-        let mut plain_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let plain =
-            SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut plain_coster)
-                .unwrap();
-
-        for par in [Parallelism::Off, Parallelism::Auto] {
-            let mut memo = CostMemo::new(&query.relations);
-            let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-            let first = plan_par(&schema, &query, &mut coster, par, Some(&mut memo)).unwrap();
-            assert_eq!(plain.tree, first.tree, "{par:?}");
-            // The memo replays each join's DP-time IO, whose floats were
-            // accumulated over bit-ordered (not tree-ordered) relation
-            // lists; costs agree to fp noise, the tree exactly.
-            assert!(
-                (plain.cost - first.cost).abs() <= 1e-9 * plain.cost.abs(),
-                "{par:?}: plain={} memoized={}",
-                plain.cost,
-                first.cost
-            );
-            for (p, m) in plain.joins.iter().zip(&first.joins) {
-                assert_eq!(p.decision.join, m.decision.join, "{par:?}");
-            }
-
-            let calls_after_first = coster.calls;
-            let second = plan_par(&schema, &query, &mut coster, par, Some(&mut memo)).unwrap();
-            assert_eq!(first, second, "{par:?}");
-            assert_eq!(
-                coster.calls, calls_after_first,
-                "second {par:?} run must be answered entirely from the memo"
-            );
-            assert!(memo.hits() > 0, "{par:?}");
-        }
-    }
-
     /// Subsets of more than [`SIZE_SLOT_BITS`] items share size slots; a
     /// shared slot recomputes, it never answers for the other subset.
     #[test]
@@ -721,11 +608,11 @@ mod tests {
         let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
         let tel = Telemetry::disabled();
         let par = Parallelism::Off;
-        let mut dp = Dp::new(&items, &view, &mut coster, true, par, None, &tel);
+        let mut dp = Dp::new(&items, &view, &mut coster, true, par, &tel);
         // Equal in their low SIZE_SLOT_BITS bits: one slot for both.
         let (a, b) = (0b11 | 1 << SIZE_SLOT_BITS, 0b11 | 1 << (SIZE_SLOT_BITS + 1));
         for rest in [a, b, a, a, b] {
-            let Probe::Unknown(io) = dp.probe(rest, 2) else { panic!("there is no memo") };
+            let io = dp.probe(rest, 2);
             let tables: Vec<TableId> = bits(rest).map(|j| items[j].rels[0]).collect();
             assert_eq!(io, est.join_io(&tables, &items[2].rels), "rest {rest:#b}");
         }

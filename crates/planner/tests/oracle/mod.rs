@@ -113,7 +113,7 @@ pub fn left_deep(
             mask &= !(1 << last);
         }
         order.reverse();
-        return cost_tree(&PlanTree::left_deep(&order), est, coster, None, &Telemetry::disabled());
+        return cost_tree(&PlanTree::left_deep(&order), est, coster, &Telemetry::disabled());
     }
     None
 }

@@ -7,7 +7,7 @@ use raqo_catalog::{
 use raqo_cost::SimOracleCost;
 use raqo_planner::coster::FixedResourceCoster;
 use raqo_planner::{
-    cost_tree, CardinalityEstimator, CostMemo, IdpConfig, IdpPlanner, PlanCoster, PlanTree,
+    cost_tree, CardinalityEstimator, IdpConfig, IdpPlanner, PlanCoster, PlanTree,
     PlannedQuery, RandomizedConfig, RandomizedPlanner, SelingerPlanner,
 };
 use raqo_resource::Parallelism;
@@ -202,7 +202,7 @@ proptest! {
         let model = SimOracleCost::hive();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        if let Some(planned) = cost_tree(&tree, &est, &mut coster, None, &Telemetry::disabled()) {
+        if let Some(planned) = cost_tree(&tree, &est, &mut coster, &Telemetry::disabled()) {
             let sum: f64 = planned.joins.iter().map(|j| j.decision.cost).sum();
             prop_assert!((planned.cost - sum).abs() < 1e-9);
             prop_assert_eq!(planned.joins.len(), k - 1);
@@ -237,9 +237,9 @@ proptest! {
         }
     }
 
-    /// Selinger's level fill — for every `Parallelism` mode, with and
-    /// without a memo — plans what the one-candidate-at-a-time oracle plans
-    /// on arbitrary random schemas, costing the same candidates.
+    /// Selinger's level fill — for every `Parallelism` mode — plans what
+    /// the one-candidate-at-a-time oracle plans on arbitrary random
+    /// schemas, costing the same candidates.
     #[test]
     fn selinger_modes_agree(seed in 0u64..40, k in 2usize..8) {
         let schema = RandomSchemaConfig::with_tables(10, seed).generate();
@@ -249,36 +249,24 @@ proptest! {
         let mut c0 = FixedResourceCoster::new(&model, 10.0, 6.0);
         let base = oracle::left_deep(&q.relations, &schema.graph, &est, &mut c0);
         for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Auto] {
-            let mut memo = CostMemo::new(&q.relations);
-            for memoized in [false, true] {
-                let mut c = FixedResourceCoster::new(&model, 10.0, 6.0);
-                let got = SelingerPlanner::plan_traced(
-                    &schema.catalog,
-                    &schema.graph,
-                    &q,
-                    &mut c,
-                    par,
-                    memoized.then_some(&mut memo),
-                    &Telemetry::disabled(),
-                );
-                match (&base, &got) {
-                    (Some(b), Ok(g)) => {
-                        prop_assert_eq!(&b.tree, &g.tree);
-                        if memoized {
-                            // Memo replays DP-time IOs (bit-ordered float
-                            // accumulation): costs agree to fp noise, and
-                            // the final re-cost is answered from the memo.
-                            prop_assert!((b.cost - g.cost).abs() <= 1e-9 * b.cost.abs());
-                            prop_assert_eq!(c0.calls, c.calls + (k as u64 - 1));
-                        } else {
-                            prop_assert_eq!(b.cost.to_bits(), g.cost.to_bits());
-                            prop_assert_eq!(&b.joins, &g.joins);
-                            prop_assert_eq!(c0.calls, c.calls);
-                        }
-                    }
-                    (None, Err(_)) => {}
-                    _ => prop_assert!(false, "planner and oracle disagree on feasibility"),
+            let mut c = FixedResourceCoster::new(&model, 10.0, 6.0);
+            let got = SelingerPlanner::plan_traced(
+                &schema.catalog,
+                &schema.graph,
+                &q,
+                &mut c,
+                par,
+                &Telemetry::disabled(),
+            );
+            match (&base, &got) {
+                (Some(b), Ok(g)) => {
+                    prop_assert_eq!(&b.tree, &g.tree);
+                    prop_assert_eq!(b.cost.to_bits(), g.cost.to_bits());
+                    prop_assert_eq!(&b.joins, &g.joins);
+                    prop_assert_eq!(c0.calls, c.calls);
                 }
+                (None, Err(_)) => {}
+                _ => prop_assert!(false, "planner and oracle disagree on feasibility"),
             }
         }
     }
@@ -293,7 +281,7 @@ proptest! {
         let q = QuerySpec::random_connected(&schema.catalog, &schema.graph, 7, seed);
         let model = SimOracleCost::hive();
         let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let cfg = RandomizedConfig { restarts: 3, rounds_per_join: 8, epsilon: 0.05, seed, memoize: false };
+        let cfg = RandomizedConfig { restarts: 3, rounds_per_join: 8, epsilon: 0.05, seed };
         if let Some(out) =
             RandomizedPlanner::plan(&schema.catalog, &schema.graph, &q, &mut coster, &cfg)
         {
@@ -357,7 +345,7 @@ proptest! {
         prop_assert!(idp.cost.is_finite() && idp.cost > 0.0);
 
         let mut rand_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let cfg = RandomizedConfig { restarts: 3, rounds_per_join: 8, epsilon: 0.05, seed, memoize: false };
+        let cfg = RandomizedConfig { restarts: 3, rounds_per_join: 8, epsilon: 0.05, seed };
         let rand = RandomizedPlanner::plan(&schema.catalog, &schema.graph, &q, &mut rand_coster, &cfg)
             .expect("randomized plans any connected query");
         prop_assert!(

@@ -246,6 +246,17 @@ fn as_num(v: &Value, what: &str) -> Result<f64, PersistError> {
     }
 }
 
+/// A cache id: a whole number that fits a `u32` (`as` would saturate a
+/// negative, fractional or huge one into some other cache's id).
+fn as_id(v: &Value, what: &str) -> Result<u32, PersistError> {
+    let n = as_num(v, what)?;
+    if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
+        Ok(n as u32)
+    } else {
+        Err(bad(&format!("{what} {n} is not a u32")))
+    }
+}
+
 /// Parse the `model_fingerprint` header of a version-1 document, if
 /// present (files written before fingerprint stamping have none).
 pub fn json_fingerprint(text: &str) -> Result<Option<u64>, PersistError> {
@@ -286,8 +297,8 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
     let Value::Object(top) = &doc else {
         return Err(bad("top level is not an object"));
     };
-    let version = as_num(field(top, "version")?, "version")? as u64;
-    if version != FORMAT_VERSION {
+    let version = as_num(field(top, "version")?, "version")?;
+    if version != FORMAT_VERSION as f64 {
         return Err(bad(&format!(
             "unsupported version {version} (this build reads {FORMAT_VERSION})"
         )));
@@ -300,8 +311,8 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
         let Value::Object(obj) = cache else {
             return Err(bad("cache element is not an object"));
         };
-        let model = as_num(field(obj, "model")?, "model")? as u32;
-        let operator = as_num(field(obj, "operator")?, "operator")? as u32;
+        let model = as_id(field(obj, "model")?, "model")?;
+        let operator = as_id(field(obj, "operator")?, "operator")?;
         let Value::Array(raw_entries) = field(obj, "entries")? else {
             return Err(bad("`entries` is not an array"));
         };
@@ -313,7 +324,11 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
             let [key, config] = pair.as_slice() else {
                 return Err(bad("entry is not a [key, config] pair"));
             };
+            // A live cache holds finite keys only (`insert` asserts it).
             let key = as_num(key, "entry key")?;
+            if !key.is_finite() {
+                return Err(bad(&format!("entry key {key} is not finite")));
+            }
             let Value::Array(coords) = config else {
                 return Err(bad("entry config is not an array"));
             };
@@ -327,7 +342,12 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
             }
             let mut vals = Vec::with_capacity(coords.len());
             for c in coords {
-                vals.push(as_num(c, "config coordinate")?);
+                let amount = as_num(c, "config coordinate")?;
+                if !(amount.is_finite() && amount >= 0.0) {
+                    let msg = format!("config coordinate {amount} is not a resource amount");
+                    return Err(bad(&msg));
+                }
+                vals.push(amount);
             }
             entries.push((key, ResourceConfig::from_slice(&vals)));
         }

@@ -26,12 +26,9 @@ pub enum Counter {
     CacheHitsWeighted,
     /// Cache lookups that missed and fell through to planning.
     CacheMisses,
-    /// Cross-run Selinger memo probes that hit.
+    /// Always zero: no planner keeps a sub-plan memo any more. Kept only
+    /// because the benchmark harness still reports it.
     MemoHits,
-    /// Cross-run Selinger memo probes that missed.
-    MemoMisses,
-    /// Memo entries evicted by the per-context LRU cap.
-    MemoEvictions,
     /// Persisted cache files discarded on load (model fingerprint mismatch).
     CacheFileInvalidations,
     /// Batched-kernel chunk evaluations (one per grid chunk).
@@ -155,7 +152,7 @@ pub enum Counter {
 pub const SHARD_LABEL_BUCKETS: usize = 8;
 
 impl Counter {
-    pub const ALL: [Counter; 57] = [
+    pub const ALL: [Counter; 55] = [
         Counter::PlanCostCalls,
         Counter::ResourceIterations,
         Counter::CacheHitsExact,
@@ -163,8 +160,6 @@ impl Counter {
         Counter::CacheHitsWeighted,
         Counter::CacheMisses,
         Counter::MemoHits,
-        Counter::MemoMisses,
-        Counter::MemoEvictions,
         Counter::CacheFileInvalidations,
         Counter::BatchChunks,
         Counter::HillClimbClimbs,
@@ -242,8 +237,6 @@ impl Counter {
             Counter::CacheHitsWeighted => "raqo_cache_hits_weighted_total",
             Counter::CacheMisses => "raqo_cache_misses_total",
             Counter::MemoHits => "raqo_memo_hits_total",
-            Counter::MemoMisses => "raqo_memo_misses_total",
-            Counter::MemoEvictions => "raqo_memo_evictions_total",
             Counter::CacheFileInvalidations => "raqo_cache_file_invalidations_total",
             Counter::BatchChunks => "raqo_batch_chunks_total",
             Counter::HillClimbClimbs => "raqo_hill_climb_climbs_total",
@@ -313,9 +306,7 @@ impl Counter {
             Counter::CacheHitsNearest => "resource-plan cache nearest-neighbor hits",
             Counter::CacheHitsWeighted => "resource-plan cache weighted-average hits",
             Counter::CacheMisses => "resource-plan cache misses",
-            Counter::MemoHits => "Selinger cross-run memo hits",
-            Counter::MemoMisses => "Selinger cross-run memo misses",
-            Counter::MemoEvictions => "Selinger memo contexts evicted by the context LRU",
+            Counter::MemoHits => "always zero (no planner keeps a sub-plan memo)",
             Counter::CacheFileInvalidations => "persisted cache files invalidated on fingerprint mismatch",
             Counter::BatchChunks => "batched cost-kernel chunk evaluations",
             Counter::HillClimbClimbs => "hill-climb searches launched",

@@ -293,51 +293,91 @@ fn cost_kernel_simd(c: &mut Criterion) {
     group.finish();
 }
 
-/// One exhaustive grid scan for one join, bare of the coster: the row scan
-/// over the model's row kernel vs the same scan through the point-wise
-/// adapter (`brute_force` over `join_cost_at`). Long rows (10 × 1000, the
-/// benchmark's serverless-style grid), the paper's rows of ten (100 × 10),
-/// and many rows of ten (1000 × 10). Outcomes are asserted bit-identical
-/// before timing starts.
+/// Brute-force grid scans over every distinct join the Selinger DP prices
+/// across the 22 TPC-H queries (SF 100, both implementations per join):
+/// `points` prices one configuration per call, `rows` one grid-row slice
+/// per call, `bounded` skips the slices whose `join_cost_row_bound` rules
+/// them out. On the 10 × 1000 grid long rows let the bound skip most of
+/// the work; on the paper's 100 × 10 grid a row is one ten-point slice and
+/// the bound has little to skip. Outcomes are asserted identical first.
 fn grid_scan(c: &mut Criterion) {
     use raqo_cost::OperatorCost;
-    use raqo_resource::{brute_force, brute_force_rows, ResourceConfig};
+    use raqo_resource::{brute_force, brute_force_rows, PlanningOutcome, ResourceConfig};
     use raqo_sim::engine::JoinImpl;
+
+    /// Records every join the DP asks about; every join costs one second.
+    struct Recorder(Vec<JoinIo>);
+    impl PlanCoster for Recorder {
+        fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+            self.0.push(*io);
+            Some(JoinDecision {
+                join: JoinImpl::SortMerge,
+                cost: 1.0,
+                objectives: CostVector { time_sec: 1.0, money_tb_sec: 0.0 },
+                resources: None,
+                cores: None,
+            })
+        }
+    }
+    let schema = TpchSchema::sf100();
+    let mut recorder = Recorder(Vec::new());
+    for query in QuerySpec::tpch_full_suite() {
+        let plan = SelingerPlanner::plan(&schema.catalog, &schema.graph, &query, &mut recorder);
+        black_box(plan.ok());
+    }
+    let mut ios = recorder.0;
+    ios.sort_by(|a, b| a.build_gb.total_cmp(&b.build_gb).then(a.probe_gb.total_cmp(&b.probe_gb)));
+    ios.dedup_by(|a, b| (a.build_gb, a.probe_gb) == (b.build_gb, b.probe_gb));
+
     let model = JoinCostModel::trained_hive();
-    let (join, build_gb, probe_gb) = (JoinImpl::BroadcastHash, 3.4, 77.0);
     let grids = [
         ("10x1000", ClusterConditions::two_dim(1.0..=10.0, 1.0..=8.8046875, 1.0, 0.0078125)),
         ("100x10", ClusterConditions::paper_default()),
         ("1000x10", ClusterConditions::two_dim(1.0..=1000.0, 1.0..=10.0, 1.0, 1.0)),
     ];
     let tel = Telemetry::disabled();
-    let rows = |cluster: &ClusterConditions| {
-        brute_force_rows(
-            cluster,
-            |_, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
-                model.join_cost_row_at(join, build_gb, probe_gb, base, coords, out)
-            },
-            Parallelism::Off,
-            &tel,
-        )
+    let scan = |cluster: &ClusterConditions, io: &JoinIo, join: JoinImpl, bounded: bool| {
+        let (build, probe) = (io.build_gb, io.probe_gb);
+        let row_fn = |_, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
+            model.join_cost_row_at(join, build, probe, base, coords, out)
+        };
+        let bound = |_, base: &ResourceConfig, coords: &[f64]| {
+            if bounded {
+                model.join_cost_row_bound(join, build, probe, base, coords)
+            } else {
+                f64::NEG_INFINITY
+            }
+        };
+        brute_force_rows(cluster, row_fn, bound, Parallelism::Off, &tel)
     };
-    let points = |cluster: &ClusterConditions| {
+    let points = |cluster: &ClusterConditions, io: &JoinIo, join: JoinImpl| {
         brute_force(cluster, |r| {
-            model.join_cost_at(join, build_gb, probe_gb, r).unwrap_or(f64::INFINITY)
+            model.join_cost_at(join, io.build_gb, io.probe_gb, r).unwrap_or(f64::INFINITY)
         })
+    };
+    /// One arm: how to scan the grid for one join and one implementation.
+    type Arm<'a> = &'a dyn Fn(&JoinIo, JoinImpl) -> PlanningOutcome;
+    let every_join = |arm: Arm| {
+        ios.iter().flat_map(|io| JoinImpl::ALL.map(|join| arm(io, join))).collect::<Vec<_>>()
+    };
+    let outcomes = |arm: Arm| {
+        let all = every_join(arm);
+        all.iter().map(|o| (o.config, o.cost.to_bits(), o.iterations)).collect::<Vec<_>>()
     };
     let mut group = c.benchmark_group("grid_scan");
     for (name, cluster) in &grids {
-        let (by_rows, by_points) = (rows(cluster), points(cluster));
-        assert_eq!(by_rows.config, by_points.config, "grid_scan: winners differ on {name}");
-        assert_eq!(by_rows.cost.to_bits(), by_points.cost.to_bits(), "grid_scan: {name}");
-        assert_eq!(by_rows.iterations, by_points.iterations, "grid_scan: {name}");
-        group.bench_function(BenchmarkId::new("rows", name), |b| {
-            b.iter(|| black_box(rows(black_box(cluster))))
-        });
-        group.bench_function(BenchmarkId::new("points", name), |b| {
-            b.iter(|| black_box(points(black_box(cluster))))
-        });
+        let arms: [(&str, Arm); 3] = [
+            ("points", &|io, join| points(cluster, io, join)),
+            ("rows", &|io, join| scan(cluster, io, join, false)),
+            ("bounded", &|io, join| scan(cluster, io, join, true)),
+        ];
+        let want = outcomes(arms[0].1);
+        for (arm, f) in arms {
+            assert_eq!(outcomes(f), want, "grid_scan: {arm} differs on {name}");
+            group.bench_function(BenchmarkId::new(arm, name), |b| {
+                b.iter(|| black_box(every_join(f)))
+            });
+        }
     }
     group.finish();
 }

@@ -26,7 +26,6 @@ pub mod adaptive;
 pub mod dispatcher;
 pub mod explain;
 pub mod optimizer;
-pub(crate) mod probes;
 pub mod raqo_coster;
 pub mod rule_based;
 pub mod service;

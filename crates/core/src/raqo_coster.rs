@@ -14,10 +14,10 @@
 //! [`ResourceStrategy::HillClimb`], and hill climbing behind the
 //! resource-plan cache keyed on the operator's data characteristics.
 
-use crate::probes;
 use crate::shared::Shared;
 use raqo_cost::objective::CostVector;
 use raqo_cost::OperatorCost;
+use raqo_faults::Action;
 use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
 use raqo_resource::{
     brute_force_rows, hill_climb, hill_climb_multi, BudgetTracker, CacheLookup, CacheStats,
@@ -86,6 +86,35 @@ impl Objective {
                     f64::INFINITY
                 }
             }
+        }
+    }
+
+    /// A lower bound on the score of every point of a grid-row slice, from
+    /// a lower bound on its model times; `first` is the slice's first
+    /// point, the least on every coordinate. Every score is nondecreasing
+    /// in time and, with the time and every coordinate nonnegative, in the
+    /// coordinates too (the same floating-point operations on smaller
+    /// operands), so the time bound is clamped at 0 and money is taken at
+    /// `first`. A score that can fall as time grows — a weight outside
+    /// `[0, 1]` — or a negative coordinate bounds nothing (`−∞`), and
+    /// neither does a time bound of `−∞` or NaN: such a slice is priced in
+    /// grid order, as if unbounded. `+∞`, a wholly infeasible slice, stays
+    /// `+∞` (see [`Objective::score_row`]).
+    fn score_bound(&self, time_bound: f64, first: &ResourceConfig) -> f64 {
+        if time_bound.is_nan() || time_bound.is_infinite() {
+            return time_bound;
+        }
+        let t = time_bound.max(0.0);
+        let priced = || first.as_slice().iter().all(|&v| v >= 0.0);
+        match *self {
+            Objective::Time | Objective::TimeUnderBudget { .. } => t,
+            Objective::Money if priced() => self.score(t, first),
+            Objective::Weighted { time_weight }
+                if (0.0..=1.0).contains(&time_weight) && priced() =>
+            {
+                self.score(t, first)
+            }
+            Objective::Money | Objective::Weighted { .. } => f64::NEG_INFINITY,
         }
     }
 
@@ -421,10 +450,10 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
             if !budget.charge(1) {
                 return (f64::INFINITY, f64::NAN);
             }
-            let raw = match probes::probe("cost.model.scalar") {
-                probes::Action::Nan => Some(f64::NAN),
-                probes::Action::Fail => None,
-                probes::Action::Proceed => model.join_cost_at(join, build, probe, r),
+            let raw = match raqo_faults::site("cost.model.scalar") {
+                Action::Nan => Some(f64::NAN),
+                Action::Fail => None,
+                Action::Proceed => model.join_cost_at(join, build, probe, r),
             };
             match raw {
                 Some(t) if t.is_finite() && t >= 0.0 => (objective.score(t, r), t),
@@ -444,24 +473,30 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
         let outcome: PlanningOutcome = match self.strategy {
             // Off scans on this thread; any other setting splits a grid
             // that is large enough to repay the threads across workers, with
-            // a bit-identical merged result. Whole row slices go through the
-            // fused kernel, then one pass sanitizes and scalarizes the raw
-            // times in place.
+            // a bit-identical merged result. Every slice is charged to the
+            // budget in grid order as the scan bounds it — a refused slice
+            // bounds at +∞ and is never priced — so budgets run out where an
+            // exhaustive scan's would. Slices that can still win go through
+            // the fused kernel, then one pass sanitizes and scalarizes the
+            // raw times in place.
             ResourceStrategy::BruteForce => {
+                let bound = |_start: u64, base: &ResourceConfig, coords: &[f64]| {
+                    if !budget.charge(coords.len() as u64) {
+                        return f64::INFINITY;
+                    }
+                    let time = model.join_cost_row_bound(join, build, probe, base, coords);
+                    objective.score_bound(time, base)
+                };
                 let row_fn =
                     |_start: u64, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
                         tel.inc(Counter::BatchChunks);
-                        if !budget.charge(coords.len() as u64) {
-                            out.fill(f64::INFINITY);
-                            return;
-                        }
-                        match probes::probe("cost.model.batch") {
-                            probes::Action::Fail => {
+                        match raqo_faults::site("cost.model.batch") {
+                            Action::Fail => {
                                 out.fill(f64::INFINITY);
                                 return;
                             }
-                            probes::Action::Nan => out.fill(f64::NAN),
-                            probes::Action::Proceed => {
+                            Action::Nan => out.fill(f64::NAN),
+                            Action::Proceed => {
                                 model.join_cost_row_at(join, build, probe, base, coords, out)
                             }
                         }
@@ -471,7 +506,7 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                             tel.add(Counter::CostSanitizationsBatch, bad);
                         }
                     };
-                brute_force_rows(self.cluster, row_fn, self.parallelism, tel)
+                brute_force_rows(self.cluster, row_fn, bound, self.parallelism, tel)
             }
             ResourceStrategy::HillClimb => {
                 tel.inc(Counter::HillClimbClimbs);
@@ -492,13 +527,13 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                             out.fill(f64::INFINITY);
                             return;
                         }
-                        match probes::probe("cost.model.batch") {
-                            probes::Action::Fail => {
+                        match raqo_faults::site("cost.model.batch") {
+                            Action::Fail => {
                                 out.fill(f64::INFINITY);
                                 return;
                             }
-                            probes::Action::Nan => out.fill(f64::NAN),
-                            probes::Action::Proceed => {
+                            Action::Nan => out.fill(f64::NAN),
+                            Action::Proceed => {
                                 model.join_cost_batch_at(join, build, probe, configs, out)
                             }
                         }
@@ -591,20 +626,11 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
         if join == JoinImpl::SortMerge {
             return Some(start);
         }
-        let step = self.cluster.discrete_steps().get(1);
-        let mut cs = self.cluster.min.get(1);
-        while cs <= self.cluster.max.get(1) {
-            if self
-                .model
-                .join_cost(join, io.build_gb, io.probe_gb, start.containers(), cs)
-                .is_some()
-            {
-                start.set(1, cs);
-                return Some(start);
-            }
-            cs += step;
-        }
-        None
+        let cs = self.cluster.axis(1).find(|&cs| {
+            self.model.join_cost(join, io.build_gb, io.probe_gb, start.containers(), cs).is_some()
+        })?;
+        start.set(1, cs);
+        Some(start)
     }
 
     /// One full `getPlanCost` evaluation (both implementations, best wins).
@@ -622,7 +648,7 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
         if self.budget.exhausted().is_some() || !self.budget.check_deadline() {
             return None;
         }
-        if matches!(probes::probe("core.plan_cost"), probes::Action::Fail) {
+        if matches!(raqo_faults::site("core.plan_cost"), Action::Fail) {
             return None;
         }
         let _span = self.tel.span("plan_cost");
@@ -736,7 +762,7 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
                         scope.spawn(move || {
                             catch_unwind(AssertUnwindSafe(|| {
                                 let _in_scope = ctx.tel.enter_scope(scope_token);
-                                let _ = probes::probe("core.worker.cost");
+                                let _ = raqo_faults::site("core.worker.cost");
                                 let mut stats = RaqoStats::default();
                                 let mut cache = ctx.cache_guard();
                                 let decisions: Vec<Option<JoinDecision>> = ios_chunk
@@ -1467,6 +1493,205 @@ mod tests {
         assert_eq!(r, ResourceConfig::containers_and_size(10.0, 4.0));
         let r = snap_to_grid(&cluster, &ResourceConfig::containers_and_size(400.0, 0.2));
         assert_eq!(r, ResourceConfig::containers_and_size(100.0, 1.0));
+    }
+
+    #[test]
+    fn score_bounds_are_the_score_at_the_least_time_and_point() {
+        let first = ResourceConfig::containers_and_size(4.0, 2.0);
+        let later = [first, first.with_last(2.5), ResourceConfig::containers_and_size(4.0, 9.0)];
+        for objective in EVERY_OBJECTIVE {
+            for t in [0.0, 0.5, 3.0, 1e6] {
+                let bound = objective.score_bound(t, &first);
+                match objective {
+                    Objective::Weighted { time_weight } if !(0.0..=1.0).contains(&time_weight) => {
+                        assert_eq!(bound, f64::NEG_INFINITY, "{objective:?}");
+                    }
+                    Objective::TimeUnderBudget { .. } => assert_eq!(bound, t, "{objective:?}"),
+                    _ => assert_eq!(bound, objective.score(t, &first), "{objective:?} t {t}"),
+                }
+                for r in later {
+                    for more in [0.0, 0.25, 7.0] {
+                        let score = objective.score(t + more, &r);
+                        assert!(bound <= score, "{objective:?} t {t} {r:?}: {bound} > {score}");
+                    }
+                }
+            }
+            // Below zero the time bound is clamped; no bound and +∞ pass through.
+            assert_eq!(objective.score_bound(-3.0, &first), objective.score_bound(0.0, &first));
+            assert_eq!(objective.score_bound(f64::NEG_INFINITY, &first), f64::NEG_INFINITY);
+            assert_eq!(objective.score_bound(f64::INFINITY, &first), f64::INFINITY);
+        }
+        let negative = ResourceConfig::containers_and_size(4.0, -1.0);
+        assert_eq!(Objective::Money.score_bound(1.0, &negative), f64::NEG_INFINITY);
+    }
+
+    /// The exhaustive `(cost, grid index)` minimum a brute-force search
+    /// must reproduce, point by point over `cluster.grid()`, charging
+    /// `budget` one row slice at a time (at most [`BATCH_CHUNK`] points, in
+    /// grid order) and scoring a refused slice `+∞`, as the coster does.
+    fn exhaustive(
+        model: &impl OperatorCost,
+        cluster: &ClusterConditions,
+        join: JoinImpl,
+        io: &JoinIo,
+        objective: Objective,
+        budget: &BudgetTracker,
+    ) -> Option<(ResourceConfig, u64)> {
+        use raqo_resource::BATCH_CHUNK;
+        let row_len = cluster.points_along(cluster.dims() - 1);
+        let surface = scorer(model, join, *io, objective);
+        let (mut best, mut refused) = ((cluster.min, f64::INFINITY), false);
+        for (i, r) in cluster.grid().enumerate() {
+            let at = i as u64 % row_len;
+            if at.is_multiple_of(BATCH_CHUNK as u64) {
+                refused = !budget.charge((row_len - at).min(BATCH_CHUNK as u64));
+            }
+            let cost = if refused { f64::INFINITY } else { surface(&r) };
+            if cost < best.1 {
+                best = (r, cost);
+            }
+        }
+        let iterations = cluster.grid().count() as u64;
+        answer(model, join, io, PlanningOutcome { config: best.0, cost: best.1, iterations })
+    }
+
+    /// `plan_operator` under `BruteForce` against [`exhaustive`] on one
+    /// grid: the answer to the bit, the iterations, and the evaluations the
+    /// budget was charged (a fresh tracker of `max_evals` on each side).
+    fn assert_brute_force_is_exhaustive(
+        model: &(impl OperatorCost + Send + Sync),
+        cluster: ClusterConditions,
+        io: &JoinIo,
+        objective: Objective,
+        parallelism: Parallelism,
+        max_evals: Option<u64>,
+    ) {
+        use raqo_resource::PlanningBudget;
+        let budget = PlanningBudget { deadline: None, max_evals };
+        for join in JoinImpl::ALL {
+            let mut c = RaqoCoster::new(model, cluster, ResourceStrategy::BruteForce, objective)
+                .with_parallelism(parallelism);
+            c.budget = Arc::new(BudgetTracker::start(budget));
+            let naive = BudgetTracker::start(budget);
+            let want = exhaustive(model, &cluster, join, io, objective, &naive);
+            let what =
+                format!("{objective:?} {io:?} {join:?} {parallelism:?} {max_evals:?} {cluster:?}");
+            assert_eq!(bits(c.plan_operator(join, io)), want, "{what}");
+            assert_eq!(c.stats.resource_iterations, cluster.grid_size(), "{what}");
+            assert_eq!(c.budget.evals_used(), naive.evals_used(), "{what}");
+        }
+    }
+
+    fn trained_models() -> &'static [JoinCostModel; 3] {
+        static MODELS: std::sync::OnceLock<[JoinCostModel; 3]> = std::sync::OnceLock::new();
+        MODELS.get_or_init(|| {
+            [
+                JoinCostModel::paper_hive(),
+                JoinCostModel::trained_hive(),
+                JoinCostModel::trained_hive_extended(),
+            ]
+        })
+    }
+
+    const EVERY_OBJECTIVE: [Objective; 6] = [
+        Objective::Time,
+        Objective::Money,
+        Objective::Weighted { time_weight: 0.3 },
+        // A weight outside [0, 1]: money counts against the score, which
+        // is no longer nondecreasing, so nothing is bounded.
+        Objective::Weighted { time_weight: 1.5 },
+        Objective::TimeUnderBudget { money_budget_tb_sec: 2.0 },
+        Objective::TimeUnderBudget { money_budget_tb_sec: 0.0 },
+    ];
+
+    proptest::proptest! {
+        /// The bounded brute-force scan is the exhaustive one: random 2-D
+        /// grids with 0.1, 1/128 and unit steps and 3-D grids with cores,
+        /// every objective, published / trained / extended coefficients and
+        /// the simulator (which bounds nothing), unlimited budgets and
+        /// eval caps that run out mid-grid.
+        #[test]
+        fn bounded_brute_force_is_the_exhaustive_scan(
+            nc_max in 1usize..12,
+            cs_min in 0.5f64..2.0,
+            step_kind in 0usize..3,
+            len in 1usize..400,
+            cores in 0usize..4,
+            build in 0.05f64..12.0,
+            cap_frac in 0.0f64..1.2,
+        ) {
+            let step = [0.1, 1.0 / 128.0, 1.0][step_kind];
+            let cs_min = (cs_min * 10.0).round() / 10.0;
+            let cs_max = cs_min + (len - 1) as f64 * step;
+            let cluster = if cores == 0 {
+                ClusterConditions::two_dim(1.0..=nc_max as f64, cs_min..=cs_max, 1.0, step)
+            } else {
+                let max = [nc_max as f64, cs_min + 10.0 * step, cores as f64];
+                ClusterConditions::new(
+                    ResourceConfig::from_slice(&[1.0, cs_min, 1.0]),
+                    ResourceConfig::from_slice(&max),
+                    ResourceConfig::from_slice(&[1.0, step, 1.0]),
+                )
+            };
+            let points = cluster.grid_size();
+            let io = io(build, 77.0);
+            let cap = (cap_frac * points as f64) as u64;
+            for objective in EVERY_OBJECTIVE {
+                for max_evals in [None, Some(cap)] {
+                    for model in trained_models() {
+                        assert_brute_force_is_exhaustive(
+                            model, cluster, &io, objective, Parallelism::Off, max_evals,
+                        );
+                    }
+                    let oracle = SimOracleCost::hive();
+                    assert_brute_force_is_exhaustive(
+                        &oracle, cluster, &io, objective, Parallelism::Off, max_evals,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_brute_force_is_the_exhaustive_scan_across_workers() {
+        // 120 × 1000 points: two workers each clear the 60 000-point floor,
+        // and each prunes its own half.
+        let cluster = ClusterConditions::two_dim(1.0..=120.0, 1.0..=8.8046875, 1.0, 0.0078125);
+        assert_eq!(cluster.grid_size(), 120_000);
+        for objective in [Objective::Time, Objective::Money] {
+            for model in trained_models() {
+                for parallelism in [Parallelism::Off, Parallelism::Threads(2)] {
+                    assert_brute_force_is_exhaustive(
+                        model, cluster, &io(3.4, 77.0), objective, parallelism, None,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hill_climb_reaches_a_bhj_feasible_only_in_the_last_column() {
+        // `0.1 + 0.1 + 0.1` overshoots 0.3: the grid's last column lies just
+        // past `max`, and a build side that fits nowhere before it.
+        let cluster = ClusterConditions::two_dim(1.0..=4.0, 0.1..=0.3, 1.0, 0.1);
+        let last = cluster.axis(1).last().unwrap();
+        assert!(last > 0.3);
+        let model = JoinCostModel::trained_hive();
+        let join_io = io(0.25 * model.bhj_capacity_per_gb, 77.0);
+        let plan = |strategy| {
+            let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
+            c.plan_operator(JoinImpl::BroadcastHash, &join_io)
+        };
+        let (brute, _) = plan(ResourceStrategy::BruteForce).expect("brute force plans the BHJ");
+        assert_eq!(brute.container_size_gb(), last);
+        for strategy in [
+            ResourceStrategy::HillClimb,
+            ResourceStrategy::HillClimbCached(CacheLookup::Exact),
+        ] {
+            let (climbed, _) = plan(strategy).expect("the climb plans the BHJ");
+            assert_eq!(climbed.container_size_gb(), last, "{strategy:?}");
+            assert!(cluster.contains(&climbed), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -82,6 +82,22 @@ pub trait OperatorCost {
         row_by_point(self, join, build_gb, probe_gb, base, coords, out);
     }
 
+    /// A lower bound on every cost [`OperatorCost::join_cost_row_at`] writes
+    /// for the same slice (`coords` ascending, as along any grid row), so a
+    /// grid scan may skip slices that cannot hold its winner. `+∞` means
+    /// the whole slice is infeasible. The default, `f64::NEG_INFINITY`,
+    /// bounds nothing: every slice gets priced.
+    fn join_cost_row_bound(
+        &self,
+        _join: JoinImpl,
+        _build_gb: f64,
+        _probe_gb: f64,
+        _base: &ResourceConfig,
+        _coords: &[f64],
+    ) -> f64 {
+        f64::NEG_INFINITY
+    }
+
     /// Cheapest feasible implementation for one join, if any implementation
     /// is feasible (SMJ always is, for both provided models).
     fn best_impl(
@@ -427,6 +443,76 @@ impl OperatorCost for JoinCostModel {
             let cost = acc.max(floor);
             *o = if build_gb > cs * cap { f64::INFINITY } else { cost };
         }
+    }
+
+    /// The §VI polynomial along a row is a quadratic in `cs`:
+    /// `K + B·cs + A·cs²` with `K` = the `ss` terms + `c4·nc + c5·nc²` (+ the
+    /// extended map's `c7/nc + c8·ss/nc + c9`), `B = c2 + c6·nc` and
+    /// `A = c3`. Its least value over the slice's feasible part — BHJ needs
+    /// `build_gb ≤ cs · capacity`, the kernel's own test, which holds on a
+    /// suffix of an ascending row — sits at an endpoint or, when `A > 0`,
+    /// at the vertex. That value, less a relative margin far above what
+    /// the kernel's roundings can move it, then `max(floor)`, is the bound:
+    /// `+∞` for a wholly infeasible slice, `f64::NEG_INFINITY` for a NaN
+    /// floor, a non-finite term, or a base that is not 2-D.
+    fn join_cost_row_bound(
+        &self,
+        join: JoinImpl,
+        build_gb: f64,
+        _probe_gb: f64,
+        base: &ResourceConfig,
+        coords: &[f64],
+    ) -> f64 {
+        /// Relative rounding margin: the kernel's ≤ 10 roundings move a
+        /// value by ≲ 10 · 2⁻⁵³ of the terms' magnitude, 2⁻⁴⁰ is ≈ 800×
+        /// that.
+        const MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+        let (model, cap) = self.join_params(join);
+        let c = &model.coefficients;
+        if base.dims() != 2 || self.floor.is_nan() || c.len() != self.feature_map.arity() {
+            return f64::NEG_INFINITY;
+        }
+        // The feasible part is a suffix of the row only while `cs · cap`
+        // grows with `cs`.
+        if cap.is_nan() || cap < 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        debug_assert!(coords.windows(2).all(|w| w[0] < w[1]), "row slice ascends");
+        let infeasible = |cs: f64| build_gb > cs * cap;
+        let (Some(&first), Some(&hi)) = (coords.first(), coords.last()) else {
+            return f64::NEG_INFINITY;
+        };
+        let lo = if !infeasible(first) {
+            first
+        } else if infeasible(hi) {
+            return f64::INFINITY;
+        } else {
+            coords[coords.partition_point(|&cs| infeasible(cs))]
+        };
+        let (ss, nc) = (build_gb, base.containers());
+        let (t0, t1, t4, t5) = (c[0] * ss, c[1] * (ss * ss), c[4] * nc, c[5] * (nc * nc));
+        let (t7, t8, t9) = match self.feature_map {
+            FeatureMap::Paper => (0.0, 0.0, 0.0),
+            FeatureMap::Extended => (c[7] * (1.0 / nc), c[8] * (ss / nc), c[9]),
+        };
+        let (k, b, a) = (t0 + t1 + t4 + t5 + t7 + t8 + t9, c[2] + c[6] * nc, c[3]);
+        // Largest |cs| on the slice, and what every term adds up to there.
+        let m = lo.abs().max(hi.abs());
+        let magnitude = [t0, t1, t4, t5, t7, t8, t9].iter().map(|t| t.abs()).sum::<f64>()
+            + (c[2].abs() + (c[6] * nc).abs()) * m
+            + a.abs() * (m * m);
+        let at = |cs: f64| k + b * cs + a * (cs * cs);
+        let mut least = at(lo).min(at(hi));
+        if a > 0.0 {
+            let vertex = -b / (2.0 * a);
+            if lo < vertex && vertex < hi {
+                least = least.min(at(vertex));
+            }
+        }
+        if !(least.is_finite() && (4.0 * magnitude).is_finite()) {
+            return f64::NEG_INFINITY;
+        }
+        (least - magnitude * MARGIN).max(self.floor)
     }
 }
 

@@ -9,9 +9,11 @@
 //!
 //! The injector is process-global (worker threads spawned by the planners
 //! must see faults armed by the test thread) and disarmed by default; the
-//! disarmed fast path is a single relaxed atomic load. Probe sites are only
-//! compiled into consumers under `cfg(test)` or their `faults` cargo
-//! feature, so production library builds carry no probes at all.
+//! disarmed fast path is a single relaxed atomic load. Library code marks
+//! its probe sites with [`site`], which reaches the injector only with this
+//! crate's `probes` feature on (each library crate's `faults` feature turns
+//! it on); otherwise `site` is a constant `Proceed`, so production builds
+//! carry no injection machinery at all.
 //!
 //! Concurrency note: the injector is shared state. Chaos tests that arm
 //! faults must serialize themselves (e.g. behind a `Mutex`) and disarm when
@@ -167,6 +169,21 @@ pub fn probe(site: &str) -> Action {
             }
         }
     }
+}
+
+/// A probe site in library code: [`probe`] with the `probes` feature on.
+#[cfg(feature = "probes")]
+#[inline]
+pub fn site(name: &str) -> Action {
+    probe(name)
+}
+
+/// A probe site in library code: without the `probes` feature, always
+/// `Proceed` — not even the disarmed atomic load is compiled in.
+#[cfg(not(feature = "probes"))]
+#[inline(always)]
+pub fn site(_name: &str) -> Action {
+    Action::Proceed
 }
 
 /// Matching probes seen for a pattern since arming (sums across faults with

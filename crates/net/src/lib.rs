@@ -46,7 +46,6 @@ pub mod client;
 pub mod frame;
 #[allow(unsafe_code)]
 pub(crate) mod poll;
-pub(crate) mod probes;
 pub mod server;
 
 pub use client::{ClientConfig, NetError, NetReply, PlanClient, PlanSummary};

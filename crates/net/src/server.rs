@@ -79,14 +79,31 @@
 //!   past the cap the connection is shed
 //!   (`raqo_net_shed_total{reason="slow_reader"}`) instead of growing the
 //!   buffer without bound.
+//!
+//! Fault-injection sites (`raqo_faults::site`, live with the `faults`
+//! feature):
+//! * `net.accept` — just after a connection is accepted;
+//! * `net.read`  — once per readable event on a connection (poll reported
+//!   bytes, EOF or an error), before the socket is drained;
+//! * `net.write` — once per flush attempt, i.e. on a pass that finds a
+//!   connection with pending output, before the first `write`;
+//! * `net.frame` — after such a read, if any bytes are buffered, before
+//!   they are decoded into frames.
+//!
+//! Hit counts therefore follow traffic (about one `net.read` and one
+//! `net.frame` per request segment, one `net.write` per reply burst), not
+//! time: an idle connection hits nothing. `Fail` at a site models a hard
+//! transport fault (reset / torn stream); `Nan` models garbage on the wire
+//! (a corrupted byte); `Delay` stalls the event loop mid-operation; `Panic`
+//! is recovered by the chaos harness.
 
 use crate::frame::{
     self, Decoded, ErrorCode, ErrorFrame, Frame, ReplyFrame, RequestFrame, FLAG_DEADLINE_EXPIRED,
     FLAG_SHED,
 };
 use crate::poll::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-use crate::probes;
 use raqo_core::service::{PlanRequest, PlanningService, ServiceReply};
+use raqo_faults::Action;
 use raqo_telemetry::{Counter, Telemetry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -559,7 +576,7 @@ fn accept_backlog(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if probes::probe("net.accept") == probes::Action::Fail {
+                if raqo_faults::site("net.accept") == Action::Fail {
                     // Injected accept failure: the connection dies before
                     // entering the loop, exactly like a peer resetting
                     // inside the handshake.
@@ -716,7 +733,7 @@ fn service_conn(
     // buffer almost always has room. When it does not, the rest waits on
     // POLLOUT.
     if !conn.flushed() {
-        if probes::probe("net.write") == probes::Action::Fail {
+        if raqo_faults::site("net.write") == Action::Fail {
             return Fate::Close; // injected reset on the write side
         }
         loop {
@@ -763,7 +780,7 @@ fn read_and_decode(
     draining: bool,
 ) -> Fate {
     // -- read --
-    if probes::probe("net.read") == probes::Action::Fail {
+    if raqo_faults::site("net.read") == Action::Fail {
         return Fate::Close; // injected reset
     }
     let mut chunk = [0u8; 4096];
@@ -786,8 +803,8 @@ fn read_and_decode(
 
     // -- decode --
     if !conn.read_buf.is_empty() {
-        match probes::probe("net.frame") {
-            probes::Action::Fail => {
+        match raqo_faults::site("net.frame") {
+            Action::Fail => {
                 // Torn frame: the tail of the buffered bytes vanishes, as
                 // if the network cut mid-frame. The surviving prefix is
                 // either complete frames (served) or an incomplete one the
@@ -796,12 +813,12 @@ fn read_and_decode(
                 let keep = conn.read_buf.len() / 2;
                 conn.read_buf.truncate(keep);
             }
-            probes::Action::Nan => {
+            Action::Nan => {
                 // Garbage on the wire: one buffered byte flips.
                 let mid = conn.read_buf.len() / 2;
                 conn.read_buf[mid] ^= 0xA5;
             }
-            probes::Action::Proceed => {}
+            Action::Proceed => {}
         }
     }
     let mut consumed = 0usize;

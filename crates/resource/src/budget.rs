@@ -21,7 +21,11 @@
 //! Overshoot is bounded: exhaustion is detected at evaluation granularity,
 //! so a search never runs more than one row slice (≤ 256 evaluations) past
 //! its cap, and the deadline is re-checked at least every
-//! [`DEADLINE_CHECK_EVERY`] evaluations.
+//! [`DEADLINE_CHECK_EVERY`] evaluations charged. A brute-force scan
+//! charges its whole grid, slice by slice in grid order, while it bounds
+//! the slices — before it prices the few that can still win — so a
+//! deadline that passes during the pricing is caught at the next
+//! `getPlanCost`.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};

@@ -69,12 +69,19 @@ impl ClusterConditions {
         self.min.dims()
     }
 
+    /// Does `v` lie within the bounds along dimension `i`? `max` carries a
+    /// rounding allowance, because coordinates are reached by adding steps:
+    /// `0.1 + 0.1 + 0.1` is a grid point of `0.1..=0.3`. Every view of the
+    /// grid, and every bounds check on it, uses this rule.
+    pub(crate) fn admits(&self, i: usize, v: f64) -> bool {
+        v >= self.min.get(i) && v <= self.max.get(i) + 1e-9
+    }
+
     /// The grid coordinate after `v` along dimension `i`, if there is one:
-    /// `v + step`, admitted while it stays within `max` (plus a rounding
-    /// allowance). Every other view of the grid is derived from this rule.
+    /// `v + step`, while [`ClusterConditions::admits`] it.
     fn step_from(&self, i: usize, v: f64) -> Option<f64> {
         let next = v + self.step.get(i);
-        (next <= self.max.get(i) + 1e-9).then_some(next)
+        self.admits(i, next).then_some(next)
     }
 
     /// The grid's coordinates along dimension `i`, in order: `min`, then one
@@ -96,10 +103,12 @@ impl ClusterConditions {
         (0..self.dims()).map(|i| self.points_along(i)).product()
     }
 
-    /// Is `r` inside the bounds on every dimension? (Algorithm 1 lines
-    /// 11–12 check each step against `cluster.min`/`cluster.max`.)
+    /// Is `r` inside the bounds on every dimension, by the rule that
+    /// generates the grid (up to `max` plus a rounding allowance)? Every
+    /// grid point is. (Algorithm 1 lines 11–12 check each step the same
+    /// way.)
     pub fn contains(&self, r: &ResourceConfig) -> bool {
-        (0..self.dims()).all(|i| r.get(i) >= self.min.get(i) && r.get(i) <= self.max.get(i))
+        (0..self.dims()).all(|i| self.admits(i, r.get(i)))
     }
 
     /// Clamp `r` into bounds (used when cached configurations from a larger
@@ -215,6 +224,39 @@ mod tests {
         assert!(!c.contains(&ResourceConfig::containers_and_size(101.0, 10.0)));
         assert!(!c.contains(&ResourceConfig::containers_and_size(100.0, 10.5)));
         assert!(!c.contains(&ResourceConfig::containers_and_size(0.0, 5.0)));
+    }
+
+    #[test]
+    fn grid_points_past_an_inexact_max_are_contained() {
+        let c = ClusterConditions::two_dim(1.0..=4.0, 0.1..=0.3, 1.0, 0.1);
+        let last = c.axis(1).last().unwrap();
+        assert_eq!(last, 0.1 + 0.1 + 0.1);
+        assert!(last > 0.3);
+        assert!(c.contains(&ResourceConfig::containers_and_size(4.0, last)));
+        assert!(!c.contains(&ResourceConfig::containers_and_size(4.0, 0.3 + 1e-6)));
+    }
+
+    proptest::proptest! {
+        /// Every point `grid()` yields satisfies `contains`, on grids whose
+        /// 0.1 steps accumulate rounding.
+        #[test]
+        fn every_grid_point_is_contained(
+            min in proptest::collection::vec(0usize..30, 3),
+            len in proptest::collection::vec(0usize..25, 3),
+            dims in 1usize..=3,
+        ) {
+            let lo: Vec<f64> = min[..dims].iter().map(|&m| m as f64 / 10.0).collect();
+            let hi: Vec<f64> =
+                lo.iter().zip(&len).map(|(&l, &n)| l + n as f64 / 10.0).collect();
+            let c = ClusterConditions::new(
+                ResourceConfig::from_slice(&lo),
+                ResourceConfig::from_slice(&hi),
+                ResourceConfig::from_slice(&vec![0.1; dims]),
+            );
+            for p in c.grid() {
+                proptest::prop_assert!(c.contains(&p), "{:?} outside {:?}", p, c);
+            }
+        }
     }
 
     #[test]

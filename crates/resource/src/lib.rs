@@ -31,7 +31,6 @@ pub mod config;
 pub mod parallel;
 pub mod persist;
 pub mod planner;
-pub(crate) mod probes;
 pub mod sharded;
 pub mod stress;
 

@@ -34,7 +34,6 @@
 use crate::cluster::ClusterConditions;
 use crate::config::ResourceConfig;
 use crate::planner::{scan_rows, whole_grid, PlanningOutcome};
-use crate::probes;
 use raqo_telemetry::{Counter, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -64,11 +63,14 @@ impl Parallelism {
 }
 
 /// Grid points a worker must have to itself before a scan is split at all:
-/// spawning and joining scoped workers costs ≈ 70 µs per scan, the row scan
-/// ≈ 1.7 ns per point, so two workers break even near 105 000 points
-/// (release build, two-core box, one `RaqoCoster::join_cost` = two scans:
-/// 100 000 points 348 µs inline vs 402 µs split, 200 000 points 661 vs 541).
-/// Outcomes are bit-identical for any worker count; this only moves time.
+/// spawning and joining scoped workers costs ≈ 70 µs per scan, an unbounded
+/// row scan ≈ 1.7 ns per point, so two workers break even near 105 000
+/// points (release build, two-core box, one `RaqoCoster::join_cost` = two
+/// scans: 100 000 points 348 µs inline vs 402 µs split, 200 000 points 661
+/// vs 541). A bounded scan over long rows prices so little that splitting
+/// does not repay even at 1 000 000 points (382 vs 420 µs); the grids the
+/// repository plans on stay below the floor either way. Outcomes are
+/// bit-identical for any worker count; this only moves time.
 const MIN_POINTS_PER_WORKER: u64 = 60_000;
 
 /// Exhaustive grid search over a *row* evaluator, split across worker
@@ -77,21 +79,30 @@ const MIN_POINTS_PER_WORKER: u64 = 60_000;
 /// slice of a grid row: point `k` is `base` with its last coordinate replaced
 /// by `coords[k]`, `start` is the row-major grid index of point 0, and
 /// `costs[k]` must receive its cost (`f64::INFINITY` where infeasible).
-/// Slices are at most [`crate::BATCH_CHUNK`] long. The winner is the lowest
-/// `(cost, grid index)` for any worker count: the grid is cut into
-/// contiguous row-major index ranges and the per-range winners are merged in
-/// range order — lower cost wins, the earlier range on ties. `iterations` is
-/// the full grid size, as for the sequential planner.
-pub fn brute_force_rows<F>(
+/// Slices are at most [`crate::BATCH_CHUNK`] long.
+///
+/// `bound(start, base, coords)` must answer a lower bound on every cost
+/// `row_fn` can write for that slice (`f64::NEG_INFINITY` when it knows
+/// none); it sees every slice once, in grid order, and `row_fn` then prices
+/// only the slices that can still hold the winner, best bound first. The
+/// winner is the lowest `(cost, grid index)` — exactly the exhaustive
+/// scan's — for any worker count: the grid is cut into contiguous row-major
+/// index ranges, each worker bounds and prunes its own range, and the
+/// per-range winners are merged in range order — lower cost wins, the
+/// earlier range on ties. `iterations` is the full grid size, as for the
+/// sequential planner, whatever was pruned.
+pub fn brute_force_rows<F, B>(
     cluster: &ClusterConditions,
     row_fn: F,
+    bound: B,
     parallelism: Parallelism,
     tel: &Telemetry,
 ) -> PlanningOutcome
 where
     F: Fn(u64, &ResourceConfig, &[f64], &mut [f64]) + Sync,
+    B: Fn(u64, &ResourceConfig, &[f64]) -> f64 + Sync,
 {
-    let scan = |axes: &[Vec<f64>], lo: u64, hi: u64| scan_rows(axes, lo, hi, &row_fn);
+    let scan = |axes: &[Vec<f64>], lo: u64, hi: u64| scan_rows(axes, lo, hi, &bound, &row_fn);
     whole_grid(cluster, |axes, total| {
         // Size first: a grid too small to split never asks `Auto` for cores.
         let room = total / MIN_POINTS_PER_WORKER;
@@ -112,7 +123,7 @@ where
                     let h = scope.spawn(move || {
                         catch_unwind(AssertUnwindSafe(|| {
                             let _in_scope = tel.enter_scope(scope_token);
-                            let _ = probes::probe("resource.worker.grid");
+                            let _ = raqo_faults::site("resource.worker.grid");
                             scan(axes, lo, hi)
                         }))
                     });
@@ -266,7 +277,7 @@ where
                 for &cand in &candidate {
                     let i_val = step_size.get(i) * cand;
                     let stepped = c.curr.get(i) + i_val;
-                    if stepped <= cluster.max.get(i) && stepped >= cluster.min.get(i) {
+                    if cluster.admits(i, stepped) {
                         // Nudge + snapshot + backtrack, exactly as the scalar
                         // climber does, so any floating-point drift of the
                         // backtracked coordinate is replayed too.
@@ -328,7 +339,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{brute_force, hill_climb};
+    use crate::planner::{brute_force, hill_climb, no_bound};
     use proptest::prelude::*;
 
     fn bowl(r: &ResourceConfig) -> f64 {
@@ -357,7 +368,7 @@ mod tests {
                 *c = cost_fn(&base.with_last(x));
             }
         };
-        brute_force_rows(cluster, row_fn, parallelism, tel)
+        brute_force_rows(cluster, row_fn, no_bound, parallelism, tel)
     }
 
     /// [`brute_force_rows`] over an array-of-configs evaluator.
@@ -371,7 +382,7 @@ mod tests {
             let configs: Vec<ResourceConfig> = coords.iter().map(|&x| base.with_last(x)).collect();
             batch_fn(start, &configs, costs);
         };
-        brute_force_rows(cluster, row_fn, parallelism, tel)
+        brute_force_rows(cluster, row_fn, no_bound, parallelism, tel)
     }
 
     /// The per-seed reference for the lock-step climber: Algorithm 1 from
@@ -433,6 +444,31 @@ mod tests {
     }
 
     #[test]
+    fn bounded_parallel_brute_force_matches_the_exhaustive_scan() {
+        // `(nc − 40)²` bounds the bowl along every row; a constant bound
+        // ties every slice. Each worker prunes its own range.
+        let cluster = fanned_cluster();
+        let row_fn = |_: u64, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+            for (&x, c) in coords.iter().zip(costs) {
+                *c = bowl(&base.with_last(x));
+            }
+        };
+        let by_row = |_: u64, base: &ResourceConfig, _: &[f64]| (base.containers() - 40.0).powi(2);
+        let seq = brute_force(&cluster, bowl);
+        for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Threads(7)] {
+            let tel = Telemetry::disabled();
+            for out in [
+                brute_force_rows(&cluster, row_fn, by_row, par, &tel),
+                brute_force_rows(&cluster, row_fn, |_, _, _| 0.0, par, &tel),
+            ] {
+                assert_eq!(out.config, seq.config, "{par:?}");
+                assert_eq!(out.cost.to_bits(), seq.cost.to_bits(), "{par:?}");
+                assert_eq!(out.iterations, seq.iterations, "{par:?}");
+            }
+        }
+    }
+
+    #[test]
     fn parallel_brute_force_tie_break_matches_sequential() {
         // Constant surface: every point ties; the winner must be the first
         // grid point for any chunking.
@@ -464,6 +500,7 @@ mod tests {
                     seen.lock().unwrap().insert(std::thread::current().id());
                     costs.fill(1.0);
                 },
+                no_bound,
                 Parallelism::Threads(4),
                 &Telemetry::disabled(),
             );

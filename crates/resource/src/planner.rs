@@ -2,6 +2,10 @@
 
 use crate::cluster::ClusterConditions;
 use crate::config::{ResourceConfig, MAX_DIMS};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// Result of one resource-planning call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,20 +29,82 @@ pub(crate) type Best = Option<(u64, ResourceConfig, f64)>;
 
 /// A cluster's grid laid out once as one coordinate list per dimension;
 /// grid indices are row-major over them, dimension 0 most significant.
-fn axes_of(cluster: &ClusterConditions) -> Vec<Vec<f64>> {
-    (0..cluster.dims()).map(|i| cluster.axis(i).collect()).collect()
+/// Accumulating a long axis costs more than a bounded scan of it, so each
+/// thread keeps the layout of the last cluster it scanned (matched bit for
+/// bit).
+fn axes_of(cluster: &ClusterConditions) -> Rc<Vec<Vec<f64>>> {
+    type Layout = Option<([u64; 3 * MAX_DIMS], Rc<Vec<Vec<f64>>>)>;
+    thread_local! {
+        static LAST: RefCell<Layout> = const { RefCell::new(None) };
+    }
+    let mut key = [0u64; 3 * MAX_DIMS];
+    let bounds = [cluster.min, cluster.max, cluster.discrete_steps()];
+    for (k, v) in key.iter_mut().zip(bounds.iter().flat_map(|r| r.as_slice())) {
+        *k = v.to_bits();
+    }
+    LAST.with_borrow_mut(|last| match last {
+        Some((seen, axes)) if *seen == key && axes.len() == cluster.dims() => axes.clone(),
+        _ => {
+            let axes = Rc::new((0..cluster.dims()).map(|i| cluster.axis(i).collect()).collect());
+            *last = Some((key, Rc::clone(&axes)));
+            axes
+        }
+    })
+}
+
+/// The bound of a row evaluator that has none: every slice may hold the
+/// winner, so [`scan_rows`] prices them all, in grid order.
+pub(crate) fn no_bound(_start: u64, _base: &ResourceConfig, _coords: &[f64]) -> f64 {
+    f64::NEG_INFINITY
+}
+
+/// Odometer position of row-major `index` over `axes`, and the point it
+/// stands for.
+fn locate(axes: &[Vec<f64>], index: u64) -> ([usize; MAX_DIMS], ResourceConfig) {
+    let mut at = [0usize; MAX_DIMS];
+    let mut point = ResourceConfig::from_slice(&[0.0; MAX_DIMS][..axes.len()]);
+    let mut rem = index;
+    for i in (0..axes.len()).rev() {
+        let n = axes[i].len() as u64;
+        at[i] = (rem % n) as usize;
+        rem /= n;
+        point.set(i, axes[i][at[i]]);
+    }
+    (at, point)
+}
+
+/// `b`'s place in the [`f64::total_cmp`] order, as an integer.
+fn order_key(b: f64) -> i64 {
+    let bits = b.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The one grid enumeration: scan the row-major index range `[lo, hi)` and
 /// return its cheapest point, the earlier one on ties (`None` iff the range
-/// is empty). The outer dimensions advance as an odometer over the axes
-/// while the innermost axis goes to `eval` in slices of at most
+/// is empty). The innermost axis goes to `eval` in slices of at most
 /// [`BATCH_CHUNK`] that never cross a row (the [`crate::brute_force_rows`]
 /// contract): no per-point [`ResourceConfig`] is built and nothing is
-/// allocated per slice. A cost that compares with nothing (NaN) never wins;
-/// a range holding no cost below `+∞` answers with its first point at `+∞`.
-pub(crate) fn scan_rows<F>(axes: &[Vec<f64>], lo: u64, hi: u64, mut eval: F) -> Best
+/// allocated per slice.
+///
+/// `bound(start, base, coords)` gets each slice first, in grid order (the
+/// outer dimensions advance as an odometer over the axes), and answers a
+/// lower bound on every cost `eval` can write for it; `−∞`, or NaN, bounds
+/// nothing. Slices are then priced in `(bound, first grid index)` order,
+/// and the scan stops at the first slice whose pair is not below the
+/// incumbent's `(cost, grid index)`: neither it nor any later slice can
+/// hold a winner. The incumbent moves only to a lower `(cost, index)`, so
+/// the answer is bit-for-bit the exhaustive scan's. A cost that compares
+/// with nothing (NaN) never wins; a range holding no cost below `+∞`
+/// answers with its first point at `+∞`.
+pub(crate) fn scan_rows<B, F>(
+    axes: &[Vec<f64>],
+    lo: u64,
+    hi: u64,
+    mut bound: B,
+    mut eval: F,
+) -> Best
 where
+    B: FnMut(u64, &ResourceConfig, &[f64]) -> f64,
     F: FnMut(u64, &ResourceConfig, &[f64], &mut [f64]),
 {
     if lo >= hi {
@@ -46,36 +112,57 @@ where
     }
     debug_assert!(hi <= axes.iter().map(|a| a.len() as u64).product(), "index off the grid");
     let inner = axes.len() - 1;
+    let row = &axes[inner];
+    // Length of the slice that starts at grid index `index`, `at` along its row.
+    let slice_len =
+        |index: u64, at: usize| (row.len() - at).min(BATCH_CHUNK).min((hi - index) as usize);
 
-    // Odometer position of `lo`, and the point it stands for.
-    let mut at = [0usize; MAX_DIMS];
-    let mut base = ResourceConfig::from_slice(&[0.0; MAX_DIMS][..axes.len()]);
-    let mut rem = lo;
-    for i in (0..=inner).rev() {
-        let n = axes[i].len() as u64;
-        at[i] = (rem % n) as usize;
-        rem /= n;
-        base.set(i, axes[i][at[i]]);
-    }
-
+    // Price one slice unless its `(bound key, first index)` is not below the
+    // incumbent's `(cost, index)`; `false` when it is ruled out (and so, in
+    // pricing order, is every later slice).
+    let (mut at, first) = locate(axes, lo);
     let mut costs = [0.0f64; BATCH_CHUNK];
-    let mut best = (lo, base, f64::INFINITY);
-    let mut index = lo;
-    while index < hi {
-        let row = &axes[inner][at[inner]..];
-        let n = row.len().min(BATCH_CHUNK).min((hi - index) as usize);
-        let (coords, costs) = (&row[..n], &mut costs[..n]);
-        base.set(inner, coords[0]);
-        eval(index, &base, coords, costs);
+    let mut best = (lo, first, f64::INFINITY);
+    let mut price = |key: i64, start: u64, base: &ResourceConfig, coords: &[f64]| {
+        if (key, start) >= (order_key(best.2 + 0.0), best.0) {
+            return false;
+        }
+        let costs = &mut costs[..coords.len()];
+        eval(start, base, coords, costs);
         let low = slice_min(costs);
-        if low < best.2 {
+        // Slices are disjoint: one that starts before the incumbent's index
+        // lies wholly before it.
+        if low < best.2 || (low == best.2 && start < best.0) {
             // Infallible: `low` is one of the slice's costs.
             let k = costs.iter().position(|&c| c == low).expect("minimum is in the slice");
-            best = (index + k as u64, base.with_last(coords[k]), costs[k]);
+            best = (start + k as u64, base.with_last(coords[k]), costs[k]);
+        }
+        true
+    };
+
+    // Bound pass, in grid order. Keys make integer order `(bound, index)`
+    // order (NaN bounds nothing; −0 counts as +0, as `<` has it). A slice
+    // bounded at −∞ is priced on the spot: the unbounded slices lead the
+    // pricing order, by index, which is the order they come in. The rest
+    // wait for the pricing pass.
+    let unbounded = order_key(f64::NEG_INFINITY);
+    let mut base = first;
+    let mut bounded = Vec::new();
+    let mut index = lo;
+    while index < hi {
+        let n = slice_len(index, at[inner]);
+        let coords = &row[at[inner]..at[inner] + n];
+        base.set(inner, coords[0]);
+        let b = bound(index, &base, coords);
+        let key = if b.is_nan() { unbounded } else { order_key(b + 0.0) };
+        if key == unbounded {
+            price(key, index, &base, coords);
+        } else {
+            bounded.push(Reverse((key, index)));
         }
         index += n as u64;
         at[inner] += n;
-        if at[inner] == axes[inner].len() {
+        if at[inner] == row.len() {
             // Row finished: carry into the outer dimensions.
             at[inner] = 0;
             for i in (0..inner).rev() {
@@ -85,6 +172,17 @@ where
                     break;
                 }
             }
+        }
+    }
+
+    // Pricing pass over the bounded slices, least `(bound, index)` first off
+    // a heap: typically one or two are priced before the rest are ruled out.
+    let mut bounded = BinaryHeap::from(bounded);
+    while let Some(Reverse((key, start))) = bounded.pop() {
+        let (at, base) = locate(axes, start);
+        let n = slice_len(start, at[inner]);
+        if !price(key, start, &base, &row[at[inner]..at[inner] + n]) {
+            break;
         }
     }
     Some(best)
@@ -159,7 +257,7 @@ pub fn brute_force<F>(cluster: &ClusterConditions, cost_fn: F) -> PlanningOutcom
 where
     F: FnMut(&ResourceConfig) -> f64,
 {
-    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, by_point(cost_fn)))
+    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, no_bound, by_point(cost_fn)))
 }
 
 /// Exhaustive grid search driven by a *batched* cost evaluator instead of a
@@ -176,7 +274,7 @@ pub fn brute_force_batch<F>(cluster: &ClusterConditions, batch_fn: F) -> Plannin
 where
     F: FnMut(u64, &[ResourceConfig], &mut [f64]),
 {
-    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, by_configs(batch_fn)))
+    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, no_bound, by_configs(batch_fn)))
 }
 
 /// Hill-climbing resource planning — a faithful transcription of the paper's
@@ -242,7 +340,7 @@ where
                 let i_val = step_size.get(i) * cand; // line 10
                 let stepped = curr_res.get(i) + i_val;
                 // line 11: respect cluster bounds
-                if stepped <= cluster.max.get(i) && stepped >= cluster.min.get(i) {
+                if cluster.admits(i, stepped) {
                     curr_res.nudge(i, i_val); // line 12
                     let temp = cost_fn(&curr_res); // line 13
                     iterations += 1;
@@ -375,7 +473,8 @@ mod tests {
         assert_eq!(out.config, ResourceConfig::containers_and_size(1.0, 1.0));
     }
 
-    /// The keep-first fold the row scan replaces, over `grid()` itself.
+    /// The keep-first fold the row scan replaces, over `grid()` itself: the
+    /// first point at `+∞`, then each strictly cheaper one (NaN never is).
     fn fold_by_point(
         cluster: &ClusterConditions,
         lo: u64,
@@ -385,9 +484,9 @@ mod tests {
         let mut best: Best = None;
         for (i, r) in cluster.grid().enumerate().take(hi as usize).skip(lo as usize) {
             let c = cost_fn(&r);
-            match best {
-                Some((_, _, bc)) if bc <= c => {}
-                _ => best = Some((i as u64, r, c)),
+            let (_, _, bc) = *best.get_or_insert((i as u64, r, f64::INFINITY));
+            if c < bc {
+                best = Some((i as u64, r, c));
             }
         }
         best
@@ -396,10 +495,12 @@ mod tests {
     proptest::proptest! {
         /// Row scan ≡ point-by-point fold — winner index, config and cost
         /// bits — on 1- to 3-D grids, exact and inexact steps, innermost
-        /// axes around [`BATCH_CHUNK`], surfaces full of ties and `+∞`, and
-        /// index ranges that start and end mid-row. The evaluator contract
-        /// (start index, base point, slices within one row) is checked on
-        /// the way.
+        /// axes around [`BATCH_CHUNK`], surfaces full of ties, `+∞` and NaN,
+        /// index ranges that start and end mid-row, and slice bounds that
+        /// are absent, exact (with −0 for 0), slack, or NaN. The contracts
+        /// are checked on the way: every slice reaches `bound` once, in grid
+        /// order (start index, base point, within one row), and `eval` sees
+        /// only listed slices, each at most once.
         #[test]
         fn row_scan_matches_the_point_by_point_fold(
             dims in 1usize..=3,
@@ -409,6 +510,7 @@ mod tests {
             salt in 0u64..1000,
             lo_frac in 0.0f64..1.0,
             len_frac in 0.0f64..=1.0,
+            bound_kind in 0usize..4,
         ) {
             let step = [1.0, 0.1, 1.0 / 128.0][step_kind];
             let (short, long) = (1 + inner_free % 19, 300 + inner_free);
@@ -436,22 +538,56 @@ mod tests {
                         1 => 3.5,
                         2 => f64::INFINITY,
                         _ if h % 3 == 0 => f64::INFINITY,
+                        _ if h % 5 == 1 => f64::NAN,
                         _ => (h % 1000) as f64 / 7.0,
                     }
                 };
                 let lo = (lo_frac * total as f64) as u64;
                 let hi = lo + (len_frac * (total - lo) as f64) as u64;
 
+                // A lower bound on the slice's comparable costs, as `bound_kind` says.
+                let slice_bound = |start: u64, base: &ResourceConfig, coords: &[f64]| {
+                    let tight = coords
+                        .iter()
+                        .map(|&x| cost_fn(&base.with_last(x)))
+                        .filter(|c| !c.is_nan())
+                        .fold(f64::INFINITY, f64::min);
+                    match (bound_kind, start % 3) {
+                        (0, _) => f64::NEG_INFINITY,
+                        (1, _) if tight == 0.0 => -0.0,
+                        (1, _) => tight,
+                        (2, slack) => tight - slack as f64,
+                        (_, 0) => f64::NAN,
+                        (_, 1) => f64::NEG_INFINITY,
+                        _ => tight,
+                    }
+                };
+
                 let axes = axes_of(&cluster);
+                let listed = std::cell::RefCell::new(std::collections::BTreeMap::new());
                 let mut next = lo;
-                let got = scan_rows(&axes, lo, hi, |start, base, coords, costs| {
-                    assert_eq!(start, next, "slices are contiguous");
-                    assert_eq!(*base, cluster.point_at(start));
-                    assert!(!coords.is_empty() && coords.len() <= BATCH_CHUNK);
-                    assert!(start % row_len + coords.len() as u64 <= row_len, "row crossed");
-                    next += coords.len() as u64;
-                    by_point(cost_fn)(start, base, coords, costs);
-                });
+                let got = scan_rows(
+                    &axes,
+                    lo,
+                    hi,
+                    |start, base, coords| {
+                        assert_eq!(start, next, "slices are listed in grid order");
+                        assert_eq!(*base, cluster.point_at(start));
+                        assert!(!coords.is_empty() && coords.len() <= BATCH_CHUNK);
+                        assert!(start % row_len + coords.len() as u64 <= row_len, "row crossed");
+                        next += coords.len() as u64;
+                        listed.borrow_mut().insert(start, (coords.len(), false));
+                        slice_bound(start, base, coords)
+                    },
+                    |start, base, coords, costs| {
+                        let mut listed = listed.borrow_mut();
+                        let slice = listed.get_mut(&start).expect("only listed slices are priced");
+                        assert_eq!(*slice, (coords.len(), false), "priced once, as listed");
+                        slice.1 = true;
+                        assert_eq!(*base, cluster.point_at(start));
+                        by_point(cost_fn)(start, base, coords, costs);
+                    },
+                );
                 proptest::prop_assert_eq!(next, hi);
                 let want = fold_by_point(&cluster, lo, hi, cost_fn);
                 proptest::prop_assert_eq!(got.is_none(), lo == hi);

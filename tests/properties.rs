@@ -197,8 +197,9 @@ proptest! {
                 *c = cost(&base.with_last(x));
             }
         };
-        let par =
-            brute_force_rows(&cluster, rows, Parallelism::Threads(workers), &Telemetry::disabled());
+        let no_bound = |_: u64, _: &ResourceConfig, _: &[f64]| f64::NEG_INFINITY;
+        let tel = Telemetry::disabled();
+        let par = brute_force_rows(&cluster, rows, no_bound, Parallelism::Threads(workers), &tel);
         prop_assert_eq!(par.config, seq.config);
         prop_assert_eq!(par.cost.to_bits(), seq.cost.to_bits());
         prop_assert_eq!(par.iterations, seq.iterations);

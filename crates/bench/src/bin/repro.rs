@@ -9,9 +9,7 @@
 //! repro --chaos                # fault-injection gate: ladder + recovery paths
 //! repro --cache-file <path>    # TPC-H sweep warm-started from a persisted cache
 //! repro --trace <file>         # traced TPC-H sweep: EXPLAIN ANALYZE + span trees
-//! repro --metrics <base>       # TPC-H sweep -> <base>.prom + <base>.json
-//! repro --otlp <file>          # service-driven sweep -> OTLP/JSON trace export
-//! repro --otlp <f> --flight-dir <d>  # ... plus flight-recorder dumps on degradation
+//! repro --metrics <file>       # TPC-H sweep -> Prometheus text metrics
 //! repro --serve <addr>         # raqo-net planning server (drain on Ctrl-D)
 //! repro --client <addr>        # TPC-H sweep against a running server
 //! repro --list                 # what exists
@@ -26,8 +24,7 @@ use raqo_core::{
 };
 use raqo_cost::JoinCostModel;
 use raqo_resource::{CacheLookup, ClusterConditions, ShardedCacheBank};
-use raqo_telemetry::{aggregate_spans, Counter};
-use serde::Value;
+use raqo_telemetry::{aggregate_spans, render_span_tree, Counter};
 
 /// `--cache-file`: run the TPC-H query sweep with across-query caching,
 /// warm-starting the shared resource-plan cache from `path` when it exists
@@ -139,22 +136,24 @@ fn traced_optimizer<'a>(
 
 /// `--trace <file>`: optimize the TPC-H queries with span tracing enabled
 /// (sequential planning, so each tree nests dispatch → planner → resource
-/// planning → cache lookups), print `EXPLAIN ANALYZE` per query, and dump
-/// the full span trees plus the metrics registry as JSON to `file`.
+/// planning → cache lookups), print `EXPLAIN ANALYZE` per query, and write
+/// each query's full span tree as text to `file`, under a
+/// `=== <query> ===` header.
 fn run_trace(path: &str) {
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
-    let mut docs: Vec<Value> = Vec::new();
+    let mut out = String::new();
     for (name, query) in tpch_queries(&schema) {
-        // A fresh sink per query keeps each span tree self-contained.
+        // A fresh handle per query keeps each span tree self-contained.
         let tel = Telemetry::enabled();
         let mut opt = traced_optimizer(&schema, &model, &tel);
         let plan = opt.optimize(&query).expect("plan");
         println!("=== {name} ===");
         println!("{}", explain_analyze(&plan, &schema.catalog, &tel));
         let spans = tel.spans();
+        let tree = render_span_tree(&spans);
         if spans.len() <= 200 {
-            println!("Span tree:\n{}", tel.span_tree_text());
+            println!("Span tree:\n{tree}");
         } else {
             println!("Span tree: {} spans (full tree in {path}); phase totals:", spans.len());
             for (phase, count, total_ns) in aggregate_spans(&spans).iter().take(12) {
@@ -162,23 +161,15 @@ fn run_trace(path: &str) {
             }
             println!();
         }
-        docs.push(Value::Object(vec![
-            ("query".to_string(), Value::String(name.to_string())),
-            ("spans".to_string(), tel.spans_to_json_value()),
-            ("metrics".to_string(), tel.snapshot().expect("enabled").to_json_value()),
-        ]));
+        out.push_str(&format!("=== {name} ===\n{tree}\n"));
     }
-    let mut out = String::new();
-    serde::write_value(&mut out, &Value::Array(docs), Some(2), 0);
-    out.push('\n');
     write_or_exit(path, out);
-    println!("wrote span trees and metrics for 4 queries to {path}");
+    println!("wrote span trees for 4 queries to {path}");
 }
 
-/// `--metrics <base>`: run the TPC-H sweep against one shared registry and
-/// export it as `<base>.prom` (Prometheus text exposition format) and
-/// `<base>.json`.
-fn run_metrics(base: &str) {
+/// `--metrics <file>`: run the TPC-H sweep against one shared registry and
+/// write it to `file` in Prometheus text exposition format.
+fn run_metrics(path: &str) {
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
     let tel = Telemetry::enabled();
@@ -190,94 +181,8 @@ fn run_metrics(base: &str) {
             plan.query.cost, plan.stats.plan_cost_calls, plan.stats.resource_iterations
         );
     }
-    let snap = tel.snapshot().expect("enabled");
-    let prom_path = format!("{base}.prom");
-    let json_path = format!("{base}.json");
-    write_or_exit(&prom_path, snap.to_prometheus());
-    write_or_exit(&json_path, snap.to_json());
-    println!("wrote {prom_path} and {json_path}");
-}
-
-/// `--otlp <file>` (optionally with `--flight-dir <dir>`): run the TPC-H
-/// sweep through a [`raqo_core::PlanningService`] so every query is one
-/// ticket trace, then export the trace pipeline as OTLP/JSON. The batch
-/// ticket runs under a zero-evaluation budget, so the sweep always
-/// exercises the degradation ladder — with `--flight-dir`, that flagged
-/// trace triggers a flight-recorder dump.
-fn run_otlp(path: &str, flight_dir: Option<&str>) {
-    use raqo_core::{PlanRequest, PlanningService, Priority, ServiceConfig};
-    use raqo_resource::{PlanningBudget, ShardedCacheBank};
-    use raqo_telemetry::FlightRecorder;
-    use std::sync::Arc;
-
-    let schema = TpchSchema::new(1.0);
-    let model: &'static JoinCostModel = Box::leak(Box::new(JoinCostModel::trained_hive()));
-    let tel = Telemetry::enabled();
-    let recorder = flight_dir.map(|dir| {
-        let rec = Arc::new(FlightRecorder::new(dir));
-        tel.add_span_sink(rec.clone());
-        rec
-    });
-    let mut config = ServiceConfig { workers: 2, ..Default::default() };
-    config.budgets[Priority::Batch as usize] = PlanningBudget::with_max_evals(0);
-    let service = PlanningService::start(
-        config,
-        ShardedCacheBank::with_shards(8),
-        tel.clone(),
-        |_| {
-            RaqoOptimizer::new(
-                std::sync::Arc::new(schema.catalog.clone()),
-                std::sync::Arc::new(schema.graph.clone()),
-                model,
-                ClusterConditions::paper_default(),
-                PlannerKind::Selinger,
-                ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor {
-                    threshold: 0.01,
-                }),
-            )
-        },
-    );
-    let queries = tpch_queries(&schema);
-    let priorities =
-        [Priority::Interactive, Priority::Standard, Priority::Standard, Priority::Batch];
-    let tickets: Vec<_> = queries
-        .iter()
-        .zip(priorities)
-        .enumerate()
-        .map(|(ns, ((name, query), priority))| {
-            let ticket = service
-                .submit(PlanRequest::new(query.clone(), priority).with_namespace(ns as u32));
-            (*name, priority, ticket)
-        })
-        .collect();
-    for (name, priority, ticket) in tickets {
-        let reply = ticket.wait();
-        let plan = reply.plan.expect("otlp sweep plan");
-        println!(
-            "  {name:>10}  {:>11}  trace {:032x}  cost {:>12.3}{}",
-            priority.name(),
-            reply.trace_id,
-            plan.query.cost,
-            if plan.degradation.is_some() { "  (degraded)" } else { "" },
-        );
-    }
-    drop(service);
-    write_or_exit(path, tel.otlp_json());
-    println!(
-        "wrote {} trace(s) ({} spans) as OTLP/JSON to {path}",
-        tel.completed_traces().len(),
-        tel.completed_span_count()
-    );
-    if let Some(rec) = recorder {
-        if let Some(err) = rec.last_error() {
-            eprintln!("flight recorder error: {err}");
-        }
-        println!(
-            "flight recorder: {} dump(s) in {}",
-            rec.dump_count(),
-            flight_dir.unwrap_or_default()
-        );
-    }
+    write_or_exit(path, tel.snapshot().expect("enabled").to_prometheus());
+    println!("wrote {path}");
 }
 
 /// `--serve <addr>`: put the planning service on the wire. Binds a
@@ -486,11 +391,10 @@ fn net_smoke_gate() {
     );
 }
 
-/// `--smoke` observability gate: the trace pipeline's three load-bearing
-/// promises, end to end. (1) The OTLP/JSON export round-trips through a
-/// real JSON parser. (2) Under 1% head sampling, tail retention still
+/// `--smoke` observability gate: the trace pipeline's two load-bearing
+/// promises, end to end. (1) Under 1% head sampling, tail retention still
 /// keeps a fault-injected (NaN-sanitized) ticket and a budget-exhausted
-/// ticket while sampling clean traffic out. (3) Disabled telemetry is
+/// ticket while sampling clean traffic out. (2) Disabled telemetry is
 /// plan-bit-identical to enabled telemetry.
 fn observability_smoke_gate() {
     use raqo_core::{PlanRequest, PlanningService, Priority, ServiceConfig};
@@ -501,11 +405,7 @@ fn observability_smoke_gate() {
     let schema = TpchSchema::new(1.0);
     let model: &'static JoinCostModel = Box::leak(Box::new(JoinCostModel::trained_hive()));
     let (_, ms) = timed(|| {
-        let tel = Telemetry::with_trace_config(TraceConfig {
-            head_rate: 0.01,
-            seed: 7,
-            ..TraceConfig::default()
-        });
+        let tel = Telemetry::with_trace_config(TraceConfig { head_rate: 0.01, seed: 7 });
         let mut config = ServiceConfig { workers: 1, ..Default::default() };
         config.budgets[Priority::Batch as usize] = PlanningBudget::with_max_evals(0);
         let service = PlanningService::start(
@@ -581,22 +481,6 @@ fn observability_smoke_gate() {
             snap.get(Counter::TracesSampledOut)
         );
 
-        // The export survives a real JSON parser and carries the flagged
-        // tickets.
-        let otlp = tel.otlp_json();
-        let parsed =
-            serde_json::from_str(&otlp).expect("observability smoke: OTLP JSON parses");
-        let Value::Object(top) = &parsed else {
-            panic!("observability smoke: OTLP root is not an object")
-        };
-        assert!(top.iter().any(|(k, _)| k == "resourceSpans"));
-        for id in [sanitized_id, exhausted_id] {
-            assert!(
-                otlp.contains(&format!("{id:032x}")),
-                "observability smoke: trace {id:x} missing from OTLP export"
-            );
-        }
-
         // Disabled telemetry changes nothing about the plan itself.
         let mut with_tel = traced_optimizer(&schema, model, &Telemetry::enabled());
         let mut without = traced_optimizer(&schema, model, &Telemetry::disabled());
@@ -611,8 +495,8 @@ fn observability_smoke_gate() {
     });
     assert!(!raqo_faults::armed(), "observability smoke: faults leaked");
     println!(
-        "observab. ok  {ms:>8.0} ms  OTLP round-trips; flagged tickets retained at 1% head \
-         rate; disabled == enabled plans"
+        "observab. ok  {ms:>8.0} ms  flagged tickets retained at 1% head rate; disabled == \
+         enabled plans"
     );
 }
 
@@ -1137,21 +1021,18 @@ fn chaos_smoke_gate() {
 /// The one-line synopsis printed with every command-line error.
 const USAGE: &str = "usage: repro --list | --all | --fig <id> [--quick] [--json <path>] | \
     --smoke | --chaos | --service-demo | \
-    --cache-file <path> | --trace <file> | --metrics <base> | --otlp <file> [--flight-dir <dir>] | \
-    --serve <addr> | --client <addr>";
+    --cache-file <path> | --trace <file> | --metrics <file> | --serve <addr> | --client <addr>";
 
 /// Flags that stand alone.
 const SWITCHES: [&str; 6] = ["--quick", "--list", "--all", "--smoke", "--chaos", "--service-demo"];
 
 /// Flags that take a value, and what the value is.
-const VALUED: [(&str, &str); 9] = [
+const VALUED: [(&str, &str); 7] = [
     ("--fig", "an experiment id (see --list)"),
     ("--json", "an output path"),
     ("--cache-file", "a path"),
     ("--trace", "an output file"),
-    ("--metrics", "an output base path"),
-    ("--otlp", "an output file"),
-    ("--flight-dir", "a directory"),
+    ("--metrics", "an output file"),
     ("--serve", "a bind address (e.g. 127.0.0.1:7432)"),
     ("--client", "a server address (e.g. 127.0.0.1:7432)"),
 ];
@@ -1236,13 +1117,8 @@ fn main() {
         return;
     }
 
-    if let Some(base) = args.value("--metrics") {
-        run_metrics(base);
-        return;
-    }
-
-    if let Some(path) = args.value("--otlp") {
-        run_otlp(path, args.value("--flight-dir"));
+    if let Some(path) = args.value("--metrics") {
+        run_metrics(path);
         return;
     }
 
@@ -1292,9 +1168,7 @@ fn main() {
         println!("  --service-demo  planning service under overload: priorities + degradation");
         println!("  --cache-file <path>  TPC-H sweep warm-started from a persisted cache");
         println!("  --trace <file>       traced TPC-H sweep: EXPLAIN ANALYZE + span trees -> file");
-        println!("  --metrics <base>     TPC-H sweep metrics -> <base>.prom + <base>.json");
-        println!("  --otlp <file>        service-driven TPC-H sweep -> OTLP/JSON trace export");
-        println!("  --flight-dir <dir>   with --otlp: dump flight-recorder files on degradation");
+        println!("  --metrics <file>     TPC-H sweep metrics -> Prometheus text file");
         println!("  --serve <addr>       raqo-net planning server (Ctrl-D or `quit` drains)");
         println!("  --client <addr>      TPC-H sweep against a running --serve process");
         if !list {

@@ -52,6 +52,9 @@ fn unknown_flags_are_rejected() {
         assert_rejected(&format!("{case}_quick"), &[flag, "--quick"], &unknown);
     }
     assert_rejected("bench_path", &["--smoke", "--bench-json", "b.json"], "unknown argument");
+    // So are the retired trace exports.
+    assert_rejected("otlp", &["--otlp", "x"], "unknown argument \"--otlp\"");
+    assert_rejected("flight_dir", &["--flight-dir", "d"], "unknown argument \"--flight-dir\"");
 }
 
 #[test]
@@ -60,7 +63,7 @@ fn a_value_flag_needs_a_value_that_is_not_a_flag() {
     assert_rejected("json_missing", &["--fig", "1", "--json"], "--json needs an output path");
     assert_rejected("fig_missing", &["--fig"], "--fig needs an experiment id");
     assert_rejected("serve_missing", &["--serve"], "--serve needs a bind address");
-    assert_rejected("otlp_flag", &["--otlp", "--flight-dir", "d"], "--otlp needs an output file");
+    assert_rejected("metrics_flag", &["--metrics", "--quick"], "--metrics needs an output file");
 }
 
 #[test]
@@ -83,6 +86,18 @@ fn a_well_formed_quick_figure_writes_its_tables() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = std::fs::read_to_string(dir.join("tables.json")).unwrap();
     assert!(text.starts_with('['), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn metrics_writes_prometheus_text_to_the_named_file() {
+    let dir = workdir("metrics");
+    let out = repro(&dir, &["--metrics", "m.prom"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = std::fs::read_to_string(dir.join("m.prom")).unwrap();
+    assert!(text.contains("# TYPE raqo_plan_cost_calls_total counter\n"), "{text}");
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(written.len(), 1, "{written:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,7 +14,7 @@ use raqo_planner::{
     SelingerError, SelingerPlanner,
 };
 use raqo_resource::{
-    BudgetTracker, BudgetTrigger, CacheLookup, ClusterConditions, Parallelism, PlanningBudget,
+    BudgetTracker, BudgetTrigger, ClusterConditions, Parallelism, PlanningBudget,
     ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::Engine;
@@ -323,24 +323,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
             budget: PlanningBudget::unlimited(),
             rule_based_tree: None,
         }
-    }
-
-    /// Convenience: hill climbing + nearest-neighbour caching, the
-    /// configuration Fig. 15 runs.
-    pub fn with_defaults(
-        catalog: impl Into<Shared<'a, Catalog>>,
-        graph: impl Into<Shared<'a, JoinGraph>>,
-        model: impl Into<Shared<'a, M>>,
-        cluster: ClusterConditions,
-    ) -> Self {
-        RaqoOptimizer::new(
-            catalog,
-            graph,
-            model,
-            cluster,
-            PlannerKind::fast_randomized(42),
-            ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.01 }),
-        )
     }
 
     /// Builder form of [`RaqoOptimizer::set_parallelism`].
@@ -679,7 +661,7 @@ mod tests {
     use super::*;
     use raqo_catalog::tpch::TpchSchema;
     use raqo_cost::SimOracleCost;
-    use raqo_resource::ResourceConfig;
+    use raqo_resource::{CacheLookup, ResourceConfig};
 
     fn optimizer(
         schema: &TpchSchema,
@@ -1174,6 +1156,29 @@ mod tests {
         assert!(raqo_planner::plan::covers_exactly(&plan.query.tree, &query.relations));
         assert!(plan.query.cost.is_finite() && plan.query.cost > 0.0);
         assert!(plan.query.joins.iter().all(|j| j.decision.resources.is_some()));
+    }
+
+    #[test]
+    fn a_memo_cut_plan_flags_its_trace_degraded() {
+        let schema = TpchSchema::new(1.0);
+        let tel = Telemetry::enabled();
+        let mut opt =
+            optimizer(&schema, model(), PlannerKind::cascades(), ResourceStrategy::BruteForce);
+        opt.set_telemetry(tel.clone());
+        // The budget of the test above: the bushy search is cut short.
+        opt.set_budget(PlanningBudget::with_max_evals(5_000));
+        let trace = tel.start_trace("plan.ticket");
+        let plan = {
+            let _in_trace = trace.enter();
+            opt.optimize(&QuerySpec::tpch_q3()).expect("cut search must still answer")
+        };
+        trace.finish();
+        let d = plan.degradation.expect("a cut must be reported");
+        assert_eq!(d.rung, crate::optimizer::DegradationRung::MemoCut);
+        let completed = tel.completed_traces();
+        assert_eq!(completed.len(), 1);
+        let flags = completed[0].flags;
+        assert!(flags.contains(raqo_telemetry::TraceFlags::DEGRADED), "{flags:?}");
     }
 
     #[test]

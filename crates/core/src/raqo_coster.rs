@@ -294,7 +294,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
     }
 
     /// Builder form of setting the tenant/workload cache namespace (see
-    /// [`model_key`]). Namespace 0 — the default — is the historical
+    /// `model_key`). Namespace 0 — the default — is the historical
     /// single-tenant id space.
     pub fn with_cache_namespace(mut self, namespace: u32) -> Self {
         self.cache_namespace = namespace;

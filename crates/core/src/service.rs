@@ -21,7 +21,7 @@
 //! * a shed path that still answers: when the queue is full the request
 //!   is planned inline under a zero-evaluation budget, so the ladder
 //!   drops straight to its cheap bottom rungs and the caller receives a
-//!   [`Degradation`]-annotated plan rather than an error.
+//!   [`Degradation`](crate::Degradation)-annotated plan rather than an error.
 //!
 //! Two entry points share one admission path. [`PlanningService::submit`]
 //! returns a [`PlanTicket`] to block on and sheds inline when the queue is
@@ -177,7 +177,8 @@ pub struct ServiceReply {
     /// Planning time on the worker, in microseconds.
     pub service_us: u64,
     /// The ticket's telemetry trace id (0 when telemetry is disabled),
-    /// for correlating the reply with the exported OTLP trace.
+    /// for finding the ticket's trace among
+    /// `Telemetry::completed_traces` (`CompletedTrace::trace_id`).
     pub trace_id: u128,
     /// True when the request's [`PlanRequest::deadline`] had already
     /// passed by the time a worker picked it up: the plan was produced at

@@ -2,9 +2,9 @@
 //!
 //! One event-loop thread owns the listener and every connection,
 //! nonblocking throughout — accept, read, frame decode, write and the idle
-//! reaper all run in a single loop that blocks in `poll(2)`
-//! ([`crate::poll`]) until a socket is ready, a timer is due, or another
-//! thread wakes it; no peer can block another by stalling, and an idle
+//! reaper all run in a single loop that blocks in `poll(2)` (the crate's
+//! private `poll` module) until a socket is ready, a timer is due, or
+//! another thread wakes it; no peer can block another by stalling, and an idle
 //! server does not run at all. The loop submits each decoded request
 //! straight into the [`PlanningService`]'s admission queue with a
 //! completion hook ([`PlanningService::try_submit_with`]); the planning
@@ -39,7 +39,7 @@
 //!   nothing); it lives on only to flush replies still owed. Output the
 //!   socket will not take waits on `POLLOUT`. An `accept` that fails for
 //!   want of descriptors parks the listener until a connection closes or
-//!   [`ACCEPT_BACKOFF`] passes.
+//!   `ACCEPT_BACKOFF` passes.
 //!
 //! Robustness decisions worth naming:
 //!

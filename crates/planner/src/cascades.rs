@@ -6,7 +6,7 @@
 //! tables first and probing the fact table with the tiny cross product can
 //! beat every left-deep order. Here a subset of the query's sorted relation
 //! list is a bitmask, every per-subset fact lives in a 2ⁿ-slot table indexed
-//! by it (see [`Search`]), and subsets are planned level by level, by size:
+//! by it (see `Search`), and subsets are planned level by level, by size:
 //!
 //! * **Splits** — the submasks holding a subset's lowest relation enumerate
 //!   each unordered split once. A split is a candidate when both halves are
@@ -19,7 +19,7 @@
 //!   [`PlanCoster::join_cost`] seam as Selinger (`getPlanCost`, §VI-C), so
 //!   resource planning, the plan-cost cache and planning budgets compose
 //!   unchanged; a level goes in
-//!   [`PlanCoster::join_cost_many`] batches of at most [`BATCH_CANDIDATES`].
+//!   [`PlanCoster::join_cost_many`] batches of at most `BATCH_CANDIDATES`.
 //! * **Winners** — lowest total cost, then least intermediate data
 //!   (Σ `out_gb`), then the seed split, then the first enumerated. The
 //!   learned §VI model floors at one second, so many sub-plans tie exactly.
@@ -307,7 +307,7 @@ impl Search<'_> {
     }
 }
 
-/// The planner. Stateless — all state lives in the per-run [`Search`].
+/// The planner. Stateless — all state lives in the per-run `Search`.
 pub struct CascadesPlanner;
 
 impl CascadesPlanner {

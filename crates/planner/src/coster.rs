@@ -50,7 +50,7 @@ pub trait PlanCoster {
     /// Cost a batch of *independent* joins, returning one decision per
     /// input, in input order. The Selinger and bushy DPs submit the
     /// uncached candidates of a level through this seam, up to
-    /// [`BATCH_CANDIDATES`] at a time. The default costs them sequentially
+    /// `BATCH_CANDIDATES` at a time. The default costs them sequentially
     /// (any coster is trivially correct); implementations whose costing is
     /// a pure function of the `JoinIo` may fan the batch out over
     /// `parallelism` worker threads, as long as the returned decisions are

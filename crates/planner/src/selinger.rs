@@ -16,7 +16,7 @@
 //!
 //! The table is filled level by level, by subset size: a subset only reads
 //! subsets one relation smaller, so the candidate extensions of a level are
-//! independent. They are costed [`BATCH_CANDIDATES`] at a time through
+//! independent. They are costed `BATCH_CANDIDATES` at a time through
 //! [`PlanCoster::join_cost_many`] (which costers may fan out over
 //! [`Parallelism`] worker threads) and folded into the table in generation
 //! order — masks ascending, item ascending — with keep-first tie-breaks.

@@ -357,7 +357,7 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
 }
 
 /// Write `bank` to `path` (version-1 JSON), replacing any previous file in
-/// one step (see [`write_atomic`]).
+/// one step (see `write_atomic`).
 pub fn save_bank(bank: &CacheBank, path: impl AsRef<Path>) -> Result<(), PersistError> {
     save_bank_with(bank, path, None)
 }
@@ -402,7 +402,7 @@ pub fn load_bank(path: impl AsRef<Path>) -> Result<CacheBank, PersistError> {
 
 /// Write `bank` to `path` with the cost-model fingerprint stamped into the
 /// header (see [`bank_to_json_with`]), replacing any previous file in one
-/// step (see [`write_atomic`]).
+/// step (see `write_atomic`).
 pub fn save_bank_with(
     bank: &CacheBank,
     path: impl AsRef<Path>,

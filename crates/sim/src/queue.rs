@@ -64,11 +64,6 @@ impl<T> AdmissionQueue<T> {
         self.capacity
     }
 
-    /// Number of priority classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Queued items in one class.
     pub fn class_len(&self, class: usize) -> usize {
         self.classes[class].len()

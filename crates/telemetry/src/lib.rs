@@ -8,40 +8,34 @@
 //!    (dispatch, Selinger DP levels, randomized rounds, resource planning,
 //!    cache lookups). Backed by bounded ring buffers (ambient cap
 //!    [`MAX_SPANS`], per-ticket cap [`DEFAULT_TRACE_SPAN_CAP`]) with
-//!    evictions counted.
+//!    evictions counted, and rendered as an indented tree
+//!    ([`render_span_tree`]).
 //! 2. **The trace pipeline** ([`Telemetry::start_trace`]): per-ticket
-//!    traces with deterministic ids and attributes, two-stage sampling
+//!    traces with deterministic ids and attributes, and two-stage sampling
 //!    (seeded head rate + tail retention of degraded/panicked/
-//!    budget-exhausted/sanitized tickets), pluggable [`SpanSink`]s, an
-//!    OTLP/JSON-shaped exporter ([`Telemetry::otlp_json`]), and a
-//!    [`FlightRecorder`] that dumps recent traces + metrics to disk when
-//!    trouble fires.
+//!    budget-exhausted/sanitized tickets) into a completed-trace ring
+//!    ([`Telemetry::completed_traces`]) bounded at [`MAX_SPANS`] spans.
 //! 3. **Metrics registry** ([`MetricsRegistry`]): enum-indexed atomic
-//!    counters and fixed-bucket histograms, exported as JSON
-//!    ([`MetricsSnapshot::to_json`]) and Prometheus text format
-//!    ([`MetricsSnapshot::to_prometheus`]).
-//! 4. **The no-op sink**: [`Telemetry::disabled`] is the default
+//!    counters and fixed-bucket histograms, exported in Prometheus text
+//!    format ([`MetricsSnapshot::to_prometheus`]).
+//! 4. **The no-op handle**: [`Telemetry::disabled`] is the default
 //!    everywhere; every instrumentation call on it is branch-on-`None`
 //!    and free — no clock reads, no locks, no allocation (asserted by the
 //!    `no_alloc` integration test and the `telemetry_overhead` bench).
 
-mod flight;
 mod metrics;
-mod otlp;
 mod span;
 mod trace;
 
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_KEEP};
 pub use metrics::{
     Counter, Gauge, Hist, HistSnapshot, MetricsRegistry, MetricsSnapshot, LOCK_WAIT_BUCKETS,
     PLAN_COST_LATENCY_BUCKETS, QUEUE_WAIT_BUCKETS, RESOURCE_ITERATIONS_BUCKETS,
     SHARD_LABEL_BUCKETS,
 };
 pub use span::{
-    aggregate_spans, render_span_tree, spans_to_json_value, Span, SpanRecord, Stopwatch,
-    Telemetry, MAX_SPANS,
+    aggregate_spans, render_span_tree, Span, SpanRecord, Stopwatch, Telemetry, MAX_SPANS,
 };
 pub use trace::{
-    CompletedTrace, ScopeGuard, SpanSink, TraceConfig, TraceContext, TraceFlags, TraceGuard,
-    TraceScope, DEFAULT_TRACE_SPAN_CAP,
+    CompletedTrace, ScopeGuard, TraceConfig, TraceContext, TraceFlags, TraceGuard, TraceScope,
+    DEFAULT_TRACE_SPAN_CAP,
 };

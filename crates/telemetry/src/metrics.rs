@@ -1,12 +1,11 @@
 //! The metrics registry: enum-indexed atomic counters and fixed-bucket
-//! histograms, snapshotted into JSON or Prometheus text format.
+//! histograms, snapshotted into Prometheus text format.
 //!
 //! Counters are the source of truth for everything `RaqoStats` reports —
 //! the stats struct is a *view* over a registry snapshot, so the two can
 //! never diverge. Histograms use fixed bucket boundaries chosen once at
 //! compile time: no locks, no allocation on the observe path.
 
-use serde::Value;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Every counter the optimizer stack increments. The discriminant is the
@@ -100,8 +99,6 @@ pub enum Counter {
     /// Retained traces evicted from the completed ring to stay under its
     /// span-count capacity (oldest unflagged first).
     TracesEvicted,
-    /// Flight-recorder dumps written to disk.
-    FlightDumps,
     /// Cache-bank entries evicted by compaction (cold/stale entries past
     /// the configured high-water mark).
     CacheEvictions,
@@ -152,7 +149,7 @@ pub enum Counter {
 pub const SHARD_LABEL_BUCKETS: usize = 8;
 
 impl Counter {
-    pub const ALL: [Counter; 55] = [
+    pub const ALL: [Counter; 54] = [
         Counter::PlanCostCalls,
         Counter::ResourceIterations,
         Counter::CacheHitsExact,
@@ -190,7 +187,6 @@ impl Counter {
         Counter::TracesRetained,
         Counter::TracesSampledOut,
         Counter::TracesEvicted,
-        Counter::FlightDumps,
         Counter::CacheEvictions,
         Counter::NetConnectionsOpened,
         Counter::NetConnectionsClosed,
@@ -267,7 +263,6 @@ impl Counter {
             Counter::TracesRetained => "raqo_traces_retained_total",
             Counter::TracesSampledOut => "raqo_traces_sampled_out_total",
             Counter::TracesEvicted => "raqo_traces_evicted_total",
-            Counter::FlightDumps => "raqo_flight_dumps_total",
             Counter::CacheEvictions => "raqo_cache_evictions_total",
             Counter::NetConnectionsOpened => "raqo_net_connections_total{event=\"opened\"}",
             Counter::NetConnectionsClosed => "raqo_net_connections_total{event=\"closed\"}",
@@ -345,7 +340,6 @@ impl Counter {
             Counter::TracesRetained => "finished traces retained by head or tail sampling",
             Counter::TracesSampledOut => "finished traces discarded by head sampling",
             Counter::TracesEvicted => "retained traces evicted from the completed ring",
-            Counter::FlightDumps => "flight-recorder dumps written to disk",
             Counter::CacheEvictions => "cache-bank entries evicted by compaction",
             Counter::NetConnectionsOpened | Counter::NetConnectionsClosed => {
                 "plan-server TCP connection lifecycle events"
@@ -634,69 +628,6 @@ impl MetricsSnapshot {
         })
     }
 
-    /// The snapshot as a JSON value: `{"counters": {...}, "histograms":
-    /// {...}, "gauges": {...}}`.
-    pub fn to_json_value(&self) -> Value {
-        let counters = Value::Object(
-            Counter::ALL
-                .iter()
-                .map(|&c| (c.name().to_string(), Value::Num(self.get(c) as f64)))
-                .collect(),
-        );
-        let hists = Value::Object(
-            Hist::ALL
-                .iter()
-                .map(|&h| {
-                    let s = self.hist(h);
-                    let buckets = Value::Array(
-                        h.buckets()
-                            .iter()
-                            .zip(s.buckets.iter())
-                            .map(|(&le, &n)| {
-                                Value::Object(vec![
-                                    ("le".to_string(), Value::Num(le as f64)),
-                                    ("count".to_string(), Value::Num(n as f64)),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    let obj = Value::Object(vec![
-                        ("buckets".to_string(), buckets),
-                        ("overflow".to_string(), Value::Num(s.overflow as f64)),
-                        ("sum".to_string(), Value::Num(s.sum as f64)),
-                        ("count".to_string(), Value::Num(s.count as f64)),
-                    ]);
-                    (h.name().to_string(), obj)
-                })
-                .collect(),
-        );
-        let mut gauges = Vec::new();
-        for &g in Gauge::ALL.iter() {
-            gauges.push((g.name().to_string(), Value::Num(self.gauge(g) as f64)));
-        }
-        if let Some(r) = self.cache_hit_ratio() {
-            gauges.push(("raqo_cache_hit_ratio".to_string(), Value::Num(r)));
-        }
-        if let Some([e, n, w]) = self.cache_hit_ratio_by_kind() {
-            gauges.push(("raqo_cache_hit_ratio_exact".to_string(), Value::Num(e)));
-            gauges.push(("raqo_cache_hit_ratio_nearest".to_string(), Value::Num(n)));
-            gauges.push(("raqo_cache_hit_ratio_weighted".to_string(), Value::Num(w)));
-        }
-        Value::Object(vec![
-            ("counters".to_string(), counters),
-            ("histograms".to_string(), hists),
-            ("gauges".to_string(), Value::Object(gauges)),
-        ])
-    }
-
-    /// Pretty-printed JSON text.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        serde::write_value(&mut out, &self.to_json_value(), Some(2), 0);
-        out.push('\n');
-        out
-    }
-
     /// Prometheus text exposition format (version 0.0.4): HELP/TYPE lines,
     /// counters with `_total` names, histograms with cumulative
     /// `_bucket{le=...}` series plus `_sum` and `_count`.
@@ -836,20 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_is_valid_json() {
-        let reg = MetricsRegistry::new();
-        reg.inc(Counter::MemoHits, 2);
-        reg.observe(Hist::ResourceIterationsPerCall, 33);
-        let text = reg.snapshot().to_json();
-        let value = serde_json::from_str(&text).expect("snapshot JSON parses");
-        let serde::Value::Object(fields) = value else {
-            panic!("snapshot JSON must be an object")
-        };
-        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["counters", "histograms", "gauges"]);
-    }
-
-    #[test]
     fn shard_counter_folds_onto_label_buckets() {
         assert_eq!(Counter::cache_shard(0), Counter::CacheShardLookups0);
         assert_eq!(Counter::cache_shard(7), Counter::CacheShardLookups7);
@@ -880,16 +797,13 @@ mod tests {
         let prom = s.to_prometheus();
         assert!(prom.contains("# TYPE raqo_service_queue_depth gauge\n"));
         assert!(prom.contains("raqo_service_queue_depth 2\n"));
-        let json = s.to_json();
-        assert!(json.contains("raqo_service_queue_depth"));
-        serde_json::from_str(&json).expect("gauge JSON parses");
     }
 
     #[test]
-    fn every_metric_appears_in_both_exports() {
+    fn every_metric_appears_in_the_prometheus_export() {
         // Exhaustiveness guard: adding a Counter/Hist/Gauge variant without
-        // it reaching both export formats is a silent observability hole.
-        // `name()` strings are the contract, so match on those.
+        // it reaching the export is a silent observability hole. `name()`
+        // strings are the contract, so match on those.
         let reg = MetricsRegistry::new();
         for (i, &c) in Counter::ALL.iter().enumerate() {
             reg.inc(c, i as u64 + 1);
@@ -902,23 +816,8 @@ mod tests {
         }
         let snap = reg.snapshot();
         let prom = snap.to_prometheus();
-        // Counter names may carry Prometheus labels (quotes), which JSON
-        // escapes in the rendered text — compare against parsed keys.
-        let parsed = serde_json::from_str(&snap.to_json()).expect("snapshot JSON parses");
-        let serde::Value::Object(sections) = parsed else { panic!("snapshot is an object") };
-        let keys_of = |section: &str| -> Vec<String> {
-            let Some(serde::Value::Object(fields)) =
-                sections.iter().find(|(k, _)| k == section).map(|(_, v)| v)
-            else {
-                panic!("missing {section} section")
-            };
-            fields.iter().map(|(k, _)| k.clone()).collect()
-        };
-        let (counters, hists, gauges) =
-            (keys_of("counters"), keys_of("histograms"), keys_of("gauges"));
         for &c in Counter::ALL.iter() {
             assert!(prom.contains(&format!("{} ", c.name())), "{} missing in prom", c.name());
-            assert!(counters.iter().any(|k| k == c.name()), "{} missing in json", c.name());
         }
         for &h in Hist::ALL.iter() {
             assert!(
@@ -926,11 +825,9 @@ mod tests {
                 "{} missing in prom",
                 h.name()
             );
-            assert!(hists.iter().any(|k| k == h.name()), "{} missing in json", h.name());
         }
         for &g in Gauge::ALL.iter() {
             assert!(prom.contains(&format!("{} ", g.name())), "{} missing in prom", g.name());
-            assert!(gauges.iter().any(|k| k == g.name()), "{} missing in json", g.name());
         }
         // Distinct increments round-trip: no two counters alias one cell.
         for (i, &c) in Counter::ALL.iter().enumerate() {

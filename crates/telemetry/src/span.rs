@@ -12,19 +12,19 @@
 
 use crate::metrics::MetricsRegistry;
 use crate::trace::{
-    self, CompletedTrace, Pipeline, ScopeGuard, SpanSink, TraceConfig, TraceContext, TraceFlags,
-    TraceScope,
+    self, CompletedTrace, Pipeline, ScopeGuard, TraceConfig, TraceContext, TraceFlags, TraceScope,
 };
 use crate::Counter;
-use serde::Value;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Default span capacity of the ambient (non-ticket) trace ring. Past it
-/// the oldest spans are evicted and counted in [`Counter::SpansDropped`] —
-/// hot loops cannot grow the trace without bound.
+/// Span capacity of the ambient (non-ticket) trace ring and of the
+/// completed-trace ring. Past it the ambient ring evicts its oldest spans
+/// (counted in [`Counter::SpansDropped`]) and the completed ring its oldest
+/// unflagged traces (counted in [`Counter::TracesEvicted`]) — hot loops
+/// cannot grow either without bound.
 pub const MAX_SPANS: usize = 65_536;
 
 /// One finished (or still-open) span in a trace.
@@ -41,7 +41,7 @@ pub struct SpanRecord {
     /// Start offset from the telemetry epoch, nanoseconds.
     pub start_ns: u64,
     /// End offset from the telemetry epoch; `None` while the span is
-    /// still open (exports mark such spans as open rather than
+    /// still open (the span tree marks such spans as open rather than
     /// zero-duration).
     pub end_ns: Option<u64>,
 }
@@ -67,11 +67,8 @@ pub(crate) struct Inner {
     /// Distinguishes handles on the shared thread-local stack.
     pub(crate) id: u64,
     pub(crate) epoch: Instant,
-    /// Wall-clock anchor of `epoch`, for OTLP unix-nano timestamps.
-    pub(crate) epoch_unix_ns: u64,
     pub(crate) registry: MetricsRegistry,
     pub(crate) pipeline: Mutex<Pipeline>,
-    pub(crate) sinks: Mutex<Vec<Arc<dyn SpanSink>>>,
 }
 
 thread_local! {
@@ -106,20 +103,14 @@ impl Telemetry {
         Self::with_trace_config(TraceConfig::default())
     }
 
-    /// An enabled handle with an explicit sampling/capacity configuration.
+    /// An enabled handle with an explicit sampling configuration.
     pub fn with_trace_config(config: TraceConfig) -> Self {
-        let epoch_unix_ns = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
         Telemetry {
             inner: Some(Arc::new(Inner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
-                epoch_unix_ns,
                 registry: MetricsRegistry::new(),
                 pipeline: Mutex::new(Pipeline::new(config)),
-                sinks: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -127,10 +118,6 @@ impl Telemetry {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    pub(crate) fn inner(&self) -> Option<&Arc<Inner>> {
-        self.inner.as_ref()
     }
 
     /// Open a span named `name`, parented at the innermost span currently
@@ -224,14 +211,6 @@ impl Telemetry {
 
     // ---- trace pipeline -------------------------------------------------
 
-    /// Register a sink invoked for *every* finished trace (before the
-    /// sampling decision discards anything). No-op when disabled.
-    pub fn add_span_sink(&self, sink: Arc<dyn SpanSink>) {
-        if let Some(inner) = &self.inner {
-            inner.sinks.lock().unwrap().push(sink);
-        }
-    }
-
     /// Start a new trace (one planning ticket). The returned context is
     /// inert when telemetry is disabled: every method on it is free.
     pub fn start_trace(&self, name: &str) -> TraceContext {
@@ -317,7 +296,7 @@ impl Telemetry {
     }
 
     /// Total spans held in the retained completed-trace ring. Bounded by
-    /// [`TraceConfig::completed_span_capacity`].
+    /// [`MAX_SPANS`].
     pub fn completed_span_count(&self) -> usize {
         match &self.inner {
             None => 0,
@@ -360,45 +339,6 @@ impl Telemetry {
     pub fn span_tree_text(&self) -> String {
         render_span_tree(&self.spans())
     }
-
-    /// The ambient spans as a JSON array of `{name, parent, start_us,
-    /// dur_us, open}` objects.
-    pub fn spans_to_json_value(&self) -> Value {
-        spans_to_json_value(&self.spans())
-    }
-}
-
-/// Flat-JSON rendering of a span slice: `{name, parent, start_us, dur_us,
-/// open}` per span. `parent` is the parent's sequence id; `dur_us` is
-/// `null` for spans still open (which also carry `"open": true`).
-pub fn spans_to_json_value(spans: &[SpanRecord]) -> Value {
-    Value::Array(
-        spans
-            .iter()
-            .map(|s| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(s.name.clone())),
-                    (
-                        "parent".to_string(),
-                        match s.parent {
-                            Some(p) => Value::Num(p as f64),
-                            None => Value::Null,
-                        },
-                    ),
-                    ("start_us".to_string(), Value::Num(s.start_ns as f64 / 1e3)),
-                    (
-                        "dur_us".to_string(),
-                        if s.is_open() {
-                            Value::Null
-                        } else {
-                            Value::Num(s.dur_ns() as f64 / 1e3)
-                        },
-                    ),
-                    ("open".to_string(), Value::Bool(s.is_open())),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// A started-or-inert stopwatch from [`Telemetry::stopwatch`].
@@ -445,11 +385,6 @@ impl Span {
         Span {
             inner: Some((Arc::clone(inner), key, seq, start)),
         }
-    }
-
-    /// Whether this guard is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
     }
 }
 
@@ -626,8 +561,6 @@ mod tests {
         assert!(spans[0].is_open());
         assert_eq!(spans[0].end_ns, None);
         assert_eq!(spans[0].dur_ns(), 0);
-        let json = serde::render_compact(&tel.spans_to_json_value());
-        assert!(json.contains("\"open\":true"), "flat JSON marks open spans: {json}");
         assert!(tel.span_tree_text().contains("(open)"));
         drop(_held);
         let spans = tel.spans();

@@ -1,5 +1,5 @@
-//! The trace pipeline: per-ticket span ring buffers, two-stage sampling,
-//! and pluggable sinks.
+//! The trace pipeline: per-ticket span ring buffers and two-stage
+//! sampling.
 //!
 //! Every planning ticket gets its own trace ([`Telemetry::start_trace`]):
 //! a bounded ring of [`SpanRecord`]s plus string attributes (tenant
@@ -24,12 +24,10 @@
 //! Retained traces land in a completed-trace ring bounded by total span
 //! count; when it overflows, the oldest *unflagged* traces are evicted
 //! first, so flagged (interesting) traces survive as long as anything
-//! does. Every finished trace — retained or not — is offered to the
-//! registered [`SpanSink`]s first, which is how the flight recorder keeps
-//! its always-on ring.
+//! does.
 
 use crate::span::{Inner, SpanRecord, Telemetry};
-use crate::{Counter, MetricsRegistry};
+use crate::Counter;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -38,7 +36,7 @@ use std::time::Instant;
 /// Sequence id of a trace's root span (always the first record pushed).
 pub(crate) const ROOT_SEQ: u32 = 0;
 
-/// Default per-ticket span ring capacity.
+/// Span ring capacity of each ticket trace.
 pub const DEFAULT_TRACE_SPAN_CAP: usize = 8_192;
 
 /// Bitset of retention-relevant conditions observed during a trace.
@@ -47,7 +45,8 @@ pub struct TraceFlags(pub u8);
 
 impl TraceFlags {
     pub const NONE: TraceFlags = TraceFlags(0);
-    /// A degradation rung fired (IDP bridge, reduced randomized, rule-based).
+    /// A degradation rung fired (IDP bridge, reduced randomized, rule-based,
+    /// or a bushy search cut short by its budget: memo cut).
     pub const DEGRADED: TraceFlags = TraceFlags(1);
     /// A planning worker panicked and was recovered.
     pub const PANIC: TraceFlags = TraceFlags(2);
@@ -70,29 +69,6 @@ impl TraceFlags {
     pub fn contains(self, other: TraceFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    #[inline]
-    pub fn intersects(self, other: TraceFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Stable human-readable names of the set flags.
-    pub fn names(self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if self.contains(TraceFlags::DEGRADED) {
-            out.push("degraded");
-        }
-        if self.contains(TraceFlags::PANIC) {
-            out.push("worker_panic");
-        }
-        if self.contains(TraceFlags::BUDGET_EXHAUSTED) {
-            out.push("budget_exhausted");
-        }
-        if self.contains(TraceFlags::COST_SANITIZED) {
-            out.push("cost_sanitized");
-        }
-        out
-    }
 }
 
 /// Counters whose firing marks the current trace as tail-retention
@@ -105,12 +81,16 @@ pub(crate) fn auto_flag(c: Counter) -> TraceFlags {
         }
         Counter::DegradationsIdpBridge
         | Counter::DegradationsRandomized
-        | Counter::DegradationsRuleBased => TraceFlags::DEGRADED,
+        | Counter::DegradationsRuleBased
+        | Counter::DegradationsMemoCut => TraceFlags::DEGRADED,
         _ => TraceFlags::NONE,
     }
 }
 
-/// Sampling and capacity configuration for the trace pipeline.
+/// Sampling configuration for the trace pipeline. The span rings have
+/// fixed capacities: [`MAX_SPANS`](crate::MAX_SPANS) for the ambient
+/// trace and for all completed traces together, and
+/// [`DEFAULT_TRACE_SPAN_CAP`] for each ticket trace.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Fraction of traces kept by head sampling, in `[0, 1]`. The
@@ -118,24 +98,11 @@ pub struct TraceConfig {
     pub head_rate: f64,
     /// Seed mixed into trace ids (and therefore the head decision).
     pub seed: u64,
-    /// Total spans retained across all completed traces; oldest unflagged
-    /// traces are evicted first when the ring overflows.
-    pub completed_span_capacity: usize,
-    /// Span ring capacity of each ticket trace.
-    pub trace_span_cap: usize,
-    /// Span ring capacity of the ambient (non-ticket) trace.
-    pub ambient_span_cap: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            head_rate: 1.0,
-            seed: 0,
-            completed_span_capacity: crate::MAX_SPANS,
-            trace_span_cap: DEFAULT_TRACE_SPAN_CAP,
-            ambient_span_cap: crate::MAX_SPANS,
-        }
+        TraceConfig { head_rate: 1.0, seed: 0 }
     }
 }
 
@@ -165,16 +132,6 @@ pub(crate) fn trace_id_for(seed: u64, key: u64) -> u128 {
     let hi = splitmix64(seed ^ splitmix64(key));
     let lo = splitmix64(hi ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let id = ((hi as u128) << 64) | lo as u128;
-    if id == 0 {
-        1
-    } else {
-        id
-    }
-}
-
-/// Deterministic span id within a trace (OTLP wants 8 bytes, nonzero).
-pub(crate) fn span_id_for(trace_id: u128, seq: u32) -> u64 {
-    let id = splitmix64((trace_id as u64) ^ ((seq as u64) + 1).wrapping_mul(0xA24B_AED4_963E_E407));
     if id == 0 {
         1
     } else {
@@ -246,10 +203,10 @@ impl TraceBuf {
     }
 }
 
-/// A finished trace as delivered to sinks and the completed ring.
+/// A finished trace retained in the completed ring.
 #[derive(Debug, Clone)]
 pub struct CompletedTrace {
-    /// Deterministic 128-bit id (hex-rendered for OTLP).
+    /// Deterministic 128-bit id (`ServiceReply.trace_id`).
     pub trace_id: u128,
     /// The ticket name given to [`Telemetry::start_trace`].
     pub name: String,
@@ -257,11 +214,9 @@ pub struct CompletedTrace {
     pub attrs: Vec<(String, String)>,
     /// Conditions observed during the trace.
     pub flags: TraceFlags,
-    /// Whether deterministic head sampling kept this trace.
+    /// Whether deterministic head sampling kept this trace (if not, its
+    /// flags did).
     pub head_sampled: bool,
-    /// `head_sampled || !flags.is_empty()` — whether the trace entered
-    /// the completed ring.
-    pub retained: bool,
     /// The span ring's contents at finish, oldest first.
     pub spans: Vec<SpanRecord>,
     /// Spans evicted from the ring during the trace's life.
@@ -273,18 +228,6 @@ impl CompletedTrace {
     pub fn root(&self) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.id == ROOT_SEQ)
     }
-
-    /// 32-hex-digit OTLP trace id.
-    pub fn trace_id_hex(&self) -> String {
-        format!("{:032x}", self.trace_id)
-    }
-}
-
-/// A sink offered every finished trace *before* the sampling decision
-/// discards anything; `trace.retained` tells the sink what the sampler
-/// decided. Sinks run outside the pipeline lock and may use `registry`.
-pub trait SpanSink: Send + Sync {
-    fn on_trace_finish(&self, trace: &CompletedTrace, registry: &MetricsRegistry);
 }
 
 /// Shared pipeline state behind the telemetry handle's mutex.
@@ -307,7 +250,7 @@ impl Pipeline {
             ambient: TraceBuf::new(
                 "ambient".to_string(),
                 trace_id_for(config.seed, 0),
-                config.ambient_span_cap,
+                crate::MAX_SPANS,
             ),
             active: Vec::new(),
             completed: VecDeque::new(),
@@ -331,47 +274,49 @@ impl Pipeline {
         let trace_id = trace_id_for(self.config.seed, key);
         self.active.push((
             key,
-            TraceBuf::new(name.to_string(), trace_id, self.config.trace_span_cap),
+            TraceBuf::new(name.to_string(), trace_id, DEFAULT_TRACE_SPAN_CAP),
         ));
         (key, trace_id)
     }
 
-    /// Remove a finished trace and run the retention decision. Returns the
-    /// completed trace (for sinks) or `None` when the key was already
-    /// finished.
-    pub(crate) fn finish(&mut self, key: u64, end_ns: u64) -> Option<CompletedTrace> {
+    /// Remove a finished trace, run the retention decision and admit a
+    /// retained trace into the completed ring. Returns whether the trace
+    /// was retained and how many completed traces it evicted, or `None`
+    /// when the key was already finished.
+    pub(crate) fn finish(&mut self, key: u64, end_ns: u64) -> Option<(bool, u64)> {
         let pos = self.active.iter().position(|(k, _)| *k == key)?;
         let (_, mut buf) = self.active.remove(pos);
         // Stamp the root (and leave any other still-open spans marked
-        // open — they are exported as such).
+        // open — the span tree renders them as such).
         if let Some(root) = buf.get_mut(ROOT_SEQ) {
             if root.end_ns.is_none() {
                 root.end_ns = Some(root.start_ns.max(end_ns).max(root.start_ns + 1));
             }
         }
         let head_sampled = self.config.head_keeps(buf.trace_id);
-        let retained = head_sampled || !buf.flags.is_empty();
-        Some(CompletedTrace {
+        if !head_sampled && buf.flags.is_empty() {
+            return Some((false, 0));
+        }
+        let evicted = self.admit(CompletedTrace {
             trace_id: buf.trace_id,
             name: buf.name,
             attrs: buf.attrs,
             flags: buf.flags,
             head_sampled,
-            retained,
             spans: buf.spans.into_iter().collect(),
             evicted: buf.evicted,
-        })
+        });
+        Some((true, evicted))
     }
 
     /// Admit a retained trace into the completed ring, evicting oldest
     /// unflagged traces (then oldest flagged, if nothing else is left) to
-    /// stay under the span-count capacity. Returns evicted trace count.
-    pub(crate) fn admit(&mut self, trace: CompletedTrace) -> u64 {
+    /// stay under [`MAX_SPANS`](crate::MAX_SPANS) spans. Returns evicted
+    /// trace count.
+    fn admit(&mut self, trace: CompletedTrace) -> u64 {
         let n = trace.spans.len();
         let mut evicted = 0;
-        while !self.completed.is_empty()
-            && self.completed_spans + n > self.config.completed_span_capacity
-        {
+        while !self.completed.is_empty() && self.completed_spans + n > crate::MAX_SPANS {
             let victim = self
                 .completed
                 .iter()
@@ -420,11 +365,6 @@ impl TraceContext {
         }
     }
 
-    /// Whether this context records anything.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The deterministic trace id (0 when inert).
     pub fn trace_id(&self) -> u128 {
         self.inner.as_ref().map_or(0, |(_, _, id)| *id)
@@ -464,29 +404,22 @@ impl TraceContext {
     }
 
     /// Finish the trace: stamp the root span, run the head/tail retention
-    /// decision, offer the result to every sink, and (if retained) admit
-    /// it into the completed ring. Idempotent across clones — the first
-    /// finish wins.
+    /// decision, and (if retained) admit it into the completed ring.
+    /// Idempotent across clones — the first finish wins.
     pub fn finish(self) {
         let Some((inner, key, _)) = self.inner else { return };
         let end_ns = Instant::now().duration_since(inner.epoch).as_nanos() as u64;
-        let (trace, ring_evicted) = {
-            let mut p = inner.pipeline.lock().unwrap();
-            let Some(trace) = p.finish(key, end_ns) else { return };
-            let evicted = if trace.retained { p.admit(trace.clone()) } else { 0 };
-            (trace, evicted)
+        let Some((retained, ring_evicted)) = inner.pipeline.lock().unwrap().finish(key, end_ns)
+        else {
+            return;
         };
-        if trace.retained {
+        if retained {
             inner.registry.inc(Counter::TracesRetained, 1);
         } else {
             inner.registry.inc(Counter::TracesSampledOut, 1);
         }
         if ring_evicted > 0 {
             inner.registry.inc(Counter::TracesEvicted, ring_evicted);
-        }
-        let sinks = inner.sinks.lock().unwrap().clone();
-        for sink in sinks {
-            sink.on_trace_finish(&trace, &inner.registry);
         }
     }
 }

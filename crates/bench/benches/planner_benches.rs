@@ -335,7 +335,6 @@ fn grid_scan(c: &mut Criterion) {
         ("100x10", ClusterConditions::paper_default()),
         ("1000x10", ClusterConditions::two_dim(1.0..=1000.0, 1.0..=10.0, 1.0, 1.0)),
     ];
-    let tel = Telemetry::disabled();
     let scan = |cluster: &ClusterConditions, io: &JoinIo, join: JoinImpl, bounded: bool| {
         let (build, probe) = (io.build_gb, io.probe_gb);
         let row_fn = |_, base: &ResourceConfig, coords: &[f64], out: &mut [f64]| {
@@ -348,7 +347,7 @@ fn grid_scan(c: &mut Criterion) {
                 f64::NEG_INFINITY
             }
         };
-        brute_force_rows(cluster, row_fn, bound, Parallelism::Off, &tel)
+        brute_force_rows(cluster, row_fn, bound)
     };
     let points = |cluster: &ClusterConditions, io: &JoinIo, join: JoinImpl| {
         brute_force(cluster, |r| {
@@ -379,31 +378,6 @@ fn grid_scan(c: &mut Criterion) {
             });
         }
     }
-    group.finish();
-}
-
-/// Multi-start hill climbing through the optimizer: the lock-step climber
-/// gathers each round's whole candidate neighborhood into one batched cost
-/// call.
-fn hill_climb_batched(c: &mut Criterion) {
-    let schema = TpchSchema::new(1.0);
-    let model = JoinCostModel::trained_hive();
-    let cluster = ClusterConditions::two_dim(1.0..=200.0, 1.0..=10.0, 1.0, 1.0);
-    let query = QuerySpec::tpch_all(&schema);
-    let mut group = c.benchmark_group("hill_climb_batched");
-    group.sample_size(10);
-    group.bench_function("batched", |b| {
-        let mut opt = RaqoOptimizer::new(
-            &schema.catalog,
-            &schema.graph,
-            &model,
-            cluster,
-            PlannerKind::Selinger,
-            ResourceStrategy::HillClimb,
-        );
-        opt.set_parallelism(Parallelism::Threads(2));
-        b.iter(|| black_box(opt.optimize(&query)));
-    });
     group.finish();
 }
 
@@ -594,7 +568,6 @@ criterion_group!(
     idp_bridge,
     cost_kernel_simd,
     grid_scan,
-    hill_climb_batched,
     telemetry_overhead,
     cardinality,
     bushy_dp,

@@ -16,11 +16,11 @@
 //! ```
 
 use raqo_bench::experiments::{registry, timed};
-use raqo_bench::{bushy, throughput, Table};
+use raqo_bench::{bushy, stress, throughput, Table};
 use raqo_catalog::{tpch::TpchSchema, QuerySpec};
 use raqo_core::{
-    explain_analyze, Parallelism, PlannerKind, RaqoOptimizer, RaqoStats, ResourceStrategy,
-    Telemetry,
+    explain_analyze, Parallelism, PlannerKind, RaqoOptimizer, RaqoPlan, RaqoStats,
+    ResourceStrategy, Telemetry,
 };
 use raqo_cost::JoinCostModel;
 use raqo_resource::{CacheLookup, ClusterConditions, ShardedCacheBank};
@@ -558,43 +558,57 @@ fn telemetry_smoke_gate() {
     );
 }
 
-/// `--smoke` gate: one Selinger figure (TPC-H, all tables, exhaustive
-/// resource planning) through every `Parallelism` mode; all modes must
-/// agree on the joint plan, cost bit for bit.
+/// `--smoke` gate: one Selinger figure (TPC-H, all tables) under every
+/// resource strategy through every `Parallelism` mode; per strategy, all
+/// modes must agree on the joint plan, its cost bit for bit, and the
+/// planning counters — a thread count changes speed, never the plan.
 fn selinger_smoke_gate() {
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
     let query = QuerySpec::tpch_all(&schema);
     let cluster = ClusterConditions::two_dim(1.0..=50.0, 1.0..=8.0, 1.0, 1.0);
-    let mut base: Option<(raqo_planner::PlanTree, f64)> = None;
     let modes = [Parallelism::Off, Parallelism::Threads(2), Parallelism::Auto];
+    let strategies = [
+        ResourceStrategy::BruteForce,
+        ResourceStrategy::HillClimb,
+        ResourceStrategy::HillClimbCached(CacheLookup::Exact),
+    ];
     let (_, ms) = timed(|| {
-        for parallelism in modes {
-            let mut opt = RaqoOptimizer::new(
-                &schema.catalog,
-                &schema.graph,
-                &model,
-                cluster,
-                PlannerKind::Selinger,
-                ResourceStrategy::BruteForce,
-            )
-            .with_parallelism(parallelism);
-            let plan = opt.optimize(&query).expect("smoke plan");
-            let (tree, cost) = (plan.query.tree.clone(), plan.query.cost);
-            match &base {
-                None => base = Some((tree, cost)),
-                Some((t0, c0)) => {
-                    assert_eq!(t0, &tree, "Selinger smoke: trees diverge at {parallelism:?}");
-                    assert_eq!(
-                        c0.to_bits(),
-                        cost.to_bits(),
-                        "Selinger smoke: costs diverge at {parallelism:?}: {c0} vs {cost}"
-                    );
-                }
+        for strategy in strategies {
+            let mut base: Option<RaqoPlan> = None;
+            for parallelism in modes {
+                let mut opt = RaqoOptimizer::new(
+                    &schema.catalog,
+                    &schema.graph,
+                    &model,
+                    cluster,
+                    PlannerKind::Selinger,
+                    strategy,
+                )
+                .with_parallelism(parallelism);
+                let plan = opt.optimize(&query).expect("smoke plan");
+                let Some(b) = &base else {
+                    base = Some(plan);
+                    continue;
+                };
+                let at = format!("{strategy:?} at {parallelism:?}");
+                assert_eq!(b.query.tree, plan.query.tree, "Selinger smoke: trees diverge, {at}");
+                assert_eq!(
+                    b.query.cost.to_bits(),
+                    plan.query.cost.to_bits(),
+                    "Selinger smoke: costs diverge, {at}: {} vs {}",
+                    b.query.cost,
+                    plan.query.cost
+                );
+                assert_eq!(b.stats, plan.stats, "Selinger smoke: counters diverge, {at}");
             }
         }
     });
-    println!("selinger  ok  {ms:>8.0} ms  {} parallelism modes agree bit for bit", modes.len());
+    println!(
+        "selinger  ok  {ms:>8.0} ms  {} parallelism modes x {} strategies agree bit for bit",
+        modes.len(),
+        strategies.len()
+    );
 }
 
 /// `--smoke` IDP parity gate: at the exhaustive-DP threshold (n = 20) a
@@ -810,7 +824,7 @@ fn concurrency_smoke_gate() {
     use raqo_resource::ShardedCacheBank;
 
     let (report, ms) = timed(|| {
-        let report = raqo_resource::concurrency_stress(8, 200)
+        let report = stress::concurrency_stress(8, 200)
             .unwrap_or_else(|e| panic!("concurrency smoke: stress harness failed: {e}"));
         assert!(report.clears > 0 && report.saves > 0, "stress never exercised clear/save");
 

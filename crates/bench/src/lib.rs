@@ -13,6 +13,7 @@
 pub mod bushy;
 pub mod experiments;
 pub mod report;
+pub mod stress;
 pub mod throughput;
 
 pub use report::{Cell, Table};

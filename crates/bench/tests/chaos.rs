@@ -91,6 +91,9 @@ fn worker_panic_recovers_to_a_bit_identical_plan() {
     let model = JoinCostModel::trained_hive();
     let query = QuerySpec::tpch_all(&schema);
 
+    let off = optimizer(&schema, &model, ResourceStrategy::HillClimb)
+        .optimize(&query)
+        .expect("sequential plan");
     let clean = optimizer(&schema, &model, ResourceStrategy::HillClimb)
         .with_parallelism(Parallelism::Threads(2))
         .optimize(&query)
@@ -114,38 +117,65 @@ fn worker_panic_recovers_to_a_bit_identical_plan() {
     );
     let panics = tel.snapshot().expect("enabled").get(Counter::WorkerPanics);
     assert!(panics >= 1, "worker panic was not counted");
+    // Threads change speed, not the plan: the recovered plan is also the
+    // one a single thread finds.
+    assert_eq!(off.query, recovered.query, "the thread count changed the plan");
+    assert_eq!(off.stats, recovered.stats, "the thread count changed the counters");
 }
 
 #[test]
-fn resource_worker_panic_recovers_to_a_bit_identical_outcome() {
+fn brute_force_scan_panic_on_a_worker_recovers_to_the_single_thread_plan() {
+    let _serial = lock();
+    let schema = TpchSchema::new(1.0);
+    let model = JoinCostModel::trained_hive();
+    let query = QuerySpec::tpch_all(&schema);
+
+    let off = optimizer(&schema, &model, ResourceStrategy::BruteForce)
+        .optimize(&query)
+        .expect("sequential plan");
+
+    // The probe sits in the row kernel, inside a grid scan; the scan runs
+    // on the worker that costs its join, so the panic unwinds out of that
+    // worker's chunk, which the calling thread then costs again.
+    let _guard = FaultGuard::new();
+    raqo_faults::arm(Fault::once("cost.model.batch", FaultKind::Panic));
+    let tel = Telemetry::enabled();
+    let mut opt = optimizer(&schema, &model, ResourceStrategy::BruteForce)
+        .with_parallelism(Parallelism::Threads(2));
+    opt.set_telemetry(tel.clone());
+    let recovered = with_quiet_panics(|| opt.optimize(&query)).expect("plan despite scan panic");
+
+    assert_eq!(off.query, recovered.query, "recovery changed the plan");
+    assert_eq!(off.stats, recovered.stats, "recovery changed the counters");
+    let panics = tel.snapshot().expect("enabled").get(Counter::WorkerPanics);
+    assert_eq!(panics, 1, "the scan panic was not counted once");
+}
+
+#[test]
+fn a_cost_model_panic_on_one_thread_reaches_the_caller() {
     let _serial = lock();
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
     let query = QuerySpec::tpch_q3();
 
-    // Exhaustive resource planning fans a grid out across threads once each
-    // worker gets 60 000 points or more (smaller grids scan inline); the
-    // probe sits inside each grid worker.
-    let fanned = ClusterConditions::two_dim(1.0..=1000.0, 1.0..=125.0, 1.0, 1.0);
-    let brute_force_on_two_threads = || {
-        let mut opt = optimizer(&schema, &model, ResourceStrategy::BruteForce)
-            .with_parallelism(Parallelism::Threads(2));
-        opt.set_cluster(fanned);
-        opt
-    };
-    let clean = brute_force_on_two_threads().optimize(&query).expect("clean plan");
+    let mut opt = optimizer(&schema, &model, ResourceStrategy::HillClimb);
+    let clean = opt.optimize(&query).expect("clean plan");
 
+    // With no worker there is nothing to recover: the panic unwinds out of
+    // `optimize`. The optimizer stays usable, and its next call plans as
+    // before.
     let _guard = FaultGuard::new();
-    raqo_faults::arm(Fault::once("resource.worker.grid", FaultKind::Panic));
+    raqo_faults::arm(Fault::once("cost.model.scalar", FaultKind::Panic));
     let tel = Telemetry::enabled();
-    let mut opt = brute_force_on_two_threads();
     opt.set_telemetry(tel.clone());
-    let recovered = with_quiet_panics(|| opt.optimize(&query)).expect("plan despite worker panic");
-
-    assert_eq!(clean.query.tree, recovered.query.tree);
-    assert_eq!(clean.query.cost.to_bits(), recovered.query.cost.to_bits());
-    let panics = tel.snapshot().expect("enabled").get(Counter::WorkerPanics);
-    assert!(panics >= 1, "resource worker panic was not counted");
+    let out = with_quiet_panics(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| opt.optimize(&query)))
+    });
+    assert!(out.is_err(), "a single-thread panic must reach the caller");
+    assert_eq!(tel.snapshot().expect("enabled").get(Counter::WorkerPanics), 0);
+    let again = opt.optimize(&query).expect("plan after the panic");
+    assert_eq!(again.query, clean.query);
+    assert_eq!(again.stats, clean.stats);
 }
 
 #[test]

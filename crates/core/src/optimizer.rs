@@ -295,6 +295,8 @@ pub struct RaqoOptimizer<'a, M: OperatorCost> {
     pub model: Shared<'a, M>,
     pub planner: PlannerKind,
     coster: RaqoCoster<'a, M>,
+    /// How many threads cost a DP level's batch of candidate joins.
+    parallelism: Parallelism,
     /// Declarative planning budget applied to every [`RaqoOptimizer::optimize`]
     /// call; unlimited by default. The deadline clock starts at the call.
     budget: PlanningBudget,
@@ -320,6 +322,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
             model,
             planner,
             coster,
+            parallelism: Parallelism::Off,
             budget: PlanningBudget::unlimited(),
             rule_based_tree: None,
         }
@@ -327,15 +330,17 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
 
     /// Builder form of [`RaqoOptimizer::set_parallelism`].
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.coster.parallelism = parallelism;
+        self.parallelism = parallelism;
         self
     }
 
-    /// Thread parallelism for the per-operator resource search.
-    /// [`Parallelism::Off`] (the default) reproduces the sequential
-    /// planners' results and iteration accounting exactly.
+    /// How many threads cost each batch of independent candidate joins
+    /// (a Selinger, IDP or bushy DP level). It changes planning time only:
+    /// plans, costs and counters are the same for every setting, and
+    /// [`Parallelism::Off`] (the default) costs every join on the calling
+    /// thread.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.coster.parallelism = parallelism;
+        self.parallelism = parallelism;
     }
 
     /// Builder form of [`RaqoOptimizer::set_budget`].
@@ -423,7 +428,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         // Cheap handle (a `None` or an `Arc` clone): the planners borrow
         // the coster mutably while they record into the same sink.
         let tel = self.coster.telemetry.clone();
-        let parallelism = self.coster.parallelism;
+        let parallelism = self.parallelism;
         // On a blown budget the bushy search cuts short and answers with
         // its best costed plan instead of failing down a rung.
         let tracker = self.coster.budget.clone();
@@ -646,7 +651,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         // ("no joint plan fits"), not a fault to degrade around. Only the
         // relation-bound bridge is reported.
         let planned = run.planned?;
-        let degradation = run.bridged.then(|| Degradation {
+        let degradation = run.bridged.then_some(Degradation {
             rung: DegradationRung::IdpBridge,
             trigger: DegradationTrigger::RelationBoundBridged,
             evals_used: 0,
@@ -835,6 +840,65 @@ mod tests {
         let b = par.optimize(&query).unwrap();
         assert_eq!(a.query, b.query, "parallel grid scan must be bit-identical");
         assert_eq!(a.stats, b.stats);
+    }
+
+    /// The oracle model, recording which threads evaluate it.
+    struct ThreadLog(
+        SimOracleCost,
+        std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    );
+
+    impl OperatorCost for ThreadLog {
+        fn join_cost(
+            &self,
+            j: raqo_sim::engine::JoinImpl,
+            b: f64,
+            p: f64,
+            nc: f64,
+            cs: f64,
+        ) -> Option<f64> {
+            self.1.lock().unwrap().insert(std::thread::current().id());
+            self.0.join_cost(j, b, p, nc, cs)
+        }
+    }
+
+    /// The optimizer's thread count reaches every DP planner's level
+    /// batches — set by the builder or the setter, and back off again —
+    /// and never the plan.
+    #[test]
+    fn every_dp_planner_fans_its_levels_out_when_asked() {
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_all(&schema);
+        let caller = std::thread::current().id();
+        for planner in [PlannerKind::Selinger, PlannerKind::idp(), PlannerKind::cascades()] {
+            let model = ThreadLog(SimOracleCost::hive(), Default::default());
+            let threads_used = |opt: &mut RaqoOptimizer<'_, ThreadLog>| {
+                model.1.lock().unwrap().clear();
+                let plan = opt.optimize(&query).expect("plan");
+                (plan, std::mem::take(&mut *model.1.lock().unwrap()))
+            };
+            let mut opt = RaqoOptimizer::new(
+                &schema.catalog,
+                &schema.graph,
+                &model,
+                ClusterConditions::paper_default(),
+                planner.clone(),
+                ResourceStrategy::HillClimb,
+            )
+            .with_parallelism(Parallelism::Threads(3));
+            let (fanned, used) = threads_used(&mut opt);
+            assert!(used.len() > 1, "{planner:?}: {} thread(s)", used.len());
+            opt.set_parallelism(Parallelism::Off);
+            let (off, used) = threads_used(&mut opt);
+            assert_eq!(used, [caller].into(), "{planner:?}");
+            opt.set_parallelism(Parallelism::Threads(2));
+            let (again, used) = threads_used(&mut opt);
+            assert!(used.len() > 1, "{planner:?}: {} thread(s)", used.len());
+            for plan in [&fanned, &again] {
+                assert_eq!(plan.query, off.query, "{planner:?}");
+                assert_eq!(plan.stats, off.stats, "{planner:?}");
+            }
+        }
     }
 
     #[test]
@@ -1379,7 +1443,7 @@ mod tests {
             || optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
         let mut opt = selinger();
         let first = opt.optimize(&query).unwrap();
-        opt.set_cluster(small.clone());
+        opt.set_cluster(small);
         let shrunk = opt.optimize(&query).unwrap();
         opt.set_cluster(ClusterConditions::paper_default());
         let restored = opt.optimize(&query).unwrap();

@@ -20,8 +20,8 @@ use raqo_cost::OperatorCost;
 use raqo_faults::Action;
 use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
 use raqo_resource::{
-    brute_force_rows, hill_climb, hill_climb_multi, BudgetTracker, CacheLookup, CacheStats,
-    ClusterConditions, PairGuard, Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
+    brute_force_rows, hill_climb, BudgetTracker, CacheLookup, CacheStats, ClusterConditions,
+    PairGuard, Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::JoinImpl;
 use raqo_telemetry::{Counter, Hist, MetricsSnapshot, Telemetry};
@@ -232,15 +232,6 @@ pub struct RaqoCoster<'a, M: OperatorCost> {
     pub cluster: ClusterConditions,
     pub strategy: ResourceStrategy,
     pub objective: Objective,
-    /// Parallelism of the per-operator resource search.
-    /// [`Parallelism::Off`] (the default) preserves the sequential planners'
-    /// evaluation order and iteration accounting exactly, keeping the
-    /// Figs. 12–14 counters reproducible. `Threads(n)`/`Auto` split a large
-    /// brute-force grid across workers (bit-identical result); under
-    /// [`ResourceStrategy::HillClimb`] they select deterministic multi-start
-    /// climbing, which runs its seeds in lock-step on the calling thread and
-    /// spawns no thread.
-    pub parallelism: Parallelism,
     pub stats: RaqoStats,
     /// Span/metrics sink. [`Telemetry::disabled`] (the default) keeps every
     /// instrumentation site a branch on `None` — no clocks, locks, or
@@ -272,7 +263,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
             cluster,
             strategy,
             objective,
-            parallelism: Parallelism::Off,
             stats: RaqoStats::default(),
             telemetry: Telemetry::disabled(),
             budget: Arc::new(BudgetTracker::unlimited()),
@@ -284,12 +274,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
     /// Builder form of setting [`RaqoCoster::telemetry`].
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Builder form of setting [`RaqoCoster::parallelism`].
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -356,7 +340,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
             cluster: &self.cluster,
             strategy: self.strategy,
             objective: self.objective,
-            parallelism: self.parallelism,
             cache: &self.cache,
             cache_namespace: self.cache_namespace,
             tel: &self.telemetry,
@@ -375,7 +358,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
             cluster: &self.cluster,
             strategy: self.strategy,
             objective: self.objective,
-            parallelism: self.parallelism,
             cache: &self.cache,
             cache_namespace: self.cache_namespace,
             tel: &self.telemetry,
@@ -397,8 +379,6 @@ struct CostCtx<'c, M> {
     cluster: &'c ClusterConditions,
     strategy: ResourceStrategy,
     objective: Objective,
-    /// Resource-search parallelism *inside* one join's planning.
-    parallelism: Parallelism,
     cache: &'c ShardedCacheBank,
     cache_namespace: u32,
     /// Shared with every fan-out worker: counters are atomic, and spans
@@ -471,14 +451,11 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
         // The raw time under the winner, when the search already has it.
         let mut known_time = None;
         let outcome: PlanningOutcome = match self.strategy {
-            // Off scans on this thread; any other setting splits a grid
-            // that is large enough to repay the threads across workers, with
-            // a bit-identical merged result. Every slice is charged to the
-            // budget in grid order as the scan bounds it — a refused slice
-            // bounds at +∞ and is never priced — so budgets run out where an
-            // exhaustive scan's would. Slices that can still win go through
-            // the fused kernel, then one pass sanitizes and scalarizes the
-            // raw times in place.
+            // Every slice is charged to the budget in grid order as the
+            // scan bounds it — a refused slice bounds at +∞ and is never
+            // priced — so budgets run out where an exhaustive scan's would.
+            // Slices that can still win go through the fused kernel, then
+            // one pass sanitizes and scalarizes the raw times in place.
             ResourceStrategy::BruteForce => {
                 let bound = |_start: u64, base: &ResourceConfig, coords: &[f64]| {
                     if !budget.charge(coords.len() as u64) {
@@ -506,50 +483,12 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                             tel.add(Counter::CostSanitizationsBatch, bad);
                         }
                     };
-                brute_force_rows(self.cluster, row_fn, bound, self.parallelism, tel)
+                brute_force_rows(self.cluster, row_fn, bound)
             }
             ResourceStrategy::HillClimb => {
                 tel.inc(Counter::HillClimbClimbs);
-                if self.parallelism == Parallelism::Off {
-                    let start = self.feasible_start(join, io)?;
-                    hill_climb(self.cluster, start, cost_fn)
-                } else {
-                    // Parallel mode upgrades to multi-start climbing: the
-                    // lock-step climber evaluates every live seed's
-                    // neighborhood in one fused call per dimension. The seed
-                    // set subsumes `feasible_start`: BHJ feasibility is
-                    // monotone in container size and the seeds include the
-                    // max-size corner, so whenever any start is feasible
-                    // that corner is too.
-                    let batch_fn = |configs: &[ResourceConfig], out: &mut [f64]| {
-                        tel.inc(Counter::BatchChunks);
-                        if !budget.charge(configs.len() as u64) {
-                            out.fill(f64::INFINITY);
-                            return;
-                        }
-                        match raqo_faults::site("cost.model.batch") {
-                            Action::Fail => {
-                                out.fill(f64::INFINITY);
-                                return;
-                            }
-                            Action::Nan => out.fill(f64::NAN),
-                            Action::Proceed => {
-                                model.join_cost_batch_at(join, build, probe, configs, out)
-                            }
-                        }
-                        for (c, r) in out.iter_mut().zip(configs) {
-                            *c = if c.is_nan() || *c < 0.0 {
-                                tel.inc(Counter::CostSanitizationsBatch);
-                                f64::INFINITY
-                            } else if c.is_finite() {
-                                objective.score(*c, r)
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
-                    };
-                    hill_climb_multi(self.cluster, batch_fn, tel)
-                }
+                let start = self.feasible_start(join, io)?;
+                hill_climb(self.cluster, start, cost_fn)
             }
             ResourceStrategy::HillClimbCached(lookup) => {
                 let (lookup_span, hit_counter) = match lookup {
@@ -577,10 +516,6 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                     known_time = Some(time);
                     PlanningOutcome { config: snapped, cost: c, iterations: 1 }
                 } else {
-                    // The cached strategy stays single-start even in
-                    // parallel mode: its point is spending few iterations
-                    // per miss and letting the cache amortize, so a
-                    // multi-start search would defeat the accounting.
                     tel.inc(Counter::CacheMisses);
                     tel.inc(Counter::HillClimbClimbs);
                     // No search runs under a shard lock.
@@ -712,36 +647,22 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
         ios: &[JoinIo],
         parallelism: Parallelism,
     ) -> Vec<Option<JoinDecision>> {
-        let fan_out = !matches!(parallelism, Parallelism::Off)
-            && parallelism.workers() > 1
-            && ios.len() > 1
-            && !matches!(self.strategy, ResourceStrategy::HillClimbCached(_));
-        if !fan_out {
+        let workers = parallelism.workers().min(ios.len());
+        if workers < 2 || matches!(self.strategy, ResourceStrategy::HillClimbCached(_)) {
             let mut decisions = Vec::with_capacity(ios.len());
             self.cost_in_order(ios, |d| decisions.push(d));
             return decisions;
         }
-        // Workers keep this coster's algorithm choices (multi-start
-        // climbing iff the coster itself is parallel) but search
-        // single-threaded: the per-join fan-out already owns the threads,
-        // and both route to the same deterministic winner.
-        let worker_parallelism = if self.parallelism == Parallelism::Off {
-            Parallelism::Off
-        } else {
-            Parallelism::Threads(1)
-        };
         let ctx = CostCtx {
             model: &*self.model,
             cluster: &self.cluster,
             strategy: self.strategy,
             objective: self.objective,
-            parallelism: worker_parallelism,
             cache: &self.cache,
             cache_namespace: self.cache_namespace,
             tel: &self.telemetry,
             budget: &self.budget,
         };
-        let workers = parallelism.workers().min(ios.len());
         let chunk = ios.len().div_ceil(workers);
         let ctx = &ctx;
         // Capture the calling thread's trace position so worker-thread
@@ -976,81 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_brute_force_matches_sequential_through_coster() {
-        // 200 000 points: enough for three workers to clear the 60 000
-        // points each that a grid must offer before it is split at all.
-        let fanned = |mut c: RaqoCoster<'static, SimOracleCost>| {
-            c.set_cluster(ClusterConditions::two_dim(1.0..=1000.0, 1.0..=200.0, 1.0, 1.0));
-            c
-        };
-        let mut seq = fanned(coster(ResourceStrategy::BruteForce));
-        let ds = seq.join_cost(&io(2.0, 40.0)).unwrap();
-        for p in [Parallelism::Threads(3), Parallelism::Auto] {
-            let mut par = fanned(coster(ResourceStrategy::BruteForce)).with_parallelism(p);
-            let dp = par.join_cost(&io(2.0, 40.0)).unwrap();
-            assert_eq!(ds, dp, "{p:?} must be bit-identical to sequential");
-            assert_eq!(seq.stats, par.stats, "{p:?} iteration accounting must match");
-        }
-    }
-
-    #[test]
-    fn parallel_hill_climb_upgrades_to_multi_start() {
-        let mut single = coster(ResourceStrategy::HillClimb);
-        let ds = single.join_cost(&io(2.0, 40.0)).unwrap();
-        let mut multi = coster(ResourceStrategy::HillClimb).with_parallelism(Parallelism::Auto);
-        let dm = multi.join_cost(&io(2.0, 40.0)).unwrap();
-        // Multi-start can only match or beat the single greedy climb, and
-        // its summed accounting reflects the extra climbs honestly.
-        assert!(dm.cost <= ds.cost + 1e-9, "multi {} vs single {}", dm.cost, ds.cost);
-        assert!(multi.stats.resource_iterations >= single.stats.resource_iterations);
-    }
-
-    #[test]
-    fn batched_multi_start_climb_matches_per_seed_bitwise() {
-        // Parallel HillClimb runs the lock-step climber; the reference
-        // climbs from each seed in turn over the per-point surface and keeps
-        // the best (the earlier seed on ties). Configurations, times and
-        // iteration accounting must be bit-identical.
-        use raqo_resource::multi_start_seeds;
-        let model = SimOracleCost::hive();
-        let cluster = ClusterConditions::paper_default();
-        for join_io in [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0), io(100.0, 200.0)] {
-            for join in JoinImpl::ALL {
-                let cost_fn = scorer(&model, join, join_io, Objective::Time);
-                let (mut best, mut iterations) = (None::<PlanningOutcome>, 0);
-                for seed in multi_start_seeds(&cluster) {
-                    let out = hill_climb(&cluster, seed, &cost_fn);
-                    iterations += out.iterations;
-                    if best.is_none_or(|b| out.cost.total_cmp(&b.cost).is_lt()) {
-                        best = Some(out);
-                    }
-                }
-                let want = answer(&model, join, &join_io, best.expect("at least one seed"));
-                let mut c =
-                    RaqoCoster::new(&model, cluster, ResourceStrategy::HillClimb, Objective::Time)
-                        .with_parallelism(Parallelism::Threads(4));
-                assert_eq!(bits(c.plan_operator(join, &join_io)), want, "{join:?} {join_io:?}");
-                assert_eq!(c.stats.resource_iterations, iterations, "{join:?} {join_io:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_climb_counts_rounds_through_coster() {
-        let tel = Telemetry::enabled();
-        let mut c = coster(ResourceStrategy::HillClimb)
-            .with_parallelism(Parallelism::Threads(2))
-            .with_telemetry(tel.clone());
-        c.join_cost(&io(2.0, 40.0)).unwrap();
-        let snap = tel.snapshot().unwrap();
-        assert!(
-            snap.get(Counter::HillClimbBatchedRounds) > 0,
-            "batched climb rounds must be counted"
-        );
-        assert!(snap.get(Counter::BatchChunks) > 0, "climb probes must go through the batch kernel");
-    }
-
-    #[test]
     fn shared_cache_carries_hits_across_costers() {
         let mut a = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
         a.join_cost(&io(2.0, 40.0)).unwrap();
@@ -1175,6 +1021,319 @@ mod tests {
                 }
             }
             self.inner.join_cost_at(j, b, p, r)
+        }
+    }
+
+    /// The oracle model, recording which threads evaluate it.
+    struct ThreadLog(
+        SimOracleCost,
+        std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    );
+
+    impl OperatorCost for ThreadLog {
+        fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+            self.1.lock().unwrap().insert(std::thread::current().id());
+            self.0.join_cost(j, b, p, nc, cs)
+        }
+    }
+
+    /// A batch of joins fans out over the threads asked for — except under
+    /// the cached strategy, whose cache warms in call order — and answers
+    /// exactly as on one thread: decisions and counters alike.
+    #[test]
+    fn join_cost_many_fans_out_and_answers_as_off() {
+        let ios: Vec<JoinIo> = (0..12).map(|k| io(0.25 + 0.5 * k as f64, 40.0)).collect();
+        let caller = std::thread::current().id();
+        for strategy in [
+            ResourceStrategy::BruteForce,
+            ResourceStrategy::HillClimb,
+            ResourceStrategy::HillClimbCached(CacheLookup::Exact),
+        ] {
+            let run = |parallelism| {
+                let model = ThreadLog(SimOracleCost::hive(), Default::default());
+                let cluster = ClusterConditions::paper_default();
+                let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
+                let decisions = c.join_cost_many(&ios, parallelism);
+                let stats = c.stats;
+                drop(c);
+                (decisions, stats, model.1.into_inner().unwrap())
+            };
+            let (want, want_stats, threads) = run(Parallelism::Off);
+            assert_eq!(threads, [caller].into(), "{strategy:?}");
+            let (got, stats, threads) = run(Parallelism::Threads(3));
+            assert_eq!(got, want, "{strategy:?}");
+            assert_eq!(stats, want_stats, "{strategy:?}");
+            if matches!(strategy, ResourceStrategy::HillClimbCached(_)) {
+                assert_eq!(threads, [caller].into(), "{strategy:?}");
+            } else {
+                assert_eq!(threads.len(), 3, "{strategy:?}");
+                assert!(!threads.contains(&caller), "{strategy:?}");
+            }
+        }
+    }
+
+    /// The twelve joins the fan-out tests cost as one batch.
+    fn twelve_ios() -> Vec<JoinIo> {
+        (0..12).map(|k| io(0.25 + 0.5 * k as f64, 40.0)).collect()
+    }
+
+    /// What `strategy` answers for a batch on `parallelism`: the decisions
+    /// and the coster's counters.
+    fn cost_batch<M: OperatorCost + Send + Sync>(
+        model: &M,
+        cluster: ClusterConditions,
+        strategy: ResourceStrategy,
+        ios: &[JoinIo],
+        parallelism: Parallelism,
+    ) -> (Vec<Option<JoinDecision>>, RaqoStats) {
+        let mut c = RaqoCoster::new(model, cluster, strategy, Objective::Time);
+        let decisions = c.join_cost_many(ios, parallelism);
+        (decisions, c.stats)
+    }
+
+    #[test]
+    fn join_cost_many_answers_as_off_for_any_thread_count() {
+        // One thread per join and more threads than joins included: how the
+        // batch is chunked never shows in the decisions or the counters.
+        let ios = twelve_ios();
+        let model = SimOracleCost::hive();
+        let cluster = ClusterConditions::paper_default();
+        for strategy in [ResourceStrategy::BruteForce, ResourceStrategy::HillClimb] {
+            let want = cost_batch(&model, cluster, strategy, &ios, Parallelism::Off);
+            assert_eq!(want.0.len(), ios.len());
+            let counts = (0..=13).map(Parallelism::Threads).chain([Parallelism::Auto]);
+            for parallelism in counts {
+                let got = cost_batch(&model, cluster, strategy, &ios, parallelism);
+                assert_eq!(got, want, "{strategy:?} {parallelism:?}");
+            }
+            let empty = cost_batch(&model, cluster, strategy, &[], Parallelism::Threads(4));
+            assert_eq!(empty, (Vec::new(), RaqoStats::default()), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn a_batch_is_split_over_at_most_one_thread_per_join() {
+        // One thread, or one join, costs on the caller; otherwise the batch
+        // goes to `min(threads, joins)` workers and the caller waits.
+        let caller = std::thread::current().id();
+        let ios = twelve_ios();
+        let threads_used = |ios: &[JoinIo], parallelism| {
+            let model = ThreadLog(SimOracleCost::hive(), Default::default());
+            let cluster = ClusterConditions::paper_default();
+            cost_batch(&model, cluster, ResourceStrategy::HillClimb, ios, parallelism);
+            model.1.into_inner().unwrap()
+        };
+        assert_eq!(threads_used(&ios, Parallelism::Off), [caller].into());
+        assert_eq!(threads_used(&ios, Parallelism::Threads(1)), [caller].into());
+        assert_eq!(threads_used(&ios[..1], Parallelism::Threads(4)), [caller].into());
+        for (joins, threads, workers) in [(3, 16, 3), (12, 4, 4), (12, 5, 4)] {
+            // Twelve joins in chunks of `div_ceil(12, 5)` = 3 fill four workers.
+            let used = threads_used(&ios[..joins], Parallelism::Threads(threads));
+            assert_eq!(used.len(), workers, "{joins} joins on {threads} threads");
+            assert!(!used.contains(&caller), "{joins} joins on {threads} threads");
+        }
+    }
+
+    #[test]
+    fn brute_force_on_a_long_grid_answers_as_off_on_any_thread_count() {
+        // 200 000 points per search: every worker runs whole bounded scans
+        // of its own joins.
+        let cluster = ClusterConditions::two_dim(1.0..=1000.0, 1.0..=200.0, 1.0, 1.0);
+        let ios = [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0)];
+        let model = &trained_models()[1];
+        let strategy = ResourceStrategy::BruteForce;
+        let want = cost_batch(model, cluster, strategy, &ios, Parallelism::Off);
+        assert_eq!(want.1.resource_iterations, 3 * 2 * 200_000);
+        for parallelism in [Parallelism::Threads(2), Parallelism::Threads(3), Parallelism::Auto] {
+            let got = cost_batch(model, cluster, strategy, &ios, parallelism);
+            assert_eq!(got, want, "{parallelism:?}");
+        }
+    }
+
+    /// The oracle model, panicking when asked to cost a join whose build
+    /// side is `build_gb`: every time, or only the first time.
+    struct PanicsAt {
+        inner: SimOracleCost,
+        build_gb: f64,
+        once: bool,
+        fired: std::sync::atomic::AtomicBool,
+    }
+
+    impl PanicsAt {
+        fn new(build_gb: f64, once: bool) -> Self {
+            PanicsAt { inner: SimOracleCost::hive(), build_gb, once, fired: Default::default() }
+        }
+    }
+
+    impl OperatorCost for PanicsAt {
+        fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+            use std::sync::atomic::Ordering;
+            if b == self.build_gb && !(self.once && self.fired.swap(true, Ordering::SeqCst)) {
+                panic!("injected cost-model panic at build side {b}");
+            }
+            self.inner.join_cost(j, b, p, nc, cs)
+        }
+    }
+
+    #[test]
+    fn a_search_panic_on_a_worker_is_recosted_on_the_calling_thread() {
+        // The model panics once, mid-search, inside one worker's chunk: the
+        // chunk is costed again on the caller, and the batch answers
+        // exactly as a healthy single-thread run does.
+        let ios = twelve_ios();
+        let cluster = ClusterConditions::paper_default();
+        let healthy = SimOracleCost::hive();
+        for strategy in [ResourceStrategy::BruteForce, ResourceStrategy::HillClimb] {
+            let want = cost_batch(&healthy, cluster, strategy, &ios, Parallelism::Off);
+            let model = PanicsAt::new(ios[7].build_gb, true);
+            let tel = Telemetry::enabled();
+            let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time)
+                .with_telemetry(tel.clone());
+            let got = c.join_cost_many(&ios, Parallelism::Threads(3));
+            assert!(model.fired.load(std::sync::atomic::Ordering::SeqCst), "{strategy:?}");
+            assert_eq!((got, c.stats), want, "{strategy:?}");
+            assert_eq!(tel.snapshot().unwrap().get(Counter::WorkerPanics), 1, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_that_recurs_on_the_calling_thread_propagates() {
+        // A panic the caller's re-cost meets again is a model bug, not a
+        // lost worker: it reaches the caller, on one thread or several.
+        let ios = twelve_ios();
+        let model = PanicsAt::new(ios[7].build_gb, false);
+        for parallelism in [Parallelism::Off, Parallelism::Threads(3)] {
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                let cluster = ClusterConditions::paper_default();
+                cost_batch(&model, cluster, ResourceStrategy::HillClimb, &ios, parallelism)
+            }));
+            assert!(out.is_err(), "{parallelism:?}");
+        }
+    }
+
+    /// Algorithm 1 as the coster runs it, rebuilt from public parts: one
+    /// climb over the per-point surface, from the smallest allocation at
+    /// which `join` is feasible (a BHJ whose build side does not fit the
+    /// smallest container starts on a larger one); `None` when no
+    /// container size of the smallest allocation fits it.
+    fn reference_climb(
+        model: &impl OperatorCost,
+        cluster: &ClusterConditions,
+        join: JoinImpl,
+        join_io: JoinIo,
+    ) -> Option<PlanningOutcome> {
+        let start = cluster.axis(1).map(|cs| cluster.min.with_last(cs)).find(|r| {
+            join == JoinImpl::SortMerge
+                || model.join_cost_at(join, join_io.build_gb, join_io.probe_gb, r).is_some()
+        })?;
+        Some(hill_climb(cluster, start, scorer(model, join, join_io, Objective::Time)))
+    }
+
+    #[test]
+    fn hill_climb_through_the_coster_is_algorithm_1_from_the_feasible_start() {
+        let model = SimOracleCost::hive();
+        let cluster = ClusterConditions::paper_default();
+        for join_io in [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0), io(100.0, 200.0)] {
+            for join in JoinImpl::ALL {
+                let mut c =
+                    RaqoCoster::new(&model, cluster, ResourceStrategy::HillClimb, Objective::Time);
+                let got = bits(c.plan_operator(join, &join_io));
+                let what = format!("{join:?} {join_io:?}");
+                match reference_climb(&model, &cluster, join, join_io) {
+                    Some(want) => {
+                        assert_eq!(got, answer(&model, join, &join_io, want), "{what}");
+                        assert_eq!(c.stats.resource_iterations, want.iterations, "{what}");
+                    }
+                    None => {
+                        assert_eq!(got, None, "{what}");
+                        assert_eq!(c.stats.resource_iterations, 0, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_thread_count_leaves_every_hill_climb_single_start() {
+        // Each join of the batch is climbed once, from its feasible start,
+        // whatever the thread count: the iterations are those climbs' sum.
+        let model = SimOracleCost::hive();
+        let cluster = ClusterConditions::paper_default();
+        let ios = [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0), io(9.0, 77.0)];
+        let want: u64 = ios
+            .iter()
+            .flat_map(|&join_io| JoinImpl::ALL.map(|join| (join, join_io)))
+            .filter_map(|(join, join_io)| reference_climb(&model, &cluster, join, join_io))
+            .map(|climb| climb.iterations)
+            .sum();
+        for parallelism in [Parallelism::Off, Parallelism::Threads(2), Parallelism::Auto] {
+            let (_, stats) =
+                cost_batch(&model, cluster, ResourceStrategy::HillClimb, &ios, parallelism);
+            assert_eq!(stats.resource_iterations, want, "{parallelism:?}");
+        }
+    }
+
+    #[test]
+    fn the_climber_probes_the_scalar_model_and_the_scan_its_row_kernel() {
+        for (strategy, climbs, scans) in
+            [(ResourceStrategy::BruteForce, 0, true), (ResourceStrategy::HillClimb, 2, false)]
+        {
+            let tel = Telemetry::enabled();
+            let mut c = coster(strategy).with_telemetry(tel.clone());
+            c.join_cost(&io(2.0, 40.0)).expect("feasible");
+            let snap = tel.snapshot().unwrap();
+            assert_eq!(snap.get(Counter::HillClimbClimbs), climbs, "{strategy:?}");
+            assert_eq!(snap.get(Counter::BatchChunks) > 0, scans, "{strategy:?}");
+            assert_eq!(
+                snap.get(Counter::ResourceIterations),
+                c.stats.resource_iterations,
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hill_climb_under_an_eval_cap_never_evaluates_past_it() {
+        use raqo_resource::{BudgetTrigger, PlanningBudget};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Counts the configurations a search asks the wrapped model about
+        /// (the feasible-start probe asks through `join_cost` and is free).
+        struct Counting(JoinCostModel, AtomicU64);
+        impl OperatorCost for Counting {
+            fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+                self.0.join_cost(j, b, p, nc, cs)
+            }
+            fn join_cost_at(&self, j: JoinImpl, b: f64, p: f64, r: &ResourceConfig) -> Option<f64> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.join_cost_at(j, b, p, r)
+            }
+        }
+        fn climber(model: &Counting) -> RaqoCoster<'_, Counting> {
+            let cluster = ClusterConditions::paper_default();
+            RaqoCoster::new(model, cluster, ResourceStrategy::HillClimb, Objective::Time)
+        }
+
+        let unbounded = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
+        climber(&unbounded).join_cost(&io(3.4, 77.0)).expect("feasible");
+        let full = unbounded.1.load(Ordering::Relaxed);
+        assert!(full > 100, "{full} evaluations");
+
+        for cap in [1, 4, 5, 12, 50, full / 2] {
+            let model = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
+            let mut c = climber(&model);
+            c.budget = Arc::new(BudgetTracker::start(PlanningBudget::with_max_evals(cap)));
+            c.join_cost(&io(3.4, 77.0));
+            let evaluated = model.1.load(Ordering::Relaxed);
+            // A refused evaluation never reaches the model; beyond the cap
+            // only each finite winner's time is read once more.
+            assert!(
+                evaluated <= cap + JoinImpl::ALL.len() as u64,
+                "cap {cap}: {evaluated} evaluations"
+            );
+            assert_eq!(c.budget.exhausted(), Some(BudgetTrigger::Evals), "cap {cap}");
+            assert_eq!(c.join_cost(&io(3.4, 77.0)), None, "cap {cap}");
+            assert_eq!(model.1.load(Ordering::Relaxed), evaluated, "cap {cap}");
         }
     }
 
@@ -1355,23 +1514,20 @@ mod tests {
             Objective::TimeUnderBudget { money_budget_tb_sec: 0.0 },
         ] {
             for join_io in [io(0.5, 20.0), io(3.4, 77.0), io(9.0, 77.0), io(100.0, 200.0)] {
-                for parallelism in [Parallelism::Off, Parallelism::Threads(2)] {
-                    let cluster = grid_10_by_1000();
-                    let mut c =
-                        RaqoCoster::new(&model, cluster, ResourceStrategy::BruteForce, objective)
-                            .with_parallelism(parallelism);
-                    for join in JoinImpl::ALL {
-                        let surface = scorer(&model, join, join_io, objective);
-                        let point_wise = raqo_resource::brute_force(&cluster, surface);
-                        assert_eq!(point_wise.iterations, 10_000);
-                        assert_eq!(
-                            bits(c.plan_operator(join, &join_io)),
-                            answer(&model, join, &join_io, point_wise),
-                            "{objective:?} {join_io:?} {join:?} {parallelism:?}"
-                        );
-                    }
-                    assert_eq!(c.stats.resource_iterations, 20_000);
+                let cluster = grid_10_by_1000();
+                let mut c =
+                    RaqoCoster::new(&model, cluster, ResourceStrategy::BruteForce, objective);
+                for join in JoinImpl::ALL {
+                    let surface = scorer(&model, join, join_io, objective);
+                    let point_wise = raqo_resource::brute_force(&cluster, surface);
+                    assert_eq!(point_wise.iterations, 10_000);
+                    assert_eq!(
+                        bits(c.plan_operator(join, &join_io)),
+                        answer(&model, join, &join_io, point_wise),
+                        "{objective:?} {join_io:?} {join:?}"
+                    );
                 }
+                assert_eq!(c.stats.resource_iterations, 20_000);
             }
         }
     }
@@ -1422,65 +1578,6 @@ mod tests {
             // Whatever the scan saw before the cap is a usable decision;
             // once exhausted, later calls drain immediately.
             assert_eq!(first.is_some(), evaluated > 1, "cap {cap}");
-            assert_eq!(c.join_cost(&io(3.4, 77.0)), None);
-            assert_eq!(model.1.load(Ordering::Relaxed), evaluated);
-        }
-    }
-
-    #[test]
-    fn multi_start_climb_under_an_eval_cap_never_evaluates_past_it() {
-        use raqo_resource::{BudgetTrigger, PlanningBudget};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        /// Counts the configurations the wrapped model is actually asked about.
-        struct Counting(JoinCostModel, AtomicU64);
-        impl OperatorCost for Counting {
-            fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
-                self.1.fetch_add(1, Ordering::Relaxed);
-                self.0.join_cost(j, b, p, nc, cs)
-            }
-            fn join_cost_batch_at(
-                &self,
-                j: JoinImpl,
-                b: f64,
-                p: f64,
-                configs: &[ResourceConfig],
-                out: &mut [f64],
-            ) {
-                self.1.fetch_add(configs.len() as u64, Ordering::Relaxed);
-                self.0.join_cost_batch_at(j, b, p, configs, out)
-            }
-        }
-        fn climber(model: &Counting) -> RaqoCoster<'_, Counting> {
-            RaqoCoster::new(
-                model,
-                ClusterConditions::paper_default(),
-                ResourceStrategy::HillClimb,
-                Objective::Time,
-            )
-            .with_parallelism(Parallelism::Threads(2))
-        }
-
-        let unbounded = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
-        climber(&unbounded).join_cost(&io(3.4, 77.0)).expect("feasible");
-        let full = unbounded.1.load(Ordering::Relaxed);
-
-        for cap in [1, 4, 5, 12, 50, full / 2] {
-            let model = Counting(JoinCostModel::trained_hive(), AtomicU64::new(0));
-            let mut c = climber(&model);
-            c.budget = Arc::new(BudgetTracker::start(PlanningBudget::with_max_evals(cap)));
-            let first = c.join_cost(&io(3.4, 77.0));
-            let evaluated = model.1.load(Ordering::Relaxed);
-            // A batch that would cross the cap is never evaluated; beyond
-            // the cap only each finite winner's time is re-read once.
-            assert!(
-                evaluated <= cap + JoinImpl::ALL.len() as u64,
-                "cap {cap}: {evaluated} evaluations"
-            );
-            assert_eq!(c.budget.exhausted(), Some(BudgetTrigger::Evals), "cap {cap}");
-            // Round 0 scores every seed; once it fits under the cap the
-            // climb has a usable decision.
-            assert_eq!(first.is_some(), evaluated > 0, "cap {cap}");
             assert_eq!(c.join_cost(&io(3.4, 77.0)), None);
             assert_eq!(model.1.load(Ordering::Relaxed), evaluated);
         }
@@ -1563,19 +1660,16 @@ mod tests {
         cluster: ClusterConditions,
         io: &JoinIo,
         objective: Objective,
-        parallelism: Parallelism,
         max_evals: Option<u64>,
     ) {
         use raqo_resource::PlanningBudget;
         let budget = PlanningBudget { deadline: None, max_evals };
         for join in JoinImpl::ALL {
-            let mut c = RaqoCoster::new(model, cluster, ResourceStrategy::BruteForce, objective)
-                .with_parallelism(parallelism);
+            let mut c = RaqoCoster::new(model, cluster, ResourceStrategy::BruteForce, objective);
             c.budget = Arc::new(BudgetTracker::start(budget));
             let naive = BudgetTracker::start(budget);
             let want = exhaustive(model, &cluster, join, io, objective, &naive);
-            let what =
-                format!("{objective:?} {io:?} {join:?} {parallelism:?} {max_evals:?} {cluster:?}");
+            let what = format!("{objective:?} {io:?} {join:?} {max_evals:?} {cluster:?}");
             assert_eq!(bits(c.plan_operator(join, io)), want, "{what}");
             assert_eq!(c.stats.resource_iterations, cluster.grid_size(), "{what}");
             assert_eq!(c.budget.evals_used(), naive.evals_used(), "{what}");
@@ -1639,32 +1733,24 @@ mod tests {
             for objective in EVERY_OBJECTIVE {
                 for max_evals in [None, Some(cap)] {
                     for model in trained_models() {
-                        assert_brute_force_is_exhaustive(
-                            model, cluster, &io, objective, Parallelism::Off, max_evals,
-                        );
+                        assert_brute_force_is_exhaustive(model, cluster, &io, objective, max_evals);
                     }
                     let oracle = SimOracleCost::hive();
-                    assert_brute_force_is_exhaustive(
-                        &oracle, cluster, &io, objective, Parallelism::Off, max_evals,
-                    );
+                    assert_brute_force_is_exhaustive(&oracle, cluster, &io, objective, max_evals);
                 }
             }
         }
     }
 
     #[test]
-    fn bounded_brute_force_is_the_exhaustive_scan_across_workers() {
-        // 120 × 1000 points: two workers each clear the 60 000-point floor,
-        // and each prunes its own half.
+    fn bounded_brute_force_is_the_exhaustive_scan_on_a_long_grid() {
+        // 120 × 1000 points: far more slices than the proptest's grids, so
+        // the bound prunes most of a long pricing order.
         let cluster = ClusterConditions::two_dim(1.0..=120.0, 1.0..=8.8046875, 1.0, 0.0078125);
         assert_eq!(cluster.grid_size(), 120_000);
         for objective in [Objective::Time, Objective::Money] {
             for model in trained_models() {
-                for parallelism in [Parallelism::Off, Parallelism::Threads(2)] {
-                    assert_brute_force_is_exhaustive(
-                        model, cluster, &io(3.4, 77.0), objective, parallelism, None,
-                    );
-                }
+                assert_brute_force_is_exhaustive(model, cluster, &io(3.4, 77.0), objective, None);
             }
         }
     }

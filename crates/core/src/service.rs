@@ -295,6 +295,9 @@ struct Shared {
     shed: AtomicU64,
 }
 
+/// The shed path's inline planner: one request in, its plan out.
+type ShedLane = Box<dyn FnMut(&PlanRequest) -> Option<RaqoPlan> + Send>;
+
 /// The admission-queue planning service. Dropping the service stops the
 /// workers after they drain every admitted request, so no ticket is ever
 /// left hanging.
@@ -304,7 +307,7 @@ pub struct PlanningService {
     bank: ShardedCacheBank,
     telemetry: Telemetry,
     /// Inline planner for the shed path, shared by submitting threads.
-    shed_lane: Mutex<Box<dyn FnMut(&PlanRequest) -> Option<RaqoPlan> + Send>>,
+    shed_lane: Mutex<ShedLane>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -364,11 +367,10 @@ impl PlanningService {
         shed_opt.share_sharded_cache(bank.clone().with_telemetry(telemetry.clone()));
         shed_opt.set_telemetry(telemetry.clone());
         shed_opt.set_budget(PlanningBudget::with_max_evals(0));
-        let shed_lane: Box<dyn FnMut(&PlanRequest) -> Option<RaqoPlan> + Send> =
-            Box::new(move |request: &PlanRequest| {
-                shed_opt.set_cache_namespace(request.namespace);
-                shed_opt.optimize(&request.query)
-            });
+        let shed_lane: ShedLane = Box::new(move |request: &PlanRequest| {
+            shed_opt.set_cache_namespace(request.namespace);
+            shed_opt.optimize(&request.query)
+        });
         PlanningService {
             shared,
             config,
@@ -607,7 +609,7 @@ fn worker_loop<M: OperatorCost + Send + Sync>(
         // Periodic housekeeping: the worker that crosses the boundary does
         // it, once its caller has the reply — the request that happens to
         // be the sixteenth does not wait for the bank to be written out.
-        if config.checkpoint_every > 0 && done % config.checkpoint_every == 0 {
+        if config.checkpoint_every > 0 && done.is_multiple_of(config.checkpoint_every) {
             housekeep(config, bank);
         }
     }

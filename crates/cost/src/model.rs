@@ -42,34 +42,13 @@ pub trait OperatorCost {
         self.join_cost(join, build_gb, probe_gb, r.containers(), r.container_size_gb())
     }
 
-    /// Batched form of [`OperatorCost::join_cost_at`]: evaluate one join
-    /// over a slice of resource configurations, writing one cost per config
-    /// into `out` (`f64::INFINITY` where the operator is infeasible, so the
-    /// output is totally ordered and branch-free to scan). The default loops
-    /// the scalar path; models with a closed form that autovectorizes
-    /// override it.
-    fn join_cost_batch_at(
-        &self,
-        join: JoinImpl,
-        build_gb: f64,
-        probe_gb: f64,
-        configs: &[ResourceConfig],
-        out: &mut [f64],
-    ) {
-        assert_eq!(configs.len(), out.len(), "one output slot per config");
-        for (r, o) in configs.iter().zip(out.iter_mut()) {
-            *o = self
-                .join_cost_at(join, build_gb, probe_gb, r)
-                .unwrap_or(f64::INFINITY);
-        }
-    }
-
-    /// Row form of [`OperatorCost::join_cost_batch_at`], for scans that walk
+    /// Batched form of [`OperatorCost::join_cost_at`], for scans that walk
     /// a resource grid one row at a time: point `k` is `base` with its last
     /// coordinate replaced by `coords[k]`, and `out[k]` receives its cost
-    /// (`f64::INFINITY` where infeasible). No configuration is materialized
-    /// per point by the caller. The default loops the scalar path; models
-    /// that can hoist the row-invariant terms override it.
+    /// (`f64::INFINITY` where infeasible, so the output is totally ordered
+    /// and branch-free to scan). No configuration is materialized per point
+    /// by the caller. The default loops the scalar path; models that can
+    /// hoist the row-invariant terms override it.
     fn join_cost_row_at(
         &self,
         join: JoinImpl,
@@ -388,17 +367,6 @@ impl OperatorCost for JoinCostModel {
             }
         };
         Some(raw.max(self.floor))
-    }
-
-    fn join_cost_batch_at(
-        &self,
-        join: JoinImpl,
-        build_gb: f64,
-        _probe_gb: f64,
-        configs: &[ResourceConfig],
-        out: &mut [f64],
-    ) {
-        self.join_cost_batch(join, build_gb, configs, out);
     }
 
     /// The §VI polynomial along one row of the 2-D ⟨containers, size⟩ grid:
@@ -945,13 +913,16 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_impl_matches_scalar_for_oracle() {
+    fn default_row_impl_matches_scalar_for_oracle() {
         use raqo_resource::ClusterConditions;
         let oracle = SimOracleCost::hive();
         let cluster = ClusterConditions::two_dim(1.0..=20.0, 1.0..=6.0, 1.0, 1.0);
         let configs: Vec<_> = cluster.grid().collect();
         let mut batch = vec![0.0; configs.len()];
-        oracle.join_cost_batch_at(JoinImpl::BroadcastHash, 5.0, 77.0, &configs, &mut batch);
+        let sizes: Vec<f64> = cluster.axis(1).collect();
+        for (row, out) in configs.chunks(sizes.len()).zip(batch.chunks_mut(sizes.len())) {
+            oracle.join_cost_row_at(JoinImpl::BroadcastHash, 5.0, 77.0, &row[0], &sizes, out);
+        }
         for (r, b) in configs.iter().zip(&batch) {
             let scalar = oracle
                 .join_cost_at(JoinImpl::BroadcastHash, 5.0, 77.0, r)

@@ -2,7 +2,7 @@
 //!
 //! A zero-dependency injector for chaos-testing the planning stack. Library
 //! crates expose named *probe sites* (e.g. `cost.model.scalar`,
-//! `resource.worker.grid`); tests arm faults against a substring pattern and
+//! `core.worker.cost`); tests arm faults against a substring pattern and
 //! the Nth matching probe fires the fault. Everything is deterministic: no
 //! clocks, no RNG — the only "randomness" is a caller-supplied seed fed to a
 //! fixed LCG, so a failing chaos run replays exactly.
@@ -278,8 +278,8 @@ mod tests {
         let _l = lock();
         let _g = FaultGuard::new();
         arm(Fault::repeating("worker", FaultKind::Fail));
-        assert_eq!(probe("resource.worker.grid"), Action::Fail);
-        assert_eq!(probe("resource.worker.grid"), Action::Fail);
+        assert_eq!(probe("core.worker.cost"), Action::Fail);
+        assert_eq!(probe("core.worker.cost"), Action::Fail);
         assert_eq!(probe("unrelated.site"), Action::Proceed);
     }
 

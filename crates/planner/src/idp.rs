@@ -178,7 +178,7 @@ impl IdpPlanner {
             }
         };
         let anchor = (0..units.len())
-            .reduce(|best, i| smallest_unit(best, i))
+            .reduce(smallest_unit)
             .expect("units is non-empty");
 
         let mut picked = vec![anchor];
@@ -202,7 +202,7 @@ impl IdpPlanner {
                 None => remaining
                     .iter()
                     .copied()
-                    .reduce(|best, i| smallest_unit(best, i))
+                    .reduce(smallest_unit)
                     .expect("picked.len() < block < units.len()"),
             };
             remaining.retain(|&i| i != next);

@@ -168,15 +168,11 @@ impl BudgetTracker {
     /// `getPlanCost` entry). Free when no deadline is set.
     pub fn check_deadline(&self) -> bool {
         match self.deadline_at {
-            None => true,
-            Some(at) => {
-                if Instant::now() >= at {
-                    self.latch(EXHAUSTED_DEADLINE);
-                    false
-                } else {
-                    true
-                }
+            Some(at) if Instant::now() >= at => {
+                self.latch(EXHAUSTED_DEADLINE);
+                false
             }
+            _ => true,
         }
     }
 

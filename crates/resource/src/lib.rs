@@ -12,7 +12,8 @@
 //! function `f(r) → cost` (the cost model is supplied by the caller, which
 //! closes over the sub-plan's data characteristics):
 //!
-//! * [`brute_force`] — exhaustive grid search (the paper's baseline),
+//! * [`brute_force`] — exhaustive grid search (the paper's baseline), with
+//!   [`brute_force_rows`] the row-at-a-time form the cost kernels drive,
 //! * [`hill_climb`] — Algorithm 1: greedy coordinate descent from the
 //!   smallest configuration, ±1 discrete step per dimension, terminating at
 //!   a local optimum ("users want to minimize the resources used ... start
@@ -28,18 +29,56 @@ pub mod budget;
 pub mod cache;
 pub mod cluster;
 pub mod config;
-pub mod parallel;
 pub mod persist;
 pub mod planner;
 pub mod sharded;
-pub mod stress;
 
 pub use budget::{BudgetTracker, BudgetTrigger, PlanningBudget, DEADLINE_CHECK_EVERY};
 pub use cache::{CacheBank, CacheLookup, CacheStats, ResourcePlanCache};
 pub use cluster::ClusterConditions;
 pub use config::{ResourceConfig, MAX_DIMS};
-pub use parallel::{brute_force_rows, hill_climb_multi, multi_start_seeds, Parallelism};
 pub use persist::PersistError;
-pub use planner::{brute_force, brute_force_batch, hill_climb, PlanningOutcome, BATCH_CHUNK};
+pub use planner::{
+    brute_force, brute_force_batch, brute_force_rows, hill_climb, PlanningOutcome, BATCH_CHUNK,
+};
 pub use sharded::{PairGuard, ShardedCacheBank};
-pub use stress::{concurrency_stress, StressReport};
+
+/// How many threads may cost one batch of independent joins (a DP level's
+/// candidates, see `PlanCoster::join_cost_many` in `raqo-planner`). It
+/// changes how fast a plan is found, never which plan: every resource
+/// search runs on one thread whatever the setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parallelism {
+    /// Strictly sequential: every join is costed on the calling thread.
+    Off,
+    /// Exactly `n` worker threads (clamped to at least 1).
+    Threads(usize),
+    /// One worker per available hardware thread.
+    Auto,
+}
+
+impl Parallelism {
+    /// Resolved worker count (≥ 1).
+    pub fn workers(self) -> usize {
+        match self {
+            Parallelism::Off => 1,
+            Parallelism::Threads(n) => n.max(1),
+            Parallelism::Auto => {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallelism_workers_resolve() {
+        assert_eq!(Parallelism::Off.workers(), 1);
+        assert_eq!(Parallelism::Threads(0).workers(), 1);
+        assert_eq!(Parallelism::Threads(6).workers(), 6);
+        assert!(Parallelism::Auto.workers() >= 1);
+    }
+}

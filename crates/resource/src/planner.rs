@@ -260,6 +260,28 @@ where
     whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, no_bound, by_point(cost_fn)))
 }
 
+/// Exhaustive grid search over a *row* evaluator — the form the cost
+/// kernels are written for. `row_fn(start, base, coords, costs)` prices one
+/// slice of a grid row: point `k` is `base` with its last coordinate
+/// replaced by `coords[k]`, `start` is the row-major grid index of point 0,
+/// and `costs[k]` must receive its cost (`f64::INFINITY` where infeasible).
+/// Slices are at most [`BATCH_CHUNK`] long.
+///
+/// `bound(start, base, coords)` must answer a lower bound on every cost
+/// `row_fn` can write for that slice (`f64::NEG_INFINITY` when it knows
+/// none); it sees every slice once, in grid order, and `row_fn` then prices
+/// only the slices that can still hold the winner, best bound first. The
+/// winner is the lowest `(cost, grid index)` — exactly the exhaustive
+/// scan's — and `iterations` is the full grid size, as for [`brute_force`],
+/// whatever was pruned.
+pub fn brute_force_rows<F, B>(cluster: &ClusterConditions, row_fn: F, bound: B) -> PlanningOutcome
+where
+    F: FnMut(u64, &ResourceConfig, &[f64], &mut [f64]),
+    B: FnMut(u64, &ResourceConfig, &[f64]) -> f64,
+{
+    whole_grid(cluster, |axes, total| scan_rows(axes, 0, total, bound, row_fn))
+}
+
 /// Exhaustive grid search driven by a *batched* cost evaluator instead of a
 /// per-point closure.
 ///
@@ -724,5 +746,388 @@ mod tests {
         };
         let out = hill_climb(&cluster, cluster.min, target);
         assert_eq!(out.config, ResourceConfig::containers_and_size(50.0, 30.0));
+    }
+
+    /// A 1000 × 500 grid: a thousand rows of two slices each, so the bound
+    /// pass lists two thousand slices and the pricing order is long.
+    fn long_cluster() -> ClusterConditions {
+        ClusterConditions::two_dim(1.0..=1000.0, 1.0..=500.0, 1.0, 1.0)
+    }
+
+    /// [`brute_force_rows`] over a per-point cost function, with no bound.
+    fn rows_by_point(
+        cluster: &ClusterConditions,
+        cost_fn: impl FnMut(&ResourceConfig) -> f64,
+    ) -> PlanningOutcome {
+        brute_force_rows(cluster, by_point(cost_fn), no_bound)
+    }
+
+    /// Same winner, same cost bits, same iteration count.
+    fn assert_same(got: PlanningOutcome, want: PlanningOutcome) {
+        assert_eq!(got.config, want.config);
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+        assert_eq!(got.iterations, want.iterations);
+    }
+
+    #[test]
+    fn row_brute_force_matches_brute_force_bitwise() {
+        let cluster = long_cluster();
+        let want = brute_force(&cluster, bowl);
+        assert_eq!(want.config, ResourceConfig::containers_and_size(40.0, 7.0));
+        assert_eq!(want.iterations, 500_000);
+        assert_same(rows_by_point(&cluster, bowl), want);
+        // A row evaluator that hoists the row's containers term, as the
+        // cost kernels do, answers the same bits.
+        let hoisted = |_: u64, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+            let dc = base.containers() - 40.0;
+            for (&cs, c) in coords.iter().zip(costs) {
+                let ds = cs - 7.0;
+                *c = dc * dc + 3.0 * ds * ds;
+            }
+        };
+        assert_same(brute_force_rows(&cluster, hoisted, no_bound), want);
+    }
+
+    #[test]
+    fn bounded_row_brute_force_matches_the_exhaustive_scan() {
+        // `(nc − 40)²` bounds the bowl along every row; a constant bound
+        // ties every slice, so they are priced in grid order.
+        let cluster = long_cluster();
+        let want = brute_force(&cluster, bowl);
+        let by_row = |_: u64, base: &ResourceConfig, _: &[f64]| (base.containers() - 40.0).powi(2);
+        assert_same(brute_force_rows(&cluster, by_point(bowl), by_row), want);
+        assert_same(brute_force_rows(&cluster, by_point(bowl), |_, _, _| 0.0), want);
+    }
+
+    #[test]
+    fn an_exact_row_bound_prices_only_the_winning_slice() {
+        // The bound is exact on row 40, whose first slice holds the bowl's
+        // zero: once it is priced, no other slice's `(bound, index)` is
+        // below the incumbent's `(cost, index)`.
+        let cluster = long_cluster();
+        let mut priced = Vec::new();
+        let out = brute_force_rows(
+            &cluster,
+            |start, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+                priced.push(start);
+                by_point(bowl)(start, base, coords, costs);
+            },
+            |_, base: &ResourceConfig, _: &[f64]| (base.containers() - 40.0).powi(2),
+        );
+        assert_same(out, brute_force(&cluster, bowl));
+        assert_eq!(priced, [39 * 500]);
+    }
+
+    #[test]
+    fn row_brute_force_tie_break_prefers_first_grid_point() {
+        // Constant surface: every point ties, with and without a bound.
+        let cluster = long_cluster();
+        for out in [
+            rows_by_point(&cluster, |_| 2.5),
+            brute_force_rows(&cluster, by_point(|_| 2.5), |_, _, _| 2.5),
+        ] {
+            assert_eq!(out.config, cluster.min);
+            assert_eq!(out.cost, 2.5);
+            assert_eq!(out.iterations, cluster.grid_size());
+        }
+    }
+
+    #[test]
+    fn row_brute_force_on_grids_shorter_than_a_slice() {
+        // Rows one point long: every slice holds a single point.
+        let cluster = ClusterConditions::two_dim(1.0..=2.0, 1.0..=1.0, 1.0, 1.0);
+        let mut slices = Vec::new();
+        let out = brute_force_rows(
+            &cluster,
+            |start, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+                slices.push((start, coords.len()));
+                by_point(bowl)(start, base, coords, costs);
+            },
+            no_bound,
+        );
+        assert_eq!(slices, [(0, 1), (1, 1)]);
+        assert_same(out, brute_force(&cluster, bowl));
+        // A single point is the whole grid and the answer.
+        let tiny = ClusterConditions::two_dim(3.0..=3.0, 2.0..=2.0, 1.0, 1.0);
+        let out = rows_by_point(&tiny, bowl);
+        assert_eq!(out.config, ResourceConfig::containers_and_size(3.0, 2.0));
+        assert_eq!(out.cost, bowl(&out.config));
+        assert_eq!(out.iterations, 1);
+    }
+
+    #[test]
+    fn row_brute_force_on_a_non_representable_step() {
+        // 0.1 is not a binary fraction: the row length comes from the
+        // accumulated axis, and a slice start must decompose with that same
+        // length or the winner drifts onto the next row.
+        for cluster in [
+            ClusterConditions::two_dim(1.0..=300.0, 1.0..=61.0, 1.0, 0.1),
+            ClusterConditions::two_dim(1.0..=3.0, 1.0..=1.7, 1.0, 0.1),
+            ClusterConditions::two_dim(1.0..=1.0, 0.0..=0.3, 1.0, 0.1),
+        ] {
+            // Optimum on the last point of a row.
+            let top = cluster.axis(1).last().unwrap();
+            let ridge = |r: &ResourceConfig| {
+                (r.containers() - 2.0).abs() + (r.container_size_gb() - top).abs()
+            };
+            let want = brute_force(&cluster, ridge);
+            assert_eq!(want.iterations, cluster.grid().count() as u64);
+            assert_eq!(want.cost, if cluster.max.containers() < 2.0 { 1.0 } else { 0.0 });
+            assert_eq!(want.config.container_size_gb(), top);
+            assert_same(rows_by_point(&cluster, ridge), want);
+            let by_row = |_: u64, base: &ResourceConfig, _: &[f64]| (base.containers() - 2.0).abs();
+            assert_same(brute_force_rows(&cluster, by_point(ridge), by_row), want);
+        }
+    }
+
+    #[test]
+    fn batched_brute_force_matches_scalar_on_a_long_grid() {
+        let cluster = long_cluster();
+        let out = brute_force_batch(&cluster, |_, configs, costs| {
+            for (r, c) in configs.iter().zip(costs.iter_mut()) {
+                *c = bowl(r);
+            }
+        });
+        assert_same(out, brute_force(&cluster, bowl));
+    }
+
+    #[test]
+    fn batched_brute_force_tie_break_on_a_long_grid() {
+        // Every point ties: the first grid point wins, and no batch crosses
+        // a row on the way.
+        let cluster = long_cluster();
+        let row_len = cluster.points_along(1);
+        let out = brute_force_batch(&cluster, |start, configs, costs| {
+            assert!(start % row_len + configs.len() as u64 <= row_len, "row crossed at {start}");
+            costs.fill(2.5);
+        });
+        assert_eq!(out.config, cluster.min);
+        assert_eq!(out.cost, 2.5);
+        assert_eq!(out.iterations, cluster.grid_size());
+    }
+
+    #[test]
+    fn grid_scans_evaluate_on_the_calling_thread() {
+        // One search, one thread, however long the grid.
+        let caller = std::thread::current().id();
+        let seen = std::cell::RefCell::new(std::collections::HashSet::new());
+        let logged = |r: &ResourceConfig| {
+            seen.borrow_mut().insert(std::thread::current().id());
+            bowl(r)
+        };
+        let cluster = long_cluster();
+        let want = brute_force(&cluster, logged);
+        assert_same(rows_by_point(&cluster, logged), want);
+        let out = brute_force_batch(&cluster, |_, configs, costs| {
+            for (r, c) in configs.iter().zip(costs.iter_mut()) {
+                *c = logged(r);
+            }
+        });
+        assert_same(out, want);
+        assert_eq!(seen.into_inner(), [caller].into());
+    }
+
+    #[test]
+    fn hill_climb_evaluates_once_per_iteration_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut calls = 0u64;
+        let cluster = paper_cluster();
+        let out = hill_climb(&cluster, cluster.min, |r| {
+            assert_eq!(std::thread::current().id(), caller);
+            calls += 1;
+            bowl(r)
+        });
+        assert_eq!(out.config, ResourceConfig::containers_and_size(40.0, 7.0));
+        assert_eq!(out.iterations, calls);
+    }
+
+    #[test]
+    fn a_panicking_row_evaluator_reaches_the_caller() {
+        // Nothing re-runs a scan: the first panic unwinds out of it, even
+        // from an evaluator that would succeed on a second try.
+        let fired = std::cell::Cell::new(false);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            brute_force_rows(
+                &long_cluster(),
+                |start, base: &ResourceConfig, coords: &[f64], costs: &mut [f64]| {
+                    if start >= 100_000 && !fired.replace(true) {
+                        panic!("injected row-evaluator panic");
+                    }
+                    by_point(bowl)(start, base, coords, costs);
+                },
+                no_bound,
+            )
+        }));
+        assert!(out.is_err(), "a scan panic must reach the caller");
+        assert!(fired.get());
+    }
+
+    #[test]
+    fn a_panicking_climb_reaches_the_caller() {
+        let mut calls = 0;
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let cluster = paper_cluster();
+            hill_climb(&cluster, cluster.min, |r| {
+                calls += 1;
+                if calls == 5 {
+                    panic!("injected climb panic");
+                }
+                bowl(r)
+            })
+        }));
+        assert!(out.is_err(), "a climb panic must reach the caller");
+        assert_eq!(calls, 5, "the climb stopped at the panic");
+    }
+
+    #[test]
+    fn brute_force_finds_an_interior_basin_corner_climbs_miss() {
+        // A broad bowl with its minimum at the min corner, plus a deep,
+        // narrow dent centred on (26, 7). Algorithm 1 from either corner
+        // slides down the bowl without entering the dent; the exhaustive
+        // scan finds it.
+        let dented = |r: &ResourceConfig| -> f64 {
+            let d1 = (r.containers() - 1.0).powi(2) + (r.container_size_gb() - 1.0).powi(2);
+            let dc = ((r.containers() - 26.0).powi(2) + (r.container_size_gb() - 7.0).powi(2))
+                .sqrt();
+            d1 - (500.0 * (3.0 - dc)).max(0.0)
+        };
+        let cluster = paper_cluster();
+        let bf = brute_force(&cluster, dented);
+        assert_eq!(bf.config, ResourceConfig::containers_and_size(26.0, 7.0));
+        assert!(bf.cost < 0.0);
+        for corner in [cluster.min, cluster.max] {
+            let climbed = hill_climb(&cluster, corner, dented);
+            assert_eq!(climbed.config, cluster.min, "from {corner:?}");
+            assert!(bf.cost < climbed.cost, "from {corner:?}");
+        }
+    }
+
+    /// Line 15 keeps a candidate only when it is strictly better, and the
+    /// −1 step is probed first: equal gains both ways step backward. On
+    /// `1..=9` from 5 with cost `−|c − 5|`, both 4 and 6 cost −1; the
+    /// climb takes 4, then walks down to 1 (cost −4): 1 start evaluation,
+    /// two probes at each of 5, 4, 3 and 2, one at 1 — 10 iterations.
+    #[test]
+    fn hill_climb_breaks_ties_toward_the_backward_step() {
+        let cluster = ClusterConditions::two_dim(1.0..=9.0, 1.0..=1.0, 1.0, 1.0);
+        let start = ResourceConfig::containers_and_size(5.0, 1.0);
+        let out = hill_climb(&cluster, start, |r| -(r.containers() - 5.0).abs());
+        assert_eq!(out.config, ResourceConfig::containers_and_size(1.0, 1.0));
+        assert_eq!(out.cost, -4.0);
+        assert_eq!(out.iterations, 10);
+    }
+
+    #[test]
+    fn hill_climb_handles_infeasible_points() {
+        // `+∞` marks infeasible points: no step onto one is ever taken, and
+        // a climb that starts on an infeasible plateau cannot cross it.
+        let masked = |r: &ResourceConfig| -> f64 {
+            if r.container_size_gb() < 4.0 { f64::INFINITY } else { bowl(r) }
+        };
+        let cluster = paper_cluster();
+        let stuck = hill_climb(&cluster, cluster.min, masked);
+        assert_eq!((stuck.config, stuck.cost, stuck.iterations), (cluster.min, f64::INFINITY, 3));
+        let out = hill_climb(&cluster, ResourceConfig::containers_and_size(1.0, 4.0), masked);
+        assert_eq!(out.config, ResourceConfig::containers_and_size(40.0, 7.0));
+        assert_eq!(out.cost, 0.0);
+    }
+
+    #[test]
+    fn hill_climb_on_a_single_point_cluster() {
+        let tiny = ClusterConditions::two_dim(3.0..=3.0, 2.0..=2.0, 1.0, 1.0);
+        let out = hill_climb(&tiny, tiny.min, bowl);
+        assert_eq!(out.config, ResourceConfig::containers_and_size(3.0, 2.0));
+        assert_eq!(out.cost, bowl(&out.config));
+        assert_eq!(out.iterations, 1);
+    }
+
+    /// A quadratic bowl with its optimum at `opt`, dented at `dent`: one
+    /// or two basins, as the draw falls.
+    fn dented_bowl(
+        opt: (f64, f64),
+        dent: (f64, f64),
+        depth: f64,
+    ) -> impl Fn(&ResourceConfig) -> f64 {
+        move |r| {
+            let d1 = (r.containers() - opt.0).powi(2) + (r.container_size_gb() - opt.1).powi(2);
+            let dd = ((r.containers() - dent.0).powi(2) + (r.container_size_gb() - dent.1).powi(2))
+                .sqrt();
+            d1 - (depth * (2.0 - dd)).max(0.0)
+        }
+    }
+
+    proptest::proptest! {
+        /// Algorithm 1 ends at a local optimum: its answer is a grid point
+        /// whose cost it reports exactly, no in-bounds ±1 step from it is
+        /// strictly cheaper, the exhaustive scan is never worse, and
+        /// `iterations` counts every evaluation — from any start, on random
+        /// grids and dented surfaces.
+        #[test]
+        fn hill_climb_ends_at_a_local_optimum(
+            max_c in 2.0f64..40.0,
+            max_s in 1.0f64..10.0,
+            half_steps in proptest::bool::ANY,
+            start_frac in 0.0f64..1.0,
+            opt in (0.0f64..1.0, 0.0f64..1.0),
+            dent in (0.0f64..1.0, 0.0f64..1.0),
+            depth in 0.0f64..500.0,
+        ) {
+            let step_s = if half_steps { 0.5 } else { 1.0 };
+            let (max_c, max_s) = (max_c.floor(), max_s.floor());
+            let cluster = ClusterConditions::two_dim(1.0..=max_c, 1.0..=max_s, 1.0, step_s);
+            let at = |(c, s): (f64, f64)| (1.0 + c * (max_c - 1.0), 1.0 + s * (max_s - 1.0));
+            let surface = dented_bowl(at(opt), at(dent), depth);
+            let start = cluster.point_at((start_frac * cluster.grid_size() as f64) as u64);
+            let mut calls = 0u64;
+            let out = hill_climb(&cluster, start, |r| {
+                calls += 1;
+                surface(r)
+            });
+            proptest::prop_assert_eq!(out.iterations, calls);
+            proptest::prop_assert!(cluster.grid().any(|g| g == out.config), "off the grid");
+            proptest::prop_assert_eq!(out.cost.to_bits(), surface(&out.config).to_bits());
+            let steps = cluster.discrete_steps();
+            for i in 0..cluster.dims() {
+                for cand in [-1.0, 1.0] {
+                    let mut next = out.config;
+                    next.nudge(i, steps.get(i) * cand);
+                    if cluster.contains(&next) {
+                        proptest::prop_assert!(surface(&next) >= out.cost, "{:?} is cheaper", next);
+                    }
+                }
+            }
+            proptest::prop_assert!(brute_force(&cluster, &surface).cost <= out.cost);
+        }
+
+        /// Every configuration Algorithm 1 evaluates is a grid point: a step
+        /// moves along the grid and its backtrack undoes it exactly.
+        #[test]
+        fn hill_climb_probes_only_grid_points(
+            max_c in 2.0f64..40.0,
+            max_s in 1.0f64..10.0,
+            quarter_steps in proptest::bool::ANY,
+            opt in (0.0f64..1.0, 0.0f64..1.0),
+            dent in (0.0f64..1.0, 0.0f64..1.0),
+            depth in 0.0f64..500.0,
+        ) {
+            let step_s = if quarter_steps { 0.25 } else { 0.5 };
+            let (max_c, max_s) = (max_c.floor(), max_s.floor());
+            let cluster = ClusterConditions::two_dim(1.0..=max_c, 1.0..=max_s, 1.0, step_s);
+            let at = |(c, s): (f64, f64)| (1.0 + c * (max_c - 1.0), 1.0 + s * (max_s - 1.0));
+            let surface = dented_bowl(at(opt), at(dent), depth);
+            let grid: std::collections::HashSet<[u64; 2]> = cluster
+                .grid()
+                .map(|g| [g.containers().to_bits(), g.container_size_gb().to_bits()])
+                .collect();
+            let mut probes = Vec::new();
+            hill_climb(&cluster, cluster.min, |r| {
+                probes.push(*r);
+                surface(r)
+            });
+            for r in probes {
+                let key = [r.containers().to_bits(), r.container_size_gb().to_bits()];
+                proptest::prop_assert!(grid.contains(&key), "{:?} is not a grid point", r);
+            }
+        }
     }
 }

@@ -32,11 +32,8 @@ pub enum Counter {
     CacheFileInvalidations,
     /// Batched-kernel chunk evaluations (one per grid chunk).
     BatchChunks,
-    /// Hill-climb searches launched (multi-start counts each start).
+    /// Hill-climb searches launched.
     HillClimbClimbs,
-    /// Lock-step rounds executed by the batched multi-start climber (one
-    /// per whole-neighborhood sweep over all live seeds).
-    HillClimbBatchedRounds,
     /// Randomized-planner improvement rounds executed.
     RandomizedRounds,
     /// Selinger DP levels filled.
@@ -149,7 +146,7 @@ pub enum Counter {
 pub const SHARD_LABEL_BUCKETS: usize = 8;
 
 impl Counter {
-    pub const ALL: [Counter; 54] = [
+    pub const ALL: [Counter; 53] = [
         Counter::PlanCostCalls,
         Counter::ResourceIterations,
         Counter::CacheHitsExact,
@@ -160,7 +157,6 @@ impl Counter {
         Counter::CacheFileInvalidations,
         Counter::BatchChunks,
         Counter::HillClimbClimbs,
-        Counter::HillClimbBatchedRounds,
         Counter::RandomizedRounds,
         Counter::SelingerLevels,
         Counter::IdpRounds,
@@ -236,7 +232,6 @@ impl Counter {
             Counter::CacheFileInvalidations => "raqo_cache_file_invalidations_total",
             Counter::BatchChunks => "raqo_batch_chunks_total",
             Counter::HillClimbClimbs => "raqo_hill_climb_climbs_total",
-            Counter::HillClimbBatchedRounds => "raqo_hill_climb_batched_rounds_total",
             Counter::RandomizedRounds => "raqo_randomized_rounds_total",
             Counter::SelingerLevels => "raqo_selinger_levels_total",
             Counter::IdpRounds => "raqo_idp_rounds_total",
@@ -305,9 +300,6 @@ impl Counter {
             Counter::CacheFileInvalidations => "persisted cache files invalidated on fingerprint mismatch",
             Counter::BatchChunks => "batched cost-kernel chunk evaluations",
             Counter::HillClimbClimbs => "hill-climb searches launched",
-            Counter::HillClimbBatchedRounds => {
-                "lock-step rounds of the batched multi-start hill climber"
-            }
             Counter::RandomizedRounds => "randomized planner improvement rounds",
             Counter::SelingerLevels => "Selinger DP levels filled",
             Counter::IdpRounds => "IDP collapse rounds (block DP + merge)",

@@ -463,7 +463,7 @@ pub fn aggregate_spans(spans: &[SpanRecord]) -> Vec<(String, u64, u64)> {
             None => agg.push((s.name.clone(), 1, s.dur_ns())),
         }
     }
-    agg.sort_by(|a, b| b.2.cmp(&a.2));
+    agg.sort_by_key(|a| std::cmp::Reverse(a.2));
     agg
 }
 

@@ -146,7 +146,6 @@ pub(crate) struct TraceBuf {
     pub(crate) attrs: Vec<(String, String)>,
     pub(crate) spans: VecDeque<SpanRecord>,
     pub(crate) next_seq: u32,
-    pub(crate) evicted: u64,
     pub(crate) flags: TraceFlags,
     pub(crate) cap: usize,
 }
@@ -159,7 +158,6 @@ impl TraceBuf {
             attrs: Vec::new(),
             spans: VecDeque::new(),
             next_seq: 0,
-            evicted: 0,
             flags: TraceFlags::NONE,
             cap: cap.max(1),
         }
@@ -177,7 +175,6 @@ impl TraceBuf {
         let mut evicted = 0;
         if self.spans.len() >= self.cap {
             self.spans.pop_front();
-            self.evicted += 1;
             evicted = 1;
         }
         let seq = self.next_seq;
@@ -214,13 +211,8 @@ pub struct CompletedTrace {
     pub attrs: Vec<(String, String)>,
     /// Conditions observed during the trace.
     pub flags: TraceFlags,
-    /// Whether deterministic head sampling kept this trace (if not, its
-    /// flags did).
-    pub head_sampled: bool,
     /// The span ring's contents at finish, oldest first.
     pub spans: Vec<SpanRecord>,
-    /// Spans evicted from the ring during the trace's life.
-    pub evicted: u64,
 }
 
 impl CompletedTrace {
@@ -293,8 +285,7 @@ impl Pipeline {
                 root.end_ns = Some(root.start_ns.max(end_ns).max(root.start_ns + 1));
             }
         }
-        let head_sampled = self.config.head_keeps(buf.trace_id);
-        if !head_sampled && buf.flags.is_empty() {
+        if !self.config.head_keeps(buf.trace_id) && buf.flags.is_empty() {
             return Some((false, 0));
         }
         let evicted = self.admit(CompletedTrace {
@@ -302,9 +293,7 @@ impl Pipeline {
             name: buf.name,
             attrs: buf.attrs,
             flags: buf.flags,
-            head_sampled,
             spans: buf.spans.into_iter().collect(),
-            evicted: buf.evicted,
         });
         Some((true, evicted))
     }
@@ -461,9 +450,13 @@ impl TraceScope {
     }
 }
 
+/// What an entered scope undoes on drop: the telemetry id, trace key and
+/// pushed parent span of the scope, and the trace that was current before.
+type EnteredScope = (u64, u64, Option<u32>, (u64, u64));
+
 /// RAII guard from [`Telemetry::enter_scope`]. Not `Send`.
 pub struct ScopeGuard {
-    state: Option<(u64, u64, Option<u32>, (u64, u64))>,
+    state: Option<EnteredScope>,
     _not_send: PhantomData<*const ()>,
 }
 

@@ -169,22 +169,19 @@ proptest! {
         prop_assert!(covers_exactly(&tree, &query.relations));
     }
 
-    /// Parallel brute force is bit-identical to the sequential scan —
-    /// same config, same cost bits, same iteration count — for random
-    /// grids, random cost surfaces, and any worker count. The grids hold
-    /// at least 480 000 points: below 60 000 per worker the scan runs inline
-    /// and there would be no split to compare.
+    /// The row-evaluator brute force is bit-identical to the per-point scan
+    /// — same config, same cost bits, same iteration count — for random
+    /// grids of at least 480 000 points and random cost surfaces, with no
+    /// slice bound and with a per-row lower bound that prunes.
     #[test]
-    fn parallel_brute_force_bit_identical_on_random_grids(
+    fn row_brute_force_bit_identical_on_random_grids(
         max_nc in 900.0f64..1000.0,
         max_cs in 540.0f64..600.0,
         cx in 1.0f64..1000.0,
         cy in 1.0f64..600.0,
         tilt in -1.0f64..1.0,
-        workers in 1usize..9,
     ) {
-        use raqo::resource::{brute_force_rows, Parallelism};
-        use raqo::core::Telemetry;
+        use raqo::resource::brute_force_rows;
         let cluster =
             ClusterConditions::two_dim(1.0..=max_nc.floor(), 1.0..=max_cs.floor(), 1.0, 1.0);
         let cost = |r: &ResourceConfig| -> f64 {
@@ -198,11 +195,86 @@ proptest! {
             }
         };
         let no_bound = |_: u64, _: &ResourceConfig, _: &[f64]| f64::NEG_INFINITY;
-        let tel = Telemetry::disabled();
-        let par = brute_force_rows(&cluster, rows, no_bound, Parallelism::Threads(workers), &tel);
-        prop_assert_eq!(par.config, seq.config);
-        prop_assert_eq!(par.cost.to_bits(), seq.cost.to_bits());
-        prop_assert_eq!(par.iterations, seq.iterations);
+        // `|cs − cy| ≥ 0`: what is left is a lower bound along each row.
+        let row_bound = |_: u64, base: &ResourceConfig, _: &[f64]| {
+            (base.containers() - cx).abs() + tilt * base.containers()
+        };
+        for out in [
+            brute_force_rows(&cluster, rows, no_bound),
+            brute_force_rows(&cluster, rows, row_bound),
+        ] {
+            prop_assert_eq!(out.config, seq.config);
+            prop_assert_eq!(out.cost.to_bits(), seq.cost.to_bits());
+            prop_assert_eq!(out.iterations, seq.iterations);
+        }
+    }
+
+    /// The array-of-configs brute force is bit-identical to the per-point
+    /// scan on random grids — unit, half and 0.1 steps, rows shorter and
+    /// longer than one batch — over surfaces full of ties and infeasible
+    /// (`+∞`) points.
+    #[test]
+    fn batched_brute_force_bit_identical_on_random_grids(
+        max_nc in 1.0f64..40.0,
+        row_len in 1usize..700,
+        step_kind in 0usize..3,
+        salt in 0u64..1000,
+        infeasible_share in 0u64..4,
+    ) {
+        use raqo::resource::brute_force_batch;
+        let step = [1.0, 0.5, 0.1][step_kind];
+        let max_cs = 1.0 + (row_len - 1) as f64 * step;
+        let cluster = ClusterConditions::two_dim(1.0..=max_nc.floor(), 1.0..=max_cs, 1.0, step);
+        let cost = |r: &ResourceConfig| -> f64 {
+            let bits = r.containers().to_bits() ^ r.container_size_gb().to_bits().rotate_left(17);
+            let h = (salt ^ bits).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            if (h >> 40) % 4 < infeasible_share { f64::INFINITY } else { ((h >> 20) % 9) as f64 }
+        };
+        let seq = brute_force(&cluster, cost);
+        prop_assert_eq!(seq.iterations, cluster.grid().count() as u64);
+        let out = brute_force_batch(&cluster, |_, configs: &[ResourceConfig], costs: &mut [f64]| {
+            for (r, c) in configs.iter().zip(costs.iter_mut()) {
+                *c = cost(r);
+            }
+        });
+        prop_assert_eq!(out.config, seq.config);
+        prop_assert_eq!(out.cost.to_bits(), seq.cost.to_bits());
+        prop_assert_eq!(out.iterations, seq.iterations);
+    }
+
+    /// A thread count never changes what a batch of joins costs: on random
+    /// batches, the decisions and counters of `join_cost_many` on any
+    /// number of threads are those of the single-thread run, under
+    /// exhaustive and hill-climbing resource planning.
+    #[test]
+    fn a_thread_count_never_changes_a_join_cost_batch(
+        sizes in proptest::collection::vec((0.05f64..40.0, 1.0f64..200.0), 0..10),
+        threads in 1usize..9,
+    ) {
+        use raqo::core::{Parallelism, RaqoCoster};
+        use raqo::planner::{JoinIo, PlanCoster};
+        let ios: Vec<JoinIo> = sizes
+            .iter()
+            .map(|&(build, probe)| JoinIo {
+                build_gb: build,
+                probe_gb: probe,
+                out_gb: build + probe,
+                out_rows: 1e6,
+            })
+            .collect();
+        let model = JoinCostModel::trained_hive();
+        let small = ClusterConditions::two_dim(1.0..=12.0, 1.0..=4.0, 1.0, 1.0);
+        for (strategy, cluster) in [
+            (ResourceStrategy::BruteForce, small),
+            (ResourceStrategy::HillClimb, ClusterConditions::paper_default()),
+        ] {
+            let run = |parallelism| {
+                let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
+                let decisions = c.join_cost_many(&ios, parallelism);
+                (decisions, c.stats)
+            };
+            prop_assert_eq!(run(Parallelism::Threads(threads)), run(Parallelism::Off));
+        }
     }
 
     /// A one-shard `ShardedCacheBank` (one lock, as a coster's private

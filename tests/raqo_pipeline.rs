@@ -200,3 +200,62 @@ fn rule_based_raqo_plugs_into_the_planner() {
         }
     }
 }
+
+/// A thread count changes how fast a plan is found, never which plan:
+/// every planner under every resource strategy returns the same join tree,
+/// the same cost bits and the same counters with `Parallelism` off or on
+/// two or five threads, on TPC-H and on random ten-relation queries.
+#[test]
+fn a_thread_count_never_changes_a_plan() {
+    use raqo::core::Parallelism;
+
+    let model = JoinCostModel::trained_hive();
+    let tpch = TpchSchema::new(1.0);
+    let randoms: Vec<_> = (1..=4)
+        .map(|seed| {
+            RandomSchemaConfig { rows: (1e6, 2e8), seed, ..Default::default() }.generate()
+        })
+        .collect();
+    let mut cases = vec![
+        (&tpch.catalog, &tpch.graph, QuerySpec::tpch_q3()),
+        (&tpch.catalog, &tpch.graph, QuerySpec::tpch_q12()),
+        (&tpch.catalog, &tpch.graph, QuerySpec::tpch_all(&tpch)),
+    ];
+    for (seed, schema) in (1..).zip(&randoms) {
+        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 10, seed);
+        cases.push((&schema.catalog, &schema.graph, query));
+    }
+    let small = ClusterConditions::two_dim(1.0..=12.0, 1.0..=4.0, 1.0, 1.0);
+    let paper = ClusterConditions::paper_default();
+    let strategies = [
+        (ResourceStrategy::BruteForce, small),
+        (ResourceStrategy::HillClimb, paper),
+        (ResourceStrategy::HillClimbCached(CacheLookup::Exact), paper),
+    ];
+    let planners = [
+        PlannerKind::Selinger,
+        PlannerKind::idp(),
+        PlannerKind::cascades(),
+        PlannerKind::fast_randomized(7),
+    ];
+    for (catalog, graph, query) in &cases {
+        for planner in &planners {
+            for (strategy, cluster) in strategies {
+                let plan = |parallelism| {
+                    RaqoOptimizer::new(*catalog, *graph, &model, cluster, planner.clone(), strategy)
+                        .with_parallelism(parallelism)
+                        .optimize(query)
+                        .expect("plan")
+                };
+                let off = plan(Parallelism::Off);
+                for parallelism in [Parallelism::Threads(2), Parallelism::Threads(5)] {
+                    let on = plan(parallelism);
+                    let what = format!("{} {planner:?} {strategy:?} {parallelism:?}", query.name);
+                    assert_eq!(on.query.tree, off.query.tree, "{what}");
+                    assert_eq!(on.query.cost.to_bits(), off.query.cost.to_bits(), "{what}");
+                    assert_eq!(on.stats, off.stats, "{what}");
+                }
+            }
+        }
+    }
+}

@@ -504,12 +504,13 @@ fn bushy_dp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `svc_dp10_warm` workload's planning, in process and without the
-/// service: its sixteen connected ten-relation queries over the 30-table
-/// random schema (seed 0x5241514F, 1e6–2e8 rows per table) through
-/// Selinger. Against a constant coster the DP's own search is timed;
-/// against a warm `RaqoCoster` (hill climbing behind a nearest-neighbour
-/// cache, threshold 0.05, warmed by one pass) the search plus
+/// The `svc_dp10_warm` and `svc_bushy10_warm` workloads' planning, in
+/// process and without the service: their sixteen connected ten-relation
+/// queries over the 30-table random schema (seed 0x5241514F, 1e6–2e8 rows
+/// per table) through Selinger, and through the bushy DP (`bushy_*`).
+/// Against a constant coster the DP's own search is timed; against a warm
+/// `RaqoCoster` (hill climbing behind a nearest-neighbour cache, threshold
+/// 0.05, warmed by one pass of the same planner) the search plus
 /// `getPlanCost` is. The difference is the per-candidate price of
 /// `getPlanCost` on a warm cache.
 fn dp10(c: &mut Criterion) {
@@ -526,9 +527,15 @@ fn dp10(c: &mut Criterion) {
             queries.push(q);
         }
     }
-    let plan_all = |coster: &mut dyn PlanCoster| {
+    let (catalog, graph) = (&schema.catalog, &schema.graph);
+    let bushy = CascadesConfig::default();
+    let plan_all = |coster: &mut dyn PlanCoster, bushy: Option<&CascadesConfig>| {
         for q in &queries {
-            black_box(SelingerPlanner::plan(&schema.catalog, &schema.graph, q, coster).ok());
+            if let Some(config) = bushy {
+                black_box(CascadesPlanner::plan(catalog, graph, q, coster, config).ok());
+            } else {
+                black_box(SelingerPlanner::plan(catalog, graph, q, coster).ok());
+            }
         }
     };
 
@@ -548,12 +555,21 @@ fn dp10(c: &mut Criterion) {
 
     let model = JoinCostModel::trained_hive();
     let cached = ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.05 });
-    let mut warm = RaqoCoster::new(&model, ClusterConditions::paper_default(), cached, Objective::Time);
-    plan_all(&mut warm);
+    let warm_coster = |bushy| {
+        let cluster = ClusterConditions::paper_default();
+        let mut warm = RaqoCoster::new(&model, cluster, cached, Objective::Time);
+        plan_all(&mut warm, bushy);
+        warm
+    };
+    let (mut warm, mut warm_bushy) = (warm_coster(None), warm_coster(Some(&bushy)));
     let mut group = c.benchmark_group("dp10");
     group.sample_size(20);
-    group.bench_function("search_only", |b| b.iter(|| plan_all(&mut Constant)));
-    group.bench_function("warm_raqo", |b| b.iter(|| plan_all(&mut warm)));
+    group.bench_function("search_only", |b| b.iter(|| plan_all(&mut Constant, None)));
+    group.bench_function("warm_raqo", |b| b.iter(|| plan_all(&mut warm, None)));
+    group.bench_function("bushy_search_only", |b| {
+        b.iter(|| plan_all(&mut Constant, Some(&bushy)))
+    });
+    group.bench_function("bushy_warm_raqo", |b| b.iter(|| plan_all(&mut warm_bushy, Some(&bushy))));
     group.finish();
 }
 

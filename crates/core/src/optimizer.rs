@@ -623,9 +623,9 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         self.coster.reset_stats();
         self.coster.objective = Objective::Money;
         let est = CardinalityEstimator::new(&self.catalog, &self.graph);
-        let planned = cost_tree(tree, &est, &mut self.coster, &Telemetry::disabled())?;
+        let planned = cost_tree(tree, &est, &mut self.coster, &Telemetry::disabled());
         self.coster.objective = Objective::Time;
-        Some(RaqoPlan { query: planned, stats: self.coster.stats, degradation: None })
+        Some(RaqoPlan { query: planned?, stats: self.coster.stats, degradation: None })
     }
 
     /// Use-case `c ⇒ (p, r)`: "constrain the monetary cost ... ask the
@@ -774,6 +774,31 @@ mod tests {
             );
             assert_eq!(after_optimize.query, from_cold.query);
         }
+    }
+
+    /// A plan no join of which can be priced gets no resources, and the
+    /// coster is left minimizing time for whatever entry point comes next.
+    #[test]
+    fn resources_for_plan_restores_the_time_objective_when_it_fails() {
+        use raqo_sim::engine::JoinImpl;
+        struct Unpriceable;
+        impl OperatorCost for Unpriceable {
+            fn join_cost(&self, _: JoinImpl, _: f64, _: f64, _: f64, _: f64) -> Option<f64> {
+                None
+            }
+        }
+        let schema = TpchSchema::new(1.0);
+        let mut opt = RaqoOptimizer::new(
+            &schema.catalog,
+            &schema.graph,
+            &Unpriceable,
+            ClusterConditions::paper_default(),
+            PlannerKind::Selinger,
+            ResourceStrategy::HillClimb,
+        );
+        let tree = PlanTree::left_deep(&QuerySpec::tpch_q3().relations);
+        assert!(opt.resources_for_plan(&tree).is_none());
+        assert_eq!(opt.coster.objective, Objective::Time);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl CostVector {
         self.time_sec <= (1.0 + eps) * other.time_sec
             && self.money_tb_sec <= (1.0 + eps) * other.money_tb_sec
     }
-
-    /// Weighted scalarization in \[0,1\]-weight space: `w·time + (1-w)·money`.
-    pub fn scalarize(&self, time_weight: f64) -> f64 {
-        debug_assert!((0.0..=1.0).contains(&time_weight));
-        time_weight * self.time_sec + (1.0 - time_weight) * self.money_tb_sec
-    }
 }
 
 /// Insert `candidate` into an ε-Pareto archive: it is added only when no
@@ -101,14 +95,6 @@ mod tests {
         let s = cv(1.0, 2.0).add(&cv(3.0, 4.0));
         assert_eq!(s, cv(4.0, 6.0));
         assert_eq!(CostVector::ZERO.add(&cv(1.0, 1.0)), cv(1.0, 1.0));
-    }
-
-    #[test]
-    fn scalarize_interpolates() {
-        let v = cv(10.0, 2.0);
-        assert_eq!(v.scalarize(1.0), 10.0);
-        assert_eq!(v.scalarize(0.0), 2.0);
-        assert_eq!(v.scalarize(0.5), 6.0);
     }
 
     #[test]

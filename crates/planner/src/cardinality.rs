@@ -12,7 +12,8 @@
 //! A DP run asks for the same few relations over and over, so it works on
 //! a [`LocalView`] instead: the fold's terms for just its items, and just
 //! the edges with both ends among them, as item masks. The fold is the
-//! same, so the bits are too.
+//! same, so the bits are too. Its [`SubsetSizes`] keeps each subset's size
+//! once computed, so every DP sizes a subset once.
 
 use raqo_catalog::{Catalog, JoinGraph, TableId, TableSet, GB};
 use serde::{Deserialize, Serialize};
@@ -57,8 +58,8 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// The relation part of the set-statistics fold, as far as it has got:
 /// `ln rows` and row width summed over the relations taken so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SetFold {
+#[derive(Clone, Copy, Default)]
+struct SetFold {
     log_card: f64,
     width: f64,
 }
@@ -167,7 +168,7 @@ impl<'a> CardinalityEstimator<'a> {
 /// The set statistics of one DP run's items (see
 /// [`CardinalityEstimator::local_view`]). A set of items is a mask; its
 /// relations are its items' in ascending item order, each item's in slice
-/// order — the order [`LocalView::fold`] takes them in.
+/// order — the order [`LocalView::size`] folds them in.
 #[derive(Debug, Clone)]
 pub struct LocalView {
     /// `(ln rows, row width)` of every item's relations, items in order.
@@ -180,24 +181,15 @@ pub struct LocalView {
 }
 
 impl LocalView {
-    /// `fold` continued with item `i`'s relations.
-    #[inline]
-    pub fn push(&self, fold: SetFold, i: usize) -> SetFold {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        self.terms[start..self.ends[i]].iter().fold(fold, |f, &term| f.take(term))
-    }
-
-    /// The relation part of the statistics of the items in `mask`.
-    pub fn fold(&self, mask: u64) -> SetFold {
-        bits(mask).fold(SetFold::default(), |f, i| self.push(f, i))
-    }
-
-    /// `(rows, GB)` of the items in `mask`, from `fold`: the relation part
-    /// of those items, taken in any item order the caller means.
-    #[inline]
-    pub fn finish(&self, mut fold: SetFold, mask: u64) -> (f64, f64) {
+    /// `(rows, GB)` of the items in `mask`, in ascending item order.
+    pub fn size(&self, mask: u64) -> (f64, f64) {
+        let mut fold = SetFold::default();
+        for i in bits(mask) {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            fold = self.terms[start..self.ends[i]].iter().fold(fold, |f, &term| f.take(term));
+        }
         for &(a, b, ln_selectivity) in &self.edges {
-            // A select, not a branch: which edges a candidate holds is data,
+            // A select, not a branch: which edges a subset holds is data,
             // and a mispredicted test per edge cost more than the add. The
             // added +0.0 of an outside edge leaves the sum's bits as they
             // were, because the sum starts at +0.0 and so is never −0.0.
@@ -205,11 +197,6 @@ impl LocalView {
             fold.log_card += if inside { ln_selectivity } else { 0.0 };
         }
         fold.finish()
-    }
-
-    /// `(rows, GB)` of the items in `mask`, in ascending item order.
-    pub fn size(&self, mask: u64) -> (f64, f64) {
-        self.finish(self.fold(mask), mask)
     }
 
     /// One mask per item: bit j of entry i is set when a join edge links a
@@ -224,10 +211,50 @@ impl LocalView {
     }
 }
 
+/// The sizes of one DP run's subsets: one `(rows, GB)` per item mask,
+/// [`LocalView::size`] computed on first use and kept for the run. Every
+/// candidate reads its sides and its output here, so a subset is sized
+/// once however many joins it enters or comes out of.
+#[derive(Debug)]
+pub struct SubsetSizes {
+    view: LocalView,
+    sizes: Vec<(f64, f64)>,
+}
+
+impl SubsetSizes {
+    /// An empty table over every subset of `view`'s items (2ⁿ slots).
+    pub fn new(view: LocalView) -> Self {
+        // Zero rows marks a slot not yet asked for. An all-zero table comes
+        // from the allocator untouched, so a run that reads few subsets (a
+        // chain's intervals) never pages in the rest.
+        let sizes = vec![(0.0, 0.0); 1 << view.ends.len()];
+        SubsetSizes { view, sizes }
+    }
+
+    /// `(rows, GB)` of the items in `mask`: [`LocalView::size`], bit for
+    /// bit. A subset whose rows are 0 is sized again on every ask, which
+    /// costs time and never bits.
+    #[inline]
+    pub fn get(&mut self, mask: u64) -> (f64, f64) {
+        let slot = &mut self.sizes[mask as usize];
+        if slot.0 == 0.0 {
+            *slot = self.view.size(mask);
+        }
+        *slot
+    }
+
+    /// The IO of joining the disjoint item sets `a` and `b`.
+    #[inline]
+    pub fn join_io(&mut self, a: u64, b: u64) -> JoinIo {
+        JoinIo::of(self.get(a).1, self.get(b).1, self.get(a | b))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use raqo_catalog::tpch::{table, TpchSchema};
+    use raqo_catalog::QuerySpec;
 
     #[test]
     fn single_table_size_matches_stats() {
@@ -272,6 +299,28 @@ mod tests {
         // Customer (27 MB at SF1) is the build side.
         let customer_gb = est.set_gb(&[table::CUSTOMER]);
         assert!((io.build_gb - customer_gb).abs() < 1e-12);
+    }
+
+    /// The table answers every subset with the view's size, however often
+    /// it is asked, and a join of a set with items above it with
+    /// `join_io` over the ascending relation lists, bit for bit.
+    #[test]
+    fn subset_sizes_answer_with_the_views_sizes() {
+        let s = TpchSchema::new(1.0);
+        let est = CardinalityEstimator::new(&s.catalog, &s.graph);
+        let all = QuerySpec::tpch_all(&s).relations;
+        let view = est.local_view(all.chunks(1));
+        let mut sizes = SubsetSizes::new(view.clone());
+        let rels = |mask: u64| bits(mask).map(|i| all[i]).collect::<Vec<_>>();
+        let bits_of = |(rows, gb): (f64, f64)| (rows.to_bits(), gb.to_bits());
+        for mask in (1..1u64 << all.len()).rev().chain(1..1 << all.len()) {
+            assert_eq!(bits_of(sizes.get(mask)), bits_of(view.size(mask)), "{mask:#b}");
+            let high = 1u64 << (63 - mask.leading_zeros());
+            if mask != high {
+                let (a, b) = (mask & !high, high);
+                assert_eq!(sizes.join_io(a, b), est.join_io(&rels(a), &rels(b)), "{mask:#b}");
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! The finished plan is read off the tables: every planned subset's top
 //! split holds its costed join, so nothing is costed after the search.
 
-use crate::cardinality::{CardinalityEstimator, JoinIo, LocalView};
+use crate::cardinality::{CardinalityEstimator, JoinIo, SubsetSizes};
 use crate::coster::{
     cost_batch, JoinDecision, PlanCoster, PlannedJoin, PlannedQuery, BATCH_CANDIDATES,
 };
@@ -126,8 +126,6 @@ type Costed = (JoinIo, JoinDecision);
 /// One run. Subsets are `usize` masks over `rels` and index every table.
 struct Search<'a> {
     rels: &'a [TableId],
-    /// The statistics of `rels`, one item per relation.
-    view: &'a LocalView,
     coster: &'a mut dyn PlanCoster,
     parallelism: Parallelism,
     cross_rows_cap: f64,
@@ -140,10 +138,9 @@ struct Search<'a> {
     /// One half of that plan's top split (the other is the rest of the
     /// subset) and the join of the two.
     top: Vec<(usize, Option<Costed>)>,
-    /// Estimated `(rows, GB)` of the subset, NaN until asked for: one
-    /// [`LocalView::size`] serves its candidates' output and every join it
-    /// enters.
-    size: Vec<(f64, f64)>,
+    /// Estimated `(rows, GB)` of the subset, one item per relation: one
+    /// size serves its candidates' output and every join it enters.
+    sizes: SubsetSizes,
     /// `prefix[k]`: the first k relations of the seed order, as far as the
     /// seed chain was costed.
     prefix: Vec<usize>,
@@ -154,20 +151,6 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// `(rows, GB)` of a subset, relations accumulated in ascending order.
-    fn size(&mut self, mask: usize) -> (f64, f64) {
-        if self.size[mask].0.is_nan() {
-            self.size[mask] = self.view.size(mask as u64);
-        }
-        self.size[mask]
-    }
-
-    /// The IO of joining `s` with the rest of `mask`.
-    fn join_io(&mut self, mask: usize, s: usize) -> JoinIo {
-        let out = self.size(mask);
-        JoinIo::of(self.size(s).1, self.size(mask ^ s).1, out)
-    }
-
     /// `(cost, volume)` of joining the best plans of `s` and of the rest of `mask`.
     fn totals(&self, mask: usize, s: usize, (io, decision): &Costed) -> (f64, f64) {
         let (l, r) = (self.best[s], self.best[mask ^ s]);
@@ -223,7 +206,9 @@ impl Search<'_> {
                 continue;
             }
             // No edge crosses a cross product: its rows are the halves' product.
-            if self.nbr[s] & t != 0 || self.size(s).0 * self.size(t).0 <= self.cross_rows_cap {
+            if self.nbr[s] & t != 0
+                || self.sizes.get(s as u64).0 * self.sizes.get(t as u64).0 <= self.cross_rows_cap
+            {
                 self.cands.push((mask, s));
             }
         }
@@ -234,7 +219,10 @@ impl Search<'_> {
     /// and the search may not build on that.
     fn flush(&mut self) -> bool {
         let cands = std::mem::take(&mut self.cands);
-        let ios: Vec<JoinIo> = cands.iter().map(|&(mask, s)| self.join_io(mask, s)).collect();
+        let ios: Vec<JoinIo> = cands
+            .iter()
+            .map(|&(mask, s)| self.sizes.join_io(s as u64, (mask ^ s) as u64))
+            .collect();
         let decisions = cost_batch(&mut *self.coster, &ios, self.parallelism);
         let poisoned = !ios.is_empty() && self.stop.is_some_and(|stop| stop());
         for ((&(mask, s), io), decision) in cands.iter().zip(ios).zip(decisions) {
@@ -359,7 +347,6 @@ impl CascadesPlanner {
         }
         let mut search = Search {
             rels: &rels,
-            view: &view,
             coster,
             parallelism,
             cross_rows_cap: config.cross_rows_cap,
@@ -369,7 +356,7 @@ impl CascadesPlanner {
                 .map(|m| (if m.is_power_of_two() { 0.0 } else { f64::INFINITY }, 0.0))
                 .collect(),
             top: vec![(0, None); slots],
-            size: vec![(f64::NAN, f64::NAN); slots],
+            sizes: SubsetSizes::new(view),
             prefix: Vec::with_capacity(n + 1),
             cands: Vec::new(),
             expressions: 0,

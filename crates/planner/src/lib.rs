@@ -39,7 +39,7 @@ pub mod selinger;
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
 
-pub use cardinality::{CardinalityEstimator, JoinIo, LocalView, SetFold};
+pub use cardinality::{CardinalityEstimator, JoinIo, LocalView, SubsetSizes};
 pub use cascades::{
     CascadesConfig, CascadesError, CascadesOutcome, CascadesPlanner,
     DEFAULT_CASCADES_THRESHOLD,

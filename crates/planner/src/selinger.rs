@@ -8,11 +8,12 @@
 //! if no cross-product-free left-deep plan exists the search is rerun with
 //! cross products admitted.
 //!
-//! Subsets are u64 bitmasks indexing one dense table of 2ⁿ slots, so the
-//! DP stops at [`MAX_RELATIONS`] = 20 relations (≈ 16 MB of table); above
-//! it [`SelingerError::TooManyRelations`] tells callers to bridge with the
-//! iterative-DP planner ([`crate::idp::IdpPlanner`]) or fall back to the
-//! randomized planner.
+//! Subsets are u64 bitmasks indexing two dense tables of 2ⁿ slots — the
+//! best plan per subset, and its size ([`SubsetSizes`], the one the bushy
+//! DP reads too) — so the DP stops at [`MAX_RELATIONS`] = 20 relations
+//! (16 MiB per table); above it [`SelingerError::TooManyRelations`] tells
+//! callers to bridge with the iterative-DP planner
+//! ([`crate::idp::IdpPlanner`]) or fall back to the randomized planner.
 //!
 //! The table is filled level by level, by subset size: a subset only reads
 //! subsets one relation smaller, so the candidate extensions of a level are
@@ -21,7 +22,7 @@
 //! [`Parallelism`] worker threads) and folded into the table in generation
 //! order — masks ascending, item ascending — with keep-first tie-breaks.
 
-use crate::cardinality::{bits, CardinalityEstimator, JoinIo, LocalView, SetFold};
+use crate::cardinality::{bits, CardinalityEstimator, JoinIo, SubsetSizes};
 use crate::coster::{cost_batch, cost_tree, PlanCoster, PlannedQuery, BATCH_CANDIDATES};
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
@@ -29,14 +30,11 @@ use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
 use std::fmt;
 
-/// The DP's relation bound: the dense table holds 2ⁿ slots. Far beyond
+/// The DP's relation bound: the dense tables hold 2ⁿ slots each. Far beyond
 /// anything the paper runs through Selinger (TPC-H "All" is 8); larger
 /// queries go through the IDP bridge ([`crate::idp::IdpPlanner`]), whose
 /// blocks are clamped to it.
 pub const MAX_RELATIONS: usize = 20;
-
-/// log₂ of the most subset sizes a DP run keeps at once ([`Dp::rest_size`]).
-const SIZE_SLOT_BITS: usize = 12;
 
 /// Why Selinger planning failed. `TooManyRelations` is recoverable —
 /// callers (e.g. the RAQO optimizer) bridge with the IDP planner or fall
@@ -85,11 +83,20 @@ impl DpItem {
 }
 
 /// Best plan for one subset: scalar cost plus the local index of the
-/// last-joined item, for order reconstruction.
+/// last-joined item, for order reconstruction; [`Entry::EMPTY`] until a
+/// plan is found. 16 bytes, like the subset's size beside it.
 #[derive(Clone, Copy)]
 struct Entry {
     cost: f64,
-    last: usize,
+    last: u8,
+}
+
+impl Entry {
+    const EMPTY: Entry = Entry { cost: f64::NAN, last: u8::MAX };
+
+    fn is_filled(self) -> bool {
+        self.last != Entry::EMPTY.last
+    }
 }
 
 /// The Selinger planner.
@@ -157,10 +164,15 @@ impl SelingerPlanner {
             return cost_tree(&items[0].tree, est, coster, tel);
         }
         let view = est.local_view(items.iter().map(|item| item.rels.as_slice()));
+        let adjacency = view.adjacency();
+        // Both passes size the same subsets: one table serves them.
+        let mut sizes = SubsetSizes::new(view);
         [false, true].into_iter().find_map(|allow_cross| {
             let order = {
                 let _dp_span = tel.span("selinger.dp");
-                Dp::new(items, &view, coster, allow_cross, parallelism, tel).solve()?
+                // Cross products admitted: every item joins every subset.
+                let adj = if allow_cross { vec![u64::MAX; n] } else { adjacency.clone() };
+                Dp::new(items, &mut sizes, adj, coster, parallelism, tel).solve()?
             };
             // Re-cost the final tree so the returned decisions are exactly
             // the winning plan's (the DP only kept scalar costs). For
@@ -183,88 +195,53 @@ impl SelingerPlanner {
 ///
 /// * one **adjacency mask** per item, so "does `rest` join item `i`" is
 ///   `adj[i] & rest != 0`, tested before anything is materialized;
-/// * the run's [`LocalView`], and in it the **relation part of every
-///   subset** used as a left side: `rest`'s relations are always laid out
-///   in ascending item order, so that part of the fold, and `rest`'s own
-///   size, are pure functions of the mask, computed once and not once per
-///   partner. A candidate continues the fold with item `i`'s relations and
-///   adds the few edges inside the query — `est.join_io(rest, item)` bit
-///   for bit.
+/// * the run's [`SubsetSizes`]: `rest`, item `i` and `rest | i` are each
+///   sized once per run, however many candidates read them, so a candidate
+///   is three table reads. Its sides are the ascending folds of `rest` and
+///   of the item, and its output the ascending fold of `rest | i` — the
+///   bushy DP's sizes, bit for bit.
 struct Dp<'a> {
     items: &'a [DpItem],
-    view: &'a LocalView,
+    sizes: &'a mut SubsetSizes,
     coster: &'a mut dyn PlanCoster,
     parallelism: Parallelism,
     tel: &'a Telemetry,
     /// `adj[i]` has bit j set when a join edge links a relation of item i
     /// to a relation of item j; all ones when cross products are admitted.
     adj: Vec<u64>,
-    /// `set_gb(items[i].rels)`.
-    item_gb: Vec<f64>,
-    /// `(rest, relation part of its fold, set_gb of its relations)` in slot
-    /// `rest mod len`, allocated once per run so a fill neither hashes nor
-    /// grows anything. Subsets of up to [`SIZE_SLOT_BITS`] items map one to
-    /// one; wider ones share slots and a miss recomputes, which costs time
-    /// and never bits.
-    rest_size: Vec<(u64, SetFold, f64)>,
     /// The table, indexed by subset mask.
-    dp: Vec<Option<Entry>>,
+    dp: Vec<Entry>,
 }
 
 impl<'a> Dp<'a> {
     fn new(
         items: &'a [DpItem],
-        view: &'a LocalView,
+        sizes: &'a mut SubsetSizes,
+        adj: Vec<u64>,
         coster: &'a mut dyn PlanCoster,
-        allow_cross: bool,
         parallelism: Parallelism,
         tel: &'a Telemetry,
     ) -> Self {
         let n = items.len();
-        let adj = if allow_cross { vec![u64::MAX; n] } else { view.adjacency() };
-        let item_gb = (0..n).map(|i| view.size(1 << i).1).collect();
-        let mut dp = vec![None; 1 << n];
+        let mut dp = vec![Entry::EMPTY; 1 << n];
         for i in 0..n {
-            dp[1 << i] = Some(Entry { cost: 0.0, last: i });
+            dp[1 << i] = Entry { cost: 0.0, last: i as u8 };
         }
-        Dp {
-            items,
-            view,
-            coster,
-            parallelism,
-            tel,
-            adj,
-            item_gb,
-            rest_size: vec![(0, SetFold::default(), 0.0); 1 << n.min(SIZE_SLOT_BITS)],
-            dp,
-        }
-    }
-
-    /// The IO of joining `rest` with item `i`.
-    fn probe(&mut self, rest: u64, i: usize) -> JoinIo {
-        let slot = rest as usize & (self.rest_size.len() - 1);
-        if self.rest_size[slot].0 != rest {
-            let fold = self.view.fold(rest);
-            self.rest_size[slot] = (rest, fold, self.view.finish(fold, rest).1);
-        }
-        let (_, fold, rest_gb) = self.rest_size[slot];
-        let out = self.view.finish(self.view.push(fold, i), rest | 1 << i);
-        JoinIo::of(rest_gb, self.item_gb[i], out)
+        Dp { items, sizes, coster, parallelism, tel, adj, dp }
     }
 
     /// Cost `cands` and fold them into the table in order, keeping the
     /// first of equally cheap plans. Leaves `cands` empty.
     fn flush(&mut self, cands: &mut Vec<(u64, usize)>) {
-        let ios: Vec<JoinIo> = cands.iter().map(|&(rest, i)| self.probe(rest, i)).collect();
+        let ios: Vec<JoinIo> =
+            cands.iter().map(|&(rest, i)| self.sizes.join_io(rest, 1 << i)).collect();
         let results = cost_batch(&mut *self.coster, &ios, self.parallelism);
         for (&(rest, i), decision) in cands.iter().zip(results) {
             let Some(decision) = decision else { continue };
-            let prev = self.dp[rest as usize].expect("candidates extend filled subsets");
-            let cost = prev.cost + decision.cost;
+            let cost = self.dp[rest as usize].cost + decision.cost;
             let slot = &mut self.dp[(rest | 1u64 << i) as usize];
-            match *slot {
-                Some(e) if e.cost <= cost => {}
-                _ => *slot = Some(Entry { cost, last: i }),
+            if !(slot.is_filled() && slot.cost <= cost) {
+                *slot = Entry { cost, last: i as u8 };
             }
         }
         cands.clear();
@@ -285,7 +262,7 @@ impl<'a> Dp<'a> {
             while mask < limit {
                 for i in bits(mask) {
                     let rest = mask & !(1u64 << i);
-                    if self.dp[rest as usize].is_some() && self.adj[i] & rest != 0 {
+                    if self.dp[rest as usize].is_filled() && self.adj[i] & rest != 0 {
                         cands.push((rest, i));
                         // The level's subsets never read each other, so a
                         // batch may end anywhere in it.
@@ -303,16 +280,17 @@ impl<'a> Dp<'a> {
             self.flush(&mut cands);
         }
 
-        let full = limit - 1;
-        self.dp[full as usize]?;
+        let mut mask = limit - 1;
+        if !self.dp[mask as usize].is_filled() {
+            return None;
+        }
         let mut order_rev = Vec::with_capacity(n);
-        let mut mask = full;
         while mask.count_ones() > 1 {
-            // Infallible: every entry's predecessor (`mask` minus its
-            // `last` bit) was filled a level before the entry could be.
-            let e = self.dp[mask as usize].expect("reachable by construction");
-            order_rev.push(e.last);
-            mask &= !(1u64 << e.last);
+            // Every entry's predecessor (`mask` minus its `last` bit) was
+            // filled a level before the entry could be.
+            let last = self.dp[mask as usize].last as usize;
+            order_rev.push(last);
+            mask &= !(1u64 << last);
         }
         order_rev.push(mask.trailing_zeros() as usize);
         order_rev.reverse();
@@ -596,25 +574,11 @@ mod tests {
         assert_eq!(oracle_coster.calls, coster.inner.calls);
     }
 
-    /// Subsets of more than [`SIZE_SLOT_BITS`] items share size slots; a
-    /// shared slot recomputes, it never answers for the other subset.
+    /// A 20-relation run holds two 2²⁰-slot tables, plans and sizes, of 16
+    /// bytes a slot: 32 MiB together.
     #[test]
-    fn shared_size_slots_never_answer_for_another_subset() {
-        let schema = raqo_catalog::RandomSchema::chain(SIZE_SLOT_BITS + 2, 7);
-        let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
-        let items: Vec<DpItem> = schema.catalog.table_ids().map(DpItem::leaf).collect();
-        let view = est.local_view(items.iter().map(|item| item.rels.as_slice()));
-        let model = SimOracleCost::hive();
-        let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-        let tel = Telemetry::disabled();
-        let par = Parallelism::Off;
-        let mut dp = Dp::new(&items, &view, &mut coster, true, par, &tel);
-        // Equal in their low SIZE_SLOT_BITS bits: one slot for both.
-        let (a, b) = (0b11 | 1 << SIZE_SLOT_BITS, 0b11 | 1 << (SIZE_SLOT_BITS + 1));
-        for rest in [a, b, a, a, b] {
-            let io = dp.probe(rest, 2);
-            let tables: Vec<TableId> = bits(rest).map(|j| items[j].rels[0]).collect();
-            assert_eq!(io, est.join_io(&tables, &items[2].rels), "rest {rest:#b}");
-        }
+    fn the_tables_of_a_run_at_the_bound_fit_in_32_mib() {
+        let slot = std::mem::size_of::<Entry>() + std::mem::size_of::<(f64, f64)>();
+        assert_eq!(slot << MAX_RELATIONS, 32 << 20);
     }
 }

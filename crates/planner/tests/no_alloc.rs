@@ -1,5 +1,5 @@
 //! The set statistics under every planner must not touch the allocator:
-//! a DP run folds one candidate through its `LocalView`, and `join_io`
+//! a DP run sizes its subsets into a `SubsetSizes` table, and `join_io`
 //! and `connects` serve the final re-cost and the greedy planners. A
 //! counting global allocator tracks per-thread allocation counts (the
 //! pattern of `raqo-telemetry`'s `no_alloc.rs`); the calls must leave the
@@ -8,7 +8,7 @@
 
 use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, RandomSchemaConfig, TableId};
-use raqo_planner::CardinalityEstimator;
+use raqo_planner::{CardinalityEstimator, SubsetSizes};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -66,20 +66,20 @@ fn assert_set_statistics_do_not_allocate(
     let allocated = allocations() - before;
     assert_eq!(allocated, 0, "set statistics allocated {allocated} times");
 
-    // A DP run's view over (at most twelve of) the relations, built outside
-    // the window like the estimator: every (rest, item) candidate's fold
-    // and finish, and every subset's size.
+    // A DP run's size table over (at most twelve of) the relations, built
+    // outside the window like the estimator: every (rest, item)
+    // candidate's IO fills it, and every subset is read back.
     let n = relations.len().min(12);
-    let view = est.local_view(relations[..n].chunks(1));
+    let mut sizes = SubsetSizes::new(est.local_view(relations[..n].chunks(1)));
     let before = allocations();
     for rest in 1..(1u64 << n) - 1 {
         for i in (0..n).filter(|i| rest >> i & 1 == 0) {
-            black_box(view.finish(view.push(view.fold(rest), i), rest | 1 << i));
+            black_box(sizes.join_io(rest, 1 << i));
         }
-        black_box(view.size(rest));
+        black_box(sizes.get(rest));
     }
     let allocated = allocations() - before;
-    assert_eq!(allocated, 0, "a local view allocated {allocated} times");
+    assert_eq!(allocated, 0, "a subset size table allocated {allocated} times");
 }
 
 #[test]

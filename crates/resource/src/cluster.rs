@@ -143,13 +143,6 @@ impl ClusterConditions {
         out
     }
 
-    /// Iterate grid points starting from row-major `index` (same order as
-    /// [`ClusterConditions::grid`]); combine with `take` to walk a range.
-    pub fn grid_from(&self, index: u64) -> GridIter {
-        let current = (index < self.grid_size()).then(|| self.point_at(index));
-        GridIter { cond: *self, current }
-    }
-
     /// Stable 64-bit fingerprint of the exact bounds and steps (FNV-1a over
     /// the bit patterns of every min/max/step coordinate). Two conditions
     /// fingerprint equal iff their grids are identical, so memo entries
@@ -305,9 +298,7 @@ mod tests {
             assert_eq!(c.points_along(1), c.axis(1).count() as u64);
             for (i, p) in pts.iter().enumerate() {
                 assert_eq!(c.point_at(i as u64), *p, "point_at({i})");
-                assert_eq!(c.grid_from(i as u64).next(), Some(*p), "grid_from({i})");
             }
-            assert_eq!(c.grid_from(points).next(), None);
         }
     }
 

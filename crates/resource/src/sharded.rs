@@ -355,20 +355,11 @@ impl ShardedCacheBank {
         Ok(Self::from_bank_with_shards(persist::load_bank(path)?, shards))
     }
 
-    /// Load a bank, discarding it as stale when its stamped fingerprint
-    /// differs from `model_fingerprint` (or when the file predates
-    /// stamping), into the default shard count. Returns `(bank,
-    /// invalidated)`; an invalidated load yields an empty, usable bank.
-    /// Corrupt files are quarantined and reported as
-    /// [`PersistError::Corrupt`].
-    pub fn load_checked(
-        path: impl AsRef<std::path::Path>,
-        model_fingerprint: u64,
-    ) -> Result<(Self, bool), PersistError> {
-        Self::load_checked_with_shards(path, model_fingerprint, default_shard_count())
-    }
-
-    /// Fingerprint-checked load into an explicit shard count.
+    /// Load a bank into `shards` shards, discarding it as stale when its
+    /// stamped fingerprint differs from `model_fingerprint` (or when the
+    /// file predates stamping). Returns `(bank, invalidated)`; an
+    /// invalidated load yields an empty, usable bank. Corrupt files are
+    /// quarantined and reported as [`PersistError::Corrupt`].
     pub fn load_checked_with_shards(
         path: impl AsRef<std::path::Path>,
         model_fingerprint: u64,
@@ -963,15 +954,17 @@ mod tests {
         bank.insert(0, 0, 1.0, cfg(4.0, 2.0));
         let path = std::env::temp_dir().join("raqo_sharded_bank_fp_test.json");
         bank.save_with_fingerprint(&path, 0xabc).unwrap();
-        let (same, invalidated) = ShardedCacheBank::load_checked(&path, 0xabc).unwrap();
+        let (same, invalidated) =
+            ShardedCacheBank::load_checked_with_shards(&path, 0xabc, 1).unwrap();
         assert!(!invalidated);
         assert_eq!(same.total_entries(), 1);
-        let (stale, invalidated) = ShardedCacheBank::load_checked(&path, 0xdef).unwrap();
+        let (stale, invalidated) =
+            ShardedCacheBank::load_checked_with_shards(&path, 0xdef, 1).unwrap();
         assert!(invalidated, "retrained model must invalidate the persisted bank");
         assert_eq!(stale.total_entries(), 0);
         // Unstamped legacy files are also stale under a checked load.
         bank.save(&path).unwrap();
-        let (_, invalidated) = ShardedCacheBank::load_checked(&path, 0xabc).unwrap();
+        let (_, invalidated) = ShardedCacheBank::load_checked_with_shards(&path, 0xabc, 1).unwrap();
         assert!(invalidated);
         std::fs::remove_file(&path).ok();
     }

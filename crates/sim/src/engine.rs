@@ -199,18 +199,6 @@ impl EngineTuning {
     }
 }
 
-/// One join stage of a simulated DAG: sizes in GB plus the chosen
-/// implementation. Joins sit at shuffle boundaries (§VI-B assumption), so a
-/// plan's execution time is the sum of its stages'.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimJoinStage {
-    pub join: JoinImpl,
-    /// Smaller (build) input in GB.
-    pub small_gb: f64,
-    /// Larger (probe) input in GB.
-    pub large_gb: f64,
-}
-
 /// The simulated engine: a kind plus tuning.
 ///
 /// ```
@@ -335,16 +323,6 @@ impl Engine {
         // mildly — "the performance of SMJ remains relatively stable".
         let spill = cpu * passes * (per_container - buffer).max(0.0) / t.disk_bw;
         2.0 * t.startup_sec + scan + shuffle + spill
-    }
-
-    /// Execution time of a multi-stage plan (sum over shuffle-boundary
-    /// stages, §VI-B: joins "could have resource configurations allocated
-    /// independently"). Fails if any BHJ stage OOMs.
-    pub fn run_stages(&self, stages: &[SimJoinStage], nc: f64, cs: f64) -> Result<f64, OomError> {
-        stages
-            .iter()
-            .map(|s| self.join_time(s.join, s.small_gb, s.large_gb, nc, cs))
-            .sum()
     }
 
     /// A chain of broadcast hash joins fused into one scan stage — Hive
@@ -597,20 +575,6 @@ mod tests {
         // Infeasible BHJ: SMJ chosen.
         let (imp, _) = e.best_join(10.0, LINEITEM_GB, 10.0, 2.0);
         assert_eq!(imp, JoinImpl::SortMerge);
-    }
-
-    #[test]
-    fn run_stages_sums_and_propagates_oom() {
-        let e = hive();
-        let s1 = SimJoinStage { join: JoinImpl::BroadcastHash, small_gb: 0.5, large_gb: 20.0 };
-        let s2 = SimJoinStage { join: JoinImpl::SortMerge, small_gb: 2.0, large_gb: 20.0 };
-        let total = e.run_stages(&[s1, s2], 10.0, 6.0).unwrap();
-        let t1 = e.join_time(s1.join, s1.small_gb, s1.large_gb, 10.0, 6.0).unwrap();
-        let t2 = e.join_time(s2.join, s2.small_gb, s2.large_gb, 10.0, 6.0).unwrap();
-        assert!((total - (t1 + t2)).abs() < 1e-9);
-
-        let oom = SimJoinStage { join: JoinImpl::BroadcastHash, small_gb: 50.0, large_gb: 60.0 };
-        assert!(e.run_stages(&[s1, oom], 10.0, 6.0).is_err());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod queue;
 pub mod scheduler;
 pub mod sweeps;
 
-pub use engine::{Engine, EngineKind, EngineTuning, JoinImpl, OomError, SimJoinStage};
+pub use engine::{Engine, EngineKind, EngineTuning, JoinImpl, OomError};
 pub use money::monetary_cost_tb_sec;
 pub use queue::{percentile, AdmissionQueue, JobOutcome, QueueSimConfig};
 pub use scheduler::{ContentionPolicy, Scheduler, StageCandidate, StageSpec};

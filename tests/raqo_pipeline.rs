@@ -259,3 +259,115 @@ fn a_thread_count_never_changes_a_plan() {
         }
     }
 }
+
+/// What the DPs hand the coster is pinned: the `(build_gb, probe_gb)` bits
+/// of every join reaching `join_cost`/`join_cost_many`, in call order,
+/// hashed with FNV-1a per planner and query. Resource strategies that
+/// cache by those bits (`HillClimbCached`) warm identically only while
+/// this sequence holds. Every Selinger candidate's output is the
+/// ascending fold of its relations: `LocalView::size(rest | i)`, bit for
+/// bit.
+#[test]
+fn the_coster_sees_the_same_join_sides_in_the_same_order() {
+    use raqo::planner::coster::{FixedResourceCoster, JoinDecision, PlanCoster};
+    use raqo::planner::{
+        CardinalityEstimator, CascadesConfig, CascadesPlanner, IdpPlanner, JoinIo, SelingerPlanner,
+    };
+    use std::collections::HashSet;
+
+    struct Recording<'a> {
+        inner: FixedResourceCoster<'a, JoinCostModel>,
+        ios: Vec<JoinIo>,
+    }
+    impl PlanCoster for Recording<'_> {
+        fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+            self.ios.push(*io);
+            self.inner.join_cost(io)
+        }
+    }
+    fn fnv1a(ios: &[JoinIo]) -> u64 {
+        ios.iter()
+            .flat_map(|io| [io.build_gb.to_bits(), io.probe_gb.to_bits()])
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    let model = JoinCostModel::trained_hive();
+    let tpch = TpchSchema::new(1.0);
+    let randoms: Vec<_> = (1..=4)
+        .map(|seed| RandomSchemaConfig { rows: (1e6, 2e8), seed, ..Default::default() }.generate())
+        .collect();
+    let mut cases = vec![
+        (&tpch.catalog, &tpch.graph, QuerySpec::tpch_q3()),
+        (&tpch.catalog, &tpch.graph, QuerySpec::tpch_q12()),
+        (&tpch.catalog, &tpch.graph, QuerySpec::tpch_all(&tpch)),
+    ];
+    for (seed, schema) in (1..).zip(&randoms) {
+        let query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 10, seed);
+        cases.push((&schema.catalog, &schema.graph, query));
+    }
+    let bridge = RandomSchemaConfig { tables: 30, rows: (1e6, 2e8), seed: 5, ..Default::default() }
+        .generate();
+    let wide = QuerySpec::random_connected(&bridge.catalog, &bridge.graph, 24, 5);
+
+    let mut got = Vec::new();
+    let mut record = |what: String, plan: &mut dyn FnMut(&mut Recording<'_>)| {
+        let mut coster =
+            Recording { inner: FixedResourceCoster::new(&model, 10.0, 6.0), ios: Vec::new() };
+        plan(&mut coster);
+        got.push((what, fnv1a(&coster.ios)));
+        coster.ios
+    };
+    for (catalog, graph, query) in &cases {
+        let ios = record(format!("selinger {}", query.name), &mut |c| {
+            SelingerPlanner::plan(catalog, graph, query, c).expect("plan");
+        });
+        // Every (rest, item) split's sides and output, from the view's sizes.
+        let est = CardinalityEstimator::new(catalog, graph);
+        let view = est.local_view(query.relations.chunks(1));
+        let n = query.relations.len();
+        let mut splits = HashSet::new();
+        for mask in (1u64..1 << n).filter(|m| m.count_ones() >= 2) {
+            let (rows, gb) = view.size(mask);
+            for i in (0..n).filter(|i| mask >> i & 1 != 0) {
+                let (rest, item) = (view.size(mask & !(1 << i)).1, view.size(1 << i).1);
+                let sides = (rest.min(item).to_bits(), rest.max(item).to_bits());
+                splits.insert((sides, rows.to_bits(), gb.to_bits()));
+            }
+        }
+        // The last n − 1 calls re-cost the winning tree.
+        for io in &ios[..ios.len() - (n - 1)] {
+            let sides = (io.build_gb.to_bits(), io.probe_gb.to_bits());
+            let key = (sides, io.out_rows.to_bits(), io.out_gb.to_bits());
+            assert!(splits.contains(&key), "{}: {io:?} is no subset's size", query.name);
+        }
+        record(format!("bushy {}", query.name), &mut |c| {
+            CascadesPlanner::plan(catalog, graph, query, c, &CascadesConfig::default())
+                .expect("plan");
+        });
+    }
+    record(format!("idp {}", wide.name), &mut |c| {
+        IdpPlanner::plan(&bridge.catalog, &bridge.graph, &wide, c, IdpConfig::default())
+            .expect("plan");
+    });
+
+    let want = [
+        ("selinger Q3", 0x25ae_8529_23e7_5993),
+        ("bushy Q3", 0xfa18_1bcd_b1cc_4b82),
+        ("selinger Q12", 0xf715_ef47_a5db_442d),
+        ("bushy Q12", 0xd07d_6b8d_a1fd_1f1d),
+        ("selinger All", 0xd4a1_315e_bce2_7acb),
+        ("bushy All", 0xbfc8_380b_6076_5a68),
+        ("selinger rand10", 0x0296_8740_abd6_5efe),
+        ("bushy rand10", 0x34a2_be41_49bd_fe83),
+        ("selinger rand10", 0xbf20_321f_9a27_4000),
+        ("bushy rand10", 0xb3ef_05f3_6913_d44e),
+        ("selinger rand10", 0x389c_8ed7_62a2_9fbc),
+        ("bushy rand10", 0xd9e4_23e6_5a07_759e),
+        ("selinger rand10", 0x2726_07ab_6085_f005),
+        ("bushy rand10", 0xe4e4_efcd_b5a6_6be3),
+        ("idp rand24", 0x9b51_05e7_6698_98ff),
+    ];
+    let got: Vec<(&str, u64)> = got.iter().map(|(what, h)| (what.as_str(), *h)).collect();
+    assert_eq!(got, want);
+}

@@ -39,7 +39,7 @@ fn run_cache_file(path: &str) {
     let fingerprint = model.fingerprint();
     let tel = Telemetry::enabled();
     let bank = if std::path::Path::new(path).exists() {
-        match ShardedCacheBank::load_checked_with_shards(path, fingerprint, 1) {
+        match ShardedCacheBank::load(path, 1, Some(fingerprint)) {
             Ok((bank, invalidated)) => {
                 if invalidated {
                     tel.inc(Counter::CacheFileInvalidations);
@@ -93,7 +93,7 @@ fn run_cache_file(path: &str) {
             plan.query.cost, plan.stats.cache_hits
         );
     }
-    if let Err(e) = bank.save_with_fingerprint(path, fingerprint) {
+    if let Err(e) = bank.checkpoint_with_fingerprint(path, fingerprint) {
         eprintln!("repro: saving cache bank to {path}: {e}");
         std::process::exit(1);
     }
@@ -826,7 +826,10 @@ fn concurrency_smoke_gate() {
     let (report, ms) = timed(|| {
         let report = stress::concurrency_stress(8, 200)
             .unwrap_or_else(|e| panic!("concurrency smoke: stress harness failed: {e}"));
-        assert!(report.clears > 0 && report.saves > 0, "stress never exercised clear/save");
+        assert!(
+            report.clears > 0 && report.checkpoints > 0,
+            "stress never exercised clear/checkpoint"
+        );
 
         // Overload a 1-worker, 2-slot service with a burst: every ticket
         // must still resolve to a plan.
@@ -1017,9 +1020,10 @@ fn chaos_smoke_gate() {
             std::fs::create_dir_all(&dir).expect("chaos: temp dir");
             let path = dir.join("bank.json");
             let bank = ShardedCacheBank::with_shards(1);
-            bank.save(&path).expect("chaos: save bank");
+            bank.checkpoint(&path).expect("chaos: checkpoint bank");
             raqo_faults::corrupt_file(&path, 42).expect("chaos: corrupt file");
-            let err = ShardedCacheBank::load(&path).expect_err("chaos: corrupt load must fail");
+            let err =
+                ShardedCacheBank::load(&path, 1, None).expect_err("chaos: corrupt load must fail");
             assert!(err.is_corrupt(), "chaos: expected a corruption error, got {err}");
             let quarantined = dir.join("bank.json.corrupt");
             assert!(quarantined.exists(), "chaos: corrupt file was not quarantined");

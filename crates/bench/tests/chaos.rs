@@ -275,10 +275,10 @@ fn corrupted_cache_file_is_quarantined_with_a_typed_error() {
     let path = dir.join("bank.json");
 
     let bank = ShardedCacheBank::with_shards(1);
-    bank.save(&path).expect("save bank");
+    bank.checkpoint(&path).expect("checkpoint bank");
     raqo_faults::corrupt_file(&path, 1234).expect("corrupt file");
 
-    let err = ShardedCacheBank::load(&path).expect_err("corrupt load must fail");
+    let err = ShardedCacheBank::load(&path, 1, None).expect_err("corrupt load must fail");
     assert!(err.is_corrupt(), "expected a corruption error, got: {err}");
     assert!(!path.exists(), "corrupt file must be moved out of the way");
     assert!(

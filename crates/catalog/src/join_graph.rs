@@ -215,18 +215,6 @@ impl JoinGraph {
         }
         log_card.exp()
     }
-
-    /// Estimated output row width of joining the given tables: sum of the
-    /// input row widths (projections are ignored, as in the paper's
-    /// `select *` micro-benchmarks).
-    pub fn join_row_width(&self, catalog: &Catalog, tables: &[TableId]) -> f64 {
-        tables.iter().map(|&t| catalog.table(t).stats.row_width).sum()
-    }
-
-    /// Estimated byte size of the join result of `tables`.
-    pub fn join_bytes(&self, catalog: &Catalog, tables: &[TableId]) -> f64 {
-        self.join_cardinality(catalog, tables) * self.join_row_width(catalog, tables)
-    }
 }
 
 #[cfg(test)]
@@ -313,15 +301,6 @@ mod tests {
         let s = g.cross_selectivity(&[TableId(0), TableId(2)], &[TableId(1)]);
         // both edges cross the cut: (1/100) * (1/10)
         assert!((s - 0.001).abs() < 1e-12);
-    }
-
-    #[test]
-    fn row_width_and_bytes_compose() {
-        let (cat, g) = chain();
-        let ts = [TableId(0), TableId(1)];
-        assert_eq!(g.join_row_width(&cat, &ts), 150.0);
-        let bytes = g.join_bytes(&cat, &ts);
-        assert!((bytes - 150_000.0).abs() / 150_000.0 < 1e-12, "bytes {bytes}");
     }
 
     #[test]

@@ -26,8 +26,8 @@ impl std::fmt::Display for TableId {
     }
 }
 
-/// Column types. Widths follow common ORC/Parquet in-memory footprints and
-/// are only used to derive default row widths.
+/// Column types. Descriptive only: a table's row width is its
+/// [`TableStats::row_width`], not derived from its columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ColumnType {
     /// 64-bit integer key or measure.
@@ -38,17 +38,6 @@ pub enum ColumnType {
     Date,
     /// Variable-length string with an average byte width.
     Varchar(u16),
-}
-
-impl ColumnType {
-    /// Average width in bytes of a value of this type.
-    pub fn avg_width(&self) -> u32 {
-        match self {
-            ColumnType::Int64 | ColumnType::Float64 => 8,
-            ColumnType::Date => 4,
-            ColumnType::Varchar(w) => *w as u32,
-        }
-    }
 }
 
 /// A column: a name and a type.
@@ -100,11 +89,6 @@ impl Table {
     pub fn column(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
-
-    /// Sum of average column widths; useful to sanity-check `stats.row_width`.
-    pub fn declared_row_width(&self) -> u32 {
-        self.columns.iter().map(|c| c.ty.avg_width()).sum()
-    }
 }
 
 /// A catalog: the set of base tables of one schema.
@@ -139,11 +123,6 @@ impl Catalog {
 
     pub fn table(&self, id: TableId) -> &Table {
         &self.tables[id.index()]
-    }
-
-    /// Find a table by name.
-    pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.tables.iter().find(|t| t.name == name)
     }
 
     pub fn tables(&self) -> &[Table] {
@@ -201,6 +180,10 @@ mod tests {
         c
     }
 
+    fn by_name<'c>(c: &'c Catalog, name: &str) -> Option<&'c Table> {
+        c.tables().iter().find(|t| t.name == name)
+    }
+
     #[test]
     fn ids_are_dense_and_ordered() {
         let c = two_table_catalog();
@@ -219,23 +202,16 @@ mod tests {
     #[test]
     fn lookup_by_name_and_column() {
         let c = two_table_catalog();
-        let orders = c.table_by_name("orders").expect("orders exists");
+        let orders = by_name(&c, "orders").expect("orders exists");
         assert_eq!(orders.column("o_orderkey"), Some(0));
         assert_eq!(orders.column("missing"), None);
-        assert!(c.table_by_name("nope").is_none());
-    }
-
-    #[test]
-    fn declared_row_width_sums_column_widths() {
-        let c = two_table_catalog();
-        let orders = c.table_by_name("orders").unwrap();
-        assert_eq!(orders.declared_row_width(), 8 + 48);
+        assert!(by_name(&c, "nope").is_none());
     }
 
     #[test]
     fn sampling_scales_rows_only() {
         let mut c = two_table_catalog();
-        let id = c.table_by_name("orders").unwrap().id;
+        let id = by_name(&c, "orders").unwrap().id;
         let before = c.table(id).stats;
         c.sample_table(id, 0.25);
         let after = c.table(id).stats;
@@ -255,12 +231,5 @@ mod tests {
         let mut c = two_table_catalog();
         c.set_stats(TableId(1), TableStats::new(5.0, 10.0));
         assert_eq!(c.table(TableId(1)).stats.bytes(), 50.0);
-    }
-
-    #[test]
-    fn column_widths() {
-        assert_eq!(ColumnType::Int64.avg_width(), 8);
-        assert_eq!(ColumnType::Date.avg_width(), 4);
-        assert_eq!(ColumnType::Varchar(25).avg_width(), 25);
     }
 }

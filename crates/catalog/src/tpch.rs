@@ -212,7 +212,7 @@ mod tests {
     fn has_eight_tables_with_spec_cardinalities() {
         let s = TpchSchema::new(1.0);
         assert_eq!(s.catalog.len(), 8);
-        let rows = |n: &str| s.catalog.table_by_name(n).unwrap().stats.rows;
+        let rows = |n: &str| s.catalog.tables().iter().find(|t| t.name == n).unwrap().stats.rows;
         assert_eq!(rows("region"), 5.0);
         assert_eq!(rows("nation"), 25.0);
         assert_eq!(rows("supplier"), 10_000.0);

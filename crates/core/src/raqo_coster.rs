@@ -20,8 +20,8 @@ use raqo_cost::OperatorCost;
 use raqo_faults::Action;
 use raqo_planner::{JoinDecision, JoinIo, PlanCoster};
 use raqo_resource::{
-    brute_force_rows, hill_climb, BudgetTracker, CacheLookup, CacheStats, ClusterConditions,
-    PairGuard, Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
+    brute_force_rows, hill_climb, BudgetTracker, CacheLookup, ClusterConditions, PairGuard,
+    Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::JoinImpl;
 use raqo_telemetry::{Counter, Hist, MetricsSnapshot, Telemetry};
@@ -277,16 +277,9 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
         self
     }
 
-    /// Builder form of setting the tenant/workload cache namespace (see
-    /// `model_key`). Namespace 0 — the default — is the historical
-    /// single-tenant id space.
-    pub fn with_cache_namespace(mut self, namespace: u32) -> Self {
-        self.cache_namespace = namespace;
-        self
-    }
-
-    /// Switch the tenant/workload cache namespace (the planning service
-    /// sets this per request).
+    /// Switch the tenant/workload cache namespace (see `model_key`; the
+    /// planning service sets this per request). Namespace 0 — the default
+    /// — is the historical single-tenant id space.
     pub fn set_cache_namespace(&mut self, namespace: u32) {
         self.cache_namespace = namespace;
     }
@@ -295,11 +288,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
     /// queries unless across-query caching is under test, §VII).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-    }
-
-    /// Aggregate cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.aggregate_stats()
     }
 
     /// Adopt `bank` as this coster's resource-plan cache: one warmed by
@@ -935,18 +923,19 @@ mod tests {
             let sharded_d: Vec<_> = ios.iter().map(|i| sharded.join_cost(i)).collect();
             assert_eq!(single_d, sharded_d, "{lookup:?}");
             assert_eq!(single.stats, sharded.stats, "{lookup:?}");
-            assert_eq!(single.cache_stats(), sharded.cache_stats(), "{lookup:?}");
+            let stats = |c: &RaqoCoster<'_, SimOracleCost>| c.sharded_cache().aggregate_stats();
+            assert_eq!(stats(&single), stats(&sharded), "{lookup:?}");
         }
     }
 
     #[test]
     fn cache_namespaces_isolate_tenants_on_one_bank() {
         let bank = ShardedCacheBank::with_shards(8);
-        let mut a = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact))
-            .with_cache_namespace(1);
+        let mut a = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
+        a.set_cache_namespace(1);
         a.share_sharded_cache(bank.clone());
-        let mut b = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact))
-            .with_cache_namespace(2);
+        let mut b = coster(ResourceStrategy::HillClimbCached(CacheLookup::Exact));
+        b.set_cache_namespace(2);
         b.share_sharded_cache(bank.clone());
         a.join_cost(&io(2.0, 40.0)).unwrap();
         // Same data characteristics under a different namespace: cold.
@@ -993,8 +982,16 @@ mod tests {
             objectives.iter().map(|&o| operator_key(o)).collect();
         assert_eq!(operator_key(Objective::Time), 0);
         assert_eq!(ids.len(), objectives.len());
-        let persisted: std::collections::BTreeSet<u32> =
-            bank.merged_bank().iter().map(|(&(_, operator), _)| operator).collect();
+        let path = std::env::temp_dir()
+            .join(format!("raqo_coster_objective_ids_{}.json", std::process::id()));
+        bank.checkpoint(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let persisted: std::collections::BTreeSet<u32> = text
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("\"operator\": "))
+            .map(|id| id.trim_end_matches(',').parse().unwrap())
+            .collect();
         assert_eq!(persisted, ids, "the operator id is what a checkpoint stores");
     }
 
@@ -1400,7 +1397,8 @@ mod tests {
             let (bank, ios, want, finished) =
                 (bank.clone(), ios.clone(), want.clone(), finished_tx.clone());
             workers.push(std::thread::spawn(move || {
-                let mut c = coster(cached).with_cache_namespace(ns);
+                let mut c = coster(cached);
+                c.set_cache_namespace(ns);
                 c.share_sharded_cache(bank);
                 for round in 0..400 {
                     assert_eq!(c.join_cost_many(&ios, Parallelism::Off), want, "ns {ns} round {round}");

@@ -717,9 +717,15 @@ mod tests {
         drop(service);
         // Three tenants planned the same query: three namespaces' worth of
         // cache entries, not one shared set.
-        let merged = bank.merged_bank();
-        let namespaces: std::collections::BTreeSet<u32> =
-            merged.iter().map(|(&(model, _), _)| model >> 1).collect();
+        let path = std::env::temp_dir().join("raqo_service_namespaces_test.json");
+        bank.checkpoint(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let namespaces: std::collections::BTreeSet<u32> = text
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("\"model\": "))
+            .map(|id| id.trim_end_matches(',').parse::<u32>().unwrap() >> 1)
+            .collect();
         assert_eq!(namespaces.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
@@ -1008,7 +1014,7 @@ mod tests {
             bank.total_entries()
         );
         // The persisted checkpoint reflects the compacted bank.
-        let loaded = ShardedCacheBank::load_with_shards(&path, 4).unwrap();
+        let (loaded, _) = ShardedCacheBank::load(&path, 4, None).unwrap();
         assert!(loaded.total_entries() <= high_water);
         std::fs::remove_file(&path).ok();
     }
@@ -1047,10 +1053,11 @@ mod tests {
             let release_tx = release_tx;
             let holder = bank.clone();
             scope.spawn(move || {
-                holder.with_shard_bank(blocked_model, 0, |_| {
-                    locked_tx.send(()).unwrap();
-                    let _ = release_rx.recv();
-                });
+                let pair = (blocked_model, 0);
+                let mut guard = holder.lock_pair(pair, pair);
+                guard.lookup(0, 1.0, CacheLookup::Exact); // takes the shard's lock
+                locked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
             });
             locked_rx.recv().unwrap();
             let reply = service
@@ -1065,7 +1072,7 @@ mod tests {
             release_tx.send(()).unwrap();
         });
         drop(service); // joins the worker, which finishes its housekeeping first
-        let loaded = ShardedCacheBank::load_with_shards(&path, 8).unwrap();
+        let (loaded, _) = ShardedCacheBank::load(&path, 8, None).unwrap();
         assert_eq!(loaded.total_entries(), bank.total_entries());
         assert!(!path.with_extension("json.tmp").exists());
         std::fs::remove_file(&path).ok();
@@ -1100,8 +1107,7 @@ mod tests {
             t.wait();
         }
         drop(service);
-        let (loaded, invalidated) =
-            ShardedCacheBank::load_checked_with_shards(&path, 0xfeed, 8).unwrap();
+        let (loaded, invalidated) = ShardedCacheBank::load(&path, 8, Some(0xfeed)).unwrap();
         assert!(!invalidated);
         assert!(loaded.total_entries() > 0, "checkpoint must carry warm entries");
         std::fs::remove_file(&path).ok();

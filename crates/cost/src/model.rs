@@ -540,6 +540,7 @@ impl OperatorCost for SimOracleCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regression::tests::r_squared;
 
     /// Training R² on the full profile grid, per join implementation.
     fn training_r2(model: &JoinCostModel, engine: &Engine, grid: &ProfileGrid) -> (f64, f64) {
@@ -553,9 +554,9 @@ mod tests {
             }
         }
         let (xs, ys) = &data[&JoinImpl::SortMerge];
-        let smj = model.smj.r_squared(xs, ys);
+        let smj = r_squared(&model.smj, xs, ys);
         let (xs, ys) = &data[&JoinImpl::BroadcastHash];
-        let bhj = model.bhj.r_squared(xs, ys);
+        let bhj = r_squared(&model.bhj, xs, ys);
         (smj, bhj)
     }
 

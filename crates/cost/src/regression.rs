@@ -106,32 +106,6 @@ impl LinearModel {
         );
         self.coefficients.iter().zip(x).map(|(c, v)| c * v).sum()
     }
-
-    /// Coefficient of determination on a dataset (1 = perfect fit). Uses
-    /// the uncentered total sum of squares when the response mean is ~0.
-    pub fn r_squared(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
-        assert_eq!(xs.len(), ys.len());
-        let n = ys.len() as f64;
-        let mean = ys.iter().sum::<f64>() / n;
-        let ss_tot: f64 = ys.iter().map(|y| (y - mean) * (y - mean)).sum();
-        let ss_res: f64 = xs
-            .iter()
-            .zip(ys)
-            .map(|(x, y)| {
-                let e = y - self.predict(x);
-                e * e
-            })
-            .sum();
-        if ss_tot == 0.0 {
-            if ss_res == 0.0 {
-                1.0
-            } else {
-                f64::NEG_INFINITY
-            }
-        } else {
-            1.0 - ss_res / ss_tot
-        }
-    }
 }
 
 /// Solve `A x = b` by Gaussian elimination with partial pivoting. Consumes
@@ -182,10 +156,35 @@ fn solve_gaussian(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, Reg
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Coefficient of determination of `m` on a dataset (1 = perfect fit).
+    pub(crate) fn r_squared(m: &LinearModel, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
+        assert_eq!(xs.len(), ys.len());
+        let n = ys.len() as f64;
+        let mean = ys.iter().sum::<f64>() / n;
+        let ss_tot: f64 = ys.iter().map(|y| (y - mean) * (y - mean)).sum();
+        let ss_res: f64 = xs
+            .iter()
+            .zip(ys)
+            .map(|(x, y)| {
+                let e = y - m.predict(x);
+                e * e
+            })
+            .sum();
+        if ss_tot == 0.0 {
+            if ss_res == 0.0 {
+                1.0
+            } else {
+                f64::NEG_INFINITY
+            }
+        } else {
+            1.0 - ss_res / ss_tot
+        }
+    }
 
     #[test]
     fn recovers_exact_linear_relationship() {
@@ -199,7 +198,7 @@ mod tests {
         assert!((m.coefficients[0] - 2.0).abs() < 1e-9);
         assert!((m.coefficients[1] + 3.0).abs() < 1e-9);
         assert!((m.coefficients[2] - 0.5).abs() < 1e-9);
-        assert!(m.r_squared(&xs, &ys) > 1.0 - 1e-12);
+        assert!(r_squared(&m, &xs, &ys) > 1.0 - 1e-12);
     }
 
     #[test]
@@ -214,7 +213,7 @@ mod tests {
         let m = LinearModel::fit(&xs, &ys).unwrap();
         assert!((m.coefficients[0] - 4.0).abs() < 0.05, "slope {}", m.coefficients[0]);
         assert!((m.coefficients[1] - 7.0).abs() < 0.3, "intercept {}", m.coefficients[1]);
-        assert!(m.r_squared(&xs, &ys) > 0.99);
+        assert!(r_squared(&m, &xs, &ys) > 0.99);
     }
 
     #[test]

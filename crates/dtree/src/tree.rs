@@ -101,11 +101,6 @@ impl DecisionTree {
         }
     }
 
-    /// Predicted class name.
-    pub fn predict_name(&self, features: &[f64]) -> &str {
-        &self.class_names[self.predict(features)]
-    }
-
     /// Fraction of samples the tree classifies correctly.
     pub fn accuracy(&self, samples: &[Sample]) -> f64 {
         if samples.is_empty() {
@@ -234,7 +229,7 @@ mod tests {
         assert_eq!(t.predict(&[4.0]), 0);
         assert_eq!(t.predict(&[5.0]), 0); // <= goes left
         assert_eq!(t.predict(&[5.1]), 1);
-        assert_eq!(t.predict_name(&[9.0]), "B");
+        assert_eq!(t.class_names[t.predict(&[9.0])], "B");
     }
 
     #[test]

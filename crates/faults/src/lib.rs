@@ -186,16 +186,6 @@ pub fn site(_name: &str) -> Action {
     Action::Proceed
 }
 
-/// Matching probes seen for a pattern since arming (sums across faults with
-/// that exact pattern string).
-pub fn probes_seen(pattern: &str) -> u64 {
-    faults()
-        .iter()
-        .filter(|a| a.fault.pattern == pattern)
-        .map(|a| a.hits)
-        .sum()
-}
-
 /// RAII guard: disarms all faults when dropped (even on panic), so a
 /// failing chaos test cannot leak faults into the next one.
 pub struct FaultGuard(());
@@ -270,7 +260,7 @@ mod tests {
         assert_eq!(probe("cost.model.scalar"), Action::Proceed);
         assert_eq!(probe("cost.model.scalar"), Action::Nan);
         assert_eq!(probe("cost.model.scalar"), Action::Proceed, "one-shot");
-        assert_eq!(probes_seen("cost.model"), 4);
+        assert_eq!(faults()[0].hits, 4, "every matching probe is seen");
     }
 
     #[test]

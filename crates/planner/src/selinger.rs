@@ -82,21 +82,16 @@ impl DpItem {
     }
 }
 
-/// Best plan for one subset: scalar cost plus the local index of the
-/// last-joined item, for order reconstruction; [`Entry::EMPTY`] until a
-/// plan is found. 16 bytes, like the subset's size beside it.
-#[derive(Clone, Copy)]
-struct Entry {
-    cost: f64,
-    last: u8,
-}
+/// Best plan for one subset: its scalar cost, and one plus the local
+/// index of the last-joined item, for order reconstruction. All zeros —
+/// `(0.0, 0)` — until a plan is found: a tuple of zeroable fields, so
+/// `vec!` takes the 2ⁿ-slot table zeroed from the allocator instead of
+/// writing every slot before the search starts. 16 bytes, like the
+/// subset's size beside it.
+type Entry = (f64, u8);
 
-impl Entry {
-    const EMPTY: Entry = Entry { cost: f64::NAN, last: u8::MAX };
-
-    fn is_filled(self) -> bool {
-        self.last != Entry::EMPTY.last
-    }
+fn is_filled(entry: Entry) -> bool {
+    entry.1 != 0
 }
 
 /// The Selinger planner.
@@ -223,9 +218,9 @@ impl<'a> Dp<'a> {
         tel: &'a Telemetry,
     ) -> Self {
         let n = items.len();
-        let mut dp = vec![Entry::EMPTY; 1 << n];
+        let mut dp: Vec<Entry> = vec![(0.0, 0); 1 << n];
         for i in 0..n {
-            dp[1 << i] = Entry { cost: 0.0, last: i as u8 };
+            dp[1 << i] = (0.0, i as u8 + 1);
         }
         Dp { items, sizes, coster, parallelism, tel, adj, dp }
     }
@@ -238,10 +233,10 @@ impl<'a> Dp<'a> {
         let results = cost_batch(&mut *self.coster, &ios, self.parallelism);
         for (&(rest, i), decision) in cands.iter().zip(results) {
             let Some(decision) = decision else { continue };
-            let cost = self.dp[rest as usize].cost + decision.cost;
+            let cost = self.dp[rest as usize].0 + decision.cost;
             let slot = &mut self.dp[(rest | 1u64 << i) as usize];
-            if !(slot.is_filled() && slot.cost <= cost) {
-                *slot = Entry { cost, last: i as u8 };
+            if !(is_filled(*slot) && slot.0 <= cost) {
+                *slot = (cost, i as u8 + 1);
             }
         }
         cands.clear();
@@ -249,7 +244,7 @@ impl<'a> Dp<'a> {
 
     /// Fill the table level by level — masks of k bits in increasing order
     /// (Gosper's hack), `i` ascending within a mask — and reconstruct the
-    /// winning join order by peeling `last` back-pointers off the full mask.
+    /// winning join order by peeling last-item back-pointers off the full mask.
     fn solve(mut self) -> Option<Vec<usize>> {
         let n = self.items.len();
         let limit: u64 = 1u64 << n;
@@ -262,7 +257,7 @@ impl<'a> Dp<'a> {
             while mask < limit {
                 for i in bits(mask) {
                     let rest = mask & !(1u64 << i);
-                    if self.dp[rest as usize].is_filled() && self.adj[i] & rest != 0 {
+                    if is_filled(self.dp[rest as usize]) && self.adj[i] & rest != 0 {
                         cands.push((rest, i));
                         // The level's subsets never read each other, so a
                         // batch may end anywhere in it.
@@ -281,14 +276,14 @@ impl<'a> Dp<'a> {
         }
 
         let mut mask = limit - 1;
-        if !self.dp[mask as usize].is_filled() {
+        if !is_filled(self.dp[mask as usize]) {
             return None;
         }
         let mut order_rev = Vec::with_capacity(n);
         while mask.count_ones() > 1 {
-            // Every entry's predecessor (`mask` minus its `last` bit) was
-            // filled a level before the entry could be.
-            let last = self.dp[mask as usize].last as usize;
+            // Every entry's predecessor (`mask` minus its last item's bit)
+            // was filled a level before the entry could be.
+            let last = self.dp[mask as usize].1 as usize - 1;
             order_rev.push(last);
             mask &= !(1u64 << last);
         }

@@ -65,12 +65,6 @@ impl PlanningBudget {
         self
     }
 
-    /// Builder: add an evaluation cap.
-    pub fn and_max_evals(mut self, max_evals: u64) -> Self {
-        self.max_evals = Some(max_evals);
-        self
-    }
-
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_evals.is_none()
     }

@@ -12,7 +12,8 @@
 //!
 //! [`ResourcePlanCache`] is that sorted array (a `Vec` gives the
 //! automatically resizing contiguous storage; lookups are binary searches).
-//! [`CacheBank`] keys one cache per (cost model, operator) pair.
+//! `CacheBank` keys one cache per (cost model, operator) pair: one shard's
+//! map inside a [`ShardedCacheBank`](crate::ShardedCacheBank).
 //! The three lookup modes of the paper — exact match, nearest neighbour,
 //! weighted average — are [`CacheLookup`] variants. Both approximate modes
 //! "first look for exact match before trying the interpolation" (§VII-B).
@@ -168,7 +169,8 @@ impl ResourcePlanCache {
 
     /// The current value of the access clock (bumped once per insert or
     /// lookup). An entry whose last-hit generation is far below this is
-    /// cold and is evicted first by [`CacheBank::compact`].
+    /// cold and is evicted first by
+    /// [`ShardedCacheBank::compact`](crate::ShardedCacheBank::compact).
     pub fn generation(&self) -> u64 {
         self.clock
     }
@@ -322,10 +324,10 @@ pub(crate) struct Victim {
     pub operator: u32,
     pub key_bits: u64,
     /// Its cache's access clock when the candidate was listed; see
-    /// [`CacheBank::evict`].
+    /// `CacheBank::evict`.
     pub clock: u64,
-    /// Owning shard (0 in a plain bank): rides along for the sharded
-    /// bank's eviction pass and never influences the order.
+    /// Owning shard: rides along for the eviction pass and never
+    /// influences the order.
     pub shard: usize,
 }
 
@@ -340,7 +342,7 @@ pub(crate) fn push_victims(bank: &CacheBank, shard: usize, out: &mut Vec<Victim>
     }
 }
 
-/// The one eviction policy, shared by [`CacheBank::compact`] and
+/// The eviction policy of
 /// [`ShardedCacheBank::compact`](crate::ShardedCacheBank::compact): cut
 /// `victims` down to its `evict` coldest members — stalest first, ties
 /// broken on (model, operator, key bits), which no two entries share, so
@@ -361,10 +363,11 @@ pub(crate) fn keep_coldest(victims: &mut Vec<Victim>, evict: usize) {
 }
 
 /// One [`ResourcePlanCache`] per (cost model, operator kind) pair, as §VI-B3
-/// prescribes. Model/operator identifiers are small integers assigned by the
-/// optimizer layer.
-#[derive(Debug, Clone, Default)]
-pub struct CacheBank {
+/// prescribes: the map one shard of a
+/// [`ShardedCacheBank`](crate::ShardedCacheBank) locks. Model/operator
+/// identifiers are small integers assigned by the optimizer layer.
+#[derive(Debug, Default)]
+pub(crate) struct CacheBank {
     caches: BTreeMap<(u32, u32), ResourcePlanCache>,
 }
 
@@ -436,30 +439,6 @@ impl CacheBank {
         let pair = (victim.model, victim.operator);
         let idle = self.caches.get(&pair).is_some_and(|c| c.generation() == victim.clock);
         idle && self.remove_entry(pair.0, pair.1, f64::from_bits(victim.key_bits))
-    }
-
-    /// Evict the coldest entries until the bank holds at most `high_water`
-    /// entries. Coldness is staleness under each cache's access clock
-    /// (`clock − last-hit generation`); ties break deterministically on
-    /// (model, operator, key bits), so any two banks with the same access
-    /// history compact to the same retained set. Retained entries answer
-    /// every lookup bit-identically to the pre-compaction bank. Returns the
-    /// number of entries evicted.
-    pub fn compact(&mut self, high_water: usize) -> usize {
-        let total = self.total_entries();
-        if total <= high_water {
-            return 0;
-        }
-        let mut victims = Vec::with_capacity(total);
-        push_victims(self, 0, &mut victims);
-        keep_coldest(&mut victims, total - high_water);
-        let mut evicted = 0;
-        for victim in &victims {
-            if self.evict(victim) {
-                evicted += 1;
-            }
-        }
-        evicted
     }
 }
 
@@ -697,52 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_evicts_coldest_first_and_answers_retained_keys_identically() {
-        let mut bank = CacheBank::new();
-        for k in 0..10u32 {
-            bank.cache(0, 0).insert(k as f64, cfg(k as f64, 1.0));
-        }
-        // Keep keys 0..5 hot.
-        for k in 0..5u32 {
-            bank.cache(0, 0).lookup(k as f64, CacheLookup::Exact);
-        }
-        let before: Vec<Option<ResourceConfig>> = (0..5u32)
-            .map(|k| bank.cache(0, 0).lookup_indexed(k as f64, CacheLookup::Exact).map(|(c, _)| c))
-            .collect();
-        let evicted = bank.compact(5);
-        assert_eq!(evicted, 5);
-        assert_eq!(bank.total_entries(), 5);
-        for k in 0..5u32 {
-            let got = bank.cache(0, 0).lookup(k as f64, CacheLookup::Exact);
-            assert_eq!(got, before[k as usize], "retained key answers bit-identically");
-        }
-        for k in 5..10u32 {
-            assert_eq!(bank.cache(0, 0).lookup(k as f64, CacheLookup::Exact), None);
-        }
-    }
-
-    #[test]
-    fn compact_below_high_water_is_a_no_op() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(1.0, cfg(1.0, 1.0));
-        assert_eq!(bank.compact(10), 0);
-        assert_eq!(bank.total_entries(), 1);
-        assert_eq!(bank.compact(1), 0, "exactly at the mark is fine");
-    }
-
-    #[test]
-    fn compact_drops_emptied_member_caches() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(1.0, cfg(1.0, 1.0));
-        bank.cache(1, 0).insert(2.0, cfg(2.0, 2.0));
-        // Touch the (1, 0) entry so (0, 0)'s entry is the stalest.
-        bank.cache(1, 0).lookup(2.0, CacheLookup::Exact);
-        assert_eq!(bank.compact(1), 1);
-        assert_eq!(bank.iter().count(), 1, "emptied cache is pruned");
-        assert_eq!(bank.iter().next().unwrap().0, &(1, 0));
-    }
-
-    #[test]
     fn revision_follows_content_not_access() {
         let mut cache = ResourcePlanCache::new();
         assert_eq!(cache.revision(), 0, "never held anything");
@@ -830,56 +763,6 @@ mod tests {
             selected.sort();
             sorted.sort();
             proptest::prop_assert_eq!(selected, sorted);
-        }
-
-        /// Compaction never changes what a retained key answers: for any
-        /// insert/lookup history and any high-water mark, every key that
-        /// survives answers its exact lookup bit-identically to the
-        /// pre-compaction bank.
-        #[test]
-        fn prop_compacted_bank_answers_retained_keys_bit_identically(
-            raw_ops in proptest::collection::vec((0u32..4, 0u64..32, proptest::bool::ANY), 1..80),
-            high_water in 0usize..40,
-        ) {
-            let mut bank = CacheBank::new();
-            for (model, k, is_insert) in &raw_ops {
-                let key = *k as f64 / 2.0;
-                if *is_insert {
-                    bank.cache(*model, 0).insert(key, cfg(key + 1.0, (*model + 1) as f64));
-                } else {
-                    bank.cache(*model, 0).lookup(key, CacheLookup::Exact);
-                }
-            }
-            // Record every present key's answer before compaction.
-            let mut answers: Vec<(u32, f64, ResourceConfig)> = Vec::new();
-            let pairs: Vec<(u32, u32)> = bank.iter().map(|(&p, _)| p).collect();
-            for (model, operator) in pairs {
-                let keys: Vec<f64> = bank
-                    .cache(model, operator)
-                    .entries()
-                    .iter()
-                    .map(|(k, _)| *k)
-                    .collect();
-                for key in keys {
-                    let got = bank
-                        .cache(model, operator)
-                        .lookup_indexed(key, CacheLookup::Exact)
-                        .map(|(c, _)| c)
-                        .expect("present key must answer");
-                    answers.push((model, key, got));
-                }
-            }
-            let total = bank.total_entries();
-            let evicted = bank.compact(high_water);
-            proptest::prop_assert_eq!(evicted, total.saturating_sub(high_water));
-            proptest::prop_assert_eq!(bank.total_entries(), total.min(high_water));
-            for (model, key, before) in answers {
-                if let Some((after, _)) =
-                    bank.cache(model, 0).lookup_indexed(key, CacheLookup::Exact)
-                {
-                    proptest::prop_assert_eq!(after, before, "retained key diverged");
-                }
-            }
         }
     }
 }

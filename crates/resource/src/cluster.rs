@@ -127,21 +127,6 @@ impl ClusterConditions {
         GridIter { cond: *self, current: Some(self.min) }
     }
 
-    /// The grid point at row-major `index` (dimension 0 most significant,
-    /// matching [`ClusterConditions::grid`] enumeration order).
-    pub fn point_at(&self, index: u64) -> ResourceConfig {
-        debug_assert!(index < self.grid_size(), "grid index out of range");
-        let mut rem = index;
-        let mut out = self.min;
-        for i in (0..self.dims()).rev() {
-            let n = self.points_along(i);
-            // Infallible: `rem % n` indexes an axis of `n` coordinates.
-            let v = self.axis(i).nth((rem % n) as usize).expect("coordinate within its axis");
-            rem /= n;
-            out.set(i, v);
-        }
-        out
-    }
 
     /// Stable 64-bit fingerprint of the exact bounds and steps (FNV-1a over
     /// the bit patterns of every min/max/step coordinate). Two conditions
@@ -296,9 +281,6 @@ mod tests {
             assert_eq!(pts.len() as u64, points);
             assert_eq!(c.grid_size(), points);
             assert_eq!(c.points_along(1), c.axis(1).count() as u64);
-            for (i, p) in pts.iter().enumerate() {
-                assert_eq!(c.point_at(i as u64), *p, "point_at({i})");
-            }
         }
     }
 

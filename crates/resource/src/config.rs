@@ -91,13 +91,6 @@ impl ResourceConfig {
         self.get(1)
     }
 
-    /// Total memory of the configuration in GB (containers × size). This is
-    /// the quantity the monetary cost model charges for.
-    #[inline]
-    pub fn total_memory_gb(&self) -> f64 {
-        self.containers() * self.container_size_gb()
-    }
-
     /// Euclidean distance to another configuration (used by cache tests and
     /// diagnostics; both must have the same dimensionality).
     pub fn distance(&self, other: &ResourceConfig) -> f64 {
@@ -131,7 +124,6 @@ mod tests {
         assert_eq!(r.dims(), 2);
         assert_eq!(r.containers(), 10.0);
         assert_eq!(r.container_size_gb(), 3.0);
-        assert_eq!(r.total_memory_gb(), 30.0);
     }
 
     #[test]

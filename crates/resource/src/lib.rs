@@ -34,7 +34,7 @@ pub mod planner;
 pub mod sharded;
 
 pub use budget::{BudgetTracker, BudgetTrigger, PlanningBudget, DEADLINE_CHECK_EVERY};
-pub use cache::{CacheBank, CacheLookup, CacheStats, ResourcePlanCache};
+pub use cache::{CacheLookup, CacheStats, ResourcePlanCache};
 pub use cluster::ClusterConditions;
 pub use config::{ResourceConfig, MAX_DIMS};
 pub use persist::PersistError;

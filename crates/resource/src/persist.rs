@@ -1,6 +1,8 @@
-//! Cache-bank persistence: save/load a [`CacheBank`] as versioned JSON so
-//! `repro` sweeps can warm-start across processes (the Fig. 15(b)
-//! across-query caching mode, extended across process lifetimes).
+//! Cache-bank persistence: the versioned JSON a
+//! [`ShardedCacheBank`](crate::ShardedCacheBank) checkpoints to and loads
+//! from, so `repro` sweeps and the planning service warm-start across
+//! processes (the Fig. 15(b) across-query caching mode, extended across
+//! process lifetimes).
 //!
 //! Format (version 1):
 //!
@@ -17,10 +19,10 @@
 //! Keys and configuration coordinates are `f64`s rendered with Rust's
 //! shortest-repr `Display` (integral values as integers), which parses back
 //! to the identical bits — a reloaded bank answers exact-match lookups
-//! byte-for-byte like the bank that was saved. Hit/miss/insertion statistics
-//! are *not* persisted; a loaded bank starts with fresh counters.
+//! byte-for-byte like the bank that was checkpointed. Hit/miss/insertion
+//! statistics are *not* persisted; a loaded bank starts with fresh counters.
 
-use crate::cache::{CacheBank, ResourcePlanCache};
+use crate::cache::ResourcePlanCache;
 use crate::config::{ResourceConfig, MAX_DIMS};
 use serde::Value;
 use std::fmt::Write;
@@ -32,9 +34,9 @@ pub const FORMAT_VERSION: u64 = 1;
 
 /// Typed persistence failure. Truncated, garbage, or wrong-shape JSON is
 /// always reported as [`PersistError::Corrupt`] — never a panic — and the
-/// file-loading entry points quarantine the offending file by renaming it
-/// to `<name>.corrupt` so it can be inspected instead of silently
-/// re-parsed (and re-failed) on every warm start.
+/// file loader quarantines the offending file by renaming it to
+/// `<name>.corrupt` so it can be inspected instead of silently re-parsed
+/// (and re-failed) on every warm start.
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying filesystem error (missing file, permissions, ...).
@@ -50,10 +52,6 @@ pub enum PersistError {
 }
 
 impl PersistError {
-    fn corrupt(msg: &str) -> PersistError {
-        PersistError::Corrupt { msg: msg.to_string(), quarantined: None }
-    }
-
     /// True for content-level corruption (as opposed to I/O failure).
     pub fn is_corrupt(&self) -> bool {
         matches!(self, PersistError::Corrupt { .. })
@@ -89,39 +87,6 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// Render `bank` as the version-1 JSON document without a model
-/// fingerprint (legacy writer; loads under any model).
-pub fn bank_to_json(bank: &CacheBank) -> String {
-    bank_to_json_with(bank, None)
-}
-
-/// Render `bank` as the version-1 JSON document, optionally stamping the
-/// cost-model fingerprint into the header. Cached resource plans are only
-/// as good as the model that priced them — a stamped file is invalidated
-/// on load when the model has retrained (fingerprint mismatch).
-pub fn bank_to_json_with(bank: &CacheBank, model_fingerprint: Option<u64>) -> String {
-    document_from_fragments([caches_fragment(bank).as_str()], model_fingerprint)
-}
-
-/// One member cache as its `caches[]` array element: the `Value`-tree
-/// rendition [`write_cache`] must reproduce byte for byte.
-#[cfg(test)]
-fn cache_value(model: u32, operator: u32, cache: &ResourcePlanCache) -> Value {
-    let entries: Vec<Value> = cache
-        .entries()
-        .iter()
-        .map(|(key, cfg)| {
-            let coords: Vec<Value> = (0..cfg.dims()).map(|i| Value::Num(cfg.get(i))).collect();
-            Value::Array(vec![Value::Num(*key), Value::Array(coords)])
-        })
-        .collect();
-    Value::Object(vec![
-        ("model".to_string(), Value::Num(model as f64)),
-        ("operator".to_string(), Value::Num(operator as f64)),
-        ("entries".to_string(), Value::Array(entries)),
-    ])
-}
-
 /// Stream one member cache into `out` as its `caches[]` array element.
 /// The `caches` array sits at depth 1 of the document, so the element
 /// renders at depth 2 behind a 4-space pad: exactly the bytes
@@ -155,39 +120,22 @@ pub(crate) fn write_cache(out: &mut String, model: u32, operator: u32, cache: &R
     out.push_str("\n      ]\n    }");
 }
 
-/// Render `bank`'s member caches as a pre-indented, comma-joined run of
-/// `caches[]` array elements (empty string for an empty bank). Fragments
-/// from disjoint banks concatenate into one document via
-/// [`document_from_fragments`] — the sharded bank keeps one single-cache
-/// fragment per member cache and re-renders only the caches whose content
-/// changed since the last checkpoint.
-pub(crate) fn caches_fragment(bank: &CacheBank) -> String {
-    let mut out = String::new();
-    for (i, (&(model, operator), cache)) in bank.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        write_cache(&mut out, model, operator, cache);
-    }
-    out
-}
-
-/// Assemble the version-1 document from pre-rendered [`caches_fragment`]
-/// runs, in one buffer sized up front. With a single whole-bank fragment
-/// this is byte-identical to the historical writer; with per-cache
-/// fragments in shard order the element order follows shard order instead
-/// of global key order, which loads identically (parsing is
-/// order-independent).
+/// Assemble the version-1 document from `caches[]` elements rendered by
+/// [`write_cache`], in one buffer sized up front, optionally stamping the
+/// cost-model fingerprint into the header. Cached resource plans are only
+/// as good as the model that priced them: a stamped file is invalidated on
+/// load when the model has retrained. Elements keep the caller's order;
+/// loading is order-independent.
 pub(crate) fn document_from_fragments<I>(fragments: I, model_fingerprint: Option<u64>) -> String
 where
     I: IntoIterator,
     I::IntoIter: Clone,
     I::Item: AsRef<str>,
 {
-    let live = fragments.into_iter().filter(|f| !f.as_ref().is_empty());
+    let fragments = fragments.into_iter();
     // Header and footer are under 100 bytes; each fragment brings a
     // two-byte separator.
-    let body: usize = live.clone().map(|f| f.as_ref().len() + 2).sum();
+    let body: usize = fragments.clone().map(|f| f.as_ref().len() + 2).sum();
     let mut out = String::with_capacity(body + 100);
     // `write!` into a `String` cannot fail.
     let _ = write!(out, "{{\n  \"version\": {FORMAT_VERSION},");
@@ -198,7 +146,7 @@ where
     }
     out.push_str("\n  \"caches\": [");
     let mut any = false;
-    for fragment in live {
+    for fragment in fragments {
         out.push_str(if any { ",\n" } else { "\n" });
         out.push_str(fragment.as_ref());
         any = true;
@@ -229,7 +177,7 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 fn bad(msg: &str) -> PersistError {
-    PersistError::corrupt(msg)
+    PersistError::Corrupt { msg: msg.to_string(), quarantined: None }
 }
 
 fn field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, PersistError> {
@@ -257,13 +205,9 @@ fn as_id(v: &Value, what: &str) -> Result<u32, PersistError> {
     }
 }
 
-/// Parse the `model_fingerprint` header of a version-1 document, if
+/// The `model_fingerprint` header of a document's top-level object, if
 /// present (files written before fingerprint stamping have none).
-pub fn json_fingerprint(text: &str) -> Result<Option<u64>, PersistError> {
-    let doc = serde_json::from_str(text).map_err(|e| bad(&e.to_string()))?;
-    let Value::Object(top) = &doc else {
-        return Err(bad("top level is not an object"));
-    };
+fn fingerprint(top: &[(String, Value)]) -> Result<Option<u64>, PersistError> {
     match top.iter().find(|(k, _)| k == "model_fingerprint") {
         None => Ok(None),
         Some((_, Value::String(s))) => u64::from_str_radix(s, 16)
@@ -273,30 +217,26 @@ pub fn json_fingerprint(text: &str) -> Result<Option<u64>, PersistError> {
     }
 }
 
-/// Parse a version-1 document, enforcing the model fingerprint when the
-/// caller expects one. Returns `(bank, invalidated)`: on mismatch — a file
-/// stamped with a *different* fingerprint, or an unstamped legacy file
-/// when a fingerprint is expected — the stale entries are discarded and an
-/// empty bank comes back with `invalidated = true`. The file itself is
-/// untouched; the next save overwrites it with freshly stamped entries.
-pub fn bank_from_json_checked(
+/// Parse a version-1 document once and hand each member cache to
+/// `install`. When `expected_fingerprint` is given and the document is
+/// stamped with a *different* one — or is an unstamped legacy file —
+/// nothing is installed and the answer is `Ok(true)`: the entries are
+/// stale. The file itself is untouched; the next checkpoint overwrites it
+/// with freshly stamped entries.
+pub(crate) fn read_document(
     text: &str,
     expected_fingerprint: Option<u64>,
-) -> Result<(CacheBank, bool), PersistError> {
-    if let Some(expected) = expected_fingerprint {
-        if json_fingerprint(text)? != Some(expected) {
-            return Ok((CacheBank::new(), true));
-        }
-    }
-    Ok((bank_from_json(text)?, false))
-}
-
-/// Parse the version-1 JSON document back into a [`CacheBank`].
-pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
+    mut install: impl FnMut(u32, u32, ResourcePlanCache),
+) -> Result<bool, PersistError> {
     let doc = serde_json::from_str(text).map_err(|e| bad(&e.to_string()))?;
     let Value::Object(top) = &doc else {
         return Err(bad("top level is not an object"));
     };
+    if let Some(expected) = expected_fingerprint {
+        if fingerprint(top)? != Some(expected) {
+            return Ok(true);
+        }
+    }
     let version = as_num(field(top, "version")?, "version")?;
     if version != FORMAT_VERSION as f64 {
         return Err(bad(&format!(
@@ -306,7 +246,6 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
     let Value::Array(caches) = field(top, "caches")? else {
         return Err(bad("`caches` is not an array"));
     };
-    let mut bank = CacheBank::new();
     for cache in caches {
         let Value::Object(obj) = cache else {
             return Err(bad("cache element is not an object"));
@@ -351,188 +290,330 @@ pub fn bank_from_json(text: &str) -> Result<CacheBank, PersistError> {
             }
             entries.push((key, ResourceConfig::from_slice(&vals)));
         }
-        bank.insert_cache(model, operator, ResourcePlanCache::from_entries(entries));
+        install(model, operator, ResourcePlanCache::from_entries(entries));
     }
-    Ok(bank)
+    Ok(false)
 }
 
-/// Write `bank` to `path` (version-1 JSON), replacing any previous file in
-/// one step (see `write_atomic`).
-pub fn save_bank(bank: &CacheBank, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_bank_with(bank, path, None)
-}
-
-/// Move a corrupt file out of the way by renaming it to `<name>.corrupt`.
-/// Best-effort: a failed rename (e.g. read-only directory) leaves the file
-/// in place and reports no quarantine location.
-fn quarantine(path: &Path) -> Option<PathBuf> {
-    let target = sibling(path, ".corrupt");
-    std::fs::rename(path, &target).ok().map(|_| target)
-}
-
-/// Attach a quarantine step to a parse result: corrupt content moves the
-/// source file to `<name>.corrupt` and records where it went.
-fn with_quarantine<T>(result: Result<T, PersistError>, path: &Path) -> Result<T, PersistError> {
-    result.map_err(|e| match e {
+/// Read `path` as text and `parse` it. Content-level corruption — invalid
+/// UTF-8 (the writer only ever emits ASCII JSON) or whatever `parse`
+/// reports as [`PersistError::Corrupt`] — moves the file to
+/// `<name>.corrupt`, so the next warm start doesn't trip over it again,
+/// and records where it went. The rename is best-effort: a failed one
+/// (e.g. a read-only directory) leaves the file in place and reports no
+/// quarantine location. I/O failures touch nothing.
+pub(crate) fn read_file<T>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
+    let bytes = std::fs::read(path)?;
+    let text = String::from_utf8(bytes).map_err(|_| bad("cache file is not valid UTF-8"));
+    text.and_then(|text| parse(&text)).map_err(|e| match e {
         PersistError::Corrupt { msg, quarantined: None } => {
-            PersistError::Corrupt { msg, quarantined: quarantine(path) }
+            let target = sibling(path, ".corrupt");
+            let quarantined = std::fs::rename(path, &target).ok().map(|()| target);
+            PersistError::Corrupt { msg, quarantined }
         }
         other => other,
     })
 }
 
-/// Read the file as text, classifying invalid UTF-8 as corruption (the
-/// writer only ever emits ASCII JSON) rather than a plain I/O failure, so
-/// byte-mangled files take the quarantine path instead of looking like a
-/// transient read error.
-fn read_text(path: &Path) -> Result<String, PersistError> {
-    let bytes = std::fs::read(path)?;
-    String::from_utf8(bytes)
-        .map_err(|_| PersistError::corrupt("cache file is not valid UTF-8"))
-}
-
-/// Read a bank previously written by [`save_bank`]. Truncated or garbage
-/// content returns [`PersistError::Corrupt`] and the file is quarantined
-/// (renamed to `<name>.corrupt`) so the next warm start doesn't trip over
-/// it again.
-pub fn load_bank(path: impl AsRef<Path>) -> Result<CacheBank, PersistError> {
-    let path = path.as_ref();
-    with_quarantine(read_text(path).and_then(|text| bank_from_json(&text)), path)
-}
-
-/// Write `bank` to `path` with the cost-model fingerprint stamped into the
-/// header (see [`bank_to_json_with`]), replacing any previous file in one
-/// step (see `write_atomic`).
-pub fn save_bank_with(
-    bank: &CacheBank,
-    path: impl AsRef<Path>,
-    model_fingerprint: Option<u64>,
-) -> Result<(), PersistError> {
-    write_atomic(path.as_ref(), bank_to_json_with(bank, model_fingerprint).as_bytes())?;
-    Ok(())
-}
-
-/// Read a bank, discarding it as stale when its stamped fingerprint does
-/// not match `expected_fingerprint` (see [`bank_from_json_checked`]).
-/// Corrupt files are quarantined like [`load_bank`].
-pub fn load_bank_checked(
-    path: impl AsRef<Path>,
-    expected_fingerprint: Option<u64>,
-) -> Result<(CacheBank, bool), PersistError> {
-    let path = path.as_ref();
-    with_quarantine(
-        read_text(path).and_then(|text| bank_from_json_checked(&text, expected_fingerprint)),
-        path,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheLookup;
+    use crate::{CacheLookup, ShardedCacheBank};
 
     fn cfg(c: f64, s: f64) -> ResourceConfig {
         ResourceConfig::containers_and_size(c, s)
     }
 
-    #[test]
-    fn bank_round_trips_through_json() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(3.4, cfg(10.0, 3.0));
-        bank.cache(0, 0).insert(0.1, cfg(1.0, 1.0));
-        bank.cache(1, 0).insert(1.0 / 3.0, cfg(99.0, 9.0));
-        bank.cache(2, 7); // empty member cache persists too
+    fn from_json(text: &str) -> Result<ShardedCacheBank, PersistError> {
+        ShardedCacheBank::from_json(text, 1, None).map(|(bank, _)| bank)
+    }
 
-        let json = bank_to_json(&bank);
-        let mut loaded = bank_from_json(&json).unwrap();
-
-        assert_eq!(loaded.total_entries(), bank.total_entries());
-        // Exact-match lookups see bit-identical keys after the round trip.
-        assert_eq!(loaded.cache(0, 0).lookup(3.4, CacheLookup::Exact), Some(cfg(10.0, 3.0)));
-        assert_eq!(loaded.cache(0, 0).lookup(0.1, CacheLookup::Exact), Some(cfg(1.0, 1.0)));
-        assert_eq!(
-            loaded.cache(1, 0).lookup(1.0 / 3.0, CacheLookup::Exact),
-            Some(cfg(99.0, 9.0))
-        );
-        // Stats start fresh: the original insertions are not replayed.
-        assert_eq!(loaded.aggregate_stats().insertions, 0);
+    /// `bank`'s checkpoint text, written to a file named after `name`.
+    fn checkpoint_text(bank: &ShardedCacheBank, name: &str, fingerprint: Option<u64>) -> String {
+        let path = std::env::temp_dir().join(format!("{name}_{}.json", std::process::id()));
+        match fingerprint {
+            Some(fp) => bank.checkpoint_with_fingerprint(&path, fp),
+            None => bank.checkpoint(&path),
+        }
+        .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
     }
 
     #[test]
-    fn save_load_via_files() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(5.5, cfg(40.0, 7.0));
-        let path = std::env::temp_dir().join("raqo_persist_test_bank.json");
-        save_bank(&bank, &path).unwrap();
-        let mut loaded = load_bank(&path).unwrap();
+    fn bank_round_trips_through_json() {
+        let bank = ShardedCacheBank::with_shards(4);
+        bank.insert(0, 0, 3.4, cfg(10.0, 3.0));
+        bank.insert(0, 0, 0.1, cfg(1.0, 1.0));
+        bank.insert(1, 0, 1.0 / 3.0, cfg(99.0, 9.0));
+        bank.lookup(2, 7, 1.0, CacheLookup::Exact); // empty member cache persists too
+
+        let json = checkpoint_text(&bank, "raqo_persist_round_trip", None);
+        assert!(json.contains("\"model\": 2,\n      \"operator\": 7,\n      \"entries\": []"));
+        let loaded = from_json(&json).unwrap();
+
+        assert_eq!(loaded.total_entries(), bank.total_entries());
+        // Stats start fresh: the original insertions are not replayed.
+        assert_eq!(loaded.aggregate_stats().insertions, 0);
+        // Exact-match lookups see bit-identical keys after the round trip.
+        assert_eq!(loaded.lookup(0, 0, 3.4, CacheLookup::Exact), Some(cfg(10.0, 3.0)));
+        assert_eq!(loaded.lookup(0, 0, 0.1, CacheLookup::Exact), Some(cfg(1.0, 1.0)));
+        assert_eq!(loaded.lookup(1, 0, 1.0 / 3.0, CacheLookup::Exact), Some(cfg(99.0, 9.0)));
+    }
+
+    #[test]
+    fn checkpoint_load_via_files() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 5.5, cfg(40.0, 7.0));
+        let path = std::env::temp_dir()
+            .join(format!("raqo_persist_test_bank_{}.json", std::process::id()));
+        bank.checkpoint(&path).unwrap();
+        let (loaded, stale) = ShardedCacheBank::load(&path, 1, None).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.cache(0, 0).lookup(5.5, CacheLookup::Exact), Some(cfg(40.0, 7.0)));
+        assert!(!stale);
+        assert_eq!(loaded.lookup(0, 0, 5.5, CacheLookup::Exact), Some(cfg(40.0, 7.0)));
+    }
+
+    #[test]
+    fn fingerprinted_checkpoint_load_via_files() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 5.5, cfg(40.0, 7.0));
+        let path = std::env::temp_dir()
+            .join(format!("raqo_persist_test_bank_fp_{}.json", std::process::id()));
+        bank.checkpoint_with_fingerprint(&path, 42).unwrap();
+        let (loaded, invalidated) = ShardedCacheBank::load(&path, 1, Some(42)).unwrap();
+        assert!(!invalidated);
+        assert_eq!(loaded.lookup(0, 0, 5.5, CacheLookup::Exact), Some(cfg(40.0, 7.0)));
+        let (stale, invalidated) = ShardedCacheBank::load(&path, 1, Some(43)).unwrap();
+        assert!(invalidated);
+        assert_eq!(stale.total_entries(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Per-cache fragments assembled in (model, operator) order are the
+    /// one-shard checkpoint's bytes; in any other order they still load to
+    /// the same bank; and no fragments at all are the empty bank's
+    /// document.
+    #[test]
+    fn fragment_assembly_matches_the_one_shard_checkpoint() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 3.4, cfg(10.0, 3.0));
+        bank.insert(1, 0, 0.5, cfg(4.0, 2.0));
+        bank.lookup(2, 7, 1.0, CacheLookup::Exact); // empty member cache
+        let canonical = checkpoint_text(&bank, "raqo_persist_fragments", Some(0xfeed));
+
+        let fragment = |model, operator, entries: &[(f64, ResourceConfig)]| {
+            let mut text = String::new();
+            let cache = ResourcePlanCache::from_entries(entries.to_vec());
+            write_cache(&mut text, model, operator, &cache);
+            text
+        };
+        let fragments = [
+            fragment(0, 0, &[(3.4, cfg(10.0, 3.0))]),
+            fragment(1, 0, &[(0.5, cfg(4.0, 2.0))]),
+            fragment(2, 7, &[]),
+        ];
+        assert_eq!(document_from_fragments(&fragments, Some(0xfeed)), canonical);
+
+        let reordered = [&fragments[2], &fragments[0], &fragments[1]];
+        let loaded = from_json(&document_from_fragments(reordered, None)).unwrap();
+        assert_eq!(checkpoint_text(&loaded, "raqo_persist_reordered", Some(0xfeed)), canonical);
+
+        let empty = checkpoint_text(&ShardedCacheBank::with_shards(4), "raqo_persist_empty", None);
+        assert_eq!(document_from_fragments(Vec::<String>::new(), None), empty);
     }
 
     #[test]
     fn version_and_shape_checks() {
-        assert!(bank_from_json("[]").is_err());
-        assert!(bank_from_json(r#"{"version": 2, "caches": []}"#).is_err());
-        assert!(bank_from_json(r#"{"version": 1}"#).is_err());
-        assert!(bank_from_json(r#"{"version": 1, "caches": [{"model": 0}]}"#).is_err());
-        assert!(bank_from_json("not json").is_err());
+        assert!(from_json("[]").is_err());
+        assert!(from_json(r#"{"version": 2, "caches": []}"#).is_err());
+        assert!(from_json(r#"{"version": 1}"#).is_err());
+        assert!(from_json(r#"{"version": 1, "caches": [{"model": 0}]}"#).is_err());
+        assert!(from_json("not json").is_err());
         // Minimal valid document.
-        let bank = bank_from_json(r#"{"version": 1, "caches": []}"#).unwrap();
+        let bank = from_json(r#"{"version": 1, "caches": []}"#).unwrap();
         assert_eq!(bank.total_entries(), 0);
     }
 
     #[test]
     fn fingerprint_stamp_round_trips() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(3.4, cfg(10.0, 3.0));
+        let bank = ShardedCacheBank::with_shards(2);
+        bank.insert(0, 0, 3.4, cfg(10.0, 3.0));
         let fp = 0xdead_beef_0123_4567u64;
-        let json = bank_to_json_with(&bank, Some(fp));
+        let json = checkpoint_text(&bank, "raqo_persist_stamp", Some(fp));
         assert!(json.contains("\"model_fingerprint\": \"deadbeef01234567\""));
-        assert_eq!(json_fingerprint(&json).unwrap(), Some(fp));
 
         // Matching fingerprint: entries load intact.
-        let (mut loaded, invalidated) = bank_from_json_checked(&json, Some(fp)).unwrap();
+        let (loaded, invalidated) = ShardedCacheBank::from_json(&json, 1, Some(fp)).unwrap();
         assert!(!invalidated);
-        assert_eq!(loaded.cache(0, 0).lookup(3.4, CacheLookup::Exact), Some(cfg(10.0, 3.0)));
+        assert_eq!(loaded.lookup(0, 0, 3.4, CacheLookup::Exact), Some(cfg(10.0, 3.0)));
 
         // Mismatched fingerprint: stale file discarded, empty bank back.
-        let (stale, invalidated) = bank_from_json_checked(&json, Some(fp ^ 1)).unwrap();
+        let (stale, invalidated) = ShardedCacheBank::from_json(&json, 1, Some(fp ^ 1)).unwrap();
         assert!(invalidated);
         assert_eq!(stale.total_entries(), 0);
 
         // No expectation: the stamp is ignored, entries load.
-        let (loaded, invalidated) = bank_from_json_checked(&json, None).unwrap();
+        let (loaded, invalidated) = ShardedCacheBank::from_json(&json, 1, None).unwrap();
         assert!(!invalidated);
         assert_eq!(loaded.total_entries(), 1);
+
+        // A malformed stamp is corrupt, not stale, when one is expected.
+        let malformed = json.replace("deadbeef01234567", "not hex");
+        let err = ShardedCacheBank::from_json(&malformed, 1, Some(fp)).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+    }
+
+    /// A stale file is discarded, not deleted or quarantined: it stays as
+    /// it was until the next checkpoint replaces it with fresh entries.
+    #[test]
+    fn a_stale_file_stays_in_place_until_the_next_checkpoint() {
+        let path = std::env::temp_dir().join("raqo_persist_stale_in_place.json");
+        let old = ShardedCacheBank::with_shards(2);
+        old.insert(0, 0, 1.0, cfg(2.0, 2.0));
+        old.checkpoint_with_fingerprint(&path, 1).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let (fresh, stale) = ShardedCacheBank::load(&path, 2, Some(2)).unwrap();
+        assert!(stale);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert!(!sibling(&path, ".corrupt").exists());
+        fresh.insert(1, 0, 3.0, cfg(4.0, 4.0));
+        fresh.checkpoint_with_fingerprint(&path, 2).unwrap();
+        let (loaded, stale) = ShardedCacheBank::load(&path, 2, Some(2)).unwrap();
+        assert!(!stale);
+        assert_eq!(loaded.total_entries(), 1);
+        assert_eq!(loaded.lookup(1, 0, 3.0, CacheLookup::Exact), Some(cfg(4.0, 4.0)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A hand-edited document may list a member cache twice: the last
+    /// element wins, as a second `insert_cache` of the pair would.
+    #[test]
+    fn a_repeated_member_cache_keeps_the_last_element() {
+        let text = r#"{"version": 1, "caches": [
+            {"model": 4, "operator": 1, "entries": [[1, [1, 1]], [2, [2, 2]]]},
+            {"model": 4, "operator": 1, "entries": [[3, [3, 3]]]}]}"#;
+        let bank = from_json(text).unwrap();
+        assert_eq!(bank.total_entries(), 1);
+        assert_eq!(bank.lookup(4, 1, 3.0, CacheLookup::Exact), Some(cfg(3.0, 3.0)));
+        assert_eq!(bank.lookup(4, 1, 1.0, CacheLookup::Exact), None);
     }
 
     #[test]
     fn unstamped_legacy_file_is_stale_when_fingerprint_expected() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(1.0, cfg(2.0, 2.0));
-        let legacy = bank_to_json(&bank); // no fingerprint header
-        assert_eq!(json_fingerprint(&legacy).unwrap(), None);
-        let (loaded, invalidated) = bank_from_json_checked(&legacy, Some(7)).unwrap();
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 1.0, cfg(2.0, 2.0));
+        let legacy = checkpoint_text(&bank, "raqo_persist_legacy", None);
+        assert!(!legacy.contains("model_fingerprint"));
+        let (loaded, invalidated) = ShardedCacheBank::from_json(&legacy, 1, Some(7)).unwrap();
         assert!(invalidated, "unverifiable legacy file must not warm-start a stamped run");
         assert_eq!(loaded.total_entries(), 0);
         // Fingerprint-over-2^53 values survive the hex-string encoding.
         let big = u64::MAX - 12;
-        let json = bank_to_json_with(&bank, Some(big));
-        assert_eq!(json_fingerprint(&json).unwrap(), Some(big));
+        let json = checkpoint_text(&bank, "raqo_persist_big_stamp", Some(big));
+        let (loaded, invalidated) = ShardedCacheBank::from_json(&json, 1, Some(big)).unwrap();
+        assert!(!invalidated);
+        assert_eq!(loaded.total_entries(), 1);
     }
 
+    /// A document as the whole-bank `save` of earlier builds wrote it,
+    /// unstamped and stamped, for a bank of two-, three- and
+    /// one-dimensional configurations, a key of 10¹⁶ and an empty member
+    /// cache. The format has not changed: both load into any shard count,
+    /// and a one-shard checkpoint of the same entries reproduces them byte
+    /// for byte.
     #[test]
-    fn fingerprinted_save_load_via_files() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(5.5, cfg(40.0, 7.0));
-        let path = std::env::temp_dir().join("raqo_persist_test_bank_fp.json");
-        save_bank_with(&bank, &path, Some(42)).unwrap();
-        let (mut loaded, invalidated) = load_bank_checked(&path, Some(42)).unwrap();
-        assert!(!invalidated);
-        assert_eq!(loaded.cache(0, 0).lookup(5.5, CacheLookup::Exact), Some(cfg(40.0, 7.0)));
-        let (_, invalidated) = load_bank_checked(&path, Some(43)).unwrap();
-        assert!(invalidated);
-        std::fs::remove_file(&path).ok();
+    fn documents_written_by_the_canonical_save_still_load() {
+        const UNSTAMPED: &str = r#"{
+  "version": 1,
+  "caches": [
+    {
+      "model": 0,
+      "operator": 0,
+      "entries": [
+        [
+          0.3333333333333333,
+          [
+            1,
+            0.5
+          ]
+        ],
+        [
+          3.4,
+          [
+            10,
+            3
+          ]
+        ]
+      ]
+    },
+    {
+      "model": 1,
+      "operator": 0,
+      "entries": [
+        [
+          0.1,
+          [
+            99,
+            9,
+            2
+          ]
+        ]
+      ]
+    },
+    {
+      "model": 2,
+      "operator": 7,
+      "entries": [
+        [
+          10000000000000000,
+          [
+            4
+          ]
+        ]
+      ]
+    },
+    {
+      "model": 3,
+      "operator": 1,
+      "entries": []
+    }
+  ]
+}
+"#;
+        let fp = 0xdead_beef_0123_4567u64;
+        let stamped = UNSTAMPED.replacen(
+            "\n  \"caches\"",
+            "\n  \"model_fingerprint\": \"deadbeef01234567\",\n  \"caches\"",
+            1,
+        );
+        let want = [
+            (0, 0, 1.0 / 3.0, ResourceConfig::containers_and_size(1.0, 0.5)),
+            (0, 0, 3.4, ResourceConfig::containers_and_size(10.0, 3.0)),
+            (1, 0, 0.1, ResourceConfig::from_slice(&[99.0, 9.0, 2.0])),
+            (2, 7, 1e16, ResourceConfig::from_slice(&[4.0])),
+        ];
+        for (text, expected) in [(UNSTAMPED, None), (stamped.as_str(), Some(fp))] {
+            for shards in [1, 8] {
+                let (loaded, stale) = ShardedCacheBank::from_json(text, shards, expected).unwrap();
+                assert!(!stale);
+                assert_eq!(loaded.total_entries(), want.len());
+                for &(model, operator, key, config) in &want {
+                    let got = loaded.lookup(model, operator, key, CacheLookup::Exact);
+                    assert_eq!(got, Some(config));
+                }
+            }
+            let bank = ShardedCacheBank::with_shards(1);
+            for &(model, operator, key, config) in &want {
+                bank.insert(model, operator, key, config);
+            }
+            bank.lookup(3, 1, 1.0, CacheLookup::Exact);
+            assert_eq!(checkpoint_text(&bank, "raqo_persist_literal", expected), text);
+        }
     }
 
     #[test]
@@ -547,7 +628,8 @@ mod tests {
             let quarantined = dir.join(format!("{name}.corrupt"));
             std::fs::remove_file(&quarantined).ok();
             std::fs::write(&path, content).unwrap();
-            let err = load_bank(&path).expect_err("corrupt content must not load");
+            let loaded = ShardedCacheBank::load(&path, 1, None);
+            let err = loaded.expect_err("corrupt content must not load");
             match &err {
                 PersistError::Corrupt { quarantined: Some(q), .. } => {
                     assert_eq!(q, &quarantined, "{name}");
@@ -569,7 +651,7 @@ mod tests {
         let quarantined = dir.join("raqo_persist_checked_corrupt.json.corrupt");
         std::fs::remove_file(&quarantined).ok();
         std::fs::write(&path, "{{{{").unwrap();
-        let err = load_bank_checked(&path, Some(42)).expect_err("must fail");
+        let err = ShardedCacheBank::load(&path, 1, Some(42)).expect_err("must fail");
         assert!(err.is_corrupt());
         assert!(quarantined.exists());
         std::fs::remove_file(&quarantined).ok();
@@ -585,12 +667,12 @@ mod tests {
             ("raqo_persist_zero_coords.json", "[1,[]]"),
             ("raqo_persist_five_coords.json", "[1,[1,2,3,4,5]]"),
         ] {
-            assert!(bank_from_json(&doc(entry)).unwrap_err().is_corrupt(), "{name}");
+            assert!(from_json(&doc(entry)).unwrap_err().is_corrupt(), "{name}");
             let path = dir.join(name);
             let quarantined = dir.join(format!("{name}.corrupt"));
             std::fs::remove_file(&quarantined).ok();
             std::fs::write(&path, doc(entry)).unwrap();
-            match load_bank(&path) {
+            match ShardedCacheBank::load(&path, 1, None) {
                 Err(PersistError::Corrupt { quarantined: Some(q), .. }) => {
                     assert_eq!(q, quarantined, "{name}")
                 }
@@ -600,81 +682,57 @@ mod tests {
         }
         // The bounds themselves load.
         for entry in ["[1,[4]]", "[1,[1,2,3,4]]"] {
-            assert_eq!(bank_from_json(&doc(entry)).unwrap().total_entries(), 1, "{entry}");
+            assert_eq!(from_json(&doc(entry)).unwrap().total_entries(), 1, "{entry}");
         }
-    }
-
-    #[test]
-    fn saves_replace_the_file_in_one_step() {
-        let path = std::env::temp_dir().join("raqo_persist_atomic_save.json");
-        let tmp = sibling(&path, ".tmp");
-        std::fs::remove_dir(&tmp).ok();
-        let mut old = CacheBank::new();
-        old.cache(0, 0).insert(1.0, cfg(2.0, 3.0));
-        let mut new = CacheBank::new();
-        new.cache(0, 0).insert(4.0, cfg(5.0, 6.0));
-        new.cache(1, 0).insert(7.0, cfg(8.0, 9.0));
-        for fingerprint in [None, Some(0xfeed)] {
-            save_bank_with(&old, &path, fingerprint).unwrap();
-            assert!(!tmp.exists(), "no temporary is left behind");
-            // A directory where the temporary goes makes the next save
-            // fail before it can touch the file.
-            std::fs::create_dir(&tmp).unwrap();
-            assert!(save_bank_with(&new, &path, fingerprint).is_err());
-            assert!(save_bank(&new, &path).is_err());
-            std::fs::remove_dir(&tmp).unwrap();
-            let (loaded, _) = load_bank_checked(&path, fingerprint).unwrap();
-            assert_eq!(bank_to_json(&loaded), bank_to_json(&old), "the previous file still loads");
-            save_bank_with(&new, &path, fingerprint).unwrap();
-            assert!(!tmp.exists());
-            let (loaded, _) = load_bank_checked(&path, fingerprint).unwrap();
-            assert_eq!(bank_to_json(&loaded), bank_to_json(&new));
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_is_io_not_corrupt_and_nothing_quarantined() {
         let path = std::env::temp_dir().join("raqo_persist_never_written.json");
-        let err = load_bank(&path).expect_err("missing file");
+        let err = ShardedCacheBank::load(&path, 1, None).expect_err("missing file");
         assert!(matches!(err, PersistError::Io(_)));
         assert!(!err.is_corrupt());
     }
 
+    /// A checkpoint into a directory that does not exist is an I/O error
+    /// that leaves nothing behind, and the bank checkpoints as before once
+    /// the directory is there.
     #[test]
-    fn fragment_assembly_matches_whole_bank_writer() {
-        let mut bank = CacheBank::new();
-        bank.cache(0, 0).insert(3.4, cfg(10.0, 3.0));
-        bank.cache(1, 0).insert(0.5, cfg(4.0, 2.0));
-        bank.cache(2, 7); // empty member cache
-        let canonical = bank_to_json_with(&bank, Some(0xfeed));
+    fn a_checkpoint_into_a_missing_directory_is_io_and_writes_nothing() {
+        let dir = std::env::temp_dir()
+            .join(format!("raqo_persist_missing_dir_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("bank.json");
+        let bank = ShardedCacheBank::with_shards(2);
+        bank.insert(0, 0, 1.0, cfg(2.0, 2.0));
+        let err = bank.checkpoint_with_fingerprint(&path, 5).expect_err("no directory");
+        assert!(matches!(err, PersistError::Io(_)), "{err:?}");
+        assert!(!dir.exists());
+        std::fs::create_dir_all(&dir).unwrap();
+        bank.checkpoint_with_fingerprint(&path, 5).unwrap();
+        assert!(!sibling(&path, ".tmp").exists());
+        let (loaded, stale) = ShardedCacheBank::load(&path, 2, Some(5)).unwrap();
+        assert!(!stale);
+        assert_eq!(loaded.lookup(0, 0, 1.0, CacheLookup::Exact), Some(cfg(2.0, 2.0)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // Splitting the bank into per-cache fragments and re-assembling
-        // must reproduce the canonical bytes when order is preserved.
-        let mut split = CacheBank::new();
-        split.cache(0, 0).insert(3.4, cfg(10.0, 3.0));
-        let mut rest = CacheBank::new();
-        rest.cache(1, 0).insert(0.5, cfg(4.0, 2.0));
-        rest.cache(2, 7);
-        let doc = document_from_fragments(
-            &[caches_fragment(&split), String::new(), caches_fragment(&rest)],
-            Some(0xfeed),
-        );
-        assert_eq!(doc, canonical);
-
-        // Out-of-order fragments still parse to the same bank.
-        let reordered = document_from_fragments(
-            &[caches_fragment(&rest), caches_fragment(&split)],
-            None,
-        );
-        let loaded = bank_from_json(&reordered).unwrap();
-        assert_eq!(bank_to_json(&loaded), bank_to_json(&bank));
-
-        // All-empty fragments render the canonical empty document.
-        assert_eq!(
-            document_from_fragments(&[String::new()], None),
-            bank_to_json(&CacheBank::new())
-        );
+    /// One member cache as its `caches[]` array element: the `Value`-tree
+    /// rendition [`write_cache`] must reproduce byte for byte.
+    fn cache_value(model: u32, operator: u32, cache: &ResourcePlanCache) -> Value {
+        let entries: Vec<Value> = cache
+            .entries()
+            .iter()
+            .map(|(key, cfg)| {
+                let coords: Vec<Value> = (0..cfg.dims()).map(|i| Value::Num(cfg.get(i))).collect();
+                Value::Array(vec![Value::Num(*key), Value::Array(coords)])
+            })
+            .collect();
+        Value::Object(vec![
+            ("model".to_string(), Value::Num(model as f64)),
+            ("operator".to_string(), Value::Num(operator as f64)),
+            ("entries".to_string(), Value::Array(entries)),
+        ])
     }
 
     /// `write_cache` against its oracle: the `Value` tree rendered by

@@ -548,7 +548,8 @@ mod tests {
                     ResourceConfig::from_slice(&vec![step; dims]),
                 );
                 let total = cluster.grid_size();
-                proptest::prop_assert_eq!(total, cluster.grid().count() as u64);
+                let points: Vec<ResourceConfig> = cluster.grid().collect();
+                proptest::prop_assert_eq!(total, points.len() as u64);
                 let row_len = cluster.points_along(dims - 1);
 
                 let cost_fn = move |r: &ResourceConfig| -> f64 {
@@ -594,7 +595,7 @@ mod tests {
                     hi,
                     |start, base, coords| {
                         assert_eq!(start, next, "slices are listed in grid order");
-                        assert_eq!(*base, cluster.point_at(start));
+                        assert_eq!(*base, points[start as usize]);
                         assert!(!coords.is_empty() && coords.len() <= BATCH_CHUNK);
                         assert!(start % row_len + coords.len() as u64 <= row_len, "row crossed");
                         next += coords.len() as u64;
@@ -606,7 +607,7 @@ mod tests {
                         let slice = listed.get_mut(&start).expect("only listed slices are priced");
                         assert_eq!(*slice, (coords.len(), false), "priced once, as listed");
                         slice.1 = true;
-                        assert_eq!(*base, cluster.point_at(start));
+                        assert_eq!(*base, points[start as usize]);
                         by_point(cost_fn)(start, base, coords, costs);
                     },
                 );
@@ -1077,7 +1078,8 @@ mod tests {
             let cluster = ClusterConditions::two_dim(1.0..=max_c, 1.0..=max_s, 1.0, step_s);
             let at = |(c, s): (f64, f64)| (1.0 + c * (max_c - 1.0), 1.0 + s * (max_s - 1.0));
             let surface = dented_bowl(at(opt), at(dent), depth);
-            let start = cluster.point_at((start_frac * cluster.grid_size() as f64) as u64);
+            let index = (start_frac * cluster.grid_size() as f64) as usize;
+            let start = cluster.grid().nth(index).expect("index within the grid");
             let mut calls = 0u64;
             let out = hill_climb(&cluster, start, |r| {
                 calls += 1;

@@ -1,25 +1,27 @@
 //! Sharded resource-plan cache banks.
 //!
-//! [`ShardedCacheBank`] is the thread-safe handle onto the §VI-B3
-//! [`CacheBank`]. Clones share state, so one bank serves concurrent costers
-//! (the planning service's workers) and the Fig. 15(b) "across-query
-//! caching" mode, where a workload's queries warm a cache that outlives any
-//! single optimizer run. The bank is split into `N` independently locked
-//! shards:
+//! [`ShardedCacheBank`] is the §VI-B3 resource-plan cache: one sorted
+//! [`ResourcePlanCache`](crate::ResourcePlanCache) per (cost model,
+//! operator) pair, behind a thread-safe handle. Clones share state, so one
+//! bank serves concurrent costers (the planning service's workers) and the
+//! Fig. 15(b) "across-query caching" mode, where a workload's queries warm
+//! a cache that outlives any single optimizer run. The bank is split into
+//! `N` independently locked shards:
 //!
 //! * a (cost model, operator) pair is owned by exactly one shard, chosen by
 //!   an FNV-1a hash of the pair salted with a tenant/cluster salt, so the
 //!   per-pair cache semantics (and therefore every lookup result and every
-//!   statistic) are bit-identical to one unsharded [`CacheBank`];
+//!   statistic) are bit-identical whatever the shard count;
+//! * `N = 1` is one lock over the whole bank (a coster's private default);
 //! * each shard keeps, per member cache, the text it last rendered for it
 //!   in the version-1 persistence format and the content
 //!   [`revision`](crate::ResourcePlanCache::revision) that text was
-//!   rendered from. A [`checkpoint`] re-renders only the caches whose
-//!   revision moved since the previous checkpoint — `O(entries in changed
-//!   caches)`, whatever the shard count — appends the kept texts for the
-//!   rest, and replaces the file atomically outside every bank lock;
-//! * `N = 1` is one lock over one bank (a coster's private default), and
-//!   checkpoints just as incrementally;
+//!   rendered from. A [`checkpoint`], the one way a bank reaches disk,
+//!   re-renders only the caches whose revision moved since the previous
+//!   checkpoint — `O(entries in changed caches)`, whatever the shard count
+//!   — appends the kept texts for the rest, and replaces the file
+//!   atomically outside every bank lock. [`load`] reads any version-1 file
+//!   back into any shard count;
 //! * a [`PairGuard`] holds the shards of two pairs — a coster's SMJ and
 //!   BHJ caches — across a batch of lookups: one lock when both pairs
 //!   share a shard, otherwise two. Wherever this crate holds more than one
@@ -27,6 +29,7 @@
 //!   holders can wait on each other.
 //!
 //! [`checkpoint`]: ShardedCacheBank::checkpoint
+//! [`load`]: ShardedCacheBank::load
 
 use crate::cache::{self, CacheBank, CacheLookup, CacheStats};
 use crate::config::ResourceConfig;
@@ -56,8 +59,8 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(bank: CacheBank) -> Shard {
-        Shard { bank: RwLock::new(bank), texts: Mutex::new(Vec::new()) }
+    fn new() -> Shard {
+        Shard { bank: RwLock::new(CacheBank::new()), texts: Mutex::new(Vec::new()) }
     }
 
     /// Bring `texts` in line with the shard's member caches — drop the
@@ -143,32 +146,11 @@ impl ShardedCacheBank {
     /// working sets land on different shards.
     pub fn with_shards_and_salt(shards: usize, salt: u64) -> Self {
         let n = shards.max(1).next_power_of_two();
-        let shards = (0..n).map(|_| Shard::new(CacheBank::new())).collect();
+        let shards = (0..n).map(|_| Shard::new()).collect();
         ShardedCacheBank {
             inner: Arc::new(Inner { shards, salt }),
             telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Distribute an existing bank (e.g. one loaded from disk) across the
-    /// default shard count.
-    pub fn from_bank(bank: CacheBank) -> Self {
-        Self::from_bank_with_shards(bank, default_shard_count())
-    }
-
-    /// Distribute an existing bank across `shards` shards.
-    pub fn from_bank_with_shards(bank: CacheBank, shards: usize) -> Self {
-        Self::from_bank_with_shards_and_salt(bank, shards, 0)
-    }
-
-    /// Distribute an existing bank across `shards` shards under `salt`.
-    pub fn from_bank_with_shards_and_salt(bank: CacheBank, shards: usize, salt: u64) -> Self {
-        let out = Self::with_shards_and_salt(shards, salt);
-        for (&(model, operator), cache) in bank.iter() {
-            let shard = &out.inner.shards[out.shard_of(model, operator)];
-            shard.bank.write().insert_cache(model, operator, cache.clone());
-        }
-        out
     }
 
     /// Attach a telemetry sink to this handle (shard-lookup counters and
@@ -183,11 +165,6 @@ impl ShardedCacheBank {
         self.inner.shards.len()
     }
 
-    /// Number of live handles to this bank (diagnostics/tests).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-
     /// The shard owning a (model, operator) pair: salted FNV-1a over the
     /// pair's little-endian bytes, masked onto the power-of-two shard
     /// count.
@@ -200,9 +177,8 @@ impl ShardedCacheBank {
         (h as usize) & (self.inner.shards.len() - 1)
     }
 
-    /// Look up the (model, operator) cache under `mode`. Counts a hit or a
-    /// miss, exactly as the unsharded [`CacheBank`] does — only the shard's
-    /// lock is taken, not the whole bank's.
+    /// Look up the (model, operator) cache under `mode`, counting a hit or
+    /// a miss. Only the shard's lock is taken, not the whole bank's.
     pub fn lookup(
         &self,
         model: u32,
@@ -263,23 +239,14 @@ impl ShardedCacheBank {
         }
     }
 
-    /// Run `f` with exclusive access to the shard owning (model, operator),
-    /// for multi-step atomic sections on that pair's cache.
-    pub fn with_shard_bank<T>(
-        &self,
-        model: u32,
-        operator: u32,
-        f: impl FnOnce(&mut CacheBank) -> T,
-    ) -> T {
-        f(&mut self.inner.shards[self.shard_of(model, operator)].bank.write())
-    }
-
     /// Evict the coldest entries across every shard until the bank holds
-    /// at most `high_water` entries — the same staleness-first,
-    /// deterministic-tie-break policy as [`CacheBank::compact`], applied
-    /// globally, so a sharded bank and a single-lock bank with the same
-    /// access history compact to the same retained set. Evictions are
-    /// counted on `raqo_cache_evictions_total`. Candidate
+    /// at most `high_water` entries. Coldness is staleness under each
+    /// cache's access clock (`clock − last-hit generation`); ties break on
+    /// (model, operator, key bits), and the policy runs over all shards at
+    /// once, so banks of any shard count with the same access history
+    /// compact to the same retained set, and every retained entry answers
+    /// as it did before. Evictions are counted on
+    /// `raqo_cache_evictions_total`. Candidate
     /// collection runs under per-shard read locks, eviction under
     /// per-shard write locks — best-effort against concurrent use:
     /// entries added mid-compaction survive, and so does every entry of a
@@ -313,60 +280,38 @@ impl ShardedCacheBank {
         evicted as usize
     }
 
-    /// A merged copy of all shards as one [`CacheBank`] (canonical global
-    /// key order). Shard locks are taken one at a time, read-only.
-    pub fn merged_bank(&self) -> CacheBank {
-        let mut merged = CacheBank::new();
-        for shard in &self.inner.shards {
-            for (&(model, operator), cache) in shard.bank.read().iter() {
-                merged.insert_cache(model, operator, cache.clone());
-            }
-        }
-        merged
-    }
-
-    /// Persist the merged bank to `path` in the canonical version-1 format
-    /// — byte-identical to saving an unsharded [`CacheBank`] with the same
-    /// entries. Serialization and I/O run outside all locks.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), PersistError> {
-        persist::save_bank(&self.merged_bank(), path)
-    }
-
-    /// Canonical save with the cost-model fingerprint stamped in.
-    pub fn save_with_fingerprint(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        model_fingerprint: u64,
-    ) -> Result<(), PersistError> {
-        persist::save_bank_with(&self.merged_bank(), path, Some(model_fingerprint))
-    }
-
-    /// Load a bank saved by any of the v1 writers into a fresh sharded
-    /// handle with the default shard count.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, PersistError> {
-        Self::load_with_shards(path, default_shard_count())
-    }
-
-    /// Load into an explicit shard count.
-    pub fn load_with_shards(
+    /// Read a version-1 file — written by any checkpoint, of any shard
+    /// count — into a fresh bank of `shards` shards. With an
+    /// `expected_fingerprint`, a file stamped with a different cost-model
+    /// fingerprint, or one that predates stamping, is stale: its entries
+    /// are discarded and an empty, usable bank comes back with `true`.
+    /// `None` accepts any stamp. Corrupt content is reported as
+    /// [`PersistError::Corrupt`] and the file is quarantined to
+    /// `<name>.corrupt`; a missing or unreadable file is
+    /// [`PersistError::Io`] and is left alone.
+    pub fn load(
         path: impl AsRef<std::path::Path>,
         shards: usize,
-    ) -> Result<Self, PersistError> {
-        Ok(Self::from_bank_with_shards(persist::load_bank(path)?, shards))
-    }
-
-    /// Load a bank into `shards` shards, discarding it as stale when its
-    /// stamped fingerprint differs from `model_fingerprint` (or when the
-    /// file predates stamping). Returns `(bank, invalidated)`; an
-    /// invalidated load yields an empty, usable bank. Corrupt files are
-    /// quarantined and reported as [`PersistError::Corrupt`].
-    pub fn load_checked_with_shards(
-        path: impl AsRef<std::path::Path>,
-        model_fingerprint: u64,
-        shards: usize,
+        expected_fingerprint: Option<u64>,
     ) -> Result<(Self, bool), PersistError> {
-        let (bank, invalidated) = persist::load_bank_checked(path, Some(model_fingerprint))?;
-        Ok((Self::from_bank_with_shards(bank, shards), invalidated))
+        persist::read_file(path.as_ref(), |text| {
+            Self::from_json(text, shards, expected_fingerprint)
+        })
+    }
+
+    /// [`ShardedCacheBank::load`] from the document's text, parsed once.
+    /// Touches no file, so corruption is reported without quarantine.
+    pub fn from_json(
+        text: &str,
+        shards: usize,
+        expected_fingerprint: Option<u64>,
+    ) -> Result<(Self, bool), PersistError> {
+        let bank = Self::with_shards(shards);
+        let stale = persist::read_document(text, expected_fingerprint, |model, operator, cache| {
+            let shard = &bank.inner.shards[bank.shard_of(model, operator)];
+            shard.bank.write().insert_cache(model, operator, cache);
+        })?;
+        Ok((bank, stale))
     }
 
     /// Incremental checkpoint: re-render only the member caches whose
@@ -472,12 +417,55 @@ impl PairGuard<'_> {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raqo_telemetry::SHARD_LABEL_BUCKETS;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cfg(c: f64, s: f64) -> ResourceConfig {
         ResourceConfig::containers_and_size(c, s)
+    }
+
+    /// A file name under the temporary directory no other test uses.
+    fn scratch(name: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("raqo_sharded_{name}_{}_{n}.json", std::process::id()))
+    }
+
+    /// The bank's contents as a one-shard checkpoint renders them — every
+    /// member cache in (model, operator) order — built in memory, so it
+    /// leaves the bank's own checkpoint state alone.
+    fn rendered(bank: &ShardedCacheBank) -> String {
+        let mut caches = std::collections::BTreeMap::new();
+        for shard in &bank.inner.shards {
+            for (&(model, operator), cache) in shard.bank.read().iter() {
+                let mut text = String::new();
+                persist::write_cache(&mut text, model, operator, cache);
+                caches.insert((model, operator), text);
+            }
+        }
+        persist::document_from_fragments(caches.values(), None)
+    }
+
+    /// The checkpoint file at `path` loads to exactly the bank's contents.
+    fn assert_reloads(bank: &ShardedCacheBank, path: &Path) {
+        let (loaded, stale) = ShardedCacheBank::load(path, 1, None).unwrap();
+        assert!(!stale);
+        assert_eq!(rendered(&loaded), rendered(bank));
+    }
+
+    /// Sharded-cache lookups summed over every shard label bucket.
+    fn shard_lookups(snap: &raqo_telemetry::MetricsSnapshot) -> u64 {
+        (0..SHARD_LABEL_BUCKETS).map(|i| snap.get(Counter::cache_shard(i))).sum()
+    }
+
+    /// Member caches across every shard, emptied ones included.
+    fn member_caches(bank: &ShardedCacheBank) -> usize {
+        bank.inner.shards.iter().map(|s| s.bank.read().iter().count()).sum()
     }
 
     #[test]
@@ -496,7 +484,7 @@ mod tests {
         a.insert(0, 0, 1.5, cfg(10.0, 3.0));
         assert_eq!(b.lookup(0, 0, 1.5, CacheLookup::Exact), Some(cfg(10.0, 3.0)));
         assert_eq!(b.total_entries(), 1);
-        assert_eq!(a.handle_count(), 2);
+        assert_eq!(Arc::strong_count(&a.inner), 2);
         b.clear();
         assert_eq!(a.total_entries(), 0);
     }
@@ -523,16 +511,16 @@ mod tests {
     }
 
     /// The core bit-parity claim: any op sequence gives identical results,
-    /// stats, and persisted bytes on the sharded bank and one bare
-    /// [`CacheBank`].
+    /// stats, contents and checkpointed contents on a bank of `shards`
+    /// shards and on the single-lock `with_shards(1)` bank.
     fn parity_under_ops(shards: usize, salt: u64, ops: &[(u32, u32, f64, u8)]) {
         let sharded = ShardedCacheBank::with_shards_and_salt(shards, salt);
-        let mut single = CacheBank::new();
+        let single = ShardedCacheBank::with_shards(1);
         for &(model, operator, key, kind) in ops {
             let mode = match kind % 5 {
                 0 => {
                     sharded.insert(model, operator, key, cfg(key + 1.0, 2.0));
-                    single.cache(model, operator).insert(key, cfg(key + 1.0, 2.0));
+                    single.insert(model, operator, key, cfg(key + 1.0, 2.0));
                     continue;
                 }
                 1 => CacheLookup::Exact,
@@ -546,14 +534,17 @@ mod tests {
             };
             assert_eq!(
                 sharded.lookup(model, operator, key, mode),
-                single.cache(model, operator).lookup(key, mode),
+                single.lookup(model, operator, key, mode),
             );
         }
         assert_eq!(sharded.total_entries(), single.total_entries());
         assert_eq!(sharded.aggregate_stats(), single.aggregate_stats());
-        // Canonical persistence is byte-identical.
-        let merged = sharded.merged_bank();
-        assert_eq!(persist::bank_to_json(&merged), persist::bank_to_json(&single));
+        assert_eq!(rendered(&sharded), rendered(&single));
+        // The sharded checkpoint loads back to the single-lock contents.
+        let path = scratch("parity");
+        sharded.checkpoint(&path).unwrap();
+        assert_reloads(&single, &path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -575,8 +566,8 @@ mod tests {
 
     proptest::proptest! {
         /// Property form of the parity claim: arbitrary op sequences over
-        /// arbitrary shard counts and salts never diverge from a bare
-        /// [`CacheBank`] in results, stats, or persisted bytes.
+        /// arbitrary shard counts and salts never diverge from the
+        /// single-lock bank in results, stats, or checkpointed contents.
         #[test]
         fn prop_sharded_bank_is_bit_identical(
             raw_ops in proptest::collection::vec((0u32..12, 0u32..3, 0u64..48, 0u8..5), 0..120),
@@ -588,6 +579,47 @@ mod tests {
                 .map(|(m, o, k, t)| (m, o, k as f64 / 4.0, t))
                 .collect();
             parity_under_ops(shards, salt, &ops);
+        }
+
+        /// Compaction never changes what a retained key answers: for any
+        /// insert/lookup history, shard count and high-water mark, every
+        /// key that survives answers its exact lookup bit-identically to
+        /// the pre-compaction bank.
+        #[test]
+        fn prop_compacted_bank_answers_retained_keys_bit_identically(
+            raw_ops in proptest::collection::vec((0u32..4, 0u64..32, proptest::bool::ANY), 1..80),
+            high_water in 0usize..40,
+            shards in 1usize..9,
+        ) {
+            let bank = ShardedCacheBank::with_shards(shards);
+            for (model, k, is_insert) in &raw_ops {
+                let key = *k as f64 / 2.0;
+                if *is_insert {
+                    bank.insert(*model, 0, key, cfg(key + 1.0, (*model + 1) as f64));
+                } else {
+                    bank.lookup(*model, 0, key, CacheLookup::Exact);
+                }
+            }
+            // Every present key's answer before compaction.
+            let mut present = Vec::new();
+            for shard in &bank.inner.shards {
+                for (&(model, _), cache) in shard.bank.read().iter() {
+                    let entries = cache.entries().iter();
+                    present.extend(entries.map(|&(key, config)| (model, key, config)));
+                }
+            }
+            let total = bank.total_entries();
+            let evicted = bank.compact(high_water);
+            proptest::prop_assert_eq!(evicted, total.saturating_sub(high_water));
+            proptest::prop_assert_eq!(bank.total_entries(), total.min(high_water));
+            let mut retained = 0;
+            for (model, key, before) in present {
+                if let Some(after) = bank.lookup(model, 0, key, CacheLookup::Exact) {
+                    proptest::prop_assert_eq!(after, before, "retained key diverged");
+                    retained += 1;
+                }
+            }
+            proptest::prop_assert_eq!(retained, total.min(high_water));
         }
     }
 
@@ -601,10 +633,149 @@ mod tests {
         }
     }
 
-    /// The checkpoint file at `path` loads to exactly the bank's contents.
-    fn assert_reloads_to_merged(bank: &ShardedCacheBank, path: &std::path::Path) {
-        let loaded = persist::load_bank(path).unwrap();
-        assert_eq!(persist::bank_to_json(&loaded), persist::bank_to_json(&bank.merged_bank()));
+    /// Checkpoints written by a one-shard and by a 16-shard bank, stamped
+    /// and unstamped, load into another shard count. Under the stamp they
+    /// carry, or under no expectation, every entry answers its exact
+    /// lookup bit-identically; under any other expectation the file is
+    /// stale, and an empty bank comes back with `true`.
+    #[test]
+    fn checkpoints_load_into_any_shard_count() {
+        const FP: u64 = 0xabc;
+        let bits = |c: Option<ResourceConfig>| {
+            c.map(|c| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        for (written, read) in [(1, 16), (16, 1), (16, 4)] {
+            let bank = ShardedCacheBank::with_shards_and_salt(written, 7);
+            let entries: Vec<(u32, u32, f64, ResourceConfig)> = (0..40u32)
+                .map(|i| {
+                    let config = ResourceConfig::from_slice(&[i as f64 + 1.0, 1.0 / 3.0, 0.1]);
+                    (i % 9, i % 3, i as f64 / 7.0 - 1.0, config)
+                })
+                .collect();
+            for &(model, operator, key, config) in &entries {
+                bank.insert(model, operator, key, config);
+            }
+            let (stamped, unstamped) = (scratch("stamped"), scratch("unstamped"));
+            bank.checkpoint_with_fingerprint(&stamped, FP).unwrap();
+            bank.checkpoint(&unstamped).unwrap();
+            for (path, stamp) in [(&stamped, Some(FP)), (&unstamped, None)] {
+                for expected in [Some(FP), Some(FP ^ 1), None] {
+                    let (loaded, stale) = ShardedCacheBank::load(path, read, expected).unwrap();
+                    assert_eq!(loaded.shard_count(), read);
+                    let want_stale = expected.is_some() && expected != stamp;
+                    let case = format!("{written} → {read} shards, {stamp:?} vs {expected:?}");
+                    assert_eq!(stale, want_stale, "{case}");
+                    if stale {
+                        assert_eq!(loaded.total_entries(), 0);
+                        continue;
+                    }
+                    assert_eq!(loaded.total_entries(), entries.len());
+                    for &(model, operator, key, config) in &entries {
+                        let got = loaded.lookup(model, operator, key, CacheLookup::Exact);
+                        let entry = format!("{case}: ({model}, {operator}, {key})");
+                        assert_eq!(bits(got), bits(Some(config)), "{entry}");
+                    }
+                }
+            }
+            std::fs::remove_file(&stamped).ok();
+            std::fs::remove_file(&unstamped).ok();
+        }
+    }
+
+    /// A checkpoint of a salted 16-shard bank, loaded into one shard and
+    /// checkpointed again, is byte for byte the single-lock bank's own
+    /// checkpoint of the same inserts, stamp included: one shard writes
+    /// the canonical (model, operator)-ordered document.
+    #[test]
+    fn canonical_checkpoint_matches_single_lock_bank_bytes() {
+        let sharded = ShardedCacheBank::with_shards_and_salt(16, 7);
+        let single = ShardedCacheBank::with_shards(1);
+        for i in 0..40u32 {
+            let key = i as f64 / 7.0;
+            sharded.insert(i % 9, i % 3, key, cfg(i as f64, 3.0));
+            single.insert(i % 9, i % 3, key, cfg(i as f64, 3.0));
+        }
+        let (a, b, c) = (scratch("canonical_a"), scratch("canonical_b"), scratch("canonical_c"));
+        sharded.checkpoint_with_fingerprint(&a, 42).unwrap();
+        single.checkpoint_with_fingerprint(&b, 42).unwrap();
+        let (reloaded, stale) = ShardedCacheBank::load(&a, 1, Some(42)).unwrap();
+        assert!(!stale);
+        reloaded.checkpoint_with_fingerprint(&c, 42).unwrap();
+        assert_eq!(std::fs::read(&c).unwrap(), std::fs::read(&b).unwrap());
+        for path in [a, b, c] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    /// A salted four-shard bank and the single-lock bank with the same
+    /// inserts write checkpoints that load to the same contents; a stale
+    /// stamp invalidates the sharded checkpoint like any version-1 file.
+    #[test]
+    fn sharded_and_single_lock_checkpoints_load_identically() {
+        let bank = ShardedCacheBank::with_shards_and_salt(4, 7);
+        let single = ShardedCacheBank::with_shards(1);
+        for i in 0..20u32 {
+            bank.insert(i % 6, i % 2, i as f64 / 3.0, cfg(i as f64, 2.0));
+            single.insert(i % 6, i % 2, i as f64 / 3.0, cfg(i as f64, 2.0));
+        }
+        let (ckpt, other) = (scratch("ckpt_vs_single_a"), scratch("ckpt_vs_single_b"));
+        bank.checkpoint_with_fingerprint(&ckpt, 0xabc).unwrap();
+        single.checkpoint_with_fingerprint(&other, 0xabc).unwrap();
+        let (from_sharded, stale_a) = ShardedCacheBank::load(&ckpt, 4, Some(0xabc)).unwrap();
+        let (from_single, stale_b) = ShardedCacheBank::load(&other, 4, Some(0xabc)).unwrap();
+        assert!(!stale_a && !stale_b);
+        assert_eq!(rendered(&from_sharded), rendered(&from_single));
+        assert_eq!(rendered(&from_sharded), rendered(&bank));
+        let (stale, invalidated) = ShardedCacheBank::load(&ckpt, 4, Some(0xdef)).unwrap();
+        assert!(invalidated);
+        assert_eq!(stale.total_entries(), 0);
+        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_file(&other).ok();
+    }
+
+    /// The one-shard checkpoint text spread over eight shards by
+    /// `from_json` renders back to the same text.
+    #[test]
+    fn from_json_round_trips_through_shards() {
+        let single = ShardedCacheBank::with_shards(1);
+        for i in 0..24u32 {
+            single.insert(i % 8, i % 2, i as f64, cfg(i as f64, 1.0));
+        }
+        let path = scratch("round_trip");
+        single.checkpoint(&path).unwrap();
+        let canonical = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(canonical, rendered(&single));
+        let (sharded, stale) = ShardedCacheBank::from_json(&canonical, 8, None).unwrap();
+        assert!(!stale);
+        assert_eq!(sharded.shard_count(), 8);
+        assert_eq!(rendered(&sharded), canonical);
+    }
+
+    /// The stamp is the latest call's, even when no cache changed since
+    /// the previous checkpoint and nothing is re-rendered.
+    #[test]
+    fn fingerprinted_checkpoint_and_checked_load() {
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.insert(0, 0, 1.0, cfg(4.0, 2.0));
+        let path = scratch("fp");
+        assert_eq!(bank.checkpoint_with_fingerprint(&path, 0xabc).unwrap(), 1);
+        let (same, invalidated) = ShardedCacheBank::load(&path, 1, Some(0xabc)).unwrap();
+        assert!(!invalidated);
+        assert_eq!(same.total_entries(), 1);
+        let (stale, invalidated) = ShardedCacheBank::load(&path, 1, Some(0xdef)).unwrap();
+        assert!(invalidated, "retrained model must invalidate the persisted bank");
+        assert_eq!(stale.total_entries(), 0);
+        // Re-stamped without a content change: the new stamp is the valid one.
+        assert_eq!(bank.checkpoint_with_fingerprint(&path, 0xdef).unwrap(), 0);
+        assert!(!ShardedCacheBank::load(&path, 1, Some(0xdef)).unwrap().1);
+        assert!(ShardedCacheBank::load(&path, 1, Some(0xabc)).unwrap().1);
+        // Unstamped files are also stale under a checked load.
+        assert_eq!(bank.checkpoint(&path).unwrap(), 0);
+        let (_, invalidated) = ShardedCacheBank::load(&path, 1, Some(0xabc)).unwrap();
+        assert!(invalidated);
+        assert_eq!(ShardedCacheBank::load(&path, 1, None).unwrap().0.total_entries(), 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -613,24 +784,24 @@ mod tests {
         for model in 0..32u32 {
             bank.insert(model, 0, 1.0, cfg(model as f64, 1.0));
         }
-        let path = std::env::temp_dir().join("raqo_sharded_ckpt_test.json");
+        let path = scratch("ckpt");
         // First checkpoint renders every cache.
         assert_eq!(bank.checkpoint(&path).unwrap(), 32, "nothing is rendered yet");
-        assert_reloads_to_merged(&bank, &path);
+        assert_reloads(&bank, &path);
         // No mutations: the next checkpoint appends kept texts only.
         assert_eq!(bank.checkpoint(&path).unwrap(), 0);
-        assert_reloads_to_merged(&bank, &path);
+        assert_reloads(&bank, &path);
         // One insert changes exactly one cache, however many share its shard.
         bank.insert(5, 0, 2.0, cfg(9.0, 9.0));
         assert_eq!(bank.checkpoint(&path).unwrap(), 1);
-        assert_reloads_to_merged(&bank, &path);
+        assert_reloads(&bank, &path);
         // Compaction changes exactly the caches it evicts from: the older
         // of cache 5's two entries is the only stale one, and among the
         // rest the tie-break takes the only entries of caches 0 and 1 —
         // those caches vanish, so there is nothing to render for them.
         assert_eq!(bank.compact(30), 3);
         assert_eq!(bank.checkpoint(&path).unwrap(), 1, "caches 0 and 1 are gone, 5 shrank");
-        assert_reloads_to_merged(&bank, &path);
+        assert_reloads(&bank, &path);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.contains("\"model\": 0,"), "an emptied cache leaves the file");
         assert!(text.contains("\"model\": 2,"));
@@ -639,7 +810,7 @@ mod tests {
         bank.clear();
         bank.insert(7, 0, 3.0, cfg(3.0, 3.0));
         assert_eq!(bank.checkpoint(&path).unwrap(), 1);
-        assert_reloads_to_merged(&bank, &path);
+        assert_reloads(&bank, &path);
         std::fs::remove_file(&path).ok();
     }
 
@@ -649,7 +820,7 @@ mod tests {
         for model in 0..12u32 {
             bank.insert(model, 0, 1.0, cfg(model as f64, 1.0));
         }
-        let path = std::env::temp_dir().join("raqo_sharded_lookup_only_ckpt.json");
+        let path = scratch("lookup_only_ckpt");
         assert_eq!(bank.checkpoint(&path).unwrap(), 12);
         let before = std::fs::read(&path).unwrap();
         // Hits, misses in a known pair and misses in a never-seen pair all
@@ -665,8 +836,8 @@ mod tests {
             bank.lookup(model, 0, 1.0, CacheLookup::NearestNeighbor { threshold: 0.5 });
         }
         assert_eq!(bank.checkpoint(&path).unwrap(), 0);
-        assert_reloads_to_merged(&bank, &path);
-        assert_eq!(persist::load_bank(&path).unwrap().total_entries(), 12);
+        assert_reloads(&bank, &path);
+        assert_eq!(ShardedCacheBank::load(&path, 4, None).unwrap().0.total_entries(), 12);
         assert_ne!(std::fs::read(&path).unwrap(), before, "the empty cache is persisted too");
         std::fs::remove_file(&path).ok();
     }
@@ -689,15 +860,15 @@ mod tests {
         bank.insert(2, 0, 2.0, cfg(2.0, 2.0));
         let err = bank.checkpoint_with_fingerprint(&path, 7).expect_err("no temporary, no write");
         assert!(matches!(err, PersistError::Io(_)), "{err:?}");
+        assert!(bank.checkpoint(&path).is_err(), "unstamped, just the same");
         assert_eq!(std::fs::read(&path).unwrap(), good);
-        let (loaded, invalidated) =
-            ShardedCacheBank::load_checked_with_shards(&path, 7, 4).unwrap();
+        let (loaded, invalidated) = ShardedCacheBank::load(&path, 4, Some(7)).unwrap();
         assert!(!invalidated);
         assert_eq!(loaded.total_entries(), 1);
         // Once the obstacle is gone the same bank checkpoints everything.
         std::fs::remove_dir(&tmp).unwrap();
         bank.checkpoint_with_fingerprint(&path, 7).unwrap();
-        assert_reloads_to_merged(&bank, &path);
+        assert_reloads(&bank, &path);
         // The destination is a directory: the rename fails, and the
         // temporary written beside it is cleaned up.
         let taken = dir.join("taken");
@@ -705,60 +876,6 @@ mod tests {
         assert!(bank.checkpoint(&taken).is_err());
         assert!(!dir.join("taken.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_and_canonical_save_load_identically() {
-        let bank = ShardedCacheBank::with_shards_and_salt(4, 7);
-        for i in 0..20u32 {
-            bank.insert(i % 6, i % 2, i as f64 / 3.0, cfg(i as f64, 2.0));
-        }
-        let dir = std::env::temp_dir();
-        let ckpt = dir.join("raqo_sharded_ckpt_vs_save_a.json");
-        let save = dir.join("raqo_sharded_ckpt_vs_save_b.json");
-        bank.checkpoint_with_fingerprint(&ckpt, 0xabc).unwrap();
-        bank.save_with_fingerprint(&save, 0xabc).unwrap();
-        let (from_ckpt, inv_a) = persist::load_bank_checked(&ckpt, Some(0xabc)).unwrap();
-        let (from_save, inv_b) = persist::load_bank_checked(&save, Some(0xabc)).unwrap();
-        assert!(!inv_a && !inv_b);
-        assert_eq!(persist::bank_to_json(&from_ckpt), persist::bank_to_json(&from_save));
-        // Stale fingerprint invalidates the checkpoint file like any v1 file.
-        let (stale, invalidated) = ShardedCacheBank::load_checked_with_shards(&ckpt, 0xdef, 4)
-            .unwrap();
-        assert!(invalidated);
-        assert_eq!(stale.total_entries(), 0);
-        std::fs::remove_file(&ckpt).ok();
-        std::fs::remove_file(&save).ok();
-    }
-
-    #[test]
-    fn canonical_save_matches_single_bank_bytes() {
-        let sharded = ShardedCacheBank::with_shards(16);
-        let mut single = CacheBank::new();
-        for i in 0..40u32 {
-            let key = i as f64 / 7.0;
-            sharded.insert(i % 9, i % 3, key, cfg(i as f64, 3.0));
-            single.cache(i % 9, i % 3).insert(key, cfg(i as f64, 3.0));
-        }
-        let dir = std::env::temp_dir();
-        let a = dir.join("raqo_sharded_canonical_a.json");
-        let b = dir.join("raqo_sharded_canonical_b.json");
-        sharded.save_with_fingerprint(&a, 42).unwrap();
-        persist::save_bank_with(&single, &b, Some(42)).unwrap();
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
-    }
-
-    #[test]
-    fn from_bank_round_trips_through_shards() {
-        let mut bank = CacheBank::new();
-        for i in 0..24u32 {
-            bank.cache(i % 8, i % 2).insert(i as f64, cfg(i as f64, 1.0));
-        }
-        let canonical = persist::bank_to_json(&bank);
-        let sharded = ShardedCacheBank::from_bank_with_shards(bank, 8);
-        assert_eq!(persist::bank_to_json(&sharded.merged_bank()), canonical);
     }
 
     #[test]
@@ -770,39 +887,82 @@ mod tests {
             bank.lookup(model, 0, 1.0, CacheLookup::Exact);
         }
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.cache_shard_lookups_total(), 16);
+        assert_eq!(shard_lookups(&snap), 16);
         // Inserts and lookups both time the lock acquire.
         assert_eq!(snap.hist(Hist::CacheLockWaitUs).count, 32);
     }
 
     #[test]
+    fn compact_evicts_coldest_first_and_answers_retained_keys_identically() {
+        for shards in [1, 4] {
+            let bank = ShardedCacheBank::with_shards(shards);
+            for k in 0..10u32 {
+                bank.insert(0, 0, k as f64, cfg(k as f64, 1.0));
+            }
+            // Keep keys 0..5 hot.
+            for k in 0..5u32 {
+                bank.lookup(0, 0, k as f64, CacheLookup::Exact);
+            }
+            assert_eq!(bank.compact(5), 5);
+            assert_eq!(bank.total_entries(), 5);
+            for k in 0..5u32 {
+                let got = bank.lookup(0, 0, k as f64, CacheLookup::Exact);
+                assert_eq!(got, Some(cfg(k as f64, 1.0)), "retained key answers bit-identically");
+            }
+            for k in 5..10u32 {
+                assert_eq!(bank.lookup(0, 0, k as f64, CacheLookup::Exact), None);
+            }
+        }
+    }
+
+    #[test]
+    fn compact_below_high_water_is_a_no_op() {
+        let bank = ShardedCacheBank::with_shards(4);
+        bank.insert(0, 0, 1.0, cfg(1.0, 1.0));
+        assert_eq!(bank.compact(10), 0);
+        assert_eq!(bank.total_entries(), 1);
+        assert_eq!(bank.compact(1), 0, "exactly at the mark is fine");
+    }
+
+    #[test]
+    fn compact_drops_emptied_member_caches() {
+        let bank = ShardedCacheBank::with_shards(4);
+        bank.insert(0, 0, 1.0, cfg(1.0, 1.0));
+        bank.insert(1, 0, 2.0, cfg(2.0, 2.0));
+        // Touch the (1, 0) entry so (0, 0)'s entry is the stalest.
+        bank.lookup(1, 0, 2.0, CacheLookup::Exact);
+        assert_eq!(bank.compact(1), 1);
+        assert_eq!(member_caches(&bank), 1, "emptied cache is pruned");
+        assert_eq!(bank.lookup(1, 0, 2.0, CacheLookup::Exact), Some(cfg(2.0, 2.0)));
+    }
+
+    #[test]
     fn compact_matches_single_lock_bank_and_dirties_shards() {
         let sharded = ShardedCacheBank::with_shards(8);
-        let mut single = CacheBank::new();
+        let single = ShardedCacheBank::with_shards(1);
         for i in 0..40u32 {
             let key = i as f64 / 3.0;
             sharded.insert(i % 7, i % 2, key, cfg(i as f64, 2.0));
-            single.cache(i % 7, i % 2).insert(key, cfg(i as f64, 2.0));
+            single.insert(i % 7, i % 2, key, cfg(i as f64, 2.0));
         }
         // Touch a hot subset on both banks identically.
         for i in 0..12u32 {
             let key = i as f64 / 3.0;
             sharded.lookup(i % 7, i % 2, key, CacheLookup::Exact);
-            single.cache(i % 7, i % 2).lookup(key, CacheLookup::Exact);
+            single.lookup(i % 7, i % 2, key, CacheLookup::Exact);
         }
-        let path = std::env::temp_dir().join("raqo_sharded_compact_ckpt.json");
+        let path = scratch("compact_ckpt");
         sharded.checkpoint(&path).unwrap();
         let evicted_sharded = sharded.compact(15);
         let evicted_single = single.compact(15);
         assert_eq!(evicted_sharded, evicted_single);
         assert_eq!(sharded.total_entries(), 15);
         assert_eq!(single.total_entries(), 15);
-        // Same global eviction policy → identical retained sets and bytes.
-        assert_eq!(persist::bank_to_json(&sharded.merged_bank()), persist::bank_to_json(&single));
+        // Same global eviction policy → identical retained sets.
+        assert_eq!(rendered(&sharded), rendered(&single));
         // The next checkpoint persists the compacted contents.
-        sharded.checkpoint(&path).unwrap();
-        let loaded = persist::load_bank(&path).unwrap();
-        assert_eq!(loaded.total_entries(), 15);
+        assert!(sharded.checkpoint(&path).unwrap() > 0, "compaction dirtied the shards");
+        assert_reloads(&single, &path);
         std::fs::remove_file(&path).ok();
     }
 
@@ -822,7 +982,7 @@ mod tests {
     #[test]
     fn concurrent_inserts_and_checkpoints_lose_nothing() {
         let bank = ShardedCacheBank::with_shards(8);
-        let path = std::env::temp_dir().join("raqo_sharded_concurrent_ckpt.json");
+        let path = scratch("concurrent_ckpt");
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let handle = bank.clone();
@@ -852,8 +1012,7 @@ mod tests {
         assert_eq!(stats.hits, 200);
         // A final checkpoint reflects every insert.
         bank.checkpoint(&path).unwrap();
-        let loaded = persist::load_bank(&path).unwrap();
-        assert_eq!(loaded.total_entries(), 200);
+        assert_eq!(ShardedCacheBank::load(&path, 8, None).unwrap().0.total_entries(), 200);
         std::fs::remove_file(&path).ok();
     }
 
@@ -884,7 +1043,7 @@ mod tests {
         assert_eq!(bank.lookup(b, 0, 1.0, CacheLookup::Exact), Some(cfg(2.0, 2.0)));
         drop(guard);
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.cache_shard_lookups_total(), 4, "one count per lookup, guarded or not");
+        assert_eq!(shard_lookups(&snap), 4, "one count per lookup, guarded or not");
         assert_eq!(bank.aggregate_stats().hits, 3);
         // Pairs that share a shard take its lock once (twice would never
         // return).
@@ -949,28 +1108,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprinted_save_and_checked_load() {
-        let bank = ShardedCacheBank::with_shards(1);
-        bank.insert(0, 0, 1.0, cfg(4.0, 2.0));
-        let path = std::env::temp_dir().join("raqo_sharded_bank_fp_test.json");
-        bank.save_with_fingerprint(&path, 0xabc).unwrap();
-        let (same, invalidated) =
-            ShardedCacheBank::load_checked_with_shards(&path, 0xabc, 1).unwrap();
-        assert!(!invalidated);
-        assert_eq!(same.total_entries(), 1);
-        let (stale, invalidated) =
-            ShardedCacheBank::load_checked_with_shards(&path, 0xdef, 1).unwrap();
-        assert!(invalidated, "retrained model must invalidate the persisted bank");
-        assert_eq!(stale.total_entries(), 0);
-        // Unstamped legacy files are also stale under a checked load.
-        bank.save(&path).unwrap();
-        let (_, invalidated) = ShardedCacheBank::load_checked_with_shards(&path, 0xabc, 1).unwrap();
-        assert!(invalidated);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn panic_inside_with_bank_does_not_poison_the_lock() {
+    fn panic_under_a_pair_guard_does_not_poison_the_lock() {
         // The vendored parking_lot locks recover from a panicking critical
         // section (no std-style poisoning), so a worker dying mid-update must
         // leave the shared bank fully usable for every other handle.
@@ -978,16 +1116,18 @@ mod tests {
         shared.insert(0, 0, 1.0, cfg(5.0, 2.0));
         let clone = shared.clone();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            clone.with_shard_bank(0, 1, |bank| {
-                bank.cache(0, 1).insert(9.0, cfg(9.0, 9.0));
-                panic!("injected panic while holding the write lock");
-            })
+            let mut guard = clone.lock_pair((0, 1), (0, 0));
+            guard.insert(0, 9.0, cfg(9.0, 9.0));
+            panic!("injected panic while holding the write lock");
         }));
         assert!(caught.is_err(), "the injected panic must propagate");
-        // Lock is free again: reads, writes, and multi-step sections all work.
+        // Lock is free again: reads, writes, and guarded sections all work.
         assert_eq!(shared.lookup(0, 0, 1.0, CacheLookup::Exact), Some(cfg(5.0, 2.0)));
         shared.insert(0, 0, 2.0, cfg(6.0, 3.0));
-        assert_eq!(shared.lookup(0, 0, 2.0, CacheLookup::Exact), Some(cfg(6.0, 3.0)));
-        assert_eq!(shared.with_shard_bank(0, 0, |bank| bank.total_entries()), 3);
+        let mut guard = shared.lock_pair((0, 0), (0, 1));
+        assert_eq!(guard.lookup(0, 2.0, CacheLookup::Exact), Some(cfg(6.0, 3.0)));
+        assert_eq!(guard.lookup(1, 9.0, CacheLookup::Exact), Some(cfg(9.0, 9.0)));
+        drop(guard);
+        assert_eq!(shared.total_entries(), 3);
     }
 }

@@ -1,13 +1,14 @@
 //! Deterministic mutation fuzz of the checkpoint loader, the other trust
 //! boundary: a cache-bank file may be torn by a crash, edited by hand or
 //! written by another build. Each test starts from a corpus of valid
-//! documents — stamped and unstamped, one to three resource dimensions,
-//! empty and non-empty — and feeds [`bank_from_json_checked`] a few
+//! checkpoints — stamped and unstamped, one to three resource dimensions,
+//! empty and non-empty — and feeds [`ShardedCacheBank::from_json`] a few
 //! thousand seeded mutants of one class. Every mutant loads as a bank or
 //! fails as [`PersistError::Corrupt`]; a panic fails the run.
 
-use raqo_resource::persist::{bank_from_json_checked, bank_to_json, bank_to_json_with};
-use raqo_resource::{CacheBank, PersistError, ResourceConfig, ResourcePlanCache, MAX_DIMS};
+use raqo_resource::{PersistError, ResourceConfig, ShardedCacheBank, MAX_DIMS};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Mutants per test and mutation class.
 const MUTANTS: usize = 4000;
@@ -33,44 +34,71 @@ impl Mutator {
     }
 }
 
-fn cache(entries: &[(f64, &[f64])]) -> ResourcePlanCache {
-    let entries = entries.iter().map(|&(k, c)| (k, ResourceConfig::from_slice(c))).collect();
-    ResourcePlanCache::from_entries(entries)
+/// `from_json` into one shard, the shard count whose checkpoint lists the
+/// member caches in key order.
+fn from_json(text: &str, expected: Option<u64>) -> Result<(ShardedCacheBank, bool), PersistError> {
+    ShardedCacheBank::from_json(text, 1, expected)
+}
+
+/// A checkpoint file in the temporary directory that no other call uses:
+/// the tests of this binary run side by side.
+fn scratch() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("raqo_checkpoint_fuzz_{}_{n}.json", std::process::id()))
+}
+
+/// `bank`'s checkpoint, as text.
+fn checkpoint(bank: &ShardedCacheBank, fingerprint: Option<u64>) -> String {
+    let path = scratch();
+    match fingerprint {
+        Some(fp) => bank.checkpoint_with_fingerprint(&path, fp),
+        None => bank.checkpoint(&path),
+    }
+    .expect("the temporary directory is writable");
+    let text = std::fs::read_to_string(&path).expect("a checkpoint reads back");
+    std::fs::remove_file(&path).ok();
+    text
 }
 
 /// Valid documents: a stamped multi-cache bank, the same bank unstamped,
 /// an empty bank, and a stamped bank of one longer cache.
 fn corpus() -> Vec<String> {
-    let mut bank = CacheBank::new();
-    let two_dims = cache(&[(0.5, &[10.0, 3.0]), (2.25, &[40.0, 8.0]), (17.0, &[100.0, 1.0])]);
-    bank.insert_cache(0, 0, two_dims);
-    bank.insert_cache(0, 1, cache(&[(-7.25, &[4.0]), (1e-9, &[1.0])]));
-    bank.insert_cache(3, 2, cache(&[(1.0, &[20.0, 4.0, 2.0])]));
-    let mut long = CacheBank::new();
+    let bank = ShardedCacheBank::with_shards(4);
+    let entries: [(u32, u32, f64, &[f64]); 6] = [
+        (0, 0, 0.5, &[10.0, 3.0]),
+        (0, 0, 2.25, &[40.0, 8.0]),
+        (0, 0, 17.0, &[100.0, 1.0]),
+        (0, 1, -7.25, &[4.0]),
+        (0, 1, 1e-9, &[1.0]),
+        (3, 2, 1.0, &[20.0, 4.0, 2.0]),
+    ];
+    for (model, operator, key, config) in entries {
+        bank.insert(model, operator, key, ResourceConfig::from_slice(config));
+    }
+    let long = ShardedCacheBank::with_shards(1);
     for i in 0..16 {
         let key = 0.1 * f64::from(i * i);
-        let config = ResourceConfig::containers_and_size(f64::from(5 * i + 1), 2.0);
-        long.cache(1, 0).insert(key, config);
+        long.insert(1, 0, key, ResourceConfig::containers_and_size(f64::from(5 * i + 1), 2.0));
     }
     vec![
-        bank_to_json_with(&bank, Some(FINGERPRINT)),
-        bank_to_json(&bank),
-        bank_to_json(&CacheBank::new()),
-        bank_to_json_with(&long, Some(FINGERPRINT)),
+        checkpoint(&bank, Some(FINGERPRINT)),
+        checkpoint(&bank, None),
+        checkpoint(&ShardedCacheBank::with_shards(1), None),
+        checkpoint(&long, Some(FINGERPRINT)),
     ]
 }
 
 /// Load `text` as a checkpoint expecting `fingerprint`: a bank, or a
-/// typed corruption error. A bank that was not discarded as stale renders
-/// to a document that loads back to the same rendering.
+/// typed corruption error. A bank that was not discarded as stale
+/// checkpoints to a document that loads back to the same checkpoint.
 fn assert_loads_or_corrupt(text: &str, fingerprint: Option<u64>) {
-    match bank_from_json_checked(text, fingerprint) {
+    match from_json(text, fingerprint) {
         Ok((bank, true)) => assert_eq!(bank.total_entries(), 0, "a stale bank comes back empty"),
         Ok((bank, false)) => {
-            let rendered = bank_to_json(&bank);
-            let (again, _) =
-                bank_from_json_checked(&rendered, None).expect("a loaded bank reloads");
-            assert_eq!(bank_to_json(&again), rendered);
+            let rendered = checkpoint(&bank, None);
+            let (again, _) = from_json(&rendered, None).expect("a loaded bank reloads");
+            assert_eq!(checkpoint(&again, None), rendered);
         }
         Err(PersistError::Corrupt { quarantined: None, .. }) => {}
         Err(e) => panic!("{e:?} for {text:?}"),
@@ -106,7 +134,7 @@ fn every_truncated_checkpoint_is_corrupt() {
         // Cutting only the trailing newline leaves the whole document.
         for cut in 0..doc.trim_end().len() {
             for fingerprint in [None, Some(FINGERPRINT)] {
-                match bank_from_json_checked(&doc[..cut], fingerprint) {
+                match from_json(&doc[..cut], fingerprint) {
                     Err(PersistError::Corrupt { .. }) => {}
                     other => panic!("doc {i} cut at {cut}: {other:?}"),
                 }
@@ -138,7 +166,7 @@ fn spliced_checkpoints_load_or_fail_as_corrupt() {
     // A hundred thousand nested arrays where the caches go: a typed error,
     // not a stack overflow.
     let deep = format!(r#"{{"version": 1, "caches": {}}}"#, "[".repeat(100_000));
-    assert!(matches!(bank_from_json_checked(&deep, None), Err(PersistError::Corrupt { .. })));
+    assert!(matches!(from_json(&deep, None), Err(PersistError::Corrupt { .. })));
 }
 
 /// A one-entry document with the given tokens in its numeric fields.
@@ -187,7 +215,7 @@ fn numeric_fields_out_of_range_are_corrupt() {
         tokens[round % fields.len()] = &token;
         let [version, model, operator, key, coordinate] = tokens;
         let text = document(version, model, operator, key, coordinate);
-        match bank_from_json_checked(&text, None) {
+        match from_json(&text, None) {
             Ok(_) if valid(n) => {}
             Err(PersistError::Corrupt { .. }) if !valid(n) => {}
             other => panic!("{field} = {token}: {other:?}"),
@@ -202,7 +230,7 @@ fn numeric_fields_out_of_range_are_corrupt() {
             let [version, model, operator, key, coordinate] = tokens;
             let text = document(version, model, operator, key, coordinate);
             assert!(
-                matches!(bank_from_json_checked(&text, None), Err(PersistError::Corrupt { .. })),
+                matches!(from_json(&text, None), Err(PersistError::Corrupt { .. })),
                 "{} = {token}",
                 fields[i].0
             );
@@ -253,10 +281,10 @@ fn document_without(drop: Option<&str>) -> String {
 #[test]
 fn a_checkpoint_missing_a_required_field_is_corrupt() {
     let whole = document_without(None);
-    let (bank, stale) = bank_from_json_checked(&whole, None).expect("the whole document loads");
+    let (bank, stale) = from_json(&whole, None).expect("the whole document loads");
     assert_eq!((bank.total_entries(), stale), (1, false));
     for field in ["version", "caches", "model", "operator", "entries"] {
-        match bank_from_json_checked(&document_without(Some(field)), None) {
+        match from_json(&document_without(Some(field)), None) {
             Err(PersistError::Corrupt { msg, quarantined: None }) => {
                 assert!(msg.contains(field), "{field}: {msg}");
             }
@@ -265,7 +293,7 @@ fn a_checkpoint_missing_a_required_field_is_corrupt() {
     }
     // The fingerprint is the one optional field: a document without it is
     // a legacy file, stale under an expected fingerprint, never corrupt.
-    let (bank, stale) = bank_from_json_checked(&whole, Some(FINGERPRINT)).expect("loads");
+    let (bank, stale) = from_json(&whole, Some(FINGERPRINT)).expect("loads");
     assert_eq!((bank.total_entries(), stale), (0, true));
 }
 
@@ -302,15 +330,15 @@ fn containers_of_the_wrong_shape_are_corrupt() {
     bad.push(coords(0));
     bad.push(coords(MAX_DIMS + 1));
     for text in &bad {
-        match bank_from_json_checked(text, None) {
+        match from_json(text, None) {
             Err(PersistError::Corrupt { quarantined: None, .. }) => {}
             other => panic!("{text}: {other:?}"),
         }
     }
     for n in [1, MAX_DIMS] {
-        let (bank, _) = bank_from_json_checked(&coords(n), None).expect("a valid config loads");
+        let (bank, _) = from_json(&coords(n), None).expect("a valid config loads");
         assert_eq!(bank.total_entries(), 1, "{n} coordinates");
     }
-    let (empty, _) = bank_from_json_checked(&with("[]"), None).expect("no caches is a bank");
+    let (empty, _) = from_json(&with("[]"), None).expect("no caches is a bank");
     assert_eq!(empty.total_entries(), 0);
 }

@@ -64,11 +64,6 @@ impl<T> AdmissionQueue<T> {
         self.capacity
     }
 
-    /// Queued items in one class.
-    pub fn class_len(&self, class: usize) -> usize {
-        self.classes[class].len()
-    }
-
     /// Enqueue at the tail of `class`, or hand the item back when the
     /// queue is at capacity (the caller sheds it).
     pub fn try_push(&mut self, class: usize, item: T) -> Result<(), T> {
@@ -414,7 +409,6 @@ mod tests {
         q.try_push(1, "std-b").unwrap();
         q.try_push(0, "int-b").unwrap();
         assert_eq!(q.len(), 5);
-        assert_eq!(q.class_len(0), 2);
         assert_eq!(q.peek_next(), Some((0, &"int-a")));
         let order: Vec<_> = std::iter::from_fn(|| q.pop_next()).collect();
         assert_eq!(

@@ -578,11 +578,6 @@ impl MetricsSnapshot {
         self.gauges[g as usize]
     }
 
-    /// Sharded-cache lookups summed over all shard label buckets.
-    pub fn cache_shard_lookups_total(&self) -> u64 {
-        (0..SHARD_LABEL_BUCKETS).map(|i| self.get(Counter::cache_shard(i))).sum()
-    }
-
     pub fn hist(&self, h: Hist) -> &HistSnapshot {
         &self.hists[h as usize]
     }
@@ -772,7 +767,8 @@ mod tests {
         for bucket in 0..SHARD_LABEL_BUCKETS {
             assert_eq!(s.get(Counter::cache_shard(bucket)), 4, "32 shards fold 4-to-1");
         }
-        assert_eq!(s.cache_shard_lookups_total(), 32);
+        let total: u64 = (0..SHARD_LABEL_BUCKETS).map(|i| s.get(Counter::cache_shard(i))).sum();
+        assert_eq!(total, 32);
         assert!(s
             .to_prometheus()
             .contains("raqo_cache_shard_lookups_total{shard=\"3\"} 4\n"));

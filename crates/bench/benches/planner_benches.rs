@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use raqo_catalog::tpch::TpchSchema;
 use raqo_catalog::{QuerySpec, RandomSchema, RandomSchemaConfig};
 use raqo_core::{
-    Objective, Parallelism, PlannerKind, RaqoCoster, RaqoOptimizer, ResourceStrategy, Telemetry,
+    Objective, PlannerKind, RaqoCoster, RaqoOptimizer, ResourceStrategy, Telemetry,
 };
 use raqo_cost::objective::CostVector;
 use raqo_cost::JoinCostModel;
@@ -176,26 +176,20 @@ fn planner_speedup(c: &mut Criterion) {
         b.iter(|| black_box(opt.optimize(&query)));
     });
 
-    // The Selinger DP through the same ladder: sequential batched level
-    // fills vs parallel DP levels (all brute-force resource planning, all
-    // bit-identical plans).
+    // The Selinger DP through the same ladder: batched level fills, all
+    // brute-force resource planning.
     let selinger_query = QuerySpec::random_connected(&schema.catalog, &schema.graph, 8, 3);
-    let selinger_modes: [(&str, Parallelism); 2] =
-        [("selinger_batched", Parallelism::Off), ("selinger_parallel", Parallelism::Auto)];
-    for (name, parallelism) in selinger_modes {
-        group.bench_function(name, |b| {
-            let mut opt = RaqoOptimizer::new(
-                &schema.catalog,
-                &schema.graph,
-                &model,
-                cluster,
-                PlannerKind::Selinger,
-                ResourceStrategy::BruteForce,
-            );
-            opt.set_parallelism(parallelism);
-            b.iter(|| black_box(opt.optimize(&selinger_query)));
-        });
-    }
+    group.bench_function("selinger_batched", |b| {
+        let mut opt = RaqoOptimizer::new(
+            &schema.catalog,
+            &schema.graph,
+            &model,
+            cluster,
+            PlannerKind::Selinger,
+            ResourceStrategy::BruteForce,
+        );
+        b.iter(|| black_box(opt.optimize(&selinger_query)));
+    });
     group.finish();
 }
 
@@ -400,7 +394,6 @@ fn telemetry_overhead(c: &mut Criterion) {
             PlannerKind::Selinger,
             ResourceStrategy::BruteForce,
         );
-        opt.set_parallelism(Parallelism::Off);
         opt.set_telemetry(telemetry);
         opt
     };

@@ -19,8 +19,7 @@ use raqo_bench::experiments::{registry, timed};
 use raqo_bench::{bushy, stress, throughput, Table};
 use raqo_catalog::{tpch::TpchSchema, QuerySpec};
 use raqo_core::{
-    explain_analyze, Parallelism, PlannerKind, RaqoOptimizer, RaqoPlan, RaqoStats,
-    ResourceStrategy, Telemetry,
+    explain_analyze, PlannerKind, RaqoOptimizer, RaqoStats, ResourceStrategy, Telemetry,
 };
 use raqo_cost::JoinCostModel;
 use raqo_resource::{CacheLookup, ClusterConditions, ShardedCacheBank};
@@ -426,9 +425,9 @@ fn observability_smoke_gate() {
             },
         );
 
-        // One ticket plans under an injected NaN: sanitization fires on a
-        // resource worker thread, and the captured trace scope must
-        // attribute it back to this ticket for tail retention.
+        // One ticket plans under an injected NaN: sanitization fires on the
+        // planning worker inside the ticket's trace, which must flag it
+        // for tail retention.
         let sanitized_id = {
             let _guard = FaultGuard::new();
             raqo_faults::arm(Fault::at("cost.model.scalar", FaultKind::Nan, 5));
@@ -555,59 +554,6 @@ fn telemetry_smoke_gate() {
     println!(
         "telemetry ok  {ms:>8.0} ms  span tree covers dispatch/planner/resource-planning/cache; \
          registry matches stats"
-    );
-}
-
-/// `--smoke` gate: one Selinger figure (TPC-H, all tables) under every
-/// resource strategy through every `Parallelism` mode; per strategy, all
-/// modes must agree on the joint plan, its cost bit for bit, and the
-/// planning counters — a thread count changes speed, never the plan.
-fn selinger_smoke_gate() {
-    let schema = TpchSchema::new(1.0);
-    let model = JoinCostModel::trained_hive();
-    let query = QuerySpec::tpch_all(&schema);
-    let cluster = ClusterConditions::two_dim(1.0..=50.0, 1.0..=8.0, 1.0, 1.0);
-    let modes = [Parallelism::Off, Parallelism::Threads(2), Parallelism::Auto];
-    let strategies = [
-        ResourceStrategy::BruteForce,
-        ResourceStrategy::HillClimb,
-        ResourceStrategy::HillClimbCached(CacheLookup::Exact),
-    ];
-    let (_, ms) = timed(|| {
-        for strategy in strategies {
-            let mut base: Option<RaqoPlan> = None;
-            for parallelism in modes {
-                let mut opt = RaqoOptimizer::new(
-                    &schema.catalog,
-                    &schema.graph,
-                    &model,
-                    cluster,
-                    PlannerKind::Selinger,
-                    strategy,
-                )
-                .with_parallelism(parallelism);
-                let plan = opt.optimize(&query).expect("smoke plan");
-                let Some(b) = &base else {
-                    base = Some(plan);
-                    continue;
-                };
-                let at = format!("{strategy:?} at {parallelism:?}");
-                assert_eq!(b.query.tree, plan.query.tree, "Selinger smoke: trees diverge, {at}");
-                assert_eq!(
-                    b.query.cost.to_bits(),
-                    plan.query.cost.to_bits(),
-                    "Selinger smoke: costs diverge, {at}: {} vs {}",
-                    b.query.cost,
-                    plan.query.cost
-                );
-                assert_eq!(b.stats, plan.stats, "Selinger smoke: counters diverge, {at}");
-            }
-        }
-    });
-    println!(
-        "selinger  ok  {ms:>8.0} ms  {} parallelism modes x {} strategies agree bit for bit",
-        modes.len(),
-        strategies.len()
     );
 }
 
@@ -982,37 +928,6 @@ fn chaos_smoke_gate() {
             assert!(sanitized >= 1, "chaos: injected NaN was not counted");
         }
 
-        // Worker panic: a poisoned parallel worker is recovered by the
-        // bit-identical sequential fallback.
-        {
-            let clean = mk_opt(ResourceStrategy::HillClimb)
-                .with_parallelism(Parallelism::Threads(2))
-                .optimize(&queries[3].1)
-                .expect("chaos: clean parallel plan");
-            let _guard = FaultGuard::new();
-            raqo_faults::arm(Fault::once("core.worker.cost", FaultKind::Panic));
-            // The injected panic is expected; keep it off the console.
-            let prev_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let tel = Telemetry::enabled();
-            let mut opt =
-                mk_opt(ResourceStrategy::HillClimb).with_parallelism(Parallelism::Threads(2));
-            opt.set_telemetry(tel.clone());
-            let recovered = opt.optimize(&queries[3].1).expect("chaos: plan despite panic");
-            std::panic::set_hook(prev_hook);
-            assert_eq!(
-                clean.query.tree, recovered.query.tree,
-                "chaos: panic recovery changed the plan tree"
-            );
-            assert_eq!(
-                clean.query.cost.to_bits(),
-                recovered.query.cost.to_bits(),
-                "chaos: panic recovery changed the plan cost"
-            );
-            let panics = tel.snapshot().expect("enabled").get(Counter::WorkerPanics);
-            assert!(panics >= 1, "chaos: worker panic was not counted");
-        }
-
         // Cache-file corruption: the loader quarantines the bad file and
         // reports a typed error instead of crashing or replaying garbage.
         {
@@ -1031,9 +946,7 @@ fn chaos_smoke_gate() {
         }
     });
     assert!(!raqo_faults::armed(), "chaos: faults leaked past their guard");
-    println!(
-        "chaos     ok  {ms:>8.0} ms  ladder rungs reachable; NaN/panic/corruption contained"
-    );
+    println!("chaos     ok  {ms:>8.0} ms  ladder rungs reachable; NaN/corruption contained");
 }
 
 /// The one-line synopsis printed with every command-line error.
@@ -1149,7 +1062,6 @@ fn main() {
             total_ms += ms;
             println!("fig {:>2}  ok  {:>8.0} ms  {} table(s)  {}", e.id, ms, tables.len(), e.title);
         }
-        selinger_smoke_gate();
         idp_smoke_gate();
         cascades_smoke_gate();
         simd_parity_smoke_gate();

@@ -46,7 +46,7 @@ pub struct AblationRow {
     pub regret: f64,
 }
 
-fn plan_with<M: OperatorCost + Send + Sync>(
+fn plan_with<M: OperatorCost>(
     schema: &TpchSchema,
     model: &M,
     query: &QuerySpec,

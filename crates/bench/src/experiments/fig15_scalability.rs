@@ -92,7 +92,10 @@ pub struct ScaleClusterRow {
     pub max_container_gb: f64,
     pub per_query_cache_ms: f64,
     pub across_query_cache_ms: f64,
+    /// Resource configurations explored with per-query / across-query
+    /// caching — the deterministic quantity behind the wall-clock gap.
     pub resource_iterations: u64,
+    pub across_iterations: u64,
 }
 
 /// Fig. 15(b): the 100-table join planned under growing cluster
@@ -142,7 +145,7 @@ pub fn measure_cluster_scaling(quick: bool) -> Vec<ScaleClusterRow> {
                 cached_strategy(),
             );
             across.share_sharded_cache(bank.clone());
-            let (_, across_ms) = timed(|| across.optimize(&query).expect("plan"));
+            let (across_plan, across_ms) = timed(|| across.optimize(&query).expect("plan"));
 
             out.push(ScaleClusterRow {
                 max_containers: max_nc,
@@ -150,6 +153,7 @@ pub fn measure_cluster_scaling(quick: bool) -> Vec<ScaleClusterRow> {
                 per_query_cache_ms: per_query_ms,
                 across_query_cache_ms: across_ms,
                 resource_iterations: plan.stats.resource_iterations,
+                across_iterations: across_plan.stats.resource_iterations,
             });
         }
     }
@@ -240,14 +244,24 @@ mod tests {
     #[test]
     fn across_query_caching_helps_on_repeated_conditions() {
         // The across-query optimizer answered later conditions from a warm
-        // cache: its total time must not exceed the per-query total.
+        // cache: it explores fewer configurations — deterministically — and
+        // its total time must not exceed the per-query total. Each mode's
+        // time is its best of three sweeps, which alternate the two modes
+        // condition by condition, so one stall on a shared box decides
+        // nothing.
         let _serial = crate::timing_lock();
-        let rows = measure_cluster_scaling(true);
-        let per: f64 = rows.iter().map(|r| r.per_query_cache_ms).sum();
-        let across: f64 = rows.iter().map(|r| r.across_query_cache_ms).sum();
-        assert!(
-            across <= per * 1.2,
-            "across {across:.1}ms vs per-query {per:.1}ms"
-        );
+        let (mut per, mut across) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..3 {
+            let rows = measure_cluster_scaling(true);
+            let per_iterations: u64 = rows.iter().map(|r| r.resource_iterations).sum();
+            let across_iterations: u64 = rows.iter().map(|r| r.across_iterations).sum();
+            assert!(
+                across_iterations < per_iterations,
+                "across explored {across_iterations} configurations vs per-query {per_iterations}"
+            );
+            per = per.min(rows.iter().map(|r| r.per_query_cache_ms).sum());
+            across = across.min(rows.iter().map(|r| r.across_query_cache_ms).sum());
+        }
+        assert!(across <= per * 1.2, "across {across:.1}ms vs per-query {per:.1}ms");
     }
 }

@@ -19,8 +19,8 @@ pub mod throughput;
 pub use report::{Cell, Table};
 
 /// Serializes wall-clock-ratio tests: `cargo test` runs tests on parallel
-/// threads, and a concurrently running `Parallelism::Auto` measurement can
-/// starve another test's timing loop enough to flip its ratio assertion.
+/// threads, and one timing loop running beside another can starve it
+/// enough to flip its ratio assertion.
 /// Tests that assert relative timings grab this lock first.
 #[cfg(test)]
 pub(crate) fn timing_lock() -> std::sync::MutexGuard<'static, ()> {

@@ -8,13 +8,13 @@
 
 use raqo_catalog::{tpch::TpchSchema, QuerySpec};
 use raqo_core::{
-    DegradationRung, DegradationTrigger, Parallelism, PlannerKind, PlanningBudget, RaqoOptimizer,
-    RaqoPlan, ResourceStrategy, Telemetry,
+    DegradationRung, DegradationTrigger, PlannerKind, PlanningBudget, RaqoOptimizer, RaqoPlan,
+    ResourceStrategy, Telemetry,
 };
 use raqo_cost::JoinCostModel;
 use raqo_faults::{Fault, FaultGuard, FaultKind};
 use raqo_resource::{ClusterConditions, ShardedCacheBank};
-use raqo_telemetry::Counter;
+use raqo_telemetry::{Counter, TraceFlags};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -85,73 +85,6 @@ fn injected_nan_is_sanitized_and_the_query_still_plans() {
 }
 
 #[test]
-fn worker_panic_recovers_to_a_bit_identical_plan() {
-    let _serial = lock();
-    let schema = TpchSchema::new(1.0);
-    let model = JoinCostModel::trained_hive();
-    let query = QuerySpec::tpch_all(&schema);
-
-    let off = optimizer(&schema, &model, ResourceStrategy::HillClimb)
-        .optimize(&query)
-        .expect("sequential plan");
-    let clean = optimizer(&schema, &model, ResourceStrategy::HillClimb)
-        .with_parallelism(Parallelism::Threads(2))
-        .optimize(&query)
-        .expect("clean parallel plan");
-
-    let _guard = FaultGuard::new();
-    raqo_faults::arm(Fault::once("core.worker.cost", FaultKind::Panic));
-    let tel = Telemetry::enabled();
-    let mut opt =
-        optimizer(&schema, &model, ResourceStrategy::HillClimb).with_parallelism(Parallelism::Threads(2));
-    opt.set_telemetry(tel.clone());
-    let recovered = with_quiet_panics(|| opt.optimize(&query)).expect("plan despite worker panic");
-
-    assert_eq!(clean.query.tree, recovered.query.tree, "recovery changed the join tree");
-    assert_eq!(
-        clean.query.cost.to_bits(),
-        recovered.query.cost.to_bits(),
-        "recovery changed the plan cost: {} vs {}",
-        clean.query.cost,
-        recovered.query.cost
-    );
-    let panics = tel.snapshot().expect("enabled").get(Counter::WorkerPanics);
-    assert!(panics >= 1, "worker panic was not counted");
-    // Threads change speed, not the plan: the recovered plan is also the
-    // one a single thread finds.
-    assert_eq!(off.query, recovered.query, "the thread count changed the plan");
-    assert_eq!(off.stats, recovered.stats, "the thread count changed the counters");
-}
-
-#[test]
-fn brute_force_scan_panic_on_a_worker_recovers_to_the_single_thread_plan() {
-    let _serial = lock();
-    let schema = TpchSchema::new(1.0);
-    let model = JoinCostModel::trained_hive();
-    let query = QuerySpec::tpch_all(&schema);
-
-    let off = optimizer(&schema, &model, ResourceStrategy::BruteForce)
-        .optimize(&query)
-        .expect("sequential plan");
-
-    // The probe sits in the row kernel, inside a grid scan; the scan runs
-    // on the worker that costs its join, so the panic unwinds out of that
-    // worker's chunk, which the calling thread then costs again.
-    let _guard = FaultGuard::new();
-    raqo_faults::arm(Fault::once("cost.model.batch", FaultKind::Panic));
-    let tel = Telemetry::enabled();
-    let mut opt = optimizer(&schema, &model, ResourceStrategy::BruteForce)
-        .with_parallelism(Parallelism::Threads(2));
-    opt.set_telemetry(tel.clone());
-    let recovered = with_quiet_panics(|| opt.optimize(&query)).expect("plan despite scan panic");
-
-    assert_eq!(off.query, recovered.query, "recovery changed the plan");
-    assert_eq!(off.stats, recovered.stats, "recovery changed the counters");
-    let panics = tel.snapshot().expect("enabled").get(Counter::WorkerPanics);
-    assert_eq!(panics, 1, "the scan panic was not counted once");
-}
-
-#[test]
 fn a_cost_model_panic_on_one_thread_reaches_the_caller() {
     let _serial = lock();
     let schema = TpchSchema::new(1.0);
@@ -166,16 +99,73 @@ fn a_cost_model_panic_on_one_thread_reaches_the_caller() {
     // before.
     let _guard = FaultGuard::new();
     raqo_faults::arm(Fault::once("cost.model.scalar", FaultKind::Panic));
-    let tel = Telemetry::enabled();
-    opt.set_telemetry(tel.clone());
+    opt.set_telemetry(Telemetry::enabled());
     let out = with_quiet_panics(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| opt.optimize(&query)))
     });
     assert!(out.is_err(), "a single-thread panic must reach the caller");
-    assert_eq!(tel.snapshot().expect("enabled").get(Counter::WorkerPanics), 0);
     let again = opt.optimize(&query).expect("plan after the panic");
     assert_eq!(again.query, clean.query);
     assert_eq!(again.stats, clean.stats);
+}
+
+#[test]
+fn a_brute_force_scan_panic_reaches_the_caller_and_the_next_plan_is_clean() {
+    let _serial = lock();
+    let schema = TpchSchema::new(1.0);
+    let model = JoinCostModel::trained_hive();
+    let query = QuerySpec::tpch_all(&schema);
+
+    let clean = optimizer(&schema, &model, ResourceStrategy::BruteForce)
+        .optimize(&query)
+        .expect("clean plan");
+
+    // The probe sits in the row kernel, inside a grid scan: the panic
+    // unwinds out of the scan, the batch and `optimize`, and the same
+    // optimizer's next call plans exactly as a fresh one.
+    let _guard = FaultGuard::new();
+    raqo_faults::arm(Fault::once("cost.model.batch", FaultKind::Panic));
+    let mut opt = optimizer(&schema, &model, ResourceStrategy::BruteForce);
+    let out = with_quiet_panics(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| opt.optimize(&query)))
+    });
+    assert!(out.is_err(), "a scan panic must reach the caller");
+    let again = opt.optimize(&query).expect("plan after the panic");
+    assert_eq!(again.query, clean.query, "the panic changed the next plan");
+    assert_eq!(again.stats, clean.stats, "the panic changed the next counters");
+}
+
+#[test]
+fn injected_nan_flags_the_plans_trace_cost_sanitized() {
+    let _serial = lock();
+    let _guard = FaultGuard::new();
+    let schema = TpchSchema::new(1.0);
+    let model = JoinCostModel::trained_hive();
+    let query = QuerySpec::tpch_q3();
+
+    // Sanitization fires on the thread that entered the trace, for the
+    // scalar model (hill climbing) and the row kernel (brute force) alike.
+    for (strategy, site) in [
+        (ResourceStrategy::HillClimb, "cost.model.scalar"),
+        (ResourceStrategy::BruteForce, "cost.model.batch"),
+    ] {
+        raqo_faults::arm(Fault::at(site, FaultKind::Nan, 3));
+        let tel = Telemetry::enabled();
+        let mut opt = optimizer(&schema, &model, strategy);
+        opt.set_telemetry(tel.clone());
+        let trace = tel.start_trace("plan.ticket");
+        let plan = {
+            let _in_trace = trace.enter();
+            opt.optimize(&query).expect("NaN injection must not kill planning")
+        };
+        trace.finish();
+        raqo_faults::disarm_all();
+        assert_valid(&plan, &query);
+        let completed = tel.completed_traces();
+        assert_eq!(completed.len(), 1, "{strategy:?}");
+        let flags = completed[0].flags;
+        assert!(flags.contains(TraceFlags::COST_SANITIZED), "{strategy:?}: {flags:?}");
+    }
 }
 
 #[test]

@@ -51,7 +51,7 @@ impl PlanDispatcher {
     /// Optimize `query` under every condition in `grid` and compile the
     /// table. The optimizer's cache carries across conditions (that is the
     /// across-query caching of Fig. 15(b) put to work).
-    pub fn build<M: OperatorCost + Send + Sync>(
+    pub fn build<M: OperatorCost>(
         optimizer: &mut RaqoOptimizer<'_, M>,
         query: &QuerySpec,
         grid: &[ClusterConditions],

@@ -39,7 +39,7 @@ pub use optimizer::{
 };
 pub use raqo_coster::{Objective, RaqoCoster, RaqoStats, ResourceStrategy};
 pub use raqo_resource::{
-    BudgetTracker, BudgetTrigger, Parallelism, PlanningBudget, ShardedCacheBank,
+    BudgetTracker, BudgetTrigger, PlanningBudget, ShardedCacheBank,
 };
 pub use service::{
     PlanRequest, PlanTicket, PlanningService, Priority, ServiceConfig, ServiceReply, WaitTimeout,

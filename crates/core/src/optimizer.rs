@@ -14,8 +14,8 @@ use raqo_planner::{
     SelingerError, SelingerPlanner,
 };
 use raqo_resource::{
-    BudgetTracker, BudgetTrigger, ClusterConditions, Parallelism, PlanningBudget,
-    ResourceConfig, ShardedCacheBank,
+    BudgetTracker, BudgetTrigger, ClusterConditions, PlanningBudget, ResourceConfig,
+    ShardedCacheBank,
 };
 use raqo_sim::engine::Engine;
 use raqo_sim::profile::ProfileGrid;
@@ -73,14 +73,12 @@ impl PlannerRun {
 /// bridge with iterative DP — no relation bound, but the DP search stays
 /// intact. `stop` is the budget probe the bushy search polls at every
 /// subset.
-#[allow(clippy::too_many_arguments)]
 fn run_kind(
     kind: &PlannerKind,
     catalog: &Catalog,
     graph: &JoinGraph,
     query: &QuerySpec,
     coster: &mut dyn PlanCoster,
-    parallelism: Parallelism,
     tel: &Telemetry,
     stop: Option<&dyn Fn() -> bool>,
 ) -> PlannerRun {
@@ -95,14 +93,13 @@ fn run_kind(
     let mut run = PlannerRun::default();
     match kind {
         PlannerKind::Selinger => {
-            match SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, tel) {
+            match SelingerPlanner::plan_traced(catalog, graph, query, coster, tel) {
                 Err(SelingerError::TooManyRelations { .. }) => run.relation_bound = true,
                 out => run.planned = out.ok(),
             }
         }
         PlannerKind::Idp(cfg) => {
-            let out =
-                IdpPlanner::plan_traced(catalog, graph, query, coster, parallelism, tel, *cfg);
+            let out = IdpPlanner::plan_traced(catalog, graph, query, coster, tel, *cfg);
             run.planned = out.ok();
         }
         PlannerKind::FastRandomized(cfg) => {
@@ -110,9 +107,7 @@ fn run_kind(
             run.planned = out.map(|out| out.best);
         }
         PlannerKind::Cascades(cfg) => {
-            match CascadesPlanner::plan_traced(
-                catalog, graph, query, coster, parallelism, tel, cfg, stop,
-            ) {
+            match CascadesPlanner::plan_traced(catalog, graph, query, coster, tel, cfg, stop) {
                 Ok(out) => {
                     run.cut_short = out.cut_short;
                     run.planned = Some(out.planned);
@@ -124,7 +119,7 @@ fn run_kind(
     }
     if run.relation_bound {
         let config = IdpConfig::default();
-        let out = IdpPlanner::plan_traced(catalog, graph, query, coster, parallelism, tel, config);
+        let out = IdpPlanner::plan_traced(catalog, graph, query, coster, tel, config);
         run.planned = out.ok();
         run.bridged = run.planned.is_some();
     }
@@ -295,8 +290,6 @@ pub struct RaqoOptimizer<'a, M: OperatorCost> {
     pub model: Shared<'a, M>,
     pub planner: PlannerKind,
     coster: RaqoCoster<'a, M>,
-    /// How many threads cost a DP level's batch of candidate joins.
-    parallelism: Parallelism,
     /// Declarative planning budget applied to every [`RaqoOptimizer::optimize`]
     /// call; unlimited by default. The deadline clock starts at the call.
     budget: PlanningBudget,
@@ -305,7 +298,7 @@ pub struct RaqoOptimizer<'a, M: OperatorCost> {
     rule_based_tree: Option<DecisionTree>,
 }
 
-impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
+impl<'a, M: OperatorCost> RaqoOptimizer<'a, M> {
     pub fn new(
         catalog: impl Into<Shared<'a, Catalog>>,
         graph: impl Into<Shared<'a, JoinGraph>>,
@@ -322,25 +315,9 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
             model,
             planner,
             coster,
-            parallelism: Parallelism::Off,
             budget: PlanningBudget::unlimited(),
             rule_based_tree: None,
         }
-    }
-
-    /// Builder form of [`RaqoOptimizer::set_parallelism`].
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// How many threads cost each batch of independent candidate joins
-    /// (a Selinger, IDP or bushy DP level). It changes planning time only:
-    /// plans, costs and counters are the same for every setting, and
-    /// [`Parallelism::Off`] (the default) costs every join on the calling
-    /// thread.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     /// Builder form of [`RaqoOptimizer::set_budget`].
@@ -428,7 +405,6 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         // Cheap handle (a `None` or an `Arc` clone): the planners borrow
         // the coster mutably while they record into the same sink.
         let tel = self.coster.telemetry.clone();
-        let parallelism = self.parallelism;
         // On a blown budget the bushy search cuts short and answers with
         // its best costed plan instead of failing down a rung.
         let tracker = self.coster.budget.clone();
@@ -436,7 +412,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         let stop = self.coster.budget.is_limited().then_some(&stop_fn as &dyn Fn() -> bool);
         let (catalog, graph) = (&*self.catalog, &*self.graph);
         let coster = &mut self.coster;
-        run_kind(&self.planner, catalog, graph, query, coster, parallelism, &tel, stop)
+        run_kind(&self.planner, catalog, graph, query, coster, &tel, stop)
     }
 
     /// The ladder's bottom rung: rule-based RAQO (§V). Join implementations
@@ -463,8 +439,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         // the randomized planner only as the last resort.
         let (catalog, graph) = (&*self.catalog, &*self.graph);
         let (selinger, untraced) = (PlannerKind::Selinger, Telemetry::disabled());
-        let off = Parallelism::Off;
-        run_kind(&selinger, catalog, graph, query, &mut coster, off, &untraced, None)
+        run_kind(&selinger, catalog, graph, query, &mut coster, &untraced, None)
             .or_randomized(catalog, graph, query, &mut coster)
     }
 
@@ -609,8 +584,7 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoOptimizer<'a, M> {
         let mut fixed = FixedResourceCoster::new(&*self.model, containers, container_size_gb);
         let (catalog, graph) = (&*self.catalog, &*self.graph);
         let untraced = Telemetry::disabled();
-        let off = Parallelism::Off;
-        run_kind(&self.planner, catalog, graph, query, &mut fixed, off, &untraced, None)
+        run_kind(&self.planner, catalog, graph, query, &mut fixed, &untraced, None)
             .or_randomized(catalog, graph, query, &mut fixed)
     }
 
@@ -725,6 +699,71 @@ mod tests {
                 joint.time_sec(),
                 fixed.objectives.time_sec
             );
+        }
+    }
+
+    #[test]
+    fn brute_force_joint_planning_scans_the_whole_grid_per_plan_cost_call() {
+        // Every `getPlanCost` call scans the grid once per implementation,
+        // and a fresh optimizer repeats the joint plan and its counters.
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_q3();
+        let plan = || {
+            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce)
+                .optimize(&query)
+                .unwrap()
+        };
+        let (a, b) = (plan(), plan());
+        assert_eq!(a.query, b.query);
+        assert_eq!(a.stats, b.stats);
+        let points = ClusterConditions::paper_default().grid_size();
+        assert!(a.stats.plan_cost_calls > 0);
+        assert_eq!(a.stats.resource_iterations, a.stats.plan_cost_calls * 2 * points);
+    }
+
+    /// The oracle model, recording which threads evaluate it.
+    struct ThreadLog(
+        SimOracleCost,
+        std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    );
+
+    impl OperatorCost for ThreadLog {
+        fn join_cost(
+            &self,
+            j: raqo_sim::engine::JoinImpl,
+            b: f64,
+            p: f64,
+            nc: f64,
+            cs: f64,
+        ) -> Option<f64> {
+            self.1.lock().unwrap().insert(std::thread::current().id());
+            self.0.join_cost(j, b, p, nc, cs)
+        }
+    }
+
+    /// One level of parallelism: every DP planner costs its levels on the
+    /// thread that calls `optimize`, and planning again answers the same.
+    #[test]
+    fn every_dp_planner_costs_on_the_calling_thread() {
+        let schema = TpchSchema::new(1.0);
+        let query = QuerySpec::tpch_all(&schema);
+        let caller = std::thread::current().id();
+        for planner in [PlannerKind::Selinger, PlannerKind::idp(), PlannerKind::cascades()] {
+            let model = ThreadLog(SimOracleCost::hive(), Default::default());
+            let mut opt = RaqoOptimizer::new(
+                &schema.catalog,
+                &schema.graph,
+                &model,
+                ClusterConditions::paper_default(),
+                planner.clone(),
+                ResourceStrategy::HillClimb,
+            );
+            let first = opt.optimize(&query).expect("plan");
+            let again = opt.optimize(&query).expect("plan");
+            assert_eq!(first.query, again.query, "{planner:?}");
+            assert_eq!(first.stats, again.stats, "{planner:?}");
+            drop(opt);
+            assert_eq!(model.1.into_inner().unwrap(), [caller].into(), "{planner:?}");
         }
     }
 
@@ -853,80 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_resource_planning_reproduces_sequential_joint_plan() {
-        let schema = TpchSchema::new(1.0);
-        let query = QuerySpec::tpch_q3();
-        let mut seq =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
-        let a = seq.optimize(&query).unwrap();
-        let mut par =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce)
-                .with_parallelism(Parallelism::Threads(4));
-        let b = par.optimize(&query).unwrap();
-        assert_eq!(a.query, b.query, "parallel grid scan must be bit-identical");
-        assert_eq!(a.stats, b.stats);
-    }
-
-    /// The oracle model, recording which threads evaluate it.
-    struct ThreadLog(
-        SimOracleCost,
-        std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
-    );
-
-    impl OperatorCost for ThreadLog {
-        fn join_cost(
-            &self,
-            j: raqo_sim::engine::JoinImpl,
-            b: f64,
-            p: f64,
-            nc: f64,
-            cs: f64,
-        ) -> Option<f64> {
-            self.1.lock().unwrap().insert(std::thread::current().id());
-            self.0.join_cost(j, b, p, nc, cs)
-        }
-    }
-
-    /// The optimizer's thread count reaches every DP planner's level
-    /// batches — set by the builder or the setter, and back off again —
-    /// and never the plan.
-    #[test]
-    fn every_dp_planner_fans_its_levels_out_when_asked() {
-        let schema = TpchSchema::new(1.0);
-        let query = QuerySpec::tpch_all(&schema);
-        let caller = std::thread::current().id();
-        for planner in [PlannerKind::Selinger, PlannerKind::idp(), PlannerKind::cascades()] {
-            let model = ThreadLog(SimOracleCost::hive(), Default::default());
-            let threads_used = |opt: &mut RaqoOptimizer<'_, ThreadLog>| {
-                model.1.lock().unwrap().clear();
-                let plan = opt.optimize(&query).expect("plan");
-                (plan, std::mem::take(&mut *model.1.lock().unwrap()))
-            };
-            let mut opt = RaqoOptimizer::new(
-                &schema.catalog,
-                &schema.graph,
-                &model,
-                ClusterConditions::paper_default(),
-                planner.clone(),
-                ResourceStrategy::HillClimb,
-            )
-            .with_parallelism(Parallelism::Threads(3));
-            let (fanned, used) = threads_used(&mut opt);
-            assert!(used.len() > 1, "{planner:?}: {} thread(s)", used.len());
-            opt.set_parallelism(Parallelism::Off);
-            let (off, used) = threads_used(&mut opt);
-            assert_eq!(used, [caller].into(), "{planner:?}");
-            opt.set_parallelism(Parallelism::Threads(2));
-            let (again, used) = threads_used(&mut opt);
-            assert!(used.len() > 1, "{planner:?}: {} thread(s)", used.len());
-            for plan in [&fanned, &again] {
-                assert_eq!(plan.query, off.query, "{planner:?}");
-                assert_eq!(plan.stats, off.stats, "{planner:?}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_cache_warms_across_optimizers() {
         let schema = TpchSchema::new(1.0);
         let query = QuerySpec::tpch_q3();
@@ -983,9 +948,8 @@ mod tests {
     #[test]
     fn stats_match_registry_across_tpch_sweep() {
         // The parity guarantee behind `RaqoStats::from_registry_delta`:
-        // every planner/strategy combination, including the parallel
-        // fan-out, must leave the registry and the per-run stats in exact
-        // agreement.
+        // every planner/strategy combination must leave the registry and
+        // the per-run stats in exact agreement.
         let schema = TpchSchema::new(1.0);
         let tel = Telemetry::enabled();
         let combos: Vec<(PlannerKind, ResourceStrategy)> = vec![
@@ -1001,9 +965,6 @@ mod tests {
         ];
         for (planner, strategy) in combos {
             let mut opt = optimizer(&schema, model(), planner.clone(), strategy);
-            if matches!(planner, PlannerKind::Selinger) {
-                opt.set_parallelism(Parallelism::Threads(4));
-            }
             opt.set_telemetry(tel.clone());
             for query in [QuerySpec::tpch_q3(), QuerySpec::tpch_q12(), QuerySpec::tpch_all(&schema)]
             {

@@ -26,7 +26,6 @@ use raqo_resource::{
 use raqo_sim::engine::JoinImpl;
 use raqo_telemetry::{Counter, Hist, MetricsSnapshot, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// How to search the per-operator resource space (§VI-B).
@@ -251,7 +250,7 @@ pub struct RaqoCoster<'a, M: OperatorCost> {
     cache_namespace: u32,
 }
 
-impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
+impl<'a, M: OperatorCost> RaqoCoster<'a, M> {
     pub fn new(
         model: impl Into<Shared<'a, M>>,
         cluster: ClusterConditions,
@@ -318,76 +317,33 @@ impl<'a, M: OperatorCost + Send + Sync> RaqoCoster<'a, M> {
         self.cluster = cluster;
     }
 
-    /// Resource-plan one operator implementation for one join. Returns the
-    /// chosen configuration and its *time* estimate, or `None` when the
-    /// implementation is infeasible everywhere reachable.
-    #[cfg(test)]
-    fn plan_operator(&mut self, join: JoinImpl, io: &JoinIo) -> Option<(ResourceConfig, f64)> {
-        let ctx = CostCtx {
-            model: &*self.model,
-            cluster: &self.cluster,
-            strategy: self.strategy,
-            objective: self.objective,
-            cache: &self.cache,
-            cache_namespace: self.cache_namespace,
-            tel: &self.telemetry,
-            budget: &self.budget,
-        };
-        ctx.plan_operator(join, io, &mut self.stats, &mut ctx.cache_guard())
-    }
-
-    /// Cost `ios` one after another on this thread, handing each decision
-    /// to `emit`. Under [`ResourceStrategy::HillClimbCached`] one
-    /// [`PairGuard`] serves the whole batch: the shards of the SMJ and BHJ
-    /// caches are locked once, and let go only around each hill climb.
+    /// Cost `ios` one after another, handing each decision to `emit`. Under
+    /// [`ResourceStrategy::HillClimbCached`] one [`PairGuard`] serves the
+    /// whole batch: the shards of the SMJ and BHJ caches are locked once,
+    /// and let go only around each hill climb. The counters are taken out
+    /// for the batch, so the searches can borrow the rest of the coster.
     fn cost_in_order(&mut self, ios: &[JoinIo], mut emit: impl FnMut(Option<JoinDecision>)) {
-        let ctx = CostCtx {
-            model: &*self.model,
-            cluster: &self.cluster,
-            strategy: self.strategy,
-            objective: self.objective,
-            cache: &self.cache,
-            cache_namespace: self.cache_namespace,
-            tel: &self.telemetry,
-            budget: &self.budget,
-        };
-        let mut cache = ctx.cache_guard();
+        let mut stats = std::mem::take(&mut self.stats);
+        let mut cache = self.cache_guard();
         for io in ios {
-            emit(ctx.cost_join(io, &mut self.stats, &mut cache));
+            emit(self.cost_join(io, &mut stats, &mut cache));
         }
+        drop(cache);
+        self.stats = stats;
     }
-}
 
-/// The read-only inputs of one `getPlanCost` evaluation, split off the
-/// coster so [`PlanCoster::join_cost_many`] can fan independent joins out
-/// over scoped threads: each worker borrows the context immutably and owns
-/// a local [`RaqoStats`] that is summed back deterministically.
-struct CostCtx<'c, M> {
-    model: &'c M,
-    cluster: &'c ClusterConditions,
-    strategy: ResourceStrategy,
-    objective: Objective,
-    cache: &'c ShardedCacheBank,
-    cache_namespace: u32,
-    /// Shared with every fan-out worker: counters are atomic, and spans
-    /// opened on worker threads parent under the spawning thread's span
-    /// via the `TraceScope` captured before the fan-out.
-    tel: &'c Telemetry,
-    /// Shared planning-budget tracker; every cost-model evaluation charges
-    /// one unit against it (atomic, so fan-out workers share one pool).
-    budget: &'c BudgetTracker,
-}
-
-impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
-    /// A guard over this context's SMJ and BHJ caches, pair
+    /// A guard over this coster's SMJ and BHJ caches, pair
     /// `impl_cache_id(join)` each. It locks nothing until a cached lookup.
-    fn cache_guard(&self) -> PairGuard<'c> {
+    fn cache_guard(&self) -> PairGuard<'_> {
         let operator = operator_key(self.objective);
         let pair = |join| (model_key(self.cache_namespace, join), operator);
         self.cache.lock_pair(pair(JoinImpl::SortMerge), pair(JoinImpl::BroadcastHash))
     }
 
-    /// See [`RaqoCoster::plan_operator`]; `cache` is [`CostCtx::cache_guard`].
+    /// Resource-plan one operator implementation for one join. Returns the
+    /// chosen configuration and its *time* estimate, or `None` when the
+    /// implementation is infeasible everywhere reachable. `cache` is
+    /// `cache_guard`'s.
     fn plan_operator(
         &self,
         join: JoinImpl,
@@ -396,17 +352,17 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
         cache: &mut PairGuard<'_>,
     ) -> Option<(ResourceConfig, f64)> {
         // The scalarized cost surface for the search.
-        let model = self.model;
+        let model = &*self.model;
         let objective = self.objective;
         let build = io.build_gb;
         let probe = io.probe_gb;
-        let tel = self.tel;
+        let tel = &self.telemetry;
         let _rp_span = tel.span(match self.strategy {
             ResourceStrategy::BruteForce => "resource_planning.brute_force",
             ResourceStrategy::HillClimb => "resource_planning.hill_climb",
             ResourceStrategy::HillClimbCached(_) => "resource_planning.cached",
         });
-        let budget = self.budget;
+        let budget = &*self.budget;
         // Every model evaluation is (a) charged against the planning budget
         // — an exhausted budget short-circuits to +∞ so the planners drain
         // fast — and (b) sanitized at this boundary: a NaN, −∞, or negative
@@ -471,12 +427,12 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                             tel.add(Counter::CostSanitizationsBatch, bad);
                         }
                     };
-                brute_force_rows(self.cluster, row_fn, bound)
+                brute_force_rows(&self.cluster, row_fn, bound)
             }
             ResourceStrategy::HillClimb => {
                 tel.inc(Counter::HillClimbClimbs);
                 let start = self.feasible_start(join, io)?;
-                hill_climb(self.cluster, start, cost_fn)
+                hill_climb(&self.cluster, start, cost_fn)
             }
             ResourceStrategy::HillClimbCached(lookup) => {
                 let (lookup_span, hit_counter) = match lookup {
@@ -497,7 +453,7 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                     // Cached configurations may come from interpolation or
                     // (after re-optimization) other cluster conditions:
                     // clamp and snap to the grid before use.
-                    let snapped = snap_to_grid(self.cluster, &cached);
+                    let snapped = snap_to_grid(&self.cluster, &cached);
                     stats.cache_hits += 1;
                     tel.inc(hit_counter);
                     let (c, time) = evaluate(&snapped);
@@ -509,7 +465,7 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                     // No search runs under a shard lock.
                     cache.release();
                     let start = self.feasible_start(join, io)?;
-                    let out = hill_climb(self.cluster, start, cost_fn);
+                    let out = hill_climb(&self.cluster, start, cost_fn);
                     if out.cost.is_finite() {
                         cache.insert(pair, io.build_gb, out.config);
                     }
@@ -574,10 +530,10 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
         if matches!(raqo_faults::site("core.plan_cost"), Action::Fail) {
             return None;
         }
-        let _span = self.tel.span("plan_cost");
-        let sw = self.tel.stopwatch();
+        let _span = self.telemetry.span("plan_cost");
+        let sw = self.telemetry.stopwatch();
         stats.plan_cost_calls += 1;
-        self.tel.inc(Counter::PlanCostCalls);
+        self.telemetry.inc(Counter::PlanCostCalls);
         let mut best: Option<JoinDecision> = None;
         for join in JoinImpl::ALL {
             let Some((r, time)) = self.plan_operator(join, io, stats, cache) else { continue };
@@ -598,7 +554,7 @@ impl<'c, M: OperatorCost + Send + Sync> CostCtx<'c, M> {
                 _ => best = Some(decision),
             }
         }
-        self.tel.observe_elapsed_us(Hist::PlanCostLatencyUs, &sw);
+        self.telemetry.observe_elapsed_us(Hist::PlanCostLatencyUs, &sw);
         best
     }
 }
@@ -615,7 +571,7 @@ fn snap_to_grid(cluster: &ClusterConditions, r: &ResourceConfig) -> ResourceConf
     out
 }
 
-impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
+impl<M: OperatorCost> PlanCoster for RaqoCoster<'_, M> {
     /// A batch of one: the same path as [`PlanCoster::join_cost_many`].
     fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
         let mut decision = None;
@@ -623,95 +579,13 @@ impl<M: OperatorCost + Send + Sync> PlanCoster for RaqoCoster<'_, M> {
         decision
     }
 
-    /// Fan a batch of independent joins out over `parallelism` scoped
-    /// threads (a DP level's batch of candidates). Costing
-    /// here is a pure function of the `JoinIo` — except under
-    /// `HillClimbCached`, whose cache warms in call order, so that strategy
-    /// stays sequential, under one cache guard per batch. Decisions land at
-    /// their input index and worker stats are summed back in chunk order,
-    /// so results and counters are deterministic for any thread count.
-    fn join_cost_many(
-        &mut self,
-        ios: &[JoinIo],
-        parallelism: Parallelism,
-    ) -> Vec<Option<JoinDecision>> {
-        let workers = parallelism.workers().min(ios.len());
-        if workers < 2 || matches!(self.strategy, ResourceStrategy::HillClimbCached(_)) {
-            let mut decisions = Vec::with_capacity(ios.len());
-            self.cost_in_order(ios, |d| decisions.push(d));
-            return decisions;
-        }
-        let ctx = CostCtx {
-            model: &*self.model,
-            cluster: &self.cluster,
-            strategy: self.strategy,
-            objective: self.objective,
-            cache: &self.cache,
-            cache_namespace: self.cache_namespace,
-            tel: &self.telemetry,
-            budget: &self.budget,
-        };
-        let chunk = ios.len().div_ceil(workers);
-        let ctx = &ctx;
-        // Capture the calling thread's trace position so worker-thread
-        // spans (plan_cost, resource_planning.*, cache.lookup.*) parent
-        // under the ticket/ambient span that spawned them instead of
-        // becoming orphan roots.
-        let scope_token = self.telemetry.current_scope();
-        // Panic isolation: each worker's chunk runs under `catch_unwind`.
-        // A panicking chunk (model bug, injected fault) is re-costed
-        // sequentially on the calling thread with a fresh local stats block
-        // — the same deterministic per-join code path, so the decisions are
-        // bit-identical to an all-healthy run — and counted.
-        let per_chunk: Vec<(Vec<Option<JoinDecision>>, RaqoStats)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ios
-                    .chunks(chunk)
-                    .map(|ios_chunk| {
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                let _in_scope = ctx.tel.enter_scope(scope_token);
-                                let _ = raqo_faults::site("core.worker.cost");
-                                let mut stats = RaqoStats::default();
-                                let mut cache = ctx.cache_guard();
-                                let decisions: Vec<Option<JoinDecision>> = ios_chunk
-                                    .iter()
-                                    .map(|io| ctx.cost_join(io, &mut stats, &mut cache))
-                                    .collect();
-                                (decisions, stats)
-                            }))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(ios.chunks(chunk))
-                    .map(|(h, ios_chunk)| match h.join() {
-                        Ok(Ok(pair)) => pair,
-                        // Caught inside the worker, or the worker died
-                        // before the catch could engage: recover on the
-                        // calling thread.
-                        Ok(Err(_)) | Err(_) => {
-                            ctx.tel.inc(Counter::WorkerPanics);
-                            let mut stats = RaqoStats::default();
-                            let mut cache = ctx.cache_guard();
-                            let decisions: Vec<Option<JoinDecision>> = ios_chunk
-                                .iter()
-                                .map(|io| ctx.cost_join(io, &mut stats, &mut cache))
-                                .collect();
-                            (decisions, stats)
-                        }
-                    })
-                    .collect()
-            });
-        let mut out = Vec::with_capacity(ios.len());
-        for (decisions, stats) in per_chunk {
-            out.extend(decisions);
-            self.stats.resource_iterations += stats.resource_iterations;
-            self.stats.plan_cost_calls += stats.plan_cost_calls;
-            self.stats.cache_hits += stats.cache_hits;
-        }
-        out
+    /// A DP level's batch of candidates, costed in call order under one
+    /// cache guard, so `HillClimbCached` warms its cache exactly as
+    /// [`PlanCoster::join_cost`] one join at a time would.
+    fn join_cost_many(&mut self, ios: &[JoinIo], _: Parallelism) -> Vec<Option<JoinDecision>> {
+        let mut decisions = Vec::with_capacity(ios.len());
+        self.cost_in_order(ios, |d| decisions.push(d));
+        decisions
     }
 }
 
@@ -746,7 +620,20 @@ mod tests {
         }
     }
 
-    /// What [`RaqoCoster::plan_operator`] answers for a search outcome (the
+    /// `plan_operator` for one join, outside a batch: the configuration
+    /// and time it plans, counted in `c.stats`.
+    fn plan_one<M: OperatorCost>(
+        c: &mut RaqoCoster<'_, M>,
+        join: JoinImpl,
+        io: &JoinIo,
+    ) -> Option<(ResourceConfig, f64)> {
+        let mut stats = c.stats;
+        let planned = c.plan_operator(join, io, &mut stats, &mut c.cache_guard());
+        c.stats = stats;
+        planned
+    }
+
+    /// What `plan_operator` answers for a search outcome (the
     /// configuration and its raw time, `None` when nothing reachable is
     /// feasible), with the time as bits.
     fn answer(
@@ -828,7 +715,7 @@ mod tests {
             ResourceStrategy::HillClimb,
             Objective::Time,
         );
-        let bhj = raw.plan_operator(JoinImpl::BroadcastHash, &io(6.0, 77.0));
+        let bhj = plan_one(&mut raw, JoinImpl::BroadcastHash, &io(6.0, 77.0));
         assert!(bhj.is_some(), "BHJ should be reachable via feasible start");
         let (r, _) = bhj.unwrap();
         assert!(model.join_cost(JoinImpl::BroadcastHash, 6.0, 77.0, r.containers(), r.container_size_gb()).is_some());
@@ -1021,191 +908,152 @@ mod tests {
         }
     }
 
-    /// The oracle model, recording which threads evaluate it.
-    struct ThreadLog(
-        SimOracleCost,
-        std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
-    );
+    /// The oracle model, panicking whenever it is asked to cost a join
+    /// whose build side is `.1`.
+    struct PanicsAt(SimOracleCost, f64);
 
-    impl OperatorCost for ThreadLog {
+    impl OperatorCost for PanicsAt {
         fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
-            self.1.lock().unwrap().insert(std::thread::current().id());
+            if b == self.1 {
+                panic!("injected cost-model panic at build side {b}");
+            }
             self.0.join_cost(j, b, p, nc, cs)
         }
     }
 
-    /// A batch of joins fans out over the threads asked for — except under
-    /// the cached strategy, whose cache warms in call order — and answers
-    /// exactly as on one thread: decisions and counters alike.
     #[test]
-    fn join_cost_many_fans_out_and_answers_as_off() {
-        let ios: Vec<JoinIo> = (0..12).map(|k| io(0.25 + 0.5 * k as f64, 40.0)).collect();
+    #[should_panic(expected = "injected cost-model panic")]
+    fn a_panic_that_recurs_on_the_calling_thread_propagates() {
+        // A cost-model panic is a model bug: it reaches the caller of the
+        // batch.
+        let ios = twelve_ios();
+        let model = PanicsAt(SimOracleCost::hive(), ios[7].build_gb);
+        let cluster = ClusterConditions::paper_default();
+        let mut c = RaqoCoster::new(&model, cluster, ResourceStrategy::HillClimb, Objective::Time);
+        c.join_cost_many(&ios, Parallelism::Off);
+    }
+
+    /// The twelve joins the batch tests cost, their build sides rising.
+    fn twelve_ios() -> Vec<JoinIo> {
+        (0..12).map(|k| io(0.25 + 0.5 * k as f64, 40.0)).collect()
+    }
+
+    /// The oracle model, panicking the first time it is asked to cost a
+    /// join whose build side is `.1`.
+    struct PanicsOnceAt(SimOracleCost, f64, std::sync::atomic::AtomicBool);
+
+    impl OperatorCost for PanicsOnceAt {
+        fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+            if b == self.1 && !self.2.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                panic!("injected cost-model panic at build side {b}");
+            }
+            self.0.join_cost(j, b, p, nc, cs)
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_batch_leaves_the_coster_usable() {
+        // The model panics once, on the eighth join. The panic unwinds out
+        // of the batch, and the same coster then costs the batch again as
+        // a healthy coster does after costing the seven joins before it:
+        // no cache shard is left locked or poisoned.
+        let ios = twelve_ios();
+        let cluster = ClusterConditions::paper_default();
+        let healthy = SimOracleCost::hive();
+        for strategy in [
+            ResourceStrategy::BruteForce,
+            ResourceStrategy::HillClimb,
+            ResourceStrategy::HillClimbCached(CacheLookup::Exact),
+        ] {
+            let mut reference = RaqoCoster::new(&healthy, cluster, strategy, Objective::Time);
+            reference.join_cost_many(&ios[..7], Parallelism::Off);
+            let want = reference.join_cost_many(&ios, Parallelism::Off);
+            let model = PanicsOnceAt(SimOracleCost::hive(), ios[7].build_gb, Default::default());
+            let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                c.join_cost_many(&ios, Parallelism::Off)
+            }));
+            assert!(out.is_err(), "{strategy:?}");
+            assert_eq!(c.join_cost_many(&ios, Parallelism::Off), want, "{strategy:?}");
+        }
+    }
+
+    /// The oracle model, logging the thread and the build side of every
+    /// evaluation.
+    struct CallLog(SimOracleCost, std::sync::Mutex<Vec<(std::thread::ThreadId, f64)>>);
+
+    impl OperatorCost for CallLog {
+        fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
+            self.1.lock().unwrap().push((std::thread::current().id(), b));
+            self.0.join_cost(j, b, p, nc, cs)
+        }
+    }
+
+    #[test]
+    fn a_batch_is_costed_on_the_calling_thread_in_call_order() {
+        // Every evaluation runs on the thread that hands the batch over,
+        // and a join is evaluated only once the one before it is done.
+        let ios = twelve_ios();
         let caller = std::thread::current().id();
         for strategy in [
             ResourceStrategy::BruteForce,
             ResourceStrategy::HillClimb,
             ResourceStrategy::HillClimbCached(CacheLookup::Exact),
         ] {
-            let run = |parallelism| {
-                let model = ThreadLog(SimOracleCost::hive(), Default::default());
-                let cluster = ClusterConditions::paper_default();
-                let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
-                let decisions = c.join_cost_many(&ios, parallelism);
-                let stats = c.stats;
-                drop(c);
-                (decisions, stats, model.1.into_inner().unwrap())
-            };
-            let (want, want_stats, threads) = run(Parallelism::Off);
-            assert_eq!(threads, [caller].into(), "{strategy:?}");
-            let (got, stats, threads) = run(Parallelism::Threads(3));
-            assert_eq!(got, want, "{strategy:?}");
-            assert_eq!(stats, want_stats, "{strategy:?}");
-            if matches!(strategy, ResourceStrategy::HillClimbCached(_)) {
-                assert_eq!(threads, [caller].into(), "{strategy:?}");
-            } else {
-                assert_eq!(threads.len(), 3, "{strategy:?}");
-                assert!(!threads.contains(&caller), "{strategy:?}");
-            }
-        }
-    }
-
-    /// The twelve joins the fan-out tests cost as one batch.
-    fn twelve_ios() -> Vec<JoinIo> {
-        (0..12).map(|k| io(0.25 + 0.5 * k as f64, 40.0)).collect()
-    }
-
-    /// What `strategy` answers for a batch on `parallelism`: the decisions
-    /// and the coster's counters.
-    fn cost_batch<M: OperatorCost + Send + Sync>(
-        model: &M,
-        cluster: ClusterConditions,
-        strategy: ResourceStrategy,
-        ios: &[JoinIo],
-        parallelism: Parallelism,
-    ) -> (Vec<Option<JoinDecision>>, RaqoStats) {
-        let mut c = RaqoCoster::new(model, cluster, strategy, Objective::Time);
-        let decisions = c.join_cost_many(ios, parallelism);
-        (decisions, c.stats)
-    }
-
-    #[test]
-    fn join_cost_many_answers_as_off_for_any_thread_count() {
-        // One thread per join and more threads than joins included: how the
-        // batch is chunked never shows in the decisions or the counters.
-        let ios = twelve_ios();
-        let model = SimOracleCost::hive();
-        let cluster = ClusterConditions::paper_default();
-        for strategy in [ResourceStrategy::BruteForce, ResourceStrategy::HillClimb] {
-            let want = cost_batch(&model, cluster, strategy, &ios, Parallelism::Off);
-            assert_eq!(want.0.len(), ios.len());
-            let counts = (0..=13).map(Parallelism::Threads).chain([Parallelism::Auto]);
-            for parallelism in counts {
-                let got = cost_batch(&model, cluster, strategy, &ios, parallelism);
-                assert_eq!(got, want, "{strategy:?} {parallelism:?}");
-            }
-            let empty = cost_batch(&model, cluster, strategy, &[], Parallelism::Threads(4));
-            assert_eq!(empty, (Vec::new(), RaqoStats::default()), "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn a_batch_is_split_over_at_most_one_thread_per_join() {
-        // One thread, or one join, costs on the caller; otherwise the batch
-        // goes to `min(threads, joins)` workers and the caller waits.
-        let caller = std::thread::current().id();
-        let ios = twelve_ios();
-        let threads_used = |ios: &[JoinIo], parallelism| {
-            let model = ThreadLog(SimOracleCost::hive(), Default::default());
+            let model = CallLog(SimOracleCost::hive(), Default::default());
             let cluster = ClusterConditions::paper_default();
-            cost_batch(&model, cluster, ResourceStrategy::HillClimb, ios, parallelism);
-            model.1.into_inner().unwrap()
-        };
-        assert_eq!(threads_used(&ios, Parallelism::Off), [caller].into());
-        assert_eq!(threads_used(&ios, Parallelism::Threads(1)), [caller].into());
-        assert_eq!(threads_used(&ios[..1], Parallelism::Threads(4)), [caller].into());
-        for (joins, threads, workers) in [(3, 16, 3), (12, 4, 4), (12, 5, 4)] {
-            // Twelve joins in chunks of `div_ceil(12, 5)` = 3 fill four workers.
-            let used = threads_used(&ios[..joins], Parallelism::Threads(threads));
-            assert_eq!(used.len(), workers, "{joins} joins on {threads} threads");
-            assert!(!used.contains(&caller), "{joins} joins on {threads} threads");
+            let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
+            let decisions = c.join_cost_many(&ios, Parallelism::Off);
+            assert!(decisions.iter().all(Option::is_some), "{strategy:?}");
+            drop(c);
+            let log = model.1.into_inner().unwrap();
+            assert!(log.iter().all(|&(thread, _)| thread == caller), "{strategy:?}");
+            let mut order: Vec<f64> = log.iter().map(|&(_, build)| build).collect();
+            order.dedup();
+            let want: Vec<f64> = ios.iter().map(|io| io.build_gb).collect();
+            assert_eq!(order, want, "{strategy:?}");
         }
     }
 
     #[test]
-    fn brute_force_on_a_long_grid_answers_as_off_on_any_thread_count() {
-        // 200 000 points per search: every worker runs whole bounded scans
-        // of its own joins.
-        let cluster = ClusterConditions::two_dim(1.0..=1000.0, 1.0..=200.0, 1.0, 1.0);
-        let ios = [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0)];
-        let model = &trained_models()[1];
-        let strategy = ResourceStrategy::BruteForce;
-        let want = cost_batch(model, cluster, strategy, &ios, Parallelism::Off);
-        assert_eq!(want.1.resource_iterations, 3 * 2 * 200_000);
-        for parallelism in [Parallelism::Threads(2), Parallelism::Threads(3), Parallelism::Auto] {
-            let got = cost_batch(model, cluster, strategy, &ios, parallelism);
-            assert_eq!(got, want, "{parallelism:?}");
-        }
-    }
-
-    /// The oracle model, panicking when asked to cost a join whose build
-    /// side is `build_gb`: every time, or only the first time.
-    struct PanicsAt {
-        inner: SimOracleCost,
-        build_gb: f64,
-        once: bool,
-        fired: std::sync::atomic::AtomicBool,
-    }
-
-    impl PanicsAt {
-        fn new(build_gb: f64, once: bool) -> Self {
-            PanicsAt { inner: SimOracleCost::hive(), build_gb, once, fired: Default::default() }
-        }
-    }
-
-    impl OperatorCost for PanicsAt {
-        fn join_cost(&self, j: JoinImpl, b: f64, p: f64, nc: f64, cs: f64) -> Option<f64> {
-            use std::sync::atomic::Ordering;
-            if b == self.build_gb && !(self.once && self.fired.swap(true, Ordering::SeqCst)) {
-                panic!("injected cost-model panic at build side {b}");
-            }
-            self.inner.join_cost(j, b, p, nc, cs)
-        }
-    }
-
-    #[test]
-    fn a_search_panic_on_a_worker_is_recosted_on_the_calling_thread() {
-        // The model panics once, mid-search, inside one worker's chunk: the
-        // chunk is costed again on the caller, and the batch answers
-        // exactly as a healthy single-thread run does.
-        let ios = twelve_ios();
-        let cluster = ClusterConditions::paper_default();
-        let healthy = SimOracleCost::hive();
-        for strategy in [ResourceStrategy::BruteForce, ResourceStrategy::HillClimb] {
-            let want = cost_batch(&healthy, cluster, strategy, &ios, Parallelism::Off);
-            let model = PanicsAt::new(ios[7].build_gb, true);
+    fn an_empty_batch_answers_nothing_and_counts_nothing() {
+        // The counters are taken out for a batch and put back after it:
+        // an empty batch neither clears nor adds to them.
+        for strategy in [
+            ResourceStrategy::BruteForce,
+            ResourceStrategy::HillClimb,
+            ResourceStrategy::HillClimbCached(CacheLookup::Exact),
+        ] {
             let tel = Telemetry::enabled();
-            let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time)
-                .with_telemetry(tel.clone());
-            let got = c.join_cost_many(&ios, Parallelism::Threads(3));
-            assert!(model.fired.load(std::sync::atomic::Ordering::SeqCst), "{strategy:?}");
-            assert_eq!((got, c.stats), want, "{strategy:?}");
-            assert_eq!(tel.snapshot().unwrap().get(Counter::WorkerPanics), 1, "{strategy:?}");
+            let mut c = coster(strategy).with_telemetry(tel.clone());
+            assert!(c.join_cost_many(&[], Parallelism::Off).is_empty(), "{strategy:?}");
+            assert_eq!(c.stats, RaqoStats::default(), "{strategy:?}");
+            let snap = tel.snapshot().unwrap();
+            assert_eq!(snap.get(Counter::PlanCostCalls), 0, "{strategy:?}");
+            assert_eq!(snap.get(Counter::ResourceIterations), 0, "{strategy:?}");
+            c.join_cost(&io(2.0, 40.0)).expect("feasible");
+            let after_one = c.stats;
+            assert!(after_one.plan_cost_calls == 1 && after_one.resource_iterations > 0);
+            assert!(c.join_cost_many(&[], Parallelism::Off).is_empty(), "{strategy:?}");
+            assert_eq!(c.stats, after_one, "{strategy:?}");
         }
     }
 
     #[test]
-    fn a_panic_that_recurs_on_the_calling_thread_propagates() {
-        // A panic the caller's re-cost meets again is a model bug, not a
-        // lost worker: it reaches the caller, on one thread or several.
-        let ios = twelve_ios();
-        let model = PanicsAt::new(ios[7].build_gb, false);
-        for parallelism in [Parallelism::Off, Parallelism::Threads(3)] {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                let cluster = ClusterConditions::paper_default();
-                cost_batch(&model, cluster, ResourceStrategy::HillClimb, &ios, parallelism)
-            }));
-            assert!(out.is_err(), "{parallelism:?}");
-        }
+    fn a_cached_batch_hits_what_it_warmed_earlier_in_the_batch() {
+        // One cache guard serves the whole batch; it still sees the entries
+        // the batch's own earlier joins put in.
+        let ios = [io(2.0, 40.0), io(6.0, 77.0), io(2.0, 40.0)];
+        let strategy = ResourceStrategy::HillClimbCached(CacheLookup::Exact);
+        let mut c = coster(strategy);
+        let decisions = c.join_cost_many(&ios, Parallelism::Off);
+        assert_eq!(c.stats.cache_hits, 2); // SMJ + BHJ of the repeated join
+        assert_eq!(decisions[2], decisions[0]);
+        let mut first_two = coster(strategy);
+        first_two.join_cost_many(&ios[..2], Parallelism::Off);
+        let repeat = c.stats.resource_iterations - first_two.stats.resource_iterations;
+        // One re-evaluation per implementation.
+        assert!(repeat <= 4, "cache ineffective: {repeat} iterations");
     }
 
     /// Algorithm 1 as the coster runs it, rebuilt from public parts: one
@@ -1234,7 +1082,7 @@ mod tests {
             for join in JoinImpl::ALL {
                 let mut c =
                     RaqoCoster::new(&model, cluster, ResourceStrategy::HillClimb, Objective::Time);
-                let got = bits(c.plan_operator(join, &join_io));
+                let got = bits(plan_one(&mut c, join, &join_io));
                 let what = format!("{join:?} {join_io:?}");
                 match reference_climb(&model, &cluster, join, join_io) {
                     Some(want) => {
@@ -1251,9 +1099,9 @@ mod tests {
     }
 
     #[test]
-    fn a_thread_count_leaves_every_hill_climb_single_start() {
-        // Each join of the batch is climbed once, from its feasible start,
-        // whatever the thread count: the iterations are those climbs' sum.
+    fn a_batch_climbs_each_join_once_from_its_feasible_start() {
+        // Each join of the batch is climbed once per implementation, from
+        // its feasible start: the iterations are those climbs' sum.
         let model = SimOracleCost::hive();
         let cluster = ClusterConditions::paper_default();
         let ios = [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0), io(9.0, 77.0)];
@@ -1263,11 +1111,10 @@ mod tests {
             .filter_map(|(join, join_io)| reference_climb(&model, &cluster, join, join_io))
             .map(|climb| climb.iterations)
             .sum();
-        for parallelism in [Parallelism::Off, Parallelism::Threads(2), Parallelism::Auto] {
-            let (_, stats) =
-                cost_batch(&model, cluster, ResourceStrategy::HillClimb, &ios, parallelism);
-            assert_eq!(stats.resource_iterations, want, "{parallelism:?}");
-        }
+        let mut c = RaqoCoster::new(&model, cluster, ResourceStrategy::HillClimb, Objective::Time);
+        c.join_cost_many(&ios, Parallelism::Off);
+        assert_eq!(c.stats.resource_iterations, want);
+        assert_eq!(c.stats.plan_cost_calls, ios.len() as u64);
     }
 
     #[test]
@@ -1520,7 +1367,7 @@ mod tests {
                     let point_wise = raqo_resource::brute_force(&cluster, surface);
                     assert_eq!(point_wise.iterations, 10_000);
                     assert_eq!(
-                        bits(c.plan_operator(join, &join_io)),
+                        bits(plan_one(&mut c, join, &join_io)),
                         answer(&model, join, &join_io, point_wise),
                         "{objective:?} {join_io:?} {join:?}"
                     );
@@ -1654,7 +1501,7 @@ mod tests {
     /// grid: the answer to the bit, the iterations, and the evaluations the
     /// budget was charged (a fresh tracker of `max_evals` on each side).
     fn assert_brute_force_is_exhaustive(
-        model: &(impl OperatorCost + Send + Sync),
+        model: &impl OperatorCost,
         cluster: ClusterConditions,
         io: &JoinIo,
         objective: Objective,
@@ -1668,7 +1515,7 @@ mod tests {
             let naive = BudgetTracker::start(budget);
             let want = exhaustive(model, &cluster, join, io, objective, &naive);
             let what = format!("{objective:?} {io:?} {join:?} {max_evals:?} {cluster:?}");
-            assert_eq!(bits(c.plan_operator(join, io)), want, "{what}");
+            assert_eq!(bits(plan_one(&mut c, join, io)), want, "{what}");
             assert_eq!(c.stats.resource_iterations, cluster.grid_size(), "{what}");
             assert_eq!(c.budget.evals_used(), naive.evals_used(), "{what}");
         }
@@ -1754,6 +1601,24 @@ mod tests {
     }
 
     #[test]
+    fn brute_force_on_a_long_grid_answers_as_one_call_at_a_time() {
+        // 200 000 points per search: a batch runs whole bounded scans of
+        // its joins, one after another, and answers exactly as one
+        // `join_cost` call per join does.
+        let cluster = ClusterConditions::two_dim(1.0..=1000.0, 1.0..=200.0, 1.0, 1.0);
+        let ios = [io(0.5, 20.0), io(2.0, 40.0), io(6.0, 77.0)];
+        let model = &trained_models()[1];
+        let coster =
+            || RaqoCoster::new(model, cluster, ResourceStrategy::BruteForce, Objective::Time);
+        let mut batch = coster();
+        let got = batch.join_cost_many(&ios, Parallelism::Off);
+        assert_eq!(batch.stats.resource_iterations, 3 * 2 * 200_000);
+        let mut single = coster();
+        let want: Vec<_> = ios.iter().map(|io| single.join_cost(io)).collect();
+        assert_eq!((got, batch.stats), (want, single.stats));
+    }
+
+    #[test]
     fn hill_climb_reaches_a_bhj_feasible_only_in_the_last_column() {
         // `0.1 + 0.1 + 0.1` overshoots 0.3: the grid's last column lies just
         // past `max`, and a build side that fits nowhere before it.
@@ -1764,7 +1629,7 @@ mod tests {
         let join_io = io(0.25 * model.bhj_capacity_per_gb, 77.0);
         let plan = |strategy| {
             let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
-            c.plan_operator(JoinImpl::BroadcastHash, &join_io)
+            plan_one(&mut c, JoinImpl::BroadcastHash, &join_io)
         };
         let (brute, _) = plan(ResourceStrategy::BruteForce).expect("brute force plans the BHJ");
         assert_eq!(brute.container_size_gb(), last);

@@ -584,9 +584,8 @@ fn worker_loop<M: OperatorCost + Send + Sync>(
         optimizer.set_budget(budget);
         optimizer.set_cache_namespace(job.request.namespace);
         let sw = Instant::now();
-        // Spans the optimizer opens on this thread (and on fan-out workers
-        // via captured scopes) parent under this ticket's root, not the
-        // worker's ambient stack.
+        // Spans the optimizer opens on this thread parent under this
+        // ticket's root, not the worker's ambient stack.
         let in_trace = job.trace.enter();
         let plan = optimizer.optimize(&job.request.query);
         drop(in_trace);

@@ -2,12 +2,12 @@
 //!
 //! A zero-dependency injector for chaos-testing the planning stack. Library
 //! crates expose named *probe sites* (e.g. `cost.model.scalar`,
-//! `core.worker.cost`); tests arm faults against a substring pattern and
+//! `core.plan_cost`); tests arm faults against a substring pattern and
 //! the Nth matching probe fires the fault. Everything is deterministic: no
 //! clocks, no RNG — the only "randomness" is a caller-supplied seed fed to a
 //! fixed LCG, so a failing chaos run replays exactly.
 //!
-//! The injector is process-global (worker threads spawned by the planners
+//! The injector is process-global (the planning service's worker threads
 //! must see faults armed by the test thread) and disarmed by default; the
 //! disarmed fast path is a single relaxed atomic load. Library code marks
 //! its probe sites with [`site`], which reaches the injector only with this
@@ -267,9 +267,9 @@ mod tests {
     fn repeating_fault_fires_every_time() {
         let _l = lock();
         let _g = FaultGuard::new();
-        arm(Fault::repeating("worker", FaultKind::Fail));
-        assert_eq!(probe("core.worker.cost"), Action::Fail);
-        assert_eq!(probe("core.worker.cost"), Action::Fail);
+        arm(Fault::repeating("plan_cost", FaultKind::Fail));
+        assert_eq!(probe("core.plan_cost"), Action::Fail);
+        assert_eq!(probe("core.plan_cost"), Action::Fail);
         assert_eq!(probe("unrelated.site"), Action::Proceed);
     }
 

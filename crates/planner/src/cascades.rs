@@ -18,8 +18,8 @@
 //! * **Costing** — every candidate goes once through the same
 //!   [`PlanCoster::join_cost`] seam as Selinger (`getPlanCost`, §VI-C), so
 //!   resource planning, the plan-cost cache and planning budgets compose
-//!   unchanged; a level goes in
-//!   [`PlanCoster::join_cost_many`] batches of at most `BATCH_CANDIDATES`.
+//!   unchanged; a level goes in [`PlanCoster::join_cost_many`] batches
+//!   that close between subsets once they hold `BATCH_CANDIDATES`.
 //! * **Winners** — lowest total cost, then least intermediate data
 //!   (Σ `out_gb`), then the seed split, then the first enumerated. The
 //!   learned §VI model floors at one second, so many sub-plans tie exactly.
@@ -40,7 +40,6 @@ use crate::coster::{
 };
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
-use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -127,7 +126,6 @@ type Costed = (JoinIo, JoinDecision);
 struct Search<'a> {
     rels: &'a [TableId],
     coster: &'a mut dyn PlanCoster,
-    parallelism: Parallelism,
     cross_rows_cap: f64,
     stop: Option<&'a dyn Fn() -> bool>,
     /// Relations adjacent to any member of the subset.
@@ -223,7 +221,7 @@ impl Search<'_> {
             .iter()
             .map(|&(mask, s)| self.sizes.join_io(s as u64, (mask ^ s) as u64))
             .collect();
-        let decisions = cost_batch(&mut *self.coster, &ios, self.parallelism);
+        let decisions = cost_batch(&mut *self.coster, &ios);
         let poisoned = !ios.is_empty() && self.stop.is_some_and(|stop| stop());
         for ((&(mask, s), io), decision) in cands.iter().zip(ios).zip(decisions) {
             let Some(decision) = decision else { continue };
@@ -299,7 +297,7 @@ impl Search<'_> {
 pub struct CascadesPlanner;
 
 impl CascadesPlanner {
-    /// Plan with default wiring: no parallelism, telemetry or budget probe.
+    /// Plan with default wiring: no telemetry or budget probe.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -308,20 +306,18 @@ impl CascadesPlanner {
         config: &CascadesConfig,
     ) -> Result<CascadesOutcome, CascadesError> {
         let tel = Telemetry::disabled();
-        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, &tel, config, None)
+        Self::plan_traced(catalog, graph, query, coster, &tel, config, None)
     }
 
-    /// Full-wiring entry point: thread parallelism for batched costing,
-    /// telemetry (a `cascades.level.<k>` span per subset size, a
-    /// `cascades.final_cost` span around reading the plan off the tables,
-    /// three counters), and a `stop` probe for budget/deadline cut-off.
-    #[allow(clippy::too_many_arguments)]
+    /// Full-wiring entry point: telemetry (a `cascades.level.<k>` span per
+    /// subset size, a `cascades.final_cost` span around reading the plan
+    /// off the tables, three counters), and a `stop` probe for
+    /// budget/deadline cut-off.
     pub fn plan_traced(
         catalog: &Catalog,
         graph: &JoinGraph,
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
         tel: &Telemetry,
         config: &CascadesConfig,
         stop: Option<&dyn Fn() -> bool>,
@@ -348,7 +344,6 @@ impl CascadesPlanner {
         let mut search = Search {
             rels: &rels,
             coster,
-            parallelism,
             cross_rows_cap: config.cross_rows_cap,
             stop,
             nbr,
@@ -563,6 +558,45 @@ mod tests {
         );
     }
 
+    /// A level of a 12-relation clique holds up to C(12, 6)·31 = 28 644
+    /// splits; the bushy DP closes a batch between subsets once it holds
+    /// [`BATCH_CANDIDATES`], so it ends at most one subset's 2¹¹ − 1
+    /// splits past that, and the plan and the joins costed are those of a
+    /// coster that prices every join on its own.
+    #[test]
+    fn batched_costing_matches_sequential() {
+        struct Batches<'a> {
+            inner: FixedResourceCoster<'a, SimOracleCost>,
+            widest: usize,
+        }
+        impl PlanCoster for Batches<'_> {
+            fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision> {
+                self.inner.join_cost(io)
+            }
+            fn join_cost_many(
+                &mut self,
+                ios: &[JoinIo],
+                _parallelism: raqo_resource::Parallelism,
+            ) -> Vec<Option<JoinDecision>> {
+                self.widest = self.widest.max(ios.len());
+                ios.iter().map(|io| self.inner.join_cost(io)).collect()
+            }
+        }
+        let schema = RandomSchema::clique(12, 12);
+        let q = QuerySpec::new("clique12", schema.catalog.table_ids().collect());
+        let model = SimOracleCost::hive();
+        let config = CascadesConfig::default();
+        let (catalog, graph) = (&schema.catalog, &schema.graph);
+        let mut sequential = fixed(&model);
+        let want = CascadesPlanner::plan(catalog, graph, &q, &mut sequential, &config).unwrap();
+        let mut batched = Batches { inner: fixed(&model), widest: 0 };
+        let got = CascadesPlanner::plan(catalog, graph, &q, &mut batched, &config).unwrap();
+        let widest = batched.widest;
+        assert!((BATCH_CANDIDATES..BATCH_CANDIDATES + (1 << 11)).contains(&widest), "{widest}");
+        assert_eq!(got.planned, want.planned);
+        assert_eq!(batched.inner.calls, sequential.calls);
+    }
+
     #[test]
     fn chain_groups_stay_polynomial() {
         // Chains admit no cross products under the default cap, so groups
@@ -627,7 +661,6 @@ mod tests {
             &s.graph,
             &q,
             &mut coster,
-            Parallelism::Off,
             &Telemetry::disabled(),
             &CascadesConfig::default(),
             Some(&stop),
@@ -699,33 +732,6 @@ mod tests {
             proptest::prop_assert_eq!(planned.cost.to_bits(), cost.to_bits());
             proptest::prop_assert!((planned.cost - walked.cost).abs() <= 1e-9 * walked.cost);
         }
-    }
-
-    #[test]
-    fn batched_costing_matches_sequential() {
-        let (catalog, graph) = fact_dim_star(7);
-        let model = SimOracleCost::hive();
-        let q = QuerySpec::new("q", catalog.table_ids().collect());
-        let sequential = CascadesPlanner::plan(
-            &catalog,
-            &graph,
-            &q,
-            &mut fixed(&model),
-            &CascadesConfig::default(),
-        )
-        .unwrap();
-        let batched = CascadesPlanner::plan_traced(
-            &catalog,
-            &graph,
-            &q,
-            &mut fixed(&model),
-            Parallelism::Threads(4),
-            &Telemetry::disabled(),
-            &CascadesConfig::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(batched.planned, sequential.planned);
     }
 
     #[test]
@@ -855,7 +861,6 @@ mod tests {
                 graph,
                 &q,
                 &mut fixed(&model),
-                Parallelism::Off,
                 &tel,
                 &CascadesConfig::default(),
                 None,
@@ -905,7 +910,6 @@ mod tests {
                 graph,
                 &q,
                 &mut fixed(&model),
-                Parallelism::Off,
                 &tel,
                 &config,
                 None,

@@ -48,13 +48,12 @@ pub trait PlanCoster {
     fn join_cost(&mut self, io: &JoinIo) -> Option<JoinDecision>;
 
     /// Cost a batch of *independent* joins, returning one decision per
-    /// input, in input order. The Selinger and bushy DPs submit the
-    /// uncached candidates of a level through this seam, up to
-    /// `BATCH_CANDIDATES` at a time. The default costs them sequentially
-    /// (any coster is trivially correct); implementations whose costing is
-    /// a pure function of the `JoinIo` may fan the batch out over
-    /// `parallelism` worker threads, as long as the returned decisions are
-    /// identical to sequential per-call costing.
+    /// input, in input order: exactly what [`PlanCoster::join_cost`] answers
+    /// for each, called in input order. The Selinger and bushy DPs submit
+    /// the uncached candidates of a level through this seam in batches of
+    /// about `BATCH_CANDIDATES`, so an implementation may share work
+    /// across the batch (the RAQO coster locks its cache shards once).
+    /// Every planner passes [`Parallelism::Off`].
     fn join_cost_many(
         &mut self,
         ios: &[JoinIo],
@@ -65,14 +64,17 @@ pub trait PlanCoster {
 
     /// Read by no planner: every DP level goes through
     /// [`PlanCoster::join_cost_many`]. Kept, with its default, only because
-    /// the benchmark harness's timing coster still overrides it.
+    /// the benchmark harness's timing coster still overrides it; so is
+    /// [`Parallelism`], a benchmark-only type with the one value `Off`.
     fn prefers_batch(&self) -> bool {
         false
     }
 }
 
-/// Most candidates a DP gathers before costing them, so the batch buffers
-/// stay small however wide a level of a large clique is.
+/// How many candidates a DP gathers before costing them, so the batch
+/// buffers stay small however wide a level of a large clique is. Selinger
+/// never exceeds it; the bushy DP closes a batch between subsets, so it
+/// ends at most one subset's splits past it.
 pub(crate) const BATCH_CANDIDATES: usize = 4096;
 
 /// Cost one batch of independent joins: two or more through
@@ -81,10 +83,9 @@ pub(crate) const BATCH_CANDIDATES: usize = 4096;
 pub(crate) fn cost_batch(
     coster: &mut dyn PlanCoster,
     ios: &[JoinIo],
-    parallelism: Parallelism,
 ) -> Vec<Option<JoinDecision>> {
     if ios.len() >= 2 {
-        coster.join_cost_many(ios, parallelism)
+        coster.join_cost_many(ios, Parallelism::Off)
     } else {
         ios.iter().map(|io| coster.join_cost(io)).collect()
     }

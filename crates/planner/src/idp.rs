@@ -29,7 +29,6 @@ use crate::coster::{cost_tree, PlanCoster, PlannedQuery};
 use crate::plan::PlanTree;
 use crate::selinger::{DpItem, SelingerError, SelingerPlanner, MAX_RELATIONS};
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec};
-use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
 
 /// Default IDP block size: each round's DP spans at most this many units.
@@ -64,7 +63,7 @@ struct Unit {
 pub struct IdpPlanner;
 
 impl IdpPlanner {
-    /// Plan `query` with iterative DP. Sequential, untraced.
+    /// Plan `query` with iterative DP, untraced.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -72,27 +71,16 @@ impl IdpPlanner {
         coster: &mut dyn PlanCoster,
         config: IdpConfig,
     ) -> Result<PlannedQuery, SelingerError> {
-        Self::plan_traced(
-            catalog,
-            graph,
-            query,
-            coster,
-            Parallelism::Off,
-            &Telemetry::disabled(),
-            config,
-        )
+        Self::plan_traced(catalog, graph, query, coster, &Telemetry::disabled(), config)
     }
 
-    /// [`IdpPlanner::plan`] with the performance levers and telemetry
-    /// exposed: `parallelism` batches each block-DP level, and the run is
-    /// traced as `planner.idp` with one `idp.round.<i>` span per collapse
-    /// round.
+    /// [`IdpPlanner::plan`] traced: the run is traced as `planner.idp` with
+    /// one `idp.round.<i>` span per collapse round.
     pub fn plan_traced(
         catalog: &Catalog,
         graph: &JoinGraph,
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
         tel: &Telemetry,
         config: IdpConfig,
     ) -> Result<PlannedQuery, SelingerError> {
@@ -132,7 +120,7 @@ impl IdpPlanner {
             // order — e.g. the planning budget ran out mid-round) fails
             // the whole query; the optimizer's degradation ladder takes
             // over from there.
-            let planned = SelingerPlanner::plan_items(&block_items, &est, coster, parallelism, tel)
+            let planned = SelingerPlanner::plan_items(&block_items, &est, coster, tel)
                 .ok_or(SelingerError::Infeasible)?;
 
             // Collapse the winning block plan into one compound unit,
@@ -150,8 +138,7 @@ impl IdpPlanner {
         let _round_span = tel.span_labeled("idp.round", round);
         tel.inc(Counter::IdpRounds);
         let items: Vec<DpItem> = units.into_iter().map(|u| u.item).collect();
-        SelingerPlanner::plan_items(&items, &est, coster, parallelism, tel)
-            .ok_or(SelingerError::Infeasible)
+        SelingerPlanner::plan_items(&items, &est, coster, tel).ok_or(SelingerError::Infeasible)
     }
 
     /// Pick the indices of the next DP block: anchor on the unit with the
@@ -224,6 +211,7 @@ mod tests {
     use raqo_catalog::tpch::TpchSchema;
     use raqo_catalog::RandomSchemaConfig;
     use raqo_cost::SimOracleCost;
+    use raqo_resource::Parallelism;
 
     #[test]
     fn block_at_least_n_is_exactly_exhaustive_dp() {
@@ -349,7 +337,7 @@ mod tests {
             }
         }
 
-        // A 24-relation bridged query with parallelism Off: every block DP
+        // A 24-relation bridged query: every block DP
         // level arrives through `join_cost_many`, with bit-identical plans
         // and the same total `getPlanCost` call count as a coster that
         // costs each batch through the trait's default.
@@ -410,7 +398,6 @@ mod tests {
             &schema.graph,
             &query,
             &mut coster,
-            Parallelism::Off,
             &tel,
             IdpConfig::default(),
         )

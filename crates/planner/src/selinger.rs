@@ -18,15 +18,13 @@
 //! The table is filled level by level, by subset size: a subset only reads
 //! subsets one relation smaller, so the candidate extensions of a level are
 //! independent. They are costed `BATCH_CANDIDATES` at a time through
-//! [`PlanCoster::join_cost_many`] (which costers may fan out over
-//! [`Parallelism`] worker threads) and folded into the table in generation
+//! [`PlanCoster::join_cost_many`] and folded into the table in generation
 //! order — masks ascending, item ascending — with keep-first tie-breaks.
 
 use crate::cardinality::{bits, CardinalityEstimator, JoinIo, SubsetSizes};
 use crate::coster::{cost_batch, cost_tree, PlanCoster, PlannedQuery, BATCH_CANDIDATES};
 use crate::plan::PlanTree;
 use raqo_catalog::{Catalog, JoinGraph, QuerySpec, TableId};
-use raqo_resource::Parallelism;
 use raqo_telemetry::{Counter, Telemetry};
 use std::fmt;
 
@@ -100,7 +98,7 @@ pub struct SelingerPlanner;
 impl SelingerPlanner {
     /// Find the cheapest left-deep join order for `query`, costing every
     /// candidate sub-plan through `coster` (which is where RAQO's resource
-    /// planning hooks in). No thread parallelism or telemetry.
+    /// planning hooks in). No telemetry.
     pub fn plan(
         catalog: &Catalog,
         graph: &JoinGraph,
@@ -108,21 +106,17 @@ impl SelingerPlanner {
         coster: &mut dyn PlanCoster,
     ) -> Result<PlannedQuery, SelingerError> {
         let tel = Telemetry::disabled();
-        Self::plan_traced(catalog, graph, query, coster, Parallelism::Off, &tel)
+        Self::plan_traced(catalog, graph, query, coster, &tel)
     }
 
-    /// [`SelingerPlanner::plan`] with every lever: `parallelism` is handed
-    /// to [`PlanCoster::join_cost_many`] with each batch, and `tel` records
-    /// a span around the fill, one per level and one around the final
-    /// re-cost, and counts the levels. The plan is the same under every
-    /// setting as long as the coster is deterministic in the join's IO
-    /// characteristics.
+    /// [`SelingerPlanner::plan`] traced: `tel` records a span around the
+    /// fill, one per level and one around the final re-cost, and counts the
+    /// levels.
     pub fn plan_traced(
         catalog: &Catalog,
         graph: &JoinGraph,
         query: &QuerySpec,
         coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
         tel: &Telemetry,
     ) -> Result<PlannedQuery, SelingerError> {
         let rels = &query.relations;
@@ -135,8 +129,7 @@ impl SelingerPlanner {
         }
         let est = CardinalityEstimator::new(catalog, graph);
         let items: Vec<DpItem> = rels.iter().copied().map(DpItem::leaf).collect();
-        Self::plan_items(&items, &est, coster, parallelism, tel)
-            .ok_or(SelingerError::Infeasible)
+        Self::plan_items(&items, &est, coster, tel).ok_or(SelingerError::Infeasible)
     }
 
     /// Run the DP over arbitrary items (leaves for a plain query, compound
@@ -146,7 +139,6 @@ impl SelingerPlanner {
         items: &[DpItem],
         est: &CardinalityEstimator<'_>,
         coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
         tel: &Telemetry,
     ) -> Option<PlannedQuery> {
         let n = items.len();
@@ -167,7 +159,7 @@ impl SelingerPlanner {
                 let _dp_span = tel.span("selinger.dp");
                 // Cross products admitted: every item joins every subset.
                 let adj = if allow_cross { vec![u64::MAX; n] } else { adjacency.clone() };
-                Dp::new(items, &mut sizes, adj, coster, parallelism, tel).solve()?
+                Dp::new(items, &mut sizes, adj, coster, tel).solve()?
             };
             // Re-cost the final tree so the returned decisions are exactly
             // the winning plan's (the DP only kept scalar costs). For
@@ -199,7 +191,6 @@ struct Dp<'a> {
     items: &'a [DpItem],
     sizes: &'a mut SubsetSizes,
     coster: &'a mut dyn PlanCoster,
-    parallelism: Parallelism,
     tel: &'a Telemetry,
     /// `adj[i]` has bit j set when a join edge links a relation of item i
     /// to a relation of item j; all ones when cross products are admitted.
@@ -214,7 +205,6 @@ impl<'a> Dp<'a> {
         sizes: &'a mut SubsetSizes,
         adj: Vec<u64>,
         coster: &'a mut dyn PlanCoster,
-        parallelism: Parallelism,
         tel: &'a Telemetry,
     ) -> Self {
         let n = items.len();
@@ -222,7 +212,7 @@ impl<'a> Dp<'a> {
         for i in 0..n {
             dp[1 << i] = (0.0, i as u8 + 1);
         }
-        Dp { items, sizes, coster, parallelism, tel, adj, dp }
+        Dp { items, sizes, coster, tel, adj, dp }
     }
 
     /// Cost `cands` and fold them into the table in order, keeping the
@@ -230,7 +220,7 @@ impl<'a> Dp<'a> {
     fn flush(&mut self, cands: &mut Vec<(u64, usize)>) {
         let ios: Vec<JoinIo> =
             cands.iter().map(|&(rest, i)| self.sizes.join_io(rest, 1 << i)).collect();
-        let results = cost_batch(&mut *self.coster, &ios, self.parallelism);
+        let results = cost_batch(&mut *self.coster, &ios);
         for (&(rest, i), decision) in cands.iter().zip(results) {
             let Some(decision) = decision else { continue };
             let cost = self.dp[rest as usize].0 + decision.cost;
@@ -301,17 +291,7 @@ mod tests {
     use raqo_catalog::tpch::{table, TpchSchema};
     use raqo_catalog::{RandomSchema, RandomSchemaConfig};
     use raqo_cost::SimOracleCost;
-
-    fn plan_par(
-        schema: &TpchSchema,
-        query: &QuerySpec,
-        coster: &mut dyn PlanCoster,
-        parallelism: Parallelism,
-    ) -> Result<PlannedQuery, SelingerError> {
-        let tel = Telemetry::disabled();
-        let (catalog, graph) = (&schema.catalog, &schema.graph);
-        SelingerPlanner::plan_traced(catalog, graph, query, coster, parallelism, &tel)
-    }
+    use raqo_resource::Parallelism;
 
     /// Exhaustive left-deep search (no cross-product pruning) for
     /// cross-checking DP optimality on small queries.
@@ -501,32 +481,26 @@ mod tests {
         assert_eq!(p1.tree, p2.tree);
     }
 
-    /// The level fill produces bit-identical plans to the one-candidate-at-
-    /// a-time oracle for every `Parallelism` mode, costing the same
-    /// candidates.
+    /// The level fill, traced, gives the one-candidate-at-a-time oracle's
+    /// plan bit for bit, costing the same candidates: the batch seam skips
+    /// and duplicates nothing.
     #[test]
-    fn parallel_levels_match_sequential_for_every_mode() {
+    fn levels_match_the_one_candidate_at_a_time_oracle() {
         let schema = TpchSchema::new(1.0);
         let model = SimOracleCost::hive();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         for query in [QuerySpec::tpch_q3(), QuerySpec::tpch_all(&schema)] {
             let mut seq_coster = FixedResourceCoster::new(&model, 10.0, 6.0);
             let seq = left_deep(&query.relations, &schema.graph, &est, &mut seq_coster).unwrap();
-            for par in [
-                Parallelism::Off,
-                Parallelism::Threads(2),
-                Parallelism::Threads(5),
-                Parallelism::Auto,
-            ] {
-                let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
-                let got = plan_par(&schema, &query, &mut coster, par).unwrap();
-                assert_eq!(seq.tree, got.tree, "{par:?}");
-                assert_eq!(seq.cost.to_bits(), got.cost.to_bits(), "{par:?}");
-                assert_eq!(seq.joins, got.joins, "{par:?}");
-                // Same candidates costed: the batch seam must not skip or
-                // duplicate work.
-                assert_eq!(seq_coster.calls, coster.calls, "{par:?}");
-            }
+            let mut coster = FixedResourceCoster::new(&model, 10.0, 6.0);
+            let (catalog, graph) = (&schema.catalog, &schema.graph);
+            let tel = Telemetry::enabled();
+            let got =
+                SelingerPlanner::plan_traced(catalog, graph, &query, &mut coster, &tel).unwrap();
+            assert_eq!(seq.tree, got.tree, "{}", query.name);
+            assert_eq!(seq.cost.to_bits(), got.cost.to_bits(), "{}", query.name);
+            assert_eq!(seq.joins, got.joins, "{}", query.name);
+            assert_eq!(seq_coster.calls, coster.calls, "{}", query.name);
         }
     }
 

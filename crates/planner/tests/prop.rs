@@ -10,7 +10,6 @@ use raqo_planner::{
     cost_tree, CardinalityEstimator, IdpConfig, IdpPlanner, PlanCoster, PlanTree,
     PlannedQuery, RandomizedConfig, RandomizedPlanner, SelingerPlanner,
 };
-use raqo_resource::Parallelism;
 use raqo_telemetry::Telemetry;
 
 mod oracle;
@@ -227,37 +226,27 @@ proptest! {
         }
     }
 
-    /// Selinger's level fill — for every `Parallelism` mode — plans what
-    /// the one-candidate-at-a-time oracle plans on arbitrary random
-    /// schemas, costing the same candidates.
+    /// Selinger's level fill plans what the one-candidate-at-a-time oracle
+    /// plans on arbitrary random schemas, costing the same candidates.
     #[test]
-    fn selinger_modes_agree(seed in 0u64..40, k in 2usize..8) {
+    fn selinger_agrees_with_the_oracle(seed in 0u64..40, k in 2usize..8) {
         let schema = RandomSchemaConfig::with_tables(10, seed).generate();
         let q = QuerySpec::random_connected(&schema.catalog, &schema.graph, k, seed);
         let model = SimOracleCost::hive();
         let est = CardinalityEstimator::new(&schema.catalog, &schema.graph);
         let mut c0 = FixedResourceCoster::new(&model, 10.0, 6.0);
         let base = oracle::left_deep(&q.relations, &schema.graph, &est, &mut c0);
-        for par in [Parallelism::Off, Parallelism::Threads(3), Parallelism::Auto] {
-            let mut c = FixedResourceCoster::new(&model, 10.0, 6.0);
-            let got = SelingerPlanner::plan_traced(
-                &schema.catalog,
-                &schema.graph,
-                &q,
-                &mut c,
-                par,
-                &Telemetry::disabled(),
-            );
-            match (&base, &got) {
-                (Some(b), Ok(g)) => {
-                    prop_assert_eq!(&b.tree, &g.tree);
-                    prop_assert_eq!(b.cost.to_bits(), g.cost.to_bits());
-                    prop_assert_eq!(&b.joins, &g.joins);
-                    prop_assert_eq!(c0.calls, c.calls);
-                }
-                (None, Err(_)) => {}
-                _ => prop_assert!(false, "planner and oracle disagree on feasibility"),
+        let mut c = FixedResourceCoster::new(&model, 10.0, 6.0);
+        let got = SelingerPlanner::plan(&schema.catalog, &schema.graph, &q, &mut c);
+        match (&base, &got) {
+            (Some(b), Ok(g)) => {
+                prop_assert_eq!(&b.tree, &g.tree);
+                prop_assert_eq!(b.cost.to_bits(), g.cost.to_bits());
+                prop_assert_eq!(&b.joins, &g.joins);
+                prop_assert_eq!(c0.calls, c.calls);
             }
+            (None, Err(_)) => {}
+            _ => prop_assert!(false, "planner and oracle disagree on feasibility"),
         }
     }
 

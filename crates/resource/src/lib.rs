@@ -43,42 +43,13 @@ pub use planner::{
 };
 pub use sharded::{PairGuard, ShardedCacheBank};
 
-/// How many threads may cost one batch of independent joins (a DP level's
-/// candidates, see `PlanCoster::join_cost_many` in `raqo-planner`). It
-/// changes how fast a plan is found, never which plan: every resource
-/// search runs on one thread whatever the setting.
+/// The one value `PlanCoster::join_cost_many` (in `raqo-planner`) takes:
+/// every batch is costed on the calling thread. It carries nothing, and is
+/// kept only because the benchmark harness's timing coster names it in its
+/// `join_cost_many` override; it goes with `PlanCoster::prefers_batch`
+/// when that harness is rebuilt (ROADMAP item 1(f)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Strictly sequential: every join is costed on the calling thread.
+    /// Every join is costed on the calling thread.
     Off,
-    /// Exactly `n` worker threads (clamped to at least 1).
-    Threads(usize),
-    /// One worker per available hardware thread.
-    Auto,
-}
-
-impl Parallelism {
-    /// Resolved worker count (≥ 1).
-    pub fn workers(self) -> usize {
-        match self {
-            Parallelism::Off => 1,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallelism_workers_resolve() {
-        assert_eq!(Parallelism::Off.workers(), 1);
-        assert_eq!(Parallelism::Threads(0).workers(), 1);
-        assert_eq!(Parallelism::Threads(6).workers(), 6);
-        assert!(Parallelism::Auto.workers() >= 1);
-    }
 }

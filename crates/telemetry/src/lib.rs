@@ -36,6 +36,5 @@ pub use span::{
     aggregate_spans, render_span_tree, Span, SpanRecord, Stopwatch, Telemetry, MAX_SPANS,
 };
 pub use trace::{
-    CompletedTrace, ScopeGuard, TraceConfig, TraceContext, TraceFlags, TraceGuard, TraceScope,
-    DEFAULT_TRACE_SPAN_CAP,
+    CompletedTrace, TraceConfig, TraceContext, TraceFlags, TraceGuard, DEFAULT_TRACE_SPAN_CAP,
 };

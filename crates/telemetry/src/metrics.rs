@@ -44,9 +44,6 @@ pub enum Counter {
     RuleDispatches,
     /// Spans discarded because the span store hit its cap.
     SpansDropped,
-    /// Planner/coster worker threads that panicked and were recovered by
-    /// the sequential fallback.
-    WorkerPanics,
     /// Non-finite or negative model outputs mapped to "infeasible" at the
     /// scalar cost boundary.
     CostSanitizationsScalar,
@@ -146,7 +143,7 @@ pub enum Counter {
 pub const SHARD_LABEL_BUCKETS: usize = 8;
 
 impl Counter {
-    pub const ALL: [Counter; 53] = [
+    pub const ALL: [Counter; 52] = [
         Counter::PlanCostCalls,
         Counter::ResourceIterations,
         Counter::CacheHitsExact,
@@ -162,7 +159,6 @@ impl Counter {
         Counter::IdpRounds,
         Counter::RuleDispatches,
         Counter::SpansDropped,
-        Counter::WorkerPanics,
         Counter::CostSanitizationsScalar,
         Counter::CostSanitizationsBatch,
         Counter::DegradationsIdpBridge,
@@ -237,7 +233,6 @@ impl Counter {
             Counter::IdpRounds => "raqo_idp_rounds_total",
             Counter::RuleDispatches => "raqo_rule_dispatches_total",
             Counter::SpansDropped => "raqo_spans_dropped_total",
-            Counter::WorkerPanics => "raqo_worker_panics_total",
             Counter::CostSanitizationsScalar => "raqo_cost_sanitizations_total{site=\"scalar\"}",
             Counter::CostSanitizationsBatch => "raqo_cost_sanitizations_total{site=\"batch\"}",
             Counter::DegradationsIdpBridge => "raqo_degradations_total{rung=\"idp_bridge\"}",
@@ -305,7 +300,6 @@ impl Counter {
             Counter::IdpRounds => "IDP collapse rounds (block DP + merge)",
             Counter::RuleDispatches => "rule-based decision-tree join dispatches",
             Counter::SpansDropped => "spans dropped at the span-store cap",
-            Counter::WorkerPanics => "worker-thread panics recovered by sequential fallback",
             Counter::CostSanitizationsScalar | Counter::CostSanitizationsBatch => {
                 "cost-model outputs sanitized to infeasible at the boundary"
             }

@@ -11,9 +11,7 @@
 //! clock reads, no locks, no allocation.
 
 use crate::metrics::MetricsRegistry;
-use crate::trace::{
-    self, CompletedTrace, Pipeline, ScopeGuard, TraceConfig, TraceContext, TraceFlags, TraceScope,
-};
+use crate::trace::{self, CompletedTrace, Pipeline, TraceConfig, TraceContext, TraceFlags};
 use crate::Counter;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,9 +145,9 @@ impl Telemetry {
         self.add(c, 1);
     }
 
-    /// Increment a counter by `n`. Counters that signal trouble (worker
-    /// panics, cost sanitizations, degradation rungs) also flag the
-    /// thread's current trace so tail sampling retains it.
+    /// Increment a counter by `n`. Counters that signal trouble (cost
+    /// sanitizations, degradation rungs) also flag the thread's current
+    /// trace so tail sampling retains it.
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
         if let Some(inner) = &self.inner {
@@ -234,45 +232,12 @@ impl Telemetry {
         }
     }
 
-    /// Capture the current thread's trace position (trace + innermost
-    /// open span) as a `Copy` token that can be carried into a spawned
-    /// worker and entered there, so the worker's spans parent under the
-    /// capturing thread's span instead of becoming orphan roots.
-    pub fn current_scope(&self) -> TraceScope {
-        let Some(inner) = &self.inner else {
-            return TraceScope::inert();
-        };
-        let (tid, key) = CURRENT_TRACE.with(|c| c.get());
-        let key = if tid == inner.id { key } else { 0 };
-        let parent = SPAN_STACK.with(|s| {
-            s.borrow()
-                .last()
-                .filter(|(id, k, _)| *id == inner.id && *k == key)
-                .map(|(_, _, seq)| *seq)
-        });
-        TraceScope::active(inner.id, key, parent)
-    }
-
-    /// Enter a scope captured by [`Telemetry::current_scope`] on another
-    /// thread. Spans opened while the guard lives record into the scope's
-    /// trace, parented under the captured span.
-    pub fn enter_scope(&self, scope: TraceScope) -> ScopeGuard {
-        if self.inner.is_none() {
-            return ScopeGuard::inert();
-        }
-        ScopeGuard::enter(scope)
-    }
-
     pub(crate) fn set_current_trace(tid: u64, key: u64) -> (u64, u64) {
         CURRENT_TRACE.with(|c| c.replace((tid, key)))
     }
 
     pub(crate) fn restore_current_trace(prev: (u64, u64)) {
         CURRENT_TRACE.with(|c| c.set(prev));
-    }
-
-    pub(crate) fn push_stack_entry(tid: u64, key: u64, seq: u32) {
-        SPAN_STACK.with(|s| s.borrow_mut().push((tid, key, seq)));
     }
 
     pub(crate) fn pop_stack_entry(tid: u64, key: u64, seq: u32) {
@@ -548,8 +513,7 @@ mod tests {
         let spans = tel.spans();
         let worker = spans.iter().find(|s| s.name == "worker").unwrap();
         // The worker thread's stack is empty, so its span is a root — it
-        // never parents at a span of another thread (unless a TraceScope
-        // is explicitly entered there).
+        // never parents at a span of another thread.
         assert_eq!(worker.parent, None);
     }
 

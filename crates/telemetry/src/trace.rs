@@ -5,7 +5,6 @@
 //! a bounded ring of [`SpanRecord`]s plus string attributes (tenant
 //! namespace, priority class, …) and a deterministic 128-bit trace id.
 //! Spans opened by a thread that has [`TraceContext::enter`]ed the trace
-//! — or a worker that entered a [`TraceScope`] captured before spawn —
 //! record into that ring and parent under the ticket root instead of the
 //! thread-local ambient stack.
 //!
@@ -16,10 +15,10 @@
 //!   against `head_rate` — deterministic and reproducible for a given
 //!   seed, no RNG state.
 //! * **Tail**: traces flagged [`TraceFlags::DEGRADED`],
-//!   [`TraceFlags::PANIC`], [`TraceFlags::BUDGET_EXHAUSTED`], or
-//!   [`TraceFlags::COST_SANITIZED`] are *always* retained, regardless of
-//!   the head decision. Flags are raised automatically when the
-//!   corresponding counters fire on a thread inside the trace.
+//!   [`TraceFlags::BUDGET_EXHAUSTED`], or [`TraceFlags::COST_SANITIZED`]
+//!   are *always* retained, regardless of the head decision. Flags are
+//!   raised automatically when the corresponding counters fire on the
+//!   thread that entered the trace.
 //!
 //! Retained traces land in a completed-trace ring bounded by total span
 //! count; when it overflows, the oldest *unflagged* traces are evicted
@@ -48,8 +47,6 @@ impl TraceFlags {
     /// A degradation rung fired (IDP bridge, reduced randomized, rule-based,
     /// or a bushy search cut short by its budget: memo cut).
     pub const DEGRADED: TraceFlags = TraceFlags(1);
-    /// A planning worker panicked and was recovered.
-    pub const PANIC: TraceFlags = TraceFlags(2);
     /// A planning budget (deadline or eval cap) was exhausted.
     pub const BUDGET_EXHAUSTED: TraceFlags = TraceFlags(4);
     /// A non-finite/negative cost-model output was sanitized.
@@ -75,7 +72,6 @@ impl TraceFlags {
 /// worthy.
 pub(crate) fn auto_flag(c: Counter) -> TraceFlags {
     match c {
-        Counter::WorkerPanics => TraceFlags::PANIC,
         Counter::CostSanitizationsScalar | Counter::CostSanitizationsBatch => {
             TraceFlags::COST_SANITIZED
         }
@@ -424,68 +420,6 @@ pub struct TraceGuard {
 impl Drop for TraceGuard {
     fn drop(&mut self) {
         if let Some(prev) = self.prev.take() {
-            Telemetry::restore_current_trace(prev);
-        }
-    }
-}
-
-/// A `Copy` token capturing a thread's trace + innermost open span, for
-/// carrying span parentage across a thread spawn.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceScope {
-    tel_id: u64,
-    key: u64,
-    parent: Option<u32>,
-    active: bool,
-}
-
-impl TraceScope {
-    /// A scope that changes nothing when entered.
-    pub const fn inert() -> Self {
-        TraceScope { tel_id: 0, key: 0, parent: None, active: false }
-    }
-
-    pub(crate) fn active(tel_id: u64, key: u64, parent: Option<u32>) -> Self {
-        TraceScope { tel_id, key, parent, active: true }
-    }
-}
-
-/// What an entered scope undoes on drop: the telemetry id, trace key and
-/// pushed parent span of the scope, and the trace that was current before.
-type EnteredScope = (u64, u64, Option<u32>, (u64, u64));
-
-/// RAII guard from [`Telemetry::enter_scope`]. Not `Send`.
-pub struct ScopeGuard {
-    state: Option<EnteredScope>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl ScopeGuard {
-    pub(crate) fn inert() -> Self {
-        ScopeGuard { state: None, _not_send: PhantomData }
-    }
-
-    pub(crate) fn enter(scope: TraceScope) -> Self {
-        if !scope.active {
-            return ScopeGuard::inert();
-        }
-        let prev = Telemetry::set_current_trace(scope.tel_id, scope.key);
-        if let Some(seq) = scope.parent {
-            Telemetry::push_stack_entry(scope.tel_id, scope.key, seq);
-        }
-        ScopeGuard {
-            state: Some((scope.tel_id, scope.key, scope.parent, prev)),
-            _not_send: PhantomData,
-        }
-    }
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if let Some((tid, key, parent, prev)) = self.state.take() {
-            if let Some(seq) = parent {
-                Telemetry::pop_stack_entry(tid, key, seq);
-            }
             Telemetry::restore_current_trace(prev);
         }
     }

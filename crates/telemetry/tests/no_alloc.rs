@@ -63,15 +63,13 @@ fn disabled_telemetry_does_not_allocate() {
         tel.gauge_add(Gauge::ServiceQueueDepth, 1);
         tel.gauge_set(Gauge::ServiceQueueDepth, 0);
         // The trace pipeline must be equally free when disabled: inert
-        // contexts, no-op flags, and inert cross-thread scope tokens.
+        // contexts and no-op flags.
         let trace = tel.start_trace("plan.ticket");
         trace.attr("tenant.namespace", i);
         trace.flag(TraceFlags::DEGRADED);
         {
             let _in_trace = trace.enter();
             tel.flag_current_trace(TraceFlags::BUDGET_EXHAUSTED);
-            let token = tel.current_scope();
-            let _in_scope = tel.enter_scope(token);
         }
         trace.finish();
     }

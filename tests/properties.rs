@@ -242,19 +242,22 @@ proptest! {
         prop_assert_eq!(out.iterations, seq.iterations);
     }
 
-    /// A thread count never changes what a batch of joins costs: on random
-    /// batches, the decisions and counters of `join_cost_many` on any
-    /// number of threads are those of the single-thread run, under
-    /// exhaustive and hill-climbing resource planning.
+    /// A batch is one call at a time: on random batches, `join_cost_many`
+    /// on one fresh coster answers, bit for bit and counter for counter,
+    /// what `join_cost` answers for each join in turn on another, under
+    /// exhaustive, hill-climbing and cached resource planning. Each join
+    /// comes twice, so the cached strategies answer the second half from a
+    /// cache warmed in call order.
     #[test]
-    fn a_thread_count_never_changes_a_join_cost_batch(
-        sizes in proptest::collection::vec((0.05f64..40.0, 1.0f64..200.0), 0..10),
-        threads in 1usize..9,
+    fn a_join_cost_batch_answers_as_one_call_at_a_time(
+        sizes in proptest::collection::vec((0.05f64..40.0, 1.0f64..200.0), 0..8),
     ) {
-        use raqo::core::{Parallelism, RaqoCoster};
-        use raqo::planner::{JoinIo, PlanCoster};
+        use raqo::core::RaqoCoster;
+        use raqo::planner::{JoinDecision, JoinIo, PlanCoster};
+        use raqo::resource::Parallelism;
         let ios: Vec<JoinIo> = sizes
             .iter()
+            .chain(&sizes)
             .map(|&(build, probe)| JoinIo {
                 build_gb: build,
                 probe_gb: probe,
@@ -262,18 +265,32 @@ proptest! {
                 out_rows: 1e6,
             })
             .collect();
+        let bits = |d: &Option<JoinDecision>| {
+            d.map(|d| {
+                let o = d.objectives;
+                let r = d.resources.map(|(nc, cs)| (nc.to_bits(), cs.to_bits()));
+                let costs = [d.cost, o.time_sec, o.money_tb_sec].map(f64::to_bits);
+                (d.join, costs, r, d.cores.map(f64::to_bits))
+            })
+        };
         let model = JoinCostModel::trained_hive();
         let small = ClusterConditions::two_dim(1.0..=12.0, 1.0..=4.0, 1.0, 1.0);
+        let paper = ClusterConditions::paper_default();
+        let nearest = CacheLookup::NearestNeighbor { threshold: 2.0 };
         for (strategy, cluster) in [
             (ResourceStrategy::BruteForce, small),
-            (ResourceStrategy::HillClimb, ClusterConditions::paper_default()),
+            (ResourceStrategy::HillClimb, paper),
+            (ResourceStrategy::HillClimbCached(CacheLookup::Exact), paper),
+            (ResourceStrategy::HillClimbCached(nearest), paper),
         ] {
-            let run = |parallelism| {
-                let mut c = RaqoCoster::new(&model, cluster, strategy, Objective::Time);
-                let decisions = c.join_cost_many(&ios, parallelism);
-                (decisions, c.stats)
-            };
-            prop_assert_eq!(run(Parallelism::Threads(threads)), run(Parallelism::Off));
+            let coster = || RaqoCoster::new(&model, cluster, strategy, Objective::Time);
+            let mut batch = coster();
+            let batched = batch.join_cost_many(&ios, Parallelism::Off);
+            let batched: Vec<_> = batched.iter().map(bits).collect();
+            let mut single = coster();
+            let one_by_one: Vec<_> = ios.iter().map(|io| bits(&single.join_cost(io))).collect();
+            prop_assert_eq!(batched, one_by_one, "{:?}", strategy);
+            prop_assert_eq!(batch.stats, single.stats, "{:?}", strategy);
         }
     }
 

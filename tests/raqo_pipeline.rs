@@ -201,14 +201,12 @@ fn rule_based_raqo_plugs_into_the_planner() {
     }
 }
 
-/// A thread count changes how fast a plan is found, never which plan:
-/// every planner under every resource strategy returns the same join tree,
-/// the same cost bits and the same counters with `Parallelism` off or on
-/// two or five threads, on TPC-H and on random ten-relation queries.
+/// Planning is a pure function of its inputs: two fresh optimizers give
+/// the same join tree, the same cost bits and the same counters for every
+/// planner under every resource strategy, on TPC-H and on random
+/// ten-relation queries.
 #[test]
-fn a_thread_count_never_changes_a_plan() {
-    use raqo::core::Parallelism;
-
+fn every_planner_and_strategy_plans_alike_on_fresh_optimizers() {
     let model = JoinCostModel::trained_hive();
     let tpch = TpchSchema::new(1.0);
     let randoms: Vec<_> = (1..=4)
@@ -241,20 +239,16 @@ fn a_thread_count_never_changes_a_plan() {
     for (catalog, graph, query) in &cases {
         for planner in &planners {
             for (strategy, cluster) in strategies {
-                let plan = |parallelism| {
+                let plan = || {
                     RaqoOptimizer::new(*catalog, *graph, &model, cluster, planner.clone(), strategy)
-                        .with_parallelism(parallelism)
                         .optimize(query)
                         .expect("plan")
                 };
-                let off = plan(Parallelism::Off);
-                for parallelism in [Parallelism::Threads(2), Parallelism::Threads(5)] {
-                    let on = plan(parallelism);
-                    let what = format!("{} {planner:?} {strategy:?} {parallelism:?}", query.name);
-                    assert_eq!(on.query.tree, off.query.tree, "{what}");
-                    assert_eq!(on.query.cost.to_bits(), off.query.cost.to_bits(), "{what}");
-                    assert_eq!(on.stats, off.stats, "{what}");
-                }
+                let (first, second) = (plan(), plan());
+                let what = format!("{} {planner:?} {strategy:?}", query.name);
+                assert_eq!(second.query.tree, first.query.tree, "{what}");
+                assert_eq!(second.query.cost.to_bits(), first.query.cost.to_bits(), "{what}");
+                assert_eq!(second.stats, first.stats, "{what}");
             }
         }
     }

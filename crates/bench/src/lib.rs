@@ -10,10 +10,8 @@
 //! the *shapes* (who wins, where crossovers fall, relative overheads) are
 //! the reproduction targets. See `EXPERIMENTS.md` for paper-vs-measured.
 
-pub mod bushy;
 pub mod experiments;
 pub mod report;
-pub mod stress;
 pub mod throughput;
 
 pub use report::{Cell, Table};

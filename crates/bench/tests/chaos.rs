@@ -66,22 +66,25 @@ fn injected_nan_is_sanitized_and_the_query_still_plans() {
     let _guard = FaultGuard::new();
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
+    let query = QuerySpec::tpch_all(&schema);
 
     // Poison one scalar and one batch model evaluation mid-search.
-    raqo_faults::arm(Fault::at("cost.model.scalar", FaultKind::Nan, 7));
-    raqo_faults::arm(Fault::at("cost.model.batch", FaultKind::Nan, 2));
+    for (scalar_hit, batch_hit) in [(7, 2), (5, 5)] {
+        raqo_faults::arm(Fault::at("cost.model.scalar", FaultKind::Nan, scalar_hit));
+        raqo_faults::arm(Fault::at("cost.model.batch", FaultKind::Nan, batch_hit));
 
-    let tel = Telemetry::enabled();
-    let query = QuerySpec::tpch_all(&schema);
-    let mut opt = optimizer(&schema, &model, ResourceStrategy::HillClimb);
-    opt.set_telemetry(tel.clone());
-    let plan = opt.optimize(&query).expect("NaN injection must not kill planning");
-    assert_valid(&plan, &query);
+        let tel = Telemetry::enabled();
+        let mut opt = optimizer(&schema, &model, ResourceStrategy::HillClimb);
+        opt.set_telemetry(tel.clone());
+        let plan = opt.optimize(&query).expect("NaN injection must not kill planning");
+        raqo_faults::disarm_all();
+        assert_valid(&plan, &query);
 
-    let snap = tel.snapshot().expect("enabled");
-    let sanitized =
-        snap.get(Counter::CostSanitizationsScalar) + snap.get(Counter::CostSanitizationsBatch);
-    assert!(sanitized >= 1, "injected NaN was not counted as sanitized");
+        let snap = tel.snapshot().expect("enabled");
+        let sanitized =
+            snap.get(Counter::CostSanitizationsScalar) + snap.get(Counter::CostSanitizationsBatch);
+        assert!(sanitized >= 1, "injected NaN ({scalar_hit}, {batch_hit}) was not counted");
+    }
 }
 
 #[test]
@@ -237,43 +240,127 @@ fn one_ms_deadline_with_faults_plans_every_sweep_query() {
     }
 }
 
+/// No budget and no fault: every sweep query plans undegraded, and the
+/// same twice.
 #[test]
 fn disarmed_probes_change_nothing() {
     let _serial = lock();
     let _guard = FaultGuard::new();
     let schema = TpchSchema::new(1.0);
     let model = JoinCostModel::trained_hive();
-    let query = QuerySpec::tpch_all(&schema);
 
     assert!(!raqo_faults::armed());
-    let a = optimizer(&schema, &model, ResourceStrategy::HillClimb)
-        .optimize(&query)
-        .expect("plan");
-    let b = optimizer(&schema, &model, ResourceStrategy::HillClimb)
-        .optimize(&query)
-        .expect("plan");
-    assert!(a.degradation.is_none() && b.degradation.is_none());
-    assert_eq!(a.query.tree, b.query.tree);
-    assert_eq!(a.query.cost.to_bits(), b.query.cost.to_bits());
+    for query in [
+        QuerySpec::tpch_q2(),
+        QuerySpec::tpch_q3(),
+        QuerySpec::tpch_q12(),
+        QuerySpec::tpch_all(&schema),
+    ] {
+        let a = optimizer(&schema, &model, ResourceStrategy::HillClimb)
+            .optimize(&query)
+            .expect("plan");
+        let b = optimizer(&schema, &model, ResourceStrategy::HillClimb)
+            .optimize(&query)
+            .expect("plan");
+        assert!(a.degradation.is_none() && b.degradation.is_none(), "{}", query.name);
+        assert_eq!(a.query.tree, b.query.tree, "{}", query.name);
+        assert_eq!(a.query.cost.to_bits(), b.query.cost.to_bits(), "{}", query.name);
+    }
 }
 
 #[test]
 fn corrupted_cache_file_is_quarantined_with_a_typed_error() {
     let _serial = lock();
-    let dir = std::env::temp_dir().join(format!("raqo-chaos-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("bank.json");
+    for seed in [1234, 42] {
+        let dir =
+            std::env::temp_dir().join(format!("raqo-chaos-test-{}-{seed}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("bank.json");
 
-    let bank = ShardedCacheBank::with_shards(1);
-    bank.checkpoint(&path).expect("checkpoint bank");
-    raqo_faults::corrupt_file(&path, 1234).expect("corrupt file");
+        let bank = ShardedCacheBank::with_shards(1);
+        bank.checkpoint(&path).expect("checkpoint bank");
+        raqo_faults::corrupt_file(&path, seed).expect("corrupt file");
 
-    let err = ShardedCacheBank::load(&path, 1, None).expect_err("corrupt load must fail");
-    assert!(err.is_corrupt(), "expected a corruption error, got: {err}");
-    assert!(!path.exists(), "corrupt file must be moved out of the way");
-    assert!(
-        dir.join("bank.json.corrupt").exists(),
-        "corrupt file must be preserved for forensics"
+        let err = ShardedCacheBank::load(&path, 1, None).expect_err("corrupt load must fail");
+        assert!(err.is_corrupt(), "seed {seed}: expected a corruption error, got: {err}");
+        assert!(!path.exists(), "seed {seed}: corrupt file must be moved out of the way");
+        assert!(
+            dir.join("bank.json.corrupt").exists(),
+            "seed {seed}: corrupt file must be preserved for forensics"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Under 1% head sampling, a planning service still retains the two
+/// tickets worth keeping — one that planned through an injected NaN
+/// (flagged `COST_SANITIZED`) and one whose zero eval budget degraded it
+/// (flagged `BUDGET_EXHAUSTED`) — while nearly all clean traffic samples
+/// out.
+#[test]
+fn flagged_service_tickets_survive_one_percent_head_sampling() {
+    use raqo_core::{PlanRequest, PlanningService, Priority, ServiceConfig};
+    use raqo_telemetry::TraceConfig;
+
+    static MODEL: std::sync::OnceLock<JoinCostModel> = std::sync::OnceLock::new();
+    let _serial = lock();
+    let _guard = FaultGuard::new();
+    let schema = TpchSchema::new(1.0);
+    let tel = Telemetry::with_trace_config(TraceConfig { head_rate: 0.01, seed: 7 });
+    let mut config = ServiceConfig { workers: 1, ..Default::default() };
+    config.budgets[Priority::Batch as usize] = PlanningBudget::with_max_evals(0);
+    let service = PlanningService::start(
+        config,
+        ShardedCacheBank::with_shards(8),
+        tel.clone(),
+        |_| {
+            RaqoOptimizer::new(
+                std::sync::Arc::new(schema.catalog.clone()),
+                std::sync::Arc::new(schema.graph.clone()),
+                MODEL.get_or_init(JoinCostModel::trained_hive),
+                ClusterConditions::paper_default(),
+                PlannerKind::Selinger,
+                ResourceStrategy::HillClimbCached(raqo_resource::CacheLookup::NearestNeighbor {
+                    threshold: 0.01,
+                }),
+            )
+        },
     );
-    let _ = std::fs::remove_dir_all(&dir);
+
+    raqo_faults::arm(Fault::at("cost.model.scalar", FaultKind::Nan, 5));
+    raqo_faults::arm(Fault::at("cost.model.batch", FaultKind::Nan, 5));
+    let sanitized =
+        service.submit(PlanRequest::new(QuerySpec::tpch_q3(), Priority::Interactive)).wait();
+    raqo_faults::disarm_all();
+    assert!(sanitized.plan.is_some(), "the faulted ticket must still plan");
+
+    let exhausted = service.submit(PlanRequest::new(QuerySpec::tpch_q12(), Priority::Batch)).wait();
+    let plan = exhausted.plan.as_ref().expect("the zero-budget ticket must still plan");
+    assert!(plan.degradation.is_some(), "a zero budget must degrade");
+
+    for i in 0..20u32 {
+        service
+            .submit(PlanRequest::new(QuerySpec::tpch_q3(), Priority::Standard).with_namespace(i))
+            .wait();
+    }
+    drop(service);
+
+    let completed = tel.completed_traces();
+    for (label, id, want) in [
+        ("sanitized", sanitized.trace_id, TraceFlags::COST_SANITIZED),
+        ("budget-exhausted", exhausted.trace_id, TraceFlags::BUDGET_EXHAUSTED),
+    ] {
+        let trace = completed
+            .iter()
+            .find(|t| t.trace_id == id)
+            .unwrap_or_else(|| panic!("{label} ticket not retained at a 1% head rate"));
+        assert!(trace.flags.contains(want), "{label} ticket retained but not flagged {want:?}");
+    }
+    let snap = tel.snapshot().expect("enabled");
+    assert_eq!(snap.get(Counter::TracesStarted), 22);
+    assert!(
+        snap.get(Counter::TracesSampledOut) >= 18,
+        "head sampling kept too much clean traffic ({} sampled out)",
+        snap.get(Counter::TracesSampledOut)
+    );
 }

@@ -43,30 +43,38 @@ fn schema() -> &'static TpchSchema {
     SCHEMA.get_or_init(|| TpchSchema::new(1.0))
 }
 
-fn build_optimizer(_worker: usize) -> RaqoOptimizer<'static, JoinCostModel> {
+fn build_optimizer(planner: &PlannerKind) -> RaqoOptimizer<'static, JoinCostModel> {
     let schema = schema();
     RaqoOptimizer::new(
         Arc::new(schema.catalog.clone()),
         Arc::new(schema.graph.clone()),
         model(),
         ClusterConditions::paper_default(),
-        PlannerKind::fast_randomized(7),
+        planner.clone(),
         ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.05 }),
     )
 }
 
-fn start_service(workers: usize, tel: &Telemetry) -> Arc<PlanningService> {
+fn start_service(workers: usize, tel: &Telemetry, planner: &PlannerKind) -> Arc<PlanningService> {
     Arc::new(PlanningService::start(
         ServiceConfig { workers, queue_capacity: 512, ..Default::default() },
         ShardedCacheBank::with_shards(8),
         tel.clone(),
-        build_optimizer,
+        |_| build_optimizer(planner),
     ))
 }
 
 fn start_stack(net: NetConfig, workers: usize) -> (PlanServer, Arc<PlanningService>, Telemetry) {
+    start_stack_planning(net, workers, &PlannerKind::fast_randomized(7))
+}
+
+fn start_stack_planning(
+    net: NetConfig,
+    workers: usize,
+    planner: &PlannerKind,
+) -> (PlanServer, Arc<PlanningService>, Telemetry) {
     let tel = Telemetry::enabled();
-    let service = start_service(workers, &tel);
+    let service = start_service(workers, &tel, planner);
     let server = PlanServer::bind("127.0.0.1:0", net, service.clone(), tel.clone())
         .expect("chaos: bind");
     (server, service, tel)
@@ -253,47 +261,56 @@ fn accept_and_write_resets_recover_and_replies_dedup_across_connections() {
 #[test]
 fn non_faulted_requests_bit_match_the_in_process_service() {
     let _serial = lock();
-    let _guard = FaultGuard::new();
-    let (server, service, tel) = start_stack(NetConfig::default(), 1);
-    let twin = start_service(1, &Telemetry::disabled());
-    let mut c = client(&server, Duration::from_millis(500), 3, &tel);
+    for planner in [PlannerKind::fast_randomized(7), PlannerKind::Selinger] {
+        let _guard = FaultGuard::new();
+        let (server, service, tel) = start_stack_planning(NetConfig::default(), 1, &planner);
+        let twin = start_service(1, &Telemetry::disabled(), &planner);
+        let mut c = client(&server, Duration::from_millis(500), 3, &tel);
 
-    let queries = [QuerySpec::tpch_q3(), QuerySpec::tpch_q12(), QuerySpec::tpch_q2()];
-    let mut wire_json: Vec<String> = Vec::new();
-    for i in 0..8usize {
-        if i == 4 {
-            // Mid-stream chaos: the next readable event — this request
-            // arriving — resets the connection. The client's retry is
-            // transparent, and because the reset lands before the request
-            // is read, each request still plans exactly once, in order —
-            // the twin comparison below stays 1:1.
-            raqo_faults::arm(Fault::once("net.read", FaultKind::Fail));
+        let queries = [QuerySpec::tpch_q3(), QuerySpec::tpch_q12(), QuerySpec::tpch_q2()];
+        let mut wire_json: Vec<String> = Vec::new();
+        for i in 0..8usize {
+            if i == 4 {
+                // Mid-stream chaos: the next readable event — this request
+                // arriving — resets the connection. The client's retry is
+                // transparent, and because the reset lands before the
+                // request is read, each request still plans exactly once,
+                // in order — the twin comparison below stays 1:1.
+                raqo_faults::arm(Fault::once("net.read", FaultKind::Fail));
+            }
+            let query = &queries[i % queries.len()];
+            let priority = Priority::ALL[i % Priority::ALL.len()];
+            let reply = c
+                .plan_with(query, priority, i as u32, 0)
+                .expect("chaos parity: wire reply");
+            assert!(reply.plan.is_some(), "{planner:?} request {i}: the summary did not decode");
+            wire_json.push(reply.plan_json);
         }
-        let query = &queries[i % queries.len()];
-        let priority = Priority::ALL[i % Priority::ALL.len()];
-        let reply = c
-            .plan_with(query, priority, i as u32, 0)
-            .expect("chaos parity: wire reply");
-        wire_json.push(reply.plan_json);
-    }
-    for (i, wire) in wire_json.iter().enumerate() {
-        let query = &queries[i % queries.len()];
-        let priority = Priority::ALL[i % Priority::ALL.len()];
-        let local = twin
-            .submit(PlanRequest::new(query.clone(), priority).with_namespace(i as u32))
-            .wait();
-        let local_json = serde_json::to_string(&local.plan).expect("twin serializes");
-        assert_eq!(
-            wire, &local_json,
-            "request {i}: wire plan diverged from the in-process answer under chaos"
+        let snap = tel.snapshot().expect("enabled");
+        assert!(
+            snap.get(Counter::NetClientRetries) >= 1,
+            "{planner:?}: the injected reset never forced a retry"
         );
-    }
+        for (i, wire) in wire_json.iter().enumerate() {
+            let query = &queries[i % queries.len()];
+            let priority = Priority::ALL[i % Priority::ALL.len()];
+            let local = twin
+                .submit(PlanRequest::new(query.clone(), priority).with_namespace(i as u32))
+                .wait();
+            let local_json = serde_json::to_string(&local.plan).expect("twin serializes");
+            assert_eq!(
+                wire, &local_json,
+                "{planner:?} request {i}: wire plan diverged from the in-process answer under chaos"
+            );
+        }
 
-    drop(c);
-    server.shutdown();
-    drop(service);
-    drop(twin);
-    assert_connections_balanced(&tel);
+        drop(c);
+        server.shutdown();
+        drop(service);
+        drop(twin);
+        assert_connections_balanced(&tel);
+    }
+    assert!(!raqo_faults::armed(), "a fault outlived its guard");
 }
 
 /// The deterministic soak: 300 mixed-priority requests over 12 client

@@ -1,7 +1,7 @@
 //! The `repro` command line: malformed arguments exit 2 with a usage line
-//! before any work starts, and an output path that cannot be written
-//! exits 1 naming the path — never a panic (exit 101), never a silently
-//! ignored flag, never a file named after the next flag.
+//! before any work starts, and a path or address that cannot be used
+//! exits 1 naming it — never a panic (exit 101), never a silently ignored
+//! flag, never a file named after the next flag.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -52,9 +52,10 @@ fn unknown_flags_are_rejected() {
         assert_rejected(&format!("{case}_quick"), &[flag, "--quick"], &unknown);
     }
     assert_rejected("bench_path", &["--smoke", "--bench-json", "b.json"], "unknown argument");
-    // So are the retired trace exports.
+    // So are the retired trace exports and the retired fault-injection gate.
     assert_rejected("otlp", &["--otlp", "x"], "unknown argument \"--otlp\"");
     assert_rejected("flight_dir", &["--flight-dir", "d"], "unknown argument \"--flight-dir\"");
+    assert_rejected("chaos", &["--chaos"], "unknown argument \"--chaos\"");
 }
 
 #[test]
@@ -79,6 +80,37 @@ fn an_unwritable_output_path_exits_1_naming_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Exits 1 with `args`' failure on stderr, naming `what` and the OS error
+/// (or the address parser's complaint), and writes nothing.
+fn assert_fails_naming(case: &str, args: &[&str], what: &str, error: &str) {
+    let dir = workdir(case);
+    let out = repro(&dir, args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(err.contains(what), "{args:?}: {err}");
+    assert!(err.contains(error), "{args:?}: {err}");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cache_file_that_is_a_directory_exits_1_naming_it() {
+    let dir = workdir("cache_dir_target");
+    let path = dir.to_str().unwrap();
+    assert_fails_naming("cache_dir", &["--cache-file", path], path, "os error");
+    assert!(dir.is_dir(), "the directory was moved or removed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An address with no port fails in the address parser, before any DNS
+/// lookup or socket.
+#[test]
+fn an_address_without_a_port_exits_1_naming_it() {
+    assert_fails_naming("serve_no_port", &["--serve", "no-port"], "no-port", "invalid socket address");
+    assert_fails_naming("client_no_port", &["--client", "no-port"], "no-port", "invalid socket address");
+}
+
 #[test]
 fn a_well_formed_quick_figure_writes_its_tables() {
     let dir = workdir("written");
@@ -96,6 +128,7 @@ fn metrics_writes_prometheus_text_to_the_named_file() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = std::fs::read_to_string(dir.join("m.prom")).unwrap();
     assert!(text.contains("# TYPE raqo_plan_cost_calls_total counter\n"), "{text}");
+    assert!(text.contains("raqo_plan_cost_latency_us_bucket"), "{text}");
     let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert_eq!(written.len(), 1, "{written:?}");
     std::fs::remove_dir_all(&dir).ok();
@@ -120,5 +153,23 @@ fn the_service_demo_answers_its_whole_burst() {
     assert_eq!(completed, admitted, "{summary}");
     assert_eq!(admitted + shed, 32, "{text}");
     assert!(admitted > 0 && shed > 0, "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--smoke` runs every registered figure at its tiny sizes and prints one
+/// `fig <id>  ok` line for each.
+#[test]
+fn smoke_runs_every_figure() {
+    let dir = workdir("smoke");
+    let out = repro(&dir, &["--smoke"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let ok: Vec<&str> = text.lines().filter(|l| l.starts_with("fig ")).collect();
+    let experiments = raqo_bench::experiments::registry();
+    assert_eq!(ok.len(), experiments.len(), "{text}");
+    for (line, e) in ok.iter().zip(&experiments) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(words[..3], ["fig", e.id, "ok"], "{text}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -945,10 +945,26 @@ mod tests {
         assert_eq!(a.stats, one.stats);
     }
 
+    /// Rebuild the planner counters from two metrics-registry snapshots
+    /// bracketing a run. Every site that bumps a [`RaqoStats`] field also
+    /// bumps the corresponding registry counter, so for any telemetry-
+    /// enabled run the stats equal this delta.
+    fn stats_from_registry_delta(
+        before: &raqo_telemetry::MetricsSnapshot,
+        after: &raqo_telemetry::MetricsSnapshot,
+    ) -> RaqoStats {
+        RaqoStats {
+            resource_iterations: after.delta(before, Counter::ResourceIterations),
+            plan_cost_calls: after.delta(before, Counter::PlanCostCalls),
+            cache_hits: after.delta(before, Counter::CacheHitsExact)
+                + after.delta(before, Counter::CacheHitsNearest)
+                + after.delta(before, Counter::CacheHitsWeighted),
+        }
+    }
+
     #[test]
     fn stats_match_registry_across_tpch_sweep() {
-        // The parity guarantee behind `RaqoStats::from_registry_delta`:
-        // every planner/strategy combination must leave the registry and
+        // Every planner/strategy combination must leave the registry and
         // the per-run stats in exact agreement.
         let schema = TpchSchema::new(1.0);
         let tel = Telemetry::enabled();
@@ -973,19 +989,109 @@ mod tests {
                 let after = tel.snapshot().unwrap();
                 assert_eq!(
                     plan.stats,
-                    RaqoStats::from_registry_delta(&before, &after),
+                    stats_from_registry_delta(&before, &after),
                     "stats diverged from registry for {planner:?}/{strategy:?}"
                 );
             }
         }
     }
 
+    /// The trained model, Selinger and the nearest-neighbour cache: the
+    /// configuration `repro --trace` and `--metrics` run.
+    fn traced_optimizer<'a>(
+        schema: &'a TpchSchema,
+        model: &'a raqo_cost::JoinCostModel,
+        tel: &Telemetry,
+    ) -> RaqoOptimizer<'a, raqo_cost::JoinCostModel> {
+        let mut opt = RaqoOptimizer::new(
+            &schema.catalog,
+            &schema.graph,
+            model,
+            ClusterConditions::paper_default(),
+            PlannerKind::Selinger,
+            ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.01 }),
+        );
+        opt.set_telemetry(tel.clone());
+        opt
+    }
+
+    /// One traced query's span tree covers every pipeline phase — planner,
+    /// DP, `getPlanCost`, cached resource planning, the cache lookup — and
+    /// the §V rule-based path dispatches through the same sink, counted.
     #[test]
-    fn zero_deadline_degrades_to_rule_based_and_still_plans() {
-        use std::time::Duration;
+    fn a_traced_query_spans_every_phase_and_counts_rule_dispatches() {
         let schema = TpchSchema::new(1.0);
-        let mut opt =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
+        let model = raqo_cost::JoinCostModel::trained_hive();
+        let tel = Telemetry::enabled();
+        let mut opt = traced_optimizer(&schema, &model, &tel);
+        let before = tel.snapshot().unwrap();
+        let plan = opt.optimize(&QuerySpec::tpch_q3()).expect("plan");
+        let after = tel.snapshot().unwrap();
+        assert_eq!(plan.stats, stats_from_registry_delta(&before, &after));
+
+        let tree = train_raqo_tree(&Engine::hive(), &ProfileGrid::paper_default());
+        let mut rule_coster =
+            RuleBasedCoster::new(&tree, &model, 10.0, 4.0).with_telemetry(tel.clone());
+        SelingerPlanner::plan(&schema.catalog, &schema.graph, &QuerySpec::tpch_q3(), &mut rule_coster)
+            .expect("rule-based plan");
+        let span_tree = tel.span_tree_text();
+        for phase in [
+            "optimize",
+            "planner.selinger",
+            "selinger.dp",
+            "selinger.final_cost",
+            "plan_cost",
+            "resource_planning.cached",
+            "cache.lookup.nearest",
+            "rule.dispatch",
+        ] {
+            assert!(span_tree.contains(phase), "span tree missing phase {phase}:\n{span_tree}");
+        }
+        assert!(tel.snapshot().unwrap().get(Counter::RuleDispatches) > 0);
+    }
+
+    /// Tracing observes a plan and never changes it: the same tree and the
+    /// same cost bits with telemetry on as with it off.
+    #[test]
+    fn telemetry_on_plans_what_telemetry_off_plans() {
+        let schema = TpchSchema::new(1.0);
+        let model = raqo_cost::JoinCostModel::trained_hive();
+        for query in [
+            QuerySpec::tpch_q2(),
+            QuerySpec::tpch_q3(),
+            QuerySpec::tpch_q12(),
+            QuerySpec::tpch_all(&schema),
+        ] {
+            let on = traced_optimizer(&schema, &model, &Telemetry::enabled())
+                .optimize(&query)
+                .expect("plan");
+            let off = traced_optimizer(&schema, &model, &Telemetry::disabled())
+                .optimize(&query)
+                .expect("plan");
+            assert_eq!(on.query.tree, off.query.tree, "{}", query.name);
+            assert_eq!(on.query.cost.to_bits(), off.query.cost.to_bits(), "{}", query.name);
+        }
+    }
+
+    /// Brute-force Selinger on TPC-H, under the oracle (`M =
+    /// SimOracleCost`) and under the trained model: the ladder tests run
+    /// each budget against both.
+    fn brute_force_selinger<'a, M: OperatorCost>(
+        schema: &'a TpchSchema,
+        model: &'a M,
+    ) -> RaqoOptimizer<'a, M> {
+        RaqoOptimizer::new(
+            &schema.catalog,
+            &schema.graph,
+            model,
+            ClusterConditions::paper_default(),
+            PlannerKind::Selinger,
+            ResourceStrategy::BruteForce,
+        )
+    }
+
+    fn assert_zero_deadline_lands_on_rule_based<M: OperatorCost>(mut opt: RaqoOptimizer<'_, M>) {
+        use std::time::Duration;
         opt.set_budget(PlanningBudget::with_deadline(Duration::ZERO));
         for query in [QuerySpec::tpch_q2(), QuerySpec::tpch_q3(), QuerySpec::tpch_q12()] {
             let plan = opt.optimize(&query).expect("ladder must always produce a plan");
@@ -1002,10 +1108,16 @@ mod tests {
     }
 
     #[test]
-    fn tight_eval_budget_degrades_to_randomized() {
+    fn zero_deadline_degrades_to_rule_based_and_still_plans() {
         let schema = TpchSchema::new(1.0);
-        let mut opt =
-            optimizer(&schema, model(), PlannerKind::Selinger, ResourceStrategy::BruteForce);
+        assert_zero_deadline_lands_on_rule_based(brute_force_selinger(&schema, model()));
+        let trained = raqo_cost::JoinCostModel::trained_hive();
+        assert_zero_deadline_lands_on_rule_based(brute_force_selinger(&schema, &trained));
+    }
+
+    fn assert_tight_eval_budget_lands_on_randomized<M: OperatorCost>(
+        mut opt: RaqoOptimizer<'_, M>,
+    ) {
         // Brute force needs 2000 evaluations per getPlanCost call; 100 is
         // exhausted inside the first join, but the grace allowance lets the
         // reduced randomized rung finish.
@@ -1019,6 +1131,14 @@ mod tests {
         assert!(plan.query.cost.is_finite() && plan.query.cost > 0.0);
         // Rung 2 plans carry real per-join resources (it is still RAQO).
         assert!(plan.query.joins.iter().all(|j| j.decision.resources.is_some()));
+    }
+
+    #[test]
+    fn tight_eval_budget_degrades_to_randomized() {
+        let schema = TpchSchema::new(1.0);
+        assert_tight_eval_budget_lands_on_randomized(brute_force_selinger(&schema, model()));
+        let trained = raqo_cost::JoinCostModel::trained_hive();
+        assert_tight_eval_budget_lands_on_randomized(brute_force_selinger(&schema, &trained));
     }
 
     #[test]
@@ -1106,6 +1226,56 @@ mod tests {
         assert_eq!(snap.get(Counter::DegradationsIdpBridge), 1);
         assert_eq!(snap.get(Counter::DegradationsRandomized), 0, "never hit rung 2");
         assert!(snap.get(Counter::IdpRounds) >= 2);
+
+        // Whole 24-relation chains and stars under the trained model: the
+        // bridged plan covers the query with resources on every join and
+        // costs no more than the randomized planner's on the same seed.
+        let model = raqo_cost::JoinCostModel::trained_hive();
+        for (shape, schema) in [
+            ("chain", raqo_catalog::RandomSchema::chain(24, 24)),
+            ("star", raqo_catalog::RandomSchema::star(24, 24)),
+        ] {
+            let query = QuerySpec::new(shape, schema.catalog.table_ids().collect::<Vec<_>>());
+            let plan_with = |planner| {
+                RaqoOptimizer::new(
+                    &schema.catalog,
+                    &schema.graph,
+                    &model,
+                    ClusterConditions::paper_default(),
+                    planner,
+                    ResourceStrategy::HillClimb,
+                )
+                .optimize(&query)
+                .expect("plan")
+            };
+            let plan = plan_with(PlannerKind::Selinger);
+            let d = plan.degradation.expect("relation-bound bridge must be reported");
+            assert_eq!(d.rung, crate::optimizer::DegradationRung::IdpBridge, "{shape}");
+            assert_eq!(
+                d.trigger,
+                crate::optimizer::DegradationTrigger::RelationBoundBridged,
+                "{shape}"
+            );
+            assert!(
+                raqo_planner::plan::covers_exactly(&plan.query.tree, &query.relations),
+                "{shape}"
+            );
+            assert_eq!(plan.query.joins.len(), 23, "{shape}");
+            assert!(plan.query.cost.is_finite() && plan.query.cost > 0.0, "{shape}");
+            assert!(plan.query.joins.iter().all(|j| j.decision.resources.is_some()), "{shape}");
+            let randomized = plan_with(PlannerKind::FastRandomized(RandomizedConfig {
+                restarts: 2,
+                rounds_per_join: 5,
+                epsilon: 0.05,
+                seed: 24,
+            }));
+            assert!(
+                plan.query.cost <= randomized.query.cost * (1.0 + 1e-9),
+                "{shape}: bridged {} worse than randomized {}",
+                plan.query.cost,
+                randomized.query.cost
+            );
+        }
     }
 
     #[test]

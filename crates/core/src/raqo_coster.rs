@@ -24,7 +24,7 @@ use raqo_resource::{
     Parallelism, PlanningOutcome, ResourceConfig, ShardedCacheBank,
 };
 use raqo_sim::engine::JoinImpl;
-use raqo_telemetry::{Counter, Hist, MetricsSnapshot, Telemetry};
+use raqo_telemetry::{Counter, Hist, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -170,24 +170,6 @@ pub struct RaqoStats {
     pub plan_cost_calls: u64,
     /// Resource-planning invocations answered by the cache.
     pub cache_hits: u64,
-}
-
-impl RaqoStats {
-    /// Rebuild the planner counters from two metrics-registry snapshots
-    /// bracketing a run. Every site that bumps a [`RaqoStats`] field also
-    /// bumps the corresponding registry counter, so for any telemetry-
-    /// enabled run `stats == RaqoStats::from_registry_delta(before, after)`
-    /// — the stats are a view over the registry, and the two can never
-    /// diverge.
-    pub fn from_registry_delta(before: &MetricsSnapshot, after: &MetricsSnapshot) -> RaqoStats {
-        RaqoStats {
-            resource_iterations: after.delta(before, Counter::ResourceIterations),
-            plan_cost_calls: after.delta(before, Counter::PlanCostCalls),
-            cache_hits: after.delta(before, Counter::CacheHitsExact)
-                + after.delta(before, Counter::CacheHitsNearest)
-                + after.delta(before, Counter::CacheHitsWeighted),
-        }
-    }
 }
 
 /// Stable cache identifiers per operator implementation.

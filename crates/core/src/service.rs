@@ -728,22 +728,29 @@ mod tests {
         assert_eq!(namespaces.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
-    #[test]
-    fn overload_sheds_with_annotated_plan_and_never_hangs() {
-        // One worker, a one-slot queue, and a burst: most requests shed.
+    /// Submit `burst` requests to a one-worker service with a
+    /// `queue_capacity`-slot queue: some must shed, every reply carries a
+    /// plan, and a shed plan says how it degraded.
+    fn assert_overload_sheds<M: OperatorCost + Send + Sync + 'static>(
+        queue_capacity: usize,
+        requests: impl Iterator<Item = PlanRequest>,
+        build: impl Fn(usize) -> RaqoOptimizer<'static, M>,
+    ) {
         let tel = Telemetry::enabled();
         let service = PlanningService::start(
-            ServiceConfig { workers: 1, queue_capacity: 1, ..Default::default() },
+            ServiceConfig { workers: 1, queue_capacity, ..Default::default() },
             ShardedCacheBank::with_shards(4),
             tel.clone(),
-            build_optimizer,
+            build,
         );
-        let tickets: Vec<PlanTicket> = (0..8)
-            .map(|_| service.submit(PlanRequest::new(QuerySpec::tpch_q3(), Priority::Interactive)))
-            .collect();
+        let tickets: Vec<PlanTicket> = requests.map(|r| service.submit(r)).collect();
         let replies: Vec<ServiceReply> = tickets.into_iter().map(|t| t.wait()).collect();
         let shed: Vec<&ServiceReply> = replies.iter().filter(|r| r.shed).collect();
-        assert!(!shed.is_empty(), "a 1-slot queue under an 8-burst must shed");
+        assert!(
+            !shed.is_empty(),
+            "a {queue_capacity}-slot queue under a {}-burst must shed",
+            replies.len()
+        );
         for reply in &replies {
             let plan = reply.plan.as_ref().expect("every reply carries a plan");
             if reply.shed {
@@ -761,6 +768,30 @@ mod tests {
             snap.get(Counter::ServiceAdmitted),
             (replies.len() - shed.len()) as u64
         );
+    }
+
+    #[test]
+    fn overload_sheds_with_annotated_plan_and_never_hangs() {
+        // One worker, a one-slot queue, and a burst: most requests shed.
+        let q3 = |_| PlanRequest::new(QuerySpec::tpch_q3(), Priority::Interactive);
+        assert_overload_sheds(1, (0..8).map(q3), build_optimizer);
+        // Two slots, a twelve-request burst over four tenants, and the
+        // Selinger planner on the trained model.
+        static MODEL: std::sync::OnceLock<raqo_cost::JoinCostModel> = std::sync::OnceLock::new();
+        let schema = TpchSchema::new(1.0);
+        let tenant = |i: u32| {
+            PlanRequest::new(QuerySpec::tpch_q3(), Priority::Standard).with_namespace(i % 4)
+        };
+        assert_overload_sheds(2, (0..12).map(tenant), |_| {
+            RaqoOptimizer::new(
+                Arc::new(schema.catalog.clone()),
+                Arc::new(schema.graph.clone()),
+                MODEL.get_or_init(raqo_cost::JoinCostModel::trained_hive),
+                ClusterConditions::paper_default(),
+                PlannerKind::Selinger,
+                ResourceStrategy::HillClimbCached(CacheLookup::NearestNeighbor { threshold: 0.05 }),
+            )
+        });
     }
 
     #[test]

@@ -696,7 +696,7 @@ mod tests {
     /// AVX2 hardware this pits the intrinsics kernel against the scalar
     /// loop; otherwise both sides run the same code and the check is a
     /// tautology — the property still gates the SIMD build via
-    /// `cargo test --features simd` and the repro smoke gate.
+    /// `cargo test --features simd`.
     fn assert_batch_matches_scalar(model: &JoinCostModel, build_gb: f64, configs: &[ResourceConfig]) {
         for join in JoinImpl::ALL {
             let mut dispatched = vec![0.0; configs.len()];
@@ -786,10 +786,19 @@ mod tests {
         // including the all-remainder lengths 1–3 that never enter the
         // vector loop at all.
         let grid: Vec<_> = ClusterConditions::paper_default().grid().collect();
+        // A 40 × 6 grid, whole and one short of whole: 10 GB builds are
+        // BHJ-infeasible at its small container sizes, 0.5 GB ones are not.
+        let wide: Vec<_> =
+            ClusterConditions::two_dim(1.0..=40.0, 1.0..=6.0, 1.0, 1.0).grid().collect();
         for model in [JoinCostModel::trained_hive(), JoinCostModel::trained_hive_extended()] {
             for len in 0..=9 {
                 for build_gb in [0.4, 3.4, 9.0] {
                     assert_batch_matches_scalar(&model, build_gb, &grid[100..100 + len]);
+                }
+            }
+            for len in [0, 1, 3, wide.len() - 1, wide.len()] {
+                for build_gb in [0.5, 10.0] {
+                    assert_batch_matches_scalar(&model, build_gb, &wide[..len]);
                 }
             }
         }

@@ -515,9 +515,10 @@ mod tests {
         }
     }
 
-    /// The crafted star catalog of the smoke gate: a wide fact table and
-    /// small dimensions, where probing the fact with dim×dim cross
-    /// products halves the number of fact-sized joins.
+    /// The crafted star catalog (the same one `crates/bench/tests/bushy.rs`
+    /// plans through the optimizer): a wide fact table and small
+    /// dimensions, where probing the fact with dim×dim cross products
+    /// halves the number of fact-sized joins.
     pub(crate) fn fact_dim_star(dims: usize) -> (Catalog, JoinGraph) {
         let mut catalog = Catalog::new();
         let fact = catalog.add_stats_only("fact", TableStats::new(2_000_000.0, 400.0));

@@ -399,3 +399,28 @@ proptest! {
         );
     }
 }
+
+/// At the exhaustive-DP bound itself (20 relations, every table of a
+/// 20-table schema), IDP with a covering block is still the DP: the same
+/// tree, cost bits and join decisions under the trained model.
+#[test]
+fn idp_with_covering_block_equals_exhaustive_dp_at_twenty_relations() {
+    let schema = RandomSchemaConfig::with_tables(20, 20).generate();
+    let q = QuerySpec::new("n20", schema.catalog.table_ids().collect::<Vec<_>>());
+    let model = raqo_cost::JoinCostModel::trained_hive();
+    let mut dp_coster = FixedResourceCoster::new(&model, 10.0, 4.0);
+    let dp = SelingerPlanner::plan(&schema.catalog, &schema.graph, &q, &mut dp_coster)
+        .expect("n = 20 DP plan");
+    let mut idp_coster = FixedResourceCoster::new(&model, 10.0, 4.0);
+    let idp = IdpPlanner::plan(
+        &schema.catalog,
+        &schema.graph,
+        &q,
+        &mut idp_coster,
+        IdpConfig { block_size: 20 },
+    )
+    .expect("n = 20 IDP plan");
+    assert_eq!(dp.tree, idp.tree);
+    assert_eq!(dp.cost.to_bits(), idp.cost.to_bits(), "{} vs {}", dp.cost, idp.cost);
+    assert_eq!(dp.joins, idp.joins);
+}
